@@ -8,9 +8,9 @@
 #   make serve-smoke  compile-cache the canned workload twice; fail unless
 #                     the warm pass is all cache hits and >= 5x faster
 #   make check        lint + serve-smoke (the gated fast checks)
-#   make ci           lint + every smoke gate (incl. both fuzz schemas
-#                     and the parallel substrate) + the tier-1 pytest
-#                     suite, in one gate
+#   make ci           lint + every smoke gate (incl. both fuzz schemas,
+#                     the parallel substrate and the ledger) + the tier-1
+#                     pytest suite, in one gate
 #   make bench-sched  benchmark the contour-crossing schedulers; writes
 #                     BENCH_sched.json and fails on any acceptance miss
 #   make bench-sweep  race the cohort sweep engine against the reference
@@ -50,6 +50,9 @@
 #   make bench-workload  full fuzzing campaign: 200 generated queries with
 #                     sensitivity-chosen ESS dims; writes BENCH_workload.json
 #                     and fails on any crash or MSO above 4(1+lambda)rho
+#   make ledger-smoke the BENCHMARK.json ledger at a tenth of its size: all
+#                     four workloads with their output verification, then
+#                     the ledger's own tests (nothing is timed for a claim)
 #   make bench        regenerate every paper table/figure
 #   make experiments  bench + rebuild EXPERIMENTS.md
 #   make examples     run the example scripts end to end
@@ -58,7 +61,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test lint serve-smoke check ci bench-sched bench-sweep sweep-smoke bench-compile compile-smoke bench-drift drift-smoke bench-serve serve-load-smoke fuzz-smoke fuzz-smoke-tpcds bench-par par-smoke bench-template template-smoke bench-workload bench experiments examples all clean
+.PHONY: help install test lint serve-smoke check ci bench-sched bench-sweep sweep-smoke bench-compile compile-smoke bench-drift drift-smoke bench-serve serve-load-smoke fuzz-smoke fuzz-smoke-tpcds bench-par par-smoke bench-template template-smoke bench-workload ledger-smoke bench experiments examples all clean
 
 help:
 	@sed -n 's/^#   //p' Makefile
@@ -79,7 +82,7 @@ serve-smoke:
 
 check: lint serve-smoke
 
-ci: lint sweep-smoke compile-smoke drift-smoke serve-load-smoke fuzz-smoke fuzz-smoke-tpcds template-smoke par-smoke
+ci: lint sweep-smoke compile-smoke drift-smoke serve-load-smoke fuzz-smoke fuzz-smoke-tpcds template-smoke par-smoke ledger-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench-sched:
@@ -150,6 +153,15 @@ template-smoke:
 bench-workload:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.workload --count 200 \
 		--workers 4 --out BENCH_workload.json
+
+# The pipeline's benchmark, small: each run checks its outputs (reference
+# rows, cache tiers, digests, rosters) and exits non-zero on a mismatch,
+# so a change that breaks them fails here and not after it is pushed.
+ledger-smoke:
+	for workload in serve_hot serve_churn compile_cold eval_campaign; do \
+		$(PYTHON) ledger/run.py --workload $$workload --smoke || exit 1; \
+	done
+	$(PYTHON) -m pytest ledger/tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -102,6 +102,9 @@ class Table:
         if row_count <= 0:
             raise CatalogError(f"table {name!r} must have a positive row count")
         self.row_count = int(row_count)
+        self._row_width = sum(col.width for col in self.columns)
+        rows_per_page = max(1, PAGE_SIZE_BYTES // max(1, self._row_width))
+        self._pages = max(1, -(-self.row_count // rows_per_page))
         if primary_key is not None and primary_key not in self._by_name:
             raise CatalogError(
                 f"primary key {primary_key!r} is not a column of table {name!r}"
@@ -125,13 +128,12 @@ class Table:
     @property
     def row_width(self) -> int:
         """Total row width in bytes."""
-        return sum(col.width for col in self.columns)
+        return self._row_width
 
     @property
     def pages(self) -> int:
         """Number of heap pages holding the relation (at least one)."""
-        rows_per_page = max(1, PAGE_SIZE_BYTES // max(1, self.row_width))
-        return max(1, -(-self.row_count // rows_per_page))
+        return self._pages
 
     def __repr__(self):
         return f"Table({self.name!r}, rows={self.row_count})"

@@ -1,6 +1,6 @@
 """Synthetic data generation."""
 
-from .database import Database
+from .database import ColumnIndex, Database
 from .generators import (
     ColumnGenerator,
     CorrelatedFloat,
@@ -14,6 +14,7 @@ from .generators import (
 )
 
 __all__ = [
+    "ColumnIndex",
     "Database",
     "ColumnGenerator",
     "CorrelatedFloat",

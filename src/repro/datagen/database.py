@@ -9,8 +9,9 @@ statistics), which is the knob that creates realistic estimation errors.
 from __future__ import annotations
 
 import hashlib
+import threading
 import zlib
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +40,33 @@ def _column_rng(root: np.random.SeedSequence, table: str, column: str) -> np.ran
     )
 
 
+class ColumnIndex(NamedTuple):
+    """A sorted access path over one key array (the simulated B-tree).
+
+    ``values`` is ``keys[order]`` under a stable sort, so equal keys keep
+    their row order; ``unique`` says no key repeats, which lets a join
+    probe with one binary search instead of two.  The arrays are
+    read-only: an index over a base column is shared by every engine
+    over the same :class:`Database`, and lives as long as it does — so
+    ``order`` is held as int32 whenever the row count allows.
+    """
+
+    values: np.ndarray
+    order: np.ndarray
+    unique: bool
+
+    @classmethod
+    def build(cls, keys: np.ndarray) -> "ColumnIndex":
+        order = np.argsort(keys, kind="stable")
+        values = keys[order]
+        unique = bool((values[1:] != values[:-1]).all())
+        if keys.size <= np.iinfo(np.int32).max:
+            order = order.astype(np.int32)
+        values.flags.writeable = False
+        order.flags.writeable = False
+        return cls(values, order, unique)
+
+
 class Database:
     """Generated relational data for a :class:`~repro.catalog.schema.Schema`."""
 
@@ -46,6 +74,10 @@ class Database:
         self.schema = schema
         self._tables = tables
         self._fingerprint: Optional[str] = None
+        self._indexes: Dict[Tuple[str, str], ColumnIndex] = {}
+        self._index_lock = threading.Lock()
+        #: Indexes built over this object's lifetime (telemetry / tests).
+        self.index_builds = 0
         for name, cols in tables.items():
             table = schema.table(name)
             lengths = {arr.size for arr in cols.values()}
@@ -143,8 +175,39 @@ class Database:
         return self._fingerprint
 
     def invalidate_fingerprint(self) -> None:
-        """Drop the cached fingerprint after in-place data mutation."""
-        self._fingerprint = None
+        """Drop everything derived from the data (the cached fingerprint
+        and every index) after in-place data mutation."""
+        with self._index_lock:
+            self._fingerprint = None
+            self._indexes = {}
+
+    def index(self, table: str, column: str) -> ColumnIndex:
+        """The index over ``table.column``, built on first use.
+
+        Built once per dataset however many engines and threads ask; it
+        lives until :meth:`invalidate_fingerprint` and is not pickled.
+        """
+        key = (table, column)
+        found = self._indexes.get(key)
+        if found is None:
+            with self._index_lock:
+                found = self._indexes.get(key)
+                if found is None:
+                    found = ColumnIndex.build(self.column(table, column))
+                    self._indexes[key] = found
+                    self.index_builds += 1
+        return found
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_indexes"], state["_index_lock"], state["index_builds"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._indexes = {}
+        self._index_lock = threading.Lock()
+        self.index_builds = 0
 
     # ------------------------------------------------------------------
     # Statistics

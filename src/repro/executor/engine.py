@@ -1,6 +1,8 @@
 """The execution engine: budget-limited, instrumented, spill-capable.
 
-A Volcano-style batched executor over the in-memory database.  Work is
+A batch-at-a-time numpy engine over the in-memory database: operators
+are generators of column batches, and they read the access paths the
+:class:`~repro.datagen.database.Database` owns.  Work is
 charged to the :class:`~repro.executor.instrumentation.Instrumentation`
 account in the *same units and formulas* as the optimizer's cost model,
 so "execute under budget IC_k" is directly meaningful.  An optional
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..catalog.schema import IndexInfo
-from ..datagen.database import Database
+from ..datagen.database import ColumnIndex, Database
 from ..exceptions import BudgetExceeded, ExecutionCancelled, ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..optimizer.cost_model import POSTGRES_COST_MODEL, CostModel
@@ -45,9 +47,11 @@ from .arrays import (
     apply_selections,
     batch_length,
     concat,
+    group_counts,
     join_indices,
     merge_batches,
     qualify,
+    take,
 )
 from .instrumentation import Instrumentation
 
@@ -110,7 +114,6 @@ class ExecutionEngine:
             raise ExecutionError("batch_size must be positive")
         self.perturbation = perturbation
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._sorted_columns: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
 
     def _trace_run(self, spilled: bool, result: "ExecutionResult") -> None:
         """One event per engine execution — never per batch, so the hot
@@ -148,8 +151,9 @@ class ExecutionEngine:
         cancel: Optional[object] = None,
     ) -> ExecutionResult:
         """Run ``plan`` fully (or until ``budget`` or ``cancel`` kills it)."""
-        inst = Instrumentation(budget, cancel=cancel)
-        inst.needed_columns = needed_columns(query)
+        inst = Instrumentation(
+            budget, cancel=cancel, needed_columns=needed_columns(query)
+        )
         rows = 0
         collected: List[Batch] = []
         try:
@@ -196,8 +200,9 @@ class ExecutionEngine:
         no such node — the run then degenerates to a full execution)."""
         node = first_error_node(plan, frozenset(spill_pids))
         target = node if node is not None else plan
-        inst = Instrumentation(budget, cancel=cancel)
-        inst.needed_columns = needed_columns(query)
+        inst = Instrumentation(
+            budget, cancel=cancel, needed_columns=needed_columns(query)
+        )
         rows = 0
         stored: List[Batch] = []
         try:
@@ -275,16 +280,31 @@ class ExecutionEngine:
 
     # -- scans -----------------------------------------------------------
 
-    def _table_batch(
-        self, table: str, start: int, stop: int, inst: Instrumentation
-    ) -> Batch:
-        data = self.database.table(table)
-        needed = getattr(inst, "needed_columns", None)
-        return {
-            qualify(table, column): array[start:stop]
-            for column, array in data.items()
-            if needed is None or qualify(table, column) in needed
+    def _base_columns(self, table: str, inst: Instrumentation) -> Batch:
+        """The whole base table as one batch, pruned to the columns the
+        run needs (projection pushdown at the scan/fetch boundary)."""
+        needed = inst.needed_columns
+        columns = {
+            qualify(table, column): array
+            for column, array in self.database.table(table).items()
         }
+        if needed is None:
+            return columns
+        return {name: array for name, array in columns.items() if name in needed}
+
+    def _index(self, table: str, column: str) -> ColumnIndex:
+        """The database's index over ``table.column`` (built on first use
+        by whichever engine asks first; a B-tree that predates the query,
+        as the cost model assumes).  Engines racing on a cold index may
+        each book the one build; ``Database.index_builds`` is exact."""
+        database = self.database
+        if not self.tracer.enabled:
+            return database.index(table, column)
+        builds = database.index_builds
+        index = database.index(table, column)
+        built = database.index_builds != builds
+        self.tracer.count("executor.index_builds" if built else "executor.index_hits")
+        return index
 
     def _run_seq_scan(self, node: SeqScan, query: Query, inst: Instrumentation):
         table = self.schema.table(node.table)
@@ -292,6 +312,7 @@ class ExecutionEngine:
         preds = [self._selection(query, pid) for pid in node.filter_pids]
         n = table.row_count
         pages_per_row = table.pages / n
+        columns = self._base_columns(node.table, inst)
         for start in range(0, n, self.batch_size):
             stop = min(start + self.batch_size, n)
             count = stop - start
@@ -299,23 +320,14 @@ class ExecutionEngine:
             cost += count * model.cpu_tuple_cost
             cost += count * len(preds) * model.cpu_operator_cost
             self._charge(inst, node, cost)
-            batch = apply_selections(self._table_batch(node.table, start, stop, inst), preds)
+            batch = apply_selections(
+                {name: array[start:stop] for name, array in columns.items()}, preds
+            )
             out = batch_length(batch)
             if out:
                 inst.emit(node, out)
                 yield batch
         inst.mark_finished(node)
-
-    def _sorted_column(self, table: str, column: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(sorted values, argsort order) for a simulated B-tree index."""
-        key = (table, column)
-        cached = self._sorted_columns.get(key)
-        if cached is None:
-            values = self.database.column(table, column)
-            order = np.argsort(values, kind="stable")
-            cached = (values[order], order)
-            self._sorted_columns[key] = cached
-        return cached
 
     def _matching_positions(
         self, sorted_values: np.ndarray, pred: SelectionPredicate
@@ -327,9 +339,11 @@ class ExecutionEngine:
         elif pred.op in ("<", "<="):
             side = "left" if pred.op == "<" else "right"
             lo, hi = 0, int(np.searchsorted(sorted_values, pred.value, side=side))
-        else:  # > or >=
+        elif pred.op in (">", ">="):
             side = "right" if pred.op == ">" else "left"
             lo, hi = int(np.searchsorted(sorted_values, pred.value, side=side)), sorted_values.size
+        else:
+            raise ExecutionError(f"cannot index-scan operator {pred.op!r}")
         return lo, hi
 
     def _run_index_scan(self, node: IndexScan, query: Query, inst: Instrumentation):
@@ -337,31 +351,25 @@ class ExecutionEngine:
         model = self.cost_model
         index_pred = self._selection(query, node.index_pid)
         residuals = [self._selection(query, pid) for pid in node.filter_pids]
-        sorted_values, order = self._sorted_column(node.table, index_pred.column)
+        entries = self._index(node.table, index_pred.column)
         index = IndexInfo.for_table(table, index_pred.column)
         self._charge(inst, node, index.height * model.random_page_cost)
-        lo, hi = self._matching_positions(sorted_values, index_pred)
+        lo, hi = self._matching_positions(entries.values, index_pred)
         matched = hi - lo
         leaf_share = (matched / max(1, table.row_count)) * index.leaf_pages
         self._charge(inst, node, leaf_share * model.seq_page_cost)
-        row_ids = order[lo:hi]
+        row_ids = entries.order[lo:hi].astype(np.intp)
         per_row = (
             model.cpu_index_tuple_cost
             + model.random_page_cost
             + model.cpu_tuple_cost
             + len(residuals) * model.cpu_operator_cost
         )
-        data = self.database.table(node.table)
-        needed = getattr(inst, "needed_columns", None)
+        columns = self._base_columns(node.table, inst)
         for start in range(0, matched, self.batch_size):
             ids = row_ids[start : min(start + self.batch_size, matched)]
             self._charge(inst, node, ids.size * per_row)
-            batch = {
-                qualify(node.table, column): array[ids]
-                for column, array in data.items()
-                if needed is None or qualify(node.table, column) in needed
-            }
-            batch = apply_selections(batch, residuals)
+            batch = apply_selections(take(columns, ids), residuals)
             out = batch_length(batch)
             if out:
                 inst.emit(node, out)
@@ -440,12 +448,7 @@ class ExecutionEngine:
             )
         probe_seen = 0
         if build_rows:
-            build_keys = build[right_key]
-            build_order = np.argsort(build_keys, kind="stable")
-            build_sorted = build_keys[build_order]
-        else:
-            build_order = np.empty(0, dtype=np.int64)
-            build_sorted = np.empty(0)
+            lookup = ColumnIndex.build(build[right_key])
         for probe in self._run(node.left, query, inst):
             probe_rows = batch_length(probe)
             if flavour == "hash":
@@ -462,7 +465,7 @@ class ExecutionEngine:
                 )
             if not build_rows:
                 continue
-            probe_idx, build_idx = join_indices(probe[left_key], build_sorted, build_order)
+            probe_idx, build_idx = join_indices(probe[left_key], *lookup)
             out = merge_batches(probe, probe_idx, build, build_idx)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -479,9 +482,7 @@ class ExecutionEngine:
         inner_rows = batch_length(inner)
         self._charge(inst, node, inner_rows * model.cpu_tuple_cost)  # materialize
         if inner_rows:
-            inner_keys = inner[right_key]
-            inner_order = np.argsort(inner_keys, kind="stable")
-            inner_sorted = inner_keys[inner_order]
+            lookup = ColumnIndex.build(inner[right_key])
         for outer in self._run(node.left, query, inst):
             outer_rows = batch_length(outer)
             # The nested-loop comparisons are charged faithfully even though
@@ -489,7 +490,7 @@ class ExecutionEngine:
             self._charge(inst, node, outer_rows * inner_rows * model.cpu_operator_cost)
             if not inner_rows:
                 continue
-            outer_idx, inner_idx = join_indices(outer[left_key], inner_sorted, inner_order)
+            outer_idx, inner_idx = join_indices(outer[left_key], *lookup)
             out = merge_batches(outer, outer_idx, inner, inner_idx)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -504,8 +505,8 @@ class ExecutionEngine:
         inner: IndexLookup = node.right  # type: ignore[assignment]
         outer_key = qualify(driving.other(inner.table), driving.column_for(driving.other(inner.table)))
         residuals = [self._selection(query, pid) for pid in inner.filter_pids]
-        sorted_values, order = self._sorted_column(inner.table, inner.lookup_column)
-        data = self.database.table(inner.table)
+        lookup = self._index(inner.table, inner.lookup_column)
+        columns = self._base_columns(inner.table, inst)
         per_match = (
             model.cpu_index_tuple_cost
             + model.random_page_cost
@@ -515,15 +516,9 @@ class ExecutionEngine:
         for outer in self._run(node.left, query, inst):
             outer_rows = batch_length(outer)
             self._charge(inst, node, outer_rows * model.random_page_cost)  # descents
-            outer_idx, inner_idx = join_indices(outer[outer_key], sorted_values, order)
+            outer_idx, inner_idx = join_indices(outer[outer_key], *lookup)
             self._charge(inst, node, inner_idx.size * per_match)
-            needed = getattr(inst, "needed_columns", None)
-            inner_batch = {
-                qualify(inner.table, column): array[inner_idx]
-                for column, array in data.items()
-                if needed is None or qualify(inner.table, column) in needed
-            }
-            out = merge_batches(outer, outer_idx, inner_batch, np.arange(inner_idx.size))
+            out = merge_batches(outer, outer_idx, columns, inner_idx)
             out = apply_selections(out, residuals)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -537,12 +532,10 @@ class ExecutionEngine:
     def _run_aggregate(self, node: Aggregate, query: Query, inst: Instrumentation):
         """Hash aggregation: COUNT(*) per group (or one global count)."""
         model = self.cost_model
-        rows_in = 0
         if not node.group_columns:
             count = 0
             for batch in self._run(node.child, query, inst):
                 n = batch_length(batch)
-                rows_in += n
                 count += n
                 self._charge(inst, node, n * model.hash_tuple_cost)
             self._charge(inst, node, model.cpu_tuple_cost)
@@ -551,33 +544,31 @@ class ExecutionEngine:
             yield {"count": np.array([count], dtype=np.int64)}
             return
         key_names = [qualify(t, c) for t, c in node.group_columns]
-        keys: Dict[Tuple, int] = {}
+
+        def grouped(batch: Batch, weights: Optional[np.ndarray] = None) -> Batch:
+            keys, counts = group_counts([batch[name] for name in key_names], weights)
+            return {**dict(zip(key_names, keys)), "count": counts}
+
+        # One small group table per input batch, merged at the end.
+        partials: List[Batch] = []
         for batch in self._run(node.child, query, inst):
             n = batch_length(batch)
-            rows_in += n
             self._charge(
                 inst,
                 node,
                 n * (model.hash_tuple_cost + len(key_names) * model.cpu_operator_cost),
             )
-            if not n:
-                continue
-            stacked = np.stack([batch[name] for name in key_names], axis=1)
-            uniques, counts = np.unique(stacked, axis=0, return_counts=True)
-            for row, cnt in zip(uniques, counts):
-                keys[tuple(row.tolist())] = keys.get(tuple(row.tolist()), 0) + int(cnt)
-        groups = sorted(keys)
-        self._charge(inst, node, len(groups) * model.cpu_tuple_cost)
-        inst.emit(node, len(groups))
+            if n:
+                partials.append(grouped(batch))
+        groups = concat(partials)
+        if len(partials) > 1:
+            groups = grouped(groups, weights=groups["count"])
+        count = batch_length(groups)
+        self._charge(inst, node, count * model.cpu_tuple_cost)
+        inst.emit(node, count)
         inst.mark_finished(node)
-        if not groups:
-            return
-        out: Batch = {}
-        columns = np.array(groups)
-        for i, name in enumerate(key_names):
-            out[name] = columns[:, i]
-        out["count"] = np.array([keys[g] for g in groups], dtype=np.int64)
-        yield out
+        if count:
+            yield groups
 
     # ------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ cost-limited execution and run-time selectivity monitoring possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import AbstractSet, Dict, Optional
 
 from ..exceptions import BudgetExceeded, ExecutionCancelled
 from ..optimizer.plans import PlanNode
@@ -41,14 +41,17 @@ class Instrumentation:
     """
 
     def __init__(
-        self, budget: Optional[float] = None, cancel: Optional[object] = None
+        self,
+        budget: Optional[float] = None,
+        cancel: Optional[object] = None,
+        needed_columns: Optional[AbstractSet[str]] = None,
     ):
         self.budget = budget
         self.cancel = cancel
         self.total_cost = 0.0
-        #: Optional projection-pushdown set: qualified column names the
-        #: run needs; ``None`` means all columns (SELECT *).
-        self.needed_columns = None
+        #: Projection-pushdown set: qualified column names the run
+        #: needs; ``None`` means all columns (SELECT *).
+        self.needed_columns = needed_columns
         #: Optional ``(node, batches)`` spill-store replay: when a
         #: resumed spill execution reaches ``node``, its stored output is
         #: yielded instead of re-running the (already charged) subtree.

@@ -259,6 +259,11 @@ class ServingSummary:
         return self._c("par.payload.cache_hits") / total
 
     @property
+    def index_lookups(self) -> float:
+        """Executor requests for a database-owned index (scan or INL)."""
+        return self._c("executor.index_builds") + self._c("executor.index_hits")
+
+    @property
     def rebind_latency(self) -> float:
         """Mean wall seconds per template rebind attempt."""
         if not self.rebind_spans:
@@ -357,6 +362,18 @@ class ServingSummary:
                     title="parallel substrate",
                 )
             )
+        if self.index_lookups:
+            lines.append("")
+            lines.append(
+                format_table(
+                    ["executor", "value"],
+                    [
+                        ["index builds", self._c("executor.index_builds")],
+                        ["index hits", self._c("executor.index_hits")],
+                    ],
+                    title="access paths",
+                )
+            )
         if self.compile_spans or self.execute_spans:
             lines.append("")
             lines.append(
@@ -391,7 +408,9 @@ def summarize_serving(records: Iterable[Dict[str, Any]]) -> ServingSummary:
         kind = record.get("type")
         if kind == "counter":
             name = record["name"]
-            if name.startswith(("serve.", "optimizer.", "batchopt.", "par.")):
+            if name.startswith(
+                ("serve.", "optimizer.", "batchopt.", "par.", "executor.")
+            ):
                 summary.counters[name] = record["value"]
         elif kind == "span_end":
             name = record.get("name")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datagen import ColumnIndex
 from repro.exceptions import ExecutionError
 from repro.executor.arrays import (
     apply_selections,
@@ -105,6 +106,51 @@ class TestJoinIndices:
         empty = np.empty(0, dtype=np.int64)
         p, b = join_indices(empty, empty, empty)
         assert p.size == 0 and b.size == 0
+
+    @staticmethod
+    def nested_loop(probe, build, order):
+        """Matches in kernel order: by probe row, then by sorted build slot."""
+        return [
+            (i, int(j))
+            for i, key in enumerate(probe)
+            for j in order
+            if build[j] == key
+        ]
+
+    # Probe keys range past both ends of the build keys, so absent keys
+    # and keys above the build maximum (searchsorted == len) are drawn.
+    @given(
+        probe=st.lists(st.integers(min_value=-4, max_value=14), max_size=30),
+        build=st.lists(st.integers(min_value=0, max_value=9), max_size=30),
+        distinct_build=st.booleans(),
+        dtype=st.sampled_from([np.int64, np.float64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unique_and_general_paths_match_nested_loop(
+        self, probe, build, distinct_build, dtype
+    ):
+        if distinct_build:
+            build = list(dict.fromkeys(build))
+        # Halving keeps float keys exactly representable but non-integral.
+        scale = 0.5 if dtype is np.float64 else 1
+        probe_arr = np.array(probe, dtype=dtype) * scale
+        build_arr = np.array(build, dtype=dtype) * scale
+        index = ColumnIndex.build(build_arr)
+        assert index.unique == (len(set(build)) == len(build))
+        want = self.nested_loop(probe_arr, build_arr, index.order)
+
+        p_idx, b_idx = join_indices(probe_arr, index.values, index.order)
+        assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
+        if index.unique:
+            p_idx, b_idx = join_indices(probe_arr, *index)
+            assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
+
+    def test_unique_path_clamps_probe_above_build_maximum(self):
+        index = ColumnIndex.build(np.array([5, 1, 3]))
+        p_idx, b_idx = join_indices(np.array([9, 3, 0, 5, 9]), *index)
+        assert index.unique
+        assert p_idx.tolist() == [1, 3] and b_idx.tolist() == [2, 0]
+        assert index.order.dtype == np.int32 and b_idx.dtype == np.intp
 
 
 class TestMergeBatches:

@@ -1,0 +1,136 @@
+"""Lifecycle of the access paths a :class:`Database` owns.
+
+An index is a fact about one concrete dataset, like the cardinalities in
+``test_cardinality_cache.py``: it is built once however many engines ask,
+dropped when the data is mutated, and never travels to another
+``Database`` object — by reference or through a pickle.
+"""
+
+from __future__ import annotations
+
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.catalog import tpch_generator_spec
+from repro.datagen import Database
+from repro.executor import ExecutionEngine
+from repro.obs import MemorySink, Tracer
+from repro.optimizer.plans import IndexScan
+from repro.query import Query, SelectionPredicate
+
+SCALE = 0.003
+
+
+@pytest.fixture
+def fresh_database(schema):
+    return Database.generate(schema, tpch_generator_spec(SCALE), seed=99)
+
+
+@pytest.fixture(scope="module")
+def price_scan(schema):
+    """``part`` rows under a retail price, fetched through the index."""
+    pred = SelectionPredicate("part", "p_retailprice", "<", 1000.0)
+    query = Query("scan", schema, ["part"], selections=[pred])
+    return query, IndexScan(table="part", index_pid=pred.pid)
+
+
+def test_index_is_the_stable_sort_of_the_column(fresh_database):
+    column = fresh_database.column("lineitem", "l_orderkey")
+    index = fresh_database.index("lineitem", "l_orderkey")
+    order = np.argsort(column, kind="stable")
+    assert np.array_equal(index.order, order)
+    assert np.array_equal(index.values, column[order])
+    assert index.order.dtype == np.int32  # resident for the dataset's life
+    assert not index.unique  # several lineitems per order
+    assert fresh_database.index("orders", "o_orderkey").unique
+    with pytest.raises(ValueError):
+        index.values[0] = -1  # shared by every engine: read-only
+
+
+def test_built_once_across_engines(fresh_database, price_scan):
+    query, plan = price_scan
+    tracer = Tracer(MemorySink())
+    first = ExecutionEngine(fresh_database, tracer=tracer).execute(query, plan)
+    assert fresh_database.index_builds == 1
+    index = fresh_database.index("part", "p_retailprice")
+
+    second = ExecutionEngine(fresh_database, tracer=tracer).execute(query, plan)
+    assert fresh_database.index_builds == 1
+    assert fresh_database.index("part", "p_retailprice") is index
+    assert (second.rows, second.spent) == (first.rows, first.spent)
+    assert tracer.counters["executor.index_builds"] == 1
+    assert tracer.counters["executor.index_hits"] == 1
+
+
+def test_rebuilt_after_in_place_mutation(fresh_database, price_scan):
+    query, plan = price_scan
+    engine = ExecutionEngine(fresh_database)
+    before = engine.execute(query, plan).rows
+    assert 0 < before < fresh_database.row_count("part")
+
+    fresh_database.column("part", "p_retailprice")[:] = 1.0
+    fresh_database.invalidate_fingerprint()
+    assert engine.execute(query, plan).rows == fresh_database.row_count("part")
+    assert fresh_database.index_builds == 2
+
+
+def test_never_shared_between_databases(schema, fresh_database, price_scan):
+    """Two databases of one schema answer from their own data."""
+    query, plan = price_scan
+    other = Database.generate(schema, tpch_generator_spec(SCALE), seed=100)
+    other.column("part", "p_retailprice")[:] = 1.0
+    rows = ExecutionEngine(fresh_database).execute(query, plan).rows
+    assert ExecutionEngine(other).execute(query, plan).rows == other.row_count("part")
+    assert ExecutionEngine(fresh_database).execute(query, plan).rows == rows
+    assert fresh_database.index("part", "p_retailprice") is not other.index(
+        "part", "p_retailprice"
+    )
+
+
+def test_absent_from_a_pickled_database(fresh_database):
+    fresh_database.index("orders", "o_orderkey")
+    payload = pickle.dumps(fresh_database)
+    bare = Database(fresh_database.schema, fresh_database._tables)
+    assert len(payload) == len(pickle.dumps(bare))
+
+    clone = pickle.loads(payload)
+    assert clone._indexes == {} and clone.index_builds == 0
+    assert clone.fingerprint() == fresh_database.fingerprint()
+    assert np.array_equal(
+        clone.index("orders", "o_orderkey").order,
+        fresh_database.index("orders", "o_orderkey").order,
+    )
+
+
+def test_eight_threads_on_a_cold_database_build_each_index_once(fresh_database):
+    columns = [("lineitem", "l_orderkey"), ("lineitem", "l_partkey"), ("orders", "o_orderkey")]
+    barrier = threading.Barrier(8)
+    seen = [None] * 8
+
+    def worker(slot):
+        barrier.wait(timeout=30)
+        seen[slot] = [fresh_database.index(*column) for column in columns]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert fresh_database.index_builds == len(columns)
+    for got in seen:
+        assert all(a is b for a, b in zip(got, seen[0]))
+    for (table, column), index in zip(columns, seen[0]):
+        assert np.array_equal(
+            index.values, np.sort(fresh_database.column(table, column))
+        )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ExecutionError
 from repro.executor import ExecutionEngine
 from repro.optimizer import (
     IndexLookup,
@@ -152,6 +153,27 @@ class TestTpcdsExecution:
         result = engine.execute(ql.workload.query, plan)
         assert result.completed
         assert result.rows > 0
+
+
+class TestIndexScanOperators:
+    def test_in_predicate_is_refused_not_answered_as_a_range(self, engine, schema):
+        """An ``in`` IndexScan cannot come out of ``access_paths`` but can
+        be built by hand or read back from a stored envelope; it used to
+        return the rows ``>= value`` without complaint."""
+        pred = SelectionPredicate("part", "p_size", "in", (3, 5))
+        query = Query("in_scan", schema, ["part"], selections=[pred])
+        with pytest.raises(ExecutionError, match="'in'"):
+            engine.execute(query, IndexScan("part", pred.pid))
+        # The same predicate as a filter is answered.
+        assert engine.execute(query, SeqScan("part", (pred.pid,))).rows > 0
+
+    @pytest.mark.parametrize("op", ["=", "<", "<=", ">", ">="])
+    def test_range_operators_agree_with_a_filtered_scan(self, engine, schema, op):
+        pred = SelectionPredicate("part", "p_size", op, 25)
+        query = Query("range_scan", schema, ["part"], selections=[pred])
+        indexed = engine.execute(query, IndexScan("part", pred.pid))
+        scanned = engine.execute(query, SeqScan("part", (pred.pid,)))
+        assert indexed.rows == scanned.rows > 0
 
 
 class TestProjectionPushdown:

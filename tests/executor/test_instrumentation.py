@@ -12,6 +12,12 @@ def node():
     return SeqScan("part")
 
 
+def test_projection_set_is_a_constructor_field():
+    assert Instrumentation().needed_columns is None
+    needed = frozenset(["part.p_size"])
+    assert Instrumentation(budget=1.0, needed_columns=needed).needed_columns is needed
+
+
 class TestCharging:
     def test_accumulates(self, node):
         inst = Instrumentation()

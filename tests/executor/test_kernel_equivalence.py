@@ -1,0 +1,163 @@
+"""The join and group-by kernels change wall time and nothing else.
+
+A serving pool shaped like the benchmark's ``serve_hot`` workload (the
+three canned texts plus generated queries under an abstract-cost cap) is
+compiled once and run twice: with the engine as shipped, and with its
+kernels swapped for the ones they replaced — the two-pass join expansion
+for every probe and the row-sort group-by.  Charges are the contract: the
+bouquet driver must see the same budgets, kills and learned
+selectivities, and the rows must match the independent evaluator.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import BouquetConfig, Catalog, compile_bouquet, execute, generate_workload
+from repro.executor import arrays, engine
+from repro.executor.arrays import group_counts
+from repro.executor.reference import reference_group_counts, reference_row_count
+from repro.optimizer import actual_selectivities
+from repro.query import parse_query
+
+CANNED = [
+    "select * from lineitem, orders, part "
+    "where p_partkey = l_partkey and l_orderkey = o_orderkey "
+    "and p_retailprice < 1000",
+    "select * from lineitem, orders "
+    "where l_orderkey = o_orderkey and o_totalprice < 150000",
+    "select count(*) from lineitem, part "
+    "where p_partkey = l_partkey and p_retailprice < 1200 "
+    "group by p_brand",
+]
+GENERATED = 22
+COST_CAP = 2000.0
+
+
+def legacy_group_counts(columns, weights=None):
+    """The group-by this kernel replaced: per batch a row sort
+    (``np.unique`` over the stacked keys), across batches a dict of
+    Python tuples sorted at the end."""
+    stacked = np.stack(columns, axis=1)
+    if weights is None and len(stacked):
+        stacked, weights = np.unique(stacked, axis=0, return_counts=True)
+    totals = {}
+    for row, weight in zip(stacked.tolist(), [] if weights is None else weights.tolist()):
+        totals[tuple(row)] = totals.get(tuple(row), 0) + weight
+    groups = sorted(totals)
+    keys = np.array(groups).reshape(len(groups), len(columns))
+    return [keys[:, i] for i in range(len(columns))], [totals[g] for g in groups]
+
+
+class TestGroupCounts:
+    @staticmethod
+    def assert_same(got, want):
+        (got_keys, got_counts), (want_keys, want_counts) = got, want
+        assert got_counts.dtype == np.int64
+        assert got_counts.tolist() == want_counts
+        assert len(got_keys) == len(want_keys)
+        for got_column, want_column in zip(got_keys, want_keys):
+            assert got_column.tolist() == want_column.tolist()
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=-2, max_value=3),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=40),
+            ),
+            max_size=40,
+        ),
+        width=st.integers(min_value=1, max_value=3),
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_sort_whole_and_merged_from_batches(self, rows, width, cuts):
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        # An int, a float and a wide-range int column, as group-bys mix.
+        columns = [table[:, 0], table[:, 1] * 0.5, table[:, 2]][:width]
+        want = legacy_group_counts(columns)
+        self.assert_same(group_counts(columns), want)
+
+        bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
+        partials = [
+            group_counts([column[lo:hi] for column in columns])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        if partials:
+            merged = group_counts(
+                [np.concatenate(parts) for parts in zip(*(k for k, _ in partials))],
+                weights=np.concatenate([c for _, c in partials]),
+            )
+            self.assert_same(merged, want)
+
+    def test_keeps_each_column_dtype(self):
+        keys, counts = group_counts([np.array([2, 1, 2]), np.array([0.5, 0.5, 0.5])])
+        assert keys[0].dtype == np.int64 and keys[1].dtype == np.float64
+        assert keys[0].tolist() == [1, 2] and counts.tolist() == [1, 2]
+
+
+@pytest.fixture(scope="module")
+def catalog(schema, statistics, database):
+    return Catalog(schema=schema, statistics=statistics, database=database)
+
+
+@pytest.fixture(scope="module")
+def pool(catalog):
+    """Compiled bouquets of the canned texts and the first ``GENERATED``
+    seed-42 queries whose optimal plan costs at most ``COST_CAP``."""
+    optimizer = catalog.optimizer()
+    queries = [parse_query(sql, catalog.schema) for sql in CANNED]
+    for generated in generate_workload(catalog, 2 * GENERATED, seed=42):
+        truth = actual_selectivities(generated.query, catalog.database)
+        if optimizer.optimize(generated.query, truth).cost <= COST_CAP:
+            queries.append(generated.query)
+        if len(queries) == len(CANNED) + GENERATED:
+            break
+    return [compile_bouquet(query, catalog, config=BouquetConfig()) for query in queries]
+
+
+def account(result):
+    return (
+        result.total_cost,
+        result.result_rows,
+        [
+            (e.plan_id, e.spilled, e.budget, e.cost_spent, e.completed, e.learned)
+            for e in result.executions
+        ],
+    )
+
+
+def expected_rows(database, query):
+    if query.group_by:
+        return len(reference_group_counts(database, query))
+    if query.aggregate:
+        return 1
+    return reference_row_count(database, query)
+
+
+def test_pool_runs_identically_on_the_replaced_kernels(pool, database, monkeypatch):
+    assert len(pool) == len(CANNED) + GENERATED
+    shipped = [execute(compiled, database) for compiled in pool]
+
+    def two_pass_join(probe_keys, build_keys_sorted, build_order, unique=False):
+        return arrays.join_indices(probe_keys, build_keys_sorted, build_order)
+
+    def row_sort_groups(columns, weights=None):
+        keys, counts = legacy_group_counts(columns, weights)
+        return keys, np.array(counts, dtype=np.int64)
+
+    monkeypatch.setattr(engine, "join_indices", two_pass_join)
+    monkeypatch.setattr(engine, "group_counts", row_sort_groups)
+    replaced = [execute(compiled, database) for compiled in pool]
+
+    for compiled, new, old in zip(pool, shipped, replaced):
+        assert account(new) == account(old), compiled.query.name
+        assert new.completed
+        assert new.result_rows == expected_rows(database, compiled.query)
+    # The pool exercises what the kernels specialise on.
+    assert any(compiled.query.group_by for compiled in pool)
+    assert any(e.spilled for result in shipped for e in result.executions)

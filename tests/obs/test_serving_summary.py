@@ -118,3 +118,17 @@ def test_parallel_substrate_counters_get_their_own_table():
 
 def test_parallel_substrate_table_absent_when_pool_unused():
     assert "parallel substrate" not in summarize_serving(RECORDS).describe()
+
+
+def test_access_path_counters_get_their_own_table():
+    summary = summarize_serving(
+        [
+            {"type": "counter", "name": "executor.index_builds", "value": 3},
+            {"type": "counter", "name": "executor.index_hits", "value": 45},
+        ]
+    )
+    assert summary.index_lookups == 48
+    text = summary.describe()
+    for needle in ("access paths", "index builds", "index hits", "45"):
+        assert needle in text
+    assert "access paths" not in summarize_serving(RECORDS).describe()
