@@ -53,6 +53,9 @@
 #   make ledger-smoke the BENCHMARK.json ledger at a tenth of its size: all
 #                     four workloads with their output verification, then
 #                     the ledger's own tests (nothing is timed for a claim)
+#   make perf-guards  the count-based guards of the microbenchmarks (a warm
+#                     request builds no index and is one plan execution);
+#                     counts only, nothing is timed
 #   make bench        regenerate every paper table/figure
 #   make experiments  bench + rebuild EXPERIMENTS.md
 #   make examples     run the example scripts end to end
@@ -61,7 +64,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test lint serve-smoke check ci bench-sched bench-sweep sweep-smoke bench-compile compile-smoke bench-drift drift-smoke bench-serve serve-load-smoke fuzz-smoke fuzz-smoke-tpcds bench-par par-smoke bench-template template-smoke bench-workload ledger-smoke bench experiments examples all clean
+.PHONY: help install test lint serve-smoke check ci bench-sched bench-sweep sweep-smoke bench-compile compile-smoke bench-drift drift-smoke bench-serve serve-load-smoke fuzz-smoke fuzz-smoke-tpcds bench-par par-smoke bench-template template-smoke bench-workload ledger-smoke perf-guards bench experiments examples all clean
 
 help:
 	@sed -n 's/^#   //p' Makefile
@@ -82,7 +85,7 @@ serve-smoke:
 
 check: lint serve-smoke
 
-ci: lint sweep-smoke compile-smoke drift-smoke serve-load-smoke fuzz-smoke fuzz-smoke-tpcds template-smoke par-smoke ledger-smoke
+ci: lint sweep-smoke compile-smoke drift-smoke serve-load-smoke fuzz-smoke fuzz-smoke-tpcds template-smoke par-smoke ledger-smoke perf-guards
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 bench-sched:
@@ -162,6 +165,13 @@ ledger-smoke:
 		$(PYTHON) ledger/run.py --workload $$workload --smoke || exit 1; \
 	done
 	$(PYTHON) -m pytest ledger/tests -q
+
+# The guards of the hit path that count instead of timing: deterministic,
+# a few seconds, and otherwise outside every gate (benchmarks/ is not a
+# tier-1 test path).
+perf-guards:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
+		-k "warm_request or one_execution" --benchmark-disable
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

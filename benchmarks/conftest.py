@@ -18,10 +18,14 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
 @pytest.fixture(scope="session")
-def lab():
-    """The shared Lab; its telemetry summary lands next to the results."""
+def lab(request):
+    """The shared Lab; its telemetry summary lands next to the results
+    (not on a ``--benchmark-disable`` run, which only checks the
+    count-based guards and must leave the tracked results alone)."""
     lab = Lab()
     yield lab
+    if request.config.getoption("benchmark_disable", False):
+        return
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "_trace_summary.txt"), "w") as handle:
         handle.write(lab.trace_summary() + "\n")

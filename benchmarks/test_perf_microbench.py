@@ -118,12 +118,60 @@ def test_perf_warm_request_builds_no_index(benchmark, env, monkeypatch):
 
     assert database.index_builds == builds
     assert "executor.index_builds" not in tracer.counters
-    assert tracer.counters["executor.index_hits"] > 0
+    # The B-tree a warm request descends is the selectivity probe's.
+    assert tracer.counters["executor.selectivity_probes"] > 0
     assert base_sorts and not any(base_sorts)
     assert second.total_cost == first.total_cost
 
     result = benchmark(lambda: execute(compiled, database))
     assert result.completed and database.index_builds == builds
+
+
+def test_perf_warm_request_is_one_execution(benchmark, env, monkeypatch):
+    """A served canned query after the first: the driver starts from the
+    index probes, so the request is exactly one plan execution.
+    Count-based guard — each warm ``api.execute`` runs one plan to
+    completion, builds no index, and pins its selection by binary search
+    alone: the probe makes no predicate mask at all (the scans' masks go
+    through ``executor.arrays``, which this does not count)."""
+    from repro.api import Catalog, compile_bouquet
+    from repro.bench.serving import CANNED_WORKLOAD
+    from repro.datagen import database as database_module
+
+    lab, _, _ = env
+    database = lab.h_db
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=database)
+    pool = [
+        compile_bouquet(sql, catalog, config=BouquetConfig()) for sql in CANNED_WORKLOAD
+    ]
+    for compiled in pool:
+        execute(compiled, database)  # the cold request builds the indexes
+
+    probe_masks = []
+    compare = database_module.compare
+
+    def counting_compare(values, op, value):
+        probe_masks.append(values.size)
+        return compare(values, op, value)
+
+    builds = database.index_builds
+    tracer = Tracer(MemorySink())
+    monkeypatch.setattr(database_module, "compare", counting_compare)
+    warm = [execute(compiled, database, tracer=tracer) for compiled in pool]
+    monkeypatch.undo()
+
+    for result in warm:
+        assert result.completed
+        assert result.execution_count == 1 and result.partial_executions == 0
+    assert tracer.counters["engine.executions"] == len(pool)
+    assert tracer.counters["executor.selectivity_probes"] == len(pool)
+    assert tracer.counters["core.pinned_dimensions"] == len(pool)
+    assert database.index_builds == builds
+    assert "executor.index_builds" not in tracer.counters
+    assert probe_masks == []
+
+    results = benchmark(lambda: [execute(compiled, database) for compiled in pool])
+    assert all(result.execution_count == 1 for result in results)
 
 
 def test_perf_sweep_engine_field(benchmark, env):

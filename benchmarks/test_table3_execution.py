@@ -11,9 +11,14 @@ Reported exactly as in Table 3: per-contour execution counts and costs
 for basic and optimized BOU, plus the NAT / basic / optimized / optimal
 summary.  "Time" is engine cost units (the engine charges the same units
 as the optimizer; wall-clock seconds are testbed-specific).
+
+The table is the paper's account — discovery from the ESS origin — so it
+is driven through a service with its index probes withheld.  Both error
+dimensions here are base-table selections, which the shipped service
+measures before the first contour; that run is reported on its own line.
 """
 
-from _bench_utils import run_once
+from _bench_utils import OriginStartService, run_once
 from repro.bench.reporting import format_table
 from repro.core import BouquetRunner
 from repro.executor import ExecutionEngine, RealExecutionService
@@ -44,10 +49,12 @@ def run_experiment(lab):
 
     runs = {}
     for mode in ("basic", "optimized"):
-        service = RealExecutionService(ql.bouquet, ExecutionEngine(lab.h_db))
+        service = OriginStartService(ql.bouquet, ExecutionEngine(lab.h_db))
         start = time.perf_counter()
         runs[mode] = BouquetRunner(ql.bouquet, service, mode=mode).run()
         wall[mode] = time.perf_counter() - start
+    probing = RealExecutionService(ql.bouquet, ExecutionEngine(lab.h_db))
+    runs["probed"] = BouquetRunner(ql.bouquet, probing, mode="optimized").run()
     return ql, optimal, nat, runs, wall
 
 
@@ -87,7 +94,15 @@ def test_table3_bouquet_execution(benchmark, lab, record):
         f"(the paper reports seconds on its testbed; cost units are the "
         f"portable comparison)"
     )
-    record("table3_execution", table + "\n\n" + summary + "\n" + timing)
+    probed = runs["probed"]
+    started = (
+        f"started from index probes (both dimensions are base-table "
+        f"selections): {probed.execution_count} execution on contour "
+        f"{probed.executions[-1].contour_index}, cost {probed.total_cost:.0f} "
+        f"of which probes {probed.probe_cost:.0f} — "
+        f"{probed.total_cost / optimal.spent:.2f}x optimal"
+    )
+    record("table3_execution", table + "\n\n" + summary + "\n" + timing + "\n" + started)
 
     # The 2D plan diagram with contour frontiers (Figure 6's geometry).
     import os
@@ -120,5 +135,8 @@ def test_table3_bouquet_execution(benchmark, lab, record):
     assert basic.total_cost < nat.spent
     assert optimized.total_cost <= basic.total_cost * 1.05
     assert optimized.execution_count <= basic.execution_count
+    # Started from what the indexes can count, nothing is left to discover.
+    assert probed.execution_count == 1 and probed.result_rows == optimal.rows
+    assert probed.total_cost <= optimized.total_cost
     # The bouquet's sub-optimality respects the theoretical bound.
     assert basic.total_cost <= ql.bouquet.mso_bound * optimal.spent * 1.2

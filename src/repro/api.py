@@ -42,6 +42,7 @@ from .core.runtime import (
     BouquetRunResult,
     ExecutionOutcome,
     ExecutionService,
+    KnownSelectivities,
 )
 from .datagen.database import Database
 from .ess.diagram import PlanDiagram, coarse_subgrid
@@ -567,6 +568,13 @@ class BudgetCappedService(ExecutionService):
                 f"(spent {self.spent:g})"
             )
         return outcome
+
+    def known_selectivities(self) -> KnownSelectivities:
+        """Forwarded; what the probes charged counts against the cap."""
+        known = self.inner.known_selectivities()
+        with self._lock:
+            self.spent += known.cost
+        return known
 
     def run_full(
         self, plan_id: int, budget: float, cancel: Optional[object] = None

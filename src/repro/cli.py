@@ -194,6 +194,8 @@ def _cmd_run(args) -> int:
     summary = (
         f"result: {result.result_rows} rows, total cost {result.total_cost:.1f}"
     )
+    if result.probe_cost:
+        summary += f" (index probes {result.probe_cost:.1f})"
     if result.elapsed_cost is not None and result.crossing != "sequential":
         summary += f" (elapsed {result.elapsed_cost:.1f}, {result.crossing})"
     summary += (

@@ -28,6 +28,7 @@ from .runtime import (
     ExecutionOutcome,
     ExecutionRecord,
     ExecutionService,
+    KnownSelectivities,
     LearnedSelectivity,
 )
 from .simulation import (
@@ -68,6 +69,7 @@ __all__ = [
     "ExecutionOutcome",
     "ExecutionRecord",
     "ExecutionService",
+    "KnownSelectivities",
     "LearnedSelectivity",
     "basic_cost_field",
     "optimized_cost_field",

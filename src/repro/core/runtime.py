@@ -20,6 +20,7 @@ Figures 14-18) and against the real execution engine (Table 3):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -41,6 +42,15 @@ class LearnedSelectivity:
     pid: str
     value: float
     exact: bool
+
+
+@dataclass
+class KnownSelectivities:
+    """What an execution substrate can tell before any plan runs: lower
+    bounds it has *measured* (never estimated) and what measuring cost."""
+
+    learned: Tuple[LearnedSelectivity, ...] = ()
+    cost: float = 0.0
 
 
 @dataclass
@@ -75,7 +85,9 @@ class BouquetRunResult:
     """Complete account of one bouquet execution.
 
     ``total_cost`` is the **work** currency (cost summed across every
-    execution, concurrent or not); ``elapsed_cost`` is the critical-path
+    execution, concurrent or not, plus ``probe_cost`` — what the
+    substrate charged for the selectivities it measured before the first
+    contour); ``elapsed_cost`` is the critical-path
     cost-time, which only differs under
     :class:`repro.sched.ConcurrentCrossing` where stragglers run on
     their own cores.  ``ledger`` carries the per-contour/per-plan
@@ -90,6 +102,7 @@ class BouquetRunResult:
     elapsed_cost: Optional[float] = None
     crossing: str = "sequential"
     ledger: Optional[object] = None
+    probe_cost: float = 0.0
 
     @property
     def execution_count(self) -> int:
@@ -117,6 +130,15 @@ class ExecutionService:
     :func:`~repro.sched.strategy.call_spilled`, which probe for the
     capability, so pre-scheduler implementations keep working.
     """
+
+    def known_selectivities(self) -> KnownSelectivities:
+        """Selectivities the substrate can measure without executing a
+        plan; the driver starts ``q_run`` there instead of at the ESS
+        origin.  By default nothing is known — except that a proxy
+        holding the real service as ``inner`` answers for it, so timing
+        and budgeting wrappers see the same run as the bare service."""
+        inner = getattr(self, "inner", None)
+        return inner.known_selectivities() if inner is not None else KnownSelectivities()
 
     def run_full(self, plan_id: int, budget: float) -> ExecutionOutcome:
         """Execute the full plan under a cost budget."""
@@ -150,9 +172,18 @@ class AbstractExecutionService(ExecutionService):
     resolved, or advancing its lower bound to the point where the
     subtree's cost meets the budget (found by bisection on the plan's
     parametric cost function).
+
+    The cost-model world knows nothing before it executes — the paper's
+    origin start is its definition — unless ``known`` injects bounds
+    (``value <= qa``, equal when ``exact``), free of charge.
     """
 
-    def __init__(self, bouquet: PlanBouquet, qa_values: Sequence[float]):
+    def __init__(
+        self,
+        bouquet: PlanBouquet,
+        qa_values: Sequence[float],
+        known: Sequence[LearnedSelectivity] = (),
+    ):
         self.bouquet = bouquet
         self.space = bouquet.space
         self.qa_values = tuple(float(v) for v in qa_values)
@@ -161,6 +192,13 @@ class AbstractExecutionService(ExecutionService):
         self._schema = bouquet.space.query.schema
         self._truth = self.space.assignment_for(self.qa_values)
         self._dims_by_pid = {dim.pid: dim for dim in self.space.dimensions}
+        qa = dict(zip(self._dims_by_pid, self.qa_values)) if known else {}
+        for bound in known:
+            if bound.pid not in qa:
+                raise BouquetError(f"known selectivity of {bound.pid!r}: not an ESS dimension")
+            if bound.value > qa[bound.pid] or (bound.exact and bound.value != qa[bound.pid]):
+                raise BouquetError(f"known selectivity {bound} does not bound qa {self.qa_values}")
+        self._known = KnownSelectivities(tuple(known))
 
     # -- plumbing -------------------------------------------------------
 
@@ -176,6 +214,9 @@ class AbstractExecutionService(ExecutionService):
         return est.cost
 
     # -- ExecutionService -----------------------------------------------
+
+    def known_selectivities(self) -> KnownSelectivities:
+        return self._known
 
     def run_full(
         self, plan_id: int, budget: float, cancel: Optional[object] = None
@@ -314,6 +355,8 @@ class BouquetRunner:
             budget * (1.0 + model_error_delta) for budget in bouquet.budgets
         ]
         self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._pid_to_dim = {dim.pid: i for i, dim in enumerate(self.space.dimensions)}
+        self._grids = [grid.tolist() for grid in self.space.grids]
         # q_run advances monotonically but revisits the same point many
         # times within a contour (candidate ranking, fallback ordering,
         # crossing checks), so plan costs at a point are memoized.
@@ -329,10 +372,15 @@ class BouquetRunner:
             contours=len(self.bouquet.contours),
             cardinality=self.bouquet.cardinality,
         ) as span:
+            qrun, exact, probe_cost = self._start()
             if self.mode == "optimized" and self.crossing.name == "sequential":
-                result = self._run_optimized()
+                result = self._run_optimized(qrun, exact)
             else:
-                result = self._run_crossing()
+                result = self._run_crossing(qrun, exact)
+            result.probe_cost = probe_cost
+            result.total_cost += probe_cost
+            if result.elapsed_cost is not None:
+                result.elapsed_cost += probe_cost
             span.set(
                 total_cost=result.total_cost,
                 executions=result.execution_count,
@@ -342,6 +390,50 @@ class BouquetRunner:
             if result.elapsed_cost is not None:
                 span.set(elapsed_cost=result.elapsed_cost)
             return result
+
+    def _start(self) -> Tuple[List[float], Set[int], float]:
+        """The one place a run's initial state is decided: ``q_run`` at
+        the ESS origin, raised to whatever the service has measured (any
+        ``q_lb <= qa`` is as sound a start as the origin — first-quadrant
+        invariant), the dimensions known exactly, and the probes' price."""
+        qrun = [dim.lo for dim in self.space.dimensions]
+        exact: Set[int] = set()
+        known = self.service.known_selectivities()
+        if known.learned:
+            self._merge(qrun, exact, known.learned)
+            if self.tracer.enabled:
+                self.tracer.count("core.pinned_dimensions", len(exact))
+                dims = self.space.dimensions
+                self._trace_qrun(
+                    qrun,
+                    exact,
+                    probe_cost=known.cost,
+                    pinned={dims[d].pid: qrun[d] for d in sorted(exact)},
+                )
+        return qrun, exact, known.cost
+
+    def _merge(
+        self, qrun: List[float], exact: Set[int], learned: Sequence[LearnedSelectivity]
+    ) -> None:
+        """Fold learned lower bounds into ``q_run`` (first-quadrant
+        invariant: they are lower bounds, so max-merge is safe)."""
+        for item in learned:
+            d = self._pid_to_dim.get(item.pid)
+            if d is None:
+                continue
+            if item.value > qrun[d]:
+                qrun[d] = item.value
+            if item.exact:
+                exact.add(d)
+
+    def _trace_qrun(self, qrun: Sequence[float], exact: Set[int], **fields) -> None:
+        dims = self.space.dimensions
+        self.tracer.event(
+            "runtime.qrun",
+            values=list(qrun),
+            exact=[dims[d].pid for d in sorted(exact)],
+            **fields,
+        )
 
     def _trace_execution(self, record: ExecutionRecord) -> None:
         """Emit one per-execution event (the Table 3 account row)."""
@@ -361,7 +453,7 @@ class BouquetRunner:
 
     # -- strategy-driven crossing (Figure 7 generalized) ----------------
 
-    def _run_crossing(self) -> BouquetRunResult:
+    def _run_crossing(self, qrun: List[float], exact: Set[int]) -> BouquetRunResult:
         """Climb the contours, delegating each crossing to the scheduler.
 
         With :class:`~repro.sched.SequentialCrossing` this reproduces the
@@ -381,9 +473,6 @@ class BouquetRunner:
             lambda_=self.bouquet.lambda_,
             rho=self.bouquet.rho,
         )
-        dims = self.space.dimensions
-        qrun = [dim.lo for dim in dims]
-        pid_to_dim = {dim.pid: i for i, dim in enumerate(dims)}
         trace: List[ExecutionRecord] = []
         for contour, budget in zip(self.bouquet.contours, self.budgets):
             plans = self._dominating_plans(contour, qrun)
@@ -417,10 +506,7 @@ class BouquetRunner:
             for record in crossing.records:
                 trace.append(record)
                 self._trace_execution(record)
-            for learned in crossing.learned:
-                d = pid_to_dim.get(learned.pid)
-                if d is not None and learned.value > qrun[d]:
-                    qrun[d] = learned.value
+            self._merge(qrun, exact, crossing.learned)
             if crossing.winner_plan_id is not None:
                 outcome = crossing.winner_outcome
                 return BouquetRunResult(
@@ -445,11 +531,9 @@ class BouquetRunner:
 
     # -- optimized (Figure 13) ------------------------------------------
 
-    def _run_optimized(self) -> BouquetRunResult:
+    def _run_optimized(self, qrun: List[float], exact: Set[int]) -> BouquetRunResult:
         space = self.space
         dims = space.dimensions
-        qrun = [dim.lo for dim in dims]
-        exact: Set[int] = set()
         total = 0.0
         trace: List[ExecutionRecord] = []
         cid = 0
@@ -600,21 +684,9 @@ class BouquetRunner:
                     completed=True,
                     result_rows=outcome.result_rows,
                 )
-            # Merge the learning into q_run (first-quadrant invariant: the
-            # learned values are lower bounds, so max-merge is safe).
-            pid_to_dim = {dim.pid: i for i, dim in enumerate(dims)}
-            for learned in outcome.learned:
-                d = pid_to_dim[learned.pid]
-                if learned.value > qrun[d]:
-                    qrun[d] = learned.value
-                if learned.exact:
-                    exact.add(d)
+            self._merge(qrun, exact, outcome.learned)
             if self.tracer.enabled:
-                self.tracer.event(
-                    "runtime.qrun",
-                    values=list(qrun),
-                    exact=[dims[d].pid for d in sorted(exact)],
-                )
+                self._trace_qrun(qrun, exact)
             # Early contour change (Figure 13's last step).
             if self._optimal_cost_estimate(qrun) >= budget and cid + 1 < len(contours):
                 if self.tracer.enabled:
@@ -662,15 +734,18 @@ class BouquetRunner:
     def _dominating_plans(self, contour, qrun: Sequence[float]) -> List[int]:
         """Resident plans owning at least one contour location whose
         selectivities dominate q_run componentwise."""
-        space = self.space
-        plans: Set[int] = set()
-        for location, plan_id in contour.plan_at.items():
-            if plan_id in plans:
-                continue
-            sels = space.selectivities_at(location)
-            if all(s >= q * (1.0 - 1e-9) for s, q in zip(sels, qrun)):
-                plans.add(plan_id)
-        return sorted(plans)
+        # A grid is increasing, so a location dominates q_run iff in every
+        # dimension it sits at or past the first grid point that does.
+        first = [
+            bisect_left(grid, q * (1.0 - 1e-9)) for grid, q in zip(self._grids, qrun)
+        ]
+        return sorted(
+            {
+                plan_id
+                for location, plan_id in contour.plan_at.items()
+                if all(i >= f for i, f in zip(location, first))
+            }
+        )
 
     def _optimal_cost_estimate(self, values: Sequence[float]) -> float:
         """PIC estimate at an arbitrary point: min over bouquet plan costs."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import zlib
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,38 @@ def _column_rng(root: np.random.SeedSequence, table: str, column: str) -> np.ran
     )
 
 
+def compare(values: np.ndarray, op: str, value) -> np.ndarray:
+    """Boolean mask of ``values <op> value`` — the one definition of the
+    selection operators, shared by scans, probes and ground truth."""
+    if op == "=":
+        return values == value
+    if op == "<":
+        return values < value
+    if op == "<=":
+        return values <= value
+    if op == ">":
+        return values > value
+    if op == ">=":
+        return values >= value
+    if op == "in":
+        return np.isin(values, np.asarray(value))
+    raise CatalogError(f"unsupported operator {op!r}")
+
+
+#: One selection on a table's column: ``(column, op, value)``.
+Condition = Tuple[str, str, object]
+
+
+class RowCount(NamedTuple):
+    """An exact count taken through the indexes, and the work it took:
+    index ranges located (a B-tree descent each) and rows fetched to
+    test co-located conditions."""
+
+    rows: int
+    descents: int
+    fetched: int
+
+
 class ColumnIndex(NamedTuple):
     """A sorted access path over one key array (the simulated B-tree).
 
@@ -65,6 +97,24 @@ class ColumnIndex(NamedTuple):
         values.flags.writeable = False
         order.flags.writeable = False
         return cls(values, order, unique)
+
+    def spans(self, op: str, value) -> List[Tuple[int, int]]:
+        """Disjoint entry ranges ``[lo, hi)`` holding the keys that
+        satisfy ``key <op> value``: one range, from one binary search for
+        a one-sided comparison and two for ``=``; one range (two searches)
+        per distinct listed value for ``in``."""
+        search = self.values.searchsorted
+        if op == "=":
+            return [(int(search(value, "left")), int(search(value, "right")))]
+        if op in ("<", "<="):
+            return [(0, int(search(value, "left" if op == "<" else "right")))]
+        if op in (">", ">="):
+            side = "right" if op == ">" else "left"
+            return [(int(search(value, side)), self.values.size)]
+        if op == "in":
+            listed = np.unique(np.asarray(value))
+            return list(zip(search(listed, "left").tolist(), search(listed, "right").tolist()))
+        raise CatalogError(f"unsupported operator {op!r}")
 
 
 class Database:
@@ -198,6 +248,34 @@ class Database:
                     self.index_builds += 1
         return found
 
+    def count_rows(self, table: str, conditions: Sequence[Condition]) -> RowCount:
+        """Rows of ``table`` satisfying every condition, counted exactly.
+
+        A measurement, not an estimate (Shin et al., PAPERS.md): a lone
+        condition is the width of its index range; co-located conditions
+        are tested only on the rows of the narrowest range — never on a
+        whole column.
+        """
+        if not conditions:
+            return RowCount(self.row_count(table), 0, 0)
+        indexes = [self.index(table, column) for column, _, _ in conditions]
+        spans = [
+            index.spans(op, value)
+            for index, (_, op, value) in zip(indexes, conditions)
+        ]
+        widths = [sum(hi - lo for lo, hi in ranges) for ranges in spans]
+        descents = sum(len(ranges) for ranges in spans)
+        if len(conditions) == 1:
+            return RowCount(widths[0], descents, 0)
+        narrowest = widths.index(min(widths))
+        order = indexes[narrowest].order
+        row_ids = np.concatenate([order[lo:hi] for lo, hi in spans[narrowest]])
+        mask = np.ones(row_ids.size, dtype=bool)
+        for position, (column, op, value) in enumerate(conditions):
+            if position != narrowest:
+                mask &= compare(self.column(table, column)[row_ids], op, value)
+        return RowCount(int(mask.sum()), descents, int(row_ids.size))
+
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_indexes"], state["_index_lock"], state["index_builds"]
@@ -241,22 +319,7 @@ class Database:
 
     def actual_selection_selectivity(self, table: str, column: str, op: str, value) -> float:
         """Ground-truth selectivity of ``table.column <op> value``."""
-        arr = self.column(table, column)
-        if op == "=":
-            frac = float(np.mean(arr == value))
-        elif op == "<":
-            frac = float(np.mean(arr < value))
-        elif op == "<=":
-            frac = float(np.mean(arr <= value))
-        elif op == ">":
-            frac = float(np.mean(arr > value))
-        elif op == ">=":
-            frac = float(np.mean(arr >= value))
-        elif op == "in":
-            frac = float(np.mean(np.isin(arr, np.asarray(value))))
-        else:
-            raise CatalogError(f"unsupported operator {op!r}")
-        return max(frac, 0.0)
+        return float(np.mean(compare(self.column(table, column), op, value)))
 
     def actual_join_selectivity(
         self, left_table: str, left_column: str, right_table: str, right_column: str

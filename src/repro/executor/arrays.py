@@ -10,6 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..datagen.database import compare
 from ..exceptions import ExecutionError
 from ..query.predicates import SelectionPredicate
 
@@ -49,19 +50,7 @@ def selection_mask(batch: Batch, pred: SelectionPredicate) -> np.ndarray:
         raise ExecutionError(
             f"batch lacks column {pred.table}.{pred.column} for predicate {pred}"
         )
-    if pred.op == "=":
-        return column == pred.value
-    if pred.op == "<":
-        return column < pred.value
-    if pred.op == "<=":
-        return column <= pred.value
-    if pred.op == ">":
-        return column > pred.value
-    if pred.op == ">=":
-        return column >= pred.value
-    if pred.op == "in":
-        return np.isin(column, np.asarray(pred.value))
-    raise ExecutionError(f"unsupported operator {pred.op!r}")
+    return compare(column, pred.op, pred.value)
 
 
 def apply_selections(batch: Batch, preds: Sequence[SelectionPredicate]) -> Batch:

@@ -329,23 +329,6 @@ class ExecutionEngine:
                 yield batch
         inst.mark_finished(node)
 
-    def _matching_positions(
-        self, sorted_values: np.ndarray, pred: SelectionPredicate
-    ) -> Tuple[int, int]:
-        """Index range [lo, hi) of entries satisfying a range/eq predicate."""
-        if pred.op == "=":
-            lo = int(np.searchsorted(sorted_values, pred.value, side="left"))
-            hi = int(np.searchsorted(sorted_values, pred.value, side="right"))
-        elif pred.op in ("<", "<="):
-            side = "left" if pred.op == "<" else "right"
-            lo, hi = 0, int(np.searchsorted(sorted_values, pred.value, side=side))
-        elif pred.op in (">", ">="):
-            side = "right" if pred.op == ">" else "left"
-            lo, hi = int(np.searchsorted(sorted_values, pred.value, side=side)), sorted_values.size
-        else:
-            raise ExecutionError(f"cannot index-scan operator {pred.op!r}")
-        return lo, hi
-
     def _run_index_scan(self, node: IndexScan, query: Query, inst: Instrumentation):
         table = self.schema.table(node.table)
         model = self.cost_model
@@ -354,7 +337,9 @@ class ExecutionEngine:
         entries = self._index(node.table, index_pred.column)
         index = IndexInfo.for_table(table, index_pred.column)
         self._charge(inst, node, index.height * model.random_page_cost)
-        lo, hi = self._matching_positions(entries.values, index_pred)
+        if not index_pred.indexable:
+            raise ExecutionError(f"cannot index-scan operator {index_pred.op!r}")
+        ((lo, hi),) = entries.spans(index_pred.op, index_pred.value)
         matched = hi - lo
         leaf_share = (matched / max(1, table.row_count)) * index.leaf_pages
         self._charge(inst, node, leaf_share * model.seq_page_cost)

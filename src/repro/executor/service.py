@@ -7,21 +7,30 @@ selectivity monitoring (§5.2): after each spilled execution, the error
 node's tuple counter is divided by the product of its (error-free, hence
 exactly knowable) input cardinalities, yielding a safe lower bound for
 the error selectivity — exact once the node finishes.
+
+What the data's own indexes can *count* is not discovered that way at
+all: :meth:`RealExecutionService.known_selectivities` measures every
+base-table selection dimension before the first contour, so the driver
+only ever executes to learn join dimensions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..catalog.schema import IndexInfo
 from ..core.bouquet import PlanBouquet
-from ..core.runtime import ExecutionOutcome, ExecutionService, LearnedSelectivity
+from ..core.runtime import (
+    ExecutionOutcome,
+    ExecutionService,
+    KnownSelectivities,
+    LearnedSelectivity,
+)
+from ..datagen.database import RowCount
 from ..exceptions import ExecutionError
 from ..optimizer.plans import IndexLookup, IndexScan, Join, PlanNode, SeqScan
 from ..query.predicates import SelectionPredicate
 from ..query.query import Query
-from .arrays import selection_mask
 from .engine import ExecutionEngine
 
 
@@ -100,6 +109,91 @@ class RealExecutionService(ExecutionService):
         )
 
     # ------------------------------------------------------------------
+    # Selectivity probes: what the indexes can count needs no execution
+    # ------------------------------------------------------------------
+
+    def known_selectivities(self) -> KnownSelectivities:
+        """Every selection dimension, measured through the database's
+        indexes — the very quantity :meth:`_learn` reports once a scan
+        over the predicate finishes: rows passing it and the table's
+        error-free selections, over rows passing the error-free ones,
+        floored at ``dim.lo``.  Several dimensions on one table are
+        pinned by the chain rule in dimension order, so their product is
+        the joint fraction the scan emits.  Join dimensions stay unknown.
+
+        Each count that involves an error predicate is charged
+        (:meth:`_probe_cost`); the error-free denominator is the cached,
+        uncharged fact it already is for :meth:`_learn`.
+        """
+        learned: List[LearnedSelectivity] = []
+        cost = 0.0
+        builds = self.engine.database.index_builds
+        # Per table: the selections counted so far and the rows passing them.
+        given: Dict[str, List[SelectionPredicate]] = {}
+        rows: Dict[str, float] = {}
+        for dim in self.bouquet.space.dimensions:
+            pred = self.query.predicate(dim.pid)
+            if not isinstance(pred, SelectionPredicate):
+                continue
+            table = pred.table
+            if table not in given:
+                given[table] = [
+                    sel
+                    for sel in self.query.selections_on(table)
+                    if sel.pid not in self._dim_pids
+                ]
+                rows[table] = self._filtered_table_cardinality(
+                    table, tuple(sorted(sel.pid for sel in given[table]))
+                )
+            given[table].append(pred)
+            denominator = rows[table]
+            count = self._count(table, given[table])
+            cost += self._probe_cost(table, given[table], count)
+            rows[table] = count.rows
+            value = max(count.rows / denominator, dim.lo) if denominator else dim.lo
+            learned.append(LearnedSelectivity(dim.pid, float(value), exact=True))
+        tracer = self.engine.tracer
+        if learned and tracer.enabled:
+            tracer.count("executor.selectivity_probes", len(learned))
+            built = self.engine.database.index_builds - builds
+            if built:
+                tracer.count("executor.index_builds", built)
+        return KnownSelectivities(tuple(learned), cost)
+
+    def _count(self, table: str, preds: Sequence[SelectionPredicate]) -> RowCount:
+        return self.engine.database.count_rows(
+            table, [(pred.column, pred.op, pred.value) for pred in preds]
+        )
+
+    def _probe_cost(
+        self, table: str, preds: Sequence[SelectionPredicate], count: RowCount
+    ) -> float:
+        """What a count is charged, in the cost model's own scan terms:
+        the work done — a B-tree descent per index range, and each row
+        fetched to test co-located predicates as an index scan charges a
+        matched row with the others as residuals — but never more than
+        counting by a sequential scan, which is how anyone would count
+        on a table too small or a range too wide for the index to pay."""
+        model = self.engine.cost_model
+        info = self.engine.schema.table(table)
+        index = IndexInfo.for_table(info, preds[0].column)
+        by_index = (
+            count.descents * index.height * model.random_page_cost
+            + (count.fetched / max(1, info.row_count)) * index.leaf_pages * model.seq_page_cost
+            + count.fetched
+            * (
+                model.cpu_index_tuple_cost
+                + model.random_page_cost
+                + model.cpu_tuple_cost
+                + (len(preds) - 1) * model.cpu_operator_cost
+            )
+        )
+        by_scan = info.pages * model.seq_page_cost + info.row_count * (
+            model.cpu_tuple_cost + len(preds) * model.cpu_operator_cost
+        )
+        return min(by_index, by_scan)
+
+    # ------------------------------------------------------------------
     # Selectivity monitoring (§5.2)
     # ------------------------------------------------------------------
 
@@ -172,18 +266,9 @@ class RealExecutionService(ExecutionService):
         key = f"{table}|{','.join(filter_pids)}"
         cached = cache.get(key)
         if cached is None:
-            rows = self.engine.schema.table(table).row_count
-            if not filter_pids:
-                cached = float(rows)
-            else:
-                data = self.engine.database.table(table)
-                batch = {f"{table}.{col}": arr for col, arr in data.items()}
-                mask = np.ones(rows, dtype=bool)
-                for pid in filter_pids:
-                    pred = self.query.predicate(pid)
-                    if not isinstance(pred, SelectionPredicate):
-                        raise ExecutionError(f"pid {pid!r} is not a selection")
-                    mask &= selection_mask(batch, pred)
-                cached = float(mask.sum())
-            cache[key] = cached
+            preds = [self.query.predicate(pid) for pid in filter_pids]
+            for pred in preds:
+                if not isinstance(pred, SelectionPredicate):
+                    raise ExecutionError(f"pid {pred.pid!r} is not a selection")
+            cached = cache[key] = float(self._count(table, preds).rows)
         return cached

@@ -54,6 +54,10 @@ class TraceSummary:
     counters: Dict[str, float]
     timings: Dict[str, Dict[str, float]]
     spans: List[Dict[str, Any]]
+    #: Selectivities measured before the first contour (pid -> value)
+    #: and what measuring them was charged (part of ``total_cost``).
+    pinned: Dict[str, float] = field(default_factory=dict)
+    probe_cost: float = 0.0
 
     def describe(self) -> str:
         from ..bench.reporting import format_table
@@ -99,6 +103,11 @@ class TraceSummary:
                 if self.completed
                 else "did not complete"
             )
+            if self.pinned:
+                start = ", ".join(f"{pid}={v:.4g}" for pid, v in self.pinned.items())
+                lines.append(
+                    f"started from index probes (cost {self.probe_cost:.4g}): {start}"
+                )
             lines.append(
                 f"total: {self.execution_count} executions, "
                 f"cost {self.total_cost:.4g} — {status}"
@@ -362,7 +371,7 @@ class ServingSummary:
                     title="parallel substrate",
                 )
             )
-        if self.index_lookups:
+        if self.index_lookups or self._c("executor.selectivity_probes"):
             lines.append("")
             lines.append(
                 format_table(
@@ -370,6 +379,8 @@ class ServingSummary:
                     [
                         ["index builds", self._c("executor.index_builds")],
                         ["index hits", self._c("executor.index_hits")],
+                        ["selectivity probes", self._c("executor.selectivity_probes")],
+                        ["dimensions pinned at start", self._c("core.pinned_dimensions")],
                     ],
                     title="access paths",
                 )
@@ -409,7 +420,7 @@ def summarize_serving(records: Iterable[Dict[str, Any]]) -> ServingSummary:
         if kind == "counter":
             name = record["name"]
             if name.startswith(
-                ("serve.", "optimizer.", "batchopt.", "par.", "executor.")
+                ("serve.", "optimizer.", "batchopt.", "par.", "executor.", "core.")
             ):
                 summary.counters[name] = record["value"]
         elif kind == "span_end":
@@ -441,7 +452,8 @@ def summarize_trace(records: Iterable[Dict[str, Any]]) -> TraceSummary:
     """Condense a record stream into a :class:`TraceSummary`.
 
     The per-contour account is rebuilt purely from ``runtime.execution``
-    events, so it reproduces the run's
+    events — plus the probe charge on the run's initial ``runtime.qrun``
+    event — so it reproduces the run's
     :class:`~repro.core.runtime.BouquetRunResult` figures exactly.
     """
     accounts: Dict[int, ContourAccount] = {}
@@ -452,9 +464,21 @@ def summarize_trace(records: Iterable[Dict[str, Any]]) -> TraceSummary:
     counters: Dict[str, float] = {}
     timings: Dict[str, Dict[str, float]] = {}
     spans: List[Dict[str, Any]] = []
+    pinned: Dict[str, float] = {}
+    probe_cost = 0.0
     for record in records:
         kind = record.get("type")
-        if kind == "event" and record.get("name") == "runtime.execution":
+        if (
+            kind == "event"
+            and record.get("name") == "runtime.qrun"
+            and "probe_cost" in record["attrs"]
+        ):
+            # The run's starting point: what the substrate had measured.
+            attrs = record["attrs"]
+            probe_cost += float(attrs["probe_cost"])
+            total_cost += float(attrs["probe_cost"])
+            pinned.update(attrs["pinned"])
+        elif kind == "event" and record.get("name") == "runtime.execution":
             attrs = record["attrs"]
             contour = int(attrs["contour"])
             acct = accounts.get(contour)
@@ -492,4 +516,6 @@ def summarize_trace(records: Iterable[Dict[str, Any]]) -> TraceSummary:
         counters=counters,
         timings=timings,
         spans=spans,
+        pinned=pinned,
+        probe_cost=probe_cost,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ..catalog.statistics import DatabaseStatistics
@@ -114,8 +115,11 @@ def statistics_fingerprint(statistics: Optional[DatabaseStatistics]) -> str:
     return fingerprint
 
 
+@lru_cache(maxsize=64)
 def config_fingerprint(config) -> str:
-    """Digest of the compile knobs (``config.compile_knobs()``)."""
+    """Digest of the compile knobs (``config.compile_knobs()``), kept per
+    config: a ``BouquetConfig`` is frozen and hashable, and a server
+    derives one key per request from the same one."""
     return _digest(json.dumps(config.compile_knobs(), sort_keys=True))
 
 

@@ -280,6 +280,17 @@ class BouquetServer:
         """
         parsed, sql = self._parse(query)
         key = artifact_key(parsed, self.catalog.statistics, self.config)
+        return self._compile_keyed(parsed, sql, key, timeout, engine)
+
+    def _compile_keyed(
+        self,
+        parsed: Query,
+        sql: Optional[str],
+        key: ArtifactKey,
+        timeout: Optional[float],
+        engine: Optional[str],
+    ) -> Tuple[CompiledBouquet, str]:
+        """:meth:`compile` for a caller that already derived the key."""
         hit, tier = self.store.lookup(key, self.catalog, query=parsed, tracer=self.tracer)
         if hit is not None:
             return hit, tier
@@ -535,10 +546,8 @@ class BouquetServer:
                     tracer.count("serve.cached_only_misses")
         else:
             try:
-                compiled, source = self.compile(
-                    parsed,
-                    timeout=request.deadline,
-                    engine=request.compile_engine,
+                compiled, source = self._compile_keyed(
+                    parsed, None, key, request.deadline, request.compile_engine
                 )
             except FutureTimeoutError:
                 error = "compile deadline exceeded"

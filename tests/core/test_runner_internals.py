@@ -39,6 +39,45 @@ class TestDominatingPlans:
             plans = runner._dominating_plans(contour, mid)
             assert plans == sorted(set(plans))
 
+    def test_matches_the_componentwise_definition_at_grid_points(self, runner_3d):
+        """The integer form (first grid index at or past q_run, per
+        dimension) answers exactly like comparing selectivities — also
+        when q_run sits on a grid point or within the 1e-9 tolerance of
+        one, where a location at that grid point still dominates."""
+        ql, runner = runner_3d
+        space = ql.space
+
+        def by_definition(contour, qrun):
+            return sorted(
+                {
+                    plan_id
+                    for location, plan_id in contour.plan_at.items()
+                    if all(
+                        s >= q * (1.0 - 1e-9)
+                        for s, q in zip(space.selectivities_at(location), qrun)
+                    )
+                }
+            )
+
+        pruned = 0
+        on_contours = [next(iter(c.plan_at)) for c in ql.bouquet.contours]
+        for location in on_contours + [space.corner, space.origin]:
+            on_grid = list(space.selectivities_at(location))
+            for nudge in (1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9):
+                qrun = [value * nudge for value in on_grid]
+                for contour in ql.bouquet.contours:
+                    got = runner._dominating_plans(contour, qrun)
+                    assert got == by_definition(contour, qrun)
+                    pruned += len(got) < len(contour.plan_ids)
+        assert pruned  # the cases do cut plans
+        # A contour location dominates q_run sitting exactly on it, and
+        # still does inside the tolerance.
+        for contour, location in zip(ql.bouquet.contours, on_contours):
+            at = list(space.selectivities_at(location))
+            inside = [value * (1.0 + 5e-10) for value in at]
+            assert contour.plan_at[location] in runner._dominating_plans(contour, at)
+            assert contour.plan_at[location] in runner._dominating_plans(contour, inside)
+
 
 class TestAxisPlans:
     def test_axis_plans_subset_of_contour(self, runner_3d):

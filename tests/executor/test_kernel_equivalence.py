@@ -6,35 +6,19 @@ compiled once and run twice: with the engine as shipped, and with its
 kernels swapped for the ones they replaced — the two-pass join expansion
 for every probe and the row-sort group-by.  Charges are the contract: the
 bouquet driver must see the same budgets, kills and learned
-selectivities, and the rows must match the independent evaluator.
+selectivities, and the rows must match the independent evaluator.  The
+runs start at the ESS origin (``origin_started``), because a run that
+starts from the index probes never spills on this pool.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BouquetConfig, Catalog, compile_bouquet, execute, generate_workload
 from repro.executor import arrays, engine
 from repro.executor.arrays import group_counts
-from repro.executor.reference import reference_group_counts, reference_row_count
-from repro.optimizer import actual_selectivities
-from repro.query import parse_query
-
-CANNED = [
-    "select * from lineitem, orders, part "
-    "where p_partkey = l_partkey and l_orderkey = o_orderkey "
-    "and p_retailprice < 1000",
-    "select * from lineitem, orders "
-    "where l_orderkey = o_orderkey and o_totalprice < 150000",
-    "select count(*) from lineitem, part "
-    "where p_partkey = l_partkey and p_retailprice < 1200 "
-    "group by p_brand",
-]
-GENERATED = 22
-COST_CAP = 2000.0
 
 
 def legacy_group_counts(columns, weights=None):
@@ -100,26 +84,6 @@ class TestGroupCounts:
         assert keys[0].tolist() == [1, 2] and counts.tolist() == [1, 2]
 
 
-@pytest.fixture(scope="module")
-def catalog(schema, statistics, database):
-    return Catalog(schema=schema, statistics=statistics, database=database)
-
-
-@pytest.fixture(scope="module")
-def pool(catalog):
-    """Compiled bouquets of the canned texts and the first ``GENERATED``
-    seed-42 queries whose optimal plan costs at most ``COST_CAP``."""
-    optimizer = catalog.optimizer()
-    queries = [parse_query(sql, catalog.schema) for sql in CANNED]
-    for generated in generate_workload(catalog, 2 * GENERATED, seed=42):
-        truth = actual_selectivities(generated.query, catalog.database)
-        if optimizer.optimize(generated.query, truth).cost <= COST_CAP:
-            queries.append(generated.query)
-        if len(queries) == len(CANNED) + GENERATED:
-            break
-    return [compile_bouquet(query, catalog, config=BouquetConfig()) for query in queries]
-
-
 def account(result):
     return (
         result.total_cost,
@@ -131,17 +95,10 @@ def account(result):
     )
 
 
-def expected_rows(database, query):
-    if query.group_by:
-        return len(reference_group_counts(database, query))
-    if query.aggregate:
-        return 1
-    return reference_row_count(database, query)
-
-
-def test_pool_runs_identically_on_the_replaced_kernels(pool, database, monkeypatch):
-    assert len(pool) == len(CANNED) + GENERATED
-    shipped = [execute(compiled, database) for compiled in pool]
+def test_pool_runs_identically_on_the_replaced_kernels(
+    pool, database, origin_started, expected_rows, monkeypatch
+):
+    shipped = [origin_started(compiled, database) for compiled in pool]
 
     def two_pass_join(probe_keys, build_keys_sorted, build_order, unique=False):
         return arrays.join_indices(probe_keys, build_keys_sorted, build_order)
@@ -152,12 +109,12 @@ def test_pool_runs_identically_on_the_replaced_kernels(pool, database, monkeypat
 
     monkeypatch.setattr(engine, "join_indices", two_pass_join)
     monkeypatch.setattr(engine, "group_counts", row_sort_groups)
-    replaced = [execute(compiled, database) for compiled in pool]
+    replaced = [origin_started(compiled, database) for compiled in pool]
 
     for compiled, new, old in zip(pool, shipped, replaced):
         assert account(new) == account(old), compiled.query.name
         assert new.completed
-        assert new.result_rows == expected_rows(database, compiled.query)
+        assert new.result_rows == expected_rows(compiled.query)
     # The pool exercises what the kernels specialise on.
     assert any(compiled.query.group_by for compiled in pool)
     assert any(e.spilled for result in shipped for e in result.executions)

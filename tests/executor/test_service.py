@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import BouquetRunner, simulate_at
+from repro.core import AbstractExecutionService, BouquetRunner
 from repro.executor import ExecutionEngine, RealExecutionService
 
 
@@ -35,14 +35,14 @@ class TestRealBouquetExecution:
         assert result.completed
         assert result.result_rows == eq_actual_result
 
-    def test_real_run_close_to_simulated_run(self, eq_bouquet, real_service, database):
-        """Abstract (cost-world) and real executions agree on structure."""
-        from repro.optimizer import actual_selectivities
-
-        truth = actual_selectivities(eq_bouquet.space.query, database)
-        pid = eq_bouquet.space.dimensions[0].pid
-        qa_loc = eq_bouquet.space.nearest_location([truth[pid]])
-        simulated = simulate_at(eq_bouquet, qa_loc, mode="basic")
+    def test_real_run_close_to_simulated_run(self, eq_bouquet, real_service):
+        """Abstract (cost-world) and real executions agree on structure,
+        both started from what the real service's index probes measured."""
+        known = real_service.known_selectivities().learned
+        abstract = AbstractExecutionService(
+            eq_bouquet, [known[0].value], known=known
+        )
+        simulated = BouquetRunner(eq_bouquet, abstract, mode="basic").run()
         real = BouquetRunner(eq_bouquet, real_service, mode="basic").run()
         # Same order of magnitude of total effort; identical contour count
         # modulo one step of grid discretization.

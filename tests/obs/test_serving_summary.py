@@ -125,10 +125,21 @@ def test_access_path_counters_get_their_own_table():
         [
             {"type": "counter", "name": "executor.index_builds", "value": 3},
             {"type": "counter", "name": "executor.index_hits", "value": 45},
+            {"type": "counter", "name": "executor.selectivity_probes", "value": 17},
+            {"type": "counter", "name": "core.pinned_dimensions", "value": 16},
         ]
     )
     assert summary.index_lookups == 48
     text = summary.describe()
-    for needle in ("access paths", "index builds", "index hits", "45"):
+    for needle in (
+        "access paths",
+        "index builds",
+        "index hits",
+        "45",
+        "selectivity probes",
+        "17",
+        "dimensions pinned at start",
+        "16",
+    ):
         assert needle in text
     assert "access paths" not in summarize_serving(RECORDS).describe()

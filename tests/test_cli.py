@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 
 from repro.cli import main
 
@@ -61,7 +62,11 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "result:" in out and "rows" in out
-        assert "IC1" in out
+        # The selection is pinned by an index probe, so the run executes
+        # once, on the first contour that can hold the measured point.
+        (executed,) = re.findall(r"^IC(\d+): P\d+ \(full\) .* completed$", out, re.M)
+        assert int(executed) > 1
+        assert "1 executions" in out and "index probes" in out
 
     def test_run_with_concurrent_crossing(self, capsys):
         code = main(
