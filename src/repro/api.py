@@ -58,7 +58,7 @@ from .query.predicates import JoinPredicate
 from .query.query import Query
 from .query.sql import parse_query
 from .query.workload import SELECTION_DIM_RANGE, join_dim_maximum
-from .sched.strategy import CROSSING_NAMES, call_full, call_spilled
+from .sched.strategy import CROSSING_NAMES
 
 __all__ = [
     "BouquetConfig",
@@ -580,7 +580,7 @@ class BudgetCappedService(ExecutionService):
         self, plan_id: int, budget: float, cancel: Optional[object] = None
     ) -> ExecutionOutcome:
         allowed = self._allowed(budget)
-        outcome = call_full(self.inner, plan_id, allowed, cancel=cancel)
+        outcome = self.inner.run_full(plan_id, allowed, cancel=cancel)
         return self._charge(outcome, truncated=allowed < budget)
 
     def run_spilled(
@@ -591,7 +591,7 @@ class BudgetCappedService(ExecutionService):
         cancel: Optional[object] = None,
     ) -> ExecutionOutcome:
         allowed = self._allowed(budget)
-        outcome = call_spilled(self.inner, plan_id, allowed, unlearned_pids, cancel=cancel)
+        outcome = self.inner.run_spilled(plan_id, allowed, unlearned_pids, cancel=cancel)
         return self._charge(outcome, truncated=allowed < budget)
 
 

@@ -23,7 +23,8 @@ The masked updates replicate the scalar DP's semantics *per location*
 exactly — including its first-candidate-wins tie-breaking (strict ``<``
 against the running best) — so the batch result at every location
 provably equals the scalar :meth:`Optimizer.optimize` result, and the
-two engines may be used interchangeably (the benches assert this).
+two engines may be used interchangeably
+(``tests/optimizer/test_batchopt.py`` asserts this).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ against the multi-tenant front-end and account every outcome.
 Two execution modes share one workload generator, one gateway stack,
 and one report shape:
 
-* **simulated** (the CI fast path, ``make serve-load-smoke``): a
+* **simulated** (the fast path, ``repro serve-load --smoke``): a
   discrete-event simulation on a
   :class:`~repro.runtime.simulated.SimulatedRuntime` — arrivals, queue
   waits, and service completions are events on a virtual clock, so
@@ -13,7 +13,7 @@ and one report shape:
   :class:`~repro.serve.front.ServeGateway` and
   :class:`~repro.serve.admission.AdmissionController` run unmodified;
   only the bouquet backend is a service-time model.
-* **asyncio** (the benchmark path, ``make bench-serve``): the real
+* **asyncio** (the default path, ``repro serve-load``): the real
   :class:`~repro.serve.http.BouquetFrontEnd` on a loopback socket,
   sessions as asyncio tasks driving
   :class:`~repro.serve.http.AsyncServeClient` over keep-alive HTTP —
@@ -23,9 +23,8 @@ and one report shape:
 The hard gate, in every mode: **zero silent drops** — every request
 issued receives exactly one typed :class:`~repro.serve.ServeResponse`
 (shed counts as a response; a missing or untyped one fails the run).
-``make bench-serve`` writes the percentiles, shed/degrade counts, and
-cache-hit rates to ``BENCH_serve.json`` and exits non-zero if any gate
-fails.
+``--out PATH`` writes the percentiles, shed/degrade counts, and
+cache-hit rates as JSON; the run exits non-zero if any gate fails.
 """
 
 from __future__ import annotations
@@ -667,7 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="also run the asyncio pass against a genuine BouquetServer",
     )
-    parser.add_argument("--out", default=None, help="write BENCH_serve.json here")
+    parser.add_argument("--out", default=None, help="write the report as JSON here")
     options = parser.parse_args(argv)
 
     spec = LoadSpec(

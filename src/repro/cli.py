@@ -27,7 +27,7 @@ across machines:
   silent drops;
 * ``fuzz``    — generate a seeded random workload, pick each query's ESS
   dimensions by error-sensitivity, and validate every measured MSO
-  against the 4(1+λ)ρ guarantee (``--out`` writes BENCH_workload.json);
+  against the 4(1+λ)ρ guarantee (``--out`` writes the JSON report);
 * ``refresh`` — compile a bouquet, inject localized statistics drift,
   and refresh it: ``--delta`` runs the delta engine (re-planning only
   drift-suspect ESS locations), ``--verify`` checks the result
@@ -41,7 +41,9 @@ convention the in-process API and the HTTP wire use.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from typing import List, Optional
 
 from .api import BouquetConfig, Catalog, CompiledBouquet, compile_bouquet
@@ -371,24 +373,45 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .bench.workload import main as fuzz_main
+    from .wlgen import CampaignConfig, GeneratorConfig, run_campaign
 
-    argv = [
-        "--benchmark", args.benchmark,
-        "--count", str(args.count),
-        "--seed", str(args.seed),
-        "--scale", str(args.scale),
-        "--data-seed", str(args.data_seed),
-        "--stats-sample", str(args.stats_sample),
-        "--max-joins", str(args.max_joins),
-        "--max-dims", str(args.max_dims),
-        "--workers", str(args.workers),
-    ]
-    if args.progress:
-        argv.append("--progress")
+    config = CampaignConfig(
+        benchmark=args.benchmark,
+        scale=args.scale,
+        data_seed=args.data_seed,
+        stats_sample=args.stats_sample,
+        seed=args.seed,
+        count=args.count,
+        generator=GeneratorConfig(max_joins=args.max_joins),
+        max_dims=args.max_dims,
+        workers=args.workers,
+    )
+
+    def progress(outcome):
+        status = "ok" if outcome.ok else outcome.status.upper()
+        mso = f"  mso={outcome.mso:.3f}/{outcome.bound:.2f}" if outcome.mso else ""
+        print(
+            f"  [{outcome.index:>4}] {outcome.name:<12} {outcome.geometry:<10} "
+            f"{status}{mso}",
+            flush=True,
+        )
+
+    started = time.time()
+    report = run_campaign(config, progress=progress if args.progress else None)
+    elapsed = time.time() - started
+    print(report.describe())
+    print(
+        f"  elapsed        : {elapsed:.1f} s "
+        f"({elapsed / config.count * 1000:.0f} ms/query, {config.workers} worker(s))"
+    )
     if args.out:
-        argv.extend(["--out", args.out])
-    return fuzz_main(argv)
+        # Timing stays out of the payload: the same seed must write the
+        # same bytes.
+        with open(args.out, "w") as handle:
+            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"report written to {args.out}")
+    return 0 if report.ok else 1
 
 
 def _cmd_serve_load(args) -> int:
@@ -633,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument(
         "--out", metavar="PATH", default=None,
-        help="write the BENCH_workload.json payload here",
+        help="write the campaign report as JSON here",
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -657,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_load.add_argument(
         "--out", metavar="PATH", default=None,
-        help="write the BENCH_serve.json payload here",
+        help="write the load report as JSON here",
     )
     p_load.set_defaults(func=_cmd_serve_load)
     return parser

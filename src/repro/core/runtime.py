@@ -122,13 +122,10 @@ class BouquetRunResult:
 class ExecutionService:
     """What the bouquet driver needs from an execution substrate.
 
-    Implementations may additionally accept a ``cancel`` keyword — a
-    cooperative cancellation token with ``should_stop(spent) -> bool``
-    (see :class:`repro.sched.CancellationToken`) — checked at budget
+    ``cancel`` is a cooperative cancellation token with
+    ``should_stop(spent) -> bool`` (see
+    :class:`repro.sched.CancellationToken`), checked at budget
     checkpoints so concurrent crossing can cut stragglers short.
-    Callers use :func:`repro.sched.strategy.call_full` /
-    :func:`~repro.sched.strategy.call_spilled`, which probe for the
-    capability, so pre-scheduler implementations keep working.
     """
 
     def known_selectivities(self) -> KnownSelectivities:
@@ -140,12 +137,18 @@ class ExecutionService:
         inner = getattr(self, "inner", None)
         return inner.known_selectivities() if inner is not None else KnownSelectivities()
 
-    def run_full(self, plan_id: int, budget: float) -> ExecutionOutcome:
+    def run_full(
+        self, plan_id: int, budget: float, cancel: Optional[object] = None
+    ) -> ExecutionOutcome:
         """Execute the full plan under a cost budget."""
         raise NotImplementedError
 
     def run_spilled(
-        self, plan_id: int, budget: float, unlearned_pids: FrozenSet[str]
+        self,
+        plan_id: int,
+        budget: float,
+        unlearned_pids: FrozenSet[str],
+        cancel: Optional[object] = None,
     ) -> ExecutionOutcome:
         """Execute in spill mode (§5.3, spill-to-store variant): run the
         subtree up to the first node carrying an unlearned error pid,

@@ -7,7 +7,7 @@ to *drift* instead of to ESS size:
 * :mod:`~repro.drift.delta` compares two statistics world views
   field-by-field (:func:`statistics_delta`) and maps the drift onto a
   query's predicates; :func:`perturb_statistics` is the matching
-  localized-drift injector used by the bench, the CLI, and the tests;
+  localized-drift injector used by the CLI, the ledger, and the tests;
 * :mod:`~repro.drift.refresh` is the engine: :func:`delta_refresh`
   re-plans only the ESS locations whose argmin plan can have changed
   under the delta (frontier diff + probe + halo, DP-authoritative

@@ -21,7 +21,7 @@ The mapping mirrors the estimator (:mod:`repro.optimizer.selectivity`):
 
 :func:`perturb_statistics` is the matching drift injector: a deep copy
 of a statistics object with one table (or one column) shifted, used by
-the drift bench, the CLI, and the equivalence tests.
+the CLI, the ledger, and the equivalence tests.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ old base usually still wins under the new one.
    ids a from-scratch batch compile assigns — then contours and budgets are
    rebuilt by the ordinary :func:`~repro.core.bouquet.identify_bouquet`.
 
-The full recompile stays available as the *reference* engine; the drift
-bench (:mod:`repro.bench.drift`) and the equivalence tests run both and
+The full recompile stays available as the *reference* engine; the
+equivalence tests (``tests/drift/test_refresh.py``) run both and
 require bit-identical plan ids, costs, and contour bands.
 """
 
@@ -464,8 +464,8 @@ def bouquets_equal(patched: PlanBouquet, reference: PlanBouquet) -> List[str]:
 
     Plan ids are compared directly (both sides are canonically numbered),
     plans structurally (canonical signatures per id), costs bitwise, and
-    contours/budgets exactly — the same bar the compile-engine bench
-    holds the batch kernel to against the scalar reference.
+    contours/budgets exactly — the same bar the engine-equality tests
+    hold the batch kernel to against the scalar reference.
     """
     problems: List[str] = []
     if patched.space.shape != reference.space.shape:

@@ -23,7 +23,7 @@ Lifecycle is strictly parent-owned:
   entry would only produce spurious "leaked shared_memory" warnings and
   double-unlink races at worker exit.
 * :func:`release_segments` (called by ``shutdown_pools`` and on pool
-  teardown/interrupt) closes and unlinks everything.  The bench and the
+  teardown/interrupt) closes and unlinks everything.  The ledger and the
   lifecycle tests assert ``/dev/shm`` holds none of our segments after
   shutdown — segments are namespaced ``repro_par_*`` to make that
   auditable.
@@ -299,8 +299,9 @@ def release_segments() -> None:
 def leaked_segments() -> List[str]:
     """``repro_par_*`` segments still visible in /dev/shm.
 
-    After :func:`release_segments` this must be empty — the bench and
-    the shm lifecycle tests gate on it.  On platforms without /dev/shm
+    After :func:`release_segments` this must be empty — the ledger's
+    ``eval_campaign`` output check and the shm lifecycle tests gate on
+    it.  On platforms without /dev/shm
     the scan degrades to the registry's own book-keeping.
     """
     root = "/dev/shm"

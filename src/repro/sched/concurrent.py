@@ -33,7 +33,6 @@ from .strategy import (
     CrossingRequest,
     CrossingResult,
     CrossingStrategy,
-    call_full,
     register_crossing,
 )
 
@@ -118,7 +117,7 @@ class ConcurrentCrossing(CrossingStrategy):
         """Run every plan, cancelling stragglers as soon as one completes."""
         if len(plans) == 1:
             pid = plans[0]
-            return {pid: call_full(request.service, pid, request.budget, tokens[pid])}
+            return {pid: request.service.run_full(pid, request.budget, cancel=tokens[pid])}
         outcomes: Dict[int, ExecutionOutcome] = {}
         workers = min(len(plans), self.max_workers or len(plans))
         with ThreadPoolExecutor(
@@ -126,7 +125,7 @@ class ConcurrentCrossing(CrossingStrategy):
         ) as pool:
             futures = {
                 pool.submit(
-                    call_full, request.service, pid, request.budget, tokens[pid]
+                    request.service.run_full, pid, request.budget, cancel=tokens[pid]
                 ): pid
                 for pid in plans
             }

@@ -13,7 +13,6 @@ from .strategy import (
     CrossingRequest,
     CrossingResult,
     CrossingStrategy,
-    call_full,
     register_crossing,
 )
 
@@ -26,7 +25,7 @@ class SequentialCrossing(CrossingStrategy):
         result = CrossingResult()
         ledger = request.ledger
         for plan_id in request.plan_ids:
-            outcome = call_full(request.service, plan_id, request.budget)
+            outcome = request.service.run_full(plan_id, request.budget)
             ledger.charge(plan_id, outcome.cost_spent, completed=outcome.completed)
             result.records.append(
                 ExecutionRecord(

@@ -9,9 +9,8 @@ strategies stay small and composable.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Sequence, Type, Union
 
 from ..core.runtime import ExecutionOutcome, ExecutionRecord, ExecutionService
 from ..exceptions import BouquetError
@@ -65,57 +64,6 @@ class CrossingStrategy:
 
     def cross(self, request: CrossingRequest) -> CrossingResult:
         raise NotImplementedError
-
-
-# ---------------------------------------------------------------------------
-# Tolerant service invocation
-# ---------------------------------------------------------------------------
-#
-# ExecutionService implementations predating the scheduler (including
-# user-supplied fakes in tests) may not accept the ``cancel`` keyword;
-# probe the signature once per service type instead of failing.
-
-_CANCEL_SUPPORT: Dict[type, bool] = {}
-
-
-def _accepts_cancel(service: ExecutionService) -> bool:
-    kind = type(service)
-    cached = _CANCEL_SUPPORT.get(kind)
-    if cached is None:
-        try:
-            params = inspect.signature(kind.run_full).parameters
-            cached = "cancel" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-            )
-        except (TypeError, ValueError):  # builtins / exotic callables
-            cached = False
-        _CANCEL_SUPPORT[kind] = cached
-    return cached
-
-
-def call_full(
-    service: ExecutionService,
-    plan_id: int,
-    budget: float,
-    cancel: Optional[object] = None,
-) -> ExecutionOutcome:
-    """``service.run_full`` with the cancel token when supported."""
-    if cancel is not None and _accepts_cancel(service):
-        return service.run_full(plan_id, budget, cancel=cancel)
-    return service.run_full(plan_id, budget)
-
-
-def call_spilled(
-    service: ExecutionService,
-    plan_id: int,
-    budget: float,
-    unlearned_pids: FrozenSet[str],
-    cancel: Optional[object] = None,
-) -> ExecutionOutcome:
-    """``service.run_spilled`` with the cancel token when supported."""
-    if cancel is not None and _accepts_cancel(service):
-        return service.run_spilled(plan_id, budget, unlearned_pids, cancel=cancel)
-    return service.run_spilled(plan_id, budget, unlearned_pids)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .strategy import (
     CrossingRequest,
     CrossingResult,
     CrossingStrategy,
-    call_full,
     register_crossing,
 )
 
@@ -53,7 +52,7 @@ class TimeSlicedCrossing(CrossingStrategy):
                 else request.budget * step / self.quanta
             )
             for pid in plans:
-                outcome = call_full(request.service, pid, allowed)
+                outcome = request.service.run_full(pid, allowed)
                 marginal = max(0.0, outcome.cost_spent - progress[pid])
                 progress[pid] = max(progress[pid], outcome.cost_spent)
                 completed[pid] = outcome.completed

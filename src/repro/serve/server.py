@@ -36,10 +36,8 @@ The canonical calling convention is the typed envelope pair from
     response = server.serve(ServeRequest(query=sql, budget=1e9))
     response.status, response.error_code, response.rows
 
-``serve(sql)`` remains as sugar, and the old keyword sprawl
-(``serve(sql, budget=..., mode=..., crossing=..., timeout=...)``) keeps
-working behind a :class:`DeprecationWarning` adapter.  Admission
-control, tenant quotas, and load shedding live one layer up, in
+``serve(sql)`` remains as sugar for ``serve(ServeRequest(query=sql))``.
+Admission control, tenant quotas, and load shedding live one layer up, in
 :class:`repro.serve.front.ServeGateway`.
 
 The degradation ladder, top to bottom: memory hit → disk hit →
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
@@ -393,7 +390,7 @@ class BouquetServer:
         its optimized cost field with the vectorized engine
         (:mod:`repro.sweep`).
 
-        The field — and the engine's contour tables and trace trie — are
+        The field — and the engine's contour tables — are
         memoized on the compiled bouquet, so later metric or diagnostics
         requests against the same artifact are answered from cache.
         Returns the grid-shaped cost field.
@@ -444,51 +441,16 @@ class BouquetServer:
     # Serve path (compile → execute, with degradation)
     # ------------------------------------------------------------------
 
-    def serve(
-        self,
-        request: Union[ServeRequest, str, Query],
-        *,
-        budget: Optional[float] = None,
-        mode: Optional[str] = None,
-        crossing: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ) -> ServeResponse:
+    def serve(self, request: Union[ServeRequest, str, Query]) -> ServeResponse:
         """Answer one request end to end.
 
         The canonical calling convention is a
         :class:`~repro.serve.envelope.ServeRequest`; bare SQL text (or a
         parsed query) is accepted as sugar for ``ServeRequest(query=...)``.
-
-        .. deprecated::
-            The keyword arguments (``budget``/``mode``/``crossing``/
-            ``timeout``) are the old signature; they are folded into an
-            envelope (``timeout`` becomes ``deadline``) behind a
-            :class:`DeprecationWarning`.
         """
-        if isinstance(request, ServeRequest):
-            if any(v is not None for v in (budget, mode, crossing, timeout)):
-                raise BouquetError(
-                    "serve: pass knobs inside the ServeRequest, not as "
-                    "keyword arguments"
-                )
-            return self.serve_request(request)
-        if any(v is not None for v in (budget, mode, crossing, timeout)):
-            warnings.warn(
-                "BouquetServer.serve(query, budget=..., mode=..., "
-                "crossing=..., timeout=...) is deprecated; pass a "
-                "ServeRequest envelope instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.serve_request(
-            ServeRequest(
-                query=request,
-                budget=budget,
-                mode=mode,
-                crossing=crossing,
-                deadline=timeout,
-            )
-        )
+        if not isinstance(request, ServeRequest):
+            request = ServeRequest(query=request)
+        return self.serve_request(request)
 
     def serve_request(self, request: ServeRequest) -> ServeResponse:
         """Answer one enveloped request end to end.

@@ -8,9 +8,9 @@ with three cooperating layers:
 * :mod:`repro.sweep.cohorts` — cohort batching: locations sharing an
   execution prefix advance together through vectorized replicas of the
   driver's decisions, splitting only when their traces diverge.
-* :mod:`repro.sweep.memo` — trace-prefix memoization: a trie of
-  ``(contour, plan, outcome)`` signatures shares climb prefixes within
-  and across sweeps, plus a full-grid totals memo.
+* :mod:`repro.sweep.memo` — per-bouquet memoization: a full-grid
+  totals memo (a re-sweep is a gather) plus the contour tables and plan
+  costing metadata, built once per bouquet.
 * :mod:`repro.sweep.shard` — process-pool sharding for the divergent
   residue that batching cannot amortize.
 
@@ -31,7 +31,7 @@ from ..core.bouquet import PlanBouquet
 from ..ess.space import Location
 from .cohorts import BatchCoster, ContourTables
 from .engine import Cohort, SweepEngine
-from .memo import SweepCache, TraceTrie, TrieNode, sweep_cache
+from .memo import SweepCache, sweep_cache
 from .shard import run_residue, simulate_total
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "ContourTables",
     "SweepCache",
     "SweepEngine",
-    "TraceTrie",
-    "TrieNode",
     "optimized_field_array",
     "run_residue",
     "simulate_total",

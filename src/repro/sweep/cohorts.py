@@ -26,7 +26,7 @@ Two building blocks live here:
 Both mirror the reference arithmetic exactly (same tolerance constants,
 same geometric-interpolation formulas) so the engine's field agrees with
 the per-location driver to float noise — orders of magnitude below the
-1e-9 relative tolerance the bench enforces.
+1e-9 relative tolerance ``tests/sweep/test_sweep_engine.py`` enforces.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class ContourTables:
 
     Everything here is a pure function of the (immutable) bouquet, so the
     tables are built once per contour and memoized on the bouquet's sweep
-    cache — repeated sweeps (metric entry points, serving warm-ups, bench
+    cache — repeated sweeps (metric entry points, serving warm-ups,
     verification samples) never rebuild them.
     """
 

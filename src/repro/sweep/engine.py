@@ -28,13 +28,14 @@ a rank computation over batched plan costs.
 
 The arithmetic mirrors the reference exactly — same tolerance constants,
 same interpolation formulas — so fields agree to float rounding noise,
-far inside the 1e-9 relative tolerance enforced by ``make bench-sweep``.
+far inside the 1e-9 relative tolerance of
+``tests/sweep/test_sweep_engine.py::TestFieldEquality``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from ..core.bouquet import PlanBouquet
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import NULL_TRACER, Tracer
-from .memo import SweepCache, TrieNode, sweep_cache
+from .memo import SweepCache, sweep_cache
 from .shard import run_residue
 
 __all__ = ["SweepEngine", "Cohort"]
@@ -65,7 +66,6 @@ class Cohort:
     exact: FrozenSet[int]  # dims learned exactly
     attempted: FrozenSet[int]  # plans spilled at this contour
     exhausted: FrozenSet[int]  # plans that consumed this contour's budget
-    node: TrieNode  # trace-trie position
 
     @property
     def size(self) -> int:
@@ -173,7 +173,6 @@ class SweepEngine:
                 cohorts=int(stats["cohorts"]),
                 splits=int(stats["splits"]),
                 residue=int(stats["residue"]),
-                memo_hit_rate=cache.trie.hit_rate,
                 batched_costings=cache.coster.batched_costings,
             )
         return cache.totals(self.crossing.name)[flat].copy()
@@ -193,7 +192,6 @@ class SweepEngine:
             exact=frozenset(),
             attempted=frozenset(),
             exhausted=frozenset(),
-            node=cache.trie.root,
         )
         queue: List[Cohort] = [initial]
         residue_rows: List[np.ndarray] = []
@@ -256,24 +254,18 @@ class SweepEngine:
     # One cohort step (one contour interaction)
     # ------------------------------------------------------------------
 
+    @staticmethod
     def _child(
-        self,
-        cohort: Cohort,
         mask: np.ndarray,
         qrun: np.ndarray,
         total: np.ndarray,
         rows: np.ndarray,
-        signature: Tuple,
         *,
         cid: int,
         exact: FrozenSet[int],
         attempted: FrozenSet[int],
         exhausted: FrozenSet[int],
-        charge: float = 0.0,
     ) -> Cohort:
-        node = self.cache.trie.child(cohort.node, signature, charge)
-        node.visits += 1
-        node.locations += int(mask.sum())
         return Cohort(
             rows=rows[mask],
             qrun=qrun[mask],
@@ -282,7 +274,6 @@ class SweepEngine:
             exact=exact,
             attempted=attempted,
             exhausted=exhausted,
-            node=node,
         )
 
     def _step(self, cohort: Cohort) -> List[Cohort]:
@@ -306,8 +297,7 @@ class SweepEngine:
             # cross without execution.
             children.append(
                 self._child(
-                    cohort, ~has_dom, cohort.qrun, cohort.total, cohort.rows,
-                    ("skip", cid),
+                    ~has_dom, cohort.qrun, cohort.total, cohort.rows,
                     cid=cid + 1, exact=cohort.exact,
                     attempted=frozenset(), exhausted=frozenset(),
                 )
@@ -491,25 +481,20 @@ class SweepEngine:
                 mask = kind_mask & (crossed == crs)
                 if not mask.any():
                     continue
-                signature = ("spill", cid, plan_id, bits, exact_spill, crs)
                 if crs:
                     children.append(
                         self._child(
-                            cohort, mask, qrun_new, total_new, rows_sel,
-                            signature,
+                            mask, qrun_new, total_new, rows_sel,
                             cid=cid + 1, exact=exact2,
                             attempted=frozenset(), exhausted=frozenset(),
-                            charge=budget,
                         )
                     )
                 else:
                     children.append(
                         self._child(
-                            cohort, mask, qrun_new, total_new, rows_sel,
-                            signature,
+                            mask, qrun_new, total_new, rows_sel,
                             cid=cid, exact=exact2,
                             attempted=attempted2, exhausted=exhausted2,
-                            charge=budget,
                         )
                     )
 
@@ -575,8 +560,7 @@ class SweepEngine:
             total_after = total + budget * runnable.sum(axis=1)
             children.append(
                 self._child(
-                    cohort, failed, qrun, total_after, rows,
-                    ("fallback-cross", cid),
+                    failed, qrun, total_after, rows,
                     cid=cid + 1, exact=cohort.exact,
                     attempted=frozenset(), exhausted=frozenset(),
                 )

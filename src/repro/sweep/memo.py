@@ -1,10 +1,10 @@
-"""Trace-prefix memoization for the sweep engine.
+"""Per-bouquet memoization for the sweep engine.
 
-Three reuse layers, all keyed on the (immutable) bouquet and stashed on
+Two reuse layers, both keyed on the (immutable) bouquet and stashed on
 the bouquet object itself (``bouquet._sweep_cache``), so every consumer
 of the same bouquet — robustness metric entry points, the bench harness,
-serving warm-ups, the verification sample of ``make bench-sweep`` —
-shares one cache:
+serving warm-ups, a verification sample after a full sweep — shares one
+cache:
 
 * **Result memo** — a full-grid totals array (NaN = not yet swept).
   Locations whose trace has already been simulated are answered with a
@@ -13,74 +13,23 @@ shares one cache:
 * **Table memo** — the per-contour :class:`~repro.sweep.cohorts.ContourTables`
   and the :class:`~repro.sweep.cohorts.BatchCoster` plan metadata
   (first error nodes, error depths), built once per bouquet.
-* **Trace trie** — the decision tree of cohort signatures, keyed by
-  ``(contour, plan_id, outcome)`` steps.  Within a sweep it *is* the
-  cohort partition (siblings with equal signatures are one cohort, so a
-  shared climb prefix is simulated exactly once); across sweeps a cohort
-  following an already-materialized path is a memo hit, and the node's
-  accumulated fixed budget charge is reused for accounting.
+
+Shared climb prefixes are not memoised here: within a sweep the cohort
+partition itself simulates each prefix once (see
+:mod:`repro.sweep.engine`), and across sweeps the result memo answers
+before any prefix is walked.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
 from .cohorts import BatchCoster, ContourTables
 
-__all__ = ["TrieNode", "TraceTrie", "SweepCache", "sweep_cache"]
-
-
-class TrieNode:
-    """One discrete execution-prefix node.
-
-    ``charge`` is the fixed (location-independent) cost accumulated along
-    the step into this node: failed executions always spend exactly the
-    contour budget, so a cohort's shared budget charges live here as one
-    scalar per prefix instead of per-location adds.
-    """
-
-    __slots__ = ("signature", "children", "visits", "locations", "charge")
-
-    def __init__(self, signature: Tuple = ()):
-        self.signature = signature
-        self.children: Dict[Tuple, "TrieNode"] = {}
-        self.visits = 0
-        self.locations = 0
-        self.charge = 0.0
-
-    def path_charge(self) -> float:
-        return self.charge
-
-
-class TraceTrie:
-    """The decision trie shared by every sweep over one bouquet."""
-
-    def __init__(self):
-        self.root = TrieNode()
-        self.nodes = 1
-        self.hits = 0
-        self.misses = 0
-
-    def child(self, node: TrieNode, signature: Tuple, charge: float = 0.0) -> TrieNode:
-        """Descend to (creating if needed) the child for one step."""
-        nxt = node.children.get(signature)
-        if nxt is None:
-            nxt = TrieNode(signature)
-            nxt.charge = node.charge + charge
-            node.children[signature] = nxt
-            self.nodes += 1
-            self.misses += 1
-        else:
-            self.hits += 1
-        return nxt
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+__all__ = ["SweepCache", "sweep_cache"]
 
 
 class SweepCache:
@@ -89,7 +38,6 @@ class SweepCache:
     def __init__(self, bouquet: PlanBouquet):
         self.bouquet = bouquet
         self.coster = BatchCoster(bouquet)
-        self.trie = TraceTrie()
         self._tables: Dict[int, ContourTables] = {}
         # Flat per-grid-cell totals keyed by crossing-strategy name
         # (different strategies schedule different executions, so their
@@ -129,7 +77,7 @@ class SweepCache:
         self.totals(crossing)[flat] = totals
 
     def invalidate(self) -> None:
-        """Drop cached totals (keeps the structural tables + trie)."""
+        """Drop cached totals (keeps the structural tables)."""
         self._totals.clear()
 
 

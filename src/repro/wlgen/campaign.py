@@ -337,7 +337,7 @@ class CampaignReport:
         }
 
     def to_dict(self) -> Dict[str, object]:
-        """The BENCH_workload.json payload — deterministic by design.
+        """The ``repro fuzz --out`` payload — deterministic by design.
 
         Contains no wall-clock data; outcomes are sorted by query index
         regardless of shard completion order, so the same config yields
@@ -406,17 +406,12 @@ def run_campaign(
     config: CampaignConfig,
     tracer: Optional[Tracer] = None,
     progress=None,
-    pool=None,
 ) -> CampaignReport:
     """Run the full campaign, sharded across ``config.workers`` processes.
 
     ``progress`` (optional) is called with each completed
     :class:`QueryOutcome` as shards stream in — index order within a
     shard, shards interleaved.  The report itself is order-normalized.
-    ``pool`` (optional) supplies an explicit :class:`repro.par.WorkerPool`
-    (the perf bench uses this to race ephemeral per-call pools against
-    the shared persistent one); by default the persistent pool for
-    ``config.workers`` is used.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     indices = list(range(config.count))
@@ -436,12 +431,12 @@ def run_campaign(
                 if progress is not None:
                     progress(outcome)
             return CampaignReport(config=config, outcomes=outcomes)
-        outcomes = _parallel_campaign(config, indices, tracer, progress, pool)
+        outcomes = _parallel_campaign(config, indices, tracer, progress)
     return CampaignReport(config=config, outcomes=outcomes)
 
 
 def _parallel_campaign(
-    config: CampaignConfig, indices: List[int], tracer: Tracer, progress, pool
+    config: CampaignConfig, indices: List[int], tracer: Tracer, progress
 ) -> List[QueryOutcome]:
     """Shard the index range over the persistent :mod:`repro.par` pool."""
     from ..par import ParError, get_pool
@@ -457,8 +452,7 @@ def _parallel_campaign(
             chunks=len(chunks),
             queries=len(indices),
         )
-    if pool is None:
-        pool = get_pool(config.workers, tracer=tracer)
+    pool = get_pool(config.workers, tracer=tracer)
     on_result = None
     if progress is not None:
         def on_result(seq, chunk_result):

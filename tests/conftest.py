@@ -14,8 +14,23 @@ from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.optimizer import Optimizer, actual_selectivities
 from repro.query import JoinPredicate, Query, SelectionPredicate
+from repro.wlgen import GeneratorConfig, QueryGenerator
 
 SCALE = 0.003
+
+#: Range-only sampling: every selection becomes an error dimension, so
+#: rebinding a template instance is an identity delta refresh.
+TEMPLATED_WORKLOAD_CONFIG = GeneratorConfig(
+    min_joins=2,
+    max_joins=2,
+    min_predicates=2,
+    max_predicates=2,
+    equality_weight=0.0,
+    range_weight=1.0,
+    in_weight=0.0,
+    groupby_probability=0.0,
+    aggregate_probability=0.0,
+)
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +46,11 @@ def database(schema):
 @pytest.fixture(scope="session")
 def statistics(database):
     return database.build_statistics(sample_size=1500, seed=3)
+
+
+@pytest.fixture(scope="session")
+def templated_generator(schema, database):
+    return QueryGenerator(schema, database, TEMPLATED_WORKLOAD_CONFIG)
 
 
 @pytest.fixture(scope="session")

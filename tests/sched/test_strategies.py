@@ -4,7 +4,7 @@ time-sliced determinism, and the registry/config surface."""
 import pytest
 
 from repro.core import BouquetRunner, simulate_at
-from repro.core.runtime import AbstractExecutionService, ExecutionService
+from repro.core.runtime import AbstractExecutionService
 from repro.core.simulation import basic_cost_field
 from repro.exceptions import BouquetError
 from repro.sched import (
@@ -202,28 +202,6 @@ class TestStrategySurface:
     def test_names_constant_covers_registry(self):
         for name in CROSSING_NAMES:
             assert resolve_crossing(name).name == name
-
-    def test_legacy_service_without_cancel_kwarg(self, eq_bouquet):
-        """Pre-scheduler ExecutionService implementations (no ``cancel``
-        parameter) must keep working under every strategy."""
-
-        class LegacyService(ExecutionService):
-            def __init__(self, inner):
-                self.inner = inner
-
-            def run_full(self, plan_id, budget):
-                return self.inner.run_full(plan_id, budget)
-
-            def run_spilled(self, plan_id, budget, unlearned_pids):
-                return self.inner.run_spilled(plan_id, budget, unlearned_pids)
-
-        qa_values = eq_bouquet.space.selectivities_at((45,))
-        for crossing in CROSSING_NAMES:
-            service = LegacyService(AbstractExecutionService(eq_bouquet, qa_values))
-            result = BouquetRunner(
-                eq_bouquet, service, mode="basic", crossing=crossing
-            ).run()
-            assert result.completed, crossing
 
 
 class TestOptimizedModeDispatch:

@@ -124,23 +124,6 @@ def test_budget_exhaustion_is_reported_not_raised(server):
     assert server.stats()["counters"]["serve.budget_exhausted"] == 1
 
 
-def test_legacy_kwargs_pass_through_the_deprecation_adapter(server):
-    """The pre-envelope signature still works, loudly."""
-    with pytest.warns(DeprecationWarning, match="ServeRequest"):
-        served = server.serve(SQL, budget=1e-3)
-    assert served.status == "budget-exhausted"
-
-    with pytest.warns(DeprecationWarning):
-        fast = server.serve(SQL, crossing="concurrent")
-    assert fast.status == "ok"
-    assert fast.result.crossing == "concurrent"
-
-
-def test_envelope_and_kwargs_together_is_an_error(server):
-    with pytest.raises(BouquetError, match="inside the ServeRequest"):
-        server.serve(ServeRequest(query=SQL), budget=1e9)
-
-
 def test_compile_timeout_degrades_to_native_path(catalog, small_config, tracer):
     with BouquetServer(
         catalog, config=small_config, compile_timeout=0.05, tracer=tracer

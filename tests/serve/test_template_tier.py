@@ -6,19 +6,12 @@ from __future__ import annotations
 import pytest
 
 from repro.api import BouquetConfig, compile_bouquet
-from repro.bench.template import TEMPLATED_WORKLOAD_CONFIG
 from repro.drift import bouquets_equal, perturb_statistics
 from repro.exceptions import TemplateError
 from repro.obs.tracer import MemorySink, Tracer
 from repro.serve.cache import BouquetArtifactStore
 from repro.serve.server import BouquetServer
 from repro.template import TemplateStore
-from repro.wlgen import QueryGenerator
-
-
-@pytest.fixture
-def templated_generator(schema, database):
-    return QueryGenerator(schema, database, TEMPLATED_WORKLOAD_CONFIG)
 
 
 @pytest.fixture

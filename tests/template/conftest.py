@@ -1,14 +1,11 @@
-"""Template-cache fixtures: a catalog over the shared session world, a
-small compile config, and a range-only generator whose instances all
-share template signatures with their exemplars."""
+"""Template-cache fixtures: a catalog over the shared session world and
+a small compile config."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import BouquetConfig, Catalog
-from repro.bench.template import TEMPLATED_WORKLOAD_CONFIG
-from repro.wlgen import QueryGenerator
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +18,3 @@ def catalog(schema, statistics, database):
 @pytest.fixture(scope="module")
 def small_config():
     return BouquetConfig(resolution=8)
-
-
-@pytest.fixture(scope="module")
-def templated_generator(schema, database):
-    return QueryGenerator(schema, database, TEMPLATED_WORKLOAD_CONFIG)

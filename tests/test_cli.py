@@ -135,3 +135,17 @@ class TestAdviseCommand:
         code = main(["advise"] + ENV + [EQ_SQL, "--update"])
         assert code == 0
         assert "recommended mode: native" in capsys.readouterr().out
+
+
+class TestBenchCommands:
+    def test_fuzz_report_is_byte_identical_across_invocations(self, capsys, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert main(["fuzz", "--count", "3", "--out", str(path)]) == 0
+        assert f"report written to {paths[1]}" in capsys.readouterr().out
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_serve_load_smoke_passes_its_gates(self, capsys):
+        """Exits 1 on a silent drop, an untyped response or a peak under 2,000."""
+        assert main(["serve-load", "--smoke"]) == 0
+        assert "sessions (peak concurrent)  2400 (2400)" in capsys.readouterr().out

@@ -1,10 +1,12 @@
 """Campaign harness: bound validation, determinism, failure capture."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import fuzz
+from repro.par import leaked_segments, shutdown_pools
 from repro.wlgen import (
     CampaignConfig,
     CampaignReport,
@@ -34,23 +36,31 @@ class TestCampaignVerdict:
         for outcome in report.outcomes:
             assert outcome.mso is not None
             assert outcome.bound == pytest.approx(
-                4.0 * (1.0 + CONFIG.lambda_) * outcome.rho
+                4.0 * (1.0 + report.config.lambda_) * outcome.rho
             )
             assert outcome.mso <= outcome.bound * (1.0 + 1e-6)
 
     def test_outcomes_cover_the_stream(self, report):
-        assert [o.index for o in report.outcomes] == list(range(CONFIG.count))
+        assert [o.index for o in report.outcomes] == list(range(report.config.count))
         assert all(o.sql for o in report.outcomes)
         assert all(o.dimensions for o in report.outcomes)
 
     def test_summary_accounting(self, report):
         summary = report.summary()
-        assert summary["queries"] == CONFIG.count
-        assert summary["ok"] == CONFIG.count
+        assert summary["queries"] == report.config.count
+        assert summary["ok"] == report.config.count
         assert summary["violations"] == 0 and summary["crashes"] == 0
         assert summary["mso_max"] >= summary["mso_p95"] >= summary["mso_median"]
         assert 0.0 < summary["worst_bound_margin"] <= 1.0 + 1e-6
-        assert sum(summary["geometries"].values()) == CONFIG.count
+        assert sum(summary["geometries"].values()) == report.config.count
+
+
+class TestCampaignVerdictTpcds(TestCampaignVerdict):
+    """Multi-FK fact tables; a subclass so the TPC-H test ids keep their names."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_campaign(CampaignConfig(benchmark="tpcds", count=6))
 
 
 class TestDeterminism:
@@ -59,6 +69,12 @@ class TestDeterminism:
         a = json.dumps(report.to_dict(), sort_keys=True)
         b = json.dumps(again.to_dict(), sort_keys=True)
         assert a == b
+
+    def test_two_workers_yield_the_same_roster(self, report):
+        sharded = run_campaign(replace(CONFIG, workers=2))
+        assert sharded.to_dict()["results"] == report.to_dict()["results"]
+        shutdown_pools()
+        assert leaked_segments() == []
 
     def test_seed_is_recorded_for_replay(self, report):
         payload = report.to_dict()

@@ -135,10 +135,8 @@ class TestConfigValidation:
 
 class TestTemplateInstancing:
     @pytest.fixture(scope="class")
-    def templated(self, schema, database):
-        from repro.bench.template import TEMPLATED_WORKLOAD_CONFIG
-
-        return QueryGenerator(schema, database, TEMPLATED_WORKLOAD_CONFIG)
+    def templated(self, templated_generator):
+        return templated_generator
 
     def test_binding_zero_is_the_exemplar(self, templated):
         a = templated.generate(11, 3).query
