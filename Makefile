@@ -4,7 +4,8 @@
 #   make install      editable install into the current environment
 #   make test         run the unit/integration/property test suite
 #   make lint         ruff check (imports + obvious-bug rules; config in
-#                     pyproject.toml) — skips with a hint if ruff is absent
+#                     pyproject.toml); without ruff, the stdlib unused-import
+#                     and export checks of tests/test_public_surface.py
 #   make serve-smoke  compile-cache the canned workload twice; fail unless
 #                     the warm pass is all cache hits and >= 5x faster
 #   make check        lint + serve-smoke (the gated fast checks)
@@ -36,9 +37,12 @@ test:
 	$(PYTHON) -m pytest tests/
 
 lint:
-	@$(PYTHON) -c "import ruff" 2>/dev/null \
-		&& $(PYTHON) -m ruff check src tests benchmarks examples \
-		|| echo "ruff not installed; skipping (pip install ruff to enable)"
+	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
+		$(PYTHON) -m ruff check src tests benchmarks examples; \
+	else \
+		echo "ruff not installed; running the stdlib unused-import and export checks"; \
+		PYTHONPATH=src $(PYTHON) -m pytest tests/test_public_surface.py -q; \
+	fi
 
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro serve-smoke

@@ -47,7 +47,6 @@ from .core.runtime import (
 from .datagen.database import Database
 from .ess.diagram import PlanDiagram, coarse_subgrid
 from .ess.dimensioning import Uncertainty, select_error_dimensions
-from .ess.posp import COMPILE_ENGINES
 from .ess.space import ErrorDimension, SelectivitySpace
 from .exceptions import BouquetError, BudgetExceeded
 from .obs.tracer import NULL_TRACER, Tracer
@@ -106,24 +105,23 @@ class BouquetConfig:
     cost-equivalence groups, and ``model_error_delta`` is the §3.4
     bounded cost-model-error δ (budgets inflate by 1+δ).
 
-    ``compile_engine`` selects how POSP generation costs the ESS grid:
-    ``"batch"`` (default) runs the DPsize enumeration once per slab of
-    locations with array-valued costs, ``"reference"`` optimizes one
-    location at a time.  Both produce byte-identical artifacts, so the
-    engine is deliberately **not** a compile knob — it never enters the
-    artifact cache key.
+    There is no compile-engine knob: POSP generation always runs the
+    DPsize enumeration once per slab of ESS locations
+    (:mod:`repro.batchopt`); the scalar :meth:`Optimizer.optimize` it
+    replaced is the oracle ``tests/optimizer/test_batchopt.py`` loops
+    over.
 
     ``patch`` governs statistics-refresh maintenance: when enabled
     (default) a refresh first offers every cached artifact to the
     delta-refresh engine (:mod:`repro.drift`) before falling back to
-    invalidation.  Like the engine and crossing knobs it is a runtime
-    knob — never part of the artifact cache key.
+    invalidation.  Like the crossing knob it is a runtime knob — never
+    part of the artifact cache key.
 
     ``template`` governs the cross-query template cache
     (:mod:`repro.template`): when enabled (default) the serving layer
-    and :func:`compile_bouquet` (given a ``templates=`` store) answer a
-    miss on the exact-key artifact store by rebinding a compiled bouquet
-    from another instance of the same query template.  Rebinds are
+    answers a miss on the exact-key artifact store by rebinding a
+    compiled bouquet from another instance of the same query template
+    (:class:`repro.serve.BouquetServer`).  Rebinds are
     validated structurally and fall back to a full compile on any
     mismatch, so the knob only trades compile latency — it never changes
     the artifact.  Like ``patch`` it is a runtime knob, never part of
@@ -138,7 +136,6 @@ class BouquetConfig:
     equivalence_threshold: float = 0.2
     model_error_delta: float = 0.0
     cost_model: str = "postgres"
-    compile_engine: str = "batch"
     patch: bool = True
     template: bool = True
 
@@ -162,11 +159,6 @@ class BouquetConfig:
             raise BouquetError(
                 f"config: unknown cost model {self.cost_model!r} "
                 f"(expected one of {sorted(_COST_MODELS)})"
-            )
-        if self.compile_engine not in COMPILE_ENGINES:
-            raise BouquetError(
-                f"config: unknown compile engine {self.compile_engine!r} "
-                f"(expected one of {list(COMPILE_ENGINES)})"
             )
         if not isinstance(self.patch, bool):
             raise BouquetError("config: patch must be a bool")
@@ -205,18 +197,20 @@ class BouquetConfig:
             "equivalence_threshold": self.equivalence_threshold,
             "model_error_delta": self.model_error_delta,
             "cost_model": self.cost_model,
-            "compile_engine": self.compile_engine,
             "patch": self.patch,
             "template": self.template,
         }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "BouquetConfig":
-        # Artifacts written before the batch engine (``compile_engine``),
-        # the maintenance knob (``patch``), or the template-cache knob
-        # (``template``) existed omit those keys; the dataclass defaults
-        # cover them.
-        return BouquetConfig(**dict(data))
+        # Artifacts written before the maintenance knob (``patch``) or
+        # the template-cache knob (``template``) existed omit those keys;
+        # the dataclass defaults cover them.  Envelopes written while the
+        # config still had a compile-engine selector carry its key: it
+        # never entered the artifact key, so it is dropped, not rejected.
+        fields = dict(data)
+        fields.pop("compile_engine", None)
+        return BouquetConfig(**fields)
 
 
 DEFAULT_CONFIG = BouquetConfig()
@@ -284,19 +278,6 @@ class CompiledBouquet:
         query: Optional[Union[str, Query]] = None,
         optimizer: Optional[Optimizer] = None,
     ) -> "CompiledBouquet":
-        from .core.artifact import BOUQUET_FORMAT
-
-        if data.get("format") == BOUQUET_FORMAT:
-            # Legacy bare-bouquet payload (session-era save files): wrap
-            # it in a v2 envelope, recovering the knobs it does carry.
-            data = {
-                "format": ARTIFACT_FORMAT,
-                "sql": None,
-                "config": BouquetConfig(
-                    ratio=data["ratio"], lambda_=data["lambda"]
-                ).to_dict(),
-                "bouquet": data,
-            }
         if data.get("format") != ARTIFACT_FORMAT:
             raise BouquetError("unrecognized bouquet artifact format")
         config = BouquetConfig.from_dict(data["config"])
@@ -372,7 +353,6 @@ def compile_bouquet(
     workers: Optional[int] = None,
     cache: Optional["object"] = None,
     optimizer: Optional[Optimizer] = None,
-    templates: Optional["object"] = None,
 ) -> CompiledBouquet:
     """Run the compile-time phase (Figure 8, left half).
 
@@ -385,13 +365,10 @@ def compile_bouquet(
     ``cache`` may be a :class:`repro.serve.BouquetArtifactStore`; when the
     (query, statistics, compile-knobs) content hash is already cached the
     compiled artifact is returned without a single optimizer call.
-    ``templates`` may be a :class:`repro.template.TemplateStore`; when the
-    exact key misses but another instance of the same query *template*
-    was compiled before, the artifact is rebound from it
-    (:mod:`repro.template.rebind`) instead of recompiled — falling back
-    to the full compile on any structural mismatch.  Explicit
-    ``dimensions``/``base_assignment`` overrides bypass both caches
-    (they are not part of either key).
+    Explicit ``dimensions``/``base_assignment`` overrides bypass the
+    cache (they are not part of its key).  The template tier — rebinding
+    another instance of the same query template instead of recompiling —
+    belongs to :class:`repro.serve.BouquetServer`.
 
     ``workers > 1`` parallelizes exhaustive POSP generation across
     processes (§4.2) via the hardened fork/spawn pool.
@@ -401,77 +378,20 @@ def compile_bouquet(
     sql = query if isinstance(query, str) else None
     if isinstance(query, str):
         query = parse_query(query, catalog.schema)
-    if dimensions is not None or base_assignment is not None:
-        return _compile_pipeline(
-            query, catalog, config, dimensions, base_assignment, tracer, workers,
-            optimizer, sql, span_name="api.compile",
-        )
-    if cache is not None:
+    key = None
+    if cache is not None and dimensions is None and base_assignment is None:
         from .serve.fingerprint import artifact_key
 
         key = artifact_key(query, catalog.statistics, config)
         hit = cache.get(key, catalog, query=query, tracer=tracer)
         if hit is not None:
             return hit
-        compiled = _template_or_compile(
-            query, catalog, config, tracer, workers, optimizer, sql, templates
-        )
-        cache.put(key, compiled, tracer=tracer)
-        return compiled
-    return _template_or_compile(
-        query, catalog, config, tracer, workers, optimizer, sql, templates
-    )
-
-
-def _template_or_compile(
-    query: Query,
-    catalog: Catalog,
-    config: BouquetConfig,
-    tracer: Tracer,
-    workers: Optional[int],
-    optimizer: Optional[Optimizer],
-    sql: Optional[str],
-    templates: Optional["object"],
-) -> CompiledBouquet:
-    """Answer from the template tier when possible, else full-compile
-    (and register the result as the template's representative)."""
-    if templates is None or not config.template:
-        return _compile_pipeline(
-            query, catalog, config, None, None, tracer, workers, optimizer, sql,
-            span_name="api.compile",
-        )
-    from .exceptions import TemplateError
-    from .serve.fingerprint import config_fingerprint, statistics_fingerprint
-    from .template import rebind_compiled, template_signature
-
-    sig = template_signature(query, catalog.schema, catalog.statistics)
-    stats_digest = statistics_fingerprint(catalog.statistics)
-    cfg_digest = config_fingerprint(config)
-    entry = templates.lookup(sig, stats_digest, cfg_digest)
-    if entry is not None:
-        tracer.count("template.hits")
-        try:
-            outcome = rebind_compiled(
-                entry.compiled, entry.signature, query, catalog,
-                instance_sig=sig, sql=sql, tracer=tracer,
-            )
-        except TemplateError as exc:
-            tracer.count("template.fallbacks")
-            if tracer.enabled:
-                tracer.event(
-                    "template.fallback", query=query.name, reason=exc.reason
-                )
-        else:
-            tracer.count("template.rebinds")
-            return outcome.compiled
-    else:
-        tracer.count("template.misses")
     compiled = _compile_pipeline(
-        query, catalog, config, None, None, tracer, workers, optimizer, sql,
-        span_name="api.compile",
+        query, catalog, config, dimensions, base_assignment, tracer, workers,
+        optimizer, sql, span_name="api.compile",
     )
-    templates.put(sig, compiled, stats_digest, cfg_digest)
-    tracer.count("template.stores")
+    if key is not None:
+        cache.put(key, compiled, tracer=tracer)
     return compiled
 
 
@@ -506,15 +426,10 @@ def _compile_pipeline(
         res = config.resolution_for(len(dimensions))
         space = SelectivitySpace(query, dimensions, res, base_assignment)
         if space.size <= EXHAUSTIVE_LIMIT:
-            diagram = PlanDiagram.exhaustive(
-                optimizer, space, workers=workers, engine=config.compile_engine
-            )
+            diagram = PlanDiagram.exhaustive(optimizer, space, workers=workers)
         else:
             diagram = PlanDiagram.from_candidates(
-                optimizer,
-                space,
-                coarse_subgrid(space, per_dim=4),
-                engine=config.compile_engine,
+                optimizer, space, coarse_subgrid(space, per_dim=4)
             )
         bouquet = identify_bouquet(diagram, lambda_=config.lambda_, ratio=config.ratio)
         span.set(

@@ -3,17 +3,16 @@
 DPsize join enumeration run once per query shape while carrying a numpy
 cost axis over a slab of ESS locations (see :mod:`repro.batchopt.kernel`
 for the frontier semantics and the equality guarantee vs the scalar
-optimizer, and :mod:`repro.batchopt.shard` for process-pool slab
-sharding).  The public entry point is
-:meth:`repro.optimizer.Optimizer.optimize_batch`.
+optimizer).  The public entry point is
+:meth:`repro.optimizer.Optimizer.optimize_batch`; process-pool slab
+sharding lives with its one caller,
+:meth:`repro.ess.diagram.PlanDiagram.exhaustive`.
 """
 
 from .kernel import BatchPlanChoice, batch_best_plans, stack_assignments
-from .shard import parallel_optimize_batch
 
 __all__ = [
     "BatchPlanChoice",
     "batch_best_plans",
-    "parallel_optimize_batch",
     "stack_assignments",
 ]

@@ -31,6 +31,7 @@ from ..query.workload import (
     WorkloadQuery,
     full_workload,
 )
+from ..robustness.metrics import optimized_field
 from ..robustness.nat import NativeOptimizerStrategy
 from ..robustness.seer import SeerStrategy
 
@@ -84,9 +85,7 @@ class QueryLab:
         the Figure 13 driver.
         """
         if self._optimized_field is None:
-            from ..sweep import optimized_field_array
-
-            self._optimized_field = optimized_field_array(self.bouquet)
+            self._optimized_field = optimized_field(self.bouquet)
         return self._optimized_field
 
     @property

@@ -42,10 +42,11 @@ __all__ = ["CANNED_WORKLOAD", "ServeSmokeReport", "run_serve_smoke"]
 
 
 def _optimized_locations(tracer: Tracer) -> float:
-    """ESS locations the optimizer planned, whichever compile engine ran.
+    """ESS locations the optimizer planned.
 
-    The reference engine ticks ``optimizer.calls`` once per location; the
-    batch engine accounts the same work as ``optimizer.batched_locations``.
+    Compiles account their work as ``optimizer.batched_locations``;
+    ``optimizer.calls`` counts the scalar calls that remain — band
+    stragglers, dimensioning sweeps and the NAT fallback.
     """
     return tracer.counters.get("optimizer.calls", 0) + tracer.counters.get(
         "optimizer.batched_locations", 0

@@ -140,7 +140,6 @@ def _cmd_compile(args) -> int:
         ratio=args.ratio,
         lambda_=args.anorexic_lambda,
         resolution=args.resolution,
-        compile_engine=args.compile_engine,
     )
     compiled = compile_bouquet(args.sql, catalog, config=config, tracer=tracer)
     _finish_trace(tracer, args)
@@ -177,9 +176,7 @@ def _cmd_run(args) -> int:
     if args.load:
         compiled = CompiledBouquet.load(args.load, catalog, query=args.sql)
     else:
-        config = BouquetConfig(
-            resolution=args.resolution, compile_engine=args.compile_engine
-        )
+        config = BouquetConfig(resolution=args.resolution)
         compiled = compile_bouquet(args.sql, catalog, config=config, tracer=tracer)
     request = ServeRequest(
         query=args.sql, mode=args.mode, crossing=args.crossing
@@ -334,7 +331,6 @@ def _cmd_serve(args) -> int:
         tracer = Tracer(MemorySink())
     config = BouquetConfig(
         resolution=args.resolution,
-        compile_engine=args.compile_engine,
         template=not args.no_template,
     )
     store = BouquetArtifactStore(root=args.store, tracer=tracer)
@@ -458,13 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--save", metavar="PATH", default=None)
     p_compile.add_argument("--validate", action="store_true")
     p_compile.add_argument(
-        "--compile-engine", "--engine", dest="compile_engine",
-        choices=("batch", "reference"), default="batch",
-        help="POSP compile engine: slab-batched DP (default) or the "
-        "one-location-at-a-time reference path (--engine is a "
-        "deprecated alias)",
-    )
-    p_compile.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a JSONL telemetry trace of the compile phase",
     )
@@ -484,12 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("sql", help="SPJ SQL text")
     p_run.add_argument("--load", metavar="PATH", default=None)
     p_run.add_argument("--resolution", type=int, default=None)
-    p_run.add_argument(
-        "--compile-engine", "--engine", dest="compile_engine",
-        choices=("batch", "reference"), default="batch",
-        help="POSP compile engine when compiling (ignored with --load; "
-        "--engine is a deprecated alias)",
-    )
     p_run.add_argument("--mode", choices=("basic", "optimized"), default="optimized")
     p_run.add_argument(
         "--crossing", choices=("sequential", "concurrent", "timesliced"),
@@ -580,11 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8751)
     p_serve.add_argument("--resolution", type=int, default=None)
-    p_serve.add_argument(
-        "--compile-engine", "--engine", dest="compile_engine",
-        choices=("batch", "reference"), default="batch",
-        help="POSP compile engine (--engine is a deprecated alias)",
-    )
     p_serve.add_argument(
         "--store", metavar="DIR", default=None,
         help="artifact store directory (default: memory-only)",

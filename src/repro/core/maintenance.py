@@ -27,7 +27,7 @@ rebuild, not an approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..ess.diagram import PlanDiagram, coarse_subgrid
 from ..ess.space import SelectivitySpace
@@ -68,7 +68,6 @@ def refresh_bouquet(
     ratio: Optional[float] = None,
     seeds_per_dim: int = 3,
     artifact_store=None,
-    engine: str = "auto",
 ) -> RefreshResult:
     """Rebuild a bouquet on ``new_space`` reusing the old bouquet's plans.
 
@@ -76,12 +75,10 @@ def refresh_bouquet(
     must be built over the same query shape (same predicate pids) so the
     old plan structures remain meaningful.
 
-    ``engine`` picks the refresh strategy: ``"auto"`` (default) runs the
-    delta engine (:func:`repro.drift.refresh.delta_refresh`) whenever the
-    ESS shape is unchanged — same dimensions, same grid, exhaustive-sized
-    — and falls back to the seed-and-merge path otherwise; ``"delta"``
-    and ``"seed"`` force one or the other (``"delta"`` raises when the
-    shapes diverge).
+    The strategy follows from the inputs: the delta engine
+    (:func:`repro.drift.refresh.delta_refresh`) runs whenever the ESS
+    shape is unchanged — same dimensions, same grid, exhaustive-sized —
+    and the seed-and-merge path otherwise.
 
     ``artifact_store`` may be a
     :class:`repro.serve.BouquetArtifactStore`; a refresh means the
@@ -89,8 +86,6 @@ def refresh_bouquet(
     statistics fingerprint differs from ``optimizer.statistics`` is
     dropped before the rebuild.
     """
-    if engine not in ("auto", "delta", "seed"):
-        raise BouquetError(f"unknown refresh engine {engine!r}")
     if artifact_store is not None:
         from ..serve.fingerprint import statistics_fingerprint
 
@@ -106,12 +101,9 @@ def refresh_bouquet(
     lambda_ = old_bouquet.lambda_ if lambda_ is None else lambda_
     ratio = old_bouquet.ratio if ratio is None else ratio
 
-    if engine in ("auto", "delta"):
-        result = _try_delta_refresh(
-            old_bouquet, optimizer, new_space, lambda_, ratio, engine
-        )
-        if result is not None:
-            return result
+    result = _try_delta_refresh(old_bouquet, optimizer, new_space, lambda_, ratio)
+    if result is not None:
+        return result
 
     registry = optimizer.registry(new_space.query)
     reused_ids = set()
@@ -130,8 +122,9 @@ def refresh_bouquet(
         calls += 1
         seeded_ids.add(result.plan_id)
 
-    candidate_ids = sorted(reused_ids | seeded_ids)
-    diagram = _diagram_from_candidate_ids(optimizer, new_space, candidate_ids)
+    diagram = PlanDiagram.from_plan_ids(
+        optimizer, new_space, reused_ids | seeded_ids
+    )
     bouquet = identify_bouquet(diagram, lambda_=lambda_, ratio=ratio)
     return RefreshResult(
         bouquet=bouquet,
@@ -147,15 +140,12 @@ def _try_delta_refresh(
     new_space: SelectivitySpace,
     lambda_: float,
     ratio: float,
-    engine: str,
 ) -> Optional[RefreshResult]:
     """Run the :mod:`repro.drift` engine when the ESS shape is unchanged.
 
     Returns ``None`` (letting the seed-and-merge path run) when the new
     space has a different grid, different dimension ranges, or is too
-    large for the exhaustive diagram the delta engine patches against —
-    unless ``engine="delta"`` forces it, in which case incompatibility
-    raises.
+    large for the exhaustive diagram the delta engine patches against.
     """
     from ..api import EXHAUSTIVE_LIMIT
     from ..drift.refresh import delta_refresh
@@ -169,19 +159,12 @@ def _try_delta_refresh(
         and new_space.size <= EXHAUSTIVE_LIMIT
     )
     if not compatible:
-        if engine == "delta":
-            raise BouquetError(
-                "delta refresh requires an unchanged, exhaustive-sized ESS "
-                "(same dimensions, same grid shape)"
-            )
         return None
     try:
         result = delta_refresh(
             old_bouquet, optimizer, new_space, lambda_=lambda_, ratio=ratio
         )
     except DriftError:
-        if engine == "delta":
-            raise
         return None
     old_sigs = {
         old_bouquet.registry.plan(p).canonical_signature()
@@ -199,20 +182,3 @@ def _try_delta_refresh(
         strategy=result.strategy,
         replanned_locations=result.planned_locations,
     )
-
-
-def _diagram_from_candidate_ids(
-    optimizer: Optimizer, space: SelectivitySpace, candidate_ids: List[int]
-) -> PlanDiagram:
-    """Argmin diagram over an explicit candidate plan-id set."""
-    import numpy as np
-
-    from ..ess.diagram import PlanCostCache
-
-    registry = optimizer.registry(space.query)
-    cache = PlanCostCache(space, optimizer, registry)
-    stacked = np.stack([cache.cost_array(pid) for pid in candidate_ids])
-    argmin = np.argmin(stacked, axis=0)
-    costs = np.min(stacked, axis=0)
-    lookup = np.array(candidate_ids, dtype=np.int64)
-    return PlanDiagram(space, lookup[argmin], costs, registry, cache)

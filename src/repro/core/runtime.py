@@ -577,25 +577,11 @@ class BouquetRunner:
                 outcome = self.service.run_full(plan_id, budget)
                 if not outcome.completed:
                     exhausted.add((cid, plan_id))
-                total += outcome.cost_spent
-                record = ExecutionRecord(
-                    contour_index=contour.index,
-                    plan_id=plan_id,
-                    spilled=False,
-                    budget=budget,
-                    cost_spent=outcome.cost_spent,
-                    completed=outcome.completed,
+                total, finished = self._book(
+                    trace, total, contour, plan_id, budget, outcome, spilled=False
                 )
-                trace.append(record)
-                self._trace_execution(record)
-                if outcome.completed:
-                    return BouquetRunResult(
-                        total_cost=total,
-                        executions=trace,
-                        final_plan_id=plan_id,
-                        completed=True,
-                        result_rows=outcome.result_rows,
-                    )
+                if finished is not None:
+                    return finished
                 cid += 1
                 continue
 
@@ -639,54 +625,25 @@ class BouquetRunner:
                 for plan_id in ordered:
                     exhausted.add((cid, plan_id))
                     outcome = self.service.run_full(plan_id, budget)
-                    total += outcome.cost_spent
-                    record = ExecutionRecord(
-                        contour_index=contour.index,
-                        plan_id=plan_id,
-                        spilled=False,
-                        budget=budget,
-                        cost_spent=outcome.cost_spent,
-                        completed=outcome.completed,
+                    total, finished = self._book(
+                        trace, total, contour, plan_id, budget, outcome, spilled=False
                     )
-                    trace.append(record)
-                    self._trace_execution(record)
-                    if outcome.completed:
-                        return BouquetRunResult(
-                            total_cost=total,
-                            executions=trace,
-                            final_plan_id=plan_id,
-                            completed=True,
-                            result_rows=outcome.result_rows,
-                        )
+                    if finished is not None:
+                        return finished
                 cid += 1
                 continue
             choice = self._pick_candidate(candidates)
             attempted.add((cid, choice.plan_id))
             outcome = self.service.run_spilled(choice.plan_id, budget, unlearned)
-            total += outcome.cost_spent
             if not outcome.completed and outcome.cost_spent >= budget * (1 - 1e-9):
                 exhausted.add((cid, choice.plan_id))
-            record = ExecutionRecord(
-                contour_index=contour.index,
-                plan_id=choice.plan_id,
-                spilled=True,
-                budget=budget,
-                cost_spent=outcome.cost_spent,
-                completed=outcome.completed,
-                learned=tuple(outcome.learned),
+            total, finished = self._book(
+                trace, total, contour, choice.plan_id, budget, outcome, spilled=True
             )
-            trace.append(record)
-            self._trace_execution(record)
-            if outcome.completed:
+            if finished is not None:
                 # Spill-to-store completion: the resumed plan finished
                 # under the budget, so this execution answered the query.
-                return BouquetRunResult(
-                    total_cost=total,
-                    executions=trace,
-                    final_plan_id=choice.plan_id,
-                    completed=True,
-                    result_rows=outcome.result_rows,
-                )
+                return finished
             self._merge(qrun, exact, outcome.learned)
             if self.tracer.enabled:
                 self._trace_qrun(qrun, exact)
@@ -702,6 +659,41 @@ class BouquetRunner:
         )
 
     # -- helpers ---------------------------------------------------------
+
+    def _book(
+        self,
+        trace: List[ExecutionRecord],
+        total: float,
+        contour,
+        plan_id: int,
+        budget: float,
+        outcome: ExecutionOutcome,
+        spilled: bool,
+    ) -> Tuple[float, Optional[BouquetRunResult]]:
+        """Book one execution of the optimized driver: charge it to the
+        running total, record and trace it.  Returns the new total and,
+        when the execution completed, the finished run's result."""
+        total += outcome.cost_spent
+        record = ExecutionRecord(
+            contour_index=contour.index,
+            plan_id=plan_id,
+            spilled=spilled,
+            budget=budget,
+            cost_spent=outcome.cost_spent,
+            completed=outcome.completed,
+            learned=tuple(outcome.learned) if spilled else (),
+        )
+        trace.append(record)
+        self._trace_execution(record)
+        if not outcome.completed:
+            return total, None
+        return total, BouquetRunResult(
+            total_cost=total,
+            executions=trace,
+            final_plan_id=plan_id,
+            completed=True,
+            result_rows=outcome.result_rows,
+        )
 
     def _cost_at_values(self, plan_id: int, values: Sequence[float]) -> float:
         key = (plan_id, tuple(values))

@@ -3,10 +3,11 @@
 The robustness metrics (MSO/ASO/MaxHarm) need the bouquet's total
 execution cost at *every* possible actual location ``qa``.  For the basic
 algorithm this cost field is computed fully vectorized; the optimized
-algorithm defaults to the vectorized cohort sweep engine in
-:mod:`repro.sweep` with the original per-location
-:class:`~repro.core.runtime.BouquetRunner` loop kept as the
-``engine="reference"`` ground truth.
+algorithm runs the vectorized cohort sweep engine in :mod:`repro.sweep`.
+:func:`simulate_at` — one :class:`~repro.core.runtime.BouquetRunner` run
+at one location — is the ground truth the engine is tested against
+(``tests/sweep/test_sweep_engine.py::TestFieldEquality``) and what
+finishes the cohorts too small to batch.
 """
 
 from __future__ import annotations
@@ -81,41 +82,23 @@ def optimized_cost_field(
     bouquet: PlanBouquet,
     locations: Optional[Iterable[Location]] = None,
     crossing: Optional[str] = None,
-    engine: str = "sweep",
     workers: Optional[int] = None,
 ) -> Dict[Location, float]:
-    """Optimized-bouquet total cost per location.
+    """Optimized-bouquet total cost per location (dict-shaped; the grid-
+    shaped counterpart is :func:`repro.robustness.metrics.optimized_field`).
 
     ``locations`` defaults to the whole grid; pass a sample for very
     large spaces.  ``crossing`` picks the contour-crossing scheduler
-    (see :mod:`repro.sched`); ``None`` means sequential.
-
-    ``engine`` selects the evaluation strategy: ``"sweep"`` (default)
-    uses the vectorized cohort engine in :mod:`repro.sweep` and memoizes
-    results on the bouquet; ``"reference"`` keeps the original
-    per-location driver loop (the ground truth the sweep engine is
-    benchmarked against).  ``workers`` pool-shards the sweep residue.
+    (see :mod:`repro.sched`); ``None`` means sequential.  Computed by
+    the vectorized cohort engine in :mod:`repro.sweep` and memoized on
+    the bouquet; ``workers`` pool-shards the sweep residue.
     """
-    if engine == "sweep":
-        # Imported lazily: repro.sweep itself leans on this module's
-        # reference path for residue locations.
-        from ..sweep import sweep_cost_field
+    # Imported lazily: repro.sweep itself leans on simulate_at for
+    # residue locations.
+    from ..sweep import SweepEngine
 
-        return sweep_cost_field(
-            bouquet, locations=locations, crossing=crossing, workers=workers
-        )
-    if engine != "reference":
-        raise BouquetError(
-            f"unknown optimized_cost_field engine {engine!r} "
-            "(expected 'sweep' or 'reference')"
-        )
-    if locations is None:
-        locations = list(bouquet.space.locations())
-    field: Dict[Location, float] = {}
-    for location in locations:
-        result = simulate_at(bouquet, location, mode="optimized", crossing=crossing)
-        field[location] = result.total_cost
-    return field
+    engine = SweepEngine(bouquet, crossing=crossing, workers=workers)
+    return engine.field_dict(locations)
 
 
 def suboptimality_field(cost_field: np.ndarray, pic: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 A *plan diagram* (Harish et al., VLDB 2007) colours every ESS location
 with the optimizer's plan choice there; the associated cost field is the
 POSP infimum curve/surface (PIC).  Diagrams can be produced exhaustively
-(one optimizer call per location) or approximately from a candidate plan
+(every location optimized, as one slab) or approximately from a candidate plan
 set (cost every candidate everywhere, take the argmin) — the latter is
 how high-dimensional spaces stay tractable.
 """
@@ -178,67 +178,65 @@ class PlanDiagram:
         optimizer: Optimizer,
         space: SelectivitySpace,
         workers: Optional[int] = None,
-        engine: str = "batch",
     ) -> "PlanDiagram":
         """Optimal plan at every grid location.
 
-        ``engine="batch"`` (default) runs the DPsize enumeration once for
-        the whole grid as a slab (:mod:`repro.batchopt`); the reference
-        engine makes one scalar optimizer call per location.  Both visit
-        locations in row-major order, so plan ids, costs, and the
-        resulting diagram are identical — the engines differ only in
-        compile latency.
+        The DPsize enumeration runs once for the whole grid as a slab
+        (:mod:`repro.batchopt`), visiting locations in row-major order —
+        plan ids and costs are those of one scalar
+        :meth:`Optimizer.optimize` call per location in that order.
 
         POSP generation is "embarrassingly parallel" (§4.2): with
-        ``workers > 1`` the grid is partitioned across processes, each
-        optimizing its share independently (scalar or slab-at-a-time per
-        the engine); the parent merges the plans into one registry.
-        Results are identical to the serial run.
+        ``workers > 1`` the grid is cut into one slab per worker on the
+        persistent :mod:`repro.par` pool (start-method resolution and
+        payload pickle hardening live there; the ``(optimizer, space)``
+        payload ships to each worker at most once per content digest).
+        Slab results come back in submission order, so the parent
+        registers plans in the same row-major order and the diagram is
+        identical at any worker count.
         """
-        from .posp import resolve_engine
-
-        engine = resolve_engine(optimizer, engine)
         registry = optimizer.registry(space.query)
         plan_ids = np.empty(space.shape, dtype=np.int64)
         costs = np.empty(space.shape, dtype=float)
-        with optimizer.tracer.span(
-            "ess.exhaustive_diagram",
-            locations=space.size,
-            workers=workers or 1,
-            engine=engine,
+        locations = list(space.locations())
+        tracer = optimizer.tracer
+        with tracer.span(
+            "ess.exhaustive_diagram", locations=space.size, workers=workers or 1
         ) as span:
             if workers and workers > 1:
-                if engine == "batch":
-                    from ..batchopt.shard import parallel_optimize_batch
+                from ..par import ParError, get_pool
 
-                    results = parallel_optimize_batch(
-                        optimizer, space, list(space.locations()), workers
-                    )
-                    for location, plan, cost, _rows in results:
-                        plan_id, _ = registry.register(plan)
-                        plan_ids[location] = plan_id
-                        costs[location] = cost
-                else:
-                    for location, plan, cost in _parallel_optimize(
-                        optimizer, space, workers
-                    ):
-                        plan_id, _ = registry.register(plan)
-                        plan_ids[location] = plan_id
-                        costs[location] = cost
-            elif engine == "batch":
-                locations = list(space.locations())
-                assignments = [
-                    space.assignment_at(location) for location in locations
+                chunk_size = (len(locations) + workers - 1) // workers
+                chunks = [
+                    locations[i : i + chunk_size]
+                    for i in range(0, len(locations), chunk_size)
                 ]
-                for location, result in zip(
-                    locations, optimizer.optimize_batch(space.query, assignments)
-                ):
-                    plan_ids[location] = result.plan_id
-                    costs[location] = result.cost
+                if tracer.enabled:
+                    tracer.event(
+                        "batchopt.parallel_fanout",
+                        workers=workers,
+                        slabs=len(chunks),
+                        locations=len(locations),
+                    )
+                pool = get_pool(workers, tracer=tracer)
+                try:
+                    slabs = pool.run(
+                        _optimize_slab, (optimizer, space), chunks, tracer=tracer
+                    )
+                except ParError as exc:
+                    raise EssError(
+                        f"parallel POSP generation failed: {exc}"
+                    ) from exc
+                for chunk, slab in zip(chunks, slabs):
+                    for location, (plan, cost) in zip(chunk, slab):
+                        plan_id, _ = registry.register(plan)
+                        plan_ids[location] = plan_id
+                        costs[location] = cost
             else:
-                for location in space.locations():
-                    assignment = space.assignment_at(location)
-                    result = optimizer.optimize(space.query, assignment=assignment)
+                results = optimizer.optimize_batch(
+                    space.query, [space.assignment_at(loc) for loc in locations]
+                )
+                for location, result in zip(locations, results):
                     plan_ids[location] = result.plan_id
                     costs[location] = result.cost
             span.set(posp=len(np.unique(plan_ids)))
@@ -251,50 +249,48 @@ class PlanDiagram:
         optimizer: Optimizer,
         space: SelectivitySpace,
         seed_locations: Optional[Iterable[Location]] = None,
-        engine: str = "batch",
     ) -> "PlanDiagram":
         """Approximate diagram: optimize at seed locations to harvest
         candidate plans, then cost every candidate everywhere and argmin.
 
         With seeds on a coarse subgrid this is a standard Picasso-style
         approximation; it converges to the exhaustive diagram as seeds
-        densify, and is exact wherever a seed sits.  With the default
-        batch engine all seeds are optimized by one slab enumeration.
+        densify, and is exact wherever a seed sits.  All seeds are
+        optimized by one slab enumeration.
         """
-        from .posp import resolve_engine
-
-        engine = resolve_engine(optimizer, engine)
-        registry = optimizer.registry(space.query)
         if seed_locations is None:
             seed_locations = coarse_subgrid(space, per_dim=4)
-        candidate_ids = set()
         with optimizer.tracer.span(
-            "ess.candidate_diagram", locations=space.size, engine=engine
+            "ess.candidate_diagram", locations=space.size
         ) as span:
-            seeds = 0
-            if engine == "batch":
-                locations = list(seed_locations)
-                assignments = [
-                    space.assignment_at(location) for location in locations
-                ]
-                for result in optimizer.optimize_batch(space.query, assignments):
-                    candidate_ids.add(result.plan_id)
-                seeds = len(locations)
-            else:
-                for location in seed_locations:
-                    assignment = space.assignment_at(location)
-                    result = optimizer.optimize(space.query, assignment=assignment)
-                    candidate_ids.add(result.plan_id)
-                    seeds += 1
-            span.set(seeds=seeds, candidates=len(candidate_ids))
-        cache = PlanCostCache(space, optimizer, registry)
+            assignments = [
+                space.assignment_at(location) for location in seed_locations
+            ]
+            candidate_ids = {
+                result.plan_id
+                for result in optimizer.optimize_batch(space.query, assignments)
+            }
+            span.set(seeds=len(assignments), candidates=len(candidate_ids))
+        return cls.from_plan_ids(optimizer, space, candidate_ids)
+
+    @classmethod
+    def from_plan_ids(
+        cls,
+        optimizer: Optimizer,
+        space: SelectivitySpace,
+        candidate_ids: Iterable[int],
+    ) -> "PlanDiagram":
+        """Argmin diagram over an explicit set of registered plan ids:
+        cost every candidate everywhere, keep the cheapest per location
+        (the lowest plan id on ties)."""
         ordered = sorted(candidate_ids)
+        if not ordered:
+            raise EssError("a candidate diagram needs at least one plan")
+        registry = optimizer.registry(space.query)
+        cache = PlanCostCache(space, optimizer, registry)
         stacked = np.stack([cache.cost_array(pid) for pid in ordered])
-        argmin = np.argmin(stacked, axis=0)
-        costs = np.min(stacked, axis=0)
-        id_lookup = np.array(ordered, dtype=np.int64)
-        plan_ids = id_lookup[argmin]
-        return cls(space, plan_ids, costs, registry, cache)
+        plan_ids = np.array(ordered, dtype=np.int64)[np.argmin(stacked, axis=0)]
+        return cls(space, plan_ids, np.min(stacked, axis=0), registry, cache)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -333,59 +329,16 @@ class PlanDiagram:
         return True
 
 
-# ---------------------------------------------------------------------------
-# Parallel POSP generation (§4.2)
-# ---------------------------------------------------------------------------
-
-
-def _optimize_chunk(ctx, payload, locations: List[Location]):
+def _optimize_slab(ctx, payload, locations: List[Location]):
     # repro.par task: payload = (optimizer, space).  Workers never trace —
     # the tracer embedded in the payload degraded to the null tracer
     # while pickling (Tracer.__reduce__).
     optimizer, space = payload
-    results = []
-    for location in locations:
-        assignment = space.assignment_at(location)
-        result = optimizer.optimize(space.query, assignment=assignment)
-        results.append((location, result.plan, result.cost))
-    return results
-
-
-def _parallel_optimize(optimizer: Optimizer, space: SelectivitySpace, workers: int):
-    """Optimize every grid location across ``workers`` processes.
-
-    Runs on the persistent :mod:`repro.par` pool: the start-method
-    resolution (fork-preferred, verified-spawn fallback) and the payload
-    pickle hardening live there, the ``(optimizer, space)`` payload is
-    shipped to each worker at most once per content digest, and chunk
-    results are reassembled in submission order so plans register in
-    exactly the serial row-major order — plan ids are identical at any
-    worker count.
-    """
-    from ..par import ParError, get_pool
-
-    locations = list(space.locations())
-    chunk_size = max(1, len(locations) // (workers * 4))
-    chunks = [
-        locations[i : i + chunk_size] for i in range(0, len(locations), chunk_size)
+    assignments = [space.assignment_at(location) for location in locations]
+    return [
+        (result.plan, result.cost)
+        for result in optimizer.optimize_batch(space.query, assignments)
     ]
-    tracer = optimizer.tracer
-    if tracer.enabled:
-        tracer.event(
-            "ess.parallel_fanout",
-            workers=workers,
-            chunks=len(chunks),
-            locations=len(locations),
-        )
-    pool = get_pool(workers, tracer=tracer)
-    try:
-        results = pool.run(
-            _optimize_chunk, (optimizer, space), chunks, tracer=tracer
-        )
-    except ParError as exc:
-        raise EssError(f"parallel POSP generation failed: {exc}") from exc
-    for chunk_result in results:
-        yield from chunk_result
 
 
 def coarse_subgrid(space: SelectivitySpace, per_dim: int = 4) -> List[Location]:

@@ -19,43 +19,15 @@ import numpy as np
 
 from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer
-from .diagram import PlanCostCache, PlanDiagram
+from .diagram import PlanDiagram
 from .space import Location, SelectivitySpace
 
 
-#: Compile engines understood by the ESS exploration entry points.
-COMPILE_ENGINES = ("batch", "reference")
-
-#: Slabs smaller than this run through the scalar optimizer even under
-#: the batch engine: a DP run over a couple of locations pays more in
-#: array setup than it saves, and both dispatches produce byte-identical
-#: plans and costs, so the threshold is purely a latency choice.  The
-#: contour-band exploration merges a whole subdivision level into one
-#: slab, so its slabs are large and it uses the lower
-#: :data:`MIN_BAND_SLAB` instead.
-MIN_BATCH_SLAB = 8
-
-#: Batch threshold for contour-band slabs.  Band slabs aggregate every
-#: corner probe (or every leaf interior) of a subdivision level, so even
-#: small ones amortize the DP's array setup — only a lone straggler
-#: location stays scalar.
+#: Band slabs aggregate every corner probe (or every leaf interior) of a
+#: subdivision level, so even small ones amortize the DP's array setup —
+#: only a lone straggler location is planned by the scalar optimizer,
+#: which produces the byte-identical plan and cost.
 MIN_BAND_SLAB = 2
-
-
-def resolve_engine(optimizer, engine: str) -> str:
-    """Validate ``engine`` and degrade ``"batch"`` when unsupported.
-
-    Duck-typed optimizer stand-ins (tests, external engine adapters) may
-    implement only the scalar ``optimize``; they silently get the
-    reference path, which is always correct — just slower.
-    """
-    if engine not in COMPILE_ENGINES:
-        raise EssError(
-            f"unknown compile engine {engine!r}; expected one of {COMPILE_ENGINES}"
-        )
-    if engine == "batch" and not hasattr(optimizer, "optimize_batch"):
-        return "reference"
-    return engine
 
 
 @dataclass
@@ -64,15 +36,13 @@ class ContourBandResult:
 
     #: location -> (plan_id, optimal cost) for every optimized location.
     optimized: Dict[Location, Tuple[int, float]]
-    #: Number of locations optimized (identical across engines).
+    #: Number of locations optimized.
     optimizer_calls: int
     #: Number of hypercubes pruned without optimizing their interior.
     pruned_boxes: int
-    #: Engine that actually ran ("batch" may degrade to "reference").
-    engine: str = "reference"
-    #: Batch engine only: DP enumerations actually executed.
+    #: DP enumerations actually executed.
     slabs: int = 0
-    #: Batch engine only: locations served by slab enumerations.
+    #: Locations served by slab enumerations (the rest were stragglers).
     batched_locations: int = 0
 
     @property
@@ -85,9 +55,21 @@ def contour_focused_posp(
     space: SelectivitySpace,
     contour_costs: Sequence[float],
     min_box_edge: int = 2,
-    engine: str = "batch",
 ) -> ContourBandResult:
     """Optimize only near the isocost contours.
+
+    Each subdivision level is optimized as slabs through
+    :meth:`Optimizer.optimize_batch`.  The hypercube tree is walked
+    breadth-first, level-synchronously: all principal-diagonal corner
+    probes of a level form one slab, then — after pruning and splitting
+    — all leaf interiors of the level form another, so the DP's per-slab
+    setup is amortized over the whole band instead of being paid per
+    two-corner probe (slabs of at least :data:`MIN_BAND_SLAB` locations
+    batch; a lone straggler stays scalar).  Plans register in
+    within-slab location order, so replaying ``optimized`` in insertion
+    order through the scalar optimizer (one optimize per location, the
+    paper's literal procedure) reproduces it byte for byte, plan ids
+    included.
 
     Parameters
     ----------
@@ -95,23 +77,9 @@ def contour_focused_posp(
         The IC step costs (from :func:`repro.core.contours.contour_costs`).
     min_box_edge:
         Boxes whose longest edge is at most this are optimized exhaustively.
-    engine:
-        ``"batch"`` (default) optimizes each subdivision level as slabs
-        through :meth:`Optimizer.optimize_batch`.  The hypercube tree is
-        walked breadth-first, level-synchronously: all principal-diagonal
-        corner probes of a level form one slab, then — after pruning and
-        splitting — all leaf interiors of the level form another, so the
-        DP's per-slab setup is amortized over the whole band instead of
-        being paid per two-corner probe (slabs of at least
-        :data:`MIN_BAND_SLAB` locations batch; a lone straggler stays
-        scalar).  Both engines traverse identically and register plans
-        in the same within-slab location order, so ``"reference"`` (one
-        scalar optimize per location, the paper's literal procedure)
-        produces a byte-identical ``optimized`` map, including plan ids.
     """
     if not contour_costs:
         raise EssError("contour_focused_posp needs at least one contour cost")
-    engine = resolve_engine(optimizer, engine)
     sorted_costs = sorted(contour_costs)
     optimized: Dict[Location, Tuple[int, float]] = {}
     calls = 0
@@ -122,10 +90,10 @@ def contour_focused_posp(
     def optimize_slab(locations) -> None:
         """Optimize every uncached location, preserving visit order.
 
-        Registration order is what keeps the engines byte-identical: the
-        batch kernel registers slab winners in location order, which is
-        precisely the order the reference loop would have registered
-        them one scalar call at a time.
+        Registration order is what keeps plan ids those of a scalar
+        replay: the batch kernel registers slab winners in location
+        order, which is precisely the order a loop of scalar calls
+        would have registered them.
         """
         nonlocal calls, slabs, batched
         todo: List[Location] = []
@@ -136,7 +104,7 @@ def contour_focused_posp(
                 todo.append(location)
         if not todo:
             return
-        if engine == "batch" and len(todo) >= MIN_BAND_SLAB:
+        if len(todo) >= MIN_BAND_SLAB:
             assignments = [space.assignment_at(location) for location in todo]
             results = optimizer.optimize_batch(space.query, assignments)
             for location, result in zip(todo, results):
@@ -210,7 +178,6 @@ def contour_focused_posp(
         "ess.contour_posp",
         locations=space.size,
         contours=len(sorted_costs),
-        engine=engine,
     ) as span:
         explore(space.origin, space.corner)
         span.set(
@@ -223,7 +190,6 @@ def contour_focused_posp(
         optimized=optimized,
         optimizer_calls=calls,
         pruned_boxes=pruned,
-        engine=engine,
         slabs=slabs,
         batched_locations=batched,
     )
@@ -240,18 +206,9 @@ def diagram_from_band(
     taken — exact at every location the band optimized, interpolating
     plan choice elsewhere.
     """
-    registry = optimizer.registry(space.query)
-    cache = PlanCostCache(space, optimizer, registry)
-    plan_ids_sorted = band.posp_plan_ids
-    if not plan_ids_sorted:
-        raise EssError("contour band contains no plans")
-    stacked = np.stack([cache.cost_array(pid) for pid in plan_ids_sorted])
-    argmin = np.argmin(stacked, axis=0)
-    costs = np.min(stacked, axis=0)
-    lookup = np.array(plan_ids_sorted, dtype=np.int64)
-    plan_ids = lookup[argmin]
+    diagram = PlanDiagram.from_plan_ids(optimizer, space, band.posp_plan_ids)
     # Band locations are authoritative: overwrite with the exact choices.
     for location, (plan_id, cost) in band.optimized.items():
-        plan_ids[location] = plan_id
-        costs[location] = cost
-    return PlanDiagram(space, plan_ids, costs, registry, cache)
+        diagram.plan_ids[location] = plan_id
+        diagram.costs[location] = cost
+    return diagram

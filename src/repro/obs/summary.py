@@ -205,7 +205,7 @@ class ServingSummary:
 
     @property
     def optimized_locations(self) -> float:
-        """Total locations planned, whichever compile engine ran them."""
+        """Total locations planned: slab locations plus scalar calls."""
         return self.optimizer_calls + self.batched_locations
 
     @property

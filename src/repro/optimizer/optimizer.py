@@ -49,7 +49,7 @@ class PlanRegistry:
     """Assigns small stable integer ids to distinct plan signatures.
 
     Structurally identical plans registered from different ESS grid
-    locations (or by different compile engines) deduplicate onto one id
+    locations (by a slab or by a scalar call) deduplicate onto one id
     via the plan's canonical signature, which keeps POSP sets and the
     anorexic-reduction input small.  The registry is shared by parallel
     compile workers, so registration and lookup are guarded by a lock;

@@ -422,12 +422,6 @@ class Join(PlanNode):
         return NodeEstimate(rows=rows_out, cost=cost)
 
 
-def _sort_cost(rows, model: CostModel):
-    # Kept as an alias; the formula lives on CostModel so scalar and
-    # batch costing share one (vectorizable) implementation.
-    return model.sort_cost(rows)
-
-
 # ---------------------------------------------------------------------------
 # Plan-level helpers
 # ---------------------------------------------------------------------------

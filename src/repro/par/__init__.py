@@ -3,9 +3,8 @@
 One persistent, reusable worker pool (fork-preferred, verified-spawn
 fallback) with per-worker payload caching keyed by content digest and
 shared-memory numpy planes, shared by parallel POSP generation
-(:mod:`repro.ess.diagram`), slab batch compilation
-(:mod:`repro.batchopt.shard`), the sweep residue
-(:mod:`repro.sweep.shard`), and wlgen campaigns
+(:meth:`repro.ess.diagram.PlanDiagram.exhaustive`, one batch slab per
+worker), the sweep residue (:mod:`repro.sweep.shard`), and wlgen campaigns
 (:mod:`repro.wlgen.campaign`).
 """
 

@@ -106,9 +106,9 @@ def optimized_field(bouquet, crossing=None, workers=None) -> np.ndarray:
     Results are memoized on the bouquet, so computing several metrics
     costs one sweep.
     """
-    from ..sweep import optimized_field_array
+    from ..sweep import SweepEngine
 
-    return optimized_field_array(bouquet, crossing=crossing, workers=workers)
+    return SweepEngine(bouquet, crossing=crossing, workers=workers).cost_field()
 
 
 def optimized_bouquet_metrics(

@@ -20,7 +20,7 @@ feed :func:`repro.robustness.metrics.crossing_mso_bound`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..exceptions import BouquetError
 

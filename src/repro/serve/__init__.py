@@ -23,7 +23,7 @@ model (§4.2) into a working subsystem:
 """
 
 from .admission import AdmissionController, AdmissionDecision, TenantQuota
-from .cache import BouquetArtifactStore, LEGACY_STORE_FORMATS, STORE_FORMAT
+from .cache import BouquetArtifactStore, STORE_FORMAT
 from .envelope import (
     ERROR_CODES,
     REQUEST_FORMAT,
@@ -41,7 +41,7 @@ from .fingerprint import (
 )
 from .front import AdmissionTicket, ServeGateway
 from .http import AsyncServeClient, BouquetFrontEnd
-from .server import BouquetServer, ServeResult
+from .server import BouquetServer
 
 __all__ = [
     "AdmissionController",
@@ -53,14 +53,12 @@ __all__ = [
     "BouquetFrontEnd",
     "BouquetServer",
     "ERROR_CODES",
-    "LEGACY_STORE_FORMATS",
     "REQUEST_FORMAT",
     "RESPONSE_FORMAT",
     "STATUSES",
     "ServeGateway",
     "ServeRequest",
     "ServeResponse",
-    "ServeResult",
     "TenantQuota",
     "artifact_key",
     "canonical_query_text",

@@ -32,7 +32,7 @@ from ..exceptions import BouquetError, ReproError
 from ..obs.tracer import NULL_TRACER, Tracer
 from .fingerprint import ArtifactKey
 
-__all__ = ["BouquetArtifactStore", "LEGACY_STORE_FORMATS", "STORE_FORMAT"]
+__all__ = ["BouquetArtifactStore", "STORE_FORMAT"]
 
 #: Format tag of the on-disk cache envelope (key + artifact payload).
 #: v2 envelopes are structurally identical to v1 but are written under
@@ -40,12 +40,6 @@ __all__ = ["BouquetArtifactStore", "LEGACY_STORE_FORMATS", "STORE_FORMAT"]
 #: three key digests agree, and envelopes that fail validation (or fail
 #: to parse) are purged rather than silently skipped.
 STORE_FORMAT = "repro.serve.artifact.v2"
-
-#: Older envelope versions the store still reads (write path is always
-#: the current format).
-LEGACY_STORE_FORMATS = ("repro.serve.artifact.v1",)
-
-_READABLE_FORMATS = (STORE_FORMAT,) + LEGACY_STORE_FORMATS
 
 
 class BouquetArtifactStore:
@@ -222,7 +216,7 @@ class BouquetArtifactStore:
         except ValueError:
             self._purge(path, tracer, "unparseable")
             return None
-        if envelope.get("format") not in _READABLE_FORMATS:
+        if envelope.get("format") != STORE_FORMAT:
             self._purge(path, tracer, "unknown-format")
             return None
         # The on-disk name is a hash of the combined key, so a name
@@ -281,7 +275,7 @@ class BouquetArtifactStore:
                         envelope = json.load(handle)
                 except (OSError, ValueError):
                     continue
-                if envelope.get("format") not in _READABLE_FORMATS:
+                if envelope.get("format") != STORE_FORMAT:
                     continue
                 stored = envelope.get("key", {})
                 if stored.get("statistics_digest") == current_fingerprint:

@@ -84,8 +84,8 @@ class ServeRequest:
     ``query`` is SQL text (the only wire-safe spelling) or a parsed
     :class:`~repro.query.query.Query` for in-process callers.  Knob
     fields reuse the canonical :class:`~repro.api.BouquetConfig`
-    spellings — ``mode``, ``crossing``, ``compile_engine`` — and
-    ``None`` means "server default".
+    spellings — ``mode``, ``crossing`` — and ``None`` means "server
+    default".  Nothing on the wire selects how a miss is compiled.
 
     * ``tenant`` — admission-control identity (quotas, queues);
     * ``budget`` — per-request cost cap
@@ -103,13 +103,11 @@ class ServeRequest:
     deadline: Optional[float] = None
     mode: Optional[str] = None
     crossing: Optional[str] = None
-    compile_engine: Optional[str] = None
     cached_only: bool = False
 
     def validate(self) -> "ServeRequest":
         """Check every field; raises :class:`BouquetError` on the first
         violation.  Returns self for chaining."""
-        from ..ess.posp import COMPILE_ENGINES
         from ..sched.strategy import CROSSING_NAMES
 
         _require(
@@ -134,10 +132,6 @@ class ServeRequest:
         _require(
             self.crossing is None or self.crossing in CROSSING_NAMES,
             f"unknown crossing strategy {self.crossing!r}",
-        )
-        _require(
-            self.compile_engine is None or self.compile_engine in COMPILE_ENGINES,
-            f"unknown compile engine {self.compile_engine!r}",
         )
         _require(isinstance(self.cached_only, bool), "cached_only must be a bool")
         return self
@@ -166,7 +160,6 @@ class ServeRequest:
             "deadline": self.deadline,
             "mode": self.mode,
             "crossing": self.crossing,
-            "compile_engine": self.compile_engine,
             "cached_only": self.cached_only,
         }
 
@@ -186,7 +179,6 @@ class ServeRequest:
             "deadline",
             "mode",
             "crossing",
-            "compile_engine",
             "cached_only",
         }
         unknown = set(payload) - known
@@ -205,8 +197,8 @@ class ServeRequest:
 
 @dataclass
 class ServeResponse:
-    """Outcome of one served request (the old ``ServeResult``, grown a
-    status/``error_code`` taxonomy, tenant identity, and timings).
+    """Outcome of one served request: a status/``error_code`` taxonomy,
+    tenant identity, and timings around the run result.
 
     In-process responses carry the live
     :class:`~repro.core.runtime.BouquetRunResult` in ``result``;

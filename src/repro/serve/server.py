@@ -50,7 +50,6 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from ..api import (
@@ -72,22 +71,7 @@ from .cache import BouquetArtifactStore
 from .envelope import ServeRequest, ServeResponse
 from .fingerprint import ArtifactKey, artifact_key, statistics_fingerprint
 
-__all__ = ["BouquetServer", "ServeResult"]
-
-#: Deprecated alias — the response half of the envelope pair replaced
-#: the old ``ServeResult`` dataclass field-for-field (plus ``status``
-#: values ``"shed"``/``"failed"`` now being distinct, ``error_code``,
-#: tenant identity, and timings).
-ServeResult = ServeResponse
-
-
-@dataclass
-class _Inflight:
-    """One in-progress compile: its future plus the owning request."""
-
-    future: Future
-    waiters: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
+__all__ = ["BouquetServer"]
 
 
 class BouquetServer:
@@ -161,16 +145,6 @@ class BouquetServer:
         parsed, _ = self._parse(query)
         return artifact_key(parsed, self.catalog.statistics, self.config)
 
-    def _config_for(self, engine: Optional[str]) -> BouquetConfig:
-        """The server config, with a per-request compile-engine override.
-
-        The engine is cache-neutral (both engines produce byte-identical
-        artifacts), so overriding it never changes the artifact key.
-        """
-        if engine is None or engine == self.config.compile_engine:
-            return self.config
-        return self.config.with_(compile_engine=engine)
-
     def _use_templates(self) -> bool:
         return self.templates is not None and self.config.template
 
@@ -179,14 +153,13 @@ class BouquetServer:
         key: ArtifactKey,
         query: Query,
         sql: Optional[str],
-        config: Optional[BouquetConfig] = None,
     ) -> CompiledBouquet:
         """Pool task: run the compile pipeline and publish the artifact
         (to the exact store, and as the template's representative)."""
         compiled = _compile_pipeline(
             query,
             self.catalog,
-            config if config is not None else self.config,
+            self.config,
             None,
             None,
             self.tracer,
@@ -263,7 +236,6 @@ class BouquetServer:
         self,
         query: Union[str, Query],
         timeout: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> Tuple[CompiledBouquet, str]:
         """Obtain the compiled bouquet for ``query``; returns
         ``(compiled, source)`` where source is ``memory``/``disk``/
@@ -272,12 +244,11 @@ class BouquetServer:
         Raises :class:`FutureTimeoutError` when the (possibly coalesced)
         compile does not finish within ``timeout`` (default: the
         server's ``compile_timeout``); the compile itself keeps running
-        and will still populate the store.  ``engine`` overrides the
-        config's compile engine for this request (cache-neutral).
+        and will still populate the store.
         """
         parsed, sql = self._parse(query)
         key = artifact_key(parsed, self.catalog.statistics, self.config)
-        return self._compile_keyed(parsed, sql, key, timeout, engine)
+        return self._compile_keyed(parsed, sql, key, timeout)
 
     def _compile_keyed(
         self,
@@ -285,7 +256,6 @@ class BouquetServer:
         sql: Optional[str],
         key: ArtifactKey,
         timeout: Optional[float],
-        engine: Optional[str],
     ) -> Tuple[CompiledBouquet, str]:
         """:meth:`compile` for a caller that already derived the key."""
         hit, tier = self.store.lookup(key, self.catalog, query=parsed, tracer=self.tracer)
@@ -333,8 +303,7 @@ class BouquetServer:
                     if template_future is None:
                         owner = True
                         future = self._pool.submit(
-                            self._compile_and_store, key, parsed, sql,
-                            self._config_for(engine),
+                            self._compile_and_store, key, parsed, sql
                         )
                         self._inflight[key.digest] = future
                         if sig is not None and sig.digest not in self._template_inflight:
@@ -417,11 +386,10 @@ class BouquetServer:
         """Pre-populate the artifact cache for a workload.
 
         Each query is compiled through the ordinary cache/single-flight
-        path — and therefore through the configured compile engine, which
-        by default is the batch slab kernel (:mod:`repro.batchopt`), so
-        warming a canned workload costs one DPsize enumeration per
-        contour-band slab instead of one scalar optimize per ESS
-        location.  Returns ``[(compiled, source), ...]`` in input order.
+        path, so a miss costs one DPsize enumeration over the whole ESS
+        grid as a slab (:mod:`repro.batchopt`), not one optimizer call
+        per location.  Returns ``[(compiled, source), ...]`` in input
+        order.
         """
         results = []
         with self.tracer.span("serve.warm_compile"):
@@ -509,7 +477,7 @@ class BouquetServer:
         else:
             try:
                 compiled, source = self._compile_keyed(
-                    parsed, None, key, request.deadline, request.compile_engine
+                    parsed, None, key, request.deadline
                 )
             except FutureTimeoutError:
                 error = "compile deadline exceeded"

@@ -14,25 +14,16 @@ with three cooperating layers:
 * :mod:`repro.sweep.shard` — process-pool sharding for the divergent
   residue that batching cannot amortize.
 
-Entry points: :class:`SweepEngine` for repeated sweeps over one bouquet,
-:func:`sweep_cost_field` for the dict-shaped
-:func:`~repro.core.simulation.optimized_cost_field` contract, and
-:func:`optimized_field_array` for a grid-shaped ndarray (what the
-robustness metrics in :mod:`repro.robustness.metrics` consume).
+Entry points: :class:`SweepEngine` for repeated sweeps over one bouquet;
+:func:`repro.core.simulation.optimized_cost_field` is its dict-shaped
+front and :func:`repro.robustness.metrics.optimized_field` its
+grid-shaped one.
 """
 
-from __future__ import annotations
-
-from typing import Dict, Iterable, Optional
-
-import numpy as np
-
-from ..core.bouquet import PlanBouquet
-from ..ess.space import Location
 from .cohorts import BatchCoster, ContourTables
 from .engine import Cohort, SweepEngine
 from .memo import SweepCache, sweep_cache
-from .shard import run_residue, simulate_total
+from .shard import run_residue
 
 __all__ = [
     "BatchCoster",
@@ -40,40 +31,6 @@ __all__ = [
     "ContourTables",
     "SweepCache",
     "SweepEngine",
-    "optimized_field_array",
     "run_residue",
-    "simulate_total",
     "sweep_cache",
-    "sweep_cost_field",
 ]
-
-
-def sweep_cost_field(
-    bouquet: PlanBouquet,
-    locations: Optional[Iterable[Location]] = None,
-    crossing: Optional[object] = None,
-    workers: Optional[int] = None,
-    **engine_kwargs,
-) -> Dict[Location, float]:
-    """Optimized-bouquet cost field via the sweep engine (dict-shaped).
-
-    Drop-in accelerated equivalent of the per-location loop in
-    :func:`repro.core.simulation.optimized_cost_field`.
-    """
-    engine = SweepEngine(
-        bouquet, crossing=crossing, workers=workers, **engine_kwargs
-    )
-    return engine.field_dict(locations)
-
-
-def optimized_field_array(
-    bouquet: PlanBouquet,
-    crossing: Optional[object] = None,
-    workers: Optional[int] = None,
-    **engine_kwargs,
-) -> np.ndarray:
-    """Full-grid optimized cost field, shaped like ``space.shape``."""
-    engine = SweepEngine(
-        bouquet, crossing=crossing, workers=workers, **engine_kwargs
-    )
-    return engine.cost_field()

@@ -31,7 +31,7 @@ the per-location driver to float noise — orders of magnitude below the
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..optimizer.plans import (
     first_error_node,
 )
 
-__all__ = ["BatchCoster", "ContourTables", "build_contour_tables"]
+__all__ = ["BatchCoster", "ContourTables"]
 
 
 class BatchCoster:
@@ -333,7 +333,3 @@ class ContourTables:
         for j, cols in enumerate(self._plan_cols):
             out[:, j] = dom_loc[:, cols].any(axis=1)
         return out
-
-
-def build_contour_tables(bouquet: PlanBouquet, position: int) -> ContourTables:
-    return ContourTables(bouquet, position)

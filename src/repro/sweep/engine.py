@@ -42,7 +42,7 @@ import numpy as np
 from ..core.bouquet import PlanBouquet
 from ..ess.space import Location
 from ..exceptions import BouquetError
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from .memo import SweepCache, sweep_cache
 from .shard import run_residue
 

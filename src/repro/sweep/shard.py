@@ -27,28 +27,12 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bouquet import PlanBouquet
+from ..core.simulation import simulate_at
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["run_residue", "simulate_total"]
-
-
-def simulate_total(
-    bouquet: PlanBouquet, location: Location, crossing: Optional[str] = None
-) -> float:
-    """Reference per-location total: one full optimized-bouquet run."""
-    from ..core.runtime import AbstractExecutionService, BouquetRunner
-
-    qa_values = bouquet.space.selectivities_at(location)
-    service = AbstractExecutionService(bouquet, qa_values)
-    runner = BouquetRunner(bouquet, service, mode="optimized", crossing=crossing)
-    result = runner.run()
-    if not result.completed:
-        raise BouquetError(
-            f"bouquet failed to complete at {location} — contour coverage bug"
-        )
-    return result.total_cost
+__all__ = ["run_residue"]
 
 
 def _shm_payload(bouquet: PlanBouquet, tracer: Tracer) -> PlanBouquet:
@@ -89,7 +73,7 @@ def _shm_payload(bouquet: PlanBouquet, tracer: Tracer) -> PlanBouquet:
 def _residue_chunk(ctx, payload, locations: List[Location]) -> List[Tuple[Location, float]]:
     bouquet, crossing = payload
     return [
-        (location, simulate_total(bouquet, location, crossing))
+        (location, simulate_at(bouquet, location, crossing=crossing).total_cost)
         for location in locations
     ]
 
@@ -107,7 +91,7 @@ def run_residue(
         return {}
     if not workers or workers <= 1 or len(locations) == 1:
         return {
-            location: simulate_total(bouquet, location, crossing)
+            location: simulate_at(bouquet, location, crossing=crossing).total_cost
             for location in locations
         }
 

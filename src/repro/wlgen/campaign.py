@@ -16,9 +16,9 @@ Per-query pipeline::
              -> MSO/ASO vs. 4(1+lambda)rho
 
 Campaigns shard across processes exactly like parallel POSP generation
-(:func:`repro.ess.diagram._parallel_optimize`): fork-preferred pool, an
-explicit spawn fallback with a pre-flight pickle check, results streamed
-with ``imap``.  Workers rebuild the (deterministic) environment from the
+(:meth:`repro.ess.diagram.PlanDiagram.exhaustive` with ``workers``): the
+persistent :mod:`repro.par` pool, fork-preferred with a verified spawn
+fallback, results reassembled in submission order.  Workers rebuild the (deterministic) environment from the
 campaign config rather than inheriting live objects, so shard results
 are independent of worker count and the report is bit-identical across
 re-runs — wall-clock timings deliberately never enter the payload.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 

@@ -6,10 +6,12 @@ artifacts across tests is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench.harness import Lab
 from repro.catalog import tpch_generator_spec, tpch_schema
+from repro.core.simulation import simulate_at
 from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.optimizer import Optimizer, actual_selectivities
@@ -31,6 +33,29 @@ TEMPLATED_WORKLOAD_CONFIG = GeneratorConfig(
     groupby_probability=0.0,
     aggregate_probability=0.0,
 )
+
+
+def scalar_diagram(optimizer, space):
+    """The exhaustive diagram by the paper's literal procedure — one
+    scalar ``Optimizer.optimize`` per location, row-major: the oracle
+    for the slab kernel behind ``PlanDiagram.exhaustive``."""
+    plan_ids = np.empty(space.shape, dtype=np.int64)
+    costs = np.empty(space.shape, dtype=float)
+    for location in space.locations():
+        result = optimizer.optimize(
+            space.query, assignment=space.assignment_at(location)
+        )
+        plan_ids[location] = result.plan_id
+        costs[location] = result.cost
+    return PlanDiagram(space, plan_ids, costs, optimizer.registry(space.query))
+
+
+def reference_field(bouquet, locations=None):
+    """Optimized-bouquet total cost per location, one ``BouquetRunner``
+    run each: the oracle for the sweep engine."""
+    if locations is None:
+        locations = bouquet.space.locations()
+    return {loc: simulate_at(bouquet, loc).total_cost for loc in locations}
 
 
 @pytest.fixture(scope="session")

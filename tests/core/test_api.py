@@ -8,7 +8,6 @@ import pytest
 from repro.api import (
     BouquetConfig,
     Catalog,
-    CompiledBouquet,
     DEFAULT_CONFIG,
     compile_bouquet,
     execute,
@@ -60,6 +59,26 @@ class TestBouquetConfig:
     def test_dict_roundtrip(self):
         config = BouquetConfig(ratio=3.0, resolution=10, cost_model="commercial")
         assert BouquetConfig.from_dict(config.to_dict()) == config
+
+    def test_retired_compile_engine_key_is_dropped_on_read(self):
+        """The config block exactly as the parent of the knob's removal
+        wrote it into every envelope."""
+        written = {
+            "ratio": 2.0,
+            "lambda_": 0.2,
+            "resolution": 16,
+            "mode": "optimized",
+            "crossing": "sequential",
+            "equivalence_threshold": 0.2,
+            "model_error_delta": 0.0,
+            "cost_model": "postgres",
+            "compile_engine": "batch",
+            "patch": True,
+            "template": True,
+        }
+        assert BouquetConfig.from_dict(written) == BouquetConfig(resolution=16)
+        with pytest.raises(TypeError):
+            BouquetConfig.from_dict({**written, "warp_factor": 9})
 
     def test_default_resolution_scales_with_dimensionality(self):
         config = BouquetConfig()
@@ -140,25 +159,6 @@ class TestArtifactCaching:
         dims = [ErrorDimension(query.selections[0].pid, 1e-4, 1.0, "x")]
         compile_bouquet(SQL, catalog, config=config, cache=store, dimensions=dims)
         assert len(store) == 0
-
-
-class TestLegacyArtifacts:
-    def test_v1_bouquet_payload_still_loads(self, catalog):
-        from repro.core.artifact import bouquet_to_dict
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(ratio=2.5))
-        legacy = bouquet_to_dict(compiled.query, compiled.bouquet)
-        restored = CompiledBouquet.from_dict(legacy, catalog, query=SQL)
-        assert restored.mso_bound == pytest.approx(compiled.mso_bound)
-        assert restored.config.ratio == 2.5
-
-    def test_v1_payload_without_query_is_an_error(self, catalog):
-        from repro.core.artifact import bouquet_to_dict
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        legacy = bouquet_to_dict(compiled.query, compiled.bouquet)
-        with pytest.raises(BouquetError):
-            CompiledBouquet.from_dict(legacy, catalog)
 
 
 class TestEnvelopeExecution:

@@ -15,7 +15,7 @@ from repro.drift import (
 )
 from repro.ess.diagram import PlanDiagram
 from repro.ess.space import ErrorDimension, SelectivitySpace
-from repro.exceptions import BouquetError, DriftError
+from repro.exceptions import DriftError
 from repro.optimizer.cost_model import POSTGRES_COST_MODEL
 from repro.optimizer.optimizer import Optimizer
 from repro.query.predicates import JoinPredicate, SelectionPredicate
@@ -56,7 +56,7 @@ def old_world(schema, statistics, drift_query, drift_dims):
     optimizer = Optimizer(schema, statistics, POSTGRES_COST_MODEL)
     base = optimizer.estimated_assignment(drift_query)
     space = SelectivitySpace(drift_query, drift_dims, RESOLUTION, base)
-    diagram = PlanDiagram.exhaustive(optimizer, space, engine="batch")
+    diagram = PlanDiagram.exhaustive(optimizer, space)
     return identify_bouquet(diagram, lambda_=LAMBDA, ratio=RATIO)
 
 
@@ -69,7 +69,7 @@ def _refresh_and_reference(schema, drifted, old_bouquet, query, dims):
     )
     ref_optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
     ref_space = SelectivitySpace(query, dims, RESOLUTION, base)
-    ref_diagram = PlanDiagram.exhaustive(ref_optimizer, ref_space, engine="batch")
+    ref_diagram = PlanDiagram.exhaustive(ref_optimizer, ref_space)
     reference = identify_bouquet(ref_diagram, lambda_=LAMBDA, ratio=RATIO)
     return result, reference
 
@@ -173,21 +173,8 @@ def test_refresh_bouquet_routes_to_delta_engine(
     assert result.optimizer_calls == result.replanned_locations
     assert result.reused_plan_count > 0
 
-    # Forcing the seed engine still works on the same inputs.
-    seeded = refresh_bouquet(old_world, optimizer, space, engine="seed")
-    assert seeded.strategy == "seed-merge"
-
-    # Forcing delta on an incompatible space is an error.
+    # A changed grid is not the delta engine's: the same call falls to
+    # the seed-and-merge path.
     smaller = SelectivitySpace(drift_query, drift_dims, RESOLUTION - 2, base)
-    with pytest.raises(BouquetError):
-        refresh_bouquet(old_world, optimizer, smaller, engine="delta")
-
-
-def test_unknown_engine_rejected(
-    schema, statistics, drift_query, drift_dims, old_world
-):
-    optimizer = Optimizer(schema, statistics, POSTGRES_COST_MODEL)
-    with pytest.raises(BouquetError):
-        refresh_bouquet(
-            old_world, optimizer, old_world.space, engine="telepathy"
-        )
+    seeded = refresh_bouquet(old_world, optimizer, smaller)
+    assert seeded.strategy == "seed-merge"

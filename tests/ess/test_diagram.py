@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ess import PlanDiagram, coarse_subgrid
+from repro.exceptions import EssError
 
 
 class TestExhaustiveDiagram:
@@ -35,7 +36,7 @@ class TestExhaustiveDiagram:
             assert arrays[own][loc] == pytest.approx(best, rel=1e-9)
 
 
-def _exploding_chunk(locations):
+def _exploding_slab(ctx, payload, locations):
     raise RuntimeError("worker crashed")
 
 
@@ -49,13 +50,13 @@ class TestParallelExhaustive:
         assert parallel.posp_plan_ids == eq_diagram.posp_plan_ids
 
     def test_worker_failure_surfaces(self, optimizer, eq_space, monkeypatch):
-        """A worker exception propagates through ``imap`` instead of
-        stalling the result merge."""
+        """A slab task's exception comes back through the pool as an
+        ``EssError`` instead of stalling the result merge."""
         from repro.ess import diagram as diagram_module
 
-        monkeypatch.setattr(diagram_module, "_optimize_chunk", _exploding_chunk)
-        with pytest.raises(Exception):
-            PlanDiagram.exhaustive(optimizer, eq_space, workers=2, engine="reference")
+        monkeypatch.setattr(diagram_module, "_optimize_slab", _exploding_slab)
+        with pytest.raises(EssError, match="worker crashed"):
+            PlanDiagram.exhaustive(optimizer, eq_space, workers=2)
 
 
 class TestCostCache:

@@ -71,6 +71,9 @@ class _TieBreakOptimizer:
         cost = 100.0 + 1e-6 if assignment == (0,) else 100.0
         return SimpleNamespace(plan_id=1, cost=cost, plan=None)
 
+    def optimize_batch(self, query, assignments):
+        return [self.optimize(query, assignment=a) for a in assignments]
+
 
 class TestInvertedCornerRegression:
     def test_inverted_corner_interval_is_not_pruned(self):

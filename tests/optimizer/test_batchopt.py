@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
-from repro.ess.posp import contour_focused_posp, resolve_engine
-from repro.exceptions import EssError
+from repro.ess.posp import contour_focused_posp
 from repro.optimizer import Optimizer, actual_selectivities
 from repro.optimizer.optimizer import PlanRegistry
 from repro.query import parse_query
+from tests.conftest import scalar_diagram
 
 
 def assert_batch_pins_scalar(optimizer, query, assignments):
@@ -205,12 +205,8 @@ class TestEngineEquality:
         return Optimizer(optimizer.schema, optimizer.statistics)
 
     def test_exhaustive_engines_byte_identical(self, optimizer, eq_space):
-        reference = PlanDiagram.exhaustive(
-            self._fresh(optimizer), eq_space, engine="reference"
-        )
-        batch = PlanDiagram.exhaustive(
-            self._fresh(optimizer), eq_space, engine="batch"
-        )
+        reference = scalar_diagram(self._fresh(optimizer), eq_space)
+        batch = PlanDiagram.exhaustive(self._fresh(optimizer), eq_space)
         assert np.array_equal(reference.plan_ids, batch.plan_ids)
         assert np.array_equal(reference.costs, batch.costs)
         assert reference.posp_plan_ids == batch.posp_plan_ids
@@ -219,37 +215,25 @@ class TestEngineEquality:
         from repro.core.contours import contour_costs
 
         costs = contour_costs(eq_diagram.cmin, eq_diagram.cmax)
-        reference = contour_focused_posp(
-            self._fresh(optimizer), eq_space, costs, engine="reference"
-        )
-        batch = contour_focused_posp(
-            self._fresh(optimizer), eq_space, costs, engine="batch"
-        )
-        assert reference.optimized == batch.optimized
-        assert reference.optimizer_calls == batch.optimizer_calls
-        assert reference.pruned_boxes == batch.pruned_boxes
-        assert reference.engine == "reference" and batch.engine == "batch"
-
-    def test_unknown_engine_rejected(self, optimizer, eq_space):
-        with pytest.raises(EssError):
-            PlanDiagram.exhaustive(optimizer, eq_space, engine="warp")
-
-    def test_engine_degrades_for_duck_typed_optimizer(self):
-        class ScalarOnly:
-            def optimize(self, *a, **k):  # pragma: no cover - not called
-                raise AssertionError
-
-        assert resolve_engine(ScalarOnly(), "batch") == "reference"
-        with pytest.raises(EssError):
-            resolve_engine(ScalarOnly(), "warp")
+        batch = contour_focused_posp(self._fresh(optimizer), eq_space, costs)
+        # The paper's literal procedure: one scalar optimize per band
+        # location, in the order the band first visited them.
+        scalar = self._fresh(optimizer)
+        reference = {}
+        for location in batch.optimized:
+            result = scalar.optimize(
+                eq_space.query, assignment=eq_space.assignment_at(location)
+            )
+            reference[location] = (result.plan_id, result.cost)
+        assert reference == batch.optimized
+        assert batch.optimizer_calls == len(batch.optimized)
+        assert batch.batched_locations > 0
 
 
 class TestParallelBatch:
     def test_parallel_batch_matches_serial(self, optimizer, eq_space, eq_diagram):
         fresh = Optimizer(optimizer.schema, optimizer.statistics)
-        parallel = PlanDiagram.exhaustive(
-            fresh, eq_space, workers=2, engine="batch"
-        )
+        parallel = PlanDiagram.exhaustive(fresh, eq_space, workers=2)
         assert np.array_equal(parallel.costs, eq_diagram.costs)
         for location in [(0,), (20,), (40,), (63,)]:
             serial_sig = eq_diagram.registry.plan(

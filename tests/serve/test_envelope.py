@@ -36,14 +36,15 @@ class TestRequestValidation:
             {"deadline": -0.1},
             {"mode": "turbo"},
             {"crossing": "diagonal"},
-            {"compile_engine": "quantum"},
+            # Retired wire key: no longer a field, so an unknown one.
+            {"compile_engine": "batch"},
             {"cached_only": "yes"},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
-        fields = {"query": SQL, **kwargs}
+        # from_dict is the wire entry: it constructs, then validate()s.
         with pytest.raises(BouquetError):
-            ServeRequest(**fields).validate()
+            ServeRequest.from_dict({"query": SQL, **kwargs})
 
     def test_zero_deadline_is_legal(self):
         # 0 means "degrade immediately on a compile miss", not "invalid".

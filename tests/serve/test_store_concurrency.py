@@ -13,7 +13,6 @@ from repro.api import BouquetConfig, Catalog, compile_bouquet
 from repro.obs import MemorySink, Tracer
 from repro.serve import (
     BouquetArtifactStore,
-    LEGACY_STORE_FORMATS,
     STORE_FORMAT,
     artifact_key,
 )
@@ -198,17 +197,24 @@ def test_bad_artifact_payload_is_purged(artifact, tmp_path):
     assert _counters(tracer)["serve.cache.purged"] == 1
 
 
-def test_legacy_v1_envelope_still_readable(artifact, tmp_path):
+def test_envelope_with_retired_config_key_is_a_disk_hit(artifact, tmp_path):
+    """Every envelope written while ``BouquetConfig`` still had its
+    compile-engine selector carries that key; the key never entered the
+    artifact key, so the disk tier must load it — not purge and
+    recompile."""
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
     path = _envelope_path(tmp_path, key)
     envelope = json.load(open(path))
-    envelope["format"] = LEGACY_STORE_FORMATS[0]
+    envelope["artifact"]["config"]["compile_engine"] = "batch"
     with open(path, "w") as handle:
         json.dump(envelope, handle)
 
-    store = BouquetArtifactStore(root=str(tmp_path))
+    tracer = Tracer(MemorySink())
+    store = BouquetArtifactStore(root=str(tmp_path), tracer=tracer)
     hit, tier = store.lookup(key, catalog)
     assert tier == "disk"
+    assert hit.config == compiled.config
     assert hit.mso_bound == pytest.approx(compiled.mso_bound)
-    assert os.path.exists(path)  # readable formats are never purged
+    assert os.path.exists(path)
+    assert _counters(tracer).get("serve.cache.purged", 0) == 0

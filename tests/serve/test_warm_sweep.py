@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import MemorySink, Tracer
 from repro.serve import BouquetServer
+from tests.conftest import reference_field
 
 SQL = (
     "select * from lineitem, orders, part "
@@ -52,10 +53,8 @@ def test_warm_sweep_memoizes_on_the_artifact(server):
 
 
 def test_warm_sweep_matches_reference(server):
-    from repro.core.simulation import optimized_cost_field
-
     field = server.warm_sweep(SQL)
     compiled, _ = server.compile(SQL)
-    ref = optimized_cost_field(compiled.bouquet, engine="reference")
+    ref = reference_field(compiled.bouquet)
     for loc, total in ref.items():
         assert field[loc] == pytest.approx(total, rel=1e-9)

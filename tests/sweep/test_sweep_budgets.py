@@ -11,6 +11,7 @@ import pytest
 from repro.core import identify_bouquet
 from repro.core.simulation import optimized_cost_field, simulate_at
 from repro.sweep import SweepEngine
+from tests.conftest import reference_field
 
 RTOL = 1e-9
 
@@ -26,7 +27,7 @@ def _with_lambda(bouquet, lambda_):
 def test_engine_matches_reference_under_lambda(eq_bouquet, lambda_):
     bouquet = _with_lambda(eq_bouquet, lambda_)
     swept = optimized_cost_field(bouquet)
-    ref = optimized_cost_field(bouquet, engine="reference")
+    ref = reference_field(bouquet)
     for loc, total in ref.items():
         assert swept[loc] == pytest.approx(total, rel=RTOL)
 

@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.simulation import optimized_cost_field, simulate_at
-from repro.sweep import (
-    SweepEngine,
-    optimized_field_array,
-    run_residue,
-    sweep_cost_field,
-)
+from repro.robustness import optimized_field
+from repro.sweep import SweepEngine, run_residue
 from repro.sweep.memo import sweep_cache
+from tests.conftest import reference_field
 
 RTOL = 1e-9
 
 
 def _reference_field(bouquet):
-    ref = optimized_cost_field(bouquet, engine="reference")
+    ref = reference_field(bouquet)
     shape = bouquet.space.shape
     out = np.empty(shape)
     for loc, total in ref.items():
@@ -47,7 +44,7 @@ class TestFieldEquality:
 
     def test_subset_locations_dict_contract(self, q3d):
         locations = [(0, 0, 0), (2, 4, 6), (6, 6, 6), (3, 1, 5)]
-        swept = sweep_cost_field(q3d.bouquet, locations=locations)
+        swept = optimized_cost_field(q3d.bouquet, locations=locations)
         assert set(swept) == set(locations)
         for loc in locations:
             ref = simulate_at(q3d.bouquet, loc, mode="optimized").total_cost
@@ -55,7 +52,7 @@ class TestFieldEquality:
 
     def test_default_engine_is_sweep_and_matches_reference(self, q3d):
         swept = optimized_cost_field(q3d.bouquet)
-        ref = optimized_cost_field(q3d.bouquet, engine="reference")
+        ref = reference_field(q3d.bouquet)
         assert set(swept) == set(ref)
         for loc, total in ref.items():
             assert swept[loc] == pytest.approx(total, rel=RTOL)
@@ -116,7 +113,7 @@ class TestEngineMechanics:
             assert sharded[loc] == pytest.approx(serial[loc], rel=RTOL)
 
     def test_array_entry_point_shape(self, q3d):
-        field = optimized_field_array(q3d.bouquet)
+        field = optimized_field(q3d.bouquet)
         assert field.shape == q3d.space.shape
         assert (field > 0).all()
 

@@ -126,16 +126,12 @@ class TestReadmeSnippets:
         compiled = compile_bouquet(
             README_SQL, catalog, config=BouquetConfig(resolution=16)
         )
-        reference = compile_bouquet(
-            README_SQL,
-            catalog,
-            config=BouquetConfig(resolution=16, compile_engine="reference"),
+        space, diagram = compiled.space, compiled.bouquet.diagram
+        # The scalar optimizer is the oracle, not a second engine.
+        scalar = catalog.optimizer().optimize(
+            space.query, assignment=space.assignment_at(space.corner)
         )
-        # Identical artifact, whichever engine compiled it.
-        assert compiled.config.compile_engine == "batch"
-        assert reference.bouquet.cardinality == compiled.bouquet.cardinality
-        assert reference.bouquet.budgets == compiled.bouquet.budgets
-        assert reference.mso_bound == compiled.mso_bound
+        assert scalar.cost == diagram.cost_at(space.corner)
 
     def test_serving_snippet(self):
         """The README's async-serving quickstart: envelope in, typed
