@@ -15,8 +15,9 @@
 #                     four workloads with their output verification, then
 #                     the ledger's own tests (nothing is timed for a claim)
 #   make perf-guards  the count-based guards of the microbenchmarks (a warm
-#                     request builds no index and is one plan execution);
-#                     counts only, nothing is timed
+#                     request builds no index and is one plan execution, a
+#                     whole-grid compile offers one DP's worth of join
+#                     candidates); counts only, nothing is timed
 #   make bench        regenerate every paper table/figure
 #   make experiments  bench + rebuild EXPERIMENTS.md
 #   make examples     run the example scripts end to end
@@ -66,7 +67,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution" --benchmark-disable
+		-k "warm_request or one_execution or one_dp" --benchmark-disable
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -174,6 +174,75 @@ def test_perf_warm_request_is_one_execution(benchmark, env, monkeypatch):
     assert all(result.execution_count == 1 for result in results)
 
 
+@pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])
+def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered):
+    """A whole-grid compile costs one DP's worth of candidates.
+    Count-based guard — the slab kernel offers exactly the candidates the
+    scalar DP offers at ONE location (access paths + join candidates),
+    whatever the grid's resolution, and leaves nothing in the slab
+    context's memo beyond nodes of the plans it returns."""
+    from repro.batchopt import kernel
+    from repro.ess import SelectivitySpace
+    from repro.optimizer import Optimizer
+    from repro.optimizer.joinorder import JoinEnumerator
+    from repro.optimizer.plans import CostContext
+
+    lab, _, _ = env
+    entry = lab.workload[name]
+    base = actual_selectivities(entry.query, lab.h_db)
+
+    def fresh():
+        return Optimizer(lab.h_schema, lab.h_stats)
+
+    counts = {"scalar": 0, "slab": 0}
+    join_candidates = JoinEnumerator.join_candidates
+    offer = kernel._FrontierBuilder.offer
+    for_slab = CostContext.for_slab
+    contexts = []
+
+    def counting_candidates(self, *args):
+        plans = join_candidates(self, *args)
+        counts["scalar"] += len(plans)
+        return plans
+
+    def counting_offer(self, plan, est):
+        counts["slab"] += 1
+        return offer(self, plan, est)
+
+    def recording_for_slab(*args):
+        contexts.append(for_slab(*args))
+        return contexts[-1]
+
+    space = SelectivitySpace(entry.query, entry.dimensions(), 3, base)
+    monkeypatch.setattr(JoinEnumerator, "join_candidates", counting_candidates)
+    optimizer = fresh()
+    optimizer.optimize(entry.query, assignment=space.assignment_at(space.origin))
+    enumerator = JoinEnumerator(entry.query, lab.h_schema)
+    counts["scalar"] += sum(
+        len(enumerator.access_path_candidates(table)) for table in enumerator.tables
+    )
+    monkeypatch.undo()
+    assert counts["scalar"] == offered
+
+    monkeypatch.setattr(kernel._FrontierBuilder, "offer", counting_offer)
+    monkeypatch.setattr(CostContext, "for_slab", recording_for_slab)
+    for resolution in (3, 6):
+        space = SelectivitySpace(entry.query, entry.dimensions(), resolution, base)
+        counts["slab"] = 0
+        choice, _ = fresh().optimize_slab(entry.query, *space.slab_columns())
+        assert counts["slab"] == offered
+        (ctx,) = contexts
+        contexts.clear()
+        returned = {id(node) for plan in choice.plans for node in plan.postorder()}
+        assert len(ctx._memo) <= len(returned)
+    monkeypatch.undo()
+
+    choice, _ = benchmark(
+        lambda: fresh().optimize_slab(entry.query, *space.slab_columns())
+    )
+    assert len(choice) == space.size
+
+
 def test_perf_sweep_engine_field(benchmark, env):
     """The full optimized cost field via the cohort sweep engine.
 

@@ -269,7 +269,7 @@ class CompiledBouquet:
 
     def save(self, path: str) -> None:
         with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
+            handle.write(json.dumps(self.to_dict()))
 
     @staticmethod
     def from_dict(

@@ -11,19 +11,29 @@ of locations:
   per-location values — and every operator cost formula evaluates
   elementwise through the ordinary :class:`~repro.optimizer.plans`
   arithmetic;
-* the DP table keeps, per connected subset, a *frontier* of plans that
-  are cheapest at >= 1 location (a per-location argmin over the cost
-  axis) instead of a single winner;
-* join candidates for a subset are generated per (left winner, right
-  winner) pair actually realised somewhere in the slab, and candidate
-  costs update the running minimum only under that pair's location
-  mask.
+* the DP table keeps, per connected subset, the per-location **best**
+  ``(cost, rows)`` arrays plus one back-pointer per location — the index
+  of the candidate that won there — instead of a single winner;
+* a join candidate of a partition ``(L, R)`` is built and costed
+  **once**, unmasked, over the whole slab, with the children's best
+  arrays as its inputs.  The join formulas
+  (:meth:`~repro.optimizer.plans.Join.combine`) read only the children's
+  ``(rows, cost)`` and the candidate list depends only on ``(L, R,
+  join_pids, cost_model)``, so *which* plan achieved a child's best at a
+  location never enters the recurrence: a whole-grid compile offers
+  exactly the candidates one scalar DP offers at one location;
+* the winners' identities are recovered at the end by following the
+  back-pointers: per subset, the distinct ``(candidate, left plan, right
+  plan)`` triples realised over the slab are numbered with one
+  ``np.unique``, and the plan trees of the top-level winners are built
+  from them on demand, sharing sub-plan objects.
 
-The masked updates replicate the scalar DP's semantics *per location*
-exactly — including its first-candidate-wins tie-breaking (strict ``<``
-against the running best) — so the batch result at every location
-provably equals the scalar :meth:`Optimizer.optimize` result, and the
-two engines may be used interchangeably
+The running per-location minimum replicates the scalar DP's semantics
+*per location* exactly — same partition and candidate order, same
+first-candidate-wins tie-breaking (strict ``<`` against the running
+best), the same IEEE operations in the same order — so the batch result
+at every location equals the scalar :meth:`Optimizer.optimize` result
+bit for bit, whatever the slab's order or duplicates
 (``tests/optimizer/test_batchopt.py`` asserts this).
 """
 
@@ -38,7 +48,7 @@ from ..catalog.schema import Schema
 from ..exceptions import OptimizerError, QueryError
 from ..optimizer.cost_model import CostModel
 from ..optimizer.joinorder import JoinEnumerator, access_paths
-from ..optimizer.plans import Aggregate, CostContext, PlanNode
+from ..optimizer.plans import Aggregate, CostContext, Join, NodeEstimate, PlanNode
 from ..query.query import Query
 
 __all__ = ["BatchPlanChoice", "batch_best_plans", "stack_assignments"]
@@ -116,6 +126,69 @@ def validate_columns(query: Query, columns: Mapping[str, object], length: int):
             raise QueryError(f"selectivity for {pid!r} out of (0, 1]")
 
 
+class _Frontier(PlanNode):
+    """One connected subset's DP entry over the slab.
+
+    ``best`` is the per-location winning ``(rows, cost)``.  A frontier is
+    also the stand-in child — "whichever plan is best here" — of the
+    next size's join candidates, which is why those are built and costed
+    once per slab.
+
+    ``winner[i]``, the back-pointer, is the index into ``candidates`` of
+    the candidate that won location ``i``; the subset's plan there is
+    that candidate over the children's plans there.  ``slot[i]`` numbers
+    the distinct plans so realised and ``recipes[slot]`` is the
+    ``(candidate, left slot, right slot)`` each is made of; :meth:`plan`
+    builds the tree on demand and once, so only sub-plans that a
+    returned plan embeds are constructed and every tree that embeds one
+    holds the same object.
+    """
+
+    def __init__(
+        self,
+        candidates: List[PlanNode],
+        winner: np.ndarray,
+        best: NodeEstimate,
+    ):
+        self.candidates = candidates
+        self.best = best
+        self._plans: Dict[int, PlanNode] = {}
+        # Which of each child's plans sits under the winner, per location.
+        lefts = np.zeros(len(winner), dtype=np.intp)
+        rights = np.zeros(len(winner), dtype=np.intp)
+        won = np.flatnonzero(np.bincount(winner, minlength=len(candidates)))
+        for k in won.tolist():
+            candidate = candidates[k]
+            if isinstance(candidate, Join):  # an access path has no children
+                here = winner == k
+                np.copyto(lefts, candidate.left.slot, where=here)
+                if isinstance(candidate.right, _Frontier):  # not an inl lookup
+                    np.copyto(rights, candidate.right.slot, where=here)
+        shape = (len(candidates), lefts.max() + 1, rights.max() + 1)
+        triples, self.slot = np.unique(
+            np.ravel_multi_index((winner, lefts, rights), shape), return_inverse=True
+        )
+        self.recipes: List[Tuple[int, int, int]] = list(
+            zip(*(part.tolist() for part in np.unravel_index(triples, shape)))
+        )
+
+    def signature(self):
+        return f"BEST[{len(self.candidates)} candidates]"
+
+    def plan(self, slot: int) -> PlanNode:
+        plan = self._plans.get(slot)
+        if plan is None:
+            k, i, j = self.recipes[slot]
+            plan = self.candidates[k]
+            if isinstance(plan, Join):
+                right = plan.right
+                if isinstance(right, _Frontier):
+                    right = right.plan(j)
+                plan = Join(plan.algo, plan.left.plan(i), right, plan.join_pids)
+            self._plans[slot] = plan
+        return plan
+
+
 class _FrontierBuilder:
     """Running per-location argmin over an ordered candidate stream.
 
@@ -123,80 +196,32 @@ class _FrontierBuilder:
     update: the running best starts at +inf and a candidate takes a
     location only where it is *strictly* cheaper, so the first candidate
     (in enumeration order) wins every tie, exactly as in the scalar
-    path.  ``mask`` restricts a candidate to the locations where its
-    child winner pair is actually realised.
+    path.  Estimates may be python floats (every pid the candidate reads
+    is constant over the slab); they broadcast.
     """
 
     def __init__(self, length: int):
-        self.length = length
-        self.plans: List[PlanNode] = []
+        self.candidates: List[PlanNode] = []
         self.cost = np.full(length, np.inf)
         self.rows = np.full(length, np.nan)
         self.winner = np.full(length, -1, dtype=np.intp)
 
-    def _full(self, value) -> np.ndarray:
-        array = np.asarray(value, dtype=float)
-        if array.ndim == 0:
-            return np.broadcast_to(array, (self.length,))
-        return array
+    def offer(self, plan: PlanNode, est: NodeEstimate) -> None:
+        take = est.cost < self.cost
+        if take.any():
+            np.copyto(self.cost, est.cost, where=take)
+            np.copyto(self.rows, est.rows, where=take)
+            np.copyto(self.winner, len(self.candidates), where=take)
+        self.candidates.append(plan)
 
-    def offer(self, plan: PlanNode, cost, rows, mask: Optional[np.ndarray] = None):
-        cost = self._full(cost)
-        rows = self._full(rows)
-        take = cost < self.cost
-        if mask is not None:
-            take &= mask
-        if not take.any():
-            # Still record the plan so winner indices stay aligned with
-            # the enumeration; compacted away below.
-            self.plans.append(plan)
-            return
-        index = len(self.plans)
-        self.plans.append(plan)
-        self.cost[take] = cost[take]
-        self.rows[take] = rows[take]
-        self.winner[take] = index
-
-    def finish(self) -> "_Frontier":
+    def finish(self) -> _Frontier:
         if (self.winner < 0).any():
             raise OptimizerError("batch enumeration left locations unplanned")
-        kept = np.unique(self.winner)
-        remap = np.full(len(self.plans), -1, dtype=np.intp)
-        remap[kept] = np.arange(len(kept), dtype=np.intp)
         return _Frontier(
-            plans=[self.plans[int(i)] for i in kept],
-            winner=remap[self.winner],
-            cost=self.cost,
-            rows=self.rows,
+            self.candidates,
+            self.winner,
+            NodeEstimate(rows=self.rows, cost=self.cost),
         )
-
-
-@dataclass
-class _Frontier:
-    """Compacted subset entry: only plans that win >= 1 location remain."""
-
-    plans: List[PlanNode]
-    winner: np.ndarray
-    cost: np.ndarray
-    rows: np.ndarray
-
-
-def _winner_pairs(
-    left: _Frontier, right: _Frontier, length: int
-) -> List[Tuple[int, int, Optional[np.ndarray]]]:
-    """(left index, right index, mask) for every realised winner pair.
-
-    A ``None`` mask means the pair is the winner everywhere (the common
-    single-plan-frontier case, which keeps the fast path branch-free).
-    """
-    if len(left.plans) == 1 and len(right.plans) == 1:
-        return [(0, 0, None)]
-    key = left.winner * len(right.plans) + right.winner
-    pairs: List[Tuple[int, int, Optional[np.ndarray]]] = []
-    for packed in np.unique(key):
-        i, j = divmod(int(packed), len(right.plans))
-        pairs.append((i, j, key == packed))
-    return pairs
 
 
 def batch_best_plans(
@@ -207,7 +232,7 @@ def batch_best_plans(
     length: int,
     enumerator: Optional[JoinEnumerator] = None,
 ) -> BatchPlanChoice:
-    """Run the frontier DP over one slab; returns per-location winners.
+    """Run the slab DP; returns per-location winners.
 
     ``columns`` is the slab column table from :func:`stack_assignments`;
     ``enumerator`` is the query's (cached) :class:`JoinEnumerator` for
@@ -216,21 +241,35 @@ def batch_best_plans(
     ctx = CostContext.for_slab(schema, cost_model, columns)
 
     if len(query.tables) == 1:
-        builder = _FrontierBuilder(length)
-        for path in access_paths(query, query.tables[0]):
-            est = path.estimate(ctx)
-            builder.offer(path, est.cost, est.rows)
-        top = builder.finish()
+        top = _best_access_path(access_paths(query, query.tables[0]), ctx, length)
     else:
         if enumerator is None:
             enumerator = JoinEnumerator(query, schema)
         top = _enumerate_joins(enumerator, cost_model, ctx, length)
 
+    plans = [top.plan(slot) for slot in range(len(top.recipes))]
+    best = top.best
     if query.aggregate:
-        top = _wrap_aggregate(query, top, ctx, length)
+        # The scalar path wraps its winner and re-costs the whole tree;
+        # the aggregate formula reads the child's estimate only, which at
+        # every location is the top frontier's best.
+        plans = [Aggregate(plan, query.group_by) for plan in plans]
+        best = plans[0].combine(ctx, best)
     return BatchPlanChoice(
-        plans=top.plans, winner=top.winner, cost=top.cost, rows=top.rows
+        plans=plans,
+        winner=top.slot,
+        cost=best.cost,
+        rows=np.broadcast_to(best.rows, (length,)),
     )
+
+
+def _best_access_path(
+    paths: Sequence[PlanNode], ctx: CostContext, length: int
+) -> _Frontier:
+    builder = _FrontierBuilder(length)
+    for path in paths:
+        builder.offer(path, path.estimate(ctx))
+    return builder.finish()
 
 
 def _enumerate_joins(
@@ -239,14 +278,12 @@ def _enumerate_joins(
     ctx: CostContext,
     length: int,
 ) -> _Frontier:
-    frontiers: Dict[FrozenSet[str], _Frontier] = {}
-
-    for table in enumerator.tables:
-        builder = _FrontierBuilder(length)
-        for path in enumerator.access_path_candidates(table):
-            est = path.estimate(ctx)
-            builder.offer(path, est.cost, est.rows)
-        frontiers[frozenset((table,))] = builder.finish()
+    frontiers: Dict[FrozenSet[str], _Frontier] = {
+        frozenset((table,)): _best_access_path(
+            enumerator.access_path_candidates(table), ctx, length
+        )
+        for table in enumerator.tables
+    }
 
     subsets_by_size: Dict[int, List[FrozenSet[str]]] = {}
     for subset in enumerator.partitions:
@@ -260,17 +297,11 @@ def _enumerate_joins(
                 right = frontiers.get(right_set)
                 if left is None or right is None:
                     continue
-                for i, j, mask in _winner_pairs(left, right, length):
-                    for plan in enumerator.join_candidates(
-                        left.plans[i],
-                        right.plans[j],
-                        left_set,
-                        right_set,
-                        join_pids,
-                        cost_model,
-                    ):
-                        est = plan.estimate(ctx)
-                        builder.offer(plan, est.cost, est.rows, mask)
+                for plan in enumerator.join_candidates(
+                    left, right, left_set, right_set, join_pids, cost_model
+                ):
+                    inner = None if plan.algo == "inl" else plan.right.best
+                    builder.offer(plan, plan.combine(ctx, plan.left.best, inner))
             try:
                 frontiers[subset] = builder.finish()
             except OptimizerError:
@@ -282,25 +313,3 @@ def _enumerate_joins(
     if top is None:
         raise OptimizerError("join enumeration failed to cover all tables")
     return top
-
-
-def _wrap_aggregate(
-    query: Query, top: _Frontier, ctx: CostContext, length: int
-) -> _Frontier:
-    """Wrap each frontier winner in the query's aggregate and re-cost it.
-
-    The scalar path wraps its single winner and re-costs the whole tree;
-    child estimates are memoized in the slab context, so each wrap only
-    pays the aggregate node's own arithmetic.
-    """
-    cost = np.empty(length)
-    rows = np.empty(length)
-    plans: List[PlanNode] = []
-    for index, plan in enumerate(top.plans):
-        aggregate = Aggregate(plan, query.group_by)
-        est = aggregate.estimate(ctx)
-        mask = top.winner == index
-        cost[mask] = np.broadcast_to(np.asarray(est.cost, dtype=float), (length,))[mask]
-        rows[mask] = np.broadcast_to(np.asarray(est.rows, dtype=float), (length,))[mask]
-        plans.append(aggregate)
-    return _Frontier(plans=plans, winner=top.winner.copy(), cost=cost, rows=rows)

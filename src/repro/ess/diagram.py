@@ -19,16 +19,17 @@ import numpy as np
 
 from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer, PlanRegistry
-from ..optimizer.plans import cost_plan
+from ..optimizer.plans import CostContext, cost_plan
 from .space import Location, SelectivitySpace
 
 
 class PlanCostCache:
     """Lazy per-plan cost fields over an ESS grid.
 
-    ``cost(plan_id, location)`` and ``cost_array(plan_id)`` evaluate the
-    plan's (abstract) cost function at grid locations, memoizing whole
-    arrays per plan — the workhorse behind every ESS-wide metric sweep.
+    ``cost(plan_id, location)``, ``cost_array(plan_id)`` and its batch
+    form ``cost_arrays(plan_ids)`` evaluate the plan's (abstract) cost
+    function at grid locations, memoizing whole arrays per plan — the
+    workhorse behind every ESS-wide metric sweep.
 
     The cache is thread-safe (the serving layer and the sweep engine's
     residue pool both share bouquets across threads) and optionally
@@ -97,44 +98,60 @@ class PlanCostCache:
                 self._arrays.pop(plan_id, None)
 
     def cost_array(self, plan_id: int) -> np.ndarray:
-        """Full grid of costs for one plan (shape = space.shape).
+        """Full grid of costs for one plan (shape = space.shape)."""
+        return self.cost_arrays([plan_id])[plan_id]
 
-        Evaluated in a single vectorized pass: the assignment maps each
-        error pid to a broadcast grid of its axis values, and the plan's
-        (purely arithmetic, monotone) cost formulas evaluate elementwise
-        over the whole ESS at once.
+    def cost_arrays(self, plan_ids: Iterable[int]) -> Dict[int, np.ndarray]:
+        """Full grids of costs for several plans, keyed by plan id.
+
+        Plans not cached yet are costed in **one** transient context
+        whose assignment maps each error pid to its grid axis, shaped to
+        broadcast against the others (``np.meshgrid(..., sparse=True)``):
+        the plans' (purely arithmetic, monotone) cost formulas evaluate
+        elementwise over the whole ESS, every node over no more axes than
+        it depends on, and a sub-tree shared between plans — the slab
+        kernel hands out shared objects — is costed once.
         """
+        arrays: Dict[int, np.ndarray] = {}
+        missing: List[int] = []
         with self._lock:
-            array = self._arrays.get(plan_id)
-            if array is not None:
-                self._arrays.move_to_end(plan_id)
-                return array
-        # Built outside the lock: cost_plan is pure and two racing
+            for plan_id in plan_ids:
+                array = self._arrays.get(plan_id)
+                if array is None:
+                    missing.append(plan_id)
+                else:
+                    self._arrays.move_to_end(plan_id)
+                    arrays[plan_id] = array
+        if not missing:
+            return arrays
+        # Built outside the lock: costing is pure and two racing
         # builders produce identical arrays, so losing the race only
         # wastes one build.
         tracer = self.optimizer.tracer
         if tracer.enabled:
-            tracer.count("ess.cost_array_builds")
-        plan = self.registry.plan(plan_id)
+            tracer.count("ess.cost_array_builds", len(missing))
         space = self.space
         assignment: Dict[str, object] = dict(space.base_assignment)
-        meshes = np.meshgrid(*space.grids, indexing="ij")
-        for dim, mesh in zip(space.dimensions, meshes):
-            assignment[dim.pid] = mesh
-        est = cost_plan(
-            plan, self.optimizer.schema, self.optimizer.cost_model, assignment
-        )
-        array = np.broadcast_to(np.asarray(est.cost, dtype=float), space.shape).copy()
+        axes = np.meshgrid(*space.grids, indexing="ij", sparse=True)
+        for dim, axis in zip(space.dimensions, axes):
+            assignment[dim.pid] = axis
+        ctx = CostContext(self.optimizer.schema, self.optimizer.cost_model, assignment)
+        built = {
+            plan_id: np.broadcast_to(
+                np.asarray(self.registry.plan(plan_id).estimate(ctx).cost, dtype=float),
+                space.shape,
+            ).copy()
+            for plan_id in missing
+        }
         with self._lock:
-            existing = self._arrays.get(plan_id)
-            if existing is not None:
+            for plan_id, array in built.items():
+                # An array a racing builder installed first wins.
+                arrays[plan_id] = self._arrays.setdefault(plan_id, array)
                 self._arrays.move_to_end(plan_id)
-                return existing
-            self._arrays[plan_id] = array
             if self.max_plans is not None:
                 while len(self._arrays) > self.max_plans:
                     self._arrays.popitem(last=False)
-        return array
+        return arrays
 
     def cost(self, plan_id: int, location: Location) -> float:
         return float(self.cost_array(plan_id)[location])
@@ -182,23 +199,22 @@ class PlanDiagram:
         """Optimal plan at every grid location.
 
         The DPsize enumeration runs once for the whole grid as a slab
-        (:mod:`repro.batchopt`), visiting locations in row-major order —
-        plan ids and costs are those of one scalar
-        :meth:`Optimizer.optimize` call per location in that order.
+        (:mod:`repro.batchopt`) whose columns come straight from the
+        grid axes in row-major order, and hands back arrays — plan ids
+        and costs are those of one scalar :meth:`Optimizer.optimize`
+        call per location in that order.
 
         POSP generation is "embarrassingly parallel" (§4.2): with
-        ``workers > 1`` the grid is cut into one slab per worker on the
-        persistent :mod:`repro.par` pool (start-method resolution and
-        payload pickle hardening live there; the ``(optimizer, space)``
-        payload ships to each worker at most once per content digest).
-        Slab results come back in submission order, so the parent
-        registers plans in the same row-major order and the diagram is
-        identical at any worker count.
+        ``workers > 1`` the row-major range is cut into one sub-range per
+        worker on the persistent :mod:`repro.par` pool (start-method
+        resolution and payload pickle hardening live there; the
+        ``(optimizer, space)`` payload ships to each worker at most once
+        per content digest).  Each comes back as ``(plans, winner,
+        cost)`` in submission order, so the parent registers plans in
+        the same row-major order and the diagram is identical at any
+        worker count.
         """
         registry = optimizer.registry(space.query)
-        plan_ids = np.empty(space.shape, dtype=np.int64)
-        costs = np.empty(space.shape, dtype=float)
-        locations = list(space.locations())
         tracer = optimizer.tracer
         with tracer.span(
             "ess.exhaustive_diagram", locations=space.size, workers=workers or 1
@@ -206,39 +222,38 @@ class PlanDiagram:
             if workers and workers > 1:
                 from ..par import ParError, get_pool
 
-                chunk_size = (len(locations) + workers - 1) // workers
-                chunks = [
-                    locations[i : i + chunk_size]
-                    for i in range(0, len(locations), chunk_size)
+                step = (space.size + workers - 1) // workers
+                ranges = [
+                    (start, min(start + step, space.size))
+                    for start in range(0, space.size, step)
                 ]
                 if tracer.enabled:
                     tracer.event(
                         "batchopt.parallel_fanout",
                         workers=workers,
-                        slabs=len(chunks),
-                        locations=len(locations),
+                        slabs=len(ranges),
+                        locations=space.size,
                     )
                 pool = get_pool(workers, tracer=tracer)
                 try:
                     slabs = pool.run(
-                        _optimize_slab, (optimizer, space), chunks, tracer=tracer
+                        _optimize_slab, (optimizer, space), ranges, tracer=tracer
                     )
                 except ParError as exc:
                     raise EssError(
                         f"parallel POSP generation failed: {exc}"
                     ) from exc
-                for chunk, slab in zip(chunks, slabs):
-                    for location, (plan, cost) in zip(chunk, slab):
-                        plan_id, _ = registry.register(plan)
-                        plan_ids[location] = plan_id
-                        costs[location] = cost
-            else:
-                results = optimizer.optimize_batch(
-                    space.query, [space.assignment_at(loc) for loc in locations]
+                plan_ids = np.concatenate(
+                    [registry.register_slab(plans, winner) for plans, winner, _ in slabs]
                 )
-                for location, result in zip(locations, results):
-                    plan_ids[location] = result.plan_id
-                    costs[location] = result.cost
+                costs = np.concatenate([cost for _, _, cost in slabs])
+            else:
+                choice, plan_ids = optimizer.optimize_slab(
+                    space.query, *space.slab_columns()
+                )
+                costs = choice.cost
+            plan_ids = plan_ids.reshape(space.shape)
+            costs = costs.reshape(space.shape)
             span.set(posp=len(np.unique(plan_ids)))
         cache = PlanCostCache(space, optimizer, registry)
         return cls(space, plan_ids, costs, registry, cache)
@@ -288,7 +303,8 @@ class PlanDiagram:
             raise EssError("a candidate diagram needs at least one plan")
         registry = optimizer.registry(space.query)
         cache = PlanCostCache(space, optimizer, registry)
-        stacked = np.stack([cache.cost_array(pid) for pid in ordered])
+        arrays = cache.cost_arrays(ordered)
+        stacked = np.stack([arrays[pid] for pid in ordered])
         plan_ids = np.array(ordered, dtype=np.int64)[np.argmin(stacked, axis=0)]
         return cls(space, plan_ids, np.min(stacked, axis=0), registry, cache)
 
@@ -329,16 +345,15 @@ class PlanDiagram:
         return True
 
 
-def _optimize_slab(ctx, payload, locations: List[Location]):
-    # repro.par task: payload = (optimizer, space).  Workers never trace —
-    # the tracer embedded in the payload degraded to the null tracer
-    # while pickling (Tracer.__reduce__).
+def _optimize_slab(ctx, payload, bounds):
+    # repro.par task: payload = (optimizer, space), bounds = a row-major
+    # location range.  Workers never trace — the tracer embedded in the
+    # payload degraded to the null tracer while pickling
+    # (Tracer.__reduce__) — and their plan ids are their own: the parent
+    # registers the returned plans in range order.
     optimizer, space = payload
-    assignments = [space.assignment_at(location) for location in locations]
-    return [
-        (result.plan, result.cost)
-        for result in optimizer.optimize_batch(space.query, assignments)
-    ]
+    choice, _ = optimizer.optimize_slab(space.query, *space.slab_columns(*bounds))
+    return choice.plans, choice.winner, choice.cost
 
 
 def coarse_subgrid(space: SelectivitySpace, per_dim: int = 4) -> List[Location]:

@@ -184,24 +184,34 @@ def measure_dimension_impacts(
     """
     if resolution < 2:
         raise EssError("derivative mapping needs at least 2 points per dim")
-    midpoints = {
-        dim.pid: math.sqrt(dim.lo * dim.hi) for dim in dimensions
-    }
+    pinned = dict(base_assignment)
+    pinned.update({dim.pid: math.sqrt(dim.lo * dim.hi) for dim in dimensions})
+    sweeps = [_sweep(pinned, dim, resolution) for dim in dimensions]
+    # Every dimension's sweep, one after the other, optimized as one slab.
+    results = iter(
+        optimizer.optimize_batch(query, [point for sweep in sweeps for point in sweep])
+    )
     impacts = []
-    for dim in dimensions:
-        costs = []
-        for i in range(resolution):
-            t = i / (resolution - 1)
-            value = dim.lo * (dim.hi / dim.lo) ** t
-            assignment = dict(base_assignment)
-            assignment.update(midpoints)
-            assignment[dim.pid] = value
-            result = optimizer.optimize(query, assignment=assignment)
-            costs.append(result.cost)
+    for dim, sweep in zip(dimensions, sweeps):
+        costs = [next(results).cost for _ in sweep]
         impacts.append(
             DimensionImpact(dimension=dim, cost_span=max(costs) / min(costs))
         )
     return impacts
+
+
+def _sweep(
+    base: Mapping[str, float], dim: ErrorDimension, resolution: int
+) -> List[Dict[str, float]]:
+    """``base`` with ``dim`` alone moved over ``resolution`` log-spaced
+    points of its range."""
+    points = []
+    for i in range(resolution):
+        t = i / (resolution - 1)
+        point = dict(base)
+        point[dim.pid] = dim.lo * (dim.hi / dim.lo) ** t
+        points.append(point)
+    return points
 
 
 def eliminate_low_impact_dimensions(
@@ -312,18 +322,22 @@ def measure_error_sensitivity(
     """
     if resolution < 2:
         raise EssError("sensitivity ranking needs at least 2 points per dim")
-    base = dict(base_assignment)
-    base_plan = optimizer.optimize(query, assignment=base).plan
+    sweeps = [_sweep(base_assignment, dim, resolution) for dim in candidates]
+    # The base point, then every candidate's sweep, optimized as one slab
+    # (same order — hence the same plan ids — as one call per probe).
+    results = iter(
+        optimizer.optimize_batch(
+            query,
+            [dict(base_assignment)] + [point for sweep in sweeps for point in sweep],
+        )
+    )
+    base_plan = next(results).plan
     scores: List[SensitivityScore] = []
-    for dim in candidates:
+    for dim, sweep in zip(candidates, sweeps):
         penalty = 1.0
         costs = []
-        for i in range(resolution):
-            t = i / (resolution - 1)
-            value = dim.lo * (dim.hi / dim.lo) ** t
-            assignment = dict(base)
-            assignment[dim.pid] = value
-            optimal = optimizer.optimize(query, assignment=assignment)
+        for assignment in sweep:
+            optimal = next(results)
             frozen = optimizer.cost(query, base_plan, assignment)
             costs.append(optimal.cost)
             penalty = max(penalty, frozen.cost / max(optimal.cost, 1e-300))

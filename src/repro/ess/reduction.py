@@ -56,23 +56,28 @@ def anorexic_reduce(
     cache = diagram.cache
     if cache is None:
         raise EssError("diagram lacks a PlanCostCache; cannot reduce")
+    space = diagram.space
     if locations is None:
-        location_list = list(diagram.space.locations())
+        location_list = list(space.locations())
+        flat = slice(None)
     else:
         location_list = list(locations)
-    if not location_list:
-        raise EssError("no locations to reduce")
+        if not location_list:
+            raise EssError("no locations to reduce")
+        # Row-major position of every location, computed once and shared
+        # by the optimal-cost gather and each candidate's.
+        flat = np.ravel_multi_index(np.asarray(location_list).T, space.shape)
     if candidate_ids is None:
         candidate_ids = diagram.posp_plan_ids
 
     threshold = 1.0 + lambda_
-    optimal = np.array([diagram.cost_at(loc) for loc in location_list])
+    optimal = diagram.costs.ravel()[flat]
+    arrays = cache.cost_arrays(candidate_ids)
     # coverage[p][i] == True when plan p may own location_list[i].
     coverage: Dict[int, np.ndarray] = {}
     cost_rows: Dict[int, np.ndarray] = {}
     for plan_id in candidate_ids:
-        array = cache.cost_array(plan_id)
-        costs = np.array([array[loc] for loc in location_list])
+        costs = arrays[plan_id].ravel()[flat]
         coverage[plan_id] = costs <= threshold * optimal + 1e-12
         cost_rows[plan_id] = costs
 
@@ -84,7 +89,7 @@ def anorexic_reduce(
         candidates=len(candidate_ids),
     )
     uncovered = np.ones(len(location_list), dtype=bool)
-    assignment: Dict[Location, int] = {}
+    owner = np.zeros(len(location_list), dtype=np.int64)
     chosen: List[int] = []
     while uncovered.any():
         best_plan = None
@@ -104,9 +109,8 @@ def anorexic_reduce(
             # Shouldn't happen: the optimal plan always covers its own
             # locations.  Guard against numerical corner cases anyway.
             idx = int(np.argmax(uncovered))
-            location = location_list[idx]
-            fallback = diagram.plan_at(location)
-            assignment[location] = fallback
+            fallback = diagram.plan_at(location_list[idx])
+            owner[idx] = fallback
             if fallback not in chosen:
                 chosen.append(fallback)
             uncovered[idx] = False
@@ -115,9 +119,9 @@ def anorexic_reduce(
         newly = coverage[best_plan] & uncovered
         if tracer.enabled:
             tracer.event("ess.swallow", plan=best_plan, swallowed=int(newly.sum()))
-        for idx in np.nonzero(newly)[0]:
-            assignment[location_list[int(idx)]] = best_plan
+        owner[newly] = best_plan
         uncovered &= ~newly
+    assignment = dict(zip(location_list, owner.tolist()))
     surviving = sorted(set(assignment.values()))
     span.set(surviving=len(surviving), passes=len(chosen))
     span.end()

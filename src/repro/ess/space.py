@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,6 +134,25 @@ class SelectivitySpace:
         for dim, value in zip(self.dimensions, self.selectivities_at(location)):
             assignment[dim.pid] = value
         return assignment
+
+    def slab_columns(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Tuple[Dict[str, object], int]:
+        """Slab columns of the row-major location range ``[start, stop)``
+        (default: the whole grid) and its length.
+
+        The array-shaped :meth:`assignment_at`: base pids map to floats,
+        each error pid to the 1-D array of its grid values at the range's
+        locations — the input of :meth:`Optimizer.optimize_slab`.
+        """
+        stop = self.size if stop is None else stop
+        columns: Dict[str, object] = {
+            pid: float(value) for pid, value in self.base_assignment.items()
+        }
+        indices = np.unravel_index(np.arange(start, stop), self.shape)
+        for dim, grid, index in zip(self.dimensions, self.grids, indices):
+            columns[dim.pid] = grid[index]
+        return columns, stop - start
 
     def assignment_for(self, values: Sequence[float]) -> SelectivityAssignment:
         """Assignment for arbitrary (continuous) dim values — used by the

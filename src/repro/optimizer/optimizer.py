@@ -12,7 +12,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..catalog.schema import Schema
 from ..catalog.statistics import DatabaseStatistics
@@ -28,6 +30,9 @@ from .selectivity import (
     inject,
     validate_assignment,
 )
+
+if TYPE_CHECKING:
+    from ..batchopt.kernel import BatchPlanChoice
 
 
 @dataclass
@@ -80,6 +85,20 @@ class PlanRegistry:
                 self._ids[signature] = plan_id
                 self._plans[plan_id] = plan
         return plan_id, signature
+
+    def register_slab(self, plans: Sequence[PlanNode], winner) -> np.ndarray:
+        """Plan id per slab location, given the slab's distinct winners
+        and ``winner[i]``, the index into ``plans`` of location ``i``'s.
+
+        Plans register in order of first appearance along the slab — the
+        order a loop of scalar calls over the same locations would have
+        registered them in.
+        """
+        used, first = np.unique(winner, return_index=True)
+        ids = np.zeros(len(plans), dtype=np.int64)
+        for index in used[np.argsort(first)].tolist():
+            ids[index], _ = self.register(plans[index])
+        return ids[winner]
 
     def plan(self, plan_id: int) -> PlanNode:
         with self._lock:
@@ -222,50 +241,58 @@ class Optimizer:
     ) -> List[OptimizedPlan]:
         """Find the cheapest plan at every assignment of a slab at once.
 
-        Runs the DPsize enumeration **once** while carrying a numpy cost
-        axis over the slab (:mod:`repro.batchopt`): per connected subset
-        the DP keeps a frontier of plans that are cheapest at >= 1
-        location, so ``optimize_batch(A)[i]`` equals
-        ``optimize(query, A[i])`` — same plan id, same cost — for every
-        ``i``.  Plans are registered in slab order, so a batch compile
-        assigns the same plan ids a scalar sweep over the same location
-        order would.
+        The list-shaped front of :meth:`optimize_slab`:
+        ``optimize_batch(A)[i]`` equals ``optimize(query, A[i])`` — same
+        plan id, same cost — for every ``i``.
         """
-        from ..batchopt.kernel import (
-            batch_best_plans,
-            stack_assignments,
-            validate_columns,
-        )
+        from ..batchopt.kernel import stack_assignments
 
         if not assignments:
             return []
+        choice, plan_ids = self.optimize_slab(query, *stack_assignments(assignments))
+        plans = choice.plans
+        signatures = [plan.canonical_signature() for plan in plans]
+        return [
+            OptimizedPlan(
+                plan=plans[index],
+                cost=cost,
+                rows=rows,
+                plan_id=plan_id,
+                signature=signatures[index],
+            )
+            for index, cost, rows, plan_id in zip(
+                choice.winner.tolist(),
+                choice.cost.tolist(),
+                choice.rows.tolist(),
+                plan_ids.tolist(),
+            )
+        ]
+
+    def optimize_slab(
+        self, query: Query, columns: Mapping[str, object], length: int
+    ) -> Tuple["BatchPlanChoice", np.ndarray]:
+        """Find the cheapest plan at every location of a slab, as arrays.
+
+        ``columns`` maps each pid to a float (constant over the slab) or
+        to a 1-D array of ``length`` per-location selectivities.  Runs
+        the DPsize enumeration **once** while carrying a numpy cost axis
+        over the slab (:mod:`repro.batchopt`) and returns the kernel's
+        :class:`~repro.batchopt.BatchPlanChoice` (distinct winning plans,
+        per-location winner index, cost and rows) with the per-location
+        plan ids.  Plans are registered in slab order, so a slab compile
+        assigns the same plan ids a scalar sweep over the same location
+        order would.
+        """
+        from ..batchopt.kernel import batch_best_plans, validate_columns
+
         tracer = self.tracer
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        columns, length = stack_assignments(assignments)
         validate_columns(query, columns, length)
         enumerator = self._enumerator(query) if len(query.tables) > 1 else None
         choice = batch_best_plans(
             query, self.schema, self.cost_model, columns, length, enumerator
         )
-        registry = self.registry(query)
-        registered: Dict[int, Tuple[int, str]] = {}
-        results: List[OptimizedPlan] = []
-        for index in range(length):
-            frontier_index = int(choice.winner[index])
-            entry = registered.get(frontier_index)
-            if entry is None:
-                entry = registry.register(choice.plans[frontier_index])
-                registered[frontier_index] = entry
-            plan_id, signature = entry
-            results.append(
-                OptimizedPlan(
-                    plan=choice.plans[frontier_index],
-                    cost=float(choice.cost[index]),
-                    rows=float(choice.rows[index]),
-                    plan_id=plan_id,
-                    signature=signature,
-                )
-            )
+        plan_ids = self.registry(query).register_slab(choice.plans, choice.winner)
         if tracer.enabled:
             tracer.count("optimizer.batch_calls")
             tracer.count("optimizer.batched_locations", length)
@@ -273,7 +300,7 @@ class Optimizer:
             tracer.count("batchopt.locations", length)
             tracer.count("batchopt.frontier_plans", choice.frontier_size)
             tracer.observe("optimizer.batch_latency", time.perf_counter() - t0)
-        return results
+        return choice, plan_ids
 
     def _best_single_table(
         self, query: Query, assignment: Mapping[str, float]

@@ -39,11 +39,13 @@ class NodeEstimate:
 class CostContext:
     """Everything needed to cost a plan at one point in selectivity space.
 
-    The assignment may map pids to scalars (point costing) or to 1-D
-    numpy arrays (slab costing): every operator formula is plain
-    elementwise arithmetic, so an array-valued context evaluates a plan
-    at a whole slab of ESS locations in one pass.  :meth:`for_slab` is
-    the explicit batch entry point used by :mod:`repro.batchopt`.
+    The assignment may map pids to scalars (point costing) or to numpy
+    arrays: every operator formula is plain elementwise arithmetic that
+    never updates an operand in place, so an array-valued context
+    evaluates a plan at a whole slab of ESS locations in one pass (1-D
+    columns; :meth:`for_slab` is the explicit batch entry point used by
+    :mod:`repro.batchopt`) or over a whole grid whose axes broadcast
+    against each other (``PlanCostCache.cost_arrays``).
     """
 
     def __init__(
@@ -71,8 +73,7 @@ class CostContext:
 
         ``columns`` maps each pid to either a python float (the pid is
         constant over the slab) or a 1-D array of per-location
-        selectivities.  Estimates memoize whole arrays per node, so a
-        frontier plan shared by many DP candidates is costed once.
+        selectivities.
         """
         return cls(schema, cost_model, columns)
 
@@ -85,7 +86,7 @@ class CostContext:
     def product(self, pids) -> float:
         result = 1.0
         for pid in pids:
-            result *= self.selectivity(pid)
+            result = result * self.selectivity(pid)
         return result
 
 
@@ -193,8 +194,8 @@ class SeqScan(PlanNode):
         model = ctx.cost_model
         rows_in = float(table.row_count)
         cost = table.pages * model.seq_page_cost
-        cost += rows_in * model.cpu_tuple_cost
-        cost += rows_in * len(self.filter_pids) * model.cpu_operator_cost
+        cost = cost + rows_in * model.cpu_tuple_cost
+        cost = cost + rows_in * len(self.filter_pids) * model.cpu_operator_cost
         rows_out = rows_in * ctx.product(self.filter_pids)
         return NodeEstimate(rows=rows_out, cost=cost)
 
@@ -231,11 +232,11 @@ class IndexScan(PlanNode):
         matched = table.row_count * sel
         index = IndexInfo.for_table(table, self.index_pid)
         cost = index.height * model.random_page_cost
-        cost += sel * index.leaf_pages * model.seq_page_cost
-        cost += matched * model.cpu_index_tuple_cost
-        cost += matched * model.random_page_cost  # heap fetches (uncorrelated)
-        cost += matched * model.cpu_tuple_cost
-        cost += matched * len(self.filter_pids) * model.cpu_operator_cost
+        cost = cost + sel * index.leaf_pages * model.seq_page_cost
+        cost = cost + matched * model.cpu_index_tuple_cost
+        cost = cost + matched * model.random_page_cost  # heap fetches (uncorrelated)
+        cost = cost + matched * model.cpu_tuple_cost
+        cost = cost + matched * len(self.filter_pids) * model.cpu_operator_cost
         rows_out = matched * ctx.product(self.filter_pids)
         return NodeEstimate(rows=rows_out, cost=cost)
 
@@ -308,19 +309,20 @@ class Aggregate(PlanNode):
         return limit
 
     def _estimate(self, ctx):
+        return self.combine(ctx, self.child.estimate(ctx))
+
+    def combine(self, ctx: CostContext, child: NodeEstimate) -> NodeEstimate:
+        """This node's estimate given its input's: the formula reads the
+        child's ``(rows, cost)`` only, never its shape."""
         model = ctx.cost_model
-        child = self.child.estimate(ctx)
         if self.group_columns:
             rows_out = np.minimum(child.rows, self.group_limit(ctx))
         else:
             rows_out = 1.0
-        # Binary + first: ``child.cost`` may be a memoized array shared
-        # with other plans in a slab context, so the running total must
-        # start as a fresh object before any in-place accumulation.
         cost = child.cost + child.rows * (
             model.hash_tuple_cost + len(self.group_columns) * model.cpu_operator_cost
         )
-        cost += rows_out * model.cpu_tuple_cost
+        cost = cost + rows_out * model.cpu_tuple_cost
         return NodeEstimate(rows=rows_out, cost=cost)
 
 
@@ -376,9 +378,25 @@ class Join(PlanNode):
         return self.left.tables() | self.right.tables()
 
     def _estimate(self, ctx):
+        right = None if self.algo == "inl" else self.right.estimate(ctx)
+        return self.combine(ctx, self.left.estimate(ctx), right)
+
+    def combine(
+        self,
+        ctx: CostContext,
+        left: NodeEstimate,
+        right: Optional[NodeEstimate],
+    ) -> NodeEstimate:
+        """This join's estimate given its inputs' (``right`` is unused by
+        ``inl``, whose inner side is folded into the formula).
+
+        The formulas read the children's ``(rows, cost)`` only, which is
+        what lets the slab DP (:mod:`repro.batchopt`) cost a candidate on
+        each child subset's per-location *best* estimates without
+        knowing which plan achieved them.
+        """
         model = ctx.cost_model
         join_sel = ctx.product(self.join_pids)
-        left = self.left.estimate(ctx)
 
         if self.algo == "inl":
             inner: IndexLookup = self.right  # type: ignore[assignment]
@@ -393,30 +411,27 @@ class Join(PlanNode):
                 + model.cpu_tuple_cost
                 + len(inner.filter_pids) * model.cpu_operator_cost
             )
-            # Binary + first (see Aggregate): never ``+=`` onto the
-            # memoized child cost, which may be a shared slab array.
             cost = left.cost + left.rows * per_lookup
-            cost += left.rows * matched_per_outer * per_match
-            cost += rows_out * model.cpu_tuple_cost
+            cost = cost + left.rows * matched_per_outer * per_match
+            cost = cost + rows_out * model.cpu_tuple_cost
             return NodeEstimate(rows=rows_out, cost=cost)
 
-        right = self.right.estimate(ctx)
         rows_out = join_sel * left.rows * right.rows
         if self.algo == "hash":
             cost = left.cost + right.cost
-            cost += right.rows * model.hash_tuple_cost  # build
-            cost += left.rows * model.hash_tuple_cost  # probe
-            cost += rows_out * model.cpu_tuple_cost
+            cost = cost + right.rows * model.hash_tuple_cost  # build
+            cost = cost + left.rows * model.hash_tuple_cost  # probe
+            cost = cost + rows_out * model.cpu_tuple_cost
         elif self.algo == "merge":
             cost = left.cost + right.cost
-            cost += model.sort_cost(left.rows) + model.sort_cost(right.rows)
-            cost += (left.rows + right.rows) * model.cpu_operator_cost
-            cost += rows_out * model.cpu_tuple_cost
+            cost = cost + (model.sort_cost(left.rows) + model.sort_cost(right.rows))
+            cost = cost + (left.rows + right.rows) * model.cpu_operator_cost
+            cost = cost + rows_out * model.cpu_tuple_cost
         elif self.algo == "nl":
             cost = left.cost + right.cost
-            cost += right.rows * model.cpu_tuple_cost  # materialize inner
-            cost += left.rows * right.rows * model.cpu_operator_cost
-            cost += rows_out * model.cpu_tuple_cost
+            cost = cost + right.rows * model.cpu_tuple_cost  # materialize inner
+            cost = cost + left.rows * right.rows * model.cpu_operator_cost
+            cost = cost + rows_out * model.cpu_tuple_cost
         else:  # pragma: no cover - guarded in __init__
             raise OptimizerError(f"unhandled join algorithm {self.algo!r}")
         return NodeEstimate(rows=rows_out, cost=cost)

@@ -166,7 +166,9 @@ class BouquetArtifactStore:
             )
             try:
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(envelope, handle)
+                    # dumps, not dump: dump iterates the pure-Python
+                    # encoder chunk by chunk; same bytes, the C encoder.
+                    handle.write(json.dumps(envelope))
                 os.replace(tmp, self._path(digest))
             except BaseException:
                 try:

@@ -35,19 +35,27 @@ TEMPLATED_WORKLOAD_CONFIG = GeneratorConfig(
 )
 
 
+def scalar_results(optimizer, space):
+    """The paper's literal procedure — one scalar ``Optimizer.optimize``
+    per location, row-major: the oracle for the slab kernel."""
+    return [
+        optimizer.optimize(space.query, assignment=space.assignment_at(location))
+        for location in space.locations()
+    ]
+
+
 def scalar_diagram(optimizer, space):
-    """The exhaustive diagram by the paper's literal procedure — one
-    scalar ``Optimizer.optimize`` per location, row-major: the oracle
-    for the slab kernel behind ``PlanDiagram.exhaustive``."""
-    plan_ids = np.empty(space.shape, dtype=np.int64)
-    costs = np.empty(space.shape, dtype=float)
-    for location in space.locations():
-        result = optimizer.optimize(
-            space.query, assignment=space.assignment_at(location)
-        )
-        plan_ids[location] = result.plan_id
-        costs[location] = result.cost
-    return PlanDiagram(space, plan_ids, costs, optimizer.registry(space.query))
+    """:func:`scalar_results` as the exhaustive diagram: the oracle for
+    ``PlanDiagram.exhaustive``."""
+    results = scalar_results(optimizer, space)
+    plan_ids = np.array([r.plan_id for r in results], dtype=np.int64)
+    costs = np.array([r.cost for r in results], dtype=float)
+    return PlanDiagram(
+        space,
+        plan_ids.reshape(space.shape),
+        costs.reshape(space.shape),
+        optimizer.registry(space.query),
+    )
 
 
 def reference_field(bouquet, locations=None):

@@ -1,11 +1,14 @@
 """Batch compile kernel: ``optimize_batch`` must equal scalar ``optimize``.
 
 The batch engine's contract is total: same plan id, same cost, same rows
-at *every* slab location, because the frontier DP keeps every plan that
-is cheapest somewhere in the slab and replicates the scalar DP's
-tie-breaking per location.  These tests pin that contract on fixed
-grids, degenerate slabs, aggregates, and hypothesis-random slabs, plus
-the registry properties (structural dedup, thread safety) it rests on.
+at *every* slab location, because the slab DP recurs on each subset's
+per-location best (cost, rows), replicates the scalar DP's candidate
+order and tie-breaking per location, and recovers the winning plans from
+back-pointers.  These tests pin that contract on fixed grids, degenerate
+slabs, aggregates, hypothesis-random slabs, the Table 2 and generated
+queries (in grid order, shuffled, duplicated, under exact cost ties and
+across pool workers), plus the registry properties (structural dedup,
+thread safety) it rests on.
 """
 
 import threading
@@ -15,24 +18,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import BouquetConfig
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
+from repro.ess.diagram import PlanCostCache
 from repro.ess.posp import contour_focused_posp
-from repro.optimizer import Optimizer, actual_selectivities
+from repro.optimizer import (
+    POSTGRES_COST_MODEL,
+    Join,
+    Optimizer,
+    actual_selectivities,
+    cost_plan,
+)
 from repro.optimizer.optimizer import PlanRegistry
+from repro.par import leaked_segments, shutdown_pools
 from repro.query import parse_query
-from tests.conftest import scalar_diagram
+from repro.query.workload import TABLE2_NAMES
+from repro.wlgen import QueryGenerator, dimension_query
+from tests.conftest import scalar_diagram, scalar_results
+
+
+def assert_pins(batch, scalar):
+    """The core contract: pointwise (plan, cost, rows, plan id) equality."""
+    assert len(batch) == len(scalar)
+    for got, want in zip(batch, scalar):
+        assert got.signature == want.signature
+        assert got.cost == want.cost
+        assert got.rows == want.rows
+        assert got.plan_id == want.plan_id
 
 
 def assert_batch_pins_scalar(optimizer, query, assignments):
-    """The core contract: pointwise (plan id, cost, rows) equality."""
     batch = optimizer.optimize_batch(query, assignments)
-    assert len(batch) == len(assignments)
-    for result, assignment in zip(batch, assignments):
-        scalar = optimizer.optimize(query, assignment=assignment)
-        assert result.plan_id == scalar.plan_id
-        assert result.cost == scalar.cost
-        assert result.rows == scalar.rows
-        assert result.signature == scalar.signature
+    assert_pins(
+        batch, [optimizer.optimize(query, assignment=a) for a in assignments]
+    )
 
 
 class TestBatchMatchesScalar:
@@ -230,6 +249,160 @@ class TestEngineEquality:
         assert batch.batched_locations > 0
 
 
+#: Generated queries per schema in the widened oracle (the first ones of
+#: the generator's seed-42 stream that have an error dimension at all).
+GENERATED_PER_SCHEMA = 8
+ORACLE_CASES = list(TABLE2_NAMES) + [
+    f"{benchmark}:{index}"
+    for benchmark in ("tpch", "tpcds")
+    for index in range(GENERATED_PER_SCHEMA)
+]
+
+
+@pytest.fixture(scope="module")
+def oracle(lab):
+    """``name -> (fresh-optimizer factory, space, scalar results)`` for
+    every oracle case, the scalar sweep run once per case: the ten Table 2
+    queries at resolution 3, the generated ones at their default
+    resolution."""
+    worlds = {
+        "tpch": (lab.h_schema, lab.h_stats, lab.h_db),
+        "tpcds": (lab.ds_schema, lab.ds_stats, lab.ds_db),
+    }
+    generated = {}
+    for benchmark, (schema, statistics, database) in worlds.items():
+        generator = QueryGenerator(schema, database)
+        optimizer = Optimizer(schema, statistics)
+        index = found = 0
+        while found < GENERATED_PER_SCHEMA:
+            query = generator.generate(42, index).query
+            index += 1
+            chosen = dimension_query(optimizer, query, database)
+            if chosen.dimensions:
+                generated[f"{benchmark}:{found}"] = (query, chosen)
+                found += 1
+    cache = {}
+
+    def build(name):
+        if name not in cache:
+            if name in generated:
+                query, chosen = generated[name]
+                schema, statistics, _ = worlds[name.split(":")[0]]
+                space = SelectivitySpace(
+                    query,
+                    chosen.dimensions,
+                    BouquetConfig().resolution_for(len(chosen.dimensions)),
+                    chosen.base_assignment,
+                )
+            else:
+                entry = lab.workload[name]
+                schema, statistics, database = worlds["tpcds" if "DS" in name else "tpch"]
+                base = actual_selectivities(entry.query, database)
+                space = SelectivitySpace(entry.query, entry.dimensions(), 3, base)
+
+            def fresh(schema=schema, statistics=statistics):
+                return Optimizer(schema, statistics)
+
+            cache[name] = (fresh, space, scalar_results(fresh(), space))
+        return cache[name]
+
+    return build
+
+
+class TestScalarOracle:
+    """The slab recurrence never sees which plan a child's best belongs
+    to; these pin it to the scalar DP far beyond ``eq_query``."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_whole_grid_pins_scalar(self, oracle, name):
+        fresh, space, scalar = oracle(name)
+        assignments = [space.assignment_at(loc) for loc in space.locations()]
+        assert_pins(fresh().optimize_batch(space.query, assignments), scalar)
+        # The array-shaped front builds its own columns from the grid.
+        diagram = PlanDiagram.exhaustive(fresh(), space)
+        assert diagram.plan_ids.ravel().tolist() == [r.plan_id for r in scalar]
+        assert diagram.costs.ravel().tolist() == [r.cost for r in scalar]
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_shuffled_slab_with_duplicates(self, oracle, name):
+        """An unmasked recurrence must not depend on grid order, nor on
+        a location being unique in its slab."""
+        fresh, space, scalar = oracle(name)
+        rng = np.random.default_rng(20)
+        order = rng.permutation(space.size).tolist()
+        order += rng.integers(0, space.size, space.size // 4 + 1).tolist()
+        locations = list(space.locations())
+        batch = fresh().optimize_batch(
+            space.query, [space.assignment_at(locations[i]) for i in order]
+        )
+        # Plan ids follow the slab's order: replay the scalar plans in it.
+        registry = PlanRegistry()
+        for got, index in zip(batch, order):
+            want = scalar[index]
+            assert got.signature == want.signature
+            assert got.cost == want.cost
+            assert got.rows == want.rows
+            assert got.plan_id == registry.register(want.plan)[0]
+
+    def test_exact_ties_go_to_the_first_candidate(self, lab):
+        """With free hashing and free tuples both hash orientations of
+        every split cost exactly ``left.cost + right.cost``; the first
+        candidate must win at every location, as in
+        ``JoinEnumerator.best_plan``."""
+        model = POSTGRES_COST_MODEL.with_overrides(
+            hash_tuple_cost=0.0, cpu_tuple_cost=0.0
+        )
+        entry = lab.workload["3D_H_Q5"]
+        base = actual_selectivities(entry.query, lab.h_db)
+        space = SelectivitySpace(entry.query, entry.dimensions(), 4, base)
+
+        def fresh():
+            return Optimizer(lab.h_schema, lab.h_stats, cost_model=model)
+
+        scalar = scalar_results(fresh(), space)
+        assignments = [space.assignment_at(loc) for loc in space.locations()]
+        assert_pins(fresh().optimize_batch(space.query, assignments), scalar)
+        # The premise: the ties are real.
+        tied = 0
+        for result, assignment in zip(scalar, assignments):
+            plan = result.plan
+            if isinstance(plan, Join) and plan.algo == "hash":
+                mirrored = Join("hash", plan.right, plan.left, plan.join_pids)
+                cost = cost_plan(mirrored, lab.h_schema, model, assignment).cost
+                tied += cost == result.cost
+        assert tied > 0
+
+
+class TestBatchCostArrays:
+    @pytest.mark.parametrize("name", ["3D_H_Q5", "4D_H_Q8"])
+    def test_cost_arrays_pin_scalar_costing(self, lab, name):
+        """One transient broadcast-shaped context for all POSP plans ==
+        per-location scalar ``cost_plan`` == the dense-mesh evaluation
+        of one plan at a time, bit for bit."""
+        diagram = lab.build(name).diagram
+        space, optimizer = diagram.space, lab.h_optimizer
+        schema, model = optimizer.schema, optimizer.cost_model
+        posp = diagram.posp_plan_ids
+        cache = PlanCostCache(space, optimizer, diagram.registry)
+        arrays = cache.cost_arrays(posp)
+        assert sorted(arrays) == posp and len(cache) == len(posp)
+
+        dense = dict(space.base_assignment)
+        meshes = np.meshgrid(*space.grids, indexing="ij")
+        for dim, mesh in zip(space.dimensions, meshes):
+            dense[dim.pid] = mesh
+        assignments = [space.assignment_at(loc) for loc in space.locations()]
+        for plan_id in posp:
+            plan = diagram.registry.plan(plan_id)
+            array = arrays[plan_id]
+            assert array.shape == space.shape
+            assert array is cache.cost_array(plan_id)
+            old = np.broadcast_to(cost_plan(plan, schema, model, dense).cost, space.shape)
+            assert np.array_equal(array, old)
+            pointwise = [cost_plan(plan, schema, model, a).cost for a in assignments]
+            assert array.ravel().tolist() == pointwise
+
+
 class TestParallelBatch:
     def test_parallel_batch_matches_serial(self, optimizer, eq_space, eq_diagram):
         fresh = Optimizer(optimizer.schema, optimizer.statistics)
@@ -243,3 +416,14 @@ class TestParallelBatch:
                 parallel.plan_at(location)
             ).canonical_signature()
             assert serial_sig == parallel_sig
+
+    def test_range_slabs_cut_mid_row(self, oracle):
+        """Workers get row-major ranges, not rows: three ranges over a
+        3 x 3 x 3 grid end mid-row, and the merged diagram is still the
+        scalar one, plan ids included, with nothing left in /dev/shm."""
+        fresh, space, scalar = oracle("3D_H_Q5")
+        parallel = PlanDiagram.exhaustive(fresh(), space, workers=3)
+        assert parallel.plan_ids.ravel().tolist() == [r.plan_id for r in scalar]
+        assert parallel.costs.ravel().tolist() == [r.cost for r in scalar]
+        shutdown_pools()
+        assert leaked_segments() == []

@@ -103,9 +103,16 @@ def test_disk_tier_survives_process_restart(world, tmp_path):
     assert tier == "disk"
     assert hit.mso_bound == pytest.approx(compiled.mso_bound)
 
-    envelope = json.load(open(os.path.join(str(tmp_path), f"{key.digest}.json")))
+    with open(os.path.join(str(tmp_path), f"{key.digest}.json")) as handle:
+        text = handle.read()
+    envelope = json.loads(text)
     assert envelope["format"] == STORE_FORMAT
     assert envelope["key"]["statistics_digest"] == key.statistics_digest
+    # put writes json.dumps(envelope) whole (the C encoder), through a
+    # temp file that os.replace leaves nothing of.
+    assert text == json.dumps(envelope)
+    assert envelope["artifact"] == compiled.to_dict()
+    assert os.listdir(str(tmp_path)) == [f"{key.digest}.json"]
 
 
 def test_corrupt_disk_entry_is_a_miss(world, tmp_path):
