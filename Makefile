@@ -18,6 +18,9 @@
 #                     request builds no index and is one plan execution, a
 #                     whole-grid compile offers one DP's worth of join
 #                     candidates); counts only, nothing is timed
+#   make census       the figures a CHANGES entry quotes: src/ lines per
+#                     package and in total, BouquetConfig field and
+#                     ServeRequest key counts, who takes a workers parameter
 #   make bench        regenerate every paper table/figure
 #   make experiments  bench + rebuild EXPERIMENTS.md
 #   make examples     run the example scripts end to end
@@ -26,7 +29,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test lint serve-smoke check ci ledger-smoke perf-guards bench experiments examples all clean
+.PHONY: help install test lint serve-smoke check ci ledger-smoke perf-guards census bench experiments examples all clean
 
 help:
 	@sed -n 's/^#   //p' Makefile
@@ -68,6 +71,9 @@ ledger-smoke:
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
 		-k "warm_request or one_execution or one_dp" --benchmark-disable
+
+census:
+	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -37,6 +37,7 @@ from .catalog.statistics import DatabaseStatistics
 from .core.artifact import bouquet_from_dict, bouquet_to_dict
 from .core.bouquet import PlanBouquet, identify_bouquet
 from .core.runtime import (
+    EQUIVALENCE_THRESHOLD,
     AbstractExecutionService,
     BouquetRunner,
     BouquetRunResult,
@@ -133,7 +134,7 @@ class BouquetConfig:
     resolution: Optional[int] = None
     mode: str = "optimized"
     crossing: str = "sequential"
-    equivalence_threshold: float = 0.2
+    equivalence_threshold: float = EQUIVALENCE_THRESHOLD
     model_error_delta: float = 0.0
     cost_model: str = "postgres"
     patch: bool = True
@@ -350,7 +351,6 @@ def compile_bouquet(
     dimensions: Optional[Sequence[ErrorDimension]] = None,
     base_assignment: Optional[Mapping[str, float]] = None,
     tracer: Optional[Tracer] = None,
-    workers: Optional[int] = None,
     cache: Optional["object"] = None,
     optimizer: Optional[Optimizer] = None,
 ) -> CompiledBouquet:
@@ -369,9 +369,6 @@ def compile_bouquet(
     cache (they are not part of its key).  The template tier — rebinding
     another instance of the same query template instead of recompiling —
     belongs to :class:`repro.serve.BouquetServer`.
-
-    ``workers > 1`` parallelizes exhaustive POSP generation across
-    processes (§4.2) via the hardened fork/spawn pool.
     """
     config = config if config is not None else DEFAULT_CONFIG
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -387,7 +384,7 @@ def compile_bouquet(
         if hit is not None:
             return hit
     compiled = _compile_pipeline(
-        query, catalog, config, dimensions, base_assignment, tracer, workers,
+        query, catalog, config, dimensions, base_assignment, tracer,
         optimizer, sql, span_name="api.compile",
     )
     if key is not None:
@@ -402,7 +399,6 @@ def _compile_pipeline(
     dimensions: Optional[Sequence[ErrorDimension]],
     base_assignment: Optional[Mapping[str, float]],
     tracer: Tracer,
-    workers: Optional[int],
     optimizer: Optional[Optimizer],
     sql: Optional[str],
     span_name: str = "api.compile",
@@ -426,7 +422,7 @@ def _compile_pipeline(
         res = config.resolution_for(len(dimensions))
         space = SelectivitySpace(query, dimensions, res, base_assignment)
         if space.size <= EXHAUSTIVE_LIMIT:
-            diagram = PlanDiagram.exhaustive(optimizer, space, workers=workers)
+            diagram = PlanDiagram.exhaustive(optimizer, space)
         else:
             diagram = PlanDiagram.from_candidates(
                 optimizer, space, coarse_subgrid(space, per_dim=4)

@@ -75,9 +75,6 @@ class BatchPlanChoice:
     def frontier_size(self) -> int:
         return len(self.plans)
 
-    def plan_at(self, index: int) -> PlanNode:
-        return self.plans[int(self.winner[index])]
-
 
 def stack_assignments(
     assignments: Sequence[Mapping[str, float]],

@@ -10,7 +10,7 @@ integration tests so every consumer sees the same world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,11 +26,7 @@ from ..obs.summary import summarize_trace
 from ..optimizer.cost_model import POSTGRES_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer
 from ..optimizer.selectivity import actual_selectivities
-from ..query.workload import (
-    TABLE2_NAMES,
-    WorkloadQuery,
-    full_workload,
-)
+from ..query.workload import WorkloadQuery, full_workload
 from ..robustness.metrics import optimized_field
 from ..robustness.nat import NativeOptimizerStrategy
 from ..robustness.seer import SeerStrategy
@@ -166,10 +162,6 @@ class Lab:
         if resolution is None:
             self._labs[name] = lab
         return lab
-
-    def build_all(self, names: Optional[List[str]] = None) -> Dict[str, QueryLab]:
-        names = names or TABLE2_NAMES
-        return {name: self.build(name) for name in names}
 
     def trace_summary(self) -> str:
         """Condense the lab tracer's records + metrics into a text report.

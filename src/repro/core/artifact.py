@@ -6,11 +6,11 @@ The compile product of the bouquet pipeline is a pure function of
 executes forever, and the serving layer (:mod:`repro.serve`) caches
 artifacts keyed by a content hash of those inputs.
 
-This module owns the wire format.  ``repro.bouquet.v1`` is the original
-session-level format (plans, diagram fields, contours); it is kept
+This module owns the wire format of the bouquet itself,
+``repro.bouquet.v1`` (plans, diagram fields, contours); it is kept
 byte-compatible so artifacts saved by earlier versions keep loading.
-:class:`repro.api.CompiledBouquet` delegates here (as did the retired
-``BouquetSession``-era ``CompiledQuery``, which wrote the same format).
+:class:`repro.api.CompiledBouquet` wraps it in its own envelope (query
+text, config) and delegates here.
 """
 
 from __future__ import annotations

@@ -74,9 +74,6 @@ class PlanBouquet:
             raise BouquetError("bouquet diagram lacks a cost cache")
         return cache
 
-    def contour_count(self) -> int:
-        return len(self.contours)
-
     def describe(self) -> str:
         lines = [
             f"Plan bouquet for {self.space.query.name}: |B|={self.cardinality}, "

@@ -94,9 +94,6 @@ class Contour:
         """Number of distinct plans on this contour (n_k in §3.2)."""
         return len(set(self.plan_at.values()))
 
-    def locations_of(self, plan_id: int) -> List[Location]:
-        return [loc for loc, pid in self.plan_at.items() if pid == plan_id]
-
 
 def build_contours(
     diagram: PlanDiagram,

@@ -35,6 +35,13 @@ from ..optimizer.plans import (
 from .bouquet import PlanBouquet
 
 
+#: Width of the §5.1 cost-equivalence group: AxisPlans candidates within
+#: this fraction of the cheapest count as equally cheap.  The sweep
+#: engine's cohort replica reads the same constant, so cohort and
+#: residue locations of one field pick under one threshold.
+EQUIVALENCE_THRESHOLD = 0.2
+
+
 @dataclass
 class LearnedSelectivity:
     """A lower bound for one error dimension discovered at run time."""
@@ -326,7 +333,7 @@ class BouquetRunner:
         bouquet: PlanBouquet,
         service: ExecutionService,
         mode: str = "optimized",
-        equivalence_threshold: float = 0.2,
+        equivalence_threshold: float = EQUIVALENCE_THRESHOLD,
         model_error_delta: float = 0.0,
         tracer: Optional[Tracer] = None,
         crossing: Optional[object] = None,

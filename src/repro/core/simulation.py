@@ -55,7 +55,7 @@ def basic_cost_field(bouquet: PlanBouquet) -> np.ndarray:
     order under the (λ-inflated) budget; a failed attempt costs the full
     budget, a completing one costs its true cost.
     """
-    cache = bouquet.cost_cache
+    fields = bouquet.cost_cache.cost_arrays(bouquet.plan_ids)
     shape = bouquet.space.shape
     total = np.zeros(shape, dtype=float)
     done = np.zeros(shape, dtype=bool)
@@ -64,7 +64,7 @@ def basic_cost_field(bouquet: PlanBouquet) -> np.ndarray:
         for plan_id in contour.plan_ids:
             if done.all():
                 break
-            costs = cache.cost_array(plan_id)
+            costs = fields[plan_id]
             completes = (~done) & (costs <= budget)
             total[completes] += costs[completes]
             final_cost[completes] = costs[completes]
@@ -82,7 +82,6 @@ def optimized_cost_field(
     bouquet: PlanBouquet,
     locations: Optional[Iterable[Location]] = None,
     crossing: Optional[str] = None,
-    workers: Optional[int] = None,
 ) -> Dict[Location, float]:
     """Optimized-bouquet total cost per location (dict-shaped; the grid-
     shaped counterpart is :func:`repro.robustness.metrics.optimized_field`).
@@ -91,14 +90,13 @@ def optimized_cost_field(
     large spaces.  ``crossing`` picks the contour-crossing scheduler
     (see :mod:`repro.sched`); ``None`` means sequential.  Computed by
     the vectorized cohort engine in :mod:`repro.sweep` and memoized on
-    the bouquet; ``workers`` pool-shards the sweep residue.
+    the bouquet.
     """
     # Imported lazily: repro.sweep itself leans on simulate_at for
     # residue locations.
     from ..sweep import SweepEngine
 
-    engine = SweepEngine(bouquet, crossing=crossing, workers=workers)
-    return engine.field_dict(locations)
+    return SweepEngine(bouquet, crossing=crossing).field_dict(locations)
 
 
 def suboptimality_field(cost_field: np.ndarray, pic: np.ndarray) -> np.ndarray:

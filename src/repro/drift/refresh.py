@@ -259,7 +259,8 @@ def delta_refresh(
                 candidates.append(result.plan_id)
 
         cache = PlanCostCache(new_space, optimizer, registry)
-        stacked = np.stack([cache.cost_array(wid) for wid in candidates])
+        fields = cache.cost_arrays(candidates)
+        stacked = np.stack([fields[wid] for wid in candidates])
         min_cost = np.min(stacked, axis=0)
         winner = np.array(candidates, dtype=np.int64)[np.argmin(stacked, axis=0)]
         ties = (stacked == min_cost).sum(axis=0) > 1
@@ -324,8 +325,8 @@ def delta_refresh(
             if not newcomers:
                 break
             threat = np.zeros(new_space.shape, dtype=bool)
-            for wid in newcomers:
-                threat |= cache.cost_array(wid) <= costs
+            for field in cache.cost_arrays(newcomers).values():
+                threat |= field <= costs
             replan_locs = [
                 loc
                 for loc in new_space.locations()

@@ -31,11 +31,10 @@ class PlanCostCache:
     function at grid locations, memoizing whole arrays per plan — the
     workhorse behind every ESS-wide metric sweep.
 
-    The cache is thread-safe (the serving layer and the sweep engine's
-    residue pool both share bouquets across threads) and optionally
-    bounded: with ``max_plans`` set, the least-recently-used arrays are
-    evicted once the limit is exceeded.  Stale entries can be dropped
-    explicitly with :meth:`invalidate`.
+    The cache is thread-safe (the serving layer shares bouquets across
+    threads) and optionally bounded: with ``max_plans`` set, the
+    least-recently-used arrays are evicted once the limit is exceeded.
+    Stale entries can be dropped explicitly with :meth:`invalidate`.
     """
 
     def __init__(
@@ -57,37 +56,6 @@ class PlanCostCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._arrays)
-
-    def __getstate__(self) -> dict:
-        # The lock is rebuilt, not pickled (mirroring PlanRegistry) —
-        # this is what lets a bouquet payload ship through repro.par's
-        # worker queues under any start method.
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_arrays"] = OrderedDict(self._arrays)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    def snapshot(self) -> Dict[int, np.ndarray]:
-        """The currently materialized cost arrays, keyed by plan id."""
-        with self._lock:
-            return dict(self._arrays)
-
-    def seed(self, arrays: Dict[int, np.ndarray]) -> None:
-        """Pre-populate cost arrays (e.g. shared-memory planes).
-
-        Existing entries win: a seeded plane never displaces an array a
-        racing builder already installed.
-        """
-        for plan_id, array in arrays.items():
-            if array.shape != self.space.shape:
-                raise EssError("seeded cost array does not match the grid shape")
-            with self._lock:
-                self._arrays.setdefault(plan_id, array)
 
     def invalidate(self, plan_id: Optional[int] = None) -> None:
         """Drop the cached array for one plan (or all of them)."""

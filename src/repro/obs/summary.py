@@ -361,7 +361,6 @@ class ServingSummary:
                 ["payload ships", self._c("par.payload.ships")],
                 ["payload cache hits", self._c("par.payload.cache_hits")],
                 ["payload cache hit rate", f"{self.payload_cache_hit_rate:.0%}"],
-                ["shm planes exported", self._c("par.shm.exports")],
             ]
             lines.append("")
             lines.append(

@@ -1,7 +1,7 @@
 """Persistent worker pool with digest-keyed payload caching.
 
-This replaces the four per-call ``ctx.Pool`` sites (parallel POSP, slab
-batch compile, sweep residue, wlgen campaigns) with one substrate:
+One substrate for the two process fan-outs (parallel POSP generation,
+wlgen campaigns) instead of a per-call ``ctx.Pool`` at each site:
 
 * **Persistent + reusable** — ``get_pool(workers)`` hands back a live
   pool keyed by ``(start method, worker count)``; workers are started
@@ -9,13 +9,13 @@ batch compile, sweep residue, wlgen campaigns) with one substrate:
   fork/spawn/interpreter-boot tax.  ``shutdown_pools()`` (also wired to
   ``atexit``) tears everything down.
 * **Fork-preferred, verified-spawn fallback** — the start method
-  resolution and the pickle-round-trip hardening that used to be
-  copy-pasted four times live here once: under a non-fork method every
-  new payload digest is verified to survive ``pickle.loads`` in the
-  parent before any worker sees it, so an unpicklable payload fails
-  fast with a clear error instead of crashing inside queue machinery.
+  resolution and the pickle-round-trip hardening live here once: under
+  a non-fork method every new payload digest is verified to survive
+  ``pickle.loads`` in the parent before any worker sees it, so an
+  unpicklable payload fails fast with a clear error instead of
+  crashing inside queue machinery.
 * **Per-worker payload caching keyed by content digest** — a payload
-  (optimizer + space, bouquet, campaign config) is pickled once per
+  (optimizer + space, campaign config) is pickled once per
   call, hashed, and shipped to each worker at most once per digest;
   subsequent calls with a byte-identical payload ship nothing.  Workers
   keep the decoded object plus a derived-state memo
@@ -38,6 +38,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import multiprocessing as mp
+import os
 import pickle
 import queue as _queue
 import threading
@@ -49,7 +50,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ReproError
 from ..obs.tracer import NULL_TRACER, Tracer
-from .shm import release_segments
 
 __all__ = [
     "ParError",
@@ -58,6 +58,7 @@ __all__ = [
     "WorkerPool",
     "encode_payload",
     "get_pool",
+    "leaked_segments",
     "shutdown_pools",
 ]
 
@@ -78,9 +79,7 @@ def encode_payload(payload: Any) -> Tuple[str, bytes]:
     """Pickle ``payload`` and return ``(content digest, blob)``.
 
     The digest is the payload-cache key: two calls whose payloads pickle
-    to the same bytes share one per-worker decode.  Shared-memory planes
-    (:class:`repro.par.shm.ShmArray`) pickle by segment name, so a
-    bouquet re-wrapped around the same exported planes digests stably.
+    to the same bytes share one per-worker decode.
     """
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(blob).hexdigest(), blob
@@ -177,11 +176,6 @@ class PoolStats:
     payload_hits: int = 0
     ship_bytes: int = 0
 
-    @property
-    def reuse_rate(self) -> float:
-        """Fraction of runs that reused an already-warm pool."""
-        return (self.runs - 1) / self.runs if self.runs > 0 else 0.0
-
 
 def _resolve_start_method(start_method: Optional[str]) -> str:
     methods = mp.get_all_start_methods()
@@ -199,10 +193,10 @@ class WorkerPool:
 
     One shared task queue (workers steal), one shared result queue, and
     one private control queue per worker (payload broadcast).  ``run``
-    is serialized on an internal lock: concurrent callers (e.g. the
-    serving layer's compile thread pool, whose threads all reach the one
-    shared :func:`get_pool` pool) queue up instead of interleaving
-    seq-numbered tuples on the shared task/result queues.
+    is serialized on an internal lock: concurrent callers (threads
+    that all reach the one shared :func:`get_pool` pool) queue up
+    instead of interleaving seq-numbered tuples on the shared
+    task/result queues.
     """
 
     def __init__(
@@ -272,7 +266,7 @@ class WorkerPool:
         self._close_queues()
 
     def terminate(self) -> None:
-        """Hard stop (dead worker / interrupt): kill workers, free shm."""
+        """Hard stop (dead worker / interrupt): kill the workers."""
         self._closed = True
         self._broken = True
         for proc in self._procs:
@@ -282,7 +276,6 @@ class WorkerPool:
             proc.join(1.0)
         self._close_queues()
         _discard_pool(self)
-        release_segments()
 
     def _close_queues(self) -> None:
         for q in [self._tasks, self._results, *self._ctrl]:
@@ -464,13 +457,25 @@ def _discard_pool(pool: WorkerPool) -> None:
 
 
 def shutdown_pools() -> None:
-    """Close every registered pool and unlink every shm segment."""
+    """Close every registered pool."""
     with _POOLS_LOCK:
         pools = list(_POOLS.values())
         _POOLS.clear()
     for pool in pools:
         pool.close()
-    release_segments()
+
+
+def leaked_segments() -> List[str]:
+    """``repro_par_*`` segments visible in ``/dev/shm``.
+
+    Nothing in the tree creates such segments any more (payloads are
+    plain pickles), so this must always be empty; the ledger's
+    ``eval_campaign`` output check still gates on it.
+    """
+    try:
+        return sorted(n for n in os.listdir("/dev/shm") if n.startswith("repro_par_"))
+    except OSError:
+        return []
 
 
 atexit.register(shutdown_pools)

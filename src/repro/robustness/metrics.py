@@ -97,7 +97,7 @@ def crossing_mso_bound(
     return base if concurrent else base * float(rho)
 
 
-def optimized_field(bouquet, crossing=None, workers=None) -> np.ndarray:
+def optimized_field(bouquet, crossing=None) -> np.ndarray:
     """Grid-shaped optimized-bouquet cost field via the sweep engine.
 
     The ndarray counterpart of
@@ -108,7 +108,7 @@ def optimized_field(bouquet, crossing=None, workers=None) -> np.ndarray:
     """
     from ..sweep import SweepEngine
 
-    return SweepEngine(bouquet, crossing=crossing, workers=workers).cost_field()
+    return SweepEngine(bouquet, crossing=crossing).cost_field()
 
 
 def optimized_bouquet_metrics(
@@ -116,11 +116,10 @@ def optimized_bouquet_metrics(
     pic: np.ndarray,
     nat_subopt_worst: np.ndarray = None,
     crossing=None,
-    workers=None,
 ) -> Dict[str, float]:
     """MSO/ASO (and MaxHarm given a native baseline) for the optimized
     bouquet, swept in one pass over the ESS."""
-    field = optimized_field(bouquet, crossing=crossing, workers=workers)
+    field = optimized_field(bouquet, crossing=crossing)
     metrics = {
         "mso": bouquet_mso(field, pic),
         "aso": bouquet_aso(field, pic),

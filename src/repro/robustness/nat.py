@@ -29,11 +29,10 @@ def native_profile(diagram: PlanDiagram) -> StrategyProfile:
     if cache is None:
         raise EssError("diagram lacks a cost cache")
     occupancy = diagram.occupancy()
-    cost_fields = {
-        plan_id: cache.cost_array(plan_id) for plan_id in occupancy
-    }
     return StrategyProfile(
-        cost_fields=cost_fields, occupancy=occupancy, pic=diagram.costs
+        cost_fields=cache.cost_arrays(occupancy),
+        occupancy=occupancy,
+        pic=diagram.costs,
     )
 
 

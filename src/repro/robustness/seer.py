@@ -49,7 +49,7 @@ class SeerStrategy:
         occupancy = self.diagram.occupancy()
         posp = sorted(occupancy, key=lambda p: (-occupancy[p], p))
         threshold = 1.0 + self.lambda_
-        fields = {p: cache.cost_array(p) for p in posp}
+        fields = cache.cost_arrays(posp)
         replacement: Dict[int, int] = {}
         for victim in posp:
             chosen = victim
@@ -77,9 +77,10 @@ class SeerStrategy:
         for plan_id, count in self.diagram.occupancy().items():
             target = self.replacement.get(plan_id, plan_id)
             occupancy[target] = occupancy.get(target, 0) + count
-        cost_fields = {p: cache.cost_array(p) for p in occupancy}
         return StrategyProfile(
-            cost_fields=cost_fields, occupancy=occupancy, pic=self.diagram.costs
+            cost_fields=cache.cost_arrays(occupancy),
+            occupancy=occupancy,
+            pic=self.diagram.costs,
         )
 
     # ------------------------------------------------------------------

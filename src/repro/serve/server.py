@@ -91,7 +91,6 @@ class BouquetServer:
         templates: Optional[TemplateStore] = None,
         max_workers: int = 4,
         compile_timeout: Optional[float] = None,
-        compile_workers: Optional[int] = None,
         tracer: Optional[Tracer] = None,
     ):
         if max_workers < 1:
@@ -107,7 +106,6 @@ class BouquetServer:
         else:
             self.templates = TemplateStore() if config.template else None
         self.compile_timeout = compile_timeout
-        self.compile_workers = compile_workers
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="bouquet-compile"
         )
@@ -141,10 +139,6 @@ class BouquetServer:
             return parse_query(query, self.catalog.schema), query
         return query, None
 
-    def key_for(self, query: Union[str, Query]) -> ArtifactKey:
-        parsed, _ = self._parse(query)
-        return artifact_key(parsed, self.catalog.statistics, self.config)
-
     def _use_templates(self) -> bool:
         return self.templates is not None and self.config.template
 
@@ -163,7 +157,6 @@ class BouquetServer:
             None,
             None,
             self.tracer,
-            self.compile_workers,
             None,
             sql,
             span_name="serve.compile",

@@ -1,9 +1,9 @@
-"""Vectorized + parallel ESS sweep engine for optimized-bouquet metrics.
+"""Vectorized ESS sweep engine for optimized-bouquet metrics.
 
 The per-location reference (:func:`repro.core.simulation.simulate_at` in
 ``optimized`` mode, looped over the grid) re-runs the Figure 13 driver
 from scratch at every location.  This package computes the same field
-with three cooperating layers:
+with two cooperating layers:
 
 * :mod:`repro.sweep.cohorts` — cohort batching: locations sharing an
   execution prefix advance together through vectorized replicas of the
@@ -11,8 +11,9 @@ with three cooperating layers:
 * :mod:`repro.sweep.memo` — per-bouquet memoization: a full-grid
   totals memo (a re-sweep is a gather) plus the contour tables and plan
   costing metadata, built once per bouquet.
-* :mod:`repro.sweep.shard` — process-pool sharding for the divergent
-  residue that batching cannot amortize.
+
+The divergent residue that batching cannot amortize is finished per
+location by ``simulate_at`` itself.
 
 Entry points: :class:`SweepEngine` for repeated sweeps over one bouquet;
 :func:`repro.core.simulation.optimized_cost_field` is its dict-shaped
@@ -23,7 +24,6 @@ grid-shaped one.
 from .cohorts import BatchCoster, ContourTables
 from .engine import Cohort, SweepEngine
 from .memo import SweepCache, sweep_cache
-from .shard import run_residue
 
 __all__ = [
     "BatchCoster",
@@ -31,6 +31,5 @@ __all__ = [
     "ContourTables",
     "SweepCache",
     "SweepEngine",
-    "run_residue",
     "sweep_cache",
 ]

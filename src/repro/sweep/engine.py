@@ -16,8 +16,8 @@ replica of :meth:`repro.core.runtime.BouquetRunner._run_optimized`:
    spill outcome, early-crossing verdict) — and each child continues as
    its own cohort;
 4. cohorts that shrink below the batching threshold become *residue* and
-   are finished by the reference per-location runner (optionally across
-   a process pool, see :mod:`repro.sweep.shard`).
+   are finished by the reference per-location runner
+   (:func:`repro.core.simulation.simulate_at`).
 
 Two closed forms avoid per-location loops entirely: once every dimension
 is learned exactly, the remaining climb reduces to masked lookups over
@@ -40,11 +40,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
+from ..core.runtime import EQUIVALENCE_THRESHOLD
+from ..core.simulation import simulate_at
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import Tracer
 from .memo import SweepCache, sweep_cache
-from .shard import run_residue
 
 __all__ = ["SweepEngine", "Cohort"]
 
@@ -79,9 +80,7 @@ class SweepEngine:
         self,
         bouquet: PlanBouquet,
         crossing: Optional[object] = None,
-        workers: Optional[int] = None,
         residue_min: int = DEFAULT_RESIDUE_MIN,
-        equivalence_threshold: float = 0.2,
         tracer: Optional[Tracer] = None,
     ):
         from ..sched.strategy import resolve_crossing
@@ -89,9 +88,7 @@ class SweepEngine:
         self.bouquet = bouquet
         self.space = bouquet.space
         self.crossing = resolve_crossing(crossing)
-        self.workers = workers
         self.residue_min = max(1, residue_min)
-        self.equivalence_threshold = equivalence_threshold
         if tracer is not None:
             self.tracer = tracer
         else:
@@ -229,19 +226,14 @@ class SweepEngine:
         out_rows: Optional[np.ndarray] = None,
     ) -> None:
         """Reference per-location totals for residue / crossing sweeps."""
-        locations = [
-            tuple(int(i) for i in np.unravel_index(f, self._shape))
-            for f in flat
-        ]
         crossing = self.crossing.name if self.crossing.name != "sequential" else None
-        totals = run_residue(
-            self.bouquet,
-            locations,
-            crossing=crossing,
-            workers=self.workers,
-            tracer=self.tracer,
+        coords = np.stack(np.unravel_index(flat, self._shape), axis=1).tolist()
+        values = np.array(
+            [
+                simulate_at(self.bouquet, tuple(loc), crossing=crossing).total_cost
+                for loc in coords
+            ]
         )
-        values = np.array([totals[loc] for loc in locations])
         if out_rows is not None and self._out is not None:
             self._out[out_rows] = values
         else:
@@ -386,7 +378,7 @@ class SweepEngine:
         cheapest = np.min(np.where(productive, costq, np.inf), axis=1)
         with np.errstate(invalid="ignore"):
             in_group = productive & (
-                costq <= (cheapest * (1.0 + self.equivalence_threshold))[:, None]
+                costq <= (cheapest * (1.0 + EQUIVALENCE_THRESHOLD))[:, None]
             )
         best_depth = np.full(n, _NEG, dtype=np.int64)
         best_cost = np.full(n, np.inf)
@@ -526,9 +518,10 @@ class SweepEngine:
                 costq[r, j] = coster.plan_cost(pid, qrun[r])
             eligible[:, j] = r
         runnable = eligible & (costq <= budget * (1.0 + 1e-9))
+        fields = cache.cost_arrays(tables.plan_ids)
         true_cost = np.empty((n, Pc))
         for j, pid in enumerate(tables.plan_ids):
-            true_cost[:, j] = cache.cost_array(pid).ravel()[flat]
+            true_cost[:, j] = fields[pid].ravel()[flat]
         completes = runnable & (true_cost <= budget)
 
         # First completer in ascending (cost-at-q_run, plan id) order.

@@ -1,5 +1,6 @@
 """Worker-pool semantics: ordering, caching, failure, lifecycle."""
 
+import multiprocessing
 import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +67,15 @@ def _worker_pid(ctx, payload, item):
     return os.getpid()
 
 
+def _live_pool_workers():
+    """Pool worker processes of this interpreter that are still running."""
+    return [
+        proc
+        for proc in multiprocessing.active_children()
+        if proc.name.startswith("repro-par-")
+    ]
+
+
 # --- ordering and reuse ---------------------------------------------------
 
 
@@ -118,9 +128,9 @@ class TestRunSemantics:
 
 class TestConcurrency:
     def test_concurrent_runs_from_threads_do_not_interleave(self):
-        # The serving layer's compile executor reaches one shared pool
-        # from several threads at once; run() must serialize so the
-        # seq-numbered result streams cannot cross-assign.
+        # Threads asking get_pool for one worker count share a pool;
+        # run() must serialize so the seq-numbered result streams
+        # cannot cross-assign.
         pool = WorkerPool(2)
         try:
             def batch(k):
@@ -244,9 +254,13 @@ class TestFailure:
     def test_dead_worker_breaks_pool(self):
         pool = WorkerPool(2)
         try:
+            pids = set(pool.run(_worker_pid, None, list(range(8))))
             with pytest.raises(ParError, match="died mid-run"):
                 pool.run(_exit_hard, 1, list(range(4)))
             assert not pool.alive
+            # terminate() ran inside the failed run: the crashed worker
+            # and its surviving sibling are both gone already.
+            assert pids.isdisjoint(proc.pid for proc in _live_pool_workers())
             with pytest.raises(ParError, match="closed"):
                 pool.run(_affine, {"a": 1, "b": 0}, [1])
         finally:
@@ -314,6 +328,7 @@ class TestRegistry:
         shutdown_pools()
         assert not pool.alive
         assert leaked_segments() == []
+        assert _live_pool_workers() == []
         # and the registry hands out a fresh pool afterwards
         assert get_pool(2).run(_affine, {"a": 1, "b": 0}, [3]) == [3]
 

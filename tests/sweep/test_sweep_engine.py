@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core.simulation import optimized_cost_field, simulate_at
 from repro.robustness import optimized_field
-from repro.sweep import SweepEngine, run_residue
+from repro.obs import MemorySink, Tracer
+from repro.sweep import SweepEngine
 from repro.sweep.memo import sweep_cache
 from tests.conftest import reference_field
 
@@ -104,18 +105,66 @@ class TestEngineMechanics:
         # somewhere (and must not leak into the sequential memo).
         assert not np.allclose(sequential, concurrent, rtol=1e-6)
 
-    def test_sharded_residue_matches_serial(self, q3d):
-        locations = [(0, 0, 0), (1, 2, 3), (6, 6, 6), (4, 4, 0), (2, 5, 1)]
-        serial = run_residue(q3d.bouquet, locations)
-        sharded = run_residue(q3d.bouquet, locations, workers=2)
-        assert set(serial) == set(sharded)
-        for loc in locations:
-            assert sharded[loc] == pytest.approx(serial[loc], rel=RTOL)
-
     def test_array_entry_point_shape(self, q3d):
         field = optimized_field(q3d.bouquet)
         assert field.shape == q3d.space.shape
         assert (field > 0).all()
+
+
+class TestResidueRoute:
+    """The residue has one route — ``simulate_at`` per location — so its
+    totals equal the reference bit for bit, and the counts are the ones
+    the pool-sharded engine reported."""
+
+    @staticmethod
+    def _cold_engine(bouquet, monkeypatch, **kwargs):
+        """An engine over an emptied memo that records what it hands to
+        the residue route and what it reports about it."""
+        tracer = Tracer(MemorySink())
+        engine = SweepEngine(bouquet, tracer=tracer, **kwargs)
+        engine.cache.invalidate()
+        residue = []
+        finish = engine._finish_residue
+        row_major = list(bouquet.space.locations())
+
+        def recording(flat, *args, **kw):
+            residue.extend(row_major[f] for f in flat.tolist())
+            return finish(flat, *args, **kw)
+
+        monkeypatch.setattr(engine, "_finish_residue", recording)
+
+        def reported():
+            (span,) = [
+                record["attrs"]
+                for record in tracer.sink.records
+                if record["type"] == "span_end" and record["name"] == "sweep.field"
+            ]
+            return span, tracer.snapshot()["counters"]
+
+        return engine, residue, reported
+
+    def test_concurrent_sample_is_all_residue(self, q3d, monkeypatch):
+        locations = [(0, 0, 0), (1, 2, 3), (6, 6, 6), (4, 4, 0), (2, 5, 1)]
+        engine, residue, reported = self._cold_engine(
+            q3d.bouquet, monkeypatch, crossing="concurrent"
+        )
+        totals = engine.totals(locations)
+        assert residue == locations
+        reference = reference_field(q3d.bouquet, locations, crossing="concurrent")
+        assert totals.tolist() == [reference[loc] for loc in locations]
+        span, counters = reported()
+        assert (span["cohorts"], span["splits"], span["residue"]) == (0, 0, 5)
+        assert counters["sweep.residue_locations"] == 5
+
+    def test_sequential_residue_of_3d_h_q5(self, q3d, monkeypatch):
+        engine, residue, reported = self._cold_engine(q3d.bouquet, monkeypatch)
+        field = engine.cost_field()
+        span, counters = reported()
+        assert (span["cohorts"], span["splits"], span["residue"]) == (26, 16, 23)
+        assert counters["sweep.residue_locations"] == 23
+        assert len(residue) == len(set(residue)) == 23
+        reference = reference_field(q3d.bouquet, residue)
+        assert [field[loc] for loc in residue] == [reference[loc] for loc in residue]
 
 
 class TestPropertyEquality:
