@@ -104,12 +104,12 @@ class PlanCostCache:
         for dim, axis in zip(space.dimensions, axes):
             assignment[dim.pid] = axis
         ctx = CostContext(self.optimizer.schema, self.optimizer.cost_model, assignment)
+        plans = [self.registry.plan(plan_id) for plan_id in missing]
         built = {
             plan_id: np.broadcast_to(
-                np.asarray(self.registry.plan(plan_id).estimate(ctx).cost, dtype=float),
-                space.shape,
+                np.asarray(estimate.cost, dtype=float), space.shape
             ).copy()
-            for plan_id in missing
+            for plan_id, estimate in zip(missing, ctx.estimates(plans))
         }
         with self._lock:
             for plan_id, array in built.items():

@@ -24,12 +24,14 @@ from repro.ess.diagram import PlanCostCache
 from repro.ess.posp import contour_focused_posp
 from repro.optimizer import (
     POSTGRES_COST_MODEL,
+    IndexLookup,
     Join,
     Optimizer,
     actual_selectivities,
     cost_plan,
 )
 from repro.optimizer.optimizer import PlanRegistry
+from repro.optimizer.plans import CostContext
 from repro.par import leaked_segments, shutdown_pools
 from repro.query import parse_query
 from repro.query.workload import TABLE2_NAMES
@@ -401,6 +403,45 @@ class TestBatchCostArrays:
             assert np.array_equal(array, old)
             pointwise = [cost_plan(plan, schema, model, a).cost for a in assignments]
             assert array.ravel().tolist() == pointwise
+
+    def test_estimates_drop_each_subtree_after_its_last_plan(self, lab):
+        """``CostContext.estimates`` costs every distinct node exactly
+        once (a shared sub-tree is never dropped before its last reader),
+        holds a fraction of them at any time and leaves the memo empty;
+        what it yields is what ``plan.estimate`` yields on its own."""
+
+        class Memo(dict):
+            sets = peak = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.sets += 1
+                self.peak = max(self.peak, len(self))
+
+        diagram = lab.build("4D_H_Q8").diagram
+        space, optimizer = diagram.space, lab.h_optimizer
+        assignment = dict(space.base_assignment)
+        axes = np.meshgrid(*space.grids, indexing="ij", sparse=True)
+        for dim, axis in zip(space.dimensions, axes):
+            assignment[dim.pid] = axis
+        plans = [diagram.registry.plan(pid) for pid in diagram.posp_plan_ids]
+        plans.append(plans[0])  # a repeated plan is read from the memo
+        costed = {
+            id(node)
+            for plan in plans
+            for node in plan.postorder()
+            if not isinstance(node, IndexLookup)
+        }
+
+        ctx = CostContext(optimizer.schema, optimizer.cost_model, assignment)
+        memo = ctx._memo = Memo()
+        for plan, estimate in zip(plans, ctx.estimates(plans), strict=True):
+            alone = cost_plan(plan, optimizer.schema, optimizer.cost_model, assignment)
+            assert np.array_equal(estimate.cost, alone.cost)
+            assert np.array_equal(estimate.rows, alone.rows)
+        assert memo.sets == len(costed)
+        assert memo.peak <= len(costed) // 4
+        assert not memo
 
 
 class TestParallelBatch:
