@@ -6,9 +6,6 @@
 #   make lint         ruff check (imports + obvious-bug rules; config in
 #                     pyproject.toml); without ruff, the stdlib unused-import
 #                     and export checks of tests/test_public_surface.py
-#   make serve-smoke  compile-cache the canned workload twice; fail unless
-#                     the warm pass is all cache hits and >= 5x faster
-#   make check        lint + serve-smoke (the gated fast checks)
 #   make ci           lint + ledger-smoke + perf-guards + the tier-1 pytest
 #                     suite, in one gate
 #   make ledger-smoke the BENCHMARK.json ledger at a tenth of its size: all
@@ -18,9 +15,13 @@
 #                     request builds no index and is one plan execution, a
 #                     whole-grid compile offers one DP's worth of join
 #                     candidates); counts only, nothing is timed
-#   make census       the figures a CHANGES entry quotes: src/ lines per
-#                     package and in total, BouquetConfig field and
-#                     ServeRequest key counts, who takes a workers parameter
+#   make census       the figures a CHANGES entry quotes: lines per package
+#                     of src/ and in total (also with tests/, benchmarks/
+#                     and examples/ added, so a move is not a deletion),
+#                     BouquetConfig field and ServeRequest key counts, who
+#                     takes a workers parameter, defaulted public
+#                     parameters per package, the CLI subcommands, and the
+#                     public definitions only tests reach
 #   make bench        regenerate every paper table/figure
 #   make experiments  bench + rebuild EXPERIMENTS.md
 #   make examples     run the example scripts end to end
@@ -29,7 +30,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test lint serve-smoke check ci ledger-smoke perf-guards census bench experiments examples all clean
+.PHONY: help install test lint ci ledger-smoke perf-guards census bench experiments examples all clean
 
 help:
 	@sed -n 's/^#   //p' Makefile
@@ -47,11 +48,6 @@ lint:
 		echo "ruff not installed; running the stdlib unused-import and export checks"; \
 		PYTHONPATH=src $(PYTHON) -m pytest tests/test_public_surface.py -q; \
 	fi
-
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro serve-smoke
-
-check: lint serve-smoke
 
 ci: lint ledger-smoke perf-guards
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

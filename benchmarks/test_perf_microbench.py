@@ -16,6 +16,18 @@ from repro.executor import ExecutionEngine
 from repro.obs import MemorySink, Tracer
 from repro.optimizer import actual_selectivities, cost_plan
 
+#: The §4.2 canned workload: a handful of distinct SPJ shapes over TPC-H.
+CANNED_WORKLOAD = [
+    "select * from lineitem, orders, part "
+    "where p_partkey = l_partkey and l_orderkey = o_orderkey "
+    "and p_retailprice < 1000",
+    "select * from lineitem, orders "
+    "where l_orderkey = o_orderkey and o_totalprice < 150000",
+    "select count(*) from lineitem, part "
+    "where p_partkey = l_partkey and p_retailprice < 1200 "
+    "group by p_brand",
+]
+
 
 @pytest.fixture(scope="module")
 def env(lab):
@@ -135,7 +147,6 @@ def test_perf_warm_request_is_one_execution(benchmark, env, monkeypatch):
     alone: the probe makes no predicate mask at all (the scans' masks go
     through ``executor.arrays``, which this does not count)."""
     from repro.api import Catalog, compile_bouquet
-    from repro.bench.serving import CANNED_WORKLOAD
     from repro.datagen import database as database_module
 
     lab, _, _ = env

@@ -40,7 +40,7 @@ from .api import (
     generate_workload,
     simulate,
 )
-from .bench.harness import Lab, QueryLab, shared_lab
+from .bench.harness import Lab, QueryLab
 from .catalog import tpcds_schema, tpch_schema
 from .core import (
     BouquetRunner,
@@ -132,7 +132,6 @@ __all__ = [
     "TenantQuota",
     "Lab",
     "QueryLab",
-    "shared_lab",
     "tpcds_schema",
     "tpch_schema",
     "BouquetRunner",

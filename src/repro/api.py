@@ -102,9 +102,11 @@ class BouquetConfig:
     knobs: ``mode`` toggles the spill/AxisPlans optimized driver vs. the
     basic Figure 7 driver, ``crossing`` picks the contour-crossing
     scheduler (:mod:`repro.sched` — ``sequential``, ``concurrent``, or
-    ``timesliced``), ``equivalence_threshold`` sizes the
-    cost-equivalence groups, and ``model_error_delta`` is the §3.4
-    bounded cost-model-error δ (budgets inflate by 1+δ).
+    ``timesliced``), and ``model_error_delta`` is the §3.4 bounded
+    cost-model-error δ (budgets inflate by 1+δ).  The cost-equivalence
+    group width is not a knob: the run-time driver and the sweep that
+    measures it both read ``core.runtime.EQUIVALENCE_THRESHOLD``, which
+    ``equivalence_threshold`` reports read-only.
 
     There is no compile-engine knob: POSP generation always runs the
     DPsize enumeration once per slab of ESS locations
@@ -134,7 +136,6 @@ class BouquetConfig:
     resolution: Optional[int] = None
     mode: str = "optimized"
     crossing: str = "sequential"
-    equivalence_threshold: float = EQUIVALENCE_THRESHOLD
     model_error_delta: float = 0.0
     cost_model: str = "postgres"
     patch: bool = True
@@ -170,6 +171,10 @@ class BouquetConfig:
     def cost_model_object(self) -> CostModel:
         return _COST_MODELS[self.cost_model]
 
+    @property
+    def equivalence_threshold(self) -> float:
+        return EQUIVALENCE_THRESHOLD
+
     def compile_knobs(self) -> Dict[str, object]:
         """The knobs that determine the compiled artifact (cache-key part)."""
         return {
@@ -195,7 +200,6 @@ class BouquetConfig:
             "resolution": self.resolution,
             "mode": self.mode,
             "crossing": self.crossing,
-            "equivalence_threshold": self.equivalence_threshold,
             "model_error_delta": self.model_error_delta,
             "cost_model": self.cost_model,
             "patch": self.patch,
@@ -207,10 +211,12 @@ class BouquetConfig:
         # Artifacts written before the maintenance knob (``patch``) or
         # the template-cache knob (``template``) existed omit those keys;
         # the dataclass defaults cover them.  Envelopes written while the
-        # config still had a compile-engine selector carry its key: it
-        # never entered the artifact key, so it is dropped, not rejected.
+        # config still had a compile-engine selector or a settable
+        # ``equivalence_threshold`` carry those keys: neither ever entered
+        # the artifact key, so they are dropped, not rejected.
         fields = dict(data)
         fields.pop("compile_engine", None)
+        fields.pop("equivalence_threshold", None)
         return BouquetConfig(**fields)
 
 
@@ -572,7 +578,6 @@ def execute(
             service,
             mode=run_mode,
             crossing=run_crossing,
-            equivalence_threshold=config.equivalence_threshold,
             model_error_delta=config.model_error_delta,
             tracer=tracer,
         ).run()
@@ -606,7 +611,6 @@ def simulate(
             service,
             mode=run_mode,
             crossing=run_crossing,
-            equivalence_threshold=config.equivalence_threshold,
             model_error_delta=config.model_error_delta,
             tracer=tracer,
         ).run()

@@ -1,14 +1,11 @@
 """Benchmark harness: shared lab environment and reporting helpers."""
 
-from .harness import DEFAULT_RESOLUTIONS, Lab, QueryLab, shared_lab
-from .reporting import format_series, format_table, log_bar
+from .harness import DEFAULT_RESOLUTIONS, Lab, QueryLab
+from .reporting import format_table
 
 __all__ = [
     "DEFAULT_RESOLUTIONS",
     "Lab",
     "QueryLab",
-    "shared_lab",
-    "format_series",
     "format_table",
-    "log_bar",
 ]

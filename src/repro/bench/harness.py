@@ -176,15 +176,3 @@ class Lab:
         for name, stats in sorted(snapshot["timings"].items()):
             records.append({"type": "timing", "name": name, **stats})
         return summarize_trace(records).describe()
-
-
-_SHARED_LAB: Optional[Lab] = None
-
-
-def shared_lab() -> Lab:
-    """A process-wide default lab, shared across benches to amortize the
-    (deterministic) database generation and diagram construction."""
-    global _SHARED_LAB
-    if _SHARED_LAB is None:
-        _SHARED_LAB = Lab()
-    return _SHARED_LAB

@@ -42,20 +42,3 @@ def _fmt(cell: object) -> str:
             return f"{cell:.0f}"
         return f"{cell:.2f}"
     return str(cell)
-
-
-def format_series(
-    xs: Sequence[float], ys: Sequence[float], x_label: str, y_label: str
-) -> str:
-    """Render an (x, y) series as two aligned columns."""
-    return format_table([x_label, y_label], list(zip(xs, ys)))
-
-
-def log_bar(value: float, unit: float = 1.0, width: int = 40) -> str:
-    """A crude log-scale ASCII bar, for figure-flavoured output."""
-    import math
-
-    if value <= 0:
-        return ""
-    n = int(min(width, max(1, round(math.log10(value / unit + 1.0) * 10))))
-    return "#" * n

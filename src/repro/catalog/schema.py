@@ -102,8 +102,8 @@ class Table:
         if row_count <= 0:
             raise CatalogError(f"table {name!r} must have a positive row count")
         self.row_count = int(row_count)
-        self._row_width = sum(col.width for col in self.columns)
-        rows_per_page = max(1, PAGE_SIZE_BYTES // max(1, self._row_width))
+        row_width = sum(col.width for col in self.columns)
+        rows_per_page = max(1, PAGE_SIZE_BYTES // max(1, row_width))
         self._pages = max(1, -(-self.row_count // rows_per_page))
         if primary_key is not None and primary_key not in self._by_name:
             raise CatalogError(
@@ -124,11 +124,6 @@ class Table:
     @property
     def column_names(self) -> List[str]:
         return [col.name for col in self.columns]
-
-    @property
-    def row_width(self) -> int:
-        """Total row width in bytes."""
-        return self._row_width
 
     @property
     def pages(self) -> int:

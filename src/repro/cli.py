@@ -17,14 +17,9 @@ across machines:
   ``compile/run --trace FILE``) into a Table 3-style per-contour account;
 * ``serve-stats`` — summarize the serving-layer account (cache ladder,
   single-flight coalescing, degradations) of a JSONL trace;
-* ``serve-smoke`` — compile-cache the canned workload twice and verify
-  the warm pass is all cache hits and at least 5x faster;
 * ``serve``   — run the asyncio HTTP/JSON front-end (the v1 envelope
   protocol: POST /v1/serve, GET /v1/stats, GET /healthz) over a
   synthetic environment, with per-tenant admission quotas;
-* ``serve-load`` — replay thousands of concurrent sessions against the
-  front-end (simulated fast path or real asyncio) and gate on zero
-  silent drops;
 * ``fuzz``    — generate a seeded random workload, pick each query's ESS
   dimensions by error-sensitivity, and validate every measured MSO
   against the 4(1+λ)ρ guarantee (``--out`` writes the JSON report);
@@ -286,29 +281,6 @@ def _cmd_serve_stats(args) -> int:
     return 0
 
 
-def _cmd_serve_smoke(args) -> int:
-    from .bench.serving import run_serve_smoke
-    from .obs import JsonlSink as _JsonlSink
-
-    tracer = None
-    if args.trace:
-        tracer = Tracer(_JsonlSink(args.trace))
-    report = run_serve_smoke(
-        scale=args.scale,
-        seed=args.seed,
-        stats_sample=args.stats_sample,
-        resolution=args.resolution,
-        store_root=args.store,
-        min_speedup=args.min_speedup,
-        tracer=tracer,
-    )
-    if tracer is not None:
-        tracer.close()
-        print(f"trace written to {args.trace}")
-    print(report.describe())
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -408,25 +380,6 @@ def _cmd_fuzz(args) -> int:
             handle.write("\n")
         print(f"report written to {args.out}")
     return 0 if report.ok else 1
-
-
-def _cmd_serve_load(args) -> int:
-    from .bench.serve_load import main as load_main
-
-    argv = [
-        "--sessions", str(args.sessions),
-        "--requests", str(args.requests),
-        "--workers", str(args.workers),
-        "--seed", str(args.seed),
-        "--min-concurrent", str(args.min_concurrent),
-    ]
-    if args.smoke:
-        argv.append("--smoke")
-    if args.real_server:
-        argv.append("--real-server")
-    if args.out:
-        argv.extend(["--out", args.out])
-    return load_main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,26 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sstats.add_argument("file", help="trace file written by the serving layer")
     p_sstats.set_defaults(func=_cmd_serve_stats)
 
-    p_smoke = sub.add_parser(
-        "serve-smoke",
-        help="compile-cache the canned workload twice; fail unless the warm "
-        "pass is all cache hits and >= 5x faster",
-    )
-    p_smoke.add_argument("--scale", type=float, default=0.002)
-    p_smoke.add_argument("--seed", type=int, default=7)
-    p_smoke.add_argument("--stats-sample", type=int, default=800)
-    p_smoke.add_argument("--resolution", type=int, default=32)
-    p_smoke.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="artifact store directory (default: memory-only)",
-    )
-    p_smoke.add_argument("--min-speedup", type=float, default=5.0)
-    p_smoke.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write the serving telemetry as a JSONL trace",
-    )
-    p_smoke.set_defaults(func=_cmd_serve_smoke)
-
     p_serve = sub.add_parser(
         "serve",
         help="run the asyncio HTTP/JSON serving front-end (v1 envelope "
@@ -637,30 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the campaign report as JSON here",
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    p_load = sub.add_parser(
-        "serve-load",
-        help="replay concurrent sessions against the serving front-end "
-        "and gate on zero silent drops",
-    )
-    p_load.add_argument("--sessions", type=int, default=2400)
-    p_load.add_argument("--requests", type=int, default=3)
-    p_load.add_argument("--workers", type=int, default=48)
-    p_load.add_argument("--seed", type=int, default=42)
-    p_load.add_argument("--min-concurrent", type=int, default=2000)
-    p_load.add_argument(
-        "--smoke", action="store_true",
-        help="simulated mode only (the fast CI gate)",
-    )
-    p_load.add_argument(
-        "--real-server", action="store_true",
-        help="also run the asyncio pass against a genuine BouquetServer",
-    )
-    p_load.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the load report as JSON here",
-    )
-    p_load.set_defaults(func=_cmd_serve_load)
     return parser
 
 

@@ -36,7 +36,6 @@ from .simulation import (
     optimized_cost_field,
     sample_locations,
     simulate_at,
-    suboptimality_field,
 )
 
 __all__ = [
@@ -75,5 +74,4 @@ __all__ = [
     "optimized_cost_field",
     "sample_locations",
     "simulate_at",
-    "suboptimality_field",
 ]

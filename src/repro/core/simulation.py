@@ -81,27 +81,19 @@ def basic_cost_field(bouquet: PlanBouquet) -> np.ndarray:
 def optimized_cost_field(
     bouquet: PlanBouquet,
     locations: Optional[Iterable[Location]] = None,
-    crossing: Optional[str] = None,
 ) -> Dict[Location, float]:
     """Optimized-bouquet total cost per location (dict-shaped; the grid-
     shaped counterpart is :func:`repro.robustness.metrics.optimized_field`).
 
     ``locations`` defaults to the whole grid; pass a sample for very
-    large spaces.  ``crossing`` picks the contour-crossing scheduler
-    (see :mod:`repro.sched`); ``None`` means sequential.  Computed by
-    the vectorized cohort engine in :mod:`repro.sweep` and memoized on
-    the bouquet.
+    large spaces.  Computed by the vectorized cohort engine in
+    :mod:`repro.sweep` and memoized on the bouquet.
     """
     # Imported lazily: repro.sweep itself leans on simulate_at for
     # residue locations.
     from ..sweep import SweepEngine
 
-    return SweepEngine(bouquet, crossing=crossing).field_dict(locations)
-
-
-def suboptimality_field(cost_field: np.ndarray, pic: np.ndarray) -> np.ndarray:
-    """SubOpt(*, qa) = bouquet cost / optimal cost, elementwise."""
-    return cost_field / pic
+    return SweepEngine(bouquet).field_dict(locations)
 
 
 def sample_locations(

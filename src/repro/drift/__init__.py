@@ -10,7 +10,7 @@ to *drift* instead of to ESS size:
   localized-drift injector used by the CLI, the ledger, and the tests;
 * :mod:`~repro.drift.refresh` is the engine: :func:`delta_refresh`
   re-plans only the ESS locations whose argmin plan can have changed
-  under the delta (frontier diff + probe + halo, DP-authoritative
+  under the delta (frontier diff + probe, DP-authoritative
   re-plan slab), and :func:`patch_compiled` applies it to a cached
   serving artifact.  :func:`bouquets_equal` is the bit-for-bit
   equivalence check against the reference full recompile.

@@ -22,8 +22,7 @@ old base usually still wins under the new one.
    argmin differs from the old winner or when two candidates tie there.
    Ties are always suspect: the DP breaks them by an enumeration order
    that threads through *subplan* costs, so even an unchanged tied set
-   can resolve differently under the new statistics.  An optional
-   ``halo`` widens the suspect set by a Chebyshev ball.
+   can resolve differently under the new statistics.
 4. **Re-plan the suspects, then chase newcomers to a fixpoint.**  The
    suspect set is sent through ``optimize_batch`` as one slab — the DP
    is authoritative wherever it ran.  Any plan the DP discovers that the
@@ -134,19 +133,9 @@ def moved_base_pids(
     ]
 
 
-def _dilate(mask: np.ndarray, steps: int) -> np.ndarray:
-    """Chebyshev-ball dilation of a boolean grid mask by ``steps`` cells."""
-    for _ in range(max(0, steps)):
-        grown = mask.copy()
-        for axis in range(mask.ndim):
-            lo = [slice(None)] * mask.ndim
-            hi = [slice(None)] * mask.ndim
-            lo[axis] = slice(0, -1)
-            hi[axis] = slice(1, None)
-            grown[tuple(lo)] |= mask[tuple(hi)]
-            grown[tuple(hi)] |= mask[tuple(lo)]
-        mask = grown
-    return mask
+#: Probe locations per dimension of the coarse subgrid that pass 2 plans
+#: with the DP to catch plans outside the incumbent set.
+PROBES_PER_DIM = 3
 
 
 def delta_refresh(
@@ -156,8 +145,6 @@ def delta_refresh(
     *,
     lambda_: Optional[float] = None,
     ratio: Optional[float] = None,
-    probes_per_dim: int = 3,
-    halo: int = 0,
     max_probe_divergence: Optional[float] = None,
     max_suspect_fraction: Optional[float] = None,
 ) -> DeltaRefreshResult:
@@ -168,7 +155,7 @@ def delta_refresh(
     ``optimizer`` must be built over the *new* statistics; ``new_space``
     must share the old space's dimensions and shape (raises
     :class:`~repro.exceptions.DriftError` otherwise — callers fall back
-    to the seed-and-merge path or a full recompile).
+    to a full recompile).
 
     ``max_probe_divergence`` and ``max_suspect_fraction`` bound how far
     the carried artifact may drift before the delta path gives up: the
@@ -247,7 +234,7 @@ def delta_refresh(
 
         # Pass 2: authoritative probes on a coarse subgrid to catch plans
         # outside the incumbent set.
-        probe_locs = coarse_subgrid(new_space, per_dim=probes_per_dim)
+        probe_locs = coarse_subgrid(new_space, per_dim=PROBES_PER_DIM)
         probe_results = optimizer.optimize_batch(
             query, [new_space.assignment_at(loc) for loc in probe_locs]
         )
@@ -281,8 +268,8 @@ def delta_refresh(
                     f"at the probes (tolerance {max_probe_divergence:.1%})"
                 )
 
-        # Pass 3: frontier diff (ties always suspect), optional halo.
-        suspect = _dilate((winner != old_wid) | ties, steps=halo)
+        # Pass 3: frontier diff (ties always suspect).
+        suspect = (winner != old_wid) | ties
         if max_suspect_fraction is not None:
             fraction = float(suspect.sum()) / float(suspect.size)
             if fraction > max_suspect_fraction:
@@ -385,8 +372,6 @@ def patch_compiled(
     catalog,
     *,
     old_statistics=None,
-    probes_per_dim: int = 3,
-    halo: int = 0,
     tracer=None,
 ) -> PatchOutcome:
     """Patch a cached :class:`~repro.api.CompiledBouquet` onto the
@@ -436,8 +421,6 @@ def patch_compiled(
         new_space,
         lambda_=config.lambda_,
         ratio=config.ratio,
-        probes_per_dim=probes_per_dim,
-        halo=halo,
     )
     if old_statistics is not None and tracer is not None and tracer.enabled:
         delta = statistics_delta(old_statistics, catalog.statistics)

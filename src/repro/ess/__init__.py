@@ -14,8 +14,8 @@ from .dimensioning import (
     select_error_dimensions,
     sensitivity_error_dimensions,
 )
-from .posp import ContourBandResult, contour_focused_posp, diagram_from_band
-from .reduction import DEFAULT_LAMBDA, ReducedAssignment, anorexic_reduce, reduced_diagram
+from .posp import ContourBandResult, contour_focused_posp
+from .reduction import DEFAULT_LAMBDA, ReducedAssignment, anorexic_reduce
 from .render import render_1d_profile, render_2d_diagram, render_slice
 from .space import ErrorDimension, Location, SelectivitySpace
 
@@ -36,11 +36,9 @@ __all__ = [
     "coarse_subgrid",
     "ContourBandResult",
     "contour_focused_posp",
-    "diagram_from_band",
     "DEFAULT_LAMBDA",
     "ReducedAssignment",
     "anorexic_reduce",
-    "reduced_diagram",
     "ErrorDimension",
     "Location",
     "SelectivitySpace",

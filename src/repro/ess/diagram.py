@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -32,9 +31,8 @@ class PlanCostCache:
     workhorse behind every ESS-wide metric sweep.
 
     The cache is thread-safe (the serving layer shares bouquets across
-    threads) and optionally bounded: with ``max_plans`` set, the
-    least-recently-used arrays are evicted once the limit is exceeded.
-    Stale entries can be dropped explicitly with :meth:`invalidate`.
+    threads).  Stale entries can be dropped explicitly with
+    :meth:`invalidate`.
     """
 
     def __init__(
@@ -42,15 +40,11 @@ class PlanCostCache:
         space: SelectivitySpace,
         optimizer: Optimizer,
         registry: PlanRegistry,
-        max_plans: Optional[int] = None,
     ):
-        if max_plans is not None and max_plans < 1:
-            raise EssError("PlanCostCache max_plans must be >= 1")
         self.space = space
         self.optimizer = optimizer
         self.registry = registry
-        self.max_plans = max_plans
-        self._arrays: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._arrays: Dict[int, np.ndarray] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -88,7 +82,6 @@ class PlanCostCache:
                 if array is None:
                     missing.append(plan_id)
                 else:
-                    self._arrays.move_to_end(plan_id)
                     arrays[plan_id] = array
         if not missing:
             return arrays
@@ -115,10 +108,6 @@ class PlanCostCache:
             for plan_id, array in built.items():
                 # An array a racing builder installed first wins.
                 arrays[plan_id] = self._arrays.setdefault(plan_id, array)
-                self._arrays.move_to_end(plan_id)
-            if self.max_plans is not None:
-                while len(self._arrays) > self.max_plans:
-                    self._arrays.popitem(last=False)
         return arrays
 
     def cost(self, plan_id: int, location: Location) -> float:

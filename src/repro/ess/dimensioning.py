@@ -134,9 +134,6 @@ class WorkloadErrorLog:
         entry = ErrorObservation(pid, estimated, actual)
         self._observations.setdefault(pid, []).append(entry)
 
-    def observations(self, pid: str) -> List[ErrorObservation]:
-        return list(self._observations.get(pid, []))
-
     def worst_error(self, pid: str) -> float:
         entries = self._observations.get(pid)
         if not entries:
@@ -163,10 +160,6 @@ class DimensionImpact:
 
     dimension: ErrorDimension
     cost_span: float  # max/min optimal cost along the dimension's sweep
-
-    @property
-    def negligible(self) -> bool:
-        return self.cost_span < 1.0 + 1e-9
 
 
 def measure_dimension_impacts(

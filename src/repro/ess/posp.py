@@ -19,7 +19,6 @@ import numpy as np
 
 from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer
-from .diagram import PlanDiagram
 from .space import Location, SelectivitySpace
 
 
@@ -193,22 +192,3 @@ def contour_focused_posp(
         slabs=slabs,
         batched_locations=batched,
     )
-
-
-def diagram_from_band(
-    optimizer: Optimizer,
-    space: SelectivitySpace,
-    band: ContourBandResult,
-) -> PlanDiagram:
-    """Densify a contour band into a full (approximate) plan diagram.
-
-    The band's POSP plans are costed over the whole grid and the argmin
-    taken — exact at every location the band optimized, interpolating
-    plan choice elsewhere.
-    """
-    diagram = PlanDiagram.from_plan_ids(optimizer, space, band.posp_plan_ids)
-    # Band locations are authoritative: overwrite with the exact choices.
-    for location, (plan_id, cost) in band.optimized.items():
-        diagram.plan_ids[location] = plan_id
-        diagram.costs[location] = cost
-    return diagram

@@ -10,7 +10,7 @@ multi-dimensional MSO bound ``4·(1+λ)·ρ`` practical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -128,18 +128,3 @@ def anorexic_reduce(
     return ReducedAssignment(
         assignment=assignment, plan_ids=surviving, lambda_=lambda_
     )
-
-
-def reduced_diagram(
-    diagram: PlanDiagram, lambda_: float = DEFAULT_LAMBDA
-) -> Tuple[PlanDiagram, ReducedAssignment]:
-    """Anorexic-reduce the full diagram, returning a new diagram whose
-    plan choices are the post-swallowing owners (costs stay optimal)."""
-    reduction = anorexic_reduce(diagram, lambda_=lambda_)
-    plan_ids = diagram.plan_ids.copy()
-    for location, plan_id in reduction.assignment.items():
-        plan_ids[location] = plan_id
-    new = PlanDiagram(
-        diagram.space, plan_ids, diagram.costs, diagram.registry, diagram.cache
-    )
-    return new, reduction

@@ -214,12 +214,6 @@ class ServingSummary:
         return self._c("serve.front.requests")
 
     @property
-    def front_shed(self) -> float:
-        return self._c("serve.front.shed.quota") + self._c(
-            "serve.front.shed.queue"
-        )
-
-    @property
     def lookups(self) -> float:
         return (
             self._c("serve.cache.hit_memory")

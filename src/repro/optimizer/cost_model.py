@@ -12,7 +12,7 @@ cost model is a plain, comparable value object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class CostModel:
     enable_mergejoin: bool = True
     #: Whether the engine considers (materialized) nested-loop joins.
     enable_nestloop: bool = True
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        """Return a copy with some constants replaced."""
-        return replace(self, **kwargs)
 
     def sort_cost(self, rows):
         """CPU cost of sorting ``rows`` tuples (n·log2 n comparisons).

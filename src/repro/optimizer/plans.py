@@ -536,12 +536,3 @@ def spilled_cost(
     ctx = CostContext(schema, cost_model, assignment)
     est = node.estimate(ctx)
     return est.cost, node.local_pids & error_pids
-
-
-def plan_tables_in_order(plan: PlanNode) -> List[str]:
-    """Base tables in execution order (for display)."""
-    tables: List[str] = []
-    for node in plan.postorder():
-        if isinstance(node, (SeqScan, IndexScan, IndexLookup)):
-            tables.append(node.table)
-    return tables

@@ -40,9 +40,6 @@ class JoinGraph:
     def degree(self, table: str) -> int:
         return len(self._adjacency[table])
 
-    def edges_between(self, left: str, right: str) -> List[JoinPredicate]:
-        return list(self._edges.get(frozenset((left, right)), []))
-
     def joins_connecting(
         self, group_a: Iterable[str], group_b: Iterable[str]
     ) -> List[JoinPredicate]:

@@ -103,9 +103,6 @@ class Query:
     def selections_on(self, table: str) -> List[SelectionPredicate]:
         return [sel for sel in self.selections if sel.table == table]
 
-    def joins_on(self, table: str) -> List[JoinPredicate]:
-        return [join for join in self.joins if table in join.tables]
-
     def is_pk_fk_join(self, join: JoinPredicate) -> bool:
         """True if the join follows a declared foreign-key edge."""
         fk = self.schema.foreign_key_between(

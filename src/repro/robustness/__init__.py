@@ -9,12 +9,11 @@ from .metrics import (
     harm_fraction,
     max_harm,
     mso,
-    optimized_bouquet_metrics,
     optimized_field,
     robustness_enhancement,
     subopt_worst_field,
 )
-from .nat import NativeOptimizerStrategy, native_profile
+from .nat import NativeOptimizerStrategy
 from .reopt import ReoptRunResult, ReoptStep, ReoptStrategy
 from .seer import SeerStrategy
 
@@ -27,12 +26,10 @@ __all__ = [
     "harm_fraction",
     "max_harm",
     "mso",
-    "optimized_bouquet_metrics",
     "optimized_field",
     "robustness_enhancement",
     "subopt_worst_field",
     "NativeOptimizerStrategy",
-    "native_profile",
     "ReoptRunResult",
     "ReoptStep",
     "ReoptStrategy",

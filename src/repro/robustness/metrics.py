@@ -97,7 +97,7 @@ def crossing_mso_bound(
     return base if concurrent else base * float(rho)
 
 
-def optimized_field(bouquet, crossing=None) -> np.ndarray:
+def optimized_field(bouquet) -> np.ndarray:
     """Grid-shaped optimized-bouquet cost field via the sweep engine.
 
     The ndarray counterpart of
@@ -108,26 +108,7 @@ def optimized_field(bouquet, crossing=None) -> np.ndarray:
     """
     from ..sweep import SweepEngine
 
-    return SweepEngine(bouquet, crossing=crossing).cost_field()
-
-
-def optimized_bouquet_metrics(
-    bouquet,
-    pic: np.ndarray,
-    nat_subopt_worst: np.ndarray = None,
-    crossing=None,
-) -> Dict[str, float]:
-    """MSO/ASO (and MaxHarm given a native baseline) for the optimized
-    bouquet, swept in one pass over the ESS."""
-    field = optimized_field(bouquet, crossing=crossing)
-    metrics = {
-        "mso": bouquet_mso(field, pic),
-        "aso": bouquet_aso(field, pic),
-    }
-    if nat_subopt_worst is not None:
-        metrics["max_harm"] = max_harm(field, pic, nat_subopt_worst)
-        metrics["harm_fraction"] = harm_fraction(field, pic, nat_subopt_worst)
-    return metrics
+    return SweepEngine(bouquet).cost_field()
 
 
 def bouquet_mso(bouquet_cost_field: np.ndarray, pic: np.ndarray) -> float:

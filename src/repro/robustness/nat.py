@@ -23,19 +23,6 @@ from ..query.query import Query
 from .metrics import StrategyProfile, aso, mso, subopt_worst_field
 
 
-def native_profile(diagram: PlanDiagram) -> StrategyProfile:
-    """Build NAT's strategy profile from a plan diagram."""
-    cache = diagram.cache
-    if cache is None:
-        raise EssError("diagram lacks a cost cache")
-    occupancy = diagram.occupancy()
-    return StrategyProfile(
-        cost_fields=cache.cost_arrays(occupancy),
-        occupancy=occupancy,
-        pic=diagram.costs,
-    )
-
-
 def native_run(
     optimizer: Optimizer,
     query: Query,
@@ -85,7 +72,12 @@ class NativeOptimizerStrategy:
         self.diagram = diagram
         if diagram.cache is None:
             raise EssError("diagram lacks a cost cache")
-        self._profile = native_profile(diagram)
+        occupancy = diagram.occupancy()
+        self._profile = StrategyProfile(
+            cost_fields=diagram.cache.cost_arrays(occupancy),
+            occupancy=occupancy,
+            pic=diagram.costs,
+        )
 
     def plan_for_estimate(self, qe: Location) -> int:
         return self.diagram.plan_at(qe)

@@ -50,10 +50,6 @@ class ReoptRunResult:
     steps: List[ReoptStep]
     final_plan_id: int
 
-    @property
-    def reoptimizations(self) -> int:
-        return len(self.steps) - 1
-
 
 class ReoptStrategy:
     """Simulated mid-query re-optimization over an ESS."""

@@ -10,16 +10,13 @@ runtime             execution model        use case
 ``AsyncioRuntime``  event loop + bounded   the HTTP/JSON front-end
                     thread pool            (:mod:`repro.serve.http`)
 ``SyncRuntime``     inline, real clock     CLI paths, threaded callers
-``SimulatedRuntime``virtual clock +        load harness, admission tests,
-                    deterministic events   CI (thousands of sessions, ms)
+``SimulatedRuntime``virtual clock +        tier-1: the load model, admission
+                    deterministic events   tests (thousands of sessions, ms)
 ==================  =====================  ================================
-
-``get_runtime("sync" | "asyncio" | "simulated")`` builds one by name.
 """
 
 from __future__ import annotations
 
-from ..exceptions import ReproError
 from .aio import AsyncioRuntime
 from .base import Runtime, resolved
 from .simulated import SimulatedRuntime
@@ -27,30 +24,8 @@ from .sync import SyncRuntime
 
 __all__ = [
     "AsyncioRuntime",
-    "RUNTIME_NAMES",
     "Runtime",
     "SimulatedRuntime",
     "SyncRuntime",
-    "get_runtime",
     "resolved",
 ]
-
-_RUNTIMES = {
-    "sync": SyncRuntime,
-    "asyncio": AsyncioRuntime,
-    "simulated": SimulatedRuntime,
-}
-
-#: Canonical runtime spellings, for CLI choices and config validation.
-RUNTIME_NAMES = tuple(sorted(_RUNTIMES))
-
-
-def get_runtime(name: str, **kwargs) -> Runtime:
-    """Instantiate a runtime by its canonical name."""
-    try:
-        factory = _RUNTIMES[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown runtime {name!r} (expected one of {list(RUNTIME_NAMES)})"
-        ) from None
-    return factory(**kwargs)

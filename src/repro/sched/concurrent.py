@@ -33,14 +33,12 @@ from .strategy import (
     CrossingRequest,
     CrossingResult,
     CrossingStrategy,
-    register_crossing,
 )
 
 #: Tolerance for cost-time comparisons.
 _EPS = 1e-9
 
 
-@register_crossing
 class ConcurrentCrossing(CrossingStrategy):
     name = "concurrent"
 

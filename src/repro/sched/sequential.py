@@ -13,11 +13,9 @@ from .strategy import (
     CrossingRequest,
     CrossingResult,
     CrossingStrategy,
-    register_crossing,
 )
 
 
-@register_crossing
 class SequentialCrossing(CrossingStrategy):
     name = "sequential"
 

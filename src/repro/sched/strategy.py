@@ -1,4 +1,4 @@
-"""The crossing-strategy protocol and registry.
+"""The crossing-strategy protocol and its three implementations by name.
 
 A crossing strategy answers one question: *given the surviving plans of
 one isocost contour and its budget, how are their executions scheduled?*
@@ -10,7 +10,7 @@ strategies stay small and composable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import List, Optional, Sequence, Union
 
 from ..core.runtime import ExecutionOutcome, ExecutionRecord, ExecutionService
 from ..exceptions import BouquetError
@@ -59,30 +59,15 @@ class CrossingResult:
 class CrossingStrategy:
     """Schedules the executions that cross one isocost contour."""
 
-    #: Registry name; also reported in ``sched.cross`` spans.
+    #: One of :data:`CROSSING_NAMES`; also reported in ``sched.cross`` spans.
     name: str = "?"
 
     def cross(self, request: CrossingRequest) -> CrossingResult:
         raise NotImplementedError
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Type[CrossingStrategy]] = {}
-
-
-def register_crossing(cls: Type[CrossingStrategy]) -> Type[CrossingStrategy]:
-    """Class decorator: make a strategy selectable by its ``name``."""
-    if not cls.name or cls.name == "?":
-        raise BouquetError("crossing strategy must define a name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def crossing_names() -> List[str]:
-    return sorted(_REGISTRY)
+#: The stable strategy names (used by config validation and the CLI).
+CROSSING_NAMES = ("sequential", "concurrent", "timesliced")
 
 
 def resolve_crossing(
@@ -90,25 +75,26 @@ def resolve_crossing(
 ) -> CrossingStrategy:
     """Turn a config value into a strategy instance.
 
-    Accepts a registry name, an already-built strategy (passed through,
-    so callers can tune worker counts / quanta), or ``None`` (the
-    sequential default).
+    Accepts one of :data:`CROSSING_NAMES`, an already-built strategy
+    (passed through, so callers can tune worker counts / quanta), or
+    ``None`` (the sequential default).
     """
-    # Imported for the side effect of registering the built-in strategies.
-    from . import concurrent, sequential, timesliced  # noqa: F401
-
-    if crossing is None:
-        crossing = "sequential"
     if isinstance(crossing, CrossingStrategy):
         return crossing
-    cls = _REGISTRY.get(crossing)
+    # Imported here: the strategy modules import this one for the protocol.
+    from .concurrent import ConcurrentCrossing
+    from .sequential import SequentialCrossing
+    from .timesliced import TimeSlicedCrossing
+
+    strategies = {
+        "sequential": SequentialCrossing,
+        "concurrent": ConcurrentCrossing,
+        "timesliced": TimeSlicedCrossing,
+    }
+    cls = strategies.get("sequential" if crossing is None else crossing)
     if cls is None:
         raise BouquetError(
             f"unknown crossing strategy {crossing!r} "
-            f"(expected one of {crossing_names()})"
+            f"(expected one of {list(CROSSING_NAMES)})"
         )
     return cls()
-
-
-#: The stable strategy names (used by config validation and the CLI).
-CROSSING_NAMES = ("sequential", "concurrent", "timesliced")

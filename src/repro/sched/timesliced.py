@@ -25,11 +25,9 @@ from .strategy import (
     CrossingRequest,
     CrossingResult,
     CrossingStrategy,
-    register_crossing,
 )
 
 
-@register_crossing
 class TimeSlicedCrossing(CrossingStrategy):
     name = "timesliced"
 

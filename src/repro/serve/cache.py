@@ -26,7 +26,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..exceptions import BouquetError, ReproError
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -76,16 +76,6 @@ class BouquetArtifactStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._memory)
-
-    def cached_digests(self) -> List[str]:
-        """Digests reachable without compiling (memory ∪ disk)."""
-        with self._lock:
-            digests = set(self._memory)
-        if self.root is not None and os.path.isdir(self.root):
-            for name in os.listdir(self.root):
-                if name.endswith(".json"):
-                    digests.add(name[: -len(".json")])
-        return sorted(digests)
 
     # ------------------------------------------------------------------
     # Lookup / insert

@@ -32,7 +32,6 @@ __all__ = [
     "ArtifactKey",
     "artifact_key",
     "canonical_query_text",
-    "canonical_template_text",
     "config_fingerprint",
     "statistics_fingerprint",
 ]
@@ -62,21 +61,6 @@ def canonical_query_text(query: Query) -> str:
         "agg=" + ("1" if query.aggregate else "0"),
     ]
     return "|".join(parts)
-
-
-def canonical_template_text(query: Query, schema=None, statistics=None) -> str:
-    """Constants-stripped sibling of :func:`canonical_query_text`.
-
-    Renders the query's *template* — the structure that survives when
-    predicate constants are replaced by ``?`` and relations are reduced
-    to canonical slots (:mod:`repro.template.signature`).  Two instances
-    of one template (same shape, different constants) render identically;
-    this text keys the cross-query template cache tier in front of the
-    exact-key artifact store.
-    """
-    from ..template.signature import template_signature
-
-    return template_signature(query, schema, statistics).text
 
 
 def statistics_fingerprint(statistics: Optional[DatabaseStatistics]) -> str:

@@ -21,8 +21,8 @@ awaited, keeping the loop free to shed, answer probes, and accept
 connections while bouquet work runs.  Connections are keep-alive
 HTTP/1.1, one in-flight request per connection.
 
-:class:`AsyncServeClient` is the matching stdlib client, used by the
-load harness's real-clock mode and the tests.
+:class:`AsyncServeClient` is the matching stdlib client
+(``examples/async_service.py``, the ledger's loopback pass, the tests).
 """
 
 from __future__ import annotations

@@ -88,7 +88,6 @@ class BouquetServer:
         *,
         config: BouquetConfig = DEFAULT_CONFIG,
         store: Optional[BouquetArtifactStore] = None,
-        templates: Optional[TemplateStore] = None,
         max_workers: int = 4,
         compile_timeout: Optional[float] = None,
         tracer: Optional[Tracer] = None,
@@ -99,12 +98,8 @@ class BouquetServer:
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.store = store if store is not None else BouquetArtifactStore()
-        # The template tier (None only when the config turns it off and
-        # no explicit store is handed in).
-        if templates is not None:
-            self.templates = templates
-        else:
-            self.templates = TemplateStore() if config.template else None
+        # The template tier (None when the config turns it off).
+        self.templates = TemplateStore() if config.template else None
         self.compile_timeout = compile_timeout
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="bouquet-compile"
@@ -139,9 +134,6 @@ class BouquetServer:
             return parse_query(query, self.catalog.schema), query
         return query, None
 
-    def _use_templates(self) -> bool:
-        return self.templates is not None and self.config.template
-
     def _compile_and_store(
         self,
         key: ArtifactKey,
@@ -162,7 +154,7 @@ class BouquetServer:
             span_name="serve.compile",
         )
         self.store.put(key, compiled, tracer=self.tracer)
-        if self._use_templates():
+        if self.templates is not None:
             sig = template_signature(
                 query, self.catalog.schema, self.catalog.statistics
             )
@@ -255,7 +247,7 @@ class BouquetServer:
         if hit is not None:
             return hit, tier
         sig: Optional[TemplateSignature] = None
-        if self._use_templates():
+        if self.templates is not None:
             sig = template_signature(
                 parsed, self.catalog.schema, self.catalog.statistics
             )
@@ -341,56 +333,6 @@ class BouquetServer:
             )
         compiled = future.result(timeout=timeout)
         return compiled, ("compiled" if owner else "coalesced")
-
-    def warm_sweep(
-        self,
-        query: Union[str, Query],
-        crossing: Optional[str] = None,
-        timeout: Optional[float] = None,
-    ):
-        """Compile ``query`` (or reuse the cached artifact) and pre-sweep
-        its optimized cost field with the vectorized engine
-        (:mod:`repro.sweep`).
-
-        The field — and the engine's contour tables — are
-        memoized on the compiled bouquet, so later metric or diagnostics
-        requests against the same artifact are answered from cache.
-        Returns the grid-shaped cost field.
-        """
-        compiled, source = self.compile(query, timeout=timeout)
-        from ..sweep import SweepEngine
-
-        engine = SweepEngine(
-            compiled.bouquet, crossing=crossing, tracer=self.tracer
-        )
-        with self.tracer.span(
-            "serve.warm_sweep", source=source, crossing=engine.crossing.name
-        ):
-            field = engine.cost_field()
-        if self.tracer.enabled:
-            self.tracer.count("serve.warm_sweeps")
-        return field
-
-    def warm_compile(
-        self,
-        queries,
-        timeout: Optional[float] = None,
-    ):
-        """Pre-populate the artifact cache for a workload.
-
-        Each query is compiled through the ordinary cache/single-flight
-        path, so a miss costs one DPsize enumeration over the whole ESS
-        grid as a slab (:mod:`repro.batchopt`), not one optimizer call
-        per location.  Returns ``[(compiled, source), ...]`` in input
-        order.
-        """
-        results = []
-        with self.tracer.span("serve.warm_compile"):
-            for query in queries:
-                results.append(self.compile(query, timeout=timeout))
-                if self.tracer.enabled:
-                    self.tracer.count("serve.warm_compiles")
-        return results
 
     def _retire(self, digest: str, template_digest: Optional[str] = None) -> None:
         with self._lock:
@@ -629,7 +571,7 @@ class BouquetServer:
                     outcome.compiled.query, self.catalog.statistics, compiled.config
                 )
                 self.store.put(new_key, outcome.compiled, tracer=self.tracer)
-                if self._use_templates():
+                if self.templates is not None:
                     # A patched artifact is a valid representative of its
                     # template under the *new* statistics — re-register it
                     # so the template tier survives the refresh warm.

@@ -79,15 +79,11 @@ class SweepEngine:
     def __init__(
         self,
         bouquet: PlanBouquet,
-        crossing: Optional[object] = None,
         residue_min: int = DEFAULT_RESIDUE_MIN,
         tracer: Optional[Tracer] = None,
     ):
-        from ..sched.strategy import resolve_crossing
-
         self.bouquet = bouquet
         self.space = bouquet.space
-        self.crossing = resolve_crossing(crossing)
         self.residue_min = max(1, residue_min)
         if tracer is not None:
             self.tracer = tracer
@@ -113,12 +109,8 @@ class SweepEngine:
         totals = self._totals_for_flat(flat)
         return totals.reshape(self._shape)
 
-    def totals(
-        self, locations: Iterable[Location], refresh: bool = False
-    ) -> np.ndarray:
+    def totals(self, locations: Iterable[Location]) -> np.ndarray:
         """Per-location totals, aligned with the ``locations`` order."""
-        if refresh:
-            self.cache.invalidate()
         locs = list(locations)
         if not locs:
             return np.empty(0)
@@ -147,10 +139,9 @@ class SweepEngine:
         with tracer.span(
             "sweep.field",
             locations=len(flat),
-            crossing=self.crossing.name,
             contours=len(self.bouquet.contours),
         ) as span:
-            known = cache.known(flat, self.crossing.name)
+            known = cache.known(flat)
             hits = int(known.sum())
             if tracer.enabled and hits:
                 tracer.count("sweep.memo_hits", hits)
@@ -159,12 +150,7 @@ class SweepEngine:
                 "cohorts": 0, "splits": 0, "residue": 0, "steps": 0
             }
             if len(todo):
-                if self.crossing.name == "sequential":
-                    self._sweep(todo, stats)
-                else:
-                    # Non-sequential crossing reschedules contour plans
-                    # per location; the whole request is residue.
-                    self._finish_residue(todo, stats)
+                self._sweep(todo, stats)
             span.set(
                 memo_hits=hits,
                 cohorts=int(stats["cohorts"]),
@@ -172,7 +158,7 @@ class SweepEngine:
                 residue=int(stats["residue"]),
                 batched_costings=cache.coster.batched_costings,
             )
-        return cache.totals(self.crossing.name)[flat].copy()
+        return cache.totals[flat].copy()
 
     def _sweep(self, flat: np.ndarray, stats: Dict[str, float]) -> None:
         cache = self.cache
@@ -212,35 +198,19 @@ class SweepEngine:
             stats["residue"] += len(rows)
             if tracer.enabled:
                 tracer.count("sweep.residue_locations", len(rows))
-            self._finish_residue(flat[rows], stats, out_rows=rows)
+            self._out[rows] = self._finish_residue(flat[rows])
         if np.isnan(self._out).any():
             raise BouquetError("sweep engine left locations unswept")
-        cache.store(flat, self._out, self.crossing.name)
+        cache.store(flat, self._out)
         self._flat = None
         self._out = None
 
-    def _finish_residue(
-        self,
-        flat: np.ndarray,
-        stats: Dict[str, float],
-        out_rows: Optional[np.ndarray] = None,
-    ) -> None:
-        """Reference per-location totals for residue / crossing sweeps."""
-        crossing = self.crossing.name if self.crossing.name != "sequential" else None
+    def _finish_residue(self, flat: np.ndarray) -> np.ndarray:
+        """Reference per-location totals for the cohorts too small to batch."""
         coords = np.stack(np.unravel_index(flat, self._shape), axis=1).tolist()
-        values = np.array(
-            [
-                simulate_at(self.bouquet, tuple(loc), crossing=crossing).total_cost
-                for loc in coords
-            ]
+        return np.array(
+            [simulate_at(self.bouquet, tuple(loc)).total_cost for loc in coords]
         )
-        if out_rows is not None and self._out is not None:
-            self._out[out_rows] = values
-        else:
-            stats["residue"] += len(flat)
-            if self.tracer.enabled:
-                self.tracer.count("sweep.residue_locations", len(flat))
-            self.cache.store(flat, values, self.crossing.name)
 
     # ------------------------------------------------------------------
     # One cohort step (one contour interaction)

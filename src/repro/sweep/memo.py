@@ -39,12 +39,10 @@ class SweepCache:
         self.bouquet = bouquet
         self.coster = BatchCoster(bouquet)
         self._tables: Dict[int, ContourTables] = {}
-        # Flat per-grid-cell totals keyed by crossing-strategy name
-        # (different strategies schedule different executions, so their
-        # fields differ); NaN marks locations not yet swept.
-        self._totals: Dict[str, np.ndarray] = {}
-        # Clamped truth per grid cell and dim (assignment_for semantics).
         space = bouquet.space
+        #: Flat per-grid-cell totals; NaN marks locations not yet swept.
+        self.totals = np.full(space.size, np.nan)
+        # Clamped truth per grid cell and dim (assignment_for semantics).
         clamped = [
             np.minimum(dim.hi, np.maximum(dim.lo, grid))
             for dim, grid in zip(space.dimensions, space.grids)
@@ -58,30 +56,19 @@ class SweepCache:
             hit = self._tables[position] = ContourTables(self.bouquet, position)
         return hit
 
-    def totals(self, crossing: str = "sequential") -> np.ndarray:
-        """The flat totals memo for one crossing strategy."""
-        hit = self._totals.get(crossing)
-        if hit is None:
-            hit = self._totals[crossing] = np.full(
-                self.bouquet.space.size, np.nan
-            )
-        return hit
-
-    def known(self, flat: np.ndarray, crossing: str = "sequential") -> np.ndarray:
+    def known(self, flat: np.ndarray) -> np.ndarray:
         """Mask of flat grid indices whose totals are already cached."""
-        return ~np.isnan(self.totals(crossing)[flat])
+        return ~np.isnan(self.totals[flat])
 
-    def store(
-        self, flat: np.ndarray, totals: np.ndarray, crossing: str = "sequential"
-    ) -> None:
-        self.totals(crossing)[flat] = totals
+    def store(self, flat: np.ndarray, totals: np.ndarray) -> None:
+        self.totals[flat] = totals
 
     def invalidate(self) -> None:
         """Drop cached totals (keeps the structural tables)."""
-        self._totals.clear()
+        self.totals.fill(np.nan)
 
 
-def sweep_cache(bouquet: PlanBouquet, refresh: bool = False) -> SweepCache:
+def sweep_cache(bouquet: PlanBouquet) -> SweepCache:
     """The per-bouquet sweep cache, created on first use.
 
     ``PlanBouquet`` is a plain (unhashable) dataclass, so the cache rides
@@ -91,6 +78,4 @@ def sweep_cache(bouquet: PlanBouquet, refresh: bool = False) -> SweepCache:
     if cache is None:
         cache = SweepCache(bouquet)
         bouquet._sweep_cache = cache
-    elif refresh:
-        cache.invalidate()
     return cache

@@ -24,7 +24,6 @@ class TestTable:
     def test_basic_properties(self):
         table = make_table(rows=1000)
         assert table.row_count == 1000
-        assert table.row_width == 16
         assert table.column("a").name == "a"
         assert table.has_column("b") and not table.has_column("c")
 

@@ -61,8 +61,9 @@ class TestBouquetConfig:
         assert BouquetConfig.from_dict(config.to_dict()) == config
 
     def test_retired_compile_engine_key_is_dropped_on_read(self):
-        """The config block exactly as the parent of the knob's removal
-        wrote it into every envelope."""
+        """The config block exactly as the parent of the engine knob's
+        removal wrote it into every envelope; ``equivalence_threshold``
+        was a settable field then and is dropped on read too."""
         written = {
             "ratio": 2.0,
             "lambda_": 0.2,

@@ -19,7 +19,7 @@ EQ_SQL = (
 
 @pytest.fixture(scope="module")
 def scaled_world():
-    """A 3x larger database with its own optimizer and ESS."""
+    """A 3x larger database with its own optimizer and base assignment."""
     schema = tpch_schema(0.009)
     database = Database.generate(schema, tpch_generator_spec(0.009), seed=7)
     stats = database.build_statistics(sample_size=1500, seed=3)
@@ -29,11 +29,19 @@ def scaled_world():
     return optimizer, query, base
 
 
+def _same_shape_space(eq_bouquet, query, base):
+    """The old ESS (dimensions and grid) over the grown database's base
+    assignment — what the refresh patches onto."""
+    old_space = eq_bouquet.space
+    return SelectivitySpace(
+        query, old_space.dimensions, list(old_space.shape), base
+    )
+
+
 class TestRefresh:
     def test_refresh_produces_valid_bouquet(self, eq_bouquet, scaled_world):
         optimizer, query, base = scaled_world
-        dims = eq_bouquet.space.dimensions
-        new_space = SelectivitySpace(query, dims, 48, base)
+        new_space = _same_shape_space(eq_bouquet, query, base)
         result = refresh_bouquet(eq_bouquet, optimizer, new_space)
         bouquet = result.bouquet
         assert bouquet.contours
@@ -43,8 +51,7 @@ class TestRefresh:
 
     def test_refresh_cheaper_than_exhaustive_rebuild(self, eq_bouquet, scaled_world):
         optimizer, query, base = scaled_world
-        dims = eq_bouquet.space.dimensions
-        new_space = SelectivitySpace(query, dims, 48, base)
+        new_space = _same_shape_space(eq_bouquet, query, base)
         result = refresh_bouquet(eq_bouquet, optimizer, new_space)
         assert result.optimizer_calls < new_space.size
 
@@ -54,10 +61,9 @@ class TestRefresh:
         from repro.core import simulate_at
 
         optimizer, query, base = scaled_world
-        dims = eq_bouquet.space.dimensions
-        new_space = SelectivitySpace(query, dims, 48, base)
+        new_space = _same_shape_space(eq_bouquet, query, base)
         bouquet = refresh_bouquet(eq_bouquet, optimizer, new_space).bouquet
-        for loc in [(0,), (24,), (47,)]:
+        for loc in [(0,), (24,), (63,)]:
             run = simulate_at(bouquet, loc, mode="basic")
             assert run.completed
             assert run.total_cost <= bouquet.mso_bound * bouquet.diagram.cost_at(
@@ -66,11 +72,14 @@ class TestRefresh:
 
     def test_reused_plans_counted(self, eq_bouquet, scaled_world):
         optimizer, query, base = scaled_world
-        dims = eq_bouquet.space.dimensions
-        new_space = SelectivitySpace(query, dims, 48, base)
+        new_space = _same_shape_space(eq_bouquet, query, base)
         result = refresh_bouquet(eq_bouquet, optimizer, new_space)
-        assert result.reused_plan_count == eq_bouquet.cardinality
-        assert result.total_candidates >= result.reused_plan_count
+        assert result.strategy == "delta"
+        assert 0 < result.reused_plan_count <= eq_bouquet.cardinality
+        assert (
+            result.reused_plan_count + result.new_plan_count
+            == result.bouquet.cardinality
+        )
 
     def test_dimension_mismatch_rejected(self, eq_bouquet, scaled_world):
         optimizer, query, base = scaled_world

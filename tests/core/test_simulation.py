@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import basic_cost_field, optimized_cost_field, simulate_at
-from repro.core.simulation import sample_locations, suboptimality_field
+from repro.core.simulation import sample_locations
 
 
 class TestBasicCostField:
@@ -16,7 +16,7 @@ class TestBasicCostField:
     def test_everywhere_positive_and_bounded(self, eq_bouquet, eq_diagram):
         field = basic_cost_field(eq_bouquet)
         assert (field > 0).all()
-        subopt = suboptimality_field(field, eq_diagram.costs)
+        subopt = field / eq_diagram.costs
         assert (subopt >= 1.0 - 1e-9).all()
         assert subopt.max() <= eq_bouquet.mso_bound * (1 + 1e-6)
 
@@ -24,7 +24,7 @@ class TestBasicCostField:
         ql = lab.build("3D_DS_Q96")
         field = basic_cost_field(ql.bouquet)
         assert field.shape == ql.space.shape
-        subopt = suboptimality_field(field, ql.diagram.costs)
+        subopt = field / ql.diagram.costs
         assert subopt.max() <= ql.bouquet.mso_bound * (1 + 1e-6)
 
 

@@ -95,23 +95,6 @@ class TestCostCache:
         assert len(cache) == 0
         assert cache.cost_array(b) is not first_b
 
-    def test_max_plans_evicts_least_recently_used(self, eq_diagram):
-        from repro.ess.diagram import PlanCostCache
-
-        base = eq_diagram.cache
-        cache = PlanCostCache(
-            base.space, base.optimizer, base.registry, max_plans=2
-        )
-        a, b, c = eq_diagram.posp_plan_ids[:3]
-        array_a = cache.cost_array(a)
-        cache.cost_array(b)
-        cache.cost_array(a)  # refresh a: b is now the LRU entry
-        cache.cost_array(c)  # evicts b
-        assert len(cache) == 2
-        assert cache.cost_array(a) is array_a
-        with pytest.raises(Exception):
-            PlanCostCache(base.space, base.optimizer, base.registry, max_plans=0)
-
     def test_concurrent_cost_array_builds_are_safe(self, eq_diagram):
         import threading
 

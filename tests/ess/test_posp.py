@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.contours import contour_costs
-from repro.ess import contour_focused_posp, diagram_from_band
+from repro.ess import contour_focused_posp
 from repro.exceptions import EssError
 
 
@@ -99,18 +99,3 @@ class TestInvertedCornerRegression:
         assert band.optimizer_calls == 2
         assert band.pruned_boxes == 1
 
-
-class TestDiagramFromBand:
-    def test_densified_diagram_close_to_exhaustive(
-        self, optimizer, eq_space, band, eq_diagram
-    ):
-        approx = diagram_from_band(optimizer, eq_space, band)
-        assert (approx.costs >= eq_diagram.costs * (1 - 1e-9)).all()
-        # Within a modest factor of the true PIC everywhere.
-        assert (approx.costs <= eq_diagram.costs * 1.5).all()
-
-    def test_band_locations_authoritative(self, optimizer, eq_space, band, eq_diagram):
-        approx = diagram_from_band(optimizer, eq_space, band)
-        for location, (plan_id, cost) in band.optimized.items():
-            assert approx.plan_at(location) == plan_id
-            assert approx.cost_at(location) == pytest.approx(cost)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ess import anorexic_reduce, reduced_diagram
+from repro.ess import anorexic_reduce
 from repro.exceptions import EssError
 
 
@@ -48,11 +48,3 @@ class TestAnorexicReduce:
     def test_empty_locations_rejected(self, eq_diagram):
         with pytest.raises(EssError):
             anorexic_reduce(eq_diagram, [], lambda_=0.2)
-
-
-class TestReducedDiagram:
-    def test_costs_preserved_plans_replaced(self, eq_diagram):
-        new, reduction = reduced_diagram(eq_diagram, lambda_=0.2)
-        assert (new.costs == eq_diagram.costs).all()
-        assert set(new.posp_plan_ids) == set(reduction.plan_ids)
-        assert len(new.posp_plan_ids) <= len(eq_diagram.posp_plan_ids)

@@ -84,7 +84,6 @@ def origin_started():
             OriginStartService(compiled.bouquet, engine),
             mode=config.mode,
             crossing=config.crossing,
-            equivalence_threshold=config.equivalence_threshold,
             model_error_delta=config.model_error_delta,
         ).run()
 

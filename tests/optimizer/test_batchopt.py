@@ -11,6 +11,7 @@ across pool workers), plus the registry properties (structural dedup,
 thread safety) it rests on.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -351,8 +352,8 @@ class TestScalarOracle:
         every split cost exactly ``left.cost + right.cost``; the first
         candidate must win at every location, as in
         ``JoinEnumerator.best_plan``."""
-        model = POSTGRES_COST_MODEL.with_overrides(
-            hash_tuple_cost=0.0, cpu_tuple_cost=0.0
+        model = dataclasses.replace(
+            POSTGRES_COST_MODEL, hash_tuple_cost=0.0, cpu_tuple_cost=0.0
         )
         entry = lab.workload["3D_H_Q5"]
         base = actual_selectivities(entry.query, lab.h_db)

@@ -18,13 +18,6 @@ class TestCostModel:
         assert model.random_page_cost == 4.0
         assert model.cpu_tuple_cost == 0.01
 
-    def test_with_overrides_returns_copy(self):
-        base = POSTGRES_COST_MODEL
-        tweaked = base.with_overrides(random_page_cost=1.1)
-        assert tweaked.random_page_cost == 1.1
-        assert base.random_page_cost == 4.0
-        assert tweaked.seq_page_cost == base.seq_page_cost
-
     def test_commercial_differs_materially(self):
         assert COMMERCIAL_COST_MODEL.name == "com"
         assert not COMMERCIAL_COST_MODEL.enable_mergejoin

@@ -179,12 +179,3 @@ class TestErrorNodeUtilities:
         )
         assert spill == pytest.approx(full)
         assert learned == frozenset()
-
-
-class TestPlanTablesInOrder:
-    def test_execution_order_listing(self, eq_plan_parts):
-        from repro.optimizer.plans import plan_tables_in_order
-
-        plan, *_ = eq_plan_parts
-        # HJ(HJ(SS(lineitem), SS(orders)), IS(part)): post-order leaves.
-        assert plan_tables_in_order(plan) == ["lineitem", "orders", "part"]

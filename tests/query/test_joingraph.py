@@ -82,6 +82,6 @@ class TestDegreesAndEdges:
             JoinPredicate("a", "x2", "b", "y2"),
         ]
         graph = JoinGraph(["a", "b"], edges)
-        assert len(graph.edges_between("a", "b")) == 2
+        assert len(graph.joins_connecting(["a"], ["b"])) == 2
         # Parallel edges do not make a simple-graph cycle.
         assert not graph.has_cycle()

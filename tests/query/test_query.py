@@ -55,8 +55,6 @@ class TestAccessors:
     def test_selections_and_joins_on(self, eq_query):
         assert len(eq_query.selections_on("part")) == 1
         assert len(eq_query.selections_on("orders")) == 0
-        assert len(eq_query.joins_on("lineitem")) == 2
-        assert len(eq_query.joins_on("part")) == 1
 
     def test_pk_fk_detection(self, eq_query):
         for join in eq_query.joins:

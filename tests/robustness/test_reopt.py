@@ -31,7 +31,7 @@ class TestReoptRun:
         qa = [grid_value(eq_space, 60)]
         run = reopt.run(qe, qa)
         assert run.steps[-1].completed
-        assert run.reoptimizations >= 1
+        assert len(run.steps) >= 2
         # The error predicate was observed along the way.
         learned = {pid for step in run.steps for pid in step.learned_pids}
         assert eq_space.dimensions[0].pid in learned

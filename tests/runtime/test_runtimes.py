@@ -1,5 +1,5 @@
 """The runtime seam: sync, asyncio, and simulated clocks/dispatch
-behind one interface, plus the registry that names them."""
+behind one interface."""
 
 from __future__ import annotations
 
@@ -11,34 +11,11 @@ import pytest
 
 from repro.exceptions import ReproError
 from repro.runtime import (
-    RUNTIME_NAMES,
     AsyncioRuntime,
     SimulatedRuntime,
     SyncRuntime,
-    get_runtime,
     resolved,
 )
-
-
-class TestRegistry:
-    def test_canonical_names(self):
-        assert RUNTIME_NAMES == ("asyncio", "simulated", "sync")
-
-    @pytest.mark.parametrize("name", RUNTIME_NAMES)
-    def test_builds_by_name(self, name):
-        runtime = get_runtime(name)
-        try:
-            assert runtime.name == name
-        finally:
-            runtime.shutdown()
-
-    def test_kwargs_pass_through(self):
-        with get_runtime("asyncio", max_workers=2) as runtime:
-            assert runtime.max_workers == 2
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ReproError, match="unknown runtime"):
-            get_runtime("twisted")
 
 
 class TestSyncRuntime:

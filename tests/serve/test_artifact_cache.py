@@ -57,7 +57,6 @@ def test_memory_tier_hit_and_counters(world):
     assert _counters(tracer)["serve.cache.hit_memory"] == 1
     assert _counters(tracer)["serve.cache.store"] == 1
     assert len(store) == 1
-    assert store.cached_digests() == [key.digest]
 
 
 def test_memory_only_store_forgets_on_eviction(world):
@@ -152,4 +151,3 @@ def test_clear_empties_both_tiers(world, tmp_path):
     store.put(key, compiled)
     store.clear()
     assert store.snapshot() == {"memory_entries": 0, "disk_entries": 0}
-    assert store.cached_digests() == []

@@ -97,9 +97,7 @@ class TestArtifactKey:
     def test_runtime_knobs_do_not_participate(self, schema, statistics, small_config):
         q = parse_query(SQL, schema)
         base = artifact_key(q, statistics, small_config)
-        runtime_variant = small_config.with_(
-            mode="basic", equivalence_threshold=0.5, model_error_delta=0.1
-        )
+        runtime_variant = small_config.with_(mode="basic", model_error_delta=0.1)
         assert artifact_key(q, statistics, runtime_variant).digest == base.digest
 
     def test_compile_knobs_participate(self, schema, statistics, small_config):

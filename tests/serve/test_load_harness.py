@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.serve_load import (
+from repro.exceptions import ReproError
+from repro.serve import ServeRequest, TenantQuota
+from tests.serve.load_model import (
+    DEFAULT_QUOTAS,
     LoadSpec,
     SimulatedBouquetBackend,
     _percentile,
     run_simulated_load,
 )
-from repro.exceptions import ReproError
-from repro.serve import ServeRequest, TenantQuota
 
 #: Small enough to run in well under a second, big enough to exercise
 #: queueing: 300 sessions arriving inside 0.25s against 24 slots.
@@ -98,32 +99,27 @@ class TestGates:
         assert report.ok
         assert report.answered > 0
 
-    def test_virtual_time_is_fast_wall_time(self, report):
-        # Minutes of simulated serving replay in well under real time.
-        assert report.virtual_seconds > 1.0
-        assert report.wall_seconds < report.virtual_seconds
-
-    def test_report_dict_shape(self, report):
-        payload = report.to_dict()
-        assert payload["ok"] is True
-        assert payload["silent_drops"] == 0
-        assert set(payload["statuses"]) <= {
-            "ok",
-            "degraded",
-            "budget-exhausted",
-            "shed",
-            "failed",
-        }
-        assert report.describe()
+    def test_default_replay_passes_its_gates(self):
+        """The full-size replay: 2,400 sessions, all concurrent at the
+        peak, every request answered with a typed response."""
+        spec = LoadSpec()
+        report = run_simulated_load(
+            spec, quotas=DEFAULT_QUOTAS, min_concurrent=2000
+        )
+        assert report.requests == spec.sessions * spec.requests_per_session
+        assert report.silent_drops == 0
+        assert report.untyped == 0
+        assert report.peak_sessions >= 2000
+        assert report.ok
+        assert report == run_simulated_load(
+            spec, quotas=DEFAULT_QUOTAS, min_concurrent=2000
+        )
 
 
 class TestDeterminism:
     def test_same_seed_replays_bit_identically(self, report):
         again = run_simulated_load(SPEC, quotas=QUOTAS, min_concurrent=250)
-        a, b = report.to_dict(), again.to_dict()
-        # Wall time is the only non-deterministic field.
-        a.pop("wall_seconds"), b.pop("wall_seconds")
-        assert a == b
+        assert again == report
 
     def test_different_seed_changes_the_workload(self, report):
         other = run_simulated_load(
@@ -132,7 +128,7 @@ class TestDeterminism:
             ),
             quotas=QUOTAS,
         )
-        assert other.to_dict()["statuses"] != {}
+        assert other.statuses != {}
         assert other.latency_p50 != report.latency_p50 or (
             other.statuses != report.statuses
         )

@@ -254,23 +254,3 @@ def test_per_request_crossing_override(server):
     assert fast.result.crossing == "concurrent"
     assert fast.rows == plain.rows
     assert fast.result.elapsed_cost <= fast.result.total_cost * (1 + 1e-9)
-
-
-def test_warm_compile_precompiles_through_the_cache(server, tracer):
-    """warm_compile pushes every query through the batch compile path
-    once; serving afterwards is pure cache hits, and re-warming does not
-    recompile."""
-    results = server.warm_compile([SQL, SQL2])
-    assert [source for _, source in results] == ["compiled", "compiled"]
-    assert all(compiled is not None for compiled, _ in results)
-
-    served = server.serve(SQL)
-    assert served.status == "ok"
-    assert served.cache == "memory"
-
-    again = server.warm_compile([SQL, SQL2])
-    assert [source for _, source in again] == ["memory", "memory"]
-    counters = _counters(tracer)
-    assert counters.get("serve.warm_compiles", 0) == 4
-    # Exactly two real compiles happened across both warm passes.
-    assert counters.get("serve.cache.miss", 0) == 2

@@ -13,6 +13,7 @@ from repro.api import BouquetConfig, Catalog, compile_bouquet
 from repro.obs import MemorySink, Tracer
 from repro.serve import (
     BouquetArtifactStore,
+    BouquetServer,
     STORE_FORMAT,
     artifact_key,
 )
@@ -218,3 +219,28 @@ def test_envelope_with_retired_config_key_is_a_disk_hit(artifact, tmp_path):
     assert hit.mso_bound == pytest.approx(compiled.mso_bound)
     assert os.path.exists(path)
     assert _counters(tracer).get("serve.cache.purged", 0) == 0
+
+
+def test_parent_written_envelope_serves_from_the_disk_tier(artifact, tmp_path):
+    """Until ``equivalence_threshold`` became a read-only constant every
+    envelope's config block carried it; such an envelope must still load
+    and answer a request from the disk tier."""
+    catalog, key, compiled = artifact
+    BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
+    path = _envelope_path(tmp_path, key)
+    envelope = json.load(open(path))
+    assert "equivalence_threshold" not in envelope["artifact"]["config"]
+    envelope["artifact"]["config"]["equivalence_threshold"] = 0.2
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+
+    tracer = Tracer(MemorySink())
+    store = BouquetArtifactStore(root=str(tmp_path), tracer=tracer)
+    with BouquetServer(
+        catalog, config=compiled.config, store=store, tracer=tracer
+    ) as server:
+        response = server.serve(SQL)
+    assert (response.status, response.cache) == ("ok", "disk")
+    counters = _counters(tracer)
+    assert counters.get("serve.cache.purged", 0) == 0
+    assert counters.get("optimizer.batched_locations", 0) == 0

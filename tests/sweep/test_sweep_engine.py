@@ -88,23 +88,6 @@ class TestEngineMechanics:
         # agrees to rounding, not bit-exactly.
         np.testing.assert_allclose(first, second, rtol=RTOL, atol=0.0)
 
-    def test_crossing_knob_reaches_residue(self, q3d):
-        field = SweepEngine(q3d.bouquet, crossing="concurrent").cost_field()
-        loc = (3, 3, 3)
-        ref = simulate_at(
-            q3d.bouquet, loc, mode="optimized", crossing="concurrent"
-        ).total_cost
-        assert field[loc] == pytest.approx(ref, rel=RTOL)
-
-    def test_crossing_memos_are_isolated(self, q3d):
-        sequential = SweepEngine(q3d.bouquet).cost_field()
-        concurrent = SweepEngine(q3d.bouquet, crossing="concurrent").cost_field()
-        again = SweepEngine(q3d.bouquet).cost_field()
-        np.testing.assert_array_equal(sequential, again)
-        # Concurrent crossing reschedules executions, so the fields differ
-        # somewhere (and must not leak into the sequential memo).
-        assert not np.allclose(sequential, concurrent, rtol=1e-6)
-
     def test_array_entry_point_shape(self, q3d):
         field = optimized_field(q3d.bouquet)
         assert field.shape == q3d.space.shape
@@ -117,19 +100,19 @@ class TestResidueRoute:
     the pool-sharded engine reported."""
 
     @staticmethod
-    def _cold_engine(bouquet, monkeypatch, **kwargs):
+    def _cold_engine(bouquet, monkeypatch):
         """An engine over an emptied memo that records what it hands to
         the residue route and what it reports about it."""
         tracer = Tracer(MemorySink())
-        engine = SweepEngine(bouquet, tracer=tracer, **kwargs)
+        engine = SweepEngine(bouquet, tracer=tracer)
         engine.cache.invalidate()
         residue = []
         finish = engine._finish_residue
         row_major = list(bouquet.space.locations())
 
-        def recording(flat, *args, **kw):
+        def recording(flat):
             residue.extend(row_major[f] for f in flat.tolist())
-            return finish(flat, *args, **kw)
+            return finish(flat)
 
         monkeypatch.setattr(engine, "_finish_residue", recording)
 
@@ -142,19 +125,6 @@ class TestResidueRoute:
             return span, tracer.snapshot()["counters"]
 
         return engine, residue, reported
-
-    def test_concurrent_sample_is_all_residue(self, q3d, monkeypatch):
-        locations = [(0, 0, 0), (1, 2, 3), (6, 6, 6), (4, 4, 0), (2, 5, 1)]
-        engine, residue, reported = self._cold_engine(
-            q3d.bouquet, monkeypatch, crossing="concurrent"
-        )
-        totals = engine.totals(locations)
-        assert residue == locations
-        reference = reference_field(q3d.bouquet, locations, crossing="concurrent")
-        assert totals.tolist() == [reference[loc] for loc in locations]
-        span, counters = reported()
-        assert (span["cohorts"], span["splits"], span["residue"]) == (0, 0, 5)
-        assert counters["sweep.residue_locations"] == 5
 
     def test_sequential_residue_of_3d_h_q5(self, q3d, monkeypatch):
         engine, residue, reported = self._cold_engine(q3d.bouquet, monkeypatch)

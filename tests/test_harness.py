@@ -1,6 +1,6 @@
 """Tests for the shared Lab harness."""
 
-from repro.bench.harness import DEFAULT_RESOLUTIONS, Lab, shared_lab
+from repro.bench.harness import DEFAULT_RESOLUTIONS, Lab
 
 
 class TestLab:
@@ -55,9 +55,6 @@ class TestLab:
 
 
 class TestSharedLab:
-    def test_singleton(self):
-        assert shared_lab() is shared_lab()
-
     def test_default_resolutions_table(self):
         assert DEFAULT_RESOLUTIONS[1] == 100
         assert DEFAULT_RESOLUTIONS[5] == 7

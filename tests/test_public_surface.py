@@ -1,12 +1,15 @@
 """The public surface, checked mechanically: every export resolves, the
 option census is what the docs say, no engine selector or stray
-``workers`` knob has crept back, and ``src/`` carries no unused import —
-the lint gate ``make lint`` runs on machines without ruff.  Run as a
-script (``make census``) it prints the figures a CHANGES entry quotes:
-``src/`` lines per package, the option counts, the ``workers`` census."""
+``workers`` knob has crept back, nothing public is reachable from tests
+alone, and ``src/`` carries no unused import — the lint gate ``make
+lint`` runs on machines without ruff.  Run as a script (``make census``)
+it prints the figures a CHANGES entry quotes: lines per package, the
+option counts, the ``workers`` census, defaulted parameters per package,
+the CLI subcommands and the caller census."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -19,9 +22,11 @@ import sys
 
 import repro
 from repro.api import BouquetConfig
+from repro.cli import build_parser
 from repro.serve import ServeRequest
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def _modules():
@@ -49,7 +54,6 @@ def test_option_census():
         "resolution",
         "mode",
         "crossing",
-        "equivalence_threshold",
         "model_error_delta",
         "cost_model",
         "patch",
@@ -125,15 +129,192 @@ def workers_census():
 
 def test_workers_census():
     """Process fan-out is asked for in four places: parallel POSP
-    (§4.2), the pool it runs on, and the campaign that shards over it.
-    ``LoadSpec.workers`` counts service slots, not processes."""
+    (§4.2), the pool it runs on, and the campaign that shards over it."""
     assert workers_census() == [
-        "repro.bench.serve_load.LoadSpec.__init__",
         "repro.ess.diagram.PlanDiagram.exhaustive",
         "repro.par.pool.WorkerPool.__init__",
         "repro.par.pool.get_pool",
         "repro.wlgen.campaign.CampaignConfig.__init__",
     ]
+
+
+def cli_subcommands():
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sorted(subparsers.choices)
+
+
+def test_cli_subcommands():
+    """Every command is one someone runs to *use* the system; checks of
+    the system are tests (``tests/serve/``), not commands."""
+    assert cli_subcommands() == [
+        "advise",
+        "compile",
+        "explain",
+        "fuzz",
+        "refresh",
+        "run",
+        "schema",
+        "serve",
+        "serve-stats",
+        "trace",
+    ]
+
+
+def _public_defs(path: pathlib.Path):
+    """``(label, node)`` of the module-level functions of one source file
+    and of the constructor and public methods of its module-level
+    classes, names not starting with ``_``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, functions) and (
+                    member.name == "__init__" or not member.name.startswith("_")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _package(path: pathlib.Path) -> str:
+    relative = path.relative_to(SRC)
+    return relative.parts[0] if len(relative.parts) > 1 else "(top level)"
+
+
+def defaulted_parameter_census():
+    """Parameters with a default on the public callables of ``src/``,
+    per package: each is a value some caller may set differently."""
+    census = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for _label, node in _public_defs(path):
+            if isinstance(node, ast.ClassDef):
+                continue
+            count = len(node.args.defaults) + sum(
+                default is not None for default in node.args.kw_defaults
+            )
+            package = _package(path)
+            census[package] = census.get(package, 0) + count
+    return {package: count for package, count in census.items() if count}
+
+
+def test_defaulted_parameter_census():
+    """320 before the paths nothing but tests reached were deleted
+    (``bench`` alone 64).  A new defaulted parameter lands here with the
+    two callers that need different values."""
+    assert defaulted_parameter_census() == {
+        "(top level)": 36,
+        "batchopt": 1,
+        "bench": 32,
+        "catalog": 11,
+        "core": 29,
+        "datagen": 4,
+        "drift": 10,
+        "ess": 27,
+        "executor": 17,
+        "obs": 6,
+        "optimizer": 9,
+        "par": 6,
+        "query": 7,
+        "robustness": 5,
+        "runtime": 3,
+        "sched": 6,
+        "serve": 31,
+        "sweep": 4,
+        "template": 8,
+        "wlgen": 11,
+    }
+
+
+def _identifiers(path: pathlib.Path, skip_imports: bool):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not skip_imports:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def caller_census():
+    """Public definitions of ``src/`` whose name is an identifier nowhere
+    in ``src/``, ``ledger/``, ``benchmarks/`` or ``examples/`` (the
+    imports of ``__init__.py`` re-export hubs do not count): whatever
+    reaches them, it is a test.  Name-based, so a method is vouched for
+    by any use of its name; a class found this way stands for its
+    methods."""
+    used = set()
+    for area in ("src", "ledger", "benchmarks", "examples"):
+        for path in (ROOT / area).rglob("*.py"):
+            hub = area == "src" and path.name == "__init__.py"
+            used |= _identifiers(path, skip_imports=hub)
+    found = []
+    for path in SRC.rglob("*.py"):
+        for label, _node in _public_defs(path):
+            owner, _, name = label.rpartition(".")
+            if name not in used and (not owner or owner in used):
+                found.append(f"{path.relative_to(SRC)}::{label}")
+    return sorted(found)
+
+
+#: What the caller census may find, and why each stays.
+TEST_ONLY_BY_DESIGN = {
+    "api.py::fuzz": "the facade's form of the `repro fuzz` command (README)",
+    "core/bounds.py::optimal_ratio": "Theorem 1's r = 2 (docs/PAPER_MAP.md)",
+    "datagen/database.py::Database.invalidate_fingerprint": (
+        "safety: how a Database mutated in place drops its stale "
+        "fingerprint, indexes and cardinality cache"
+    ),
+    "datagen/generators.py::ZipfInt": (
+        "the skewed column generator DESIGN's substitution table names"
+    ),
+    "ess/diagram.py::PlanDiagram.check_monotone": "validator (PCM, §2)",
+    "ess/dimensioning.py::eliminate_low_impact_dimensions": (
+        "§8 dimension elimination (docs/PAPER_MAP.md)"
+    ),
+    "ess/space.py::SelectivitySpace.successors": (
+        "the axis-successor relation contour maximality is defined by"
+    ),
+    "obs/tracer.py::MemorySink.events": "test seam: reading recorded events",
+    "optimizer/optimizer.py::PlanRegistry.canonical": (
+        "test seam: the registry's structural dedup, seen from outside"
+    ),
+    "robustness/nat.py::NativeOptimizerStrategy.suboptimality": (
+        "SubOpt(qe, qa), Equation 1"
+    ),
+    "robustness/reopt.py::ReoptStrategy.suboptimality": (
+        "SubOpt(qe, qa), Equation 1, for the §7 re-optimization baseline"
+    ),
+    "runtime/aio.py::AsyncioRuntime.asleep": (
+        "the non-blocking sleep AsyncioRuntime.sleep's error points to"
+    ),
+    "runtime/simulated.py::SimulatedRuntime": (
+        "the virtual clock tests put in place of the real one (gateway, "
+        "admission, tests/serve/load_model.py)"
+    ),
+    "sched/ledger.py::BudgetLedger.assert_within_bound": "validator",
+    "serve/admission.py::AdmissionController.pressure": (
+        "test seam: queue occupancy the degrade ladder acts on"
+    ),
+    "wlgen/generator.py::QueryGenerator.generate_template": (
+        "test seam: one template at several bindings, the template "
+        "tier's workload"
+    ),
+}
+
+
+def test_caller_census():
+    """Code stays in ``src/`` when something other than a test reaches
+    it (DESIGN decision 10); the exceptions are listed with reasons."""
+    assert caller_census() == sorted(TEST_ONLY_BY_DESIGN)
 
 
 def test_import_leaves_shared_memory_alone():
@@ -184,14 +365,17 @@ def test_src_has_no_unused_imports():
     assert not unused, "\n".join(unused)
 
 
+def _line_count(path: pathlib.Path) -> int:
+    return path.read_text().count("\n")
+
+
 def _src_lines():
     """Lines of ``*.py`` under ``src/`` per package of ``repro`` (what
     ``find src -name '*.py' | xargs cat | wc -l`` counts in total)."""
     lines = {}
     for path in sorted(SRC.rglob("*.py")):
-        relative = path.relative_to(SRC)
-        package = relative.parts[0] if len(relative.parts) > 1 else "(top level)"
-        lines[package] = lines.get(package, 0) + path.read_text().count("\n")
+        package = _package(path)
+        lines[package] = lines.get(package, 0) + _line_count(path)
     return lines
 
 
@@ -200,9 +384,27 @@ if __name__ == "__main__":
     for package, count in sorted(lines.items()):
         print(f"{count:7d}  {package}")
     print(f"{sum(lines.values()):7d}  src/ total")
+    # Code moved out of src/ lands in one of these, so a move cannot
+    # lower this figure.
+    everything = sum(
+        _line_count(path)
+        for area in ("src", "tests", "benchmarks", "examples")
+        for path in (ROOT / area).rglob("*.py")
+    )
+    print(f"{everything:7d}  src/ + tests/ + benchmarks/ + examples/")
     print(f"BouquetConfig fields: {len(dataclasses.fields(BouquetConfig))}")
     print(f"ServeRequest wire keys: {len(ServeRequest(query='select 1').to_dict())}")
     census = workers_census()
     print(f"workers census ({len(census)}):")
     for name in census:
+        print(f"  {name}")
+    defaulted = defaulted_parameter_census()
+    print(f"defaulted public parameters ({sum(defaulted.values())}):")
+    for package, count in sorted(defaulted.items()):
+        print(f"{count:7d}  {package}")
+    commands = cli_subcommands()
+    print(f"CLI subcommands ({len(commands)}): {' '.join(commands)}")
+    unreached = caller_census()
+    print(f"public definitions only tests reach ({len(unreached)}):")
+    for name in unreached:
         print(f"  {name}")

@@ -1,6 +1,6 @@
 """Tests for the benchmark reporting helpers."""
 
-from repro.bench.reporting import format_series, format_table, log_bar
+from repro.bench.reporting import format_table
 
 
 class TestFormatTable:
@@ -30,18 +30,3 @@ class TestFormatTable:
     def test_no_title(self):
         text = format_table(["a"], [(1,)])
         assert text.splitlines()[0].startswith("a")
-
-
-class TestSeriesAndBars:
-    def test_series_pairs_columns(self):
-        text = format_series([1, 2], [10.0, 20.0], "x", "y")
-        assert "x" in text and "y" in text
-        assert "10" in text and "20" in text
-
-    def test_log_bar_monotone(self):
-        assert len(log_bar(10.0)) <= len(log_bar(1000.0))
-        assert log_bar(0.0) == ""
-        assert set(log_bar(5.0)) == {"#"}
-
-    def test_log_bar_capped(self):
-        assert len(log_bar(1e100, width=40)) == 40
