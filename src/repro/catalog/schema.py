@@ -110,6 +110,7 @@ class Table:
                 f"primary key {primary_key!r} is not a column of table {name!r}"
             )
         self.primary_key = primary_key
+        self._indexes: Dict[str, "IndexInfo"] = {}
 
     def column(self, name: str) -> Column:
         """Look up a column by name, raising :class:`CatalogError` if absent."""
@@ -215,7 +216,7 @@ class Schema:
         return f"Schema({self.name!r}, tables={self.table_names})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexInfo:
     """Descriptor for a (simulated) secondary B-tree index."""
 
@@ -226,7 +227,13 @@ class IndexInfo:
 
     @staticmethod
     def for_table(table: Table, column: str) -> "IndexInfo":
-        # Index entries are narrow; approximate 16 bytes per entry.
-        entries_per_page = max(1, PAGE_SIZE_BYTES // 16)
-        leaf_pages = max(1, -(-table.row_count // entries_per_page))
-        return IndexInfo(table=table.name, column=column, leaf_pages=leaf_pages)
+        """The table's index on ``column``, described once per table."""
+        index = table._indexes.get(column)
+        if index is None:
+            # Index entries are narrow; approximate 16 bytes per entry.
+            entries_per_page = max(1, PAGE_SIZE_BYTES // 16)
+            leaf_pages = max(1, -(-table.row_count // entries_per_page))
+            index = table._indexes[column] = IndexInfo(
+                table=table.name, column=column, leaf_pages=leaf_pages
+            )
+        return index

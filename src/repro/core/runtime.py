@@ -28,9 +28,10 @@ from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..optimizer.plans import (
-    cost_plan,
+    CostContext,
     error_node_depth,
     first_error_node,
+    own_formula,
 )
 from .bouquet import PlanBouquet
 
@@ -58,6 +59,30 @@ class KnownSelectivities:
 
     learned: Tuple[LearnedSelectivity, ...] = ()
     cost: float = 0.0
+
+
+@dataclass
+class RunState:
+    """Where a Figure 13 run stands between two executions — all the
+    loop reads, so a run continues from any state as it starts from the
+    origin (the sweep residue resumes from its cohort's)."""
+
+    qrun: List[float]
+    exact: Set[int]
+    cid: int = 0  # contour position
+    total: float = 0.0  # cost charged so far
+    #: Plans of contour ``cid`` already spilled, to guarantee progress.
+    attempted: Set[int] = field(default_factory=set)
+    #: Plans of contour ``cid`` proven unable to complete under its
+    #: budget: a budget-exhausted run (spilled or full) consumed the
+    #: whole budget, and by PCM a rerun fares no better.
+    exhausted: Set[int] = field(default_factory=set)
+
+    def cross(self) -> None:
+        """On to the next contour, none of whose plans has been tried."""
+        self.cid += 1
+        self.attempted.clear()
+        self.exhausted.clear()
 
 
 @dataclass
@@ -199,8 +224,12 @@ class AbstractExecutionService(ExecutionService):
         self.qa_values = tuple(float(v) for v in qa_values)
         if len(self.qa_values) != self.space.dimensionality:
             raise BouquetError("qa values do not match ESS dimensionality")
-        self._schema = bouquet.space.query.schema
         self._truth = self.space.assignment_for(self.qa_values)
+        # One context for everything costed at the truth: sub-trees the
+        # bouquet's plans share are costed once per service.
+        self._at_truth = CostContext(
+            self.space.query.schema, bouquet.cost_cache.optimizer.cost_model, self._truth
+        )
         self._dims_by_pid = {dim.pid: dim for dim in self.space.dimensions}
         qa = dict(zip(self._dims_by_pid, self.qa_values)) if known else {}
         for bound in known:
@@ -215,13 +244,8 @@ class AbstractExecutionService(ExecutionService):
     def _plan(self, plan_id: int):
         return self.bouquet.registry.plan(plan_id)
 
-    def _cost_model(self):
-        return self.bouquet.cost_cache.optimizer.cost_model
-
     def true_cost(self, plan_id: int) -> float:
-        plan = self._plan(plan_id)
-        est = cost_plan(plan, self._schema, self._cost_model(), self._truth)
-        return est.cost
+        return self._plan(plan_id).estimate(self._at_truth).cost
 
     # -- ExecutionService -----------------------------------------------
 
@@ -251,7 +275,10 @@ class AbstractExecutionService(ExecutionService):
         if node is None:
             return self.run_full(plan_id, budget)
         target_pids = sorted(node.local_pids & unlearned_pids)
-        model = self._cost_model()
+        # Nothing below the first error node reads an unlearned pid, so
+        # its inputs are constants of the bisection: estimated once, at
+        # the truth, and only the node's own formula moves with ``t``.
+        formula = own_formula(node, self._at_truth)
 
         def subtree_cost(t: float) -> float:
             assignment = dict(self._truth)
@@ -259,8 +286,8 @@ class AbstractExecutionService(ExecutionService):
                 lo = self._dims_by_pid[pid].lo
                 true_value = self._truth[pid]
                 assignment[pid] = _geometric_interp(lo, true_value, t)
-            est = cost_plan(node, self._schema, model, assignment)
-            return est.cost
+            at_truth = self._at_truth
+            return formula(CostContext(at_truth.schema, at_truth.cost_model, assignment)).cost
 
         plan_cost = self.true_cost(plan_id)
         if plan_cost <= budget:
@@ -368,9 +395,10 @@ class BouquetRunner:
         self._pid_to_dim = {dim.pid: i for i, dim in enumerate(self.space.dimensions)}
         self._grids = [grid.tolist() for grid in self.space.grids]
         # q_run advances monotonically but revisits the same point many
-        # times within a contour (candidate ranking, fallback ordering,
-        # crossing checks), so plan costs at a point are memoized.
-        self._point_costs: Dict[Tuple[int, Tuple[float, ...]], float] = {}
+        # times within a contour (candidate ranking, spill floors,
+        # fallback ordering, crossing checks): one costing context per
+        # point, so every node of every plan is costed there once.
+        self._contexts: Dict[Tuple[float, ...], CostContext] = {}
 
     # ------------------------------------------------------------------
 
@@ -382,11 +410,11 @@ class BouquetRunner:
             contours=len(self.bouquet.contours),
             cardinality=self.bouquet.cardinality,
         ) as span:
-            qrun, exact, probe_cost = self._start()
+            state, probe_cost = self._start()
             if self.mode == "optimized" and self.crossing.name == "sequential":
-                result = self._run_optimized(qrun, exact)
+                result = self._run_optimized(state)
             else:
-                result = self._run_crossing(qrun, exact)
+                result = self._run_crossing(state.qrun, state.exact)
             result.probe_cost = probe_cost
             result.total_cost += probe_cost
             if result.elapsed_cost is not None:
@@ -401,11 +429,12 @@ class BouquetRunner:
                 span.set(elapsed_cost=result.elapsed_cost)
             return result
 
-    def _start(self) -> Tuple[List[float], Set[int], float]:
+    def _start(self) -> Tuple[RunState, float]:
         """The one place a run's initial state is decided: ``q_run`` at
         the ESS origin, raised to whatever the service has measured (any
         ``q_lb <= qa`` is as sound a start as the origin — first-quadrant
-        invariant), the dimensions known exactly, and the probes' price."""
+        invariant), the dimensions known exactly, nothing tried or
+        charged on the first contour — and the probes' price."""
         qrun = [dim.lo for dim in self.space.dimensions]
         exact: Set[int] = set()
         known = self.service.known_selectivities()
@@ -420,7 +449,7 @@ class BouquetRunner:
                     probe_cost=known.cost,
                     pinned={dims[d].pid: qrun[d] for d in sorted(exact)},
                 )
-        return qrun, exact, known.cost
+        return RunState(qrun, exact), known.cost
 
     def _merge(
         self, qrun: List[float], exact: Set[int], learned: Sequence[LearnedSelectivity]
@@ -541,24 +570,21 @@ class BouquetRunner:
 
     # -- optimized (Figure 13) ------------------------------------------
 
-    def _run_optimized(self, qrun: List[float], exact: Set[int]) -> BouquetRunResult:
+    def _run_optimized(self, state: RunState) -> BouquetRunResult:
+        """Figure 13 from ``state``, advanced in place and consistent at
+        every execution (a run cut there resumes from it): the trace holds
+        what ran from here on, ``total_cost`` all ``state`` was charged."""
         space = self.space
         dims = space.dimensions
-        total = 0.0
         trace: List[ExecutionRecord] = []
-        cid = 0
         contours = self.bouquet.contours
         budgets = self.budgets
-        # (contour, plan) pairs already spilled, to guarantee progress.
-        attempted: Set[Tuple[int, int]] = set()
-        # (contour, plan) pairs proven unable to complete under the
-        # contour's budget: a budget-exhausted run (spilled or full)
-        # consumed the whole budget, and by PCM a rerun fares no better.
-        exhausted: Set[Tuple[int, int]] = set()
+        qrun, exact = state.qrun, state.exact
+        attempted, exhausted = state.attempted, state.exhausted
 
-        while cid < len(contours):
-            contour = contours[cid]
-            budget = budgets[cid]
+        while state.cid < len(contours):
+            contour = contours[state.cid]
+            budget = budgets[state.cid]
 
             # First-quadrant pruning (§5.1): a resident plan can only be the
             # guaranteed completer if one of its contour locations dominates
@@ -566,7 +592,7 @@ class BouquetRunner:
             # (qa >= q_run componentwise) and is crossed without execution.
             dominating = self._dominating_plans(contour, qrun)
             if not dominating:
-                cid += 1
+                state.cross()
                 continue
 
             if len(exact) == space.dimensionality:
@@ -574,28 +600,22 @@ class BouquetRunner:
                 # Plans whose spilled run already exhausted this contour's
                 # budget cannot complete under it either (their spilled
                 # subtree alone consumed the budget), so they are skipped.
-                runnable = [
-                    pid for pid in dominating if (cid, pid) not in exhausted
-                ]
+                runnable = [pid for pid in dominating if pid not in exhausted]
                 if not runnable:
-                    cid += 1
+                    state.cross()
                     continue
-                plan_id = self._cheapest_plan(runnable, qrun)
+                plan_id = min(runnable, key=lambda pid: self._cost_at_values(pid, qrun))
                 outcome = self.service.run_full(plan_id, budget)
-                if not outcome.completed:
-                    exhausted.add((cid, plan_id))
-                total, finished = self._book(
-                    trace, total, contour, plan_id, budget, outcome, spilled=False
+                finished = self._book(
+                    trace, state, contour, plan_id, budget, outcome, spilled=False
                 )
                 if finished is not None:
                     return finished
-                cid += 1
+                state.cross()
                 continue
 
             candidates = self._axis_plans(contour, qrun, exact)
-            candidates = [
-                c for c in candidates if (cid, c.plan_id) not in attempted
-            ]
+            candidates = [c for c in candidates if c.plan_id not in attempted]
             unlearned = frozenset(
                 dims[d].pid for d in range(len(dims)) if d not in exact
             )
@@ -608,8 +628,8 @@ class BouquetRunner:
             for cand in candidates:
                 floor = self._spill_floor(cand.plan_id, qrun, unlearned)
                 if floor >= budget * (1 - 1e-9):
-                    attempted.add((cid, cand.plan_id))
-                    exhausted.add((cid, cand.plan_id))
+                    attempted.add(cand.plan_id)
+                    exhausted.add(cand.plan_id)
                 else:
                     productive.append(cand)
             candidates = productive
@@ -624,28 +644,28 @@ class BouquetRunner:
                     (
                         pid
                         for pid in dominating
-                        if (cid, pid) not in exhausted
+                        if pid not in exhausted
                         and self._cost_at_values(pid, qrun) <= budget * (1 + 1e-9)
                     ),
                     key=lambda pid: self._cost_at_values(pid, qrun),
                 )
                 for plan_id in ordered:
-                    exhausted.add((cid, plan_id))
                     outcome = self.service.run_full(plan_id, budget)
-                    total, finished = self._book(
-                        trace, total, contour, plan_id, budget, outcome, spilled=False
+                    exhausted.add(plan_id)
+                    finished = self._book(
+                        trace, state, contour, plan_id, budget, outcome, spilled=False
                     )
                     if finished is not None:
                         return finished
-                cid += 1
+                state.cross()
                 continue
             choice = self._pick_candidate(candidates)
-            attempted.add((cid, choice.plan_id))
             outcome = self.service.run_spilled(choice.plan_id, budget, unlearned)
+            attempted.add(choice.plan_id)
             if not outcome.completed and outcome.cost_spent >= budget * (1 - 1e-9):
-                exhausted.add((cid, choice.plan_id))
-            total, finished = self._book(
-                trace, total, contour, choice.plan_id, budget, outcome, spilled=True
+                exhausted.add(choice.plan_id)
+            finished = self._book(
+                trace, state, contour, choice.plan_id, budget, outcome, spilled=True
             )
             if finished is not None:
                 # Spill-to-store completion: the resumed plan finished
@@ -655,14 +675,17 @@ class BouquetRunner:
             if self.tracer.enabled:
                 self._trace_qrun(qrun, exact)
             # Early contour change (Figure 13's last step).
-            if self._optimal_cost_estimate(qrun) >= budget and cid + 1 < len(contours):
+            if (
+                self._optimal_cost_estimate(qrun) >= budget
+                and state.cid + 1 < len(contours)
+            ):
                 if self.tracer.enabled:
                     self.tracer.event(
                         "runtime.contour_crossed", contour=contour.index, early=True
                     )
-                cid += 1
+                state.cross()
         return BouquetRunResult(
-            total_cost=total, executions=trace, final_plan_id=None, completed=False
+            total_cost=state.total, executions=trace, final_plan_id=None, completed=False
         )
 
     # -- helpers ---------------------------------------------------------
@@ -670,17 +693,17 @@ class BouquetRunner:
     def _book(
         self,
         trace: List[ExecutionRecord],
-        total: float,
+        state: RunState,
         contour,
         plan_id: int,
         budget: float,
         outcome: ExecutionOutcome,
         spilled: bool,
-    ) -> Tuple[float, Optional[BouquetRunResult]]:
+    ) -> Optional[BouquetRunResult]:
         """Book one execution of the optimized driver: charge it to the
-        running total, record and trace it.  Returns the new total and,
-        when the execution completed, the finished run's result."""
-        total += outcome.cost_spent
+        state's total, record and trace it.  Returns the finished run's
+        result when the execution completed."""
+        state.total += outcome.cost_spent
         record = ExecutionRecord(
             contour_index=contour.index,
             plan_id=plan_id,
@@ -693,45 +716,39 @@ class BouquetRunner:
         trace.append(record)
         self._trace_execution(record)
         if not outcome.completed:
-            return total, None
-        return total, BouquetRunResult(
-            total_cost=total,
+            return None
+        return BouquetRunResult(
+            total_cost=state.total,
             executions=trace,
             final_plan_id=plan_id,
             completed=True,
             result_rows=outcome.result_rows,
         )
 
-    def _cost_at_values(self, plan_id: int, values: Sequence[float]) -> float:
-        key = (plan_id, tuple(values))
-        cost = self._point_costs.get(key)
-        if cost is None:
-            cost = self.bouquet.cost_cache.cost_at_values(plan_id, values)
-            self._point_costs[key] = cost
-        return cost
+    def _context(self, values: Sequence[float]) -> CostContext:
+        """The costing context at one continuous point, built on first use."""
+        key = tuple(values)
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            optimizer = self.bouquet.cost_cache.optimizer
+            ctx = self._contexts[key] = CostContext(
+                optimizer.schema, optimizer.cost_model, self.space.assignment_for(values)
+            )
+        return ctx
 
-    def _cheapest_plan(self, plan_ids: Sequence[int], values: Sequence[float]) -> int:
-        return min(plan_ids, key=lambda pid: self._cost_at_values(pid, values))
+    def _cost_at_values(self, plan_id: int, values: Sequence[float]) -> float:
+        return self.bouquet.registry.plan(plan_id).estimate(self._context(values)).cost
 
     def _spill_floor(
         self, plan_id: int, qrun: Sequence[float], unlearned: FrozenSet[str]
     ) -> float:
-        """Cost of the plan's spilled subtree at q_run — a lower bound on
-        what a spilled execution will charge, computable from compile-time
-        cost functions alone."""
-        from ..optimizer.plans import spilled_cost
-
-        cache = self.bouquet.cost_cache
+        """Cost of the plan's spilled subtree (the whole plan when it has
+        no error node) at q_run — a lower bound on what a spilled
+        execution will charge, computable from compile-time cost
+        functions alone."""
         plan = self.bouquet.registry.plan(plan_id)
-        assignment = self.space.assignment_for(qrun)
-        cost, _ = spilled_cost(
-            plan,
-            cache.optimizer.schema,
-            cache.optimizer.cost_model,
-            assignment,
-            unlearned,
-        )
-        return cost
+        node = first_error_node(plan, unlearned) or plan
+        return node.estimate(self._context(qrun)).cost
 
     def _dominating_plans(self, contour, qrun: Sequence[float]) -> List[int]:
         """Resident plans owning at least one contour location whose

@@ -5,9 +5,10 @@ execution cost at *every* possible actual location ``qa``.  For the basic
 algorithm this cost field is computed fully vectorized; the optimized
 algorithm runs the vectorized cohort sweep engine in :mod:`repro.sweep`.
 :func:`simulate_at` — one :class:`~repro.core.runtime.BouquetRunner` run
-at one location — is the ground truth the engine is tested against
-(``tests/sweep/test_sweep_engine.py::TestFieldEquality``) and what
-finishes the cohorts too small to batch.
+at one location, from the ESS origin — is the ground truth the engine is
+tested against (``tests/sweep/test_sweep_engine.py::TestFieldEquality``);
+the engine finishes cohorts too small to batch through the same runner,
+resumed from the cohort's state instead of the origin.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def optimized_cost_field(
     large spaces.  Computed by the vectorized cohort engine in
     :mod:`repro.sweep` and memoized on the bouquet.
     """
-    # Imported lazily: repro.sweep itself leans on simulate_at for
-    # residue locations.
+    # Imported lazily: repro.sweep itself imports repro.core (the
+    # runner finishes its residue locations).
     from ..sweep import SweepEngine
 
     return SweepEngine(bouquet).field_dict(locations)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer, PlanRegistry
-from ..optimizer.plans import CostContext, cost_plan
+from ..optimizer.plans import CostContext
 from .space import Location, SelectivitySpace
 
 
@@ -112,15 +112,6 @@ class PlanCostCache:
 
     def cost(self, plan_id: int, location: Location) -> float:
         return float(self.cost_array(plan_id)[location])
-
-    def cost_at_values(self, plan_id: int, values: Sequence[float]) -> float:
-        """Cost at an arbitrary continuous point (used by q_run tracking)."""
-        plan = self.registry.plan(plan_id)
-        assignment = self.space.assignment_for(values)
-        est = cost_plan(
-            plan, self.optimizer.schema, self.optimizer.cost_model, assignment
-        )
-        return est.cost
 
 
 class PlanDiagram:

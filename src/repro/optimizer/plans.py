@@ -14,7 +14,7 @@ nested loops, hash, sort-merge, index nested loops).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -257,7 +257,7 @@ class IndexScan(PlanNode):
         model = ctx.cost_model
         sel = ctx.selectivity(self.index_pid)
         matched = table.row_count * sel
-        index = IndexInfo.for_table(table, self.index_pid)
+        index = IndexInfo.for_table(table, self.index_pid)  # one per (table, pid)
         cost = index.height * model.random_page_cost
         cost = cost + sel * index.leaf_pages * model.seq_page_cost
         cost = cost + matched * model.cpu_index_tuple_cost
@@ -480,6 +480,18 @@ def cost_plan(
     return plan.estimate(ctx)
 
 
+def own_formula(node: PlanNode, ctx: CostContext) -> Callable[[CostContext], NodeEstimate]:
+    """``node``'s own formula with its inputs estimated once, in ``ctx``:
+    the node's estimate at any context that differs from ``ctx`` only in
+    pids its inputs do not read (a spill node's targets) — same floats
+    as costing its whole subtree there, without re-walking it."""
+    if not isinstance(node, Join):
+        return node._estimate
+    left = node.left.estimate(ctx)
+    right = None if node.algo == "inl" else node.right.estimate(ctx)
+    return lambda at: node.combine(at, left, right)
+
+
 def first_error_node(
     plan: PlanNode, error_pids: FrozenSet[str]
 ) -> Optional[PlanNode]:
@@ -530,9 +542,5 @@ def spilled_cost(
     cost when the plan has no error-prone node.
     """
     node = first_error_node(plan, error_pids)
-    if node is None:
-        est = cost_plan(plan, schema, cost_model, assignment)
-        return est.cost, frozenset()
-    ctx = CostContext(schema, cost_model, assignment)
-    est = node.estimate(ctx)
-    return est.cost, node.local_pids & error_pids
+    est = cost_plan(node or plan, schema, cost_model, assignment)
+    return est.cost, node.local_pids & error_pids if node else frozenset()

@@ -13,7 +13,8 @@ with two cooperating layers:
   costing metadata, built once per bouquet.
 
 The divergent residue that batching cannot amortize is finished per
-location by ``simulate_at`` itself.
+location by the scalar :class:`~repro.core.runtime.BouquetRunner`,
+resumed from the state the location's cohort had reached.
 
 Entry points: :class:`SweepEngine` for repeated sweeps over one bouquet;
 :func:`repro.core.simulation.optimized_cost_field` is its dict-shaped

@@ -17,7 +17,8 @@ Two building blocks live here:
   cohort is costed in one tree walk.  Also hosts the batched spill-mode
   execution (the 40-step budget bisection of
   :meth:`~repro.core.runtime.AbstractExecutionService.run_spilled`, run
-  on all cohort members at once).
+  on all cohort members at once, each step moving the spill node's own
+  formula over inputs costed once).
 * :class:`ContourTables` — per-contour grid precomputations: dominance
   tests against the contour frontier, and the AxisPlans ray-walk/owner
   lookup flattened into gather tables so a cohort's candidate plans come
@@ -37,10 +38,11 @@ import numpy as np
 
 from ..core.bouquet import PlanBouquet
 from ..optimizer.plans import (
+    CostContext,
     PlanNode,
-    cost_plan,
     error_node_depth,
     first_error_node,
+    own_formula,
 )
 
 __all__ = ["BatchCoster", "ContourTables"]
@@ -59,7 +61,8 @@ class BatchCoster:
         self.dims = self.space.dimensions
         self.base = dict(self.space.base_assignment)
         self.pid_of_dim = [dim.pid for dim in self.dims]
-        #: Batched cost_plan invocations (telemetry: one per tree walk).
+        #: Batched costings (telemetry: one per plan, subtree or spill-node
+        #: formula evaluated over a batch).
         self.batched_costings = 0
         self._plans: Dict[int, PlanNode] = {}
         # (plan_id, unlearned) -> (first error node | None, target dim idxs)
@@ -120,14 +123,19 @@ class BatchCoster:
             out[dim.pid] = np.minimum(dim.hi, np.maximum(dim.lo, values[:, j]))
         return out
 
-    def _cost(self, node: PlanNode, assignment: Dict[str, object], n: int) -> np.ndarray:
+    def _context(self, assignment: Dict[str, object]) -> CostContext:
+        return CostContext(self.schema, self.model, assignment)
+
+    def _cost(self, estimate, ctx: CostContext, n: int) -> np.ndarray:
+        """One batched evaluation (a node's ``estimate`` or its own
+        formula) in ``ctx``, as a fresh cost array over ``n`` rows."""
         self.batched_costings += 1
-        est = cost_plan(node, self.schema, self.model, assignment)
-        return np.broadcast_to(np.asarray(est.cost, dtype=float), (n,)).copy()
+        return np.broadcast_to(np.asarray(estimate(ctx).cost, dtype=float), (n,)).copy()
 
     def plan_cost(self, plan_id: int, values: np.ndarray) -> np.ndarray:
-        """``cost_at_values`` for a whole batch: plan cost at clamped rows."""
-        return self._cost(self.plan(plan_id), self.assignment(values), len(values))
+        """Plan cost at clamped rows, for a whole batch."""
+        ctx = self._context(self.assignment(values))
+        return self._cost(self.plan(plan_id).estimate, ctx, len(values))
 
     def spill_floor(
         self, plan_id: int, values: np.ndarray, unlearned: FrozenSet[str]
@@ -135,14 +143,16 @@ class BatchCoster:
         """Batched :meth:`BouquetRunner._spill_floor`: cost of the spilled
         subtree (full plan when no error node) at clamped ``q_run`` rows."""
         node, _ = self.spill_node(plan_id, unlearned)
-        target = self.plan(plan_id) if node is None else node
-        return self._cost(target, self.assignment(values), len(values))
+        ctx = self._context(self.assignment(values))
+        return self._cost((node or self.plan(plan_id)).estimate, ctx, len(values))
 
     def optimal_estimate(self, values: np.ndarray) -> np.ndarray:
-        """Batched PIC estimate: min over bouquet plan costs at each row."""
+        """Batched PIC estimate: min over bouquet plan costs at each row,
+        all in one context (shared sub-trees are costed once)."""
+        ctx = self._context(self.assignment(values))
         best: Optional[np.ndarray] = None
         for plan_id in self.bouquet.plan_ids:
-            cost = self.plan_cost(plan_id, values)
+            cost = self._cost(self.plan(plan_id).estimate, ctx, len(values))
             best = cost if best is None else np.minimum(best, cost)
         assert best is not None
         return best
@@ -169,46 +179,44 @@ class BatchCoster:
         """
         n = len(truth)
         node, target_dims = self.spill_node(plan_id, unlearned)
+        at_truth = self._context(self.assignment(truth))
+        plan_full = self._cost(self.plan(plan_id).estimate, at_truth, n)
         if node is None:
             # No error-prone node: degenerate to a full run at the truth.
-            cost = self.plan_cost(plan_id, truth)
-            answered = cost <= budget
-            spent = np.where(answered, cost, budget)
+            answered = plan_full <= budget
+            spent = np.where(answered, plan_full, budget)
             return answered, np.zeros(n, dtype=bool), spent, np.empty((n, 0)), ()
 
-        base = self.assignment(truth)
-        lows = np.array([self.dims[j].lo for j in target_dims])
+        targets = [(self.dims[j].pid, self.dims[j].lo) for j in target_dims]
 
-        def subtree_cost(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            # _geometric_interp(lo, truth, t) = truth if truth <= lo
-            # else lo * (truth / lo) ** t — elementwise over the batch.
-            assignment = {
-                pid: (v[rows] if isinstance(v, np.ndarray) else v)
-                for pid, v in base.items()
-            }
-            for col, j in enumerate(target_dims):
-                lo = lows[col]
-                tv = np.asarray(base[self.dims[j].pid])[rows]
-                assignment[self.dims[j].pid] = np.where(
-                    tv <= lo, tv, lo * (tv / lo) ** t
-                )
-            return self._cost(node, assignment, int(rows.sum()))
+        def subtree_cost(t: np.ndarray, ctx: CostContext, formula) -> np.ndarray:
+            # Over the rows of ``ctx`` (the truth).  Nothing below the
+            # first error node reads an unlearned pid, so ``formula`` —
+            # ``own_formula(node, ctx)``, inputs costed once — is all
+            # that moves with ``t``.  _geometric_interp(lo, truth, t) =
+            # truth if truth <= lo else lo * (truth / lo) ** t.
+            assignment = dict(ctx.assignment)
+            for pid, lo in targets:
+                tv = ctx.assignment[pid]
+                assignment[pid] = np.where(tv <= lo, tv, lo * (tv / lo) ** t)
+            return self._cost(formula, self._context(assignment), len(t))
 
-        every = np.ones(n, dtype=bool)
-        subtree_full = subtree_cost(np.ones(n), every)
-        plan_full = self.plan_cost(plan_id, truth)
+        subtree_full = subtree_cost(np.ones(n), at_truth, own_formula(node, at_truth))
         # Spill-to-store: the plan fits the budget -> the query is
         # answered; only the subtree fits -> exact learning, full budget.
         answered = plan_full <= budget
         exact = ~answered & (subtree_full <= budget)
         spent = np.where(answered, plan_full, budget)
         learned = np.empty((n, len(target_dims)))
-        for col, j in enumerate(target_dims):
-            learned[:, col] = np.asarray(base[self.dims[j].pid])
+        for col, (pid, _lo) in enumerate(targets):
+            learned[:, col] = at_truth.assignment[pid]
         rows = ~answered & ~exact
         if rows.any():
             m = int(rows.sum())
-            at0 = subtree_cost(np.zeros(m), rows)
+            # The bisected rows are sliced out once, not per iteration.
+            sub = self._context(self.assignment(truth[rows]))
+            formula = own_formula(node, sub)
+            at0 = subtree_cost(np.zeros(m), sub, formula)
             stuck = at0 > budget
             lo_t = np.zeros(m)
             hi_t = np.ones(m)
@@ -216,13 +224,12 @@ class BatchCoster:
             if active.any():
                 for _ in range(40):
                     mid = 0.5 * (lo_t + hi_t)
-                    cost = subtree_cost(mid, rows)
+                    cost = subtree_cost(mid, sub, formula)
                     fits = cost <= budget
                     lo_t = np.where(active & fits, mid, lo_t)
                     hi_t = np.where(active & ~fits, mid, hi_t)
-            for col, j in enumerate(target_dims):
-                lo = lows[col]
-                tv = np.asarray(base[self.dims[j].pid])[rows]
+            for col, (pid, lo) in enumerate(targets):
+                tv = at_truth.assignment[pid][rows]
                 learned[rows, col] = np.where(
                     tv <= lo, tv, lo * (tv / lo) ** lo_t
                 )

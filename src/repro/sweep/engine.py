@@ -15,9 +15,10 @@ replica of :meth:`repro.core.runtime.BouquetRunner._run_optimized`:
 3. the cohort then *splits* by decision signature — (contour, plan,
    spill outcome, early-crossing verdict) — and each child continues as
    its own cohort;
-4. cohorts that shrink below the batching threshold become *residue* and
-   are finished by the reference per-location runner
-   (:func:`repro.core.simulation.simulate_at`).
+4. cohorts that shrink below the batching threshold become *residue*:
+   each member continues through the scalar runner from the state its
+   cohort reached (``q_run``, charged total, contour, tried plans) —
+   the executions the cohort already simulated are not run again.
 
 Two closed forms avoid per-location loops entirely: once every dimension
 is learned exactly, the remaining climb reduces to masked lookups over
@@ -40,8 +41,12 @@ from typing import Dict, FrozenSet, Iterable, List, Optional
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
-from ..core.runtime import EQUIVALENCE_THRESHOLD
-from ..core.simulation import simulate_at
+from ..core.runtime import (
+    EQUIVALENCE_THRESHOLD,
+    AbstractExecutionService,
+    BouquetRunner,
+    RunState,
+)
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import Tracer
@@ -177,11 +182,11 @@ class SweepEngine:
             exhausted=frozenset(),
         )
         queue: List[Cohort] = [initial]
-        residue_rows: List[np.ndarray] = []
+        residue: List[Cohort] = []
         while queue:
             cohort = queue.pop()
             if cohort.size < self.residue_min:
-                residue_rows.append(cohort.rows)
+                residue.append(cohort)
                 continue
             stats["cohorts"] += 1
             if tracer.enabled:
@@ -193,24 +198,40 @@ class SweepEngine:
             if tracer.enabled and len(children) > 1:
                 tracer.count("sweep.cohort_splits", len(children) - 1)
             queue.extend(children)
-        if residue_rows:
-            rows = np.concatenate(residue_rows)
+        if residue:
+            rows = np.concatenate([cohort.rows for cohort in residue])
             stats["residue"] += len(rows)
             if tracer.enabled:
                 tracer.count("sweep.residue_locations", len(rows))
-            self._out[rows] = self._finish_residue(flat[rows])
+            self._out[rows] = self._finish_residue(residue)
         if np.isnan(self._out).any():
             raise BouquetError("sweep engine left locations unswept")
         cache.store(flat, self._out)
         self._flat = None
         self._out = None
 
-    def _finish_residue(self, flat: np.ndarray) -> np.ndarray:
-        """Reference per-location totals for the cohorts too small to batch."""
-        coords = np.stack(np.unravel_index(flat, self._shape), axis=1).tolist()
-        return np.array(
-            [simulate_at(self.bouquet, tuple(loc)).total_cost for loc in coords]
-        )
+    def _finish_residue(self, cohorts: List[Cohort]) -> np.ndarray:
+        """Totals of the cohorts too small to batch, members in cohort
+        order: each resumes the scalar Figure 13 loop from its cohort's
+        state instead of re-running it from the ESS origin."""
+        totals, executions = [], 0
+        for cohort in cohorts:
+            truth = self.cache.truth[self._flat[cohort.rows]].tolist()
+            for qa, qrun, total in zip(truth, cohort.qrun.tolist(), cohort.total.tolist()):
+                service = AbstractExecutionService(self.bouquet, qa)
+                result = BouquetRunner(self.bouquet, service)._run_optimized(
+                    RunState(
+                        qrun, set(cohort.exact), cohort.cid, total,
+                        set(cohort.attempted), set(cohort.exhausted),
+                    )
+                )
+                if not result.completed:
+                    raise BouquetError("residue run did not complete — contour coverage bug")
+                totals.append(result.total_cost)
+                executions += result.execution_count
+        if self.tracer.enabled:
+            self.tracer.count("sweep.residue_executions", executions)
+        return np.array(totals)
 
     # ------------------------------------------------------------------
     # One cohort step (one contour interaction)

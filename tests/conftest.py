@@ -11,10 +11,12 @@ import pytest
 
 from repro.bench.harness import Lab
 from repro.catalog import tpch_generator_spec, tpch_schema
+from repro.core.runtime import ExecutionOutcome, LearnedSelectivity, _geometric_interp
 from repro.core.simulation import simulate_at
 from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.optimizer import Optimizer, actual_selectivities
+from repro.optimizer.plans import cost_plan, first_error_node
 from repro.query import JoinPredicate, Query, SelectionPredicate
 from repro.wlgen import GeneratorConfig, QueryGenerator
 
@@ -67,6 +69,58 @@ def reference_field(bouquet, locations=None, crossing=None):
         loc: simulate_at(bouquet, loc, crossing=crossing).total_cost
         for loc in locations
     }
+
+
+def spilled_run_by_subtree_walk(
+    bouquet, qa_values, plan_id, budget, unlearned, interp=_geometric_interp
+):
+    """One spilled execution in the cost-model world, by the literal
+    procedure: every probe of the 40-step bisection re-costs the whole
+    spilled subtree with ``cost_plan``.  The oracle for
+    ``AbstractExecutionService.run_spilled`` and ``BatchCoster.run_spilled``,
+    which bisect on the spill node's own formula (``interp`` is how a
+    target moves from its ``lo`` to the truth: numpy's ``**`` is not
+    libm's to the last bit, so the batch side passes its own)."""
+    space = bouquet.space
+    optimizer = bouquet.cost_cache.optimizer
+    truth = space.assignment_for(qa_values)
+    plan = bouquet.registry.plan(plan_id)
+
+    def cost(node, assignment):
+        return cost_plan(node, optimizer.schema, optimizer.cost_model, assignment).cost
+
+    plan_cost = cost(plan, truth)
+    node = first_error_node(plan, unlearned)
+    if node is None:
+        return ExecutionOutcome(plan_cost <= budget, min(plan_cost, budget))
+    lows = {dim.pid: dim.lo for dim in space.dimensions}
+    targets = sorted(node.local_pids & unlearned)
+
+    def learned(t, exact):
+        return [
+            LearnedSelectivity(pid, interp(lows[pid], truth[pid], t), exact)
+            for pid in targets
+        ]
+
+    def subtree_cost(t):
+        return cost(node, {**truth, **{l.pid: l.value for l in learned(t, False)}})
+
+    at_truth = [LearnedSelectivity(pid, truth[pid], True) for pid in targets]
+    if plan_cost <= budget:
+        return ExecutionOutcome(True, plan_cost, at_truth)
+    if subtree_cost(1.0) <= budget:
+        return ExecutionOutcome(False, budget, at_truth)
+    lo_t, hi_t = 0.0, 1.0
+    if subtree_cost(0.0) > budget:
+        hi_t = 0.0
+    else:
+        for _ in range(40):
+            mid = 0.5 * (lo_t + hi_t)
+            if subtree_cost(mid) <= budget:
+                lo_t = mid
+            else:
+                hi_t = mid
+    return ExecutionOutcome(False, budget, learned(lo_t, False))
 
 
 @pytest.fixture(scope="session")

@@ -167,27 +167,20 @@ class TestBudgetInflation:
 
 class TestPointCostMemo:
     def test_cost_at_values_memoized_per_plan_and_point(self, eq_bouquet):
+        """One costing context per point: a second call at an equal
+        point costs no new node, a different point gets its own."""
         qa = eq_bouquet.space.selectivities_at((10,))
         service = AbstractExecutionService(eq_bouquet, qa)
         runner = BouquetRunner(eq_bouquet, service, mode="optimized")
         plan_id = eq_bouquet.contours[0].plan_ids[0]
         values = [dim.lo for dim in eq_bouquet.space.dimensions]
-        calls = []
-        real = eq_bouquet.cost_cache.cost_at_values
-
-        def counting(pid, vals):
-            calls.append((pid, tuple(vals)))
-            return real(pid, vals)
-
-        eq_bouquet.cost_cache.cost_at_values = counting
-        try:
-            first = runner._cost_at_values(plan_id, values)
-            second = runner._cost_at_values(plan_id, list(values))
-            runner._cost_at_values(plan_id, [v * 2.0 for v in values])
-        finally:
-            del eq_bouquet.cost_cache.cost_at_values
+        first = runner._cost_at_values(plan_id, values)
+        costed = len(runner._context(values)._memo)
+        second = runner._cost_at_values(plan_id, list(values))
+        runner._cost_at_values(plan_id, [v * 2.0 for v in values])
         assert first == second
-        assert len(calls) == 2  # one per distinct (plan, point)
+        assert len(runner._context(values)._memo) == costed > 0
+        assert len(runner._contexts) == 2  # one per distinct point
 
     def test_memo_is_per_runner(self, eq_bouquet):
         qa = eq_bouquet.space.selectivities_at((10,))
@@ -197,5 +190,5 @@ class TestPointCostMemo:
         plan_id = eq_bouquet.contours[0].plan_ids[0]
         values = [dim.lo for dim in eq_bouquet.space.dimensions]
         a._cost_at_values(plan_id, values)
-        assert (plan_id, tuple(values)) in a._point_costs
-        assert (plan_id, tuple(values)) not in b._point_costs
+        assert tuple(values) in a._contexts
+        assert tuple(values) not in b._contexts

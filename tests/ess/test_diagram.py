@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.runtime import AbstractExecutionService, BouquetRunner
 from repro.ess import PlanDiagram, coarse_subgrid
 from repro.exceptions import EssError
 
@@ -66,13 +67,17 @@ class TestCostCache:
         array = cache.cost_array(plan_id)
         assert array[(5,)] == cache.cost(plan_id, (5,))
 
-    def test_cost_at_values_interpolates_grid(self, eq_diagram):
+    def test_cost_at_values_interpolates_grid(self, eq_diagram, eq_bouquet):
+        """The runner's point costing agrees with the grid arrays at a
+        grid point and lies between neighbours off the grid."""
         cache = eq_diagram.cache
         plan_id = eq_diagram.posp_plan_ids[0]
         grid = eq_diagram.space.grids[0]
-        at_grid = cache.cost_at_values(plan_id, [float(grid[10])])
+        service = AbstractExecutionService(eq_bouquet, [float(grid[10])])
+        runner = BouquetRunner(eq_bouquet, service)
+        at_grid = runner._cost_at_values(plan_id, [float(grid[10])])
         assert at_grid == pytest.approx(cache.cost(plan_id, (10,)))
-        between = cache.cost_at_values(
+        between = runner._cost_at_values(
             plan_id, [float(np.sqrt(grid[10] * grid[11]))]
         )
         assert cache.cost(plan_id, (10,)) <= between <= cache.cost(plan_id, (11,))

@@ -95,8 +95,9 @@ class TestEngineMechanics:
 
 
 class TestResidueRoute:
-    """The residue has one route — ``simulate_at`` per location — so its
-    totals equal the reference bit for bit, and the counts are the ones
+    """The residue has one route — the scalar runner, continuing each
+    location from the state its cohort reached — so its totals equal
+    the from-origin reference bit for bit, and the counts are the ones
     the pool-sharded engine reported."""
 
     @staticmethod
@@ -110,9 +111,11 @@ class TestResidueRoute:
         finish = engine._finish_residue
         row_major = list(bouquet.space.locations())
 
-        def recording(flat):
-            residue.extend(row_major[f] for f in flat.tolist())
-            return finish(flat)
+        def recording(cohorts):
+            for cohort in cohorts:
+                flat = engine._flat[cohort.rows]
+                residue.extend(row_major[f] for f in flat.tolist())
+            return finish(cohorts)
 
         monkeypatch.setattr(engine, "_finish_residue", recording)
 
@@ -135,6 +138,18 @@ class TestResidueRoute:
         assert len(residue) == len(set(residue)) == 23
         reference = reference_field(q3d.bouquet, residue)
         assert [field[loc] for loc in residue] == [reference[loc] for loc in residue]
+
+    def test_residue_resumes_instead_of_restarting(self, q3d, monkeypatch):
+        """A count, not a clock: the residue runs only the executions its
+        cohorts had not simulated yet."""
+        engine, residue, reported = self._cold_engine(q3d.bouquet, monkeypatch)
+        engine.cost_field()
+        _span, counters = reported()
+        from_origin = sum(
+            simulate_at(q3d.bouquet, loc).execution_count for loc in residue
+        )
+        assert (len(residue), from_origin) == (23, 98)
+        assert counters["sweep.residue_executions"] == 26 < from_origin
 
 
 class TestPropertyEquality:
