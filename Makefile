@@ -14,7 +14,8 @@
 #   make perf-guards  the count-based guards of the microbenchmarks (a warm
 #                     request builds no index and is one plan execution, a
 #                     whole-grid compile offers one DP's worth of join
-#                     candidates); counts only, nothing is timed
+#                     candidates, a campaign pass evaluates spill formulas
+#                     <= 1,300 times); counts only, nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -66,7 +67,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

@@ -254,6 +254,18 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
     assert len(choice) == space.size
 
 
+def test_perf_spill_evaluations_of_the_campaign_pool(benchmark):
+    """A spilled run's reach is searched, not bisected.  Count-based
+    guard — one pass over the ledger's 31 ``eval_campaign`` queries
+    evaluates spill nodes' own formulas at most 1,300 times (821 today;
+    the 40-step loops made 5,748), the bound tier-1 holds in
+    ``tests/sweep/test_sweep_engine.py``."""
+    from tests.conftest import campaign_pool_counters
+
+    counters = benchmark(campaign_pool_counters)
+    assert counters["sweep.spill_formula_evaluations"] <= 1300
+
+
 def test_perf_sweep_engine_field(benchmark, env):
     """The full optimized cost field via the cohort sweep engine.
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..ess.space import Location
 from ..exceptions import BouquetError
@@ -31,6 +33,7 @@ from ..optimizer.plans import (
     CostContext,
     error_node_depth,
     first_error_node,
+    formula_inputs,
     own_formula,
 )
 from .bouquet import PlanBouquet
@@ -204,9 +207,9 @@ class AbstractExecutionService(ExecutionService):
     spilled run answers the query when the whole plan fits the budget
     (spill-to-store resume); otherwise it charges the full budget,
     learning the targeted dimension exactly when the spilled subtree
-    resolved, or advancing its lower bound to the point where the
-    subtree's cost meets the budget (found by bisection on the plan's
-    parametric cost function).
+    resolved, or advancing its lower bound to the last point of the
+    2**-40 progress grid where the subtree's cost still fits the budget
+    (:func:`reach_under_budget`, on the plan's parametric cost function).
 
     The cost-model world knows nothing before it executes — the paper's
     origin start is its definition — unless ``known`` injects bounds
@@ -274,59 +277,42 @@ class AbstractExecutionService(ExecutionService):
         node = first_error_node(plan, unlearned_pids)
         if node is None:
             return self.run_full(plan_id, budget)
-        target_pids = sorted(node.local_pids & unlearned_pids)
+        lows = {pid: self._dims_by_pid[pid].lo for pid in sorted(node.local_pids & unlearned_pids)}
         # Nothing below the first error node reads an unlearned pid, so
-        # its inputs are constants of the bisection: estimated once, at
-        # the truth, and only the node's own formula moves with ``t``.
-        formula = own_formula(node, self._at_truth)
+        # its inputs are constants of the search: estimated once, at the
+        # truth, and only the node's own formula moves with ``t``.
+        formula = own_formula(node, formula_inputs(node, self._at_truth))
+
+        def learned(t: float, exact: bool) -> List[LearnedSelectivity]:
+            """Where the targets stand when the run has progressed to ``t``."""
+            return [
+                LearnedSelectivity(pid, _geometric_interp(lo, self._truth[pid], t), exact)
+                for pid, lo in lows.items()
+            ]
 
         def subtree_cost(t: float) -> float:
-            assignment = dict(self._truth)
-            for pid in target_pids:
-                lo = self._dims_by_pid[pid].lo
-                true_value = self._truth[pid]
-                assignment[pid] = _geometric_interp(lo, true_value, t)
-            at_truth = self._at_truth
-            return formula(CostContext(at_truth.schema, at_truth.cost_model, assignment)).cost
+            moved = {bound.pid: bound.value for bound in learned(t, False)}
+            at = self._at_truth
+            return formula(CostContext(at.schema, at.cost_model, {**self._truth, **moved})).cost
 
+        at_truth = [LearnedSelectivity(pid, self._truth[pid], exact=True) for pid in lows]
         plan_cost = self.true_cost(plan_id)
         if plan_cost <= budget:
             # Spill-to-store: the stored subtree resolved and the resumed
             # plan fits the budget too — this execution answers the query.
-            learned = [
-                LearnedSelectivity(pid, self._truth[pid], exact=True)
-                for pid in target_pids
-            ]
-            return ExecutionOutcome(
-                completed=True, cost_spent=plan_cost, learned=learned
-            )
-        if subtree_cost(1.0) <= budget:
+            return ExecutionOutcome(completed=True, cost_spent=plan_cost, learned=at_truth)
+        subtree_full = subtree_cost(1.0)
+        if subtree_full <= budget:
             # The subtree resolved (exact learning) but the resumed plan
             # hit the cost horizon: the budget is fully consumed.
-            learned = [
-                LearnedSelectivity(pid, self._truth[pid], exact=True)
-                for pid in target_pids
-            ]
-            return ExecutionOutcome(
-                completed=False, cost_spent=budget, learned=learned
-            )
-        # Bisect the largest progress fraction that fits the budget.
-        lo_t, hi_t = 0.0, 1.0
-        if subtree_cost(0.0) > budget:
-            lo_t = hi_t = 0.0
-        else:
-            for _ in range(40):
-                mid = 0.5 * (lo_t + hi_t)
-                if subtree_cost(mid) <= budget:
-                    lo_t = mid
-                else:
-                    hi_t = mid
-        learned = []
-        for pid in target_pids:
-            dim = self._dims_by_pid[pid]
-            value = _geometric_interp(dim.lo, self._truth[pid], lo_t)
-            learned.append(LearnedSelectivity(pid, value, exact=False))
-        return ExecutionOutcome(completed=False, cost_spent=budget, learned=learned)
+            return ExecutionOutcome(completed=False, cost_spent=budget, learned=at_truth)
+        # The largest progress fraction that fits the budget.
+        spread = [max(self._truth[pid] / lo, 1.0) for pid, lo in lows.items()]
+        lo_t = float(reach_under_budget(
+            lambda t: [subtree_cost(x) for x in t.tolist()],
+            budget, [subtree_full], [np.log(spread).sum()],
+        )[0])
+        return ExecutionOutcome(completed=False, cost_spent=budget, learned=learned(lo_t, False))
 
 
 def _geometric_interp(lo: float, hi: float, t: float) -> float:
@@ -334,6 +320,58 @@ def _geometric_interp(lo: float, hi: float, t: float) -> float:
     if hi <= lo:
         return hi
     return lo * (hi / lo) ** t
+
+
+#: A spilled run's progress is found on the grid of multiples of 2**-40.
+_GRID = 1 << 40
+
+
+def reach_under_budget(
+    cost_at: Callable[[np.ndarray], Sequence[float]],
+    budget: float,
+    cost_at_one: Sequence[float],
+    log_spread: Sequence[float],
+) -> np.ndarray:
+    """How far a spilled run gets, row by row: the largest ``t = k *
+    2**-40`` in ``[0, 1)`` with ``cost_at(t) <= budget`` (0 where even
+    ``cost_at(0)`` is over) — the point 40 halvings of ``[0, 1]`` end
+    on, bit for bit, wherever ``cost <= budget`` is monotone on that
+    grid, which PCM makes it.  ``cost_at_one`` is over the budget.
+
+    Bracketed false position on ``k``, interpolated in ``exp(rate * t)``:
+    with ``rate = log_spread`` (the summed ``log(truth / lo)`` of the
+    moving targets) that is the product of the selectivities a spill
+    node moves, its cost is affine in it, and two probes close the
+    bracket.  When two proposals in a row fail to halve the bracket (an
+    index scan bends with its index pid alone, an ``inl`` join at two
+    rates, a cost can be flat to rounding) the next probe is the
+    midpoint, whose cost re-estimates ``rate``, and midpoints alternate
+    with proposals until one halves it again.
+    """
+    rate = np.array(log_spread, dtype=float)
+    lo = np.zeros(len(rate), dtype=np.int64)
+    c_lo = np.asarray(cost_at(lo / _GRID), dtype=float)
+    c_hi = np.asarray(cost_at_one, dtype=float)
+    hi = np.where(c_lo <= budget, _GRID, 1)  # a run that cannot start: closed at 0
+    stalled = np.zeros_like(lo)
+    while ((width := hi - lo) > 1).any():
+        halve = stalled >= 2
+        with np.errstate(all="ignore"):
+            share = (budget - c_lo) / (c_hi - c_lo)
+            bent = np.log1p(share * np.expm1(rate * (width / _GRID))) / rate * _GRID
+            step = np.where(rate != 0, bent, share * width)
+        step = np.where(halve | ~np.isfinite(step), width // 2, step)
+        k = lo + np.clip(step, 1, np.maximum(width - 1, 1)).astype(np.int64)
+        cost = np.asarray(cost_at(k / _GRID), dtype=float)
+        with np.errstate(all="ignore"):
+            seen = np.log((c_hi - cost) / (cost - c_lo)) / (width // 2 / _GRID)
+        rate = np.where(halve & np.isfinite(seen), seen, rate)
+        fits = (width > 1) & (cost <= budget)
+        over = (width > 1) & ~(cost <= budget)  # a NaN cost is over
+        lo, c_lo = np.where(fits, k, lo), np.where(fits, cost, c_lo)
+        hi, c_hi = np.where(over, k, hi), np.where(over, cost, c_hi)
+        stalled = np.where(halve, 1, np.where(2 * (hi - lo) <= width, 0, stalled + 1))
+    return lo / _GRID
 
 
 # ---------------------------------------------------------------------------

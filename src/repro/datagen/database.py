@@ -125,6 +125,7 @@ class Database:
         self._tables = tables
         self._fingerprint: Optional[str] = None
         self._indexes: Dict[Tuple[str, str], ColumnIndex] = {}
+        self._join_selectivities: Dict[Tuple[str, str, str, str], float] = {}
         self._index_lock = threading.Lock()
         #: Indexes built over this object's lifetime (telemetry / tests).
         self.index_builds = 0
@@ -225,11 +226,13 @@ class Database:
         return self._fingerprint
 
     def invalidate_fingerprint(self) -> None:
-        """Drop everything derived from the data (the cached fingerprint
-        and every index) after in-place data mutation."""
+        """Drop everything derived from the data (the cached fingerprint,
+        every index and every measured join selectivity) after in-place
+        data mutation."""
         with self._index_lock:
             self._fingerprint = None
             self._indexes = {}
+            self._join_selectivities = {}
 
     def index(self, table: str, column: str) -> ColumnIndex:
         """The index over ``table.column``, built on first use.
@@ -279,11 +282,13 @@ class Database:
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_indexes"], state["_index_lock"], state["index_builds"]
+        del state["_join_selectivities"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._indexes = {}
+        self._join_selectivities = {}
         self._index_lock = threading.Lock()
         self.index_builds = 0
 
@@ -324,13 +329,18 @@ class Database:
     def actual_join_selectivity(
         self, left_table: str, left_column: str, right_table: str, right_column: str
     ) -> float:
-        """Ground-truth join selectivity |L ⋈ R| / (|L| * |R|)."""
-        left = self.column(left_table, left_column)
-        right = self.column(right_table, right_column)
-        values, left_counts = np.unique(left, return_counts=True)
-        rvalues, right_counts = np.unique(right, return_counts=True)
-        common, li, ri = np.intersect1d(values, rvalues, return_indices=True)
-        if common.size == 0:
-            return 0.0
-        matches = float(np.dot(left_counts[li].astype(float), right_counts[ri].astype(float)))
-        return matches / (left.size * right.size)
+        """Ground-truth join selectivity |L ⋈ R| / (|L| * |R|), measured
+        once per column pair: it lives until :meth:`invalidate_fingerprint`
+        (a statistics refresh cannot change it) and is not pickled."""
+        key = (left_table, left_column, right_table, right_column)
+        with self._index_lock:
+            found = self._join_selectivities.get(key)
+            if found is None:
+                left = self.column(left_table, left_column)
+                right = self.column(right_table, right_column)
+                values, left_counts = np.unique(left, return_counts=True)
+                rvalues, right_counts = np.unique(right, return_counts=True)
+                _common, li, ri = np.intersect1d(values, rvalues, return_indices=True)
+                matches = np.dot(left_counts[li].astype(float), right_counts[ri].astype(float))
+                found = self._join_selectivities[key] = float(matches) / (left.size * right.size)
+        return found

@@ -480,16 +480,26 @@ def cost_plan(
     return plan.estimate(ctx)
 
 
-def own_formula(node: PlanNode, ctx: CostContext) -> Callable[[CostContext], NodeEstimate]:
-    """``node``'s own formula with its inputs estimated once, in ``ctx``:
-    the node's estimate at any context that differs from ``ctx`` only in
-    pids its inputs do not read (a spill node's targets) — same floats
-    as costing its whole subtree there, without re-walking it."""
+def formula_inputs(node: PlanNode, ctx: CostContext) -> Tuple[Optional[NodeEstimate], ...]:
+    """What ``node``'s own formula reads besides its local pids, costed
+    in ``ctx``: a join's ``(left, right)`` estimates (``inl`` folds its
+    inner side in: ``right`` is ``None``), nothing for a scan."""
     if not isinstance(node, Join):
+        return ()
+    return node.left.estimate(ctx), None if node.algo == "inl" else node.right.estimate(ctx)
+
+
+def own_formula(
+    node: PlanNode, inputs: Sequence[Optional[NodeEstimate]]
+) -> Callable[[CostContext], NodeEstimate]:
+    """``node``'s own formula over ``inputs`` estimated once
+    (:func:`formula_inputs`): the node's estimate at any context that
+    differs from theirs only in pids its inputs do not read (a spill
+    node's targets) — same floats as costing its whole subtree there,
+    without re-walking it."""
+    if not inputs:
         return node._estimate
-    left = node.left.estimate(ctx)
-    right = None if node.algo == "inl" else node.right.estimate(ctx)
-    return lambda at: node.combine(at, left, right)
+    return lambda at: node.combine(at, *inputs)
 
 
 def first_error_node(

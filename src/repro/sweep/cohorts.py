@@ -7,7 +7,7 @@ into ``q_run``.  The decisions taken at each step are *discrete* — which
 plan, did the spill complete, did the contour get crossed early — so
 locations that share the same decision prefix can be advanced together
 ("cohorts"), with every per-location quantity (``q_run``, accumulated
-cost, spill bisection) carried in numpy arrays.
+cost, spilled reach) carried in numpy arrays.
 
 Two building blocks live here:
 
@@ -15,10 +15,10 @@ Two building blocks live here:
   continuous ``q_run`` rows.  The plan cost formulas already evaluate
   elementwise over arrays (see :mod:`repro.optimizer.plans`), so a whole
   cohort is costed in one tree walk.  Also hosts the batched spill-mode
-  execution (the 40-step budget bisection of
-  :meth:`~repro.core.runtime.AbstractExecutionService.run_spilled`, run
-  on all cohort members at once, each step moving the spill node's own
-  formula over inputs costed once).
+  execution (:meth:`~repro.core.runtime.AbstractExecutionService.run_spilled`
+  on all cohort members at once: the same search for the last 2**-40
+  grid point under the budget, moving the spill node's own formula over
+  inputs gathered from the sweep's one costing of the truth).
 * :class:`ContourTables` — per-contour grid precomputations: dominance
   tests against the contour frontier, and the AxisPlans ray-walk/owner
   lookup flattened into gather tables so a cohort's candidate plans come
@@ -37,15 +37,23 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
+from ..core.runtime import reach_under_budget
 from ..optimizer.plans import (
     CostContext,
+    NodeEstimate,
     PlanNode,
     error_node_depth,
     first_error_node,
+    formula_inputs,
     own_formula,
 )
 
 __all__ = ["BatchCoster", "ContourTables"]
+
+
+def _at(value, rows: np.ndarray):
+    """``value`` at ``rows``: a per-row array gathered, a constant as it is."""
+    return value[rows] if np.ndim(value) else value
 
 
 class BatchCoster:
@@ -62,8 +70,11 @@ class BatchCoster:
         self.base = dict(self.space.base_assignment)
         self.pid_of_dim = [dim.pid for dim in self.dims]
         #: Batched costings (telemetry: one per plan, subtree or spill-node
-        #: formula evaluated over a batch).
+        #: formula asked for over a batch; what its context has already
+        #: costed is not walked again).
         self.batched_costings = 0
+        #: Of those, evaluations of a spill node's own formula.
+        self.spill_evaluations = 0
         self._plans: Dict[int, PlanNode] = {}
         # (plan_id, unlearned) -> (first error node | None, target dim idxs)
         self._spill_nodes: Dict[Tuple[int, FrozenSet[str]], Tuple[Optional[PlanNode], Tuple[int, ...]]] = {}
@@ -112,50 +123,34 @@ class BatchCoster:
 
     # -- batched costing ------------------------------------------------
 
-    def assignment(self, values: np.ndarray) -> Dict[str, object]:
-        """Clamped array assignment for a batch of continuous rows.
+    def context(self, values: np.ndarray) -> CostContext:
+        """One costing context at a batch of continuous rows; everything
+        costed in it shares its memo, sub-tree by sub-tree.
 
         Mirrors :meth:`SelectivitySpace.assignment_for`: every error dim
         is clamped into ``[lo, hi]``; non-error pids keep their base
         scalars."""
-        out: Dict[str, object] = dict(self.base)
+        assignment: Dict[str, object] = dict(self.base)
         for j, dim in enumerate(self.dims):
-            out[dim.pid] = np.minimum(dim.hi, np.maximum(dim.lo, values[:, j]))
-        return out
-
-    def _context(self, assignment: Dict[str, object]) -> CostContext:
+            assignment[dim.pid] = np.minimum(dim.hi, np.maximum(dim.lo, values[:, j]))
         return CostContext(self.schema, self.model, assignment)
 
-    def _cost(self, estimate, ctx: CostContext, n: int) -> np.ndarray:
-        """One batched evaluation (a node's ``estimate`` or its own
-        formula) in ``ctx``, as a fresh cost array over ``n`` rows."""
+    def cost(self, value, n: int) -> np.ndarray:
+        """The ``cost`` of one batched evaluation (a node's ``estimate``
+        or its own formula) over ``n`` rows: the estimate's own array —
+        read-only when a context memoised it, which is what keeps a
+        caller from writing to it — or a constant filled out."""
         self.batched_costings += 1
-        return np.broadcast_to(np.asarray(estimate(ctx).cost, dtype=float), (n,)).copy()
-
-    def plan_cost(self, plan_id: int, values: np.ndarray) -> np.ndarray:
-        """Plan cost at clamped rows, for a whole batch."""
-        ctx = self._context(self.assignment(values))
-        return self._cost(self.plan(plan_id).estimate, ctx, len(values))
-
-    def spill_floor(
-        self, plan_id: int, values: np.ndarray, unlearned: FrozenSet[str]
-    ) -> np.ndarray:
-        """Batched :meth:`BouquetRunner._spill_floor`: cost of the spilled
-        subtree (full plan when no error node) at clamped ``q_run`` rows."""
-        node, _ = self.spill_node(plan_id, unlearned)
-        ctx = self._context(self.assignment(values))
-        return self._cost((node or self.plan(plan_id)).estimate, ctx, len(values))
+        return value if np.ndim(value) else np.full(n, value, dtype=float)
 
     def optimal_estimate(self, values: np.ndarray) -> np.ndarray:
         """Batched PIC estimate: min over bouquet plan costs at each row,
         all in one context (shared sub-trees are costed once)."""
-        ctx = self._context(self.assignment(values))
-        best: Optional[np.ndarray] = None
-        for plan_id in self.bouquet.plan_ids:
-            cost = self._cost(self.plan(plan_id).estimate, ctx, len(values))
-            best = cost if best is None else np.minimum(best, cost)
-        assert best is not None
-        return best
+        ctx = self.context(values)
+        return np.minimum.reduce([
+            self.cost(self.plan(plan_id).estimate(ctx).cost, len(values))
+            for plan_id in self.bouquet.plan_ids
+        ])
 
     # -- batched spill-mode execution -----------------------------------
 
@@ -164,75 +159,74 @@ class BatchCoster:
         plan_id: int,
         budget: float,
         unlearned: FrozenSet[str],
-        truth: np.ndarray,
+        at_truth: CostContext,
+        rows: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]:
         """Batched :meth:`AbstractExecutionService.run_spilled`.
 
-        ``truth`` holds the clamped true selectivities of the batch
-        (rows x dims).  Returns ``(answered, exact, cost_spent, learned,
-        target_dims)``: ``answered`` rows completed the *query* (the
-        spill-to-store resume fit the budget, spending the plan's true
-        cost); ``exact`` rows resolved the spilled subtree — exact
-        learning — but the resumed plan consumed the whole budget; all
-        other rows charge the budget and learn the bisected lower bound.
+        ``at_truth`` is the sweep's one context over the clamped true
+        selectivities of its locations (what a spill reads there is
+        costed once per sweep); ``rows`` index the batch in it.  Returns
+        ``(answered, exact, cost_spent, learned, target_dims)``:
+        ``answered`` rows completed the *query* (the spill-to-store
+        resume fit the budget, spending the plan's true cost); ``exact``
+        rows resolved the spilled subtree — exact learning — but the
+        resumed plan consumed the whole budget; all other rows charge
+        the budget and learn the last 2**-40 grid point whose cost fits
+        it (:func:`~repro.core.runtime.reach_under_budget`).
         ``learned`` has one column per target dim.
         """
-        n = len(truth)
+        n = len(rows)
         node, target_dims = self.spill_node(plan_id, unlearned)
-        at_truth = self._context(self.assignment(truth))
-        plan_full = self._cost(self.plan(plan_id).estimate, at_truth, n)
-        if node is None:
-            # No error-prone node: degenerate to a full run at the truth.
-            answered = plan_full <= budget
-            spent = np.where(answered, plan_full, budget)
-            return answered, np.zeros(n, dtype=bool), spent, np.empty((n, 0)), ()
-
-        targets = [(self.dims[j].pid, self.dims[j].lo) for j in target_dims]
-
-        def subtree_cost(t: np.ndarray, ctx: CostContext, formula) -> np.ndarray:
-            # Over the rows of ``ctx`` (the truth).  Nothing below the
-            # first error node reads an unlearned pid, so ``formula`` —
-            # ``own_formula(node, ctx)``, inputs costed once — is all
-            # that moves with ``t``.  _geometric_interp(lo, truth, t) =
-            # truth if truth <= lo else lo * (truth / lo) ** t.
-            assignment = dict(ctx.assignment)
-            for pid, lo in targets:
-                tv = ctx.assignment[pid]
-                assignment[pid] = np.where(tv <= lo, tv, lo * (tv / lo) ** t)
-            return self._cost(formula, self._context(assignment), len(t))
-
-        subtree_full = subtree_cost(np.ones(n), at_truth, own_formula(node, at_truth))
+        plan_full = self.cost(_at(self.plan(plan_id).estimate(at_truth).cost, rows), n)
         # Spill-to-store: the plan fits the budget -> the query is
         # answered; only the subtree fits -> exact learning, full budget.
         answered = plan_full <= budget
-        exact = ~answered & (subtree_full <= budget)
         spent = np.where(answered, plan_full, budget)
-        learned = np.empty((n, len(target_dims)))
-        for col, (pid, _lo) in enumerate(targets):
-            learned[:, col] = at_truth.assignment[pid]
-        rows = ~answered & ~exact
-        if rows.any():
-            m = int(rows.sum())
-            # The bisected rows are sliced out once, not per iteration.
-            sub = self._context(self.assignment(truth[rows]))
-            formula = own_formula(node, sub)
-            at0 = subtree_cost(np.zeros(m), sub, formula)
-            stuck = at0 > budget
-            lo_t = np.zeros(m)
-            hi_t = np.ones(m)
-            active = ~stuck
-            if active.any():
-                for _ in range(40):
-                    mid = 0.5 * (lo_t + hi_t)
-                    cost = subtree_cost(mid, sub, formula)
-                    fits = cost <= budget
-                    lo_t = np.where(active & fits, mid, lo_t)
-                    hi_t = np.where(active & ~fits, mid, hi_t)
-            for col, (pid, lo) in enumerate(targets):
-                tv = at_truth.assignment[pid][rows]
-                learned[rows, col] = np.where(
-                    tv <= lo, tv, lo * (tv / lo) ** lo_t
-                )
+        if node is None:
+            # No error-prone node: degenerate to a full run at the truth.
+            return answered, np.zeros(n, dtype=bool), spent, np.empty((n, 0)), ()
+
+        lows = {self.dims[j].pid: self.dims[j].lo for j in target_dims}
+
+        def spill(rows: np.ndarray):
+            # The spilled subtree over ``rows``, as functions of ``t``:
+            # where the targets stand and what it costs.  Nothing below
+            # the first error node reads an unlearned pid, so its inputs
+            # are gathered from the truth and only the node's own
+            # formula (it reads its local pids only) moves with ``t``.
+            # _geometric_interp(lo, truth, t) = truth if truth <= lo
+            # else lo * (truth / lo) ** t.
+            formula = own_formula(node, [
+                e and NodeEstimate(_at(e.rows, rows), _at(e.cost, rows))
+                for e in formula_inputs(node, at_truth)
+            ])
+            truth = {pid: _at(at_truth.selectivity(pid), rows) for pid in node.local_pids}
+
+            def reached(t: np.ndarray) -> Dict[str, np.ndarray]:
+                return {
+                    pid: np.where(truth[pid] <= lo, truth[pid], lo * (truth[pid] / lo) ** t)
+                    for pid, lo in lows.items()
+                }
+
+            def cost_at(t: np.ndarray) -> np.ndarray:
+                self.spill_evaluations += 1
+                ctx = CostContext(self.schema, self.model, {**truth, **reached(t)})
+                return self.cost(formula(ctx).cost, len(rows))
+
+            return truth, reached, cost_at
+
+        truth, _reached, cost_at = spill(rows)
+        subtree_full = cost_at(np.ones(n))
+        exact = ~answered & (subtree_full <= budget)
+        learned = np.stack([truth[pid] for pid in lows], axis=1)
+        short = ~answered & ~exact
+        if short.any():
+            # The rows that stop short are gathered once, not per probe.
+            truth, reached, cost_at = spill(rows[short])
+            spread = sum(np.log(np.maximum(truth[pid] / lo, 1.0)) for pid, lo in lows.items())
+            lo_t = reach_under_budget(cost_at, budget, subtree_full[short], spread)
+            learned[short] = np.stack(list(reached(lo_t).values()), axis=1)
         return answered, exact, spent, learned, target_dims
 
     # -- grid helpers ---------------------------------------------------

@@ -10,8 +10,9 @@ replica of :meth:`repro.core.runtime.BouquetRunner._run_optimized`:
 2. each step evaluates the driver's decisions for the whole cohort with
    numpy (first-quadrant dominance against precomputed contour tables,
    AxisPlans candidates via gather tables, spill floors and candidate
-   picks via batched abstract plan costing, the spill bisection run on
-   all members at once);
+   picks costed in one context at the cohort's ``q_run`` rows, the
+   spilled run's reach searched for all members at once over a truth
+   the sweep costs once);
 3. the cohort then *splits* by decision signature — (contour, plan,
    spill outcome, early-crossing verdict) — and each child continues as
    its own cohort;
@@ -50,6 +51,7 @@ from ..core.runtime import (
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import Tracer
+from ..optimizer.plans import CostContext
 from .memo import SweepCache, sweep_cache
 
 __all__ = ["SweepEngine", "Cohort"]
@@ -98,9 +100,10 @@ class SweepEngine:
         self.budgets = list(bouquet.budgets)
         self.D = self.space.dimensionality
         self._shape = self.space.shape
-        # Per-run state (set by cost_field):
+        # Per-run state (set by _sweep):
         self._flat: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None
+        self._at_truth: Optional[CostContext] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -171,6 +174,10 @@ class SweepEngine:
         n = len(flat)
         self._flat = flat
         self._out = np.full(n, np.nan)
+        # One context over the truth of the swept locations (cohort
+        # ``rows`` index it): what a spill reads there is costed once.
+        self._at_truth = cache.coster.context(cache.truth[flat])
+        before = cache.coster.spill_evaluations
         lo = np.array([dim.lo for dim in self.space.dimensions])
         initial = Cohort(
             rows=np.arange(n, dtype=np.int64),
@@ -198,6 +205,8 @@ class SweepEngine:
             if tracer.enabled and len(children) > 1:
                 tracer.count("sweep.cohort_splits", len(children) - 1)
             queue.extend(children)
+        if tracer.enabled:
+            tracer.count("sweep.spill_formula_evaluations", cache.coster.spill_evaluations - before)
         if residue:
             rows = np.concatenate([cohort.rows for cohort in residue])
             stats["residue"] += len(rows)
@@ -207,8 +216,7 @@ class SweepEngine:
         if np.isnan(self._out).any():
             raise BouquetError("sweep engine left locations unswept")
         cache.store(flat, self._out)
-        self._flat = None
-        self._out = None
+        self._flat = self._out = self._at_truth = None
 
     def _finish_residue(self, cohorts: List[Cohort]) -> np.ndarray:
         """Totals of the cohorts too small to batch, members in cohort
@@ -351,12 +359,14 @@ class SweepEngine:
 
         # Spill-floor pre-check: candidates whose spilled subtree already
         # prices at/above the budget at q_run are pruned (and exhausted).
+        # One context for the step, over all its rows (masked after): a
+        # candidate's spill sub-tree and its plan are costed together.
+        at_qrun = coster.context(qrun)
         pruned = np.zeros((n, P), dtype=bool)
         for k, pid in enumerate(plan_list):
-            r = present[:, k]
-            if r.any():
-                floor = coster.spill_floor(pid, qrun[r], unlearned)
-                pruned[r, k] = floor >= budget * (1.0 - 1e-9)
+            node, _ = coster.spill_node(pid, unlearned)
+            floor = coster.cost((node or coster.plan(pid)).estimate(at_qrun).cost, n)
+            pruned[:, k] = present[:, k] & (floor >= budget * (1.0 - 1e-9))
         productive = present & ~pruned
 
         # Candidate pick: cheapest cost-equivalence group, deepest error
@@ -365,7 +375,7 @@ class SweepEngine:
         for k, pid in enumerate(plan_list):
             r = productive[:, k]
             if r.any():
-                costq[r, k] = coster.plan_cost(pid, qrun[r])
+                costq[r, k] = coster.cost(coster.plan(pid).estimate(at_qrun).cost, n)[r]
         cheapest = np.min(np.where(productive, costq, np.inf), axis=1)
         with np.errstate(invalid="ignore"):
             in_group = productive & (
@@ -388,10 +398,7 @@ class SweepEngine:
 
         # Pruned-set bitmask: pruned plans join attempted/exhausted, so
         # rows with different pruned sets diverge discretely.
-        if P:
-            bits = (pruned @ (1 << np.arange(P, dtype=np.int64))).astype(np.int64)
-        else:
-            bits = np.zeros(n, dtype=np.int64)
+        bits = (pruned @ (1 << np.arange(P, dtype=np.int64))).astype(np.int64)
 
         fallback = winner < 0
         if fallback.any():
@@ -412,25 +419,24 @@ class SweepEngine:
         for b_val, w_val in sorted({tuple(p) for p in pair[active].tolist()}):
             sel = active & (bits == b_val) & (winner == w_val)
             self._execute_spill(
-                cohort, children, sel, rows, qrun, total, flat,
+                cohort, children, sel, rows, qrun, total,
                 int(w_val), int(b_val), plan_list, unlearned, budget, may_cross,
             )
 
     def _execute_spill(
-        self, cohort, children, sel, rows, qrun, total, flat,
+        self, cohort, children, sel, rows, qrun, total,
         plan_id, bits, plan_list, unlearned, budget, may_cross,
     ) -> None:
         coster = self.cache.coster
         cid = cohort.cid
-        truth = self.cache.truth[flat[sel]]
+        rows_sel = rows[sel]
         answered, exact_mask, spent, learned, target_dims = coster.run_spilled(
-            plan_id, budget, unlearned, truth
+            plan_id, budget, unlearned, self._at_truth, rows_sel
         )
         qrun_new = qrun[sel].copy()
         for col, j in enumerate(target_dims):
             qrun_new[:, j] = np.maximum(qrun_new[:, j], learned[:, col])
         total_new = total[sel] + spent
-        rows_sel = rows[sel]
 
         # Spill-to-store completions: the resumed plan finished under the
         # budget, answering the query — these locations are done (direct
@@ -442,9 +448,11 @@ class SweepEngine:
             return
 
         # Early contour change (Figure 13's last step): the learned
-        # location already prices at/above this contour's budget.
-        estimate = coster.optimal_estimate(qrun_new)
-        crossed = (estimate >= budget) & may_cross
+        # location already prices at/above this contour's budget (asked
+        # of the unanswered rows, when there is a contour to change to).
+        crossed = np.zeros(len(rows_sel), dtype=bool)
+        if may_cross:
+            crossed[remaining] = coster.optimal_estimate(qrun_new[remaining]) >= budget
 
         pruned_plans = frozenset(
             pid for k, pid in enumerate(plan_list) if bits >> k & 1
@@ -498,6 +506,7 @@ class SweepEngine:
         costq = np.full((n, Pc), np.inf)
         eligible = np.zeros((n, Pc), dtype=bool)
         col_of = {pid: k for k, pid in enumerate(plan_list)}
+        at_qrun = coster.context(qrun)
         for j, pid in enumerate(tables.plan_ids):
             r = dom[:, j].copy()
             if pid in cohort.exhausted:
@@ -506,7 +515,7 @@ class SweepEngine:
             if k is not None:
                 r &= ~pruned[:, k]
             if r.any():
-                costq[r, j] = coster.plan_cost(pid, qrun[r])
+                costq[r, j] = coster.cost(coster.plan(pid).estimate(at_qrun).cost, n)[r]
             eligible[:, j] = r
         runnable = eligible & (costq <= budget * (1.0 + 1e-9))
         fields = cache.cost_arrays(tables.plan_ids)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.bench.harness import Lab
 from repro.catalog import tpch_generator_spec, tpch_schema
@@ -15,12 +16,19 @@ from repro.core.runtime import ExecutionOutcome, LearnedSelectivity, _geometric_
 from repro.core.simulation import simulate_at
 from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
+from repro.obs import MemorySink, Tracer
 from repro.optimizer import Optimizer, actual_selectivities
 from repro.optimizer.plans import cost_plan, first_error_node
 from repro.query import JoinPredicate, Query, SelectionPredicate
-from repro.wlgen import GeneratorConfig, QueryGenerator
+from repro.wlgen import CampaignConfig, GeneratorConfig, QueryGenerator, build_env, run_query
 
 SCALE = 0.003
+
+# Tier-1 is one fixed set of examples, not a draw: a property passes or
+# fails by its code.  (An example worth keeping is pinned with
+# ``@example`` in its test; there is no example database to replay.)
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 #: Range-only sampling: every selection becomes an error dimension, so
 #: rebinding a template instance is an identity delta refresh.
@@ -71,6 +79,23 @@ def reference_field(bouquet, locations=None, crossing=None):
     }
 
 
+def forty_halvings(cost, budget):
+    """How far a spilled run gets, by the literal procedure: 40 halvings
+    of ``[0, 1]`` on ``cost(t) <= budget`` (``cost(1)`` is over it).  The
+    oracle for ``repro.core.runtime.reach_under_budget``, which finds the
+    same point of the 2**-40 grid without making them."""
+    lo_t, hi_t = 0.0, 1.0
+    if cost(0.0) > budget:
+        return 0.0
+    for _ in range(40):
+        mid = 0.5 * (lo_t + hi_t)
+        if cost(mid) <= budget:
+            lo_t = mid
+        else:
+            hi_t = mid
+    return lo_t
+
+
 def spilled_run_by_subtree_walk(
     bouquet, qa_values, plan_id, budget, unlearned, interp=_geometric_interp
 ):
@@ -78,7 +103,7 @@ def spilled_run_by_subtree_walk(
     procedure: every probe of the 40-step bisection re-costs the whole
     spilled subtree with ``cost_plan``.  The oracle for
     ``AbstractExecutionService.run_spilled`` and ``BatchCoster.run_spilled``,
-    which bisect on the spill node's own formula (``interp`` is how a
+    which search on the spill node's own formula (``interp`` is how a
     target moves from its ``lo`` to the truth: numpy's ``**`` is not
     libm's to the last bit, so the batch side passes its own)."""
     space = bouquet.space
@@ -110,17 +135,20 @@ def spilled_run_by_subtree_walk(
         return ExecutionOutcome(True, plan_cost, at_truth)
     if subtree_cost(1.0) <= budget:
         return ExecutionOutcome(False, budget, at_truth)
-    lo_t, hi_t = 0.0, 1.0
-    if subtree_cost(0.0) > budget:
-        hi_t = 0.0
-    else:
-        for _ in range(40):
-            mid = 0.5 * (lo_t + hi_t)
-            if subtree_cost(mid) <= budget:
-                lo_t = mid
-            else:
-                hi_t = mid
-    return ExecutionOutcome(False, budget, learned(lo_t, False))
+    return ExecutionOutcome(False, budget, learned(forty_halvings(subtree_cost, budget), False))
+
+
+def campaign_pool_counters(queries=31):
+    """What a traced pass over the ledger's ``eval_campaign`` pool counts
+    (the first ``queries`` TPC-DS queries of pool seed 42, ``CampaignConfig``'s
+    defaults being the ledger's constants), every verdict ``ok``."""
+    config = CampaignConfig(benchmark="tpcds", count=queries)
+    tracer = Tracer(MemorySink())
+    world = build_env(config, tracer=tracer)
+    for index in range(queries):
+        outcome = run_query(world, config, index)
+        assert outcome.status == "ok", outcome.error
+    return tracer.counters
 
 
 @pytest.fixture(scope="session")

@@ -4,24 +4,28 @@
 ``_run_optimized`` advances it in place; the state is whole again by
 every execution, so a run cut anywhere continues to the same answer —
 which is what lets the sweep residue resume from its cohort's state.
-The spill bisection moves the spill node's own formula only; the
-literal whole-subtree bisection (``tests/conftest.py``) is its oracle.
+A spilled run's reach is searched on the spill node's own formula only
+(``reach_under_budget``: the 2**-40 grid point 40 halvings end on, found
+without making them); the literal whole-subtree 40-step bisection
+(``tests/conftest.py``) is its oracle.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.runtime import (
     AbstractExecutionService,
     BouquetRunner,
     ExecutionService,
+    reach_under_budget,
 )
 from repro.sweep import BatchCoster
-from tests.conftest import spilled_run_by_subtree_walk
+from tests.conftest import forty_halvings, spilled_run_by_subtree_walk
 
 
 class _Cut(Exception):
@@ -87,69 +91,136 @@ class TestResume:
             )
 
 
+def _moving(lo, truth):
+    """A target's selectivity as the run progresses (``_geometric_interp``)."""
+    return lambda t: truth if truth <= lo else lo * (truth / lo) ** t
+
+
+@st.composite
+def monotone_costs(draw):
+    """One row for the search: ``(cost, log_spread)`` with ``cost(t)``
+    non-decreasing, in units of the budget (so the budget is 1.0) and
+    over it at ``t = 1``, and the ``log_spread`` a caller would pass
+    with it — affine in one target, bilinear in two (an ``inl`` join's
+    shape), bending with one of two targets only (an index scan's), a
+    target already at its truth, flat to rounding, a step exactly on a
+    grid point, a run that cannot start."""
+    kind = draw(st.sampled_from(
+        ["affine", "bilinear", "one of two", "clamped", "flat", "step", "stuck"]
+    ))
+    if kind == "step":
+        edge = draw(st.integers(1, 2**40 - 1)) / 2**40
+        inclusive = draw(st.booleans())
+        return (lambda t: 0.5 if t < edge or (t == edge and inclusive) else 2.0), 0.0
+    targets = []
+    for _ in range(2):
+        lo = 10.0 ** draw(st.floats(-6, -1))
+        targets.append((lo, min(1.0, lo * 10.0 ** draw(st.floats(0.1, 5)))))
+    if kind == "clamped":
+        targets[1] = (targets[1][0], targets[1][0] * draw(st.floats(0.1, 1.0)))
+    first, second = (_moving(lo, truth) for lo, truth in targets)
+    a = 10.0 ** draw(st.floats(0, 4))
+    b = 10.0 ** (draw(st.floats(-9, -6)) if kind == "flat" else draw(st.floats(3, 9)))
+    c = 10.0 ** draw(st.floats(3, 9))
+    if kind in ("affine", "one of two", "flat"):
+        cost = lambda t: a + b * first(t)
+    else:
+        cost = lambda t: a + b * first(t) + c * first(t) * second(t)
+    if kind == "stuck":
+        budget = cost(0.0) * draw(st.floats(0.1, 0.99))
+    else:
+        budget = cost(0.0) + draw(st.floats(0.0, 0.999)) * (cost(1.0) - cost(0.0))
+    assume(cost(1.0) > budget)
+    moving = targets[:1] if kind in ("affine", "flat") else targets
+    spread = sum(math.log(max(truth / lo, 1.0)) for lo, truth in moving)
+    return (lambda t: cost(t) / budget), spread
+
+
+class TestReachUnderBudget:
+    """The search alone, over synthetic monotone costs: the grid point
+    the 40-step loop ends on, ``==``."""
+
+    @given(rows=st.lists(monotone_costs(), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_forty_halvings(self, rows):
+        probes = []
+
+        def cost_at(t):
+            probes.append(t)
+            return [cost(x) for (cost, _), x in zip(rows, t.tolist())]
+
+        at_one = cost_at(np.ones(len(rows)))
+        got = reach_under_budget(cost_at, 1.0, at_one, [spread for _, spread in rows])
+        assert got.tolist() == [forty_halvings(cost, 1.0) for cost, _ in rows]
+        # t = 1, t = 0, two proposals, then a midpoint every other probe.
+        assert len(probes) <= 2 + 2 + 80
+
+
 class TestSpillBisection:
-    """``run_spilled`` bisects on the spill node's own formula; the
-    whole-subtree walk gives the same outcome, float for float."""
+    """``run_spilled`` searches on the spill node's own formula; the
+    whole-subtree bisection gives the same outcome, float for float."""
 
     @pytest.fixture(scope="class")
-    def cases(self, lab):
-        bouquet = lab.build("3D_H_Q5").bouquet
-        space = bouquet.space
-        rng = np.random.default_rng(5)
-        flat = rng.choice(space.size, size=20, replace=False)
-        locations = [
-            tuple(int(i) for i in np.unravel_index(f, space.shape)) for f in flat
-        ]
-        pids = [dim.pid for dim in space.dimensions]
-        unlearned_sets = [frozenset(pids)] + [frozenset((pid,)) for pid in pids]
-        return bouquet, locations, unlearned_sets
+    def cases(self, bouquets):
+        out = []
+        for bouquet in bouquets:
+            space = bouquet.space
+            rng = np.random.default_rng(5)
+            flat = rng.choice(space.size, size=20, replace=False)
+            locations = [
+                tuple(int(i) for i in np.unravel_index(f, space.shape)) for f in flat
+            ]
+            pids = [dim.pid for dim in space.dimensions]
+            unlearned_sets = [frozenset(pids)] + [frozenset((pid,)) for pid in pids]
+            out.append((bouquet, locations, unlearned_sets))
+        return out
 
     def test_scalar_service_equals_the_subtree_walk(self, cases):
-        bouquet, locations, unlearned_sets = cases
-        bisected = 0
-        for location in locations:
-            qa = bouquet.space.selectivities_at(location)
-            service = AbstractExecutionService(bouquet, qa)
-            for plan_id in bouquet.plan_ids:
-                for budget in bouquet.budgets:
-                    for unlearned in unlearned_sets:
-                        got = service.run_spilled(plan_id, budget, unlearned)
-                        want = spilled_run_by_subtree_walk(
-                            bouquet, qa, plan_id, budget, unlearned
-                        )
-                        assert got == want
-                        bisected += any(not l.exact for l in got.learned)
-        assert bisected > 250  # the bisection itself was exercised
+        for bouquet, locations, unlearned_sets in cases:
+            bisected = 0
+            for location in locations:
+                qa = bouquet.space.selectivities_at(location)
+                service = AbstractExecutionService(bouquet, qa)
+                for plan_id in bouquet.plan_ids:
+                    for budget in bouquet.budgets:
+                        for unlearned in unlearned_sets:
+                            got = service.run_spilled(plan_id, budget, unlearned)
+                            want = spilled_run_by_subtree_walk(
+                                bouquet, qa, plan_id, budget, unlearned
+                            )
+                            assert got == want
+                            bisected += any(not l.exact for l in got.learned)
+            assert bisected > 250  # the bisection itself was exercised
 
     def test_batch_coster_equals_the_subtree_walk(self, cases):
-        bouquet, locations, unlearned_sets = cases
-        space = bouquet.space
-        coster = BatchCoster(bouquet)
-
         def interp(lo, hi, t):
             """``_geometric_interp`` in the coster's arithmetic, one row."""
             tv = np.array([hi])
             return float(np.where(tv <= lo, tv, lo * (tv / lo) ** np.array([t]))[0])
 
-        truth = np.array([space.selectivities_at(loc) for loc in locations])
-        for plan_id in bouquet.plan_ids:
-            for budget in bouquet.budgets:
-                for unlearned in unlearned_sets:
-                    answered, exact, spent, learned, target_dims = coster.run_spilled(
-                        plan_id, budget, unlearned, truth
-                    )
-                    for row, location in enumerate(locations):
-                        want = spilled_run_by_subtree_walk(
-                            bouquet, space.selectivities_at(location),
-                            plan_id, budget, unlearned, interp,
+        for bouquet, locations, unlearned_sets in cases:
+            space = bouquet.space
+            coster = BatchCoster(bouquet)
+            truth = np.array([space.selectivities_at(loc) for loc in locations])
+            at_truth, rows = coster.context(truth), np.arange(len(truth))
+            for plan_id in bouquet.plan_ids:
+                for budget in bouquet.budgets:
+                    for unlearned in unlearned_sets:
+                        answered, exact, spent, learned, target_dims = coster.run_spilled(
+                            plan_id, budget, unlearned, at_truth, rows
                         )
-                        assert answered[row] == want.completed
-                        assert spent[row] == want.cost_spent
-                        assert [space.dimensions[j].pid for j in target_dims] == [
-                            l.pid for l in want.learned
-                        ]
-                        assert learned[row].tolist() == [l.value for l in want.learned]
-                        assert all(
-                            l.exact == bool(answered[row] or exact[row])
-                            for l in want.learned
-                        )
+                        for row, location in enumerate(locations):
+                            want = spilled_run_by_subtree_walk(
+                                bouquet, space.selectivities_at(location),
+                                plan_id, budget, unlearned, interp,
+                            )
+                            assert answered[row] == want.completed
+                            assert spent[row] == want.cost_spent
+                            assert [space.dimensions[j].pid for j in target_dims] == [
+                                l.pid for l in want.learned
+                            ]
+                            assert learned[row].tolist() == [l.value for l in want.learned]
+                            assert all(
+                                l.exact == bool(answered[row] or exact[row])
+                                for l in want.learned
+                            )

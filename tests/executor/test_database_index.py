@@ -106,6 +106,28 @@ def test_absent_from_a_pickled_database(fresh_database):
     )
 
 
+def test_join_selectivity_is_measured_once_per_dataset(fresh_database, monkeypatch):
+    """Ground truth has the indexes' lifetime: measured once per column
+    pair, measured again after the data is mutated, never pickled."""
+    pair = ("lineitem", "l_orderkey", "orders", "o_orderkey")
+    measured = fresh_database.actual_join_selectivity(*pair)
+    assert measured == pytest.approx(1.0 / fresh_database.row_count("orders"))
+
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    assert fresh_database.actual_join_selectivity(*pair) == measured
+    assert not calls  # the whole-column pass did not run again
+
+    clone = pickle.loads(pickle.dumps(fresh_database))
+    assert clone._join_selectivities == {}
+    assert clone.actual_join_selectivity(*pair) == measured and len(calls) == 2
+
+    fresh_database.column("lineitem", "l_orderkey")[:] = -1  # matches no order
+    fresh_database.invalidate_fingerprint()
+    assert fresh_database.actual_join_selectivity(*pair) == 0.0
+
+
 def test_eight_threads_on_a_cold_database_build_each_index_once(fresh_database):
     columns = [("lineitem", "l_orderkey"), ("lineitem", "l_partkey"), ("orders", "o_orderkey")]
     barrier = threading.Barrier(8)

@@ -11,7 +11,7 @@ from repro.robustness import optimized_field
 from repro.obs import MemorySink, Tracer
 from repro.sweep import SweepEngine
 from repro.sweep.memo import sweep_cache
-from tests.conftest import reference_field
+from tests.conftest import campaign_pool_counters, reference_field
 
 RTOL = 1e-9
 
@@ -92,6 +92,66 @@ class TestEngineMechanics:
         field = optimized_field(q3d.bouquet)
         assert field.shape == q3d.space.shape
         assert (field > 0).all()
+
+    def test_a_subset_sweep_costs_the_truth_of_its_own_rows(self, q3d, monkeypatch):
+        """The truth is costed once per sweep, in one context over the
+        locations asked for — not over the grid — and that context does
+        not outlive the sweep."""
+        engine = SweepEngine(q3d.bouquet)
+        engine.cache.invalidate()
+        coster = engine.cache.coster
+        contexts, truths = [], []
+        run_spilled = coster.run_spilled
+
+        def recording(plan_id, budget, unlearned, at_truth, rows):
+            truths.append(at_truth)
+            return run_spilled(plan_id, budget, unlearned, at_truth, rows)
+
+        def counting(values):
+            contexts.append(len(values))
+            return type(coster).context(coster, values)
+
+        monkeypatch.setattr(coster, "run_spilled", recording)
+        monkeypatch.setattr(coster, "context", counting)
+        locations = [(0, 0, 0), (2, 4, 6), (6, 6, 6), (3, 1, 5), (1, 1, 1)]
+        totals = engine.totals(locations)
+        assert engine._at_truth is None
+        assert contexts[0] == len(locations) and max(contexts) <= len(locations)
+        assert truths and all(at_truth is truths[0] for at_truth in truths)
+        columns = [truths[0].assignment[dim.pid] for dim in q3d.space.dimensions]
+        assert {len(column) for column in columns} == {len(locations)}
+        reference = reference_field(q3d.bouquet, locations)
+        np.testing.assert_allclose(
+            totals, [reference[loc] for loc in locations], rtol=RTOL, atol=0.0
+        )
+
+    def test_a_memoised_cost_array_cannot_be_written_to(self, q3d):
+        """``BatchCoster.cost`` hands out the context's own array, not a
+        copy: read-only is what keeps one caller's write out of every
+        other plan that embeds the node."""
+        coster = sweep_cache(q3d.bouquet).coster
+        qrun = sweep_cache(q3d.bouquet).truth[:9]
+        ctx = coster.context(qrun)
+        plan = coster.plan(q3d.bouquet.plan_ids[0])
+        cost = coster.cost(plan.estimate(ctx).cost, len(qrun))
+        assert cost is plan.estimate(ctx).cost and not cost.flags.writeable
+        with pytest.raises(ValueError):
+            cost[0] = 0.0
+        with pytest.raises(ValueError):
+            cost.view().setflags(write=True)
+
+
+class TestCampaignPoolCounts:
+    def test_spill_searches_of_the_ledger_pool(self):
+        """A count, so the search's gain is not only a timing: a pass
+        over the 31 ``eval_campaign`` queries evaluates spill nodes'
+        formulas 821 times (336 spills at t = 1, then 132 searches);
+        the two 40-step loops made 5,748 = 336 + 132 * 41.  The cohort
+        partition itself is as it was."""
+        counters = campaign_pool_counters()
+        assert counters["sweep.spill_formula_evaluations"] <= 1300
+        assert counters["sweep.residue_locations"] == 402
+        assert counters["sweep.residue_executions"] == 489
 
 
 class TestResidueRoute:

@@ -13,7 +13,7 @@ Random SPJ queries over the TPC-H schema drive three strong checks:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import identify_bouquet, simulate_at
@@ -134,6 +134,7 @@ class TestRandomQueries:
         )
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=1092)
     @settings(max_examples=15, deadline=None)
     def test_engine_cost_tracks_model(self, schema, database, fuzz_env, seed):
         optimizer, engine = fuzz_env
@@ -152,7 +153,21 @@ class TestRandomQueries:
         # rel=0.15 agreement on plans whose cardinalities the model gets
         # right.)
         ratio = spent / predicted
-        assert 0.2 <= ratio <= 5.0, (ratio, query.describe())
+        assert ratio <= 5.0, (ratio, query.describe())
+        # The lower edge is a statement about rows that exist.  Seed 1092
+        # (4-way star, four filters): ``p_retailprice > 2077.66`` and
+        # ``p_size > 40.97`` leave 600 * 0.005 * 0.173 = 0.52 expected
+        # ``part`` rows under independence and the data has none, so
+        # everything above that scan runs on nothing and spent /
+        # predicted is 0.175.  A count the model itself puts below one
+        # row comes out 0 or >= 1, never "within a factor" — there the
+        # band has no lower edge to assert.
+        kept = [
+            schema.table(table).row_count
+            * np.prod([truth[s.pid] for s in query.selections_on(table)])
+            for table in query.tables
+        ]
+        assert ratio >= 0.2 or min(kept) < 1.0, (ratio, query.describe())
 
 
 class TestRandomBouquets:
