@@ -15,7 +15,8 @@
 #                     request builds no index and is one plan execution, a
 #                     whole-grid compile offers one DP's worth of join
 #                     candidates, a campaign pass evaluates spill formulas
-#                     <= 1,300 times); counts only, nothing is timed
+#                     <= 1,300 times, the canned workload's join probes
+#                     are all addressed); counts only, nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -67,7 +68,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

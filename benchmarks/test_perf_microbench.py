@@ -7,7 +7,6 @@ abstract plan costing, the vectorized grid cost field, and engine
 execution throughput.
 """
 
-import numpy as np
 import pytest
 
 from repro.api import BouquetConfig, CompiledBouquet, execute
@@ -103,8 +102,11 @@ def test_perf_engine_hash_join(benchmark, env):
 def test_perf_warm_request_builds_no_index(benchmark, env, monkeypatch):
     """A served request after the first: every B-tree it descends already
     exists.  Count-based guard — the second ``api.execute`` of one
-    compiled bouquet on one database builds no index and sorts no base
-    column; the timing rounds that follow are the warm request."""
+    compiled bouquet on one database builds no index over a base column
+    (its join build sides are its own); the timing rounds that follow
+    are the warm request."""
+    from repro.datagen import ColumnIndex
+
     lab, _, eq = env
     database = lab.h_db
     compiled = CompiledBouquet(eq.workload.query, eq.bouquet, BouquetConfig())
@@ -115,16 +117,16 @@ def test_perf_warm_request_builds_no_index(benchmark, env, monkeypatch):
         for table in database.schema.table_names
         for array in database.table(table).values()
     }
-    base_sorts = []
-    argsort = np.argsort
+    built_over_base = []
+    build = ColumnIndex.build
 
-    def counting_argsort(array, *args, **kwargs):
-        base_sorts.append(id(array) in base_columns)
-        return argsort(array, *args, **kwargs)
+    def recording_build(keys):
+        built_over_base.append(id(keys) in base_columns)
+        return build(keys)
 
     builds = database.index_builds
     tracer = Tracer(MemorySink())
-    monkeypatch.setattr(np, "argsort", counting_argsort)
+    monkeypatch.setattr(ColumnIndex, "build", staticmethod(recording_build))
     second = execute(compiled, database, tracer=tracer)
     monkeypatch.undo()
 
@@ -132,7 +134,7 @@ def test_perf_warm_request_builds_no_index(benchmark, env, monkeypatch):
     assert "executor.index_builds" not in tracer.counters
     # The B-tree a warm request descends is the selectivity probe's.
     assert tracer.counters["executor.selectivity_probes"] > 0
-    assert base_sorts and not any(base_sorts)
+    assert built_over_base and not any(built_over_base)
     assert second.total_cost == first.total_cost
 
     result = benchmark(lambda: execute(compiled, database))
@@ -183,6 +185,29 @@ def test_perf_warm_request_is_one_execution(benchmark, env, monkeypatch):
 
     results = benchmark(lambda: [execute(compiled, database) for compiled in pool])
     assert all(result.execution_count == 1 for result in results)
+
+
+def test_perf_dense_probes_of_the_canned_pool(benchmark, env):
+    """Join keys are addressed, not searched.  Count-based guard — every
+    probe of the canned workload's FK→PK joins gathers its matches from a
+    direct-address table: ``executor.dense_probes`` > 0 and
+    ``executor.searched_probes`` 0 over the three queries."""
+    from repro.api import Catalog, compile_bouquet
+
+    lab, _, _ = env
+    database = lab.h_db
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=database)
+    pool = [
+        compile_bouquet(sql, catalog, config=BouquetConfig()) for sql in CANNED_WORKLOAD
+    ]
+    tracer = Tracer(MemorySink())
+    for compiled in pool:
+        assert execute(compiled, database, tracer=tracer).completed
+    assert tracer.counters["executor.dense_probes"] > 0
+    assert tracer.counters.get("executor.searched_probes", 0) == 0
+
+    results = benchmark(lambda: [execute(compiled, database) for compiled in pool])
+    assert all(result.completed for result in results)
 
 
 @pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])

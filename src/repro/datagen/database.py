@@ -72,31 +72,96 @@ class RowCount(NamedTuple):
     fetched: int
 
 
+#: Keys are addressed, not searched, when they cast exactly to int64 and
+#: their span ``max - min + 1`` is at most this many table slots per key,
+#: counting at least 512 keys (so 4,096 slots for any small build).  A
+#: dense build is a counting pass over the span plus a radix sort, and a
+#: probe one gather per key; a sparse build is a comparison sort and a
+#: probe two binary searches.  Measured break-even for one build plus one
+#: probe batch (DESIGN decision 13): ≈ 16–38 slots per key for
+#: 8,192–65,536 keys, ≥ 46,000 slots for builds of ≤ 128 keys under a
+#: 4,096-key probe.
+DENSE_SLOTS_PER_KEY = 8
+
+
+def _exact_in_int64(dtype: np.dtype) -> bool:
+    """Whether every value of ``dtype`` is an int64 (``np.can_cast``'s
+    answer, without its call overhead on every build and probe)."""
+    return dtype.kind == "i" or dtype.kind in "bu" and dtype.itemsize < 8
+
+
+def _stable_order(offsets: np.ndarray, span: int) -> np.ndarray:
+    """``np.argsort(offsets, kind="stable")`` for offsets in ``[0, span)``,
+    as an LSD radix sort over 16-bit digits (numpy sorts integers of 16
+    bits or fewer by radix, not by comparison)."""
+    order = np.argsort(offsets.astype(np.uint16), kind="stable")
+    if span > 1 << 16:
+        high = (offsets >> 16).astype(np.min_scalar_type(span >> 16))
+        order = order[np.argsort(high[order], kind="stable")]
+    return order
+
+
 class ColumnIndex(NamedTuple):
-    """A sorted access path over one key array (the simulated B-tree).
+    """An access path over one key array (the simulated B-tree).
 
     ``values`` is ``keys[order]`` under a stable sort, so equal keys keep
-    their row order; ``unique`` says no key repeats, which lets a join
-    probe with one binary search instead of two.  The arrays are
-    read-only: an index over a base column is shared by every engine
-    over the same :class:`Database`, and lives as long as it does — so
-    ``order`` is held as int32 whenever the row count allows.
+    their row order.  Dense integer keys (:data:`DENSE_SLOTS_PER_KEY`)
+    also carry a direct-address table: the keys equal to ``low + k`` sit
+    at ``order[starts[k] : starts[k] + counts[k]]``, and slot ``span``
+    is an empty one every out-of-range probe key lands on.  Other keys
+    have ``starts = counts = None`` and are binary-searched in
+    ``values``.  The arrays are read-only: an index over a base column
+    is shared by every engine over the same :class:`Database`, and lives
+    as long as it does — so ``order`` is held as int32 whenever the row
+    count allows.
     """
 
     values: np.ndarray
     order: np.ndarray
-    unique: bool
+    low: int
+    starts: Optional[np.ndarray]
+    counts: Optional[np.ndarray]
 
     @classmethod
     def build(cls, keys: np.ndarray) -> "ColumnIndex":
-        order = np.argsort(keys, kind="stable")
-        values = keys[order]
-        unique = bool((values[1:] != values[:-1]).all())
-        if keys.size <= np.iinfo(np.int32).max:
-            order = order.astype(np.int32)
-        values.flags.writeable = False
-        order.flags.writeable = False
-        return cls(values, order, unique)
+        width = np.int32 if keys.size < 1 << 31 else np.intp
+        low = span = 0
+        if keys.size and _exact_in_int64(keys.dtype):
+            low = int(np.minimum.reduce(keys))
+            span = int(np.maximum.reduce(keys)) - low + 1
+        if not 0 < span <= DENSE_SLOTS_PER_KEY * max(keys.size, 512):
+            order = np.argsort(keys, kind="stable").astype(width)
+            return cls._frozen(keys[order], order, low, None, None)
+        # No comparison sort: a counting pass over the offsets places each
+        # key's run, and a radix sort of the offsets orders the rows.
+        offsets = keys.astype(np.int64, copy=False) - low
+        counts = np.bincount(offsets, minlength=span + 1)
+        order = _stable_order(offsets, span).astype(width)
+        return cls._frozen(keys[order], order, low, counts.cumsum() - counts, counts)
+
+    @classmethod
+    def _frozen(cls, values, order, low, starts, counts) -> "ColumnIndex":
+        for array in (values, order, starts, counts):
+            if array is not None:
+                array.setflags(write=False)
+        return cls(values, order, low, starts, counts)
+
+    def addresses(self, keys: np.ndarray) -> bool:
+        """Whether probing with ``keys`` is a gather from the table
+        rather than a binary search of ``values``."""
+        return self.starts is not None and _exact_in_int64(keys.dtype)
+
+    def locate(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per probe key, its first position in ``values`` / ``order`` and
+        how many entries equal it."""
+        if self.addresses(keys):
+            # Offsets wrap modulo 2**64, so below-range keys read as huge
+            # unsigned values and every miss clamps to the empty slot.
+            offsets = (keys.astype(np.int64, copy=False) - self.low).view(np.uint64)
+            slots = np.minimum(offsets, self.counts.size - 1).view(np.int64)
+            return self.starts[slots], self.counts[slots]
+        first = self.values.searchsorted(keys, "left")
+        return first, self.values.searchsorted(keys, "right") - first
 
     def spans(self, op: str, value) -> List[Tuple[int, int]]:
         """Disjoint entry ranges ``[lo, hi)`` holding the keys that

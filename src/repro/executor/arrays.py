@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..datagen.database import compare
+from ..datagen.database import ColumnIndex, compare
 from ..exceptions import ExecutionError
 from ..query.predicates import SelectionPredicate
 
@@ -64,47 +64,28 @@ def apply_selections(batch: Batch, preds: Sequence[SelectionPredicate]) -> Batch
     return {name: array[mask] for name, array in batch.items()}
 
 
-def join_indices(
-    probe_keys: np.ndarray,
-    build_keys_sorted: np.ndarray,
-    build_order: np.ndarray,
-    unique: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All (probe_idx, build_idx) equi-join matches, ordered by probe row
-    and, within one probe row, by position in the sorted build side.
+def join_indices(probe_keys: np.ndarray, index: ColumnIndex) -> Tuple[np.ndarray, np.ndarray]:
+    """All (probe_idx, build_idx) equi-join matches of ``probe_keys``
+    against the keys ``index`` was built over, ordered by probe row and,
+    within one probe row, by the build side's stable sorted order.
 
-    ``build_keys_sorted`` must be ``build_keys[build_order]``; the row
-    ids in ``build_order`` may be narrower than the platform index type
-    and come back widened, ready to gather many columns with.  With
-    ``unique`` (no repeated build key — every FK→PK join) one binary
-    search finds each probe key's only candidate; otherwise two passes
-    bracket its run of duplicates and the runs are expanded, so
-    many-to-many joins come out right.  Both return the same pairs.
+    The index finds each probe key's run of equal build keys — a gather
+    from its direct-address table, or two binary searches — and the runs
+    are expanded here.  Build row ids come back as the platform index
+    type, ready to gather many columns with.
     """
-    if unique:
-        if not build_keys_sorted.size:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pos = np.searchsorted(build_keys_sorted, probe_keys, side="left")
-        # A probe key above the build maximum lands one past the end.
-        np.minimum(pos, build_keys_sorted.size - 1, out=pos)
-        probe_idx = np.flatnonzero(build_keys_sorted[pos] == probe_keys)
-        return probe_idx, build_order[pos[probe_idx]].astype(np.intp, copy=False)
-    lo = np.searchsorted(build_keys_sorted, probe_keys, side="left")
-    hi = np.searchsorted(build_keys_sorted, probe_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    probe_idx = np.repeat(np.arange(probe_keys.size), counts)
-    # Per-match offsets into each probe key's sorted range, fully vectorized:
-    # within a run of matches for one probe key, offsets count 0,1,2,...
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    offsets = np.arange(total) - np.repeat(starts, counts)
-    build_pos = np.repeat(lo, counts) + offsets
-    return probe_idx, build_order[build_pos].astype(np.intp, copy=False)
+    first, count = index.locate(probe_keys)
+    probe_idx = (count > 0).nonzero()[0]
+    total = int(count.sum())
+    first = first[probe_idx]
+    if total > probe_idx.size:
+        # Some probe key has several partners: within its run of matches
+        # the positions count first, first + 1, ...
+        count = count[probe_idx]
+        ends = np.cumsum(count)
+        first = np.arange(total) + np.repeat(first - (ends - count), count)
+        probe_idx = np.repeat(probe_idx, count)
+    return probe_idx, index.order[first].astype(np.intp, copy=False)
 
 
 def group_counts(

@@ -306,6 +306,14 @@ class ExecutionEngine:
         self.tracer.count("executor.index_builds" if built else "executor.index_hits")
         return index
 
+    def _join_indices(self, keys: np.ndarray, lookup: ColumnIndex):
+        """One probe batch's matches, counted by how ``lookup`` finds
+        them (a table gather or a binary search) when tracing."""
+        if self.tracer.enabled:
+            dense = lookup.addresses(keys)
+            self.tracer.count("executor.dense_probes" if dense else "executor.searched_probes")
+        return join_indices(keys, lookup)
+
     def _run_seq_scan(self, node: SeqScan, query: Query, inst: Instrumentation):
         table = self.schema.table(node.table)
         model = self.cost_model
@@ -450,7 +458,7 @@ class ExecutionEngine:
                 )
             if not build_rows:
                 continue
-            probe_idx, build_idx = join_indices(probe[left_key], *lookup)
+            probe_idx, build_idx = self._join_indices(probe[left_key], lookup)
             out = merge_batches(probe, probe_idx, build, build_idx)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -475,7 +483,7 @@ class ExecutionEngine:
             self._charge(inst, node, outer_rows * inner_rows * model.cpu_operator_cost)
             if not inner_rows:
                 continue
-            outer_idx, inner_idx = join_indices(outer[left_key], *lookup)
+            outer_idx, inner_idx = self._join_indices(outer[left_key], lookup)
             out = merge_batches(outer, outer_idx, inner, inner_idx)
             out = self._composite_filter(out, extras, node, inst)
             count = batch_length(out)
@@ -501,7 +509,7 @@ class ExecutionEngine:
         for outer in self._run(node.left, query, inst):
             outer_rows = batch_length(outer)
             self._charge(inst, node, outer_rows * model.random_page_cost)  # descents
-            outer_idx, inner_idx = join_indices(outer[outer_key], *lookup)
+            outer_idx, inner_idx = self._join_indices(outer[outer_key], lookup)
             self._charge(inst, node, inner_idx.size * per_match)
             out = merge_batches(outer, outer_idx, columns, inner_idx)
             out = apply_selections(out, residuals)

@@ -364,7 +364,8 @@ class ServingSummary:
                     title="parallel substrate",
                 )
             )
-        if self.index_lookups or self._c("executor.selectivity_probes"):
+        join_probes = self._c("executor.dense_probes") + self._c("executor.searched_probes")
+        if self.index_lookups or join_probes or self._c("executor.selectivity_probes"):
             lines.append("")
             lines.append(
                 format_table(
@@ -372,6 +373,8 @@ class ServingSummary:
                     [
                         ["index builds", self._c("executor.index_builds")],
                         ["index hits", self._c("executor.index_hits")],
+                        ["join probes, addressed", self._c("executor.dense_probes")],
+                        ["join probes, searched", self._c("executor.searched_probes")],
                         ["selectivity probes", self._c("executor.selectivity_probes")],
                         ["dimensions pinned at start", self._c("core.pinned_dimensions")],
                     ],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen import ColumnIndex
+from repro.datagen.database import DENSE_SLOTS_PER_KEY
 from repro.exceptions import ExecutionError
 from repro.executor.arrays import (
     apply_selections,
@@ -97,15 +98,16 @@ class TestJoinIndices:
     def test_matches_brute_force(self, probe, build):
         probe_arr = np.array(probe, dtype=np.int64)
         build_arr = np.array(build, dtype=np.int64)
-        order = np.argsort(build_arr, kind="stable")
-        p_idx, b_idx = join_indices(probe_arr, build_arr[order], order)
+        p_idx, b_idx = join_indices(probe_arr, ColumnIndex.build(build_arr))
         got = sorted(zip(p_idx.tolist(), b_idx.tolist()))
         assert got == self.brute_force(probe, build)
 
     def test_empty_sides(self):
         empty = np.empty(0, dtype=np.int64)
-        p, b = join_indices(empty, empty, empty)
-        assert p.size == 0 and b.size == 0
+        keys = np.array([3, 1, 3])
+        for probe, build in ((empty, empty), (keys, empty), (empty, keys)):
+            p, b = join_indices(probe, ColumnIndex.build(build))
+            assert p.size == 0 and b.size == 0
 
     @staticmethod
     def nested_loop(probe, build, order):
@@ -126,7 +128,7 @@ class TestJoinIndices:
         dtype=st.sampled_from([np.int64, np.float64]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_unique_and_general_paths_match_nested_loop(
+    def test_dense_and_searched_paths_match_nested_loop(
         self, probe, build, distinct_build, dtype
     ):
         if distinct_build:
@@ -136,21 +138,98 @@ class TestJoinIndices:
         probe_arr = np.array(probe, dtype=dtype) * scale
         build_arr = np.array(build, dtype=dtype) * scale
         index = ColumnIndex.build(build_arr)
-        assert index.unique == (len(set(build)) == len(build))
+        # Integer keys this close together are addressed; floats searched.
+        assert index.addresses(probe_arr) == (dtype is np.int64 and bool(build))
         want = self.nested_loop(probe_arr, build_arr, index.order)
-
-        p_idx, b_idx = join_indices(probe_arr, index.values, index.order)
+        p_idx, b_idx = join_indices(probe_arr, index)
         assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
-        if index.unique:
-            p_idx, b_idx = join_indices(probe_arr, *index)
-            assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
 
-    def test_unique_path_clamps_probe_above_build_maximum(self):
+    def test_dense_probe_clamps_keys_above_build_maximum(self):
         index = ColumnIndex.build(np.array([5, 1, 3]))
-        p_idx, b_idx = join_indices(np.array([9, 3, 0, 5, 9]), *index)
-        assert index.unique
+        p_idx, b_idx = join_indices(np.array([9, 3, 0, 5, 9]), index)
+        assert index.starts is not None
         assert p_idx.tolist() == [1, 3] and b_idx.tolist() == [2, 0]
         assert index.order.dtype == np.int32 and b_idx.dtype == np.intp
+
+
+#: The widest span a build of at most 512 keys is addressed over.
+SMALL_BUILD_SLOTS = DENSE_SLOTS_PER_KEY * 512
+
+
+class TestDenseProbe:
+    """The direct-address table against the nested loop: the same pairs
+    in the same order whichever way :class:`ColumnIndex` finds them."""
+
+    # Build offsets folded into ``spread`` consecutive integers, the
+    # extremes pinned so the span is exactly ``spread``: just inside the
+    # density rule for a small build (addressed) and one past it
+    # (searched).  Probe offsets reach 3 below the minimum and 3 above the
+    # maximum, and land in the gaps between build keys.
+    @given(
+        build=st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=40),
+        probe=st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=40),
+        spread=st.sampled_from(
+            [1, 9, SMALL_BUILD_SLOTS, SMALL_BUILD_SLOTS + 1, 4 * SMALL_BUILD_SLOTS]
+        ),
+        low=st.integers(min_value=-(2**31) + 3, max_value=2**31 - 2**16),
+        dtype=st.sampled_from([np.int32, np.int64, np.float64]),
+        probe_dtype=st.sampled_from([None, np.int32, np.int64, np.float64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nested_loop(self, build, probe, spread, low, dtype, probe_dtype):
+        offsets = [b % spread for b in build]
+        if len(offsets) >= 2:
+            offsets[0], offsets[-1] = 0, spread - 1
+        probe_dtype = probe_dtype or dtype
+
+        def keys(values, kind):
+            # Halved floats are exactly representable and non-integral.
+            array = np.array(values, dtype=kind)
+            return array * 0.5 if kind is np.float64 else array
+
+        build_arr = keys([low + o for o in offsets], dtype)
+        probe_arr = keys([low + p % (spread + 6) - 3 for p in probe], probe_dtype)
+        index = ColumnIndex.build(build_arr)
+
+        span = spread if len(build) >= 2 else len(build)
+        dense = dtype is not np.float64 and 0 < span <= SMALL_BUILD_SLOTS
+        assert (index.starts is not None) == dense
+        assert index.addresses(probe_arr) == (dense and probe_dtype is not np.float64)
+        stable = np.argsort(build_arr, kind="stable")
+        assert index.order.tolist() == stable.tolist()
+        assert index.values.tolist() == build_arr[stable].tolist()
+        for array in index:
+            assert not isinstance(array, np.ndarray) or not array.flags.writeable
+
+        want = TestJoinIndices.nested_loop(probe_arr, build_arr, stable)
+        p_idx, b_idx = join_indices(probe_arr, index)
+        assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
+
+    def test_keys_at_the_ends_of_int64(self):
+        """Probe offsets wrap modulo 2**64 and still miss."""
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        probe = np.array([bottom, top, bottom + 1, top - 1, 0], dtype=np.int64)
+        for build in ([top, top - 2, top], [bottom + 1, bottom + 3, bottom + 1]):
+            build_arr = np.array(build, dtype=np.int64)
+            index = ColumnIndex.build(build_arr)
+            assert index.addresses(probe)
+            want = TestJoinIndices.nested_loop(probe, build_arr, index.order)
+            p_idx, b_idx = join_indices(probe, index)
+            assert list(zip(p_idx.tolist(), b_idx.tolist())) == want and want
+
+    def test_wide_duplicate_keys_take_two_radix_digits(self):
+        """A span past 2**16 sorts by two 16-bit digits — the same
+        permutation as a stable comparison sort, the same pairs as the
+        searched path over the same keys."""
+        rng = np.random.default_rng(5)
+        build = rng.integers(-70_000, 70_000, size=20_000)
+        probe = rng.integers(-70_010, 70_010, size=5_000)
+        dense = ColumnIndex.build(build)
+        searched = ColumnIndex.build(build.astype(np.float64))
+        assert dense.starts is not None and searched.starts is None
+        assert np.array_equal(dense.order, np.argsort(build, kind="stable"))
+        for got, want in zip(join_indices(probe, dense), join_indices(probe * 1.0, searched)):
+            assert np.array_equal(got, want)
 
 
 class TestMergeBatches:

@@ -45,8 +45,8 @@ def test_index_is_the_stable_sort_of_the_column(fresh_database):
     assert np.array_equal(index.order, order)
     assert np.array_equal(index.values, column[order])
     assert index.order.dtype == np.int32  # resident for the dataset's life
-    assert not index.unique  # several lineitems per order
-    assert fresh_database.index("orders", "o_orderkey").unique
+    assert index.counts.max() > 1  # several lineitems per order
+    assert fresh_database.index("orders", "o_orderkey").counts.max() == 1
     with pytest.raises(ValueError):
         index.values[0] = -1  # shared by every engine: read-only
 
@@ -153,6 +153,26 @@ def test_eight_threads_on_a_cold_database_build_each_index_once(fresh_database):
     for got in seen:
         assert all(a is b for a, b in zip(got, seen[0]))
     for (table, column), index in zip(columns, seen[0]):
-        assert np.array_equal(
-            index.values, np.sort(fresh_database.column(table, column))
-        )
+        keys = fresh_database.column(table, column)
+        assert np.array_equal(index.values, np.sort(keys))
+        # The INL probe table comes with the index: one per (table, column).
+        assert index.starts is not None and index.low == keys.min()
+        assert np.array_equal(index.counts[:-1], np.bincount(keys - index.low))
+
+
+def test_invalidate_fingerprint_drops_the_probe_table(fresh_database):
+    """The INL probe table is derived from the data like the index it
+    sits on: shared while the data stands, rebuilt after it is mutated."""
+    keys = fresh_database.column("orders", "o_orderkey")
+    index = fresh_database.index("orders", "o_orderkey")
+    assert fresh_database.index("orders", "o_orderkey").starts is index.starts
+
+    probe = keys[:5] + 7
+    keys += 7  # in place: the old table would place every key 7 slots off
+    fresh_database.invalidate_fingerprint()
+    rebuilt = fresh_database.index("orders", "o_orderkey")
+    assert rebuilt.starts is not index.starts and fresh_database.index_builds == 2
+    assert rebuilt.low == index.low + 7
+    first, count = rebuilt.locate(probe)
+    assert count.tolist() == [1] * 5
+    assert keys[rebuilt.order[first]].tolist() == probe.tolist()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.datagen import Database
 from repro.executor import CostPerturbation, ExecutionEngine
+from repro.obs import MemorySink, Tracer
 from repro.optimizer import (
     IndexLookup,
     IndexScan,
@@ -103,6 +105,40 @@ class TestCorrectness:
         assert result.result is not None
         assert "part.p_retailprice" in result.result
         assert (result.result["part.p_retailprice"] < 1000.0).all()
+
+
+class TestJoinProbes:
+    def test_sparse_keys_are_searched_to_the_same_rows_and_charges(
+        self, database, eq_query, eq_pids
+    ):
+        """Which way a probe finds its matches moves wall time only; the
+        tracer counts the two ways apart."""
+        sel, j_lp, j_lo = eq_pids
+        plan = Join(
+            "hash",
+            Join("hash", SeqScan("lineitem"), SeqScan("orders"), (j_lo,)),
+            SeqScan("part", (sel,)),
+            (j_lp,),
+        )
+        tracer = Tracer(MemorySink())
+        dense = ExecutionEngine(database, batch_size=1024, tracer=tracer).execute(eq_query, plan)
+        assert tracer.counters["executor.dense_probes"] > 0
+        assert "executor.searched_probes" not in tracer.counters
+
+        tables = {
+            table: {column: array.copy() for column, array in database.table(table).items()}
+            for table in database.schema.table_names
+        }
+        for table, column in (("orders", "o_orderkey"), ("lineitem", "l_orderkey")):
+            tables[table][column] *= 1_000_003  # far past the density rule
+        sparse_database = Database(database.schema, tables)
+        tracer = Tracer(MemorySink())
+        sparse = ExecutionEngine(sparse_database, batch_size=1024, tracer=tracer).execute(
+            eq_query, plan
+        )
+        assert tracer.counters["executor.searched_probes"] > 0
+        assert tracer.counters["executor.dense_probes"] > 0  # the part join
+        assert (sparse.rows, sparse.spent) == (dense.rows, dense.spent)
 
 
 class TestCostAgreement:

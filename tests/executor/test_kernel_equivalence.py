@@ -3,8 +3,9 @@
 A serving pool shaped like the benchmark's ``serve_hot`` workload (the
 three canned texts plus generated queries under an abstract-cost cap) is
 compiled once and run twice: with the engine as shipped, and with its
-kernels swapped for the ones they replaced — the two-pass join expansion
-for every probe and the row-sort group-by.  Charges are the contract: the
+kernels swapped for the ones they replaced — for every hash, merge, NL
+and INL probe, two binary searches of the build side's stable
+comparison sort, and the row-sort group-by.  Charges are the contract: the
 bouquet driver must see the same budgets, kills and learned
 selectivities, and the rows must match the independent evaluator.  The
 runs start at the ESS origin (``origin_started``), because a run that
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.executor import arrays, engine
+from repro.executor import engine
 from repro.executor.arrays import group_counts
 
 
@@ -99,9 +100,21 @@ def test_pool_runs_identically_on_the_replaced_kernels(
     pool, database, origin_started, expected_rows, monkeypatch
 ):
     shipped = [origin_started(compiled, database) for compiled in pool]
+    probes = []
 
-    def two_pass_join(probe_keys, build_keys_sorted, build_order, unique=False):
-        return arrays.join_indices(probe_keys, build_keys_sorted, build_order)
+    def two_pass_join(probe_keys, index):
+        """The probe the direct-address table replaced: the build keys
+        re-sorted by comparison, two binary searches, the runs expanded."""
+        probes.append(probe_keys.size)
+        keys = np.empty_like(index.values)
+        keys[index.order] = index.values
+        order = np.argsort(keys, kind="stable")
+        lo = np.searchsorted(keys[order], probe_keys, side="left")
+        counts = np.searchsorted(keys[order], probe_keys, side="right") - lo
+        ends = np.cumsum(counts)
+        offsets = np.arange(int(counts.sum())) - np.repeat(ends - counts, counts)
+        build_pos = np.repeat(lo, counts) + offsets
+        return np.repeat(np.arange(probe_keys.size), counts), order[build_pos]
 
     def row_sort_groups(columns, weights=None):
         keys, counts = legacy_group_counts(columns, weights)
@@ -116,5 +129,6 @@ def test_pool_runs_identically_on_the_replaced_kernels(
         assert new.completed
         assert new.result_rows == expected_rows(compiled.query)
     # The pool exercises what the kernels specialise on.
+    assert probes and sum(probes) > 0
     assert any(compiled.query.group_by for compiled in pool)
     assert any(e.spilled for result in shipped for e in result.executions)

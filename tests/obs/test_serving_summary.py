@@ -124,6 +124,8 @@ def test_access_path_counters_get_their_own_table():
             {"type": "counter", "name": "executor.index_hits", "value": 45},
             {"type": "counter", "name": "executor.selectivity_probes", "value": 17},
             {"type": "counter", "name": "core.pinned_dimensions", "value": 16},
+            {"type": "counter", "name": "executor.dense_probes", "value": 510},
+            {"type": "counter", "name": "executor.searched_probes", "value": 12},
         ]
     )
     assert summary.index_lookups == 48
@@ -137,6 +139,13 @@ def test_access_path_counters_get_their_own_table():
         "17",
         "dimensions pinned at start",
         "16",
+        "join probes, addressed",
+        "510",
+        "join probes, searched",
     ):
         assert needle in text
     assert "access paths" not in summarize_serving(RECORDS).describe()
+    hash_joins_only = summarize_serving(
+        [{"type": "counter", "name": "executor.searched_probes", "value": 2}]
+    )
+    assert "join probes, searched" in hash_joins_only.describe()

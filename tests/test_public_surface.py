@@ -217,7 +217,7 @@ def test_defaulted_parameter_census():
         "datagen": 4,
         "drift": 10,
         "ess": 27,
-        "executor": 17,
+        "executor": 16,
         "obs": 6,
         "optimizer": 9,
         "par": 6,
