@@ -182,6 +182,18 @@ SECTIONS = [
         "without claiming uniform dominance.",
     ),
     (
+        "crossing_trial",
+        "Decision — concurrent and time-sliced contour crossing, on trial",
+        "§5 runs a contour's plans one after another on one core; the "
+        "bounds (Theorem 3, Figure 13) are stated for that schedule.",
+        "Neither extra schedule beat one-at-a-time crossing on what it "
+        "existed for: time-sliced never beat the optimized driver's MSO and "
+        "beat basic sequential on 4 of 10; concurrent's modelled elapsed "
+        "MSO (2.83-3.80) did not survive real wall time, where it was "
+        "slower than the same basic loop run sequentially on every query. "
+        "Both were deleted (DESIGN decision 14); this record is static.",
+    ),
+    (
         "ext_reopt_comparison",
         "Extension — mid-query re-optimization (ReOpt) vs BOU",
         "§7 argues POP/Rio-style re-optimization 'could be arbitrarily poor' "

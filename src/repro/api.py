@@ -28,7 +28,6 @@ speak one calling convention.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -58,7 +57,6 @@ from .query.predicates import JoinPredicate
 from .query.query import Query
 from .query.sql import parse_query
 from .query.workload import SELECTION_DIM_RANGE, join_dim_maximum
-from .sched.strategy import CROSSING_NAMES
 
 __all__ = [
     "BouquetConfig",
@@ -100,13 +98,13 @@ class BouquetConfig:
     artifact and participate in cache keys (see
     :func:`repro.serve.fingerprint.artifact_key`).  The rest are runtime
     knobs: ``mode`` toggles the spill/AxisPlans optimized driver vs. the
-    basic Figure 7 driver, ``crossing`` picks the contour-crossing
-    scheduler (:mod:`repro.sched` — ``sequential``, ``concurrent``, or
-    ``timesliced``), and ``model_error_delta`` is the §3.4 bounded
+    basic Figure 7 driver, and ``model_error_delta`` is the §3.4 bounded
     cost-model-error δ (budgets inflate by 1+δ).  The cost-equivalence
     group width is not a knob: the run-time driver and the sweep that
     measures it both read ``core.runtime.EQUIVALENCE_THRESHOLD``, which
-    ``equivalence_threshold`` reports read-only.
+    ``equivalence_threshold`` reports read-only.  Nor is the contour
+    crossing: a contour's plans always run one at a time, and
+    ``crossing`` reports ``"sequential"`` read-only.
 
     There is no compile-engine knob: POSP generation always runs the
     DPsize enumeration once per slab of ESS locations
@@ -117,8 +115,8 @@ class BouquetConfig:
     ``patch`` governs statistics-refresh maintenance: when enabled
     (default) a refresh first offers every cached artifact to the
     delta-refresh engine (:mod:`repro.drift`) before falling back to
-    invalidation.  Like the crossing knob it is a runtime knob — never
-    part of the artifact cache key.
+    invalidation.  Like ``mode`` it is a runtime knob — never part of
+    the artifact cache key.
 
     ``template`` governs the cross-query template cache
     (:mod:`repro.template`): when enabled (default) the serving layer
@@ -135,7 +133,6 @@ class BouquetConfig:
     lambda_: float = 0.2
     resolution: Optional[int] = None
     mode: str = "optimized"
-    crossing: str = "sequential"
     model_error_delta: float = 0.0
     cost_model: str = "postgres"
     patch: bool = True
@@ -150,11 +147,6 @@ class BouquetConfig:
             raise BouquetError("config: resolution must be at least 2")
         if self.mode not in _MODES:
             raise BouquetError(f"config: unknown runtime mode {self.mode!r}")
-        if self.crossing not in CROSSING_NAMES:
-            raise BouquetError(
-                f"config: unknown crossing strategy {self.crossing!r} "
-                f"(expected one of {list(CROSSING_NAMES)})"
-            )
         if self.model_error_delta < 0.0:
             raise BouquetError("config: model_error_delta must be non-negative")
         if self.cost_model not in _COST_MODELS:
@@ -174,6 +166,10 @@ class BouquetConfig:
     @property
     def equivalence_threshold(self) -> float:
         return EQUIVALENCE_THRESHOLD
+
+    @property
+    def crossing(self) -> str:
+        return "sequential"
 
     def compile_knobs(self) -> Dict[str, object]:
         """The knobs that determine the compiled artifact (cache-key part)."""
@@ -210,13 +206,14 @@ class BouquetConfig:
     def from_dict(data: Mapping[str, object]) -> "BouquetConfig":
         # Artifacts written before the maintenance knob (``patch``) or
         # the template-cache knob (``template``) existed omit those keys;
-        # the dataclass defaults cover them.  Envelopes written while the
-        # config still had a compile-engine selector or a settable
-        # ``equivalence_threshold`` carry those keys: neither ever entered
-        # the artifact key, so they are dropped, not rejected.
+        # the dataclass defaults cover them.  ``to_dict`` still writes
+        # ``crossing`` (so artifacts stay byte-equal), and envelopes written
+        # while the config still had a compile-engine selector or a
+        # settable ``equivalence_threshold`` carry those keys: none ever
+        # entered the artifact key, so they are dropped, not rejected.
         fields = dict(data)
-        fields.pop("compile_engine", None)
-        fields.pop("equivalence_threshold", None)
+        for dropped in ("compile_engine", "equivalence_threshold", "crossing"):
+            fields.pop(dropped, None)
         return BouquetConfig(**fields)
 
 
@@ -462,13 +459,9 @@ class BudgetCappedService(ExecutionService):
         self.inner = inner
         self.budget = float(budget)
         self.spent = 0.0
-        # Concurrent crossing calls run_full from worker threads; the
-        # spent ledger must stay consistent under interleaving.
-        self._lock = threading.Lock()
 
     def _allowed(self, requested: float) -> float:
-        with self._lock:
-            remaining = self.budget - self.spent
+        remaining = self.budget - self.spent
         if remaining <= 0:
             raise BudgetExceeded(
                 f"request budget {self.budget:g} exhausted after spending "
@@ -477,8 +470,7 @@ class BudgetCappedService(ExecutionService):
         return min(requested, remaining)
 
     def _charge(self, outcome: ExecutionOutcome, truncated: bool) -> ExecutionOutcome:
-        with self._lock:
-            self.spent += outcome.cost_spent
+        self.spent += outcome.cost_spent
         if truncated and not outcome.completed:
             raise BudgetExceeded(
                 f"request budget {self.budget:g} exhausted mid-bouquet "
@@ -489,15 +481,12 @@ class BudgetCappedService(ExecutionService):
     def known_selectivities(self) -> KnownSelectivities:
         """Forwarded; what the probes charged counts against the cap."""
         known = self.inner.known_selectivities()
-        with self._lock:
-            self.spent += known.cost
+        self.spent += known.cost
         return known
 
-    def run_full(
-        self, plan_id: int, budget: float, cancel: Optional[object] = None
-    ) -> ExecutionOutcome:
+    def run_full(self, plan_id: int, budget: float) -> ExecutionOutcome:
         allowed = self._allowed(budget)
-        outcome = self.inner.run_full(plan_id, allowed, cancel=cancel)
+        outcome = self.inner.run_full(plan_id, allowed)
         return self._charge(outcome, truncated=allowed < budget)
 
     def run_spilled(
@@ -505,10 +494,9 @@ class BudgetCappedService(ExecutionService):
         plan_id: int,
         budget: float,
         unlearned_pids: FrozenSet[str],
-        cancel: Optional[object] = None,
     ) -> ExecutionOutcome:
         allowed = self._allowed(budget)
-        outcome = self.inner.run_spilled(plan_id, allowed, unlearned_pids, cancel=cancel)
+        outcome = self.inner.run_spilled(plan_id, allowed, unlearned_pids)
         return self._charge(outcome, truncated=allowed < budget)
 
 
@@ -516,23 +504,22 @@ def _apply_envelope(
     request: Optional["object"],
     budget: Optional[float],
     mode: Optional[str],
-    crossing: Optional[str],
-) -> Tuple[Optional[float], Optional[str], Optional[str]]:
+) -> Tuple[Optional[float], Optional[str]]:
     """Fold a :class:`~repro.serve.envelope.ServeRequest` into the
     per-run knobs.  The envelope and the bare keywords are mutually
     exclusive — one canonical calling convention, no silent merging."""
     if request is None:
-        return budget, mode, crossing
+        return budget, mode
     from .serve.envelope import ServeRequest
 
     if not isinstance(request, ServeRequest):
         raise BouquetError("request must be a repro.serve.ServeRequest")
-    if any(v is not None for v in (budget, mode, crossing)):
+    if budget is not None or mode is not None:
         raise BouquetError(
             "pass knobs inside the ServeRequest envelope, not as keywords"
         )
     request.validate()
-    return request.budget, request.mode, request.crossing
+    return request.budget, request.mode
 
 
 def execute(
@@ -542,7 +529,6 @@ def execute(
     request: Optional["object"] = None,
     budget: Optional[float] = None,
     mode: Optional[str] = None,
-    crossing: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     span_name: str = "api.execute",
 ) -> BouquetRunResult:
@@ -550,23 +536,19 @@ def execute(
 
     ``request`` may be a :class:`~repro.serve.envelope.ServeRequest` —
     the same envelope the serving layer speaks — in which case the
-    budget/mode/crossing knobs are taken from it.  Otherwise: ``budget``
-    caps the *total* cost the request may spend across every partial
-    execution (exceeding it raises
-    :class:`~repro.exceptions.BudgetExceeded`) and ``crossing``
-    overrides the config's contour-crossing strategy for this one run
-    (see :mod:`repro.sched`).
+    budget/mode knobs are taken from it.  Otherwise: ``budget`` caps the
+    *total* cost the request may spend across every partial execution
+    (exceeding it raises :class:`~repro.exceptions.BudgetExceeded`).
     """
     from .executor.engine import ExecutionEngine
     from .executor.service import RealExecutionService
 
-    budget, mode, crossing = _apply_envelope(request, budget, mode, crossing)
+    budget, mode = _apply_envelope(request, budget, mode)
     if data is None:
         raise BouquetError("no database given; use simulate() instead")
     tracer = tracer if tracer is not None else NULL_TRACER
     config = compiled.config
     run_mode = mode if mode is not None else config.mode
-    run_crossing = crossing if crossing is not None else config.crossing
     cost_model = compiled.bouquet.cost_cache.optimizer.cost_model
     with tracer.span(span_name, query=compiled.query.name, mode=run_mode):
         engine = ExecutionEngine(data, cost_model=cost_model, tracer=tracer)
@@ -577,7 +559,6 @@ def execute(
             compiled.bouquet,
             service,
             mode=run_mode,
-            crossing=run_crossing,
             model_error_delta=config.model_error_delta,
             tracer=tracer,
         ).run()
@@ -589,28 +570,25 @@ def simulate(
     *,
     request: Optional["object"] = None,
     mode: Optional[str] = None,
-    crossing: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     span_name: str = "api.simulate",
 ) -> BouquetRunResult:
     """Cost-model-world run against a hypothetical actual location.
 
     Accepts the same :class:`~repro.serve.envelope.ServeRequest`
-    envelope as :func:`execute` (mode/crossing; a budget on the envelope
+    envelope as :func:`execute` (its mode; a budget on the envelope
     is ignored — simulation is cost-model arithmetic, not spend).
     """
-    _budget, mode, crossing = _apply_envelope(request, None, mode, crossing)
+    _budget, mode = _apply_envelope(request, None, mode)
     tracer = tracer if tracer is not None else NULL_TRACER
     config = compiled.config
     run_mode = mode if mode is not None else config.mode
-    run_crossing = crossing if crossing is not None else config.crossing
     with tracer.span(span_name, query=compiled.query.name, mode=run_mode):
         service = AbstractExecutionService(compiled.bouquet, qa_values)
         return BouquetRunner(
             compiled.bouquet,
             service,
             mode=run_mode,
-            crossing=run_crossing,
             model_error_delta=config.model_error_delta,
             tracer=tracer,
         ).run()

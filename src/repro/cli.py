@@ -173,9 +173,7 @@ def _cmd_run(args) -> int:
     else:
         config = BouquetConfig(resolution=args.resolution)
         compiled = compile_bouquet(args.sql, catalog, config=config, tracer=tracer)
-    request = ServeRequest(
-        query=args.sql, mode=args.mode, crossing=args.crossing
-    )
+    request = ServeRequest(query=args.sql, mode=args.mode)
     result = api_execute(compiled, catalog.database, request=request, tracer=tracer)
     _finish_trace(tracer, args)
     for record in result.executions:
@@ -190,8 +188,6 @@ def _cmd_run(args) -> int:
     )
     if result.probe_cost:
         summary += f" (index probes {result.probe_cost:.1f})"
-    if result.elapsed_cost is not None and result.crossing != "sequential":
-        summary += f" (elapsed {result.elapsed_cost:.1f}, {result.crossing})"
     summary += (
         f", {result.execution_count} executions "
         f"(guaranteed MSO <= {compiled.mso_bound:.1f})"
@@ -427,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--load", metavar="PATH", default=None)
     p_run.add_argument("--resolution", type=int, default=None)
     p_run.add_argument("--mode", choices=("basic", "optimized"), default="optimized")
-    p_run.add_argument(
-        "--crossing", choices=("sequential", "concurrent", "timesliced"),
-        default="sequential",
-        help="contour-crossing scheduler (non-sequential strategies imply "
-        "the basic driver for non-axis contours)",
-    )
     p_run.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a JSONL telemetry trace of compile + execution",

@@ -66,7 +66,7 @@ class KnownSelectivities:
 
 @dataclass
 class RunState:
-    """Where a Figure 13 run stands between two executions — all the
+    """Where a run stands between two executions — all either driver's
     loop reads, so a run continues from any state as it starts from the
     origin (the sweep residue resumes from its cohort's)."""
 
@@ -119,14 +119,9 @@ class ExecutionRecord:
 class BouquetRunResult:
     """Complete account of one bouquet execution.
 
-    ``total_cost`` is the **work** currency (cost summed across every
-    execution, concurrent or not, plus ``probe_cost`` — what the
-    substrate charged for the selectivities it measured before the first
-    contour); ``elapsed_cost`` is the critical-path
-    cost-time, which only differs under
-    :class:`repro.sched.ConcurrentCrossing` where stragglers run on
-    their own cores.  ``ledger`` carries the per-contour/per-plan
-    account when a crossing strategy drove the run.
+    ``total_cost`` is the cost charged by every execution, one after
+    another, plus ``probe_cost`` — what the substrate charged for the
+    selectivities it measured before the first contour.
     """
 
     total_cost: float
@@ -134,9 +129,6 @@ class BouquetRunResult:
     final_plan_id: Optional[int]
     completed: bool
     result_rows: Optional[int] = None
-    elapsed_cost: Optional[float] = None
-    crossing: str = "sequential"
-    ledger: Optional[object] = None
     probe_cost: float = 0.0
 
     @property
@@ -155,13 +147,7 @@ class BouquetRunResult:
 
 
 class ExecutionService:
-    """What the bouquet driver needs from an execution substrate.
-
-    ``cancel`` is a cooperative cancellation token with
-    ``should_stop(spent) -> bool`` (see
-    :class:`repro.sched.CancellationToken`), checked at budget
-    checkpoints so concurrent crossing can cut stragglers short.
-    """
+    """What the bouquet driver needs from an execution substrate."""
 
     def known_selectivities(self) -> KnownSelectivities:
         """Selectivities the substrate can measure without executing a
@@ -172,9 +158,7 @@ class ExecutionService:
         inner = getattr(self, "inner", None)
         return inner.known_selectivities() if inner is not None else KnownSelectivities()
 
-    def run_full(
-        self, plan_id: int, budget: float, cancel: Optional[object] = None
-    ) -> ExecutionOutcome:
+    def run_full(self, plan_id: int, budget: float) -> ExecutionOutcome:
         """Execute the full plan under a cost budget."""
         raise NotImplementedError
 
@@ -183,7 +167,6 @@ class ExecutionService:
         plan_id: int,
         budget: float,
         unlearned_pids: FrozenSet[str],
-        cancel: Optional[object] = None,
     ) -> ExecutionOutcome:
         """Execute in spill mode (§5.3, spill-to-store variant): run the
         subtree up to the first node carrying an unlearned error pid,
@@ -255,12 +238,7 @@ class AbstractExecutionService(ExecutionService):
     def known_selectivities(self) -> KnownSelectivities:
         return self._known
 
-    def run_full(
-        self, plan_id: int, budget: float, cancel: Optional[object] = None
-    ) -> ExecutionOutcome:
-        # ``cancel`` is accepted for protocol parity; simulated runs are
-        # instantaneous, so cost-time cancellation is applied by the
-        # scheduler's deterministic accounting instead.
+    def run_full(self, plan_id: int, budget: float) -> ExecutionOutcome:
         cost = self.true_cost(plan_id)
         if cost <= budget:
             return ExecutionOutcome(completed=True, cost_spent=cost)
@@ -271,7 +249,6 @@ class AbstractExecutionService(ExecutionService):
         plan_id: int,
         budget: float,
         unlearned_pids: FrozenSet[str],
-        cancel: Optional[object] = None,
     ) -> ExecutionOutcome:
         plan = self._plan(plan_id)
         node = first_error_node(plan, unlearned_pids)
@@ -401,21 +378,19 @@ class BouquetRunner:
         equivalence_threshold: float = EQUIVALENCE_THRESHOLD,
         model_error_delta: float = 0.0,
         tracer: Optional[Tracer] = None,
-        crossing: Optional[object] = None,
+        crossing: Optional[str] = None,
     ):
-        """``model_error_delta`` inflates every contour budget by (1+δ),
+        """``mode`` is ``optimized`` (Figure 13) or ``basic`` (Figure 7).
+        ``model_error_delta`` inflates every contour budget by (1+δ),
         preserving the completion guarantee under bounded cost-modeling
         error (§3.4) at the price of an (1+δ)² MSO factor.
 
-        ``crossing`` selects the contour-crossing scheduler — a
-        :mod:`repro.sched` strategy name (``sequential`` / ``concurrent``
-        / ``timesliced``) or instance.  ``sequential`` (the default)
-        preserves the paper's single-core semantics; any other strategy
-        drives the contour loop through :mod:`repro.sched`, superseding
-        the spill-based ``optimized`` driver (which is inherently
-        one-plan-at-a-time)."""
-        from ..sched.strategy import resolve_crossing
-
+        Contour plans always run one at a time.  ``crossing`` selects
+        nothing: only ``None`` / ``"sequential"`` are accepted, because the
+        ledger's serving workload (``ledger/workloads/serving.py``, kept
+        byte-frozen) still passes ``BouquetConfig.crossing``."""
+        if crossing not in (None, "sequential"):
+            raise BouquetError(f"unknown crossing strategy {crossing!r}")
         if mode not in ("basic", "optimized"):
             raise BouquetError(f"unknown bouquet mode {mode!r}")
         if model_error_delta < 0:
@@ -423,7 +398,6 @@ class BouquetRunner:
         self.bouquet = bouquet
         self.service = service
         self.mode = mode
-        self.crossing = resolve_crossing(crossing)
         self.equivalence_threshold = equivalence_threshold
         self.space = bouquet.space
         self.budgets = [
@@ -444,27 +418,20 @@ class BouquetRunner:
         with self.tracer.span(
             "execute.bouquet",
             mode=self.mode,
-            crossing=self.crossing.name,
             contours=len(self.bouquet.contours),
             cardinality=self.bouquet.cardinality,
         ) as span:
             state, probe_cost = self._start()
-            if self.mode == "optimized" and self.crossing.name == "sequential":
-                result = self._run_optimized(state)
-            else:
-                result = self._run_crossing(state.qrun, state.exact)
+            run = self._run_optimized if self.mode == "optimized" else self._run_basic
+            result = run(state)
             result.probe_cost = probe_cost
             result.total_cost += probe_cost
-            if result.elapsed_cost is not None:
-                result.elapsed_cost += probe_cost
             span.set(
                 total_cost=result.total_cost,
                 executions=result.execution_count,
                 completed=result.completed,
                 final_plan=result.final_plan_id,
             )
-            if result.elapsed_cost is not None:
-                span.set(elapsed_cost=result.elapsed_cost)
             return result
 
     def _start(self) -> Tuple[RunState, float]:
@@ -493,13 +460,18 @@ class BouquetRunner:
         self, qrun: List[float], exact: Set[int], learned: Sequence[LearnedSelectivity]
     ) -> None:
         """Fold learned lower bounds into ``q_run`` (first-quadrant
-        invariant: they are lower bounds, so max-merge is safe)."""
+        invariant: they are lower bounds, so max-merge is safe).  A value
+        past the dimension's ``hi`` (the data's truth outside the ESS) is
+        clamped to it, so the last contour still has a dominating
+        location; in the cost-model world ``value <= qa <= hi`` already."""
+        dims = self.space.dimensions
         for item in learned:
             d = self._pid_to_dim.get(item.pid)
             if d is None:
                 continue
-            if item.value > qrun[d]:
-                qrun[d] = item.value
+            value = min(item.value, dims[d].hi)
+            if value > qrun[d]:
+                qrun[d] = value
             if item.exact:
                 exact.add(d)
 
@@ -528,82 +500,26 @@ class BouquetRunner:
             learned_values={l.pid: l.value for l in record.learned},
         )
 
-    # -- strategy-driven crossing (Figure 7 generalized) ----------------
+    # -- basic (Figure 7) ------------------------------------------------
 
-    def _run_crossing(self, qrun: List[float], exact: Set[int]) -> BouquetRunResult:
-        """Climb the contours, delegating each crossing to the scheduler.
-
-        With :class:`~repro.sched.SequentialCrossing` this reproduces the
-        basic Figure 7 loop execution-for-execution; other strategies
-        change only *how* a contour's plans are scheduled, never which
-        contour is guaranteed to complete.  Between contours, learned
-        selectivity lower bounds from every worker are max-merged into
-        ``q_run`` (first-quadrant invariant) and used to prune plans
-        with no dominating contour location.
-        """
-        from ..sched.ledger import BudgetLedger
-        from ..sched.strategy import CrossingRequest
-
-        strategy = self.crossing
-        ledger = BudgetLedger(
-            ratio=self.bouquet.ratio,
-            lambda_=self.bouquet.lambda_,
-            rho=self.bouquet.rho,
-        )
+    def _run_basic(self, state: RunState) -> BouquetRunResult:
+        """Figure 7 from ``state``: on each contour, every plan owning a
+        location that dominates ``q_run`` runs fully under the contour
+        budget, in plan-id order, until one completes."""
         trace: List[ExecutionRecord] = []
-        for contour, budget in zip(self.bouquet.contours, self.budgets):
-            plans = self._dominating_plans(contour, qrun)
-            if not plans:
-                continue  # first-quadrant pruning: qa cannot be inside
-            account = ledger.open_contour(contour.index, budget)
-            with self.tracer.span(
-                "sched.cross",
-                strategy=strategy.name,
-                contour=contour.index,
-                plans=len(plans),
-                budget=budget,
-            ) as span:
-                crossing = strategy.cross(
-                    CrossingRequest(
-                        contour_index=contour.index,
-                        plan_ids=plans,
-                        budget=budget,
-                        service=self.service,
-                        ledger=account,
-                        tracer=self.tracer,
-                    )
+        contours = self.bouquet.contours
+        while state.cid < len(contours):
+            contour, budget = contours[state.cid], self.budgets[state.cid]
+            for plan_id in self._dominating_plans(contour, state.qrun):
+                outcome = self.service.run_full(plan_id, budget)
+                finished = self._book(
+                    trace, state, contour, plan_id, budget, outcome, spilled=False
                 )
-                span.set(
-                    work=account.work,
-                    elapsed=account.elapsed,
-                    winner=crossing.winner_plan_id,
-                )
-            if self.tracer.enabled:
-                self.tracer.count("sched.crossings")
-            for record in crossing.records:
-                trace.append(record)
-                self._trace_execution(record)
-            self._merge(qrun, exact, crossing.learned)
-            if crossing.winner_plan_id is not None:
-                outcome = crossing.winner_outcome
-                return BouquetRunResult(
-                    total_cost=ledger.total_work,
-                    executions=trace,
-                    final_plan_id=crossing.winner_plan_id,
-                    completed=True,
-                    result_rows=outcome.result_rows if outcome else None,
-                    elapsed_cost=ledger.total_elapsed,
-                    crossing=strategy.name,
-                    ledger=ledger,
-                )
+                if finished is not None:
+                    return finished
+            state.cross()
         return BouquetRunResult(
-            total_cost=ledger.total_work,
-            executions=trace,
-            final_plan_id=None,
-            completed=False,
-            elapsed_cost=ledger.total_elapsed,
-            crossing=strategy.name,
-            ledger=ledger,
+            total_cost=state.total, executions=trace, final_plan_id=None, completed=False
         )
 
     # -- optimized (Figure 13) ------------------------------------------
@@ -738,8 +654,8 @@ class BouquetRunner:
         outcome: ExecutionOutcome,
         spilled: bool,
     ) -> Optional[BouquetRunResult]:
-        """Book one execution of the optimized driver: charge it to the
-        state's total, record and trace it.  Returns the finished run's
+        """Book one execution of either driver: charge it to the state's
+        total, record and trace it.  Returns the finished run's
         result when the execution completed."""
         state.total += outcome.cost_spent
         record = ExecutionRecord(

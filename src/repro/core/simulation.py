@@ -19,6 +19,7 @@ import numpy as np
 
 from ..ess.space import Location
 from ..exceptions import BouquetError
+from ..optimizer.plans import CostContext
 from .bouquet import PlanBouquet
 from .runtime import (
     AbstractExecutionService,
@@ -31,16 +32,12 @@ def simulate_at(
     bouquet: PlanBouquet,
     qa_location: Location,
     mode: str = "optimized",
-    crossing: Optional[str] = None,
 ) -> BouquetRunResult:
     """Simulate one bouquet execution for a query actually located at
-    ``qa_location`` (a grid index), in the cost-model world.
-
-    ``crossing`` picks the contour-crossing scheduler (see
-    :mod:`repro.sched`); ``None`` means sequential."""
+    ``qa_location`` (a grid index), in the cost-model world."""
     qa_values = bouquet.space.selectivities_at(qa_location)
     service = AbstractExecutionService(bouquet, qa_values)
-    runner = BouquetRunner(bouquet, service, mode=mode, crossing=crossing)
+    runner = BouquetRunner(bouquet, service, mode=mode)
     result = runner.run()
     if not result.completed:
         raise BouquetError(
@@ -54,13 +51,27 @@ def basic_cost_field(bouquet: PlanBouquet) -> np.ndarray:
 
     Mirrors Figure 7 exactly: per contour, resident plans run in plan-id
     order under the (λ-inflated) budget; a failed attempt costs the full
-    budget, a completing one costs its true cost.
+    budget, a completing one costs its true cost.  Costs are taken where
+    the run-time driver takes them — every grid value clamped into its
+    dimension's ``[lo, hi]``, which a grid's end points can miss by an
+    ulp — and summed in its order, so each total is :func:`simulate_at`'s
+    ``mode="basic"`` total bit for bit.
     """
-    fields = bouquet.cost_cache.cost_arrays(bouquet.plan_ids)
-    shape = bouquet.space.shape
+    space = bouquet.space
+    optimizer = bouquet.cost_cache.optimizer
+    assignment: Dict[str, object] = dict(space.base_assignment)
+    axes = np.meshgrid(*space.grids, indexing="ij", sparse=True)
+    for dim, axis in zip(space.dimensions, axes):
+        assignment[dim.pid] = np.clip(axis, dim.lo, dim.hi)
+    ctx = CostContext(optimizer.schema, optimizer.cost_model, assignment)
+    plans = [bouquet.registry.plan(plan_id) for plan_id in bouquet.plan_ids]
+    shape = space.shape
+    fields = {
+        plan_id: np.broadcast_to(estimate.cost, shape)
+        for plan_id, estimate in zip(bouquet.plan_ids, ctx.estimates(plans))
+    }
     total = np.zeros(shape, dtype=float)
     done = np.zeros(shape, dtype=bool)
-    final_cost = np.zeros(shape, dtype=float)
     for contour, budget in zip(bouquet.contours, bouquet.budgets):
         for plan_id in contour.plan_ids:
             if done.all():
@@ -68,7 +79,6 @@ def basic_cost_field(bouquet: PlanBouquet) -> np.ndarray:
             costs = fields[plan_id]
             completes = (~done) & (costs <= budget)
             total[completes] += costs[completes]
-            final_cost[completes] = costs[completes]
             running = ~done & ~completes
             total[running] += budget
             done |= completes

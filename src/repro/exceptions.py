@@ -34,20 +34,6 @@ class BudgetExceeded(ExecutionError):
         self.instrumentation = instrumentation
 
 
-class ExecutionCancelled(ExecutionError):
-    """Raised inside a cost-limited execution when its cooperative
-    cancellation token fires (another contour plan already completed).
-
-    Distinct from :class:`BudgetExceeded`: a cancelled run was killed by
-    the scheduler, not by its own budget, so the bouquet driver must not
-    conclude anything about the plan's true cost from it.
-    """
-
-    def __init__(self, message, spent=None):
-        super().__init__(message)
-        self.spent = spent
-
-
 class EssError(ReproError):
     """Raised for error-selectivity-space construction problems."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..catalog.schema import IndexInfo
 from ..datagen.database import ColumnIndex, Database
-from ..exceptions import BudgetExceeded, ExecutionCancelled, ExecutionError
+from ..exceptions import BudgetExceeded, ExecutionError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..optimizer.cost_model import POSTGRES_COST_MODEL, CostModel
 from ..optimizer.plans import (
@@ -82,17 +82,13 @@ class CostPerturbation:
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one engine execution.
-
-    ``cancelled`` marks a run torn down by a cooperative cancellation
-    token (scheduler checkpoint) rather than by its own budget."""
+    """Outcome of one engine execution."""
 
     completed: bool
     rows: int
     spent: float
     instrumentation: Instrumentation
     result: Optional[Batch] = None
-    cancelled: bool = False
 
 
 class ExecutionEngine:
@@ -125,7 +121,6 @@ class ExecutionEngine:
             "engine.execute",
             spilled=spilled,
             completed=result.completed,
-            cancelled=result.cancelled,
             rows=result.rows,
             spent=result.spent,
             budget=result.instrumentation.budget,
@@ -133,9 +128,7 @@ class ExecutionEngine:
         )
         tracer.count("engine.executions")
         tracer.count("engine.tuples_moved", result.instrumentation.total_tuples)
-        if result.cancelled:
-            tracer.count("engine.cancellations")
-        elif not result.completed:
+        if not result.completed:
             tracer.count("engine.budget_exhaustions")
 
     # ------------------------------------------------------------------
@@ -148,12 +141,9 @@ class ExecutionEngine:
         plan: PlanNode,
         budget: Optional[float] = None,
         collect: bool = False,
-        cancel: Optional[object] = None,
     ) -> ExecutionResult:
-        """Run ``plan`` fully (or until ``budget`` or ``cancel`` kills it)."""
-        inst = Instrumentation(
-            budget, cancel=cancel, needed_columns=needed_columns(query)
-        )
+        """Run ``plan`` fully (or until ``budget`` kills it)."""
+        inst = Instrumentation(budget, needed_columns=needed_columns(query))
         rows = 0
         collected: List[Batch] = []
         try:
@@ -161,13 +151,12 @@ class ExecutionEngine:
                 rows += batch_length(batch)
                 if collect:
                     collected.append(batch)
-        except (BudgetExceeded, ExecutionCancelled) as exc:
+        except BudgetExceeded:
             outcome = ExecutionResult(
                 completed=False,
                 rows=rows,
                 spent=inst.total_cost,
                 instrumentation=inst,
-                cancelled=isinstance(exc, ExecutionCancelled),
             )
             self._trace_run(False, outcome)
             return outcome
@@ -188,7 +177,6 @@ class ExecutionEngine:
         plan: PlanNode,
         spill_pids,
         budget: Optional[float] = None,
-        cancel: Optional[object] = None,
     ) -> Tuple[ExecutionResult, Optional[PlanNode]]:
         """Spill-mode run: execute up to the first node evaluating one of
         ``spill_pids``, storing its output.  If the spill node resolves
@@ -200,9 +188,7 @@ class ExecutionEngine:
         no such node — the run then degenerates to a full execution)."""
         node = first_error_node(plan, frozenset(spill_pids))
         target = node if node is not None else plan
-        inst = Instrumentation(
-            budget, cancel=cancel, needed_columns=needed_columns(query)
-        )
+        inst = Instrumentation(budget, needed_columns=needed_columns(query))
         rows = 0
         stored: List[Batch] = []
         try:
@@ -210,13 +196,12 @@ class ExecutionEngine:
                 rows += batch_length(batch)
                 if node is not None:
                     stored.append(batch)
-        except (BudgetExceeded, ExecutionCancelled) as exc:
+        except BudgetExceeded:
             outcome = ExecutionResult(
                 completed=False,
                 rows=rows,
                 spent=inst.total_cost,
                 instrumentation=inst,
-                cancelled=isinstance(exc, ExecutionCancelled),
             )
             self._trace_run(True, outcome)
             return outcome, node
@@ -234,13 +219,12 @@ class ExecutionEngine:
         try:
             for batch in self._run(plan, query, inst):
                 rows += batch_length(batch)
-        except (BudgetExceeded, ExecutionCancelled) as exc:
+        except BudgetExceeded:
             outcome = ExecutionResult(
                 completed=False,
                 rows=rows,
                 spent=inst.total_cost,
                 instrumentation=inst,
-                cancelled=isinstance(exc, ExecutionCancelled),
             )
             self._trace_run(True, outcome)
             return outcome, node

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Optional
 
-from ..exceptions import BudgetExceeded, ExecutionCancelled
+from ..exceptions import BudgetExceeded
 from ..optimizer.plans import PlanNode
 
 
@@ -30,24 +30,14 @@ class Instrumentation:
     exceed the budget — when an increment would cross it, the increment is
     clipped to the budget boundary and :class:`BudgetExceeded` is raised,
     modelling an executor killed exactly at its cost horizon.
-
-    ``charge`` is also the scheduler's budget checkpoint: when a
-    cooperative ``cancel`` token (any object with
-    ``should_stop(spent) -> bool``, e.g.
-    :class:`repro.sched.CancellationToken`) reports a stop, the run is
-    torn down with :class:`ExecutionCancelled` — per cost charge, so a
-    cancelled straggler overshoots the winner's cost-time by at most one
-    batch's worth of work.
     """
 
     def __init__(
         self,
         budget: Optional[float] = None,
-        cancel: Optional[object] = None,
         needed_columns: Optional[AbstractSet[str]] = None,
     ):
         self.budget = budget
-        self.cancel = cancel
         self.total_cost = 0.0
         #: Projection-pushdown set: qualified column names the run
         #: needs; ``None`` means all columns (SELECT *).
@@ -83,11 +73,6 @@ class Instrumentation:
             )
         self.counters(node).cost += cost
         self.total_cost += cost
-        if self.cancel is not None and self.cancel.should_stop(self.total_cost):
-            raise ExecutionCancelled(
-                f"execution cancelled at node {node.signature()}",
-                spent=self.total_cost,
-            )
 
     def emit(self, node: PlanNode, tuples: int):
         """Record ``tuples`` output rows at ``node``."""

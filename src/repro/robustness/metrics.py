@@ -73,30 +73,6 @@ def aso(profile: StrategyProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
-def crossing_mso_bound(
-    ratio: float, lambda_: float, rho: int, concurrent: bool = False
-) -> float:
-    """Analytical MSO ceiling for a contour-crossing discipline.
-
-    Sequential crossing pays every plan of every climbed contour:
-    ``rho * (1+lambda) * r^2/(r-1)`` (Theorem 3 + §3.3) — ``4*(1+lambda)*rho``
-    at the optimal ``r = 2``.  Concurrent crossing runs a contour's plans
-    on separate cores, so the *elapsed* cost-time per contour is one
-    budget and the rho factor collapses: ``(1+lambda) * r^2/(r-1)``,
-    i.e. ``4*(1+lambda)`` at ``r = 2`` — the 1D bound, regardless of
-    contour density.  This is the ledger-side counterpart of
-    :class:`repro.sched.BudgetLedger`.
-    """
-    if ratio <= 1.0:
-        raise EssError("crossing bound needs ratio > 1")
-    if lambda_ < 0.0:
-        raise EssError("crossing bound needs non-negative lambda")
-    if rho < 1:
-        raise EssError("crossing bound needs rho >= 1")
-    base = (1.0 + lambda_) * ratio * ratio / (ratio - 1.0)
-    return base if concurrent else base * float(rho)
-
-
 def optimized_field(bouquet) -> np.ndarray:
     """Grid-shaped optimized-bouquet cost field via the sweep engine.
 

@@ -84,8 +84,8 @@ class ServeRequest:
     ``query`` is SQL text (the only wire-safe spelling) or a parsed
     :class:`~repro.query.query.Query` for in-process callers.  Knob
     fields reuse the canonical :class:`~repro.api.BouquetConfig`
-    spellings — ``mode``, ``crossing`` — and ``None`` means "server
-    default".  Nothing on the wire selects how a miss is compiled.
+    spelling — ``mode`` — and ``None`` means "server default".  Nothing
+    on the wire selects how a miss is compiled.
 
     * ``tenant`` — admission-control identity (quotas, queues);
     * ``budget`` — per-request cost cap
@@ -102,14 +102,11 @@ class ServeRequest:
     budget: Optional[float] = None
     deadline: Optional[float] = None
     mode: Optional[str] = None
-    crossing: Optional[str] = None
     cached_only: bool = False
 
     def validate(self) -> "ServeRequest":
         """Check every field; raises :class:`BouquetError` on the first
         violation.  Returns self for chaining."""
-        from ..sched.strategy import CROSSING_NAMES
-
         _require(
             isinstance(self.query, (str, Query)) and bool(self.query),
             "query must be SQL text or a parsed Query",
@@ -128,10 +125,6 @@ class ServeRequest:
         _require(
             self.mode in (None, "basic", "optimized"),
             f"unknown runtime mode {self.mode!r}",
-        )
-        _require(
-            self.crossing is None or self.crossing in CROSSING_NAMES,
-            f"unknown crossing strategy {self.crossing!r}",
         )
         _require(isinstance(self.cached_only, bool), "cached_only must be a bool")
         return self
@@ -159,7 +152,6 @@ class ServeRequest:
             "budget": self.budget,
             "deadline": self.deadline,
             "mode": self.mode,
-            "crossing": self.crossing,
             "cached_only": self.cached_only,
         }
 
@@ -171,6 +163,13 @@ class ServeRequest:
         fmt = payload.pop("format", REQUEST_FORMAT)
         if fmt != REQUEST_FORMAT:
             raise BouquetError(f"serve request: unknown format {fmt!r}")
+        # Contour plans always run one at a time: a client that still
+        # names the one schedule is answered, any other name is refused.
+        crossing = payload.pop("crossing", None)
+        _require(
+            crossing in (None, "sequential"),
+            f"unknown crossing strategy {crossing!r}",
+        )
         known = {
             "query",
             "tenant",
@@ -178,7 +177,6 @@ class ServeRequest:
             "budget",
             "deadline",
             "mode",
-            "crossing",
             "cached_only",
         }
         unknown = set(payload) - known

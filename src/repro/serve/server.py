@@ -432,7 +432,6 @@ class BouquetServer:
                     self.catalog.database,
                     budget=request.budget,
                     mode=request.mode,
-                    crossing=request.crossing,
                     tracer=tracer,
                     span_name="serve.execute",
                 )

@@ -68,13 +68,13 @@ def scalar_diagram(optimizer, space):
     )
 
 
-def reference_field(bouquet, locations=None, crossing=None):
+def reference_field(bouquet, locations=None):
     """Optimized-bouquet total cost per location, one ``BouquetRunner``
     run each: the oracle for the sweep engine."""
     if locations is None:
         locations = bouquet.space.locations()
     return {
-        loc: simulate_at(bouquet, loc, crossing=crossing).total_cost
+        loc: simulate_at(bouquet, loc).total_cost
         for loc in locations
     }
 

@@ -63,7 +63,8 @@ class TestBouquetConfig:
     def test_retired_compile_engine_key_is_dropped_on_read(self):
         """The config block exactly as the parent of the engine knob's
         removal wrote it into every envelope; ``equivalence_threshold``
-        was a settable field then and is dropped on read too."""
+        and ``crossing`` were settable fields then and are dropped on read
+        too."""
         written = {
             "ratio": 2.0,
             "lambda_": 0.2,
@@ -170,7 +171,7 @@ class TestEnvelopeExecution:
         from repro.serve import ServeRequest
 
         compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        request = ServeRequest(query=SQL, mode="basic", crossing="sequential")
+        request = ServeRequest(query=SQL, mode="basic")
         via_envelope = execute(compiled, database, request=request)
         via_kwargs = execute(compiled, database, mode="basic")
         assert via_envelope.result_rows == via_kwargs.result_rows

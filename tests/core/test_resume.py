@@ -45,10 +45,10 @@ class CutAfter(ExecutionService):
         self.left -= 1
         return run(*args)
 
-    def run_full(self, plan_id, budget, cancel=None):
+    def run_full(self, plan_id, budget):
         return self._through(self.inner.run_full, plan_id, budget)
 
-    def run_spilled(self, plan_id, budget, unlearned_pids, cancel=None):
+    def run_spilled(self, plan_id, budget, unlearned_pids):
         return self._through(self.inner.run_spilled, plan_id, budget, unlearned_pids)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BouquetRunner, simulate_at
-from repro.core.runtime import AbstractExecutionService
+from repro.core.runtime import AbstractExecutionService, LearnedSelectivity
 from repro.exceptions import BouquetError
 
 
@@ -174,3 +174,27 @@ class TestMultiDimensionalRunner:
         for record in result.executions:
             for learned in record.learned:
                 assert learned.value <= truth[learned.pid] * (1 + 1e-6)
+
+    def test_learned_value_past_hi_is_clamped(self, lab):
+        """Real rows can measure a selectivity past its dimension's ``hi``
+        (``4D_DS_Q7``'s ``cd_demo_sk=ss_cdemo_sk``: 0.0026069 against
+        0.0026042).  ``q_run`` is clamped to ``hi``, so the last contour
+        keeps a dominating location and the run still completes."""
+
+        class Overshoot(AbstractExecutionService):
+            def run_spilled(self, plan_id, budget, unlearned_pids):
+                outcome = super().run_spilled(plan_id, budget, unlearned_pids)
+                outcome.learned = [
+                    LearnedSelectivity(l.pid, l.value * 1.001, l.exact)
+                    for l in outcome.learned
+                ]
+                return outcome
+
+        bouquet = lab.build("2D_H_Q8a").bouquet
+        space = bouquet.space
+        service = Overshoot(bouquet, space.selectivities_at((space.shape[0] - 1, 0)))
+        result = BouquetRunner(bouquet, service).run()
+        hi = {dim.pid: dim.hi for dim in space.dimensions}
+        learned = [l for e in result.executions for l in e.learned]
+        assert any(l.value > hi[l.pid] for l in learned)
+        assert result.completed

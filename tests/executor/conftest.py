@@ -83,7 +83,6 @@ def origin_started():
             compiled.bouquet,
             OriginStartService(compiled.bouquet, engine),
             mode=config.mode,
-            crossing=config.crossing,
             model_error_delta=config.model_error_delta,
         ).run()
 

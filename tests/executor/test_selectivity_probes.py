@@ -184,11 +184,11 @@ class TestWrappers:
             def __init__(self, inner):
                 self.inner = inner
 
-            def run_full(self, plan_id, budget, cancel=None):
-                return self.inner.run_full(plan_id, budget, cancel=cancel)
+            def run_full(self, plan_id, budget):
+                return self.inner.run_full(plan_id, budget)
 
-            def run_spilled(self, plan_id, budget, unlearned_pids, cancel=None):
-                return self.inner.run_spilled(plan_id, budget, unlearned_pids, cancel=cancel)
+            def run_spilled(self, plan_id, budget, unlearned_pids):
+                return self.inner.run_spilled(plan_id, budget, unlearned_pids)
 
         proxied = Proxy(Proxy(service_for(compiled, database)))
         assert proxied.known_selectivities() == bare

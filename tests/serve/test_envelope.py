@@ -35,7 +35,9 @@ class TestRequestValidation:
             {"budget": -1.0},
             {"deadline": -0.1},
             {"mode": "turbo"},
+            # Retired wire key: only the one schedule left is accepted.
             {"crossing": "diagonal"},
+            {"crossing": "concurrent"},
             # Retired wire key: no longer a field, so an unknown one.
             {"compile_engine": "batch"},
             {"cached_only": "yes"},
@@ -70,12 +72,17 @@ class TestRequestWire:
             budget=500.0,
             deadline=2.0,
             mode="basic",
-            crossing="concurrent",
             cached_only=True,
         )
         payload = request.to_dict()
         assert payload["format"] == REQUEST_FORMAT
         assert ServeRequest.from_dict(payload) == request
+
+    @pytest.mark.parametrize("crossing", [None, "sequential"])
+    def test_sequential_crossing_is_dropped(self, crossing):
+        request = ServeRequest.from_dict({"query": SQL, "crossing": crossing})
+        assert request == ServeRequest(query=SQL)
+        assert "crossing" not in request.to_dict()
 
     def test_null_fields_get_defaults(self):
         request = ServeRequest.from_dict(

@@ -241,16 +241,16 @@ def test_server_over_disk_store(catalog, small_config, tmp_path):
         assert warm.rows == first.rows
 
 
-def test_per_request_crossing_override(server):
-    """The crossing knob is per-request and cache-neutral: both requests
-    share one compiled artifact, the second runs concurrently."""
+def test_sequential_crossing_key_serves_the_same_run(server):
+    """A client still sending ``"crossing": "sequential"`` gets the run
+    it would get without the key, from the same cached artifact."""
     plain = server.serve(SQL)
     assert plain.status == "ok" and plain.cache == "compiled"
-    assert plain.result.crossing == "sequential"
 
-    fast = server.serve(ServeRequest(query=SQL, crossing="concurrent"))
-    assert fast.status == "ok"
-    assert fast.cache == "memory"  # same artifact, runtime knob only
-    assert fast.result.crossing == "concurrent"
-    assert fast.rows == plain.rows
-    assert fast.result.elapsed_cost <= fast.result.total_cost * (1 + 1e-9)
+    keyed = server.serve(
+        ServeRequest.from_dict({"query": SQL, "crossing": "sequential"})
+    )
+    assert keyed.status == "ok"
+    assert keyed.cache == "memory"
+    assert keyed.rows == plain.rows
+    assert keyed.result.total_cost == plain.result.total_cost

@@ -68,15 +68,6 @@ class TestRunCommand:
         assert int(executed) > 1
         assert "1 executions" in out and "index probes" in out
 
-    def test_run_with_concurrent_crossing(self, capsys):
-        code = main(
-            ["run"] + ENV + [EQ_SQL, "--resolution", "24", "--crossing", "concurrent"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "result:" in out
-        assert "concurrent" in out and "elapsed" in out
-
     def test_run_from_saved_artifact(self, capsys, tmp_path):
         path = os.path.join(tmp_path, "b.json")
         assert (

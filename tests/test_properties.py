@@ -149,108 +149,3 @@ class TestBouquetInvariants:
             result = simulate_at(eq_bouquet, (index,), mode=mode)
             for record in result.executions:
                 assert record.cost_spent <= record.budget * (1 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Budget-doubling + crossing-ledger invariants (repro.sched)
-# ---------------------------------------------------------------------------
-
-
-class TestBudgetLedgerProperties:
-    @given(
-        cmin=st.floats(min_value=1e-3, max_value=1e6),
-        ratio=st.floats(min_value=1.2, max_value=5.0),
-        lambda_=st.floats(min_value=0.0, max_value=1.0),
-        rho=st.integers(min_value=1, max_value=6),
-        climbed=st.integers(min_value=1, max_value=8),
-        winner_frac=st.floats(min_value=0.05, max_value=1.0),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_adversarial_schedule_within_crossing_bounds(
-        self, cmin, ratio, lambda_, rho, climbed, winner_frac
-    ):
-        """Worst-case schedule over geometric budgets: every climbed
-        contour bills rho full budgets (work) / one budget (elapsed), yet
-        both currencies stay inside their analytical crossing bounds.
-
-        The optimal cost is the adversary's best case: just above the
-        contour below the completing one (IC_{k*}/r), which is what makes
-        these the *maximum* sub-optimality ratios.
-        """
-        from repro.sched import BudgetLedger
-
-        ledger = BudgetLedger(ratio=ratio, lambda_=lambda_, rho=rho)
-        for k in range(1, climbed + 1):
-            ic = cmin * ratio**k
-            budget = (1.0 + lambda_) * ic
-            account = ledger.open_contour(k, budget)
-            last = k == climbed
-            for plan in range(rho):
-                is_winner = last and plan == rho - 1
-                amount = budget * winner_frac if is_winner else budget
-                account.charge(plan, amount, completed=is_winner)
-            # Concurrent cost-time: one budget per contour, never rho.
-            account.set_elapsed(min(budget, account.work))
-        # qa escaped contour k*-1, so the optimal cost exceeds IC_{k*}/r.
-        optimal = cmin * ratio**climbed / ratio
-        assert ledger.work_suboptimality(optimal) <= ledger.analytical_bound() * (
-            1 + 1e-9
-        )
-        assert ledger.elapsed_suboptimality(optimal) <= ledger.analytical_bound(
-            concurrent=True
-        ) * (1 + 1e-9)
-        # And the concurrent currency never exceeds the sequential one.
-        assert ledger.total_elapsed <= ledger.total_work * (1 + 1e-12)
-
-    @given(
-        index=st.integers(min_value=0, max_value=63),
-        crossing=st.sampled_from(["sequential", "concurrent", "timesliced"]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_every_strategy_within_bound_on_ess_grid(
-        self, eq_bouquet, eq_diagram, index, crossing
-    ):
-        """Any crossing strategy's ledger totals stay within the
-        4*(1+lambda)*rho work bound (and the elapsed currency within the
-        collapsed 4*(1+lambda) bound) at every simulated qa."""
-        from repro.core import simulate_at
-
-        result = simulate_at(eq_bouquet, (index,), mode="basic", crossing=crossing)
-        assert result.completed
-        ledger = result.ledger
-        optimal = eq_diagram.cost_at((index,))
-        ledger.assert_within_bound(optimal)
-        ledger.assert_within_bound(optimal, concurrent=True)
-        assert result.total_cost <= eq_bouquet.mso_bound * optimal * (1 + 1e-6)
-
-    @given(
-        index=st.integers(min_value=0, max_value=63),
-        quanta=st.integers(min_value=1, max_value=6),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_timesliced_work_invariant_under_quanta(self, eq_bouquet, index, quanta):
-        """Restart-free marginal charging: a plan's cumulative charge on
-        a contour never exceeds its sequential (one-shot) spend."""
-        from repro.core.runtime import AbstractExecutionService, BouquetRunner
-        from repro.sched import TimeSlicedCrossing
-
-        qa_values = eq_bouquet.space.selectivities_at((index,))
-        service = AbstractExecutionService(eq_bouquet, qa_values)
-        sliced = BouquetRunner(
-            eq_bouquet,
-            service,
-            mode="basic",
-            crossing=TimeSlicedCrossing(quanta=quanta),
-        ).run()
-        assert sliced.completed
-        for contour in sliced.ledger.contours:
-            for charge in contour.charges.values():
-                assert charge.work <= contour.budget * (1 + 1e-9)
-        # quanta=1 degenerates to the sequential schedule exactly.
-        if quanta == 1:
-            reference = BouquetRunner(
-                eq_bouquet,
-                AbstractExecutionService(eq_bouquet, qa_values),
-                mode="basic",
-            ).run()
-            assert sliced.total_cost == pytest.approx(reference.total_cost)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 import os
 import pathlib
@@ -53,19 +53,20 @@ def test_option_census():
         "lambda_",
         "resolution",
         "mode",
-        "crossing",
         "model_error_delta",
         "cost_model",
         "patch",
         "template",
     ]
+    # ``crossing`` is a read-only property now, still written so that
+    # artifacts stay byte-equal; it selects nothing.
+    assert BouquetConfig().crossing == "sequential"
     assert sorted(BouquetConfig().to_dict()) == sorted(
-        f.name for f in dataclasses.fields(BouquetConfig)
+        ["crossing"] + [f.name for f in dataclasses.fields(BouquetConfig)]
     )
     assert sorted(ServeRequest(query="select 1").to_dict()) == [
         "budget",
         "cached_only",
-        "crossing",
         "deadline",
         "format",
         "mode",
@@ -206,25 +207,25 @@ def defaulted_parameter_census():
 
 def test_defaulted_parameter_census():
     """320 before the paths nothing but tests reached were deleted
-    (``bench`` alone 64).  A new defaulted parameter lands here with the
-    two callers that need different values."""
+    (``bench`` alone 64), 262 before the crossing schedulers were.  A new
+    defaulted parameter lands here with the two callers that need
+    different values."""
     assert defaulted_parameter_census() == {
-        "(top level)": 36,
+        "(top level)": 31,
         "batchopt": 1,
         "bench": 32,
         "catalog": 11,
-        "core": 29,
+        "core": 24,
         "datagen": 4,
         "drift": 10,
         "ess": 27,
-        "executor": 16,
+        "executor": 13,
         "obs": 6,
         "optimizer": 9,
         "par": 6,
         "query": 7,
-        "robustness": 5,
+        "robustness": 4,
         "runtime": 3,
-        "sched": 6,
         "serve": 31,
         "sweep": 4,
         "template": 8,
@@ -300,7 +301,6 @@ TEST_ONLY_BY_DESIGN = {
         "the virtual clock tests put in place of the real one (gateway, "
         "admission, tests/serve/load_model.py)"
     ),
-    "sched/ledger.py::BudgetLedger.assert_within_bound": "validator",
     "serve/admission.py::AdmissionController.pressure": (
         "test seam: queue occupancy the degrade ladder acts on"
     ),
@@ -315,6 +315,11 @@ def test_caller_census():
     """Code stays in ``src/`` when something other than a test reaches
     it (DESIGN decision 10); the exceptions are listed with reasons."""
     assert caller_census() == sorted(TEST_ONLY_BY_DESIGN)
+
+
+def test_crossing_schedulers_are_gone():
+    """Contour plans run one at a time: the scheduler package is gone."""
+    assert importlib.util.find_spec("repro.sched") is None
 
 
 def test_import_leaves_shared_memory_alone():

@@ -31,28 +31,6 @@ class TestReadmeSnippets:
         assert real.result_rows is not None
         assert real.execution_count >= 1
 
-    def test_concurrent_crossing_snippet(self):
-        from repro import BouquetConfig, Catalog, Database, tpch_schema
-        from repro import compile_bouquet, execute
-        from repro.catalog import tpch_generator_spec
-
-        schema = tpch_schema(0.002)
-        db = Database.generate(schema, tpch_generator_spec(0.002), seed=42)
-        catalog = Catalog(
-            schema, statistics=db.build_statistics(sample_size=500), database=db
-        )
-        compiled = compile_bouquet(
-            README_SQL, catalog, config=BouquetConfig(resolution=16)
-        )
-        fast = execute(compiled, db, crossing="concurrent")
-        assert fast.completed
-        assert fast.crossing == "concurrent"
-        assert fast.elapsed_cost <= fast.total_cost * (1 + 1e-9)
-        assert fast.ledger.describe()
-        # The config-knob spelling from the README also resolves.
-        configured = BouquetConfig(crossing="concurrent")
-        assert configured.crossing == "concurrent"
-
     def test_artifact_store_snippet(self, tmp_path):
         from repro import BouquetArtifactStore, BouquetServer, Catalog, Database
         from repro import ServeRequest, tpch_schema
