@@ -16,7 +16,8 @@
 #                     whole-grid compile offers one DP's worth of join
 #                     candidates, a campaign pass evaluates spill formulas
 #                     <= 1,300 times, the canned workload's join probes
-#                     are all addressed); counts only, nothing is timed
+#                     are all addressed, a repeated served text is neither
+#                     parsed nor re-counted); counts only, nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -68,7 +69,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

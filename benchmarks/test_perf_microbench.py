@@ -210,6 +210,42 @@ def test_perf_dense_probes_of_the_canned_pool(benchmark, env):
     assert all(result.completed for result in results)
 
 
+def test_perf_repeat_request_is_prepared(benchmark, env, monkeypatch):
+    """A repeated request runs only the driver and the executor.
+    Count-based guard — the second round of the canned texts on one
+    ``BouquetServer`` parses no SQL and takes no count through the
+    indexes (the parsed query and key are the server's, the counts the
+    database's), and answers as the first round did."""
+    from repro.api import Catalog
+    from repro.datagen import Database
+    from repro.serve import BouquetServer
+    from repro.serve import server as server_module
+
+    lab, _, _ = env
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db)
+    with BouquetServer(catalog, config=BouquetConfig()) as server:
+        first = [server.serve(sql) for sql in CANNED_WORKLOAD]
+        calls = []
+        parse, count = server_module.parse_query, Database._count_rows
+        monkeypatch.setattr(
+            server_module, "parse_query", lambda *a: calls.append("parse") or parse(*a)
+        )
+        monkeypatch.setattr(
+            Database, "_count_rows", lambda *a: calls.append("count") or count(*a)
+        )
+        second = [server.serve(sql) for sql in CANNED_WORKLOAD]
+        monkeypatch.undo()
+
+        def answers(responses):
+            return [(r.status, r.rows, r.total_cost, r.key) for r in responses]
+
+        assert calls == []
+        assert [r.cache for r in second] == ["memory"] * len(CANNED_WORKLOAD)
+        assert answers(second) == answers(first)
+        results = benchmark(lambda: [server.serve(sql) for sql in CANNED_WORKLOAD])
+        assert all(result.status == "ok" for result in results)
+
+
 @pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])
 def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered):
     """A whole-grid compile costs one DP's worth of candidates.

@@ -13,7 +13,7 @@ producing a :class:`PlanBouquet` — everything the run-time phase needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from ..ess.diagram import PlanCostCache, PlanDiagram
 from ..ess.reduction import DEFAULT_LAMBDA, anorexic_reduce
@@ -73,6 +73,16 @@ class PlanBouquet:
         if cache is None:
             raise BouquetError("bouquet diagram lacks a cost cache")
         return cache
+
+    def subtree_rows(self, data_fingerprint: str) -> Dict[str, float]:
+        """Output rows of this bouquet's error-free subtrees on one
+        dataset, by plan signature: measured by the executor's §5.2
+        learning, kept while the bouquet lives and the data stands, and
+        never serialised."""
+        memo = getattr(self, "_subtree_rows", None)
+        if memo is None or memo[0] != data_fingerprint:
+            memo = self._subtree_rows = (data_fingerprint, {})
+        return memo[1]
 
     def describe(self) -> str:
         lines = [

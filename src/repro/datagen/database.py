@@ -191,6 +191,7 @@ class Database:
         self._fingerprint: Optional[str] = None
         self._indexes: Dict[Tuple[str, str], ColumnIndex] = {}
         self._join_selectivities: Dict[Tuple[str, str, str, str], float] = {}
+        self._row_counts: Dict[Tuple[str, Tuple[Condition, ...]], RowCount] = {}
         self._index_lock = threading.Lock()
         #: Indexes built over this object's lifetime (telemetry / tests).
         self.index_builds = 0
@@ -273,8 +274,8 @@ class Database:
         """Content digest of every table's data, cached after first use.
 
         Distinguishes regenerated/different datasets so caches keyed on
-        "which data am I looking at" (e.g. the execution service's
-        cardinality cache) cannot serve stale answers.  If arrays are
+        "which data am I looking at" (e.g. a bouquet's measured subtree
+        rows) cannot serve stale answers.  If arrays are
         mutated in place, call :meth:`invalidate_fingerprint`.
         """
         if self._fingerprint is None:
@@ -292,12 +293,13 @@ class Database:
 
     def invalidate_fingerprint(self) -> None:
         """Drop everything derived from the data (the cached fingerprint,
-        every index and every measured join selectivity) after in-place
-        data mutation."""
+        every index, every measured join selectivity and every row count)
+        after in-place data mutation."""
         with self._index_lock:
             self._fingerprint = None
             self._indexes = {}
             self._join_selectivities = {}
+            self._row_counts = {}
 
     def index(self, table: str, column: str) -> ColumnIndex:
         """The index over ``table.column``, built on first use.
@@ -322,8 +324,20 @@ class Database:
         A measurement, not an estimate (Shin et al., PAPERS.md): a lone
         condition is the width of its index range; co-located conditions
         are tested only on the rows of the narrowest range — never on a
-        whole column.
+        whole column.  Taken once per ``(table, conditions)`` content: the
+        count lives until :meth:`invalidate_fingerprint` and is not
+        pickled.  A count begun before an invalidation lands in the memo
+        the invalidation replaced, never in the new one.
         """
+        key = (table, tuple((c, op, tuple(v) if op == "in" else v) for c, op, v in conditions))
+        counts = self._row_counts
+        found = counts.get(key)
+        if found is None:
+            found = counts[key] = self._count_rows(table, conditions)
+        return found
+
+    def _count_rows(self, table: str, conditions: Sequence[Condition]) -> RowCount:
+        """:meth:`count_rows` without the memo: the index work itself."""
         if not conditions:
             return RowCount(self.row_count(table), 0, 0)
         indexes = [self.index(table, column) for column, _, _ in conditions]
@@ -347,13 +361,14 @@ class Database:
     def __getstate__(self):
         state = self.__dict__.copy()
         del state["_indexes"], state["_index_lock"], state["index_builds"]
-        del state["_join_selectivities"]
+        del state["_join_selectivities"], state["_row_counts"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._indexes = {}
         self._join_selectivities = {}
+        self._row_counts = {}
         self._index_lock = threading.Lock()
         self.index_builds = 0
 

@@ -47,23 +47,8 @@ class RealExecutionService(ExecutionService):
         self.engine = engine
         self.query: Query = bouquet.space.query
         self._dim_pids = {dim.pid for dim in bouquet.space.dimensions}
-        self._cardinality_cache: Dict[str, float] = {}
-        self._cache_data_fp: str = engine.database.fingerprint()
         #: Trace of (plan_id, spilled, rows) for analysis/tests.
         self.history: List[Tuple[int, bool, int]] = []
-
-    def _cardinalities(self) -> Dict[str, float]:
-        """The cardinality cache, scoped to the engine's current dataset.
-
-        Cached counts are facts about one concrete database; if the
-        engine was pointed at different/regenerated data since the last
-        lookup, the old entries are stale and the cache starts over.
-        """
-        fp = self.engine.database.fingerprint()
-        if fp != self._cache_data_fp:
-            self._cardinality_cache = {}
-            self._cache_data_fp = fp
-        return self._cardinality_cache
 
     # ------------------------------------------------------------------
 
@@ -232,7 +217,9 @@ class RealExecutionService(ExecutionService):
 
         All inputs of the *first* error node are error-free subtrees, so
         their cardinalities are exactly knowable; they are measured once
-        on the actual data and cached by subtree signature.
+        per dataset — a subtree's by executing it, kept by the bouquet
+        (:meth:`~repro.core.bouquet.PlanBouquet.subtree_rows`), a filtered
+        table's by the database's own count memo.
         """
         if isinstance(node, Join):
             left = self._subtree_cardinality(node.left)
@@ -262,24 +249,18 @@ class RealExecutionService(ExecutionService):
         raise ExecutionError(f"cannot compute denominator for {node.signature()}")
 
     def _subtree_cardinality(self, node: PlanNode) -> float:
-        """Exact output cardinality of an error-free subtree (cached)."""
-        cache = self._cardinalities()
+        """Exact output cardinality of an error-free subtree, executed
+        once per (bouquet, dataset)."""
+        memo = self.bouquet.subtree_rows(self.engine.database.fingerprint())
         key = node.signature()
-        cached = cache.get(key)
-        if cached is None:
-            result = self.engine.execute(self.query, node, budget=None)
-            cached = float(result.rows)
-            cache[key] = cached
-        return cached
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = float(self.engine.execute(self.query, node, budget=None).rows)
+        return rows
 
     def _filtered_table_cardinality(self, table: str, filter_pids) -> float:
-        cache = self._cardinalities()
-        key = f"{table}|{','.join(filter_pids)}"
-        cached = cache.get(key)
-        if cached is None:
-            preds = [self.query.predicate(pid) for pid in filter_pids]
-            for pred in preds:
-                if not isinstance(pred, SelectionPredicate):
-                    raise ExecutionError(f"pid {pred.pid!r} is not a selection")
-            cached = cache[key] = float(self._count(table, preds).rows)
-        return cached
+        preds = [self.query.predicate(pid) for pid in filter_pids]
+        for pred in preds:
+            if not isinstance(pred, SelectionPredicate):
+                raise ExecutionError(f"pid {pred.pid!r} is not a selection")
+        return float(self._count(table, preds).rows)

@@ -52,13 +52,25 @@ def canonical_query_text(query: Query) -> str:
     group-by columns — so two queries that differ only in FROM/WHERE
     clause order render identically and share an artifact key.
     (``Query.predicate_ids`` happens to return pids sorted today, but
-    the cache key must not depend on that implementation detail.)
+    the cache key must not depend on that implementation detail.)  A pid
+    prints its constant to six significant digits, so each selection's
+    exact constants follow, as ``repr(float)``: two queries whose
+    constants agree only in a pid never share an artifact.
     """
+    constants = sorted(
+        (sel.pid, sel.value if sel.op == "in" else (sel.value,))
+        for sel in query.selections
+    )
     parts = [
         "from=" + ",".join(sorted(query.tables)),
         "preds=" + ";".join(sorted(query.predicate_ids)),
         "group=" + ",".join(f"{t}.{c}" for t, c in sorted(query.group_by)),
         "agg=" + ("1" if query.aggregate else "0"),
+        "consts="
+        + ";".join(
+            pid + "=" + ",".join(repr(float(v)) for v in values)
+            for pid, values in constants
+        ),
     ]
     return "|".join(parts)
 

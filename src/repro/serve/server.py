@@ -5,7 +5,9 @@ canned queries.  :class:`BouquetServer` makes that operational:
 
 * every request is keyed by the content hash of (canonical query,
   statistics fingerprint, compile knobs) and answered from the artifact
-  store when possible;
+  store when possible; a repeated SQL text is parsed and keyed once
+  (counters ``serve.prepared.hits`` / ``serve.prepared.misses``) while
+  the statistics stand;
 * an exact-key miss then consults the **template tier**
   (:mod:`repro.template`): when another instance of the same query
   *template* — same shape, different constants — was compiled before,
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, Optional, Tuple, Union
@@ -107,6 +110,7 @@ class BouquetServer:
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         self._template_inflight: Dict[str, Future] = {}
+        self._prepared: "OrderedDict[str, Tuple[Query, ArtifactKey]]" = OrderedDict()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -129,10 +133,32 @@ class BouquetServer:
     # Compile path (cache + single-flight)
     # ------------------------------------------------------------------
 
-    def _parse(self, query: Union[str, Query]) -> Tuple[Query, Optional[str]]:
-        if isinstance(query, str):
-            return parse_query(query, self.catalog.schema), query
-        return query, None
+    def _prepare(self, query: Union[str, Query]) -> Tuple[Query, ArtifactKey]:
+        """The parsed query and artifact key of a request.  Per SQL text
+        they are remembered (LRU, ``store.capacity`` texts) while the
+        statistics digest they were keyed under is the live one; a parse
+        failure raises and is never remembered."""
+        statistics = self.catalog.statistics
+        if not isinstance(query, str):
+            return query, artifact_key(query, statistics, self.config)
+        live = statistics_fingerprint(statistics)
+        with self._lock:
+            entry = self._prepared.get(query)
+            if entry is not None and entry[1].statistics_digest == live:
+                self._prepared.move_to_end(query)
+                if self.tracer.enabled:
+                    self.tracer.count("serve.prepared.hits")
+                return entry
+        parsed = parse_query(query, self.catalog.schema)
+        entry = (parsed, artifact_key(parsed, statistics, self.config))
+        with self._lock:
+            self._prepared[query] = entry
+            self._prepared.move_to_end(query)
+            while len(self._prepared) > self.store.capacity:
+                self._prepared.popitem(last=False)
+        if self.tracer.enabled:
+            self.tracer.count("serve.prepared.misses")
+        return entry
 
     def _compile_and_store(
         self,
@@ -231,8 +257,8 @@ class BouquetServer:
         server's ``compile_timeout``); the compile itself keeps running
         and will still populate the store.
         """
-        parsed, sql = self._parse(query)
-        key = artifact_key(parsed, self.catalog.statistics, self.config)
+        parsed, key = self._prepare(query)
+        sql = query if isinstance(query, str) else None
         return self._compile_keyed(parsed, sql, key, timeout)
 
     def _compile_keyed(
@@ -379,7 +405,7 @@ class BouquetServer:
             return response
 
         try:
-            parsed, _sql = self._parse(request.query)
+            parsed, key = self._prepare(request.query)
         except ReproError as exc:
             if tracer.enabled:
                 tracer.count("serve.parse_failures")
@@ -391,7 +417,6 @@ class BouquetServer:
                     error_code="parse-error",
                 )
             )
-        key = artifact_key(parsed, self.catalog.statistics, self.config)
         compiled: Optional[CompiledBouquet] = None
         source = "none"
         error: Optional[str] = None
@@ -529,6 +554,8 @@ class BouquetServer:
             patch = self.config.patch
         old_statistics = self.catalog.statistics
         self.catalog.statistics = statistics
+        with self._lock:
+            self._prepared.clear()
         fingerprint = statistics_fingerprint(statistics)
         if patch and fingerprint != statistics_fingerprint(old_statistics):
             self._patch_artifacts(fingerprint, old_statistics)

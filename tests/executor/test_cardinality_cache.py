@@ -1,17 +1,26 @@
-"""Regression: RealExecutionService's cardinality cache must be scoped
-to the engine's *current* dataset — cached counts are facts about one
-concrete database, and pointing the engine at regenerated data used to
-leave stale denominators in the run-time learning path (§5.2)."""
+"""Regression: the exact cardinalities behind a spill's learned
+selectivity (§5.2) are facts about one bouquet on one concrete dataset.
+An error-free subtree is executed once per (bouquet, data fingerprint)
+however many requests spill on it — and again when the data changes, so
+regenerated data never sees stale denominators."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.api import BouquetConfig, Catalog, CompiledBouquet
 from repro.catalog import tpch_generator_spec
+from repro.core import identify_bouquet
+from repro.core.runtime import BouquetRunner
 from repro.datagen import Database
+from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.executor import ExecutionEngine, RealExecutionService
+from repro.optimizer import actual_selectivities
 
 SCALE = 0.003
+JOIN_PID = "join:lineitem.l_orderkey=orders.o_orderkey"
 
 
 @pytest.fixture(scope="module")
@@ -19,28 +28,71 @@ def other_database(schema):
     return Database.generate(schema, tpch_generator_spec(SCALE), seed=8)
 
 
-def test_cache_survives_while_data_is_unchanged(eq_bouquet, database):
-    service = RealExecutionService(eq_bouquet, ExecutionEngine(database))
-    cache = service._cardinalities()
-    cache["probe"] = 123.0
-    assert service._cardinalities() is cache
-    assert service._cardinalities()["probe"] == 123.0
+@pytest.fixture(scope="module")
+def join_bouquet(optimizer, eq_query, database):
+    """EQ with its lineitem-orders join as the one error dimension: a
+    run starts at the origin and learns the join by spilling on it."""
+    base = actual_selectivities(eq_query, database)
+    space = SelectivitySpace(eq_query, [ErrorDimension(JOIN_PID, 1e-7, 1.0, "lo")], 24, base)
+    return identify_bouquet(PlanDiagram.exhaustive(optimizer, space))
+
+
+def _request(bouquet, database, monkeypatch, executed):
+    """One request's run, recording every plan the engine executes."""
+    real = ExecutionEngine.execute
+    monkeypatch.setattr(
+        ExecutionEngine,
+        "execute",
+        lambda self, query, plan, *a, **k: executed.append(plan.signature())
+        or real(self, query, plan, *a, **k),
+    )
+    service = RealExecutionService(bouquet, ExecutionEngine(database))
+    result = BouquetRunner(bouquet, service).run()
+    monkeypatch.undo()
+    return result
+
+
+def _subtrees(bouquet, executed):
+    """The executed plans that are no whole bouquet plan."""
+    plans = {bouquet.registry.plan(pid).signature() for pid in bouquet.plan_ids}
+    return [signature for signature in executed if signature not in plans]
+
+
+def test_cache_survives_while_data_is_unchanged(join_bouquet, database, monkeypatch):
+    first, second = [], []
+    cold = _request(join_bouquet, database, monkeypatch, first)
+    warm = _request(join_bouquet, database, monkeypatch, second)
+    assert _subtrees(join_bouquet, first), "no spill measured a subtree"
+    assert _subtrees(join_bouquet, second) == []
+    assert warm.executions == cold.executions
+    assert warm.result_rows == cold.result_rows
 
 
 def test_cache_cleared_when_engine_points_at_new_data(
-    eq_bouquet, database, other_database
+    join_bouquet, database, other_database, monkeypatch
 ):
-    service = RealExecutionService(eq_bouquet, ExecutionEngine(database))
-    service._cardinalities()["probe"] = 123.0
-
-    service.engine = ExecutionEngine(other_database)
-    fresh = service._cardinalities()
-    assert "probe" not in fresh
-
+    _request(join_bouquet, database, monkeypatch, [])
+    regenerated = []
+    _request(join_bouquet, other_database, monkeypatch, regenerated)
+    assert _subtrees(join_bouquet, regenerated)
     # And again when swapping back: the fingerprint moved a second time.
-    fresh["probe2"] = 5.0
-    service.engine = ExecutionEngine(database)
-    assert "probe2" not in service._cardinalities()
+    back = []
+    _request(join_bouquet, database, monkeypatch, back)
+    assert _subtrees(join_bouquet, back)
+
+
+def test_subtree_rows_are_never_serialised(
+    join_bouquet, eq_query, schema, statistics, database, monkeypatch
+):
+    compiled = CompiledBouquet(eq_query, join_bouquet, BouquetConfig())
+    join_bouquet.subtree_rows("another dataset")  # the memo starts over
+    cold = json.dumps(compiled.to_dict(), sort_keys=True)
+    _request(join_bouquet, database, monkeypatch, [])
+    assert join_bouquet.subtree_rows(database.fingerprint())
+    assert json.dumps(compiled.to_dict(), sort_keys=True) == cold
+    catalog = Catalog(schema, statistics=statistics, database=database)
+    loaded = CompiledBouquet.from_dict(json.loads(cold), catalog, eq_query)
+    assert loaded.bouquet.subtree_rows(database.fingerprint()) == {}
 
 
 def test_learning_uses_the_current_database(eq_bouquet, database, other_database):

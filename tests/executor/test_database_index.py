@@ -1,9 +1,10 @@
-"""Lifecycle of the access paths a :class:`Database` owns.
+"""Lifecycle of the access paths and counts a :class:`Database` owns.
 
 An index is a fact about one concrete dataset, like the cardinalities in
 ``test_cardinality_cache.py``: it is built once however many engines ask,
 dropped when the data is mutated, and never travels to another
-``Database`` object — by reference or through a pickle.
+``Database`` object — by reference or through a pickle.  So is an exact
+row count taken through the indexes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import tpch_generator_spec
-from repro.datagen import Database
+from repro.datagen import ColumnIndex, Database
+from repro.datagen.database import compare
 from repro.executor import ExecutionEngine
 from repro.obs import MemorySink, Tracer
 from repro.optimizer.plans import IndexScan
@@ -126,6 +130,96 @@ def test_join_selectivity_is_measured_once_per_dataset(fresh_database, monkeypat
     fresh_database.column("lineitem", "l_orderkey")[:] = -1  # matches no order
     fresh_database.invalidate_fingerprint()
     assert fresh_database.actual_join_selectivity(*pair) == 0.0
+
+
+PART_COLUMNS = ("p_partkey", "p_size", "p_retailprice")
+OPS = ("=", "<", "<=", ">", ">=", "in")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoised_count_equals_the_uncached_count(database, data):
+    """Counts are memoised per (table, conditions) content: for one to
+    three co-located conditions under every operator, the memo answers
+    what the index work answers, and both what a whole-column mask does."""
+    part = database.table("part")
+    rows = st.integers(0, database.row_count("part") - 1)
+    width = data.draw(st.integers(1, 3))
+    conditions = []
+    for column in data.draw(st.permutations(PART_COLUMNS))[:width]:
+        op = data.draw(st.sampled_from(OPS))
+        if op == "in":
+            picked = data.draw(st.lists(rows, min_size=1, max_size=3))
+            value = tuple(float(part[column][row]) for row in picked)
+        else:
+            value = float(part[column][data.draw(rows)])
+        conditions.append((column, op, value))
+    uncached = database._count_rows("part", conditions)
+    masks = [compare(part[column], op, value) for column, op, value in conditions]
+    assert uncached.rows == int(np.logical_and.reduce(masks).sum())
+    assert database.count_rows("part", conditions) == uncached
+    relisted = [(c, op, list(v) if op == "in" else v) for c, op, v in conditions]
+    assert database.count_rows("part", relisted) == uncached
+
+
+def test_a_repeated_count_does_no_index_work(fresh_database, monkeypatch):
+    conditions = [("p_retailprice", "<", 1400.0), ("p_size", "in", (3.0, 7.0))]
+    first = fresh_database.count_rows("part", conditions)
+    work = []
+    monkeypatch.setattr(Database, "index", lambda *a: work.append(a))
+    monkeypatch.setattr(ColumnIndex, "spans", lambda *a: work.append(a))
+    assert fresh_database.count_rows("part", conditions) is first
+    assert work == []
+
+
+def test_counts_are_dropped_by_invalidation_and_pickling(fresh_database):
+    conditions = [("p_retailprice", "<", 1000.0)]
+    before = fresh_database.count_rows("part", conditions)
+    assert 0 < before.rows < fresh_database.row_count("part")
+
+    payload = pickle.dumps(fresh_database)
+    assert len(payload) == len(pickle.dumps(Database(fresh_database.schema, fresh_database._tables)))
+    assert pickle.loads(payload)._row_counts == {}
+
+    fresh_database.column("part", "p_retailprice")[:] = 1.0
+    fresh_database.invalidate_fingerprint()
+    assert fresh_database._row_counts == {}
+    assert fresh_database.count_rows("part", conditions).rows == fresh_database.row_count("part")
+
+
+def test_a_count_begun_before_an_invalidation_is_not_served_after_it(
+    fresh_database, monkeypatch
+):
+    """A count that was still running when the data was mutated in place
+    and invalidated lands in the memo the invalidation dropped."""
+    conditions = [("p_retailprice", "<", 1000.0)]
+    fresh_database.index("part", "p_retailprice")
+    entered, release = threading.Event(), threading.Event()
+    spans = ColumnIndex.spans
+
+    def blocking_spans(index, op, value):
+        if threading.current_thread().name == "stale":
+            entered.set()
+            assert release.wait(timeout=30)
+        return spans(index, op, value)
+
+    monkeypatch.setattr(ColumnIndex, "spans", blocking_spans)
+    seen = []
+    stale = threading.Thread(
+        target=lambda: seen.append(fresh_database.count_rows("part", conditions)),
+        name="stale",
+    )
+    stale.start()
+    assert entered.wait(timeout=30)
+    fresh_database.column("part", "p_retailprice")[:] = 1.0
+    fresh_database.invalidate_fingerprint()
+    release.set()
+    stale.join(timeout=30)
+    assert not stale.is_alive()
+
+    (counted,) = seen
+    after = fresh_database.count_rows("part", conditions)
+    assert after.rows == fresh_database.row_count("part") != counted.rows
 
 
 def test_eight_threads_on_a_cold_database_build_each_index_once(fresh_database):

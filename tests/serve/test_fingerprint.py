@@ -70,6 +70,22 @@ class TestCanonicalQueryText:
         )
         assert canonical_query_text(forward) == canonical_query_text(reversed_)
 
+    def test_constants_equal_to_six_digits_differ(self, schema):
+        """Pids print constants with ``:g``; the canonical text keeps
+        them exact, so the two queries never share an artifact."""
+        texts = [
+            "select * from orders, customer where o_custkey = c_custkey "
+            f"and o_totalprice <= {price} and c_nationkey in (3, {nation})"
+            for price, nation in (
+                ("100087.57967213593", 7),
+                ("100087.65967213593", 7),
+                ("100087.57967213593", 7.0000001),
+            )
+        ]
+        queries = [parse_query(text, schema) for text in texts]
+        assert len({tuple(q.predicate_ids) for q in queries}) == 1
+        assert len({canonical_query_text(q) for q in queries}) == 3
+
     def test_reordered_where_clauses_share_an_artifact_key(
         self, schema, statistics, small_config
     ):

@@ -1,17 +1,23 @@
-"""BouquetServer: single-flight compiles, the degradation ladder, and
-statistics-refresh invalidation."""
+"""BouquetServer: single-flight compiles, the degradation ladder,
+statistics-refresh invalidation, and the per-text prepared memo."""
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.api import Catalog, execute as api_execute
 from repro.exceptions import BouquetError
+from repro.executor.reference import reference_row_count
 from repro.obs import MemorySink, Tracer
+from repro.query import parse_query
 from repro.serve import BouquetArtifactStore, BouquetServer, ServeRequest
+from repro.serve import server as server_module
+from repro.serve.fingerprint import statistics_fingerprint
 
 SQL = (
     "select * from lineitem, orders, part "
@@ -239,6 +245,103 @@ def test_server_over_disk_store(catalog, small_config, tmp_path):
         warm = server.serve(SQL)
         assert warm.cache == "disk"
         assert warm.rows == first.rows
+
+
+def _same_answer(a, b):
+    return (a.status, a.rows, a.total_cost, a.key) == (b.status, b.rows, b.total_cost, b.key)
+
+
+def test_a_repeated_text_is_parsed_and_keyed_once(server, catalog, small_config, tracer, monkeypatch):
+    cold = server.serve(SQL)
+    parses = []
+    parse = server_module.parse_query
+    monkeypatch.setattr(server_module, "parse_query", lambda *a: parses.append(a) or parse(*a))
+    warm = server.serve(SQL)
+    assert parses == [] and warm.cache == "memory"
+    assert warm.key == cold.key
+    with BouquetServer(catalog, config=small_config) as fresh:
+        assert _same_answer(warm, fresh.serve(SQL))
+    counters = server.stats()["counters"]
+    assert counters["serve.prepared.misses"] == 1
+    assert counters["serve.prepared.hits"] == 1
+
+
+def test_a_parse_failure_is_never_prepared(server):
+    for _ in range(2):
+        failed = server.serve("select * from nowhere")
+        assert (failed.status, failed.error_code) == ("failed", "parse-error")
+    assert len(server._prepared) == 0
+    counters = server.stats()["counters"]
+    assert counters["serve.parse_failures"] == 2
+    assert "serve.prepared.misses" not in counters
+
+
+def test_a_statistics_change_re_prepares_the_text(server, catalog, database):
+    first = server.serve(SQL)
+    assert first.key.statistics_digest == statistics_fingerprint(catalog.statistics)
+
+    refreshed = database.build_statistics(sample_size=800, seed=5)
+    server.refresh_statistics(refreshed)
+    after_refresh = server.serve(SQL)
+    assert after_refresh.key.statistics_digest == statistics_fingerprint(refreshed)
+    assert after_refresh.key.statistics_digest != first.key.statistics_digest
+
+    # A setter on the live statistics bumps their version token: the
+    # remembered key is stale without any refresh call.
+    table = refreshed.table("part")
+    column = table.column("p_retailprice")
+    table.set_column("p_retailprice", replace(column, max_value=column.max_value * 2))
+    after_setter = server.serve(SQL)
+    assert after_setter.key.statistics_digest == statistics_fingerprint(refreshed)
+    assert after_setter.key.statistics_digest != after_refresh.key.statistics_digest
+    assert server.stats()["counters"]["serve.prepared.misses"] == 3
+
+
+def test_the_prepared_memo_is_bounded_by_the_store_capacity(catalog, small_config):
+    store = BouquetArtifactStore(capacity=2)
+    with BouquetServer(catalog, config=small_config, store=store) as server:
+        texts = [SQL2.replace("150000", str(150000 + i)) for i in range(5)]
+        for text in texts:
+            server.compile(text)
+            assert len(server._prepared) <= store.capacity
+        assert list(server._prepared) == texts[-2:]
+
+
+def test_eight_threads_on_one_text_compile_once(server, tracer):
+    barrier = threading.Barrier(8)
+    responses = [None] * 8
+
+    def request(slot):
+        barrier.wait(timeout=30)
+        responses[slot] = server.serve(SQL)
+
+    threads = [threading.Thread(target=request, args=(slot,)) for slot in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert _counters(tracer)["serve.cache.store"] == 1
+    assert [r.cache for r in responses].count("compiled") == 1
+    assert all(r.status == "ok" and _same_answer(r, responses[0]) for r in responses)
+
+
+def test_constants_equal_to_six_digits_get_their_own_artifacts(server, catalog, database):
+    """Pids print constants with ``:g``; the artifact key must not."""
+    prices = np.sort(database.column("orders", "o_totalprice"))
+    price = float(prices[prices.size // 2])
+    below = float(np.nextafter(price, -np.inf))
+    assert f"{price:g}" == f"{below:g}"
+    texts = [
+        "select * from orders, customer where o_custkey = c_custkey "
+        f"and o_totalprice <= {constant!r}"
+        for constant in (price, below)
+    ]
+    served = [server.serve(text) for text in texts]
+    assert served[0].key.digest != served[1].key.digest
+    assert served[1].cache in ("template", "compiled")  # not a memory hit
+    want = [reference_row_count(database, parse_query(text, catalog.schema)) for text in texts]
+    assert [r.rows for r in served] == want and want[0] > want[1]
 
 
 def test_sequential_crossing_key_serves_the_same_run(server):

@@ -272,7 +272,7 @@ TEST_ONLY_BY_DESIGN = {
     "core/bounds.py::optimal_ratio": "Theorem 1's r = 2 (docs/PAPER_MAP.md)",
     "datagen/database.py::Database.invalidate_fingerprint": (
         "safety: how a Database mutated in place drops its stale "
-        "fingerprint, indexes and cardinality cache"
+        "fingerprint, indexes and row counts"
     ),
     "datagen/generators.py::ZipfInt": (
         "the skewed column generator DESIGN's substitution table names"
