@@ -246,6 +246,39 @@ def test_perf_repeat_request_is_prepared(benchmark, env, monkeypatch):
         assert all(result.status == "ok" for result in results)
 
 
+def test_perf_served_hit_builds_no_axis_tables(benchmark, env, monkeypatch):
+    """A served hit never asks AxisPlans.  Count-based guard — after the
+    cold round over the canned texts, a second round on one
+    ``BouquetServer`` builds no AxisPlans gather table (ray ends,
+    covering owners) and makes no AxisPlans lookup: every dimension is
+    pinned by the index probes, so a request is the first-quadrant walk
+    up the contours and the endgame's one execution.  Building every
+    table of a bouquet costs 0.5–4 ms, more than the request."""
+    from repro.api import Catalog
+    from repro.core import runtime
+    from repro.core.contours import ContourTables
+    from repro.serve import BouquetServer
+
+    lab, _, _ = env
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db)
+    with BouquetServer(catalog, config=BouquetConfig()) as server:
+        first = [server.serve(sql) for sql in CANNED_WORKLOAD]
+        calls = []
+        build, lookup = ContourTables._build_gather, runtime.axis_plans
+        monkeypatch.setattr(
+            ContourTables, "_build_gather", lambda self: calls.append("build") or build(self)
+        )
+        monkeypatch.setattr(runtime, "axis_plans", lambda *a: calls.append("lookup") or lookup(*a))
+        second = [server.serve(sql) for sql in CANNED_WORKLOAD]
+        monkeypatch.undo()
+
+        assert calls == []
+        assert [r.cache for r in second] == ["memory"] * len(CANNED_WORKLOAD)
+        assert [r.total_cost for r in second] == [r.total_cost for r in first]
+        results = benchmark(lambda: [server.serve(sql) for sql in CANNED_WORKLOAD])
+        assert all(result.status == "ok" for result in results)
+
+
 @pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])
 def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered):
     """A whole-grid compile costs one DP's worth of candidates.

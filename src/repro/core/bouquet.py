@@ -23,6 +23,7 @@ from ..optimizer.optimizer import PlanRegistry
 from .contours import (
     OPTIMAL_RATIO,
     Contour,
+    ContourTables,
     build_contours,
     densest_contour_plans,
 )
@@ -83,6 +84,17 @@ class PlanBouquet:
         if memo is None or memo[0] != data_fingerprint:
             memo = self._subtree_rows = (data_fingerprint, {})
         return memo[1]
+
+    def contour_tables(self, position: int) -> ContourTables:
+        """The run-time lookups of contour ``position``: shared by every
+        run of this bouquet, each table built on first use, and never
+        serialised."""
+        tables = getattr(self, "_contour_tables", None)
+        if tables is None:
+            tables = self._contour_tables = [
+                ContourTables(self, k) for k in range(len(self.contours))
+            ]
+        return tables[position]
 
     def describe(self) -> str:
         lines = [

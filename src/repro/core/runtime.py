@@ -16,34 +16,42 @@ Figures 14-18) and against the real execution engine (Table 3):
   contour budget resumes past the spill node and answers the query —
   which is what keeps every (contour, plan) pair down to a single
   budget-capped charge and hence the MSO within ``4(1+λ)ρ``.
+
+Every Figure 13 decision is a pure function of per-row costs and masks
+with a leading location axis (:func:`dominating`, :func:`axis_plans`,
+:func:`pruned_by_floor`, :func:`pick`, :func:`fallback_order`,
+:func:`endgame`, :func:`crosses_early`, :func:`exhausts`, :func:`book`):
+:class:`BouquetRunner` asks them about one row, the cohort sweep
+(:mod:`repro.sweep`) about a whole cohort.  Each driver keeps only its
+own costing and its own execution.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..optimizer.plans import (
     CostContext,
-    error_node_depth,
     first_error_node,
     formula_inputs,
     own_formula,
 )
 from .bouquet import PlanBouquet
+from .contours import SLACK, ContourTables
 
 
 #: Width of the §5.1 cost-equivalence group: AxisPlans candidates within
-#: this fraction of the cheapest count as equally cheap.  The sweep
-#: engine's cohort replica reads the same constant, so cohort and
-#: residue locations of one field pick under one threshold.
+#: this fraction of the cheapest count as equally cheap.
 EQUIVALENCE_THRESHOLD = 0.2
+
+#: :func:`axis_plans`' depth where a plan was not met on any axis (a met
+#: plan's depth is -1 at least, for no error node).
+NOT_MET = -(10**9)
 
 
 @dataclass
@@ -74,18 +82,17 @@ class RunState:
     exact: Set[int]
     cid: int = 0  # contour position
     total: float = 0.0  # cost charged so far
-    #: Plans of contour ``cid`` already spilled, to guarantee progress.
-    attempted: Set[int] = field(default_factory=set)
+    #: Plans of contour ``cid`` already spilled (or pruned), to guarantee
+    #: progress.
+    attempted: AbstractSet[int] = frozenset()
     #: Plans of contour ``cid`` proven unable to complete under its
-    #: budget: a budget-exhausted run (spilled or full) consumed the
-    #: whole budget, and by PCM a rerun fares no better.
-    exhausted: Set[int] = field(default_factory=set)
+    #: budget (:func:`exhausts`).
+    exhausted: AbstractSet[int] = frozenset()
 
     def cross(self) -> None:
         """On to the next contour, none of whose plans has been tried."""
         self.cid += 1
-        self.attempted.clear()
-        self.exhausted.clear()
+        self.attempted = self.exhausted = frozenset()
 
 
 @dataclass
@@ -352,19 +359,129 @@ def reach_under_budget(
 
 
 # ---------------------------------------------------------------------------
-# The bouquet driver
+# The Figure 13 decisions, row by row
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AxisPlanCandidate:
-    """One AxisPlans entry: a contour plan reachable along one dimension."""
+def dominating(tables: ContourTables, qrun: np.ndarray) -> np.ndarray:
+    """First-quadrant pruning (§5.1): ``(rows, tables.plan_ids)``, does
+    the plan own a contour location whose selectivities dominate the
+    row's ``q_run`` componentwise?  ``qa >= q_run``, so a contour where
+    no location does cannot contain ``qa``."""
+    selectivities, starts = tables.frontier
+    covers = np.logical_and.reduce(selectivities >= qrun[:, None, :] * (1.0 - SLACK), axis=2)
+    return np.logical_or.reduceat(covers, starts, axis=1)
 
-    dim_index: int
-    plan_id: int
-    contour_location: Location
-    cost_at_qrun: float
-    error_depth: int
+
+def axis_plans(
+    tables: ContourTables, qrun: np.ndarray, exact: AbstractSet[int], attempted: AbstractSet[int]
+) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """AxisPlans(q_run) (§5.1): the contour plans met where the positive
+    axes through the row's snapped ``q_run`` leave the contour, along the
+    dimensions not learned ``exact``ly, less the plans ``attempted``.
+    Returns ``(plans, present, depth)``: the candidates ascending, and
+    per row and candidate whether it was met and the depth of its error
+    node for the deepest axis it was met on (:data:`NOT_MET` if none)."""
+    columns, depths = tables.gather
+    space = tables.space
+    cells = np.ravel_multi_index(tuple(space.snap(qrun).T), space.shape)
+    met_on = columns[:, cells].T  # (rows, D): the column met along each axis
+    met_on[:, sorted(exact)] = -1
+    hit = met_on[:, :, None] == np.arange(len(tables.plan_ids))
+    met = np.where(hit, depths.T[None, :, :], NOT_MET).max(axis=1)
+    present = met > NOT_MET
+    keep = [
+        j for j, (pid, anywhere) in enumerate(zip(tables.plan_ids, present.any(axis=0).tolist()))
+        if anywhere and pid not in attempted
+    ]
+    return [tables.plan_ids[j] for j in keep], present[:, keep], met[:, keep]
+
+
+def pruned_by_floor(floors: np.ndarray, present: np.ndarray, budget: float) -> np.ndarray:
+    """The spill-floor prune (§5.1): a candidate whose spilled subtree
+    (the whole plan when it has no error node) already prices at or
+    above the budget at ``q_run`` learns nothing by spilling, and — the
+    full plan costing at least as much — cannot complete either."""
+    return present & (floors >= budget * (1.0 - SLACK))
+
+
+def pick(
+    plans: Sequence[int], costs: np.ndarray, depth: np.ndarray, productive: np.ndarray
+) -> np.ndarray:
+    """The §5.1 choice among each row's ``productive`` candidates: the
+    cost-equivalence group (within :data:`EQUIVALENCE_THRESHOLD` of the
+    cheapest at ``q_run``), in it the deepest error node, then the
+    cheapest, then the lowest plan id.  -1 where none is productive."""
+    if not len(plans):
+        return np.full(len(costs), -1, dtype=np.int64)
+    masked = np.where(productive, costs, np.inf)
+    threshold = masked.min(axis=1, keepdims=True) * (1.0 + EQUIVALENCE_THRESHOLD)
+    group = productive & (masked <= threshold)
+    deepest = np.where(group, depth, NOT_MET)
+    group &= deepest == deepest.max(axis=1, keepdims=True)
+    first = np.where(group, masked, np.inf).argmin(axis=1)  # cheapest, then lowest id
+    return np.where(group.any(axis=1), np.asarray(plans)[first], -1)
+
+
+def fallback_order(
+    costs: np.ndarray, eligible: np.ndarray, budget: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Nothing left to learn on the contour: the explicit completion
+    check.  Each row's ``eligible`` plans run fully, cheapest at
+    ``q_run`` first (the lower column first on a tie), except those
+    already costlier than the budget there — by PCM and the
+    first-quadrant invariant they cannot complete.  Returns ``(order,
+    runs)``: per row, columns in run order, of which the first ``runs``
+    run; the contour is crossed if none completes."""
+    runnable = eligible & (costs <= budget * (1.0 + SLACK))
+    order = np.argsort(np.where(runnable, costs, np.inf), axis=1, kind="stable")
+    return order, runnable.sum(axis=1)
+
+
+def endgame(costs: np.ndarray, eligible: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every dimension learned exactly: ``q_run`` is ``qa``, and the
+    cheapest eligible plan there (the lower column on a tie) runs fully;
+    the contour is crossed if it fails.  As :func:`fallback_order`, one
+    run per row that has an eligible plan."""
+    order = np.where(eligible, costs, np.inf).argmin(axis=1)[:, None]
+    return order, eligible.any(axis=1).astype(np.int64)
+
+
+def crosses_early(costs: np.ndarray, budget: float) -> np.ndarray:
+    """Figure 13's early contour change: ``costs`` being every bouquet
+    plan's at the learned ``q_run``, the optimal cost there already
+    reaches the contour budget, so ``qa`` lies beyond the contour."""
+    return costs.min(axis=1) >= budget
+
+
+def exhausts(completed: np.ndarray, spent: np.ndarray, budget: float) -> np.ndarray:
+    """Did the execution prove its plan cannot complete under the budget?
+    It did not complete and consumed the whole budget, and by PCM a rerun
+    fares no better."""
+    return ~completed & (spent >= budget * (1.0 - SLACK))
+
+
+def book(
+    attempted: AbstractSet[int],
+    exhausted: AbstractSet[int],
+    plans: AbstractSet[int],
+    spilled: bool,
+    exhausting: bool,
+) -> Tuple[AbstractSet[int], AbstractSet[int]]:
+    """One charge per (contour, plan), which keeps the MSO within
+    ``4(1+λ)ρ``: ``plans`` spilled or pruned on the contour join
+    ``attempted`` and are no AxisPlans candidates again, and ``plans``
+    proven ``exhausting`` join ``exhausted`` and run on it no more.
+    Returns the two sets after."""
+    return (
+        attempted | plans if spilled else attempted,
+        exhausted | plans if exhausting else exhausted,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The bouquet driver
+# ---------------------------------------------------------------------------
 
 
 class BouquetRunner:
@@ -385,12 +502,19 @@ class BouquetRunner:
         preserving the completion guarantee under bounded cost-modeling
         error (§3.4) at the price of an (1+δ)² MSO factor.
 
-        Contour plans always run one at a time.  ``crossing`` selects
-        nothing: only ``None`` / ``"sequential"`` are accepted, because the
-        ledger's serving workload (``ledger/workloads/serving.py``, kept
-        byte-frozen) still passes ``BouquetConfig.crossing``."""
+        Contour plans always run one at a time, and the §5.1 pick always
+        groups at :data:`EQUIVALENCE_THRESHOLD`.  ``crossing`` and
+        ``equivalence_threshold`` select nothing: only ``None`` /
+        ``"sequential"`` and :data:`EQUIVALENCE_THRESHOLD` are accepted,
+        because the ledger's serving workload
+        (``ledger/workloads/serving.py``, kept byte-frozen) still passes
+        ``BouquetConfig.crossing`` and ``.equivalence_threshold``."""
         if crossing not in (None, "sequential"):
             raise BouquetError(f"unknown crossing strategy {crossing!r}")
+        if equivalence_threshold != EQUIVALENCE_THRESHOLD:
+            raise BouquetError(
+                f"equivalence threshold is {EQUIVALENCE_THRESHOLD}, not {equivalence_threshold!r}"
+            )
         if mode not in ("basic", "optimized"):
             raise BouquetError(f"unknown bouquet mode {mode!r}")
         if model_error_delta < 0:
@@ -398,14 +522,12 @@ class BouquetRunner:
         self.bouquet = bouquet
         self.service = service
         self.mode = mode
-        self.equivalence_threshold = equivalence_threshold
         self.space = bouquet.space
         self.budgets = [
             budget * (1.0 + model_error_delta) for budget in bouquet.budgets
         ]
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._pid_to_dim = {dim.pid: i for i, dim in enumerate(self.space.dimensions)}
-        self._grids = [grid.tolist() for grid in self.space.grids]
         # q_run advances monotonically but revisits the same point many
         # times within a contour (candidate ranking, spill floors,
         # fallback ordering, crossing checks): one costing context per
@@ -510,7 +632,9 @@ class BouquetRunner:
         contours = self.bouquet.contours
         while state.cid < len(contours):
             contour, budget = contours[state.cid], self.budgets[state.cid]
-            for plan_id in self._dominating_plans(contour, state.qrun):
+            tables = self.bouquet.contour_tables(state.cid)
+            (dom,) = dominating(tables, np.array([state.qrun]))
+            for plan_id in np.asarray(tables.plan_ids)[dom].tolist():
                 outcome = self.service.run_full(plan_id, budget)
                 finished = self._book(
                     trace, state, contour, plan_id, budget, outcome, spilled=False
@@ -528,111 +652,68 @@ class BouquetRunner:
         """Figure 13 from ``state``, advanced in place and consistent at
         every execution (a run cut there resumes from it): the trace holds
         what ran from here on, ``total_cost`` all ``state`` was charged."""
-        space = self.space
-        dims = space.dimensions
+        dims = self.space.dimensions
         trace: List[ExecutionRecord] = []
         contours = self.bouquet.contours
-        budgets = self.budgets
         qrun, exact = state.qrun, state.exact
-        attempted, exhausted = state.attempted, state.exhausted
+        row = np.array([qrun])
 
         while state.cid < len(contours):
-            contour = contours[state.cid]
-            budget = budgets[state.cid]
-
-            # First-quadrant pruning (§5.1): a resident plan can only be the
-            # guaranteed completer if one of its contour locations dominates
-            # q_run; a contour with NO dominating location cannot contain qa
-            # (qa >= q_run componentwise) and is crossed without execution.
-            dominating = self._dominating_plans(contour, qrun)
-            if not dominating:
+            contour, budget = contours[state.cid], self.budgets[state.cid]
+            tables = self.bouquet.contour_tables(state.cid)
+            dom = dominating(tables, row)
+            # One row: a list's any() costs less than numpy's.  With no
+            # dominating location, qa >= q_run cannot lie inside the contour.
+            if not any(dom[0].tolist()):
                 state.cross()
                 continue
 
-            if len(exact) == space.dimensionality:
-                # Everything learned: run the cheapest dominating plan fully.
-                # Plans whose spilled run already exhausted this contour's
-                # budget cannot complete under it either (their spilled
-                # subtree alone consumed the budget), so they are skipped.
-                runnable = [pid for pid in dominating if pid not in exhausted]
-                if not runnable:
-                    state.cross()
-                    continue
-                plan_id = min(runnable, key=lambda pid: self._cost_at_values(pid, qrun))
-                outcome = self.service.run_full(plan_id, budget)
-                finished = self._book(
-                    trace, state, contour, plan_id, budget, outcome, spilled=False
+            if len(exact) < len(dims):
+                # Spill the picked AxisPlans candidate, after the prune.
+                unlearned = frozenset(dims[d].pid for d in range(len(dims)) if d not in exact)
+                plans, present, depth = axis_plans(tables, row, exact, state.attempted)
+                floors = [[self._spill_floor(pid, qrun, unlearned) for pid in plans]]
+                pruned = pruned_by_floor(np.array(floors), present, budget)
+                productive = present & ~pruned
+                (choice,) = pick(plans, self._costs(plans, qrun, productive), depth, productive)
+                state.attempted, state.exhausted = book(
+                    state.attempted, state.exhausted,
+                    frozenset(p for p, out in zip(plans, pruned[0]) if out), True, True,
+                )
+            else:
+                choice = -1
+            if choice < 0:
+                # Nothing (left) to learn on this contour: run plans fully.
+                eligible = dom
+                if state.exhausted:
+                    eligible = dom & [[pid not in state.exhausted for pid in tables.plan_ids]]
+                costs = self._costs(tables.plan_ids, qrun, eligible)
+                if len(exact) == len(dims):
+                    order, runs = endgame(costs, eligible)
+                else:
+                    order, runs = fallback_order(costs, eligible, budget)
+                finished = self._run_in_order(
+                    trace, state, contour, budget, tables.plan_ids, order[0, : runs[0]]
                 )
                 if finished is not None:
                     return finished
-                state.cross()
                 continue
 
-            candidates = self._axis_plans(contour, qrun, exact)
-            candidates = [c for c in candidates if c.plan_id not in attempted]
-            unlearned = frozenset(
-                dims[d].pid for d in range(len(dims)) if d not in exact
-            )
-            # Cost-function pre-check (compile-time knowledge only): if a
-            # candidate's spilled subtree already prices at or above the
-            # budget AT q_run, spilling it learns nothing new — and since
-            # the full plan costs at least as much, it cannot complete
-            # either.  Such plans are crossed without any execution.
-            productive = []
-            for cand in candidates:
-                floor = self._spill_floor(cand.plan_id, qrun, unlearned)
-                if floor >= budget * (1 - 1e-9):
-                    attempted.add(cand.plan_id)
-                    exhausted.add(cand.plan_id)
-                else:
-                    productive.append(cand)
-            candidates = productive
-            if not candidates:
-                # Nothing left to learn on this contour: fall back to the
-                # explicit completion check — run the dominating resident
-                # plans fully under the contour budget (cheapest at q_run
-                # first).  Plans already costlier than the budget at q_run
-                # cannot complete (PCM + first-quadrant invariant) and are
-                # pruned.  Only if none completes is qa beyond the contour.
-                ordered = sorted(
-                    (
-                        pid
-                        for pid in dominating
-                        if pid not in exhausted
-                        and self._cost_at_values(pid, qrun) <= budget * (1 + 1e-9)
-                    ),
-                    key=lambda pid: self._cost_at_values(pid, qrun),
-                )
-                for plan_id in ordered:
-                    outcome = self.service.run_full(plan_id, budget)
-                    exhausted.add(plan_id)
-                    finished = self._book(
-                        trace, state, contour, plan_id, budget, outcome, spilled=False
-                    )
-                    if finished is not None:
-                        return finished
-                state.cross()
-                continue
-            choice = self._pick_candidate(candidates)
-            outcome = self.service.run_spilled(choice.plan_id, budget, unlearned)
-            attempted.add(choice.plan_id)
-            if not outcome.completed and outcome.cost_spent >= budget * (1 - 1e-9):
-                exhausted.add(choice.plan_id)
-            finished = self._book(
-                trace, state, contour, choice.plan_id, budget, outcome, spilled=True
-            )
+            choice = int(choice)
+            outcome = self.service.run_spilled(choice, budget, unlearned)
+            finished = self._book(trace, state, contour, choice, budget, outcome, spilled=True)
             if finished is not None:
                 # Spill-to-store completion: the resumed plan finished
                 # under the budget, so this execution answered the query.
                 return finished
+            self._book_run(state, choice, outcome, budget, spilled=True)
             self._merge(qrun, exact, outcome.learned)
+            row = np.array([qrun])
             if self.tracer.enabled:
                 self._trace_qrun(qrun, exact)
-            # Early contour change (Figure 13's last step).
-            if (
-                self._optimal_cost_estimate(qrun) >= budget
-                and state.cid + 1 < len(contours)
-            ):
+            if state.cid + 1 < len(contours) and crosses_early(
+                self._costs(self.bouquet.plan_ids, qrun), budget
+            )[0]:
                 if self.tracer.enabled:
                     self.tracer.event(
                         "runtime.contour_crossed", contour=contour.index, early=True
@@ -640,6 +721,32 @@ class BouquetRunner:
                 state.cross()
         return BouquetRunResult(
             total_cost=state.total, executions=trace, final_plan_id=None, completed=False
+        )
+
+    def _run_in_order(
+        self, trace, state: RunState, contour, budget: float, plans: Sequence[int], columns
+    ) -> Optional[BouquetRunResult]:
+        """Run the ``columns`` of ``plans`` fully, in that order, until one
+        completes (its result); cross the contour if none does."""
+        for j in columns.tolist():
+            plan_id = plans[j]
+            outcome = self.service.run_full(plan_id, budget)
+            finished = self._book(trace, state, contour, plan_id, budget, outcome, spilled=False)
+            if finished is not None:
+                return finished
+            self._book_run(state, plan_id, outcome, budget, spilled=False)
+        state.cross()
+        return None
+
+    @staticmethod
+    def _book_run(
+        state: RunState, plan_id: int, outcome: ExecutionOutcome, budget: float, spilled: bool
+    ) -> None:
+        """:func:`book` an execution of ``plan_id`` that did not answer
+        the query into ``state`` (one that did ends the run)."""
+        exhausting = exhausts(np.array([outcome.completed]), np.array([outcome.cost_spent]), budget)
+        state.attempted, state.exhausted = book(
+            state.attempted, state.exhausted, frozenset((plan_id,)), spilled, bool(exhausting[0])
         )
 
     # -- helpers ---------------------------------------------------------
@@ -704,96 +811,12 @@ class BouquetRunner:
         node = first_error_node(plan, unlearned) or plan
         return node.estimate(self._context(qrun)).cost
 
-    def _dominating_plans(self, contour, qrun: Sequence[float]) -> List[int]:
-        """Resident plans owning at least one contour location whose
-        selectivities dominate q_run componentwise."""
-        # A grid is increasing, so a location dominates q_run iff in every
-        # dimension it sits at or past the first grid point that does.
-        first = [
-            bisect_left(grid, q * (1.0 - 1e-9)) for grid, q in zip(self._grids, qrun)
-        ]
-        return sorted(
-            {
-                plan_id
-                for location, plan_id in contour.plan_at.items()
-                if all(i >= f for i, f in zip(location, first))
-            }
-        )
-
-    def _optimal_cost_estimate(self, values: Sequence[float]) -> float:
-        """PIC estimate at an arbitrary point: min over bouquet plan costs."""
-        return min(
-            self._cost_at_values(pid, values) for pid in self.bouquet.plan_ids
-        )
-
-    def _axis_plans(
-        self, contour, qrun: Sequence[float], exact: Set[int]
-    ) -> List[AxisPlanCandidate]:
-        """AxisPlans(q_run): contour plans at the intersections of the
-        contour with the positive axes through ``q_run`` (§5.1)."""
-        space = self.space
-        costs = self.bouquet.diagram.costs
-        snapped = space.snap(qrun)
-        candidates: List[AxisPlanCandidate] = []
-        if costs[snapped] > contour.cost * (1.0 + 1e-9):
-            return candidates  # already beyond this contour everywhere
-        for d in range(space.dimensionality):
-            if d in exact:
-                continue
-            # Walk the +d ray to the last location inside the contour.
-            best_g = None
-            for g in range(snapped[d], space.shape[d]):
-                probe = snapped[:d] + (g,) + snapped[d + 1 :]
-                if costs[probe] <= contour.cost * (1.0 + 1e-9):
-                    best_g = g
-                else:
-                    break
-            if best_g is None:
-                continue
-            ray_point = snapped[:d] + (best_g,) + snapped[d + 1 :]
-            owner = self._covering_contour_location(contour, ray_point)
-            if owner is None:
-                continue
-            plan_id = contour.plan_at[owner]
-            plan = self.bouquet.registry.plan(plan_id)
-            dim_pid = space.dimensions[d].pid
-            depth = error_node_depth(plan, frozenset((dim_pid,)))
-            candidates.append(
-                AxisPlanCandidate(
-                    dim_index=d,
-                    plan_id=plan_id,
-                    contour_location=owner,
-                    cost_at_qrun=self._cost_at_values(plan_id, qrun),
-                    error_depth=depth,
-                )
-            )
-        # The same plan may be hit along several axes; keep one entry each.
-        unique: Dict[int, AxisPlanCandidate] = {}
-        for cand in candidates:
-            kept = unique.get(cand.plan_id)
-            if kept is None or cand.error_depth > kept.error_depth:
-                unique[cand.plan_id] = cand
-        return list(unique.values())
-
-    def _covering_contour_location(self, contour, point: Location) -> Optional[Location]:
-        """Closest contour location dominating ``point`` (guaranteed to
-        exist because contour locations are the region's maximal elements)."""
-        best = None
-        best_distance = None
-        for location in contour.locations:
-            if all(a >= b for a, b in zip(location, point)):
-                distance = sum(a - b for a, b in zip(location, point))
-                if best_distance is None or distance < best_distance:
-                    best, best_distance = location, distance
-        return best
-
-    def _pick_candidate(self, candidates: List[AxisPlanCandidate]) -> AxisPlanCandidate:
-        """Cost-equivalence-group + deepest-error-node heuristic (§5.1)."""
-        cheapest = min(c.cost_at_qrun for c in candidates)
-        group = [
-            c
-            for c in candidates
-            if c.cost_at_qrun <= cheapest * (1.0 + self.equivalence_threshold)
-        ]
-        group.sort(key=lambda c: (-c.error_depth, c.cost_at_qrun, c.plan_id))
-        return group[0]
+    def _costs(
+        self, plans: Sequence[int], qrun: Sequence[float], wanted: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``(1, len(plans))``: the ``wanted`` plans' costs at ``qrun`` (all
+        by default); a decision reads no other entry, left at ``inf``."""
+        want = [True] * len(plans) if wanted is None else wanted[0].tolist()
+        return np.array([[
+            self._cost_at_values(pid, qrun) if w else np.inf for pid, w in zip(plans, want)
+        ]])

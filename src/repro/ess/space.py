@@ -164,16 +164,17 @@ class SelectivitySpace:
             assignment[dim.pid] = float(min(dim.hi, max(dim.lo, value)))
         return assignment
 
-    def snap(self, values: Sequence[float]) -> Location:
-        """Grid location whose selectivities dominate ``values`` (ceil)."""
-        if len(values) != self.dimensionality:
-            raise EssError("value vector does not match dimensionality")
-        idx = []
-        for d, value in enumerate(values):
-            grid = self.grids[d]
-            i = int(np.searchsorted(grid, value * (1.0 - 1e-12), side="left"))
-            idx.append(min(i, grid.size - 1))
-        return tuple(idx)
+    def snap(self, values: np.ndarray) -> np.ndarray:
+        """Grid locations whose selectivities dominate ``values`` (ceil),
+        one per row of an ``(n, D)`` array."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[1] != self.dimensionality:
+            raise EssError("value rows do not match dimensionality")
+        out = np.empty(values.shape, dtype=np.int64)
+        for d, grid in enumerate(self.grids):
+            idx = np.searchsorted(grid, values[:, d] * (1.0 - 1e-12), side="left")
+            out[:, d] = np.minimum(idx, grid.size - 1)
+        return out
 
     def nearest_location(self, values: Sequence[float]) -> Location:
         """Grid location closest to ``values`` in log space."""

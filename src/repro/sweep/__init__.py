@@ -5,12 +5,14 @@ The per-location reference (:func:`repro.core.simulation.simulate_at` in
 from scratch at every location.  This package computes the same field
 with two cooperating layers:
 
-* :mod:`repro.sweep.cohorts` — cohort batching: locations sharing an
-  execution prefix advance together through vectorized replicas of the
-  driver's decisions, splitting only when their traces diverge.
+* :mod:`repro.sweep.engine` — cohort batching: locations sharing an
+  execution prefix advance together, asking the runner's own decision
+  functions (:mod:`repro.core.runtime`) about every member at once and
+  splitting only when their traces diverge; :mod:`repro.sweep.cohorts`
+  costs and executes for them.
 * :mod:`repro.sweep.memo` — per-bouquet memoization: a full-grid
-  totals memo (a re-sweep is a gather) plus the contour tables and plan
-  costing metadata, built once per bouquet.
+  totals memo (a re-sweep is a gather) plus the plan costing metadata,
+  built once per bouquet.
 
 The divergent residue that batching cannot amortize is finished per
 location by the scalar :class:`~repro.core.runtime.BouquetRunner`,
@@ -22,14 +24,13 @@ front and :func:`repro.robustness.metrics.optimized_field` its
 grid-shaped one.
 """
 
-from .cohorts import BatchCoster, ContourTables
+from .cohorts import BatchCoster
 from .engine import Cohort, SweepEngine
 from .memo import SweepCache, sweep_cache
 
 __all__ = [
     "BatchCoster",
     "Cohort",
-    "ContourTables",
     "SweepCache",
     "SweepEngine",
     "sweep_cache",

@@ -1,38 +1,25 @@
-"""Cohort batching primitives for the optimized-bouquet sweep engine.
+"""The sweep's costing and execution: :class:`BatchCoster`.
 
-The optimized driver (:meth:`repro.core.runtime.BouquetRunner._run_optimized`)
-advances one query location at a time through a discrete state machine:
-climb contours, pick an AxisPlans candidate, spill it, merge the learning
-into ``q_run``.  The decisions taken at each step are *discrete* — which
-plan, did the spill complete, did the contour get crossed early — so
-locations that share the same decision prefix can be advanced together
-("cohorts"), with every per-location quantity (``q_run``, accumulated
-cost, spilled reach) carried in numpy arrays.
-
-Two building blocks live here:
-
-* :class:`BatchCoster` — vectorized abstract plan costing over a batch of
-  continuous ``q_run`` rows.  The plan cost formulas already evaluate
-  elementwise over arrays (see :mod:`repro.optimizer.plans`), so a whole
-  cohort is costed in one tree walk.  Also hosts the batched spill-mode
-  execution (:meth:`~repro.core.runtime.AbstractExecutionService.run_spilled`
-  on all cohort members at once: the same search for the last 2**-40
-  grid point under the budget, moving the spill node's own formula over
-  inputs gathered from the sweep's one costing of the truth).
-* :class:`ContourTables` — per-contour grid precomputations: dominance
-  tests against the contour frontier, and the AxisPlans ray-walk/owner
-  lookup flattened into gather tables so a cohort's candidate plans come
-  from one fancy-indexing pass instead of per-location ray walks.
-
-Both mirror the reference arithmetic exactly (same tolerance constants,
-same geometric-interpolation formulas) so the engine's field agrees with
-the per-location driver to float noise — orders of magnitude below the
-1e-9 relative tolerance ``tests/sweep/test_sweep_engine.py`` enforces.
+The optimized driver's decisions (:mod:`repro.core.runtime`) are
+*discrete* — which plan, did the spill complete, did the contour get
+crossed early — so locations that share the same decision prefix can be
+advanced together ("cohorts"), with every per-location quantity
+(``q_run``, accumulated cost, spilled reach) carried in numpy arrays.
+What the decisions read is costed here, over a batch of continuous
+``q_run`` rows: the plan cost formulas already evaluate elementwise over
+arrays (see :mod:`repro.optimizer.plans`), so a whole cohort is costed in
+one tree walk.  The batched spill-mode execution is here too
+(:meth:`~repro.core.runtime.AbstractExecutionService.run_spilled` on all
+cohort members at once: the same search for the last 2**-40 grid point
+under the budget, moving the spill node's own formula over inputs
+gathered from the sweep's one costing of the truth), in the scalar
+service's arithmetic, so the engine's field agrees with the per-location
+driver to float noise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -42,13 +29,12 @@ from ..optimizer.plans import (
     CostContext,
     NodeEstimate,
     PlanNode,
-    error_node_depth,
     first_error_node,
     formula_inputs,
     own_formula,
 )
 
-__all__ = ["BatchCoster", "ContourTables"]
+__all__ = ["BatchCoster"]
 
 
 def _at(value, rows: np.ndarray):
@@ -78,8 +64,6 @@ class BatchCoster:
         self._plans: Dict[int, PlanNode] = {}
         # (plan_id, unlearned) -> (first error node | None, target dim idxs)
         self._spill_nodes: Dict[Tuple[int, FrozenSet[str]], Tuple[Optional[PlanNode], Tuple[int, ...]]] = {}
-        # plan_id -> per-dimension error_node_depth vector
-        self._depths: Dict[int, np.ndarray] = {}
 
     # -- plan metadata --------------------------------------------------
 
@@ -88,21 +72,6 @@ class BatchCoster:
         if node is None:
             node = self._plans[plan_id] = self.registry.plan(plan_id)
         return node
-
-    def depths(self, plan_id: int) -> np.ndarray:
-        """``error_node_depth(plan, {pid_d})`` for every ESS dimension."""
-        vec = self._depths.get(plan_id)
-        if vec is None:
-            plan = self.plan(plan_id)
-            vec = np.array(
-                [
-                    error_node_depth(plan, frozenset((dim.pid,)))
-                    for dim in self.dims
-                ],
-                dtype=np.int64,
-            )
-            self._depths[plan_id] = vec
-        return vec
 
     def spill_node(
         self, plan_id: int, unlearned: FrozenSet[str]
@@ -143,14 +112,14 @@ class BatchCoster:
         self.batched_costings += 1
         return value if np.ndim(value) else np.full(n, value, dtype=float)
 
-    def optimal_estimate(self, values: np.ndarray) -> np.ndarray:
-        """Batched PIC estimate: min over bouquet plan costs at each row,
-        all in one context (shared sub-trees are costed once)."""
+    def bouquet_costs(self, values: np.ndarray) -> np.ndarray:
+        """``(rows, bouquet plans)``: every bouquet plan's cost at each
+        row, all in one context (shared sub-trees are costed once)."""
         ctx = self.context(values)
-        return np.minimum.reduce([
+        return np.stack([
             self.cost(self.plan(plan_id).estimate(ctx).cost, len(values))
             for plan_id in self.bouquet.plan_ids
-        ])
+        ], axis=1)
 
     # -- batched spill-mode execution -----------------------------------
 
@@ -228,109 +197,3 @@ class BatchCoster:
             lo_t = reach_under_budget(cost_at, budget, subtree_full[short], spread)
             learned[short] = np.stack(list(reached(lo_t).values()), axis=1)
         return answered, exact, spent, learned, target_dims
-
-    # -- grid helpers ---------------------------------------------------
-
-    def snap(self, values: np.ndarray) -> np.ndarray:
-        """Batched :meth:`SelectivitySpace.snap` (ceil to grid indices)."""
-        out = np.empty(values.shape, dtype=np.int64)
-        for j, grid in enumerate(self.space.grids):
-            idx = np.searchsorted(grid, values[:, j] * (1.0 - 1e-12), side="left")
-            out[:, j] = np.minimum(idx, grid.size - 1)
-        return out
-
-
-class ContourTables:
-    """Per-contour grid precomputations for one bouquet contour.
-
-    Everything here is a pure function of the (immutable) bouquet, so the
-    tables are built once per contour and memoized on the bouquet's sweep
-    cache — repeated sweeps (metric entry points, serving warm-ups,
-    verification samples) never rebuild them.
-    """
-
-    def __init__(self, bouquet: PlanBouquet, position: int):
-        contour = bouquet.contours[position]
-        space = bouquet.space
-        shape = space.shape
-        ndim = space.dimensionality
-        self.position = position
-        self.cost = contour.cost
-        self.threshold = contour.cost * (1.0 + 1e-9)
-        #: Resident plans, ascending (the reference iterates them sorted).
-        self.plan_ids: List[int] = list(contour.plan_ids)
-
-        # Contour frontier: selectivities + owning plan, in list order
-        # (the covering-location tie break keeps the first of the list).
-        locs = contour.locations
-        self._loc_coords = np.array(locs, dtype=np.int64).reshape(len(locs), ndim)
-        self._loc_sels = np.array(
-            [space.selectivities_at(loc) for loc in locs], dtype=float
-        ).reshape(len(locs), ndim)
-        loc_plans = np.array([contour.plan_at[loc] for loc in locs], dtype=np.int64)
-        self._plan_cols = [
-            np.flatnonzero(loc_plans == pid) for pid in self.plan_ids
-        ]
-
-        costs = bouquet.diagram.costs
-        inside = costs <= self.threshold
-        self.inside_flat = inside.ravel()
-
-        # Ray-walk table: run_end[d][p] = last grid index g >= p_d such
-        # that every cell from p_d to g along axis d stays inside — the
-        # reference's +d walk, for every start point at once.
-        run_end: List[np.ndarray] = []
-        for d in range(ndim):
-            axis_idx = np.arange(shape[d]).reshape(
-                (1,) * d + (shape[d],) + (1,) * (ndim - d - 1)
-            )
-            arr = np.where(inside, axis_idx, -1)
-            for g in range(shape[d] - 2, -1, -1):
-                here = tuple(
-                    [slice(None)] * d + [g] + [slice(None)] * (ndim - d - 1)
-                )
-                nxt = tuple(
-                    [slice(None)] * d + [g + 1] + [slice(None)] * (ndim - d - 1)
-                )
-                cont = inside[here] & inside[nxt]
-                arr[here] = np.where(cont, arr[nxt], arr[here])
-            run_end.append(arr)
-
-        # Owner table: for every grid point, the closest (L1, first-wins)
-        # contour location dominating it, and that location's plan.
-        grid_idx = np.indices(shape)
-        point_sum = grid_idx.sum(axis=0)
-        owner = np.full(shape, -1, dtype=np.int64)
-        best = np.full(shape, np.inf)
-        loc_sums = self._loc_coords.sum(axis=1)
-        for l in range(len(locs)):
-            dominates = np.ones(shape, dtype=bool)
-            for d in range(ndim):
-                dominates &= grid_idx[d] <= self._loc_coords[l, d]
-            distance = loc_sums[l] - point_sum
-            better = dominates & (distance < best)
-            owner[better] = l
-            best[better] = distance[better]
-        owner_plan = np.where(owner >= 0, loc_plans[np.maximum(owner, 0)], -1)
-
-        # AxisPlans gather: axis_plan[d][p] = candidate plan reached by
-        # walking the +d ray from p (or -1 when p is outside the contour
-        # or the ray end has no covering contour location).
-        self.axis_plan_flat: List[np.ndarray] = []
-        for d in range(ndim):
-            ray = np.clip(run_end[d], 0, shape[d] - 1)
-            gathered = np.take_along_axis(owner_plan, ray, axis=d)
-            valid = inside & (run_end[d] >= 0)
-            self.axis_plan_flat.append(
-                np.where(valid, gathered, -1).ravel()
-            )
-
-    def dominating(self, qrun: np.ndarray) -> np.ndarray:
-        """Boolean (rows x resident plans): does the plan own a contour
-        location dominating this row's ``q_run`` (first-quadrant check)?"""
-        scaled = qrun * (1.0 - 1e-9)
-        dom_loc = (self._loc_sels[None, :, :] >= scaled[:, None, :]).all(axis=2)
-        out = np.empty((len(qrun), len(self.plan_ids)), dtype=bool)
-        for j, cols in enumerate(self._plan_cols):
-            out[:, j] = dom_loc[:, cols].any(axis=1)
-        return out

@@ -2,17 +2,17 @@
 
 :class:`SweepEngine` computes the optimized-bouquet total cost at many
 ESS locations at once by advancing *cohorts* — batches of locations that
-share the same discrete execution prefix — through an exact vectorized
-replica of :meth:`repro.core.runtime.BouquetRunner._run_optimized`:
+share the same discrete execution prefix — through Figure 13, asking the
+same decision functions :meth:`repro.core.runtime.BouquetRunner._run_optimized`
+asks (:func:`~repro.core.runtime.dominating`,
+:func:`~repro.core.runtime.axis_plans`, :func:`~repro.core.runtime.pick`,
+…) about every member at once:
 
 1. every location starts in one cohort at the first contour with
    ``q_run = (lo, …, lo)``;
-2. each step evaluates the driver's decisions for the whole cohort with
-   numpy (first-quadrant dominance against precomputed contour tables,
-   AxisPlans candidates via gather tables, spill floors and candidate
-   picks costed in one context at the cohort's ``q_run`` rows, the
-   spilled run's reach searched for all members at once over a truth
-   the sweep costs once);
+2. each step costs what the decisions read for the whole cohort in one
+   context at its ``q_run`` rows, and the chosen spill's reach is
+   searched for all members at once over a truth the sweep costs once;
 3. the cohort then *splits* by decision signature — (contour, plan,
    spill outcome, early-crossing verdict) — and each child continues as
    its own cohort;
@@ -21,15 +21,14 @@ replica of :meth:`repro.core.runtime.BouquetRunner._run_optimized`:
    cohort reached (``q_run``, charged total, contour, tried plans) —
    the executions the cohort already simulated are not run again.
 
-Two closed forms avoid per-location loops entirely: once every dimension
-is learned exactly, the remaining climb reduces to masked lookups over
-the :class:`~repro.ess.diagram.PlanCostCache` cost arrays (the cheapest
-runnable plan either completes immediately or every runnable plan fails
-and the contour is crossed); and the no-productive-candidate fallback is
-a rank computation over batched plan costs.
+Full runs need no per-location loop: once nothing is left to learn on a
+contour, the plans the endgame or the fallback order runs are looked up
+in the :class:`~repro.ess.diagram.PlanCostCache` cost arrays — the first
+that fits the budget answers, every one before it burns the budget, and
+with none the contour is crossed.
 
-The arithmetic mirrors the reference exactly — same tolerance constants,
-same interpolation formulas — so fields agree to float rounding noise,
+Costing and execution are the engine's own; every decision is shared, so
+the fields agree with the per-location driver to float rounding noise,
 far inside the 1e-9 relative tolerance of
 ``tests/sweep/test_sweep_engine.py::TestFieldEquality``.
 """
@@ -37,16 +36,24 @@ far inside the 1e-9 relative tolerance of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
 from ..core.runtime import (
-    EQUIVALENCE_THRESHOLD,
     AbstractExecutionService,
     BouquetRunner,
     RunState,
+    axis_plans,
+    book,
+    crosses_early,
+    dominating,
+    endgame,
+    exhausts,
+    fallback_order,
+    pick,
+    pruned_by_floor,
 )
 from ..ess.space import Location
 from ..exceptions import BouquetError
@@ -60,8 +67,6 @@ __all__ = ["SweepEngine", "Cohort"]
 #: runner (batching overhead exceeds the win on tiny batches).
 DEFAULT_RESIDUE_MIN = 4
 
-_NEG = -(10**9)
-
 
 @dataclass
 class Cohort:
@@ -72,7 +77,7 @@ class Cohort:
     total: np.ndarray  # (N,) accumulated execution cost
     cid: int  # current contour position
     exact: FrozenSet[int]  # dims learned exactly
-    attempted: FrozenSet[int]  # plans spilled at this contour
+    attempted: FrozenSet[int]  # plans spilled (or pruned) at this contour
     exhausted: FrozenSet[int]  # plans that consumed this contour's budget
 
     @property
@@ -230,7 +235,7 @@ class SweepEngine:
                 result = BouquetRunner(self.bouquet, service)._run_optimized(
                     RunState(
                         qrun, set(cohort.exact), cohort.cid, total,
-                        set(cohort.attempted), set(cohort.exhausted),
+                        cohort.attempted, cohort.exhausted,
                     )
                 )
                 if not result.completed:
@@ -254,8 +259,8 @@ class SweepEngine:
         *,
         cid: int,
         exact: FrozenSet[int],
-        attempted: FrozenSet[int],
-        exhausted: FrozenSet[int],
+        attempted: FrozenSet[int] = frozenset(),
+        exhausted: FrozenSet[int] = frozenset(),
     ) -> Cohort:
         return Cohort(
             rows=rows[mask],
@@ -266,6 +271,18 @@ class SweepEngine:
             attempted=attempted,
             exhausted=exhausted,
         )
+
+    def _costs(self, plans: Sequence[int], ctx: CostContext, wanted: np.ndarray) -> np.ndarray:
+        """``(rows, plans)``: the ``wanted`` plans' costs in ``ctx``; a
+        decision reads no other entry, left at ``inf``."""
+        coster = self.cache.coster
+        n = len(wanted)
+        out = np.full((n, len(plans)), np.inf)
+        for k, pid in enumerate(plans):
+            r = wanted[:, k]
+            if r.any():
+                out[r, k] = coster.cost(coster.plan(pid).estimate(ctx).cost, n)[r]
+        return out
 
     def _step(self, cohort: Cohort) -> List[Cohort]:
         contours = self.bouquet.contours
@@ -278,20 +295,16 @@ class SweepEngine:
             )
         cid = cohort.cid
         budget = self.budgets[cid]
-        tables = self.cache.tables(cid)
+        tables = self.bouquet.contour_tables(cid)
+        coster = self.cache.coster
         children: List[Cohort] = []
 
-        dom = tables.dominating(cohort.qrun)
+        dom = dominating(tables, cohort.qrun)
         has_dom = dom.any(axis=1)
         if not has_dom.all():
-            # First-quadrant pruning: qa cannot lie inside this contour —
-            # cross without execution.
             children.append(
-                self._child(
-                    ~has_dom, cohort.qrun, cohort.total, cohort.rows,
-                    cid=cid + 1, exact=cohort.exact,
-                    attempted=frozenset(), exhausted=frozenset(),
-                )
+                self._child(~has_dom, cohort.qrun, cohort.total, cohort.rows,
+                            cid=cid + 1, exact=cohort.exact)
             )
         if not has_dom.any():
             return children
@@ -299,262 +312,130 @@ class SweepEngine:
         qrun = cohort.qrun[has_dom]
         total = cohort.total[has_dom]
         dom = dom[has_dom]
-        flat = self._flat[rows]
+        n = len(rows)
+        eligible = dom & [[pid not in cohort.exhausted for pid in tables.plan_ids]]
 
         if len(cohort.exact) == self.D:
-            # Endgame: every dimension learned exactly, so AxisPlans has
-            # nothing to offer and the driver goes straight to the
-            # run-the-dominating-plans fallback.
-            self._fallback(
-                cohort, children, rows, qrun, total, dom, flat,
-                np.zeros((len(rows), 0), dtype=bool), [], tables, budget,
-            )
+            self._run_fully(cohort, children, rows, qrun, total, eligible, tables, budget)
             return children
 
-        self._spill_step(
-            cohort, children, rows, qrun, total, dom, flat, tables, budget
-        )
-        return children
-
-    # -- spill step ------------------------------------------------------
-
-    def _spill_step(
-        self, cohort, children, rows, qrun, total, dom, flat, tables, budget
-    ) -> None:
-        coster = self.cache.coster
-        cid = cohort.cid
-        n = len(rows)
-        D = self.D
-        exact = cohort.exact
-        unlearned_dims = [d for d in range(D) if d not in exact]
         unlearned = frozenset(
-            self.space.dimensions[d].pid for d in unlearned_dims
+            dim.pid for d, dim in enumerate(self.space.dimensions) if d not in cohort.exact
         )
-
-        # AxisPlans candidates via the precomputed gather tables.
-        snapped = coster.snap(qrun)
-        snap_flat = np.ravel_multi_index(tuple(snapped.T), self._shape)
-        inside0 = tables.inside_flat[snap_flat]
-        cand = np.full((n, D), -1, dtype=np.int64)
-        for d in unlearned_dims:
-            cand[:, d] = np.where(
-                inside0, tables.axis_plan_flat[d][snap_flat], -1
-            )
-        plan_list = sorted(
-            set(int(p) for p in np.unique(cand) if p >= 0) - set(cohort.attempted)
-        )
-        P = len(plan_list)
-        if P == 0:
-            self._fallback(
-                cohort, children, rows, qrun, total, dom, flat,
-                np.zeros((n, 0), dtype=bool), [], tables, budget,
-            )
-            return
-        present = np.zeros((n, P), dtype=bool)
-        depth = np.full((n, P), _NEG, dtype=np.int64)
-        for k, pid in enumerate(plan_list):
-            hit = cand == pid
-            present[:, k] = hit.any(axis=1)
-            depth[:, k] = np.where(hit, coster.depths(pid)[None, :], _NEG).max(axis=1)
-
-        # Spill-floor pre-check: candidates whose spilled subtree already
-        # prices at/above the budget at q_run are pruned (and exhausted).
-        # One context for the step, over all its rows (masked after): a
-        # candidate's spill sub-tree and its plan are costed together.
+        plans, present, depth = axis_plans(tables, qrun, cohort.exact, cohort.attempted)
+        # One context for the step, over all its rows: a candidate's
+        # spill sub-tree and its plan are costed together.
         at_qrun = coster.context(qrun)
-        pruned = np.zeros((n, P), dtype=bool)
-        for k, pid in enumerate(plan_list):
+        floors = np.empty((n, len(plans)))
+        for k, pid in enumerate(plans):
             node, _ = coster.spill_node(pid, unlearned)
-            floor = coster.cost((node or coster.plan(pid)).estimate(at_qrun).cost, n)
-            pruned[:, k] = present[:, k] & (floor >= budget * (1.0 - 1e-9))
+            floors[:, k] = coster.cost((node or coster.plan(pid)).estimate(at_qrun).cost, n)
+        pruned = pruned_by_floor(floors, present, budget)
         productive = present & ~pruned
-
-        # Candidate pick: cheapest cost-equivalence group, deepest error
-        # node first, plan id as the final tie break.
-        costq = np.full((n, P), np.inf)
-        for k, pid in enumerate(plan_list):
-            r = productive[:, k]
-            if r.any():
-                costq[r, k] = coster.cost(coster.plan(pid).estimate(at_qrun).cost, n)[r]
-        cheapest = np.min(np.where(productive, costq, np.inf), axis=1)
-        with np.errstate(invalid="ignore"):
-            in_group = productive & (
-                costq <= (cheapest * (1.0 + EQUIVALENCE_THRESHOLD))[:, None]
-            )
-        best_depth = np.full(n, _NEG, dtype=np.int64)
-        best_cost = np.full(n, np.inf)
-        winner = np.full(n, -1, dtype=np.int64)
-        for k, pid in enumerate(plan_list):
-            g = in_group[:, k]
-            d_k = depth[:, k]
-            c_k = costq[:, k]
-            better = g & (
-                (d_k > best_depth)
-                | ((d_k == best_depth) & (c_k < best_cost))
-            )
-            best_depth[better] = d_k[better]
-            best_cost[better] = c_k[better]
-            winner[better] = pid
-
-        # Pruned-set bitmask: pruned plans join attempted/exhausted, so
-        # rows with different pruned sets diverge discretely.
-        bits = (pruned @ (1 << np.arange(P, dtype=np.int64))).astype(np.int64)
+        winner = pick(plans, self._costs(plans, at_qrun, productive), depth, productive)
 
         fallback = winner < 0
         if fallback.any():
-            self._fallback(
-                cohort, children, rows[fallback], qrun[fallback],
-                total[fallback], dom[fallback], flat[fallback],
-                pruned[fallback], plan_list, tables, budget,
+            column = {pid: j for j, pid in enumerate(tables.plan_ids)}
+            for k, pid in enumerate(plans):
+                eligible[:, column[pid]] &= ~pruned[:, k]
+            self._run_fully(
+                cohort, children, rows[fallback], qrun[fallback], total[fallback],
+                eligible[fallback], tables, budget,
             )
-
         active = ~fallback
         if not active.any():
-            return
-        may_cross = cid + 1 < len(self.bouquet.contours)
-        # Group spill executions by (pruned bitmask, winner) — the spill
+            return children
+        # Group spill executions by (pruned set, winner) — the spill
         # itself only depends on the winner, but the pruned set feeds the
         # child cohorts' attempted/exhausted state.
-        pair = np.stack([bits, winner], axis=1)
-        for b_val, w_val in sorted({tuple(p) for p in pair[active].tolist()}):
+        bits = (pruned @ (1 << np.arange(len(plans), dtype=np.int64))).astype(np.int64)
+        for b_val, w_val in sorted({tuple(p) for p in np.stack([bits, winner], axis=1)[active].tolist()}):
             sel = active & (bits == b_val) & (winner == w_val)
+            pruned_plans = frozenset(pid for k, pid in enumerate(plans) if b_val >> k & 1)
             self._execute_spill(
-                cohort, children, sel, rows, qrun, total,
-                int(w_val), int(b_val), plan_list, unlearned, budget, may_cross,
+                cohort, children, rows[sel], qrun[sel], total[sel],
+                int(w_val), pruned_plans, unlearned, budget,
             )
+        return children
 
     def _execute_spill(
-        self, cohort, children, sel, rows, qrun, total,
-        plan_id, bits, plan_list, unlearned, budget, may_cross,
+        self, cohort, children, rows, qrun, total, plan_id, pruned_plans, unlearned, budget
     ) -> None:
         coster = self.cache.coster
         cid = cohort.cid
-        rows_sel = rows[sel]
         answered, exact_mask, spent, learned, target_dims = coster.run_spilled(
-            plan_id, budget, unlearned, self._at_truth, rows_sel
+            plan_id, budget, unlearned, self._at_truth, rows
         )
-        qrun_new = qrun[sel].copy()
+        qrun = qrun.copy()
         for col, j in enumerate(target_dims):
-            qrun_new[:, j] = np.maximum(qrun_new[:, j], learned[:, col])
-        total_new = total[sel] + spent
+            qrun[:, j] = np.maximum(qrun[:, j], learned[:, col])
+        total = total + spent
 
         # Spill-to-store completions: the resumed plan finished under the
-        # budget, answering the query — these locations are done (direct
-        # writes, like the fallback winners).
+        # budget, answering the query — these locations are done.
         if answered.any():
-            self._out[rows_sel[answered]] = total_new[answered]
+            self._out[rows[answered]] = total[answered]
         remaining = ~answered
         if not remaining.any():
             return
 
-        # Early contour change (Figure 13's last step): the learned
-        # location already prices at/above this contour's budget (asked
-        # of the unanswered rows, when there is a contour to change to).
-        crossed = np.zeros(len(rows_sel), dtype=bool)
-        if may_cross:
-            crossed[remaining] = coster.optimal_estimate(qrun_new[remaining]) >= budget
-
-        pruned_plans = frozenset(
-            pid for k, pid in enumerate(plan_list) if bits >> k & 1
-        )
+        exhausting = exhausts(answered, spent, budget)
+        crossed = np.zeros(len(rows), dtype=bool)
+        if cid + 1 < len(self.bouquet.contours):
+            crossed[remaining] = crosses_early(coster.bouquet_costs(qrun[remaining]), budget)
+        attempted, exhausted = book(cohort.attempted, cohort.exhausted, pruned_plans, True, True)
         for exact_spill in (True, False):
-            kind_mask = remaining & (exact_mask == exact_spill)
-            if not kind_mask.any():
-                continue
-            exact2 = cohort.exact
+            exact = cohort.exact
             if exact_spill and target_dims:
-                exact2 = cohort.exact | set(target_dims)
-            attempted2 = cohort.attempted | pruned_plans | {plan_id}
-            # A non-answering spill always consumed the full budget, so
-            # the plan is proven unable to complete under it (PCM).
-            exhausted2 = cohort.exhausted | pruned_plans | {plan_id}
-            for crs in (True, False):
-                mask = kind_mask & (crossed == crs)
-                if not mask.any():
-                    continue
-                if crs:
-                    children.append(
-                        self._child(
-                            mask, qrun_new, total_new, rows_sel,
-                            cid=cid + 1, exact=exact2,
-                            attempted=frozenset(), exhausted=frozenset(),
-                        )
+                exact = cohort.exact | set(target_dims)
+            for exhausts_plan in (True, False):
+                booked = book(attempted, exhausted, frozenset((plan_id,)), True, exhausts_plan)
+                for crs in (True, False):
+                    mask = (
+                        remaining & (exact_mask == exact_spill)
+                        & (exhausting == exhausts_plan) & (crossed == crs)
                     )
-                else:
-                    children.append(
-                        self._child(
-                            mask, qrun_new, total_new, rows_sel,
-                            cid=cid, exact=exact2,
-                            attempted=attempted2, exhausted=exhausted2,
+                    if not mask.any():
+                        continue
+                    if crs:
+                        children.append(
+                            self._child(mask, qrun, total, rows, cid=cid + 1, exact=exact)
                         )
-                    )
+                    else:
+                        children.append(
+                            self._child(
+                                mask, qrun, total, rows, cid=cid, exact=exact,
+                                attempted=booked[0], exhausted=booked[1],
+                            )
+                        )
 
-    # -- no-productive-candidate fallback -------------------------------
-
-    def _fallback(
-        self, cohort, children, rows, qrun, total, dom, flat,
-        pruned, plan_list, tables, budget,
-    ) -> None:
-        """Nothing left to learn on this contour: run the dominating
-        resident plans fully (cheapest at q_run first), pruning plans
-        already beyond the budget at q_run; cross if none completes."""
-        coster = self.cache.coster
-        cache = self.bouquet.cost_cache
-        cid = cohort.cid
-        n = len(rows)
-        Pc = len(tables.plan_ids)
-        costq = np.full((n, Pc), np.inf)
-        eligible = np.zeros((n, Pc), dtype=bool)
-        col_of = {pid: k for k, pid in enumerate(plan_list)}
-        at_qrun = coster.context(qrun)
-        for j, pid in enumerate(tables.plan_ids):
-            r = dom[:, j].copy()
-            if pid in cohort.exhausted:
-                r[:] = False
-            k = col_of.get(pid)
-            if k is not None:
-                r &= ~pruned[:, k]
-            if r.any():
-                costq[r, j] = coster.cost(coster.plan(pid).estimate(at_qrun).cost, n)[r]
-            eligible[:, j] = r
-        runnable = eligible & (costq <= budget * (1.0 + 1e-9))
-        fields = cache.cost_arrays(tables.plan_ids)
-        true_cost = np.empty((n, Pc))
-        for j, pid in enumerate(tables.plan_ids):
-            true_cost[:, j] = fields[pid].ravel()[flat]
-        completes = runnable & (true_cost <= budget)
-
-        # First completer in ascending (cost-at-q_run, plan id) order.
-        win_cost = np.full(n, np.inf)
-        win_col = np.full(n, -1, dtype=np.int64)
-        for j in range(Pc):
-            c = np.where(completes[:, j], costq[:, j], np.inf)
-            better = c < win_cost
-            win_cost[better] = c[better]
-            win_col[better] = j
-        has_winner = win_col >= 0
-        if has_winner.any():
-            # Failed attempts before the winner — ascending (cost-at-
-            # q_run, plan id) — each burn the budget.
-            cols = np.arange(Pc, dtype=np.int64)
-            before = runnable & (
-                (costq < win_cost[:, None])
-                | ((costq == win_cost[:, None]) & (cols[None, :] < win_col[:, None]))
+    def _run_fully(self, cohort, children, rows, qrun, total, eligible, tables, budget) -> None:
+        """Nothing (left) to learn on this contour: the rows run plans
+        fully, in the order the endgame (every dimension exact) or the
+        fallback decides.  A closed form over the true costs: the first
+        plan that fits the budget answers, every one before it burns the
+        budget, and with none the contour is crossed."""
+        costs = self._costs(tables.plan_ids, self.cache.coster.context(qrun), eligible)
+        if len(cohort.exact) == self.D:
+            order, runs = endgame(costs, eligible)
+        else:
+            order, runs = fallback_order(costs, eligible, budget)
+        fields = self.bouquet.cost_cache.cost_arrays(tables.plan_ids)
+        flat = self._flat[rows]
+        true_cost = np.stack([fields[pid].ravel()[flat] for pid in tables.plan_ids], axis=1)
+        in_order = np.take_along_axis(true_cost, order, axis=1)
+        completes = (np.arange(order.shape[1]) < runs[:, None]) & (in_order <= budget)
+        answered = completes.any(axis=1)
+        if answered.any():
+            # The completer's position in the order: how many ran before it.
+            fails = completes.argmax(axis=1)
+            final = in_order[np.arange(len(rows)), fails]
+            self._out[rows[answered]] = (
+                total[answered] + budget * fails[answered] + final[answered]
             )
-            fails = before.sum(axis=1)
-            w = np.where(has_winner, win_col, 0)
-            final = true_cost[np.arange(n), w]
-            done = has_winner
-            self._out[rows[done]] = (
-                total[done] + budget * fails[done] + final[done]
-            )
-        failed = ~has_winner
-        if failed.any():
-            total_after = total + budget * runnable.sum(axis=1)
+        if not answered.all():
             children.append(
-                self._child(
-                    failed, qrun, total_after, rows,
-                    cid=cid + 1, exact=cohort.exact,
-                    attempted=frozenset(), exhausted=frozenset(),
-                )
+                self._child(~answered, qrun, total + budget * runs, rows,
+                            cid=cohort.cid + 1, exact=cohort.exact)
             )

@@ -10,9 +10,11 @@ cache:
   Locations whose trace has already been simulated are answered with a
   gather; only the uncovered remainder is swept.  This is what makes
   "sweep the grid, then verify a sample" cost one sweep, not two.
-* **Table memo** — the per-contour :class:`~repro.sweep.cohorts.ContourTables`
-  and the :class:`~repro.sweep.cohorts.BatchCoster` plan metadata
-  (first error nodes, error depths), built once per bouquet.
+* **Costing memo** — the :class:`~repro.sweep.cohorts.BatchCoster` plan
+  metadata (first error nodes), built once per bouquet.  The per-contour
+  decision tables are the bouquet's own
+  (:meth:`~repro.core.bouquet.PlanBouquet.contour_tables`), shared with
+  the scalar runner.
 
 Shared climb prefixes are not memoised here: within a sweep the cohort
 partition itself simulates each prefix once (see
@@ -22,12 +24,12 @@ before any prefix is walked.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
-from .cohorts import BatchCoster, ContourTables
+from .cohorts import BatchCoster
 
 __all__ = ["SweepCache", "sweep_cache"]
 
@@ -38,7 +40,6 @@ class SweepCache:
     def __init__(self, bouquet: PlanBouquet):
         self.bouquet = bouquet
         self.coster = BatchCoster(bouquet)
-        self._tables: Dict[int, ContourTables] = {}
         space = bouquet.space
         #: Flat per-grid-cell totals; NaN marks locations not yet swept.
         self.totals = np.full(space.size, np.nan)
@@ -50,12 +51,6 @@ class SweepCache:
         meshes = np.meshgrid(*clamped, indexing="ij")
         self.truth = np.stack([m.ravel() for m in meshes], axis=1)
 
-    def tables(self, position: int) -> ContourTables:
-        hit = self._tables.get(position)
-        if hit is None:
-            hit = self._tables[position] = ContourTables(self.bouquet, position)
-        return hit
-
     def known(self, flat: np.ndarray) -> np.ndarray:
         """Mask of flat grid indices whose totals are already cached."""
         return ~np.isnan(self.totals[flat])
@@ -64,7 +59,7 @@ class SweepCache:
         self.totals[flat] = totals
 
     def invalidate(self) -> None:
-        """Drop cached totals (keeps the structural tables)."""
+        """Drop cached totals (keeps the costing memo)."""
         self.totals.fill(np.nan)
 
 

@@ -6,19 +6,25 @@ artifacts across tests is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.bench.harness import Lab
 from repro.catalog import tpch_generator_spec, tpch_schema
-from repro.core.runtime import ExecutionOutcome, LearnedSelectivity, _geometric_interp
-from repro.core.simulation import simulate_at
+from repro.core.runtime import (
+    AbstractExecutionService,
+    ExecutionOutcome,
+    LearnedSelectivity,
+    _geometric_interp,
+)
 from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.obs import MemorySink, Tracer
 from repro.optimizer import Optimizer, actual_selectivities
-from repro.optimizer.plans import cost_plan, first_error_node
+from repro.optimizer.plans import CostContext, cost_plan, error_node_depth, first_error_node
 from repro.query import JoinPredicate, Query, SelectionPredicate
 from repro.wlgen import CampaignConfig, GeneratorConfig, QueryGenerator, build_env, run_query
 
@@ -68,15 +74,185 @@ def scalar_diagram(optimizer, space):
     )
 
 
+def dominating_by_definition(bouquet, contour, qrun):
+    """The resident plans owning a contour location that dominates
+    ``q_run`` (within 1e-9), by bisecting each grid: the scalar
+    definition of ``repro.core.runtime.dominating``."""
+    first = [
+        bisect_left(grid.tolist(), q * (1.0 - 1e-9))
+        for grid, q in zip(bouquet.space.grids, qrun)
+    ]
+    return sorted({
+        plan_id for loc, plan_id in contour.plan_at.items()
+        if all(i >= f for i, f in zip(loc, first))
+    })
+
+
+def _covering_location(contour, point):
+    """The closest (L1, first in list order) contour location dominating
+    grid ``point``, searched location by location."""
+    best = best_distance = None
+    for loc in contour.locations:
+        if all(a >= b for a, b in zip(loc, point)):
+            distance = sum(a - b for a, b in zip(loc, point))
+            if best_distance is None or distance < best_distance:
+                best, best_distance = loc, distance
+    return best
+
+
+def axis_plans_by_definition(bouquet, contour, qrun, exact):
+    """AxisPlans(q_run) by walking each +d ray from the snapped ``q_run``
+    cell by cell and searching the contour for the location covering its
+    end: ``{plan: error depth}``, a plan met on several axes keeping its
+    deepest.  The scalar definition of ``repro.core.runtime.axis_plans``."""
+    space = bouquet.space
+    dims = space.dimensions
+    costs = bouquet.diagram.costs
+    snapped = tuple(
+        min(int(np.searchsorted(grid, q * (1.0 - 1e-12), side="left")), grid.size - 1)
+        for grid, q in zip(space.grids, qrun)
+    )
+    threshold = contour.cost * (1.0 + 1e-9)
+    found = {}
+    if costs[snapped] > threshold:
+        return found
+    for d in range(len(dims)):
+        if d in exact:
+            continue
+        end = None
+        for g in range(snapped[d], space.shape[d]):
+            if costs[snapped[:d] + (g,) + snapped[d + 1:]] > threshold:
+                break
+            end = g
+        if end is None:
+            continue
+        owner = _covering_location(contour, snapped[:d] + (end,) + snapped[d + 1:])
+        if owner is None:
+            continue
+        plan_id = contour.plan_at[owner]
+        depth = error_node_depth(bouquet.registry.plan(plan_id), frozenset((dims[d].pid,)))
+        if plan_id not in found or depth > found[plan_id]:
+            found[plan_id] = depth
+    return found
+
+
+def pick_by_definition(candidates, cost):
+    """The §5.1 pick over ``{plan: error depth}`` by sorting: the plans
+    within 20% of the cheapest ``cost(plan)``, deepest error node first,
+    then the cheaper, then the lower plan id."""
+    cheapest = min(cost(pid) for pid in candidates)
+    group = [pid for pid in candidates if cost(pid) <= cheapest * (1.0 + 0.2)]
+    return min(group, key=lambda pid: (-candidates[pid], cost(pid), pid))
+
+
+def figure13_by_definition(bouquet, location):
+    """One optimized bouquet run at grid ``location`` in the cost-model
+    world, by the literal scalar Figure 13 (the definitions above, a
+    sorted fallback, a min-cost endgame) — nothing shared with the
+    decision functions of ``repro.core.runtime``, so it is the oracle
+    both drivers are held to.  Returns ``(total_cost, executions)``, an
+    execution being ``(contour index, plan, spilled, cost spent,
+    completed)``."""
+    space = bouquet.space
+    dims = space.dimensions
+    optimizer = bouquet.cost_cache.optimizer
+    service = AbstractExecutionService(bouquet, space.selectivities_at(location))
+    contexts = {}
+
+    def cost_at(node, values):
+        key = tuple(values)
+        if key not in contexts:
+            contexts[key] = CostContext(
+                optimizer.schema, optimizer.cost_model, space.assignment_for(values)
+            )
+        return node.estimate(contexts[key]).cost
+
+    def plan_cost(plan_id, values):
+        return cost_at(bouquet.registry.plan(plan_id), values)
+
+    qrun, exact = [dim.lo for dim in dims], set()
+    total, executions = 0.0, []
+    cid, attempted, exhausted = 0, set(), set()
+    contours = bouquet.contours
+
+    def charge(plan_id, outcome, spilled):
+        nonlocal total
+        total += outcome.cost_spent
+        executions.append(
+            (contours[cid].index, plan_id, spilled, outcome.cost_spent, outcome.completed)
+        )
+        return outcome.completed
+
+    def cross():
+        nonlocal cid
+        cid += 1
+        attempted.clear()
+        exhausted.clear()
+
+    while cid < len(contours):
+        contour, budget = contours[cid], bouquet.budgets[cid]
+        dominating = dominating_by_definition(bouquet, contour, qrun)
+        if not dominating:
+            cross()
+            continue
+        if len(exact) == len(dims):
+            runnable = [pid for pid in dominating if pid not in exhausted]
+            if runnable:
+                plan_id = min(runnable, key=lambda pid: plan_cost(pid, qrun))
+                if charge(plan_id, service.run_full(plan_id, budget), False):
+                    return total, executions
+            cross()
+            continue
+        unlearned = frozenset(dims[d].pid for d in range(len(dims)) if d not in exact)
+        candidates = {
+            pid: depth
+            for pid, depth in axis_plans_by_definition(bouquet, contour, qrun, exact).items()
+            if pid not in attempted
+        }
+        for pid in list(candidates):
+            plan = bouquet.registry.plan(pid)
+            if cost_at(first_error_node(plan, unlearned) or plan, qrun) >= budget * (1 - 1e-9):
+                attempted.add(pid)
+                exhausted.add(pid)
+                del candidates[pid]
+        if not candidates:
+            ordered = sorted(
+                (
+                    pid for pid in dominating
+                    if pid not in exhausted and plan_cost(pid, qrun) <= budget * (1 + 1e-9)
+                ),
+                key=lambda pid: plan_cost(pid, qrun),
+            )
+            for plan_id in ordered:
+                exhausted.add(plan_id)
+                if charge(plan_id, service.run_full(plan_id, budget), False):
+                    return total, executions
+            cross()
+            continue
+        choice = pick_by_definition(candidates, lambda pid: plan_cost(pid, qrun))
+        outcome = service.run_spilled(choice, budget, unlearned)
+        attempted.add(choice)
+        if not outcome.completed and outcome.cost_spent >= budget * (1 - 1e-9):
+            exhausted.add(choice)
+        if charge(choice, outcome, True):
+            return total, executions
+        for learned in outcome.learned:
+            d = [dim.pid for dim in dims].index(learned.pid)
+            qrun[d] = max(qrun[d], min(learned.value, dims[d].hi))
+            if learned.exact:
+                exact.add(d)
+        if min(plan_cost(pid, qrun) for pid in bouquet.plan_ids) >= budget and cid + 1 < len(contours):
+            cross()
+    raise AssertionError(f"no contour completed at {location}")
+
+
 def reference_field(bouquet, locations=None):
-    """Optimized-bouquet total cost per location, one ``BouquetRunner``
-    run each: the oracle for the sweep engine."""
+    """Optimized-bouquet total cost per location by
+    :func:`figure13_by_definition`: the oracle for the sweep engine and
+    the runner."""
     if locations is None:
         locations = bouquet.space.locations()
-    return {
-        loc: simulate_at(bouquet, loc).total_cost
-        for loc in locations
-    }
+    return {loc: figure13_by_definition(bouquet, loc)[0] for loc in locations}
 
 
 def forty_halvings(cost, budget):

@@ -1,8 +1,26 @@
-"""Unit tests for BouquetRunner's internal machinery (§5.1-§5.3)."""
+"""Unit tests for the Figure 13 decisions (§5.1-§5.3) both drivers ask,
+each also held at many rows to the scalar definition it replaced
+(``tests/conftest.py``), and for BouquetRunner's own machinery."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.runtime import AbstractExecutionService, BouquetRunner
+from repro.core.runtime import (
+    EQUIVALENCE_THRESHOLD,
+    AbstractExecutionService,
+    BouquetRunner,
+    axis_plans,
+    dominating,
+    pick,
+    pruned_by_floor,
+)
+from tests.conftest import (
+    axis_plans_by_definition,
+    dominating_by_definition,
+    pick_by_definition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -13,20 +31,71 @@ def runner_3d(lab):
     return ql, BouquetRunner(ql.bouquet, service, mode="optimized")
 
 
+@pytest.fixture(scope="module")
+def runners(lab):
+    """A runner per bouquet the properties draw from (its costing only)."""
+    out = []
+    for name in ("3D_DS_Q96", "3D_H_Q5"):
+        bouquet = lab.build(name).bouquet
+        qa = bouquet.space.selectivities_at(bouquet.space.corner)
+        out.append(BouquetRunner(bouquet, AbstractExecutionService(bouquet, qa)))
+    return out
+
+
+def _tables(bouquet, contour):
+    return bouquet.contour_tables(bouquet.contours.index(contour))
+
+
+def _dominating(bouquet, contour, qrun):
+    """The shared first-quadrant test asked about one row, as plan ids."""
+    tables = _tables(bouquet, contour)
+    (mask,) = dominating(tables, np.array([qrun]))
+    return [pid for pid, dominates in zip(tables.plan_ids, mask) if dominates]
+
+
+def _axis_plans(bouquet, contour, qrun, exact, attempted=frozenset()):
+    """The shared AxisPlans asked about rows: ``{plan: depth}`` per row."""
+    plans, present, depth = axis_plans(
+        _tables(bouquet, contour), np.array(qrun), exact, attempted
+    )
+    return [
+        {pid: int(d) for pid, met, d in zip(plans, row_present, row_depth) if met}
+        for row_present, row_depth in zip(present, depth)
+    ]
+
+
+def _draw_case(data, runners):
+    """A runner, one of its contours and up to six ``q_run`` rows: grid
+    points, within the 1e-9 tolerance of one, or off the grid."""
+    runner = data.draw(st.sampled_from(runners))
+    space = runner.space
+    contour = data.draw(st.sampled_from(runner.bouquet.contours))
+    nudges = st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9, 0.8, 1.3])
+    rows = [
+        [
+            min(float(grid[data.draw(st.integers(0, grid.size - 1))]) * data.draw(nudges), dim.hi)
+            for grid, dim in zip(space.grids, space.dimensions)
+        ]
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    exact = set(data.draw(st.lists(st.integers(0, space.dimensionality - 1), max_size=2)))
+    return runner, contour, rows, exact
+
+
 class TestDominatingPlans:
     def test_origin_dominated_by_everything(self, runner_3d):
         ql, runner = runner_3d
         origin_values = [dim.lo for dim in ql.space.dimensions]
         for contour in ql.bouquet.contours:
-            plans = runner._dominating_plans(contour, origin_values)
+            plans = _dominating(ql.bouquet, contour, origin_values)
             assert set(plans) == set(contour.plan_ids)
 
     def test_corner_prunes_lower_contours(self, runner_3d):
         ql, runner = runner_3d
         corner_values = list(ql.space.selectivities_at(ql.space.corner))
         # Lower contours' frontiers cannot dominate the corner.
-        lower = runner._dominating_plans(ql.bouquet.contours[0], corner_values)
-        upper = runner._dominating_plans(ql.bouquet.contours[-1], corner_values)
+        lower = _dominating(ql.bouquet, ql.bouquet.contours[0], corner_values)
+        upper = _dominating(ql.bouquet, ql.bouquet.contours[-1], corner_values)
         assert upper  # the final contour always covers the corner
         assert len(lower) <= len(ql.bouquet.contours[0].plan_ids)
 
@@ -36,14 +105,14 @@ class TestDominatingPlans:
             float((dim.lo * dim.hi) ** 0.5) for dim in ql.space.dimensions
         ]
         for contour in ql.bouquet.contours:
-            plans = runner._dominating_plans(contour, mid)
+            plans = _dominating(ql.bouquet, contour, mid)
             assert plans == sorted(set(plans))
 
     def test_matches_the_componentwise_definition_at_grid_points(self, runner_3d):
-        """The integer form (first grid index at or past q_run, per
-        dimension) answers exactly like comparing selectivities — also
-        when q_run sits on a grid point or within the 1e-9 tolerance of
-        one, where a location at that grid point still dominates."""
+        """The shared test answers exactly like comparing selectivities
+        location by location — also when q_run sits on a grid point or
+        within the 1e-9 tolerance of one, where a location at that grid
+        point still dominates."""
         ql, runner = runner_3d
         space = ql.space
 
@@ -66,7 +135,7 @@ class TestDominatingPlans:
             for nudge in (1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9):
                 qrun = [value * nudge for value in on_grid]
                 for contour in ql.bouquet.contours:
-                    got = runner._dominating_plans(contour, qrun)
+                    got = _dominating(ql.bouquet, contour, qrun)
                     assert got == by_definition(contour, qrun)
                     pruned += len(got) < len(contour.plan_ids)
         assert pruned  # the cases do cut plans
@@ -75,8 +144,18 @@ class TestDominatingPlans:
         for contour, location in zip(ql.bouquet.contours, on_contours):
             at = list(space.selectivities_at(location))
             inside = [value * (1.0 + 5e-10) for value in at]
-            assert contour.plan_at[location] in runner._dominating_plans(contour, at)
-            assert contour.plan_at[location] in runner._dominating_plans(contour, inside)
+            assert contour.plan_at[location] in _dominating(ql.bouquet, contour, at)
+            assert contour.plan_at[location] in _dominating(ql.bouquet, contour, inside)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_rows_match_the_bisected_definition(self, runners, data):
+        runner, contour, rows, _exact = _draw_case(data, runners)
+        tables = _tables(runner.bouquet, contour)
+        for row, mask in zip(rows, dominating(tables, np.array(rows))):
+            assert [pid for pid, d in zip(tables.plan_ids, mask) if d] == (
+                dominating_by_definition(runner.bouquet, contour, row)
+            )
 
 
 class TestAxisPlans:
@@ -84,27 +163,41 @@ class TestAxisPlans:
         ql, runner = runner_3d
         origin = [dim.lo for dim in ql.space.dimensions]
         for contour in ql.bouquet.contours:
-            candidates = runner._axis_plans(contour, origin, exact=set())
-            for cand in candidates:
-                assert cand.plan_id in contour.plan_ids
-                assert cand.contour_location in contour.locations
+            (candidates,) = _axis_plans(ql.bouquet, contour, [origin], exact=set())
+            assert set(candidates) <= set(contour.plan_ids)
 
     def test_exact_dims_excluded(self, runner_3d):
+        """With dimensions 0 and 1 learned, a candidate is met along
+        dimension 2 alone, at that axis' error depth."""
         ql, runner = runner_3d
         origin = [dim.lo for dim in ql.space.dimensions]
         contour = ql.bouquet.contours[-1]
-        all_dims = runner._axis_plans(contour, origin, exact=set())
-        fewer = runner._axis_plans(contour, origin, exact={0, 1})
-        spanned = {c.dim_index for c in fewer}
-        assert 0 not in spanned and 1 not in spanned
-        assert len(fewer) <= len(all_dims) or {c.dim_index for c in all_dims} == spanned
+        (all_dims,) = _axis_plans(ql.bouquet, contour, [origin], exact=set())
+        (fewer,) = _axis_plans(ql.bouquet, contour, [origin], exact={0, 1})
+        assert set(fewer) <= set(all_dims)
+        _columns, depths = _tables(ql.bouquet, contour).gather
+        plan_ids = contour.plan_ids
+        assert fewer == {pid: int(depths[plan_ids.index(pid), 2]) for pid in fewer}
+        assert _axis_plans(ql.bouquet, contour, [origin], exact={0, 1, 2}) == [{}]
 
     def test_beyond_contour_returns_empty(self, runner_3d):
         ql, runner = runner_3d
         corner_values = list(ql.space.selectivities_at(ql.space.corner))
         # q_run at the very corner prices beyond every non-final contour.
-        candidates = runner._axis_plans(ql.bouquet.contours[0], corner_values, set())
-        assert candidates == []
+        candidates = _axis_plans(ql.bouquet, ql.bouquet.contours[0], [corner_values], set())
+        assert candidates == [{}]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_rows_match_the_ray_walk(self, runners, data):
+        """The gather tables answer as the cell-by-cell ray walk and the
+        covering-location search, less the plans already attempted."""
+        runner, contour, rows, exact = _draw_case(data, runners)
+        attempted = frozenset(data.draw(st.lists(st.sampled_from(contour.plan_ids), max_size=2)))
+        got = _axis_plans(runner.bouquet, contour, rows, exact, attempted)
+        for row, candidates in zip(rows, got):
+            want = axis_plans_by_definition(runner.bouquet, contour, row, exact)
+            assert candidates == {p: d for p, d in want.items() if p not in attempted}
 
 
 class TestSpillFloor:
@@ -124,25 +217,62 @@ class TestSpillFloor:
         for plan_id in ql.bouquet.plan_ids:
             assert runner._spill_floor(plan_id, [d.lo for d in dims], unlearned) > 0
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_many_rows_match_the_scalar_prune(self, runners, data):
+        """A candidate is pruned iff its floor at q_run reaches the budget
+        (within 1e-9); a plan not met is never pruned."""
+        runner, contour, rows, exact = _draw_case(data, runners)
+        budget = runner.budgets[runner.bouquet.contours.index(contour)]
+        budget *= data.draw(st.sampled_from([1.0, 0.5, 0.1, 2.0]))
+        dims = runner.space.dimensions
+        unlearned = frozenset(dims[d].pid for d in range(len(dims)) if d not in exact)
+        plans = contour.plan_ids
+        floors = np.array([[runner._spill_floor(p, row, unlearned) for p in plans] for row in rows])
+        present = np.array([[data.draw(st.booleans()) for _ in plans] for _ in rows])
+        want = [
+            [met and floor >= budget * (1 - 1e-9) for floor, met in zip(row_floors, row_met)]
+            for row_floors, row_met in zip(floors.tolist(), present.tolist())
+        ]
+        assert pruned_by_floor(floors, present, budget).tolist() == want
+
 
 class TestPickCandidate:
     def test_prefers_deep_error_nodes_within_group(self, runner_3d):
-        from repro.core.runtime import AxisPlanCandidate
-
-        ql, runner = runner_3d
-        a = AxisPlanCandidate(0, 1, (0, 0, 0), cost_at_qrun=100.0, error_depth=1)
-        b = AxisPlanCandidate(1, 2, (0, 0, 0), cost_at_qrun=105.0, error_depth=3)
         # Same equivalence group (within 20%): the deeper error node wins.
-        assert runner._pick_candidate([a, b]) is b
+        everyone = np.ones((1, 2), dtype=bool)
+        assert pick([1, 2], np.array([[100.0, 105.0]]), np.array([[1, 3]]), everyone).tolist() == [2]
 
     def test_cost_dominates_across_groups(self, runner_3d):
-        from repro.core.runtime import AxisPlanCandidate
-
-        ql, runner = runner_3d
-        cheap = AxisPlanCandidate(0, 1, (0, 0, 0), cost_at_qrun=10.0, error_depth=0)
-        deep = AxisPlanCandidate(1, 2, (0, 0, 0), cost_at_qrun=100.0, error_depth=5)
         # Not in the cheapest group: depth cannot rescue the expensive one.
-        assert runner._pick_candidate([cheap, deep]) is cheap
+        everyone = np.ones((1, 2), dtype=bool)
+        assert pick([1, 2], np.array([[10.0, 100.0]]), np.array([[0, 5]]), everyone).tolist() == [1]
+
+    def test_no_productive_candidate_picks_none(self, runner_3d):
+        nobody = np.zeros((2, 2), dtype=bool)
+        costs, depth = np.ones((2, 2)), np.zeros((2, 2), dtype=np.int64)
+        assert pick([1, 2], costs, depth, nobody).tolist() == [-1, -1]
+        assert pick([], np.empty((2, 0)), np.empty((2, 0), dtype=np.int64), nobody[:, :0]).tolist() == [-1, -1]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_rows_match_the_sorted_pick(self, runners, data):
+        """On AxisPlans candidates and their costs at q_run, some rows'
+        candidates left out as unproductive: the pick the sorted
+        definition makes, row by row."""
+        runner, contour, rows, exact = _draw_case(data, runners)
+        plans, present, depth = axis_plans(_tables(runner.bouquet, contour), np.array(rows), exact, frozenset())
+        productive = present & np.array(
+            [[data.draw(st.booleans()) for _ in plans] for _ in rows], dtype=bool
+        ).reshape(present.shape)
+        costs = np.array(
+            [[runner._cost_at_values(p, row) for p in plans] for row in rows]
+        ).reshape(present.shape)
+        got = pick(plans, costs, depth, productive)
+        for i, row in enumerate(rows):
+            candidates = {p: int(depth[i, k]) for k, p in enumerate(plans) if productive[i, k]}
+            want = pick_by_definition(candidates, lambda p: runner._cost_at_values(p, row)) if candidates else -1
+            assert got[i] == want
 
 
 class TestBudgetInflation:
@@ -155,6 +285,16 @@ class TestBudgetInflation:
         )
         for a, b in zip(plain.budgets, inflated.budgets):
             assert b == pytest.approx(1.4 * a)
+
+    def test_only_the_equivalence_threshold_constant_is_accepted(self, eq_bouquet):
+        """Both drivers pick under one threshold, so the runner takes no
+        other (the frozen ledger still passes the constant)."""
+        from repro.exceptions import BouquetError
+
+        service = AbstractExecutionService(eq_bouquet, eq_bouquet.space.selectivities_at((10,)))
+        BouquetRunner(eq_bouquet, service, equivalence_threshold=EQUIVALENCE_THRESHOLD)
+        with pytest.raises(BouquetError):
+            BouquetRunner(eq_bouquet, service, equivalence_threshold=0.3)
 
     def test_negative_delta_rejected(self, eq_bouquet):
         from repro.exceptions import BouquetError

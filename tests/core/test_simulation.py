@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import basic_cost_field, optimized_cost_field, simulate_at
 from repro.core.simulation import sample_locations
+from tests.conftest import figure13_by_definition
 
 
 class TestBasicCostField:
@@ -51,6 +52,23 @@ class TestOptimizedCostField:
             assert cost == pytest.approx(
                 simulate_at(eq_bouquet, loc, mode="optimized").total_cost
             )
+
+
+class TestOptimizedRunByDefinition:
+    @pytest.mark.parametrize("name", ["EQ", "2D_H_Q8a", "3D_H_Q5", "3D_DS_Q96"])
+    def test_simulate_at_equals_the_scalar_figure_13(self, lab, name):
+        """The runner asks the shared decision functions one row at a
+        time; the literal scalar Figure 13 of ``tests/conftest.py`` owes
+        them nothing.  Every location, every execution, bit for bit."""
+        bouquet = lab.build(name).bouquet
+        for location in bouquet.space.locations():
+            run = simulate_at(bouquet, location, mode="optimized")
+            total, executions = figure13_by_definition(bouquet, location)
+            assert run.total_cost == total
+            assert [
+                (e.contour_index, e.plan_id, e.spilled, e.cost_spent, e.completed)
+                for e in run.executions
+            ] == executions
 
 
 class TestSampling:

@@ -69,12 +69,11 @@ class TestGeometryHelpers:
         grid = eq_space.grids[0]
         # Snapping a value between grid[3] and grid[4] must go up to 4.
         value = float(np.sqrt(grid[3] * grid[4]))
-        assert eq_space.snap([value]) == (4,)
-        # Snapping an exact grid point stays there.
-        assert eq_space.snap([float(grid[10])]) == (10,)
+        # Snapping an exact grid point stays there; rows snap one by one.
+        assert eq_space.snap([[value], [float(grid[10])]]).tolist() == [[4], [10]]
 
     def test_snap_clamps_to_top(self, eq_space):
-        assert eq_space.snap([2.0]) == (63,)
+        assert eq_space.snap([[2.0]]).tolist() == [[63]]
 
     def test_nearest_location(self, eq_space):
         grid = eq_space.grids[0]
