@@ -8,7 +8,7 @@ modeling error measured for PostgreSQL by Wu et al., ICDE 2013).
 """
 
 from _bench_utils import OriginStartService, run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import BouquetRunner, mso_bound_with_model_error
 from repro.executor import CostPerturbation, ExecutionEngine
 

@@ -6,7 +6,7 @@ spot; this ablation regenerates the trade-off curve behind that choice.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import basic_cost_field, identify_bouquet
 from repro.robustness import bouquet_aso, bouquet_mso
 

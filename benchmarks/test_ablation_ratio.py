@@ -6,7 +6,7 @@ curve should respect each ratio's bound and bottom out around r=2.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import basic_cost_field, identify_bouquet, mso_bound_1d
 from repro.robustness import bouquet_aso, bouquet_mso
 

@@ -8,7 +8,7 @@ discretization choice is not doing the work.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import basic_cost_field, identify_bouquet
 from repro.ess import PlanDiagram, SelectivitySpace
 from repro.optimizer import actual_selectivities

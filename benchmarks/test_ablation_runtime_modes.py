@@ -11,7 +11,7 @@ sub-optimality.
 import numpy as np
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import simulate_at
 from repro.core.simulation import sample_locations
 

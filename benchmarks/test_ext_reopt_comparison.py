@@ -10,7 +10,7 @@ waste accounting) and compares it with NAT and BOU over sampled
 import numpy as np
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import simulate_at
 from repro.core.simulation import sample_locations
 from repro.robustness.reopt import ReoptStrategy

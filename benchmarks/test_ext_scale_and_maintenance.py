@@ -12,7 +12,7 @@
 
 from _bench_utils import run_once
 from repro.bench.harness import Lab
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import basic_cost_field, refresh_bouquet
 from repro.ess import SelectivitySpace
 from repro.optimizer import actual_selectivities

@@ -8,7 +8,7 @@ three different data-generation seeds and re-checks the claims on each.
 
 from _bench_utils import run_once
 from repro.bench.harness import Lab
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.robustness import bouquet_mso
 
 SEEDS = [42, 7, 2024]

@@ -7,7 +7,7 @@ magnitudes are lower but the separation survives).
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.query.workload import TABLE2_NAMES
 from repro.robustness import bouquet_mso
 

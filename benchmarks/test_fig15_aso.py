@@ -6,7 +6,7 @@ NAT's, and typically below 4 in absolute terms; SEER again tracks NAT.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.query.workload import TABLE2_NAMES
 from repro.robustness import bouquet_aso
 

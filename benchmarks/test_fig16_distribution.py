@@ -9,7 +9,7 @@ below 10x everywhere.
 import numpy as np
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.robustness import enhancement_histogram, robustness_enhancement
 
 

@@ -6,7 +6,7 @@ SEER's harm never exceeds λ.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.query.workload import TABLE2_NAMES
 from repro.robustness import harm_fraction, max_harm
 

@@ -6,7 +6,7 @@ the bouquet size effectively independent of dimensionality.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.query.workload import TABLE2_NAMES
 
 

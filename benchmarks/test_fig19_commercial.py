@@ -12,7 +12,7 @@ bouquet, and no harm is incurred.
 
 from _bench_utils import run_once
 from repro.bench.harness import Lab
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.optimizer import COMMERCIAL_COST_MODEL
 from repro.robustness import bouquet_aso, bouquet_mso, max_harm
 

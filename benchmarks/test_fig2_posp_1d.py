@@ -6,7 +6,7 @@ optimizer's choice.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 
 
 def collect_posp_ranges(lab):

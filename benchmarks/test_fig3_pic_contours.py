@@ -6,7 +6,7 @@ plan, and the resulting bouquet set.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 
 
 def build(lab):

@@ -10,7 +10,7 @@ sub-optimality numbers (paper: basic 3.6 worst / 2.4 average; optimized
 import numpy as np
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import basic_cost_field, optimized_cost_field
 
 

@@ -9,7 +9,7 @@ exact where it optimized).
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core.contours import contour_costs
 from repro.ess import contour_focused_posp
 

@@ -7,7 +7,7 @@ smaller (e.g. 5D_DS_Q19 drops from 379 to 30.4).
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import identify_bouquet, mso_bound_multid
 from repro.query.workload import TABLE2_NAMES
 

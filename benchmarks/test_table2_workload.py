@@ -5,7 +5,7 @@ geometry with relation count and the Cmax/Cmin cost ratio of its ESS.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.query.workload import TABLE2_NAMES
 
 #: Geometry column exactly as printed in the paper's Table 2.

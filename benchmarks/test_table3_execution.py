@@ -19,7 +19,7 @@ measures before the first contour; that run is reported on its own line.
 """
 
 from _bench_utils import OriginStartService, run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core import BouquetRunner
 from repro.executor import ExecutionEngine, RealExecutionService
 

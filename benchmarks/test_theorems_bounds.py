@@ -7,7 +7,7 @@ sequence achieves worst-case sub-optimality below 4.
 """
 
 from _bench_utils import run_once
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.core.bounds import (
     best_achievable_mso,
     geometric_budgets,

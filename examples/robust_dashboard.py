@@ -16,7 +16,7 @@ Run:  python examples/robust_dashboard.py
 """
 
 from repro import Lab, simulate_at
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.robustness import bouquet_mso
 
 

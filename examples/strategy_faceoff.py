@@ -10,7 +10,7 @@ Run:  python examples/strategy_faceoff.py
 """
 
 from repro import Lab
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 from repro.robustness import (
     bouquet_aso,
     bouquet_mso,

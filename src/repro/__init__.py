@@ -36,7 +36,6 @@ from .api import (
     compile_bouquet,
     default_error_dimensions,
     execute,
-    fuzz,
     generate_workload,
     simulate,
 )
@@ -87,9 +86,9 @@ from .optimizer import (
 from .query import JoinPredicate, Query, SelectionPredicate, parse_query, render_sql
 from .query.workload import TABLE2_NAMES, WorkloadQuery, full_workload
 from .robustness import NativeOptimizerStrategy, ReoptStrategy, SeerStrategy
-from .runtime import AsyncioRuntime, Runtime, SimulatedRuntime, SyncRuntime
 from .serve import (
     ArtifactKey,
+    AsyncioRuntime,
     BouquetArtifactStore,
     BouquetFrontEnd,
     BouquetServer,
@@ -115,7 +114,6 @@ __all__ = [
     "compile_bouquet",
     "default_error_dimensions",
     "execute",
-    "fuzz",
     "generate_workload",
     "simulate",
     "ArtifactKey",
@@ -123,12 +121,9 @@ __all__ = [
     "BouquetArtifactStore",
     "BouquetFrontEnd",
     "BouquetServer",
-    "Runtime",
     "ServeGateway",
     "ServeRequest",
     "ServeResponse",
-    "SimulatedRuntime",
-    "SyncRuntime",
     "TenantQuota",
     "Lab",
     "QueryLab",

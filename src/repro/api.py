@@ -66,7 +66,6 @@ __all__ = [
     "compile_bouquet",
     "default_error_dimensions",
     "execute",
-    "fuzz",
     "generate_workload",
     "simulate",
 ]
@@ -595,7 +594,7 @@ def simulate(
 
 
 # ---------------------------------------------------------------------------
-# Workload generation & fuzzing (the repro.wlgen facade)
+# Workload generation (the repro.wlgen facade)
 # ---------------------------------------------------------------------------
 
 
@@ -619,26 +618,3 @@ def generate_workload(
     generator = QueryGenerator(catalog.schema, catalog.database, config)
     return generator.generate_many(seed, count)
 
-
-def fuzz(
-    config: Optional["object"] = None,
-    *,
-    tracer: Optional[Tracer] = None,
-    progress=None,
-    **overrides,
-) -> "object":
-    """Run an MSO fuzzing campaign; returns a ``CampaignReport``.
-
-    ``config`` is a :class:`~repro.wlgen.campaign.CampaignConfig`; when
-    omitted one is built from ``overrides`` (e.g. ``fuzz(count=50,
-    seed=9, workers=4)``).  The report's :meth:`ok` is True iff every
-    generated query compiled, swept, and kept its measured MSO within
-    the 4(1+λ)ρ guarantee.
-    """
-    from .wlgen.campaign import CampaignConfig, run_campaign
-
-    if config is None:
-        config = CampaignConfig(**overrides)
-    elif overrides:
-        raise BouquetError("fuzz: pass either a CampaignConfig or overrides, not both")
-    return run_campaign(config, tracer=tracer, progress=progress)

@@ -1,11 +1,9 @@
-"""Benchmark harness: shared lab environment and reporting helpers."""
+"""Benchmark harness: the shared lab environment and the SVG figures."""
 
 from .harness import DEFAULT_RESOLUTIONS, Lab, QueryLab
-from .reporting import format_table
 
 __all__ = [
     "DEFAULT_RESOLUTIONS",
     "Lab",
     "QueryLab",
-    "format_table",
 ]

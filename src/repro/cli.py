@@ -280,8 +280,8 @@ def _cmd_serve_stats(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .runtime import AsyncioRuntime
     from .serve import (
+        AsyncioRuntime,
         BouquetArtifactStore,
         BouquetFrontEnd,
         BouquetServer,
@@ -312,9 +312,7 @@ def _cmd_serve(args) -> int:
         gateway = ServeGateway(
             server, runtime=runtime, default_quota=quota, tracer=tracer
         )
-        front = BouquetFrontEnd(
-            gateway, host=args.host, port=args.port, runtime=runtime
-        )
+        front = BouquetFrontEnd(gateway, host=args.host, port=args.port)
 
         async def _run() -> None:
             host, port = await front.start()

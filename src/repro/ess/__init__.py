@@ -3,11 +3,13 @@
 from .diagram import PlanCostCache, PlanDiagram, coarse_subgrid
 from .dimensioning import (
     DimensionImpact,
+    DimensioningResult,
     SensitivityScore,
     Uncertainty,
     WorkloadErrorLog,
     candidate_error_dimensions,
     classify_predicate,
+    dimension_query,
     eliminate_low_impact_dimensions,
     measure_dimension_impacts,
     measure_error_sensitivity,
@@ -21,11 +23,13 @@ from .space import ErrorDimension, Location, SelectivitySpace
 
 __all__ = [
     "DimensionImpact",
+    "DimensioningResult",
     "SensitivityScore",
     "Uncertainty",
     "WorkloadErrorLog",
     "candidate_error_dimensions",
     "classify_predicate",
+    "dimension_query",
     "eliminate_low_impact_dimensions",
     "measure_dimension_impacts",
     "measure_error_sensitivity",

@@ -17,7 +17,10 @@ Four complementary mechanisms:
   how badly an estimation error on that predicate could hurt, which is
   exactly what an ESS dimension exists to protect against.  This is the
   automatic per-query strategy the workload generator
-  (:mod:`repro.wlgen`) uses in place of Table 2's hand-picked dims.
+  (:mod:`repro.wlgen`) uses in place of Table 2's hand-picked dims:
+  :func:`dimension_query` ranks a generated query around its actual
+  selectivities and packages the choice with its provenance
+  (:class:`DimensioningResult`) for the campaign record.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog.statistics import DatabaseStatistics
+from ..datagen.database import Database
 from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer
+from ..optimizer.selectivity import actual_selectivities
 from ..query.predicates import JoinPredicate, SelectionPredicate
 from ..query.query import Query
 from .space import ErrorDimension
@@ -378,3 +383,65 @@ def sensitivity_error_dimensions(
     if not chosen:
         chosen = [scores[0].dimension]
     return chosen, scores
+
+
+@dataclass
+class DimensioningResult:
+    """The chosen ESS axes for one query, with full provenance."""
+
+    dimensions: List[ErrorDimension]
+    scores: List[SensitivityScore]
+    base_assignment: Dict[str, float]
+
+    @property
+    def pids(self) -> List[str]:
+        return [dim.pid for dim in self.dimensions]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "dimensions": self.pids,
+            "scores": [
+                {
+                    "pid": score.dimension.pid,
+                    "penalty": score.penalty,
+                    "cost_span": score.cost_span,
+                }
+                for score in self.scores
+            ],
+            "base_assignment": dict(sorted(self.base_assignment.items())),
+        }
+
+
+def dimension_query(
+    optimizer: Optimizer,
+    query: Query,
+    database: Database,
+    max_dims: int = 3,
+    min_penalty: float = 1.05,
+    resolution: int = 4,
+    base_assignment: Optional[Mapping[str, float]] = None,
+) -> DimensioningResult:
+    """Choose ESS dimensions for one generated query.
+
+    A generated query has no curated dimension list, so the campaign
+    discovers one: :func:`sensitivity_error_dimensions` ranks every
+    predicate and keeps the top few.  The base assignment defaults to
+    the query's *actual* selectivities on ``database`` — the campaign
+    knows ground truth, so sensitivity is measured around the point the
+    executed query will actually occupy.
+    """
+    if base_assignment is None:
+        base_assignment = actual_selectivities(query, database)
+    dimensions, scores = sensitivity_error_dimensions(
+        optimizer,
+        query,
+        base_assignment,
+        max_dims=max_dims,
+        min_penalty=min_penalty,
+        resolution=resolution,
+    )
+    return DimensioningResult(
+        dimensions=dimensions,
+        scores=scores,
+        base_assignment=dict(base_assignment),
+    )

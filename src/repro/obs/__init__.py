@@ -2,13 +2,15 @@
 
 Dependency-free telemetry for the bouquet pipeline — see
 :mod:`repro.obs.tracer` for the instrumentation primitives and
-:mod:`repro.obs.summary` for the ``repro trace`` summarizer.
+:mod:`repro.obs.summary` for the ``repro trace`` summarizer and the
+``format_table`` every text report prints with.
 """
 
 from .summary import (
     ContourAccount,
     ServingSummary,
     TraceSummary,
+    format_table,
     read_trace,
     summarize_serving,
     summarize_trace,
@@ -29,6 +31,7 @@ __all__ = [
     "ContourAccount",
     "ServingSummary",
     "TraceSummary",
+    "format_table",
     "read_trace",
     "summarize_serving",
     "summarize_trace",

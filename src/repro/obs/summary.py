@@ -12,16 +12,53 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "ContourAccount",
     "ServingSummary",
     "TraceSummary",
+    "format_table",
     "read_trace",
     "summarize_serving",
     "summarize_trace",
 ]
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    title: Optional[str] = None,
+) -> str:
+    """Render an aligned fixed-width text table (the trace summaries,
+    the benchmarks' paper tables and the examples all print with it)."""
+    str_rows = [[_fmt(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    header = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+    lines.append(header)
+    lines.append("-" * len(header))
+    for row in str_rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _fmt(cell: object) -> str:
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        magnitude = abs(cell)
+        if magnitude >= 1e5 or magnitude < 1e-3:
+            return f"{cell:.2e}"
+        if magnitude >= 100:
+            return f"{cell:.0f}"
+        return f"{cell:.2f}"
+    return str(cell)
 
 
 @dataclass
@@ -60,8 +97,6 @@ class TraceSummary:
     probe_cost: float = 0.0
 
     def describe(self) -> str:
-        from ..bench.reporting import format_table
-
         lines: List[str] = []
         if self.contours:
             rows = []
@@ -274,8 +309,6 @@ class ServingSummary:
         return self.rebind_seconds / self.rebind_spans
 
     def describe(self) -> str:
-        from ..bench.reporting import format_table
-
         cache_rows = [
             ["memory hits", self._c("serve.cache.hit_memory")],
             ["disk hits", self._c("serve.cache.hit_disk")],

@@ -19,7 +19,8 @@ model (§4.2) into a working subsystem:
   multi-tenant gateway: token-bucket quotas, bounded queues, and the
   degrade-before-shed overload ladder;
 * :mod:`~repro.serve.http` is the asyncio-native HTTP/JSON front-end
-  speaking the v1 envelope schema.
+  speaking the v1 envelope schema, over the bounded worker pool of its
+  :class:`AsyncioRuntime`.
 """
 
 from .admission import AdmissionController, AdmissionDecision, TenantQuota
@@ -40,7 +41,7 @@ from .fingerprint import (
     statistics_fingerprint,
 )
 from .front import AdmissionTicket, ServeGateway
-from .http import AsyncServeClient, BouquetFrontEnd
+from .http import AsyncioRuntime, AsyncServeClient, BouquetFrontEnd
 from .server import BouquetServer
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "AdmissionTicket",
     "ArtifactKey",
     "AsyncServeClient",
+    "AsyncioRuntime",
     "BouquetArtifactStore",
     "BouquetFrontEnd",
     "BouquetServer",

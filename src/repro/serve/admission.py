@@ -19,20 +19,21 @@ what the pool can absorb.  Per tenant:
   quota shed before the queue can overflow.
 
 Buckets are keyed by tenant and isolated: one tenant's flood drains its
-own bucket and queue only.  Clocks come from a
-:class:`~repro.runtime.base.Runtime`, so the same controller runs under
-real or virtual time.
+own bucket and queue only.  Time is read from an injected clock, any
+object with ``now()`` in seconds; the default is :class:`_MonotonicClock`,
+and tests pass a virtual one, so the same controller runs under real or
+virtual time.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..exceptions import BouquetError
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..runtime import Runtime, SyncRuntime
 
 __all__ = [
     "AdmissionController",
@@ -101,6 +102,13 @@ class AdmissionDecision:
     queue_depth: int = 0
 
 
+class _MonotonicClock:
+    """The real clock of the gateway and the admission controller."""
+
+    def now(self) -> float:
+        return time.monotonic()
+
+
 class _TenantState:
     def __init__(self, quota: TenantQuota, now: float):
         self.quota = quota
@@ -113,7 +121,7 @@ class AdmissionController:
 
     def __init__(
         self,
-        runtime: Optional[Runtime] = None,
+        runtime: Optional[_MonotonicClock] = None,
         *,
         quotas: Optional[Mapping[str, TenantQuota]] = None,
         default_quota: Optional[TenantQuota] = None,
@@ -122,7 +130,7 @@ class AdmissionController:
     ):
         if not 0.0 < degrade_at <= 1.0:
             raise BouquetError("degrade_at must be in (0, 1]")
-        self.runtime = runtime if runtime is not None else SyncRuntime()
+        self.runtime = runtime if runtime is not None else _MonotonicClock()
         self.default_quota = (
             default_quota if default_quota is not None else TenantQuota()
         )
@@ -199,11 +207,6 @@ class AdmissionController:
 
     def depth(self, tenant: str) -> int:
         return self._state(tenant).depth
-
-    def pressure(self, tenant: str) -> float:
-        """Queue occupancy in [0, 1] — the degrade-ladder signal."""
-        state = self._state(tenant)
-        return state.depth / state.quota.max_queue
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         now = self.runtime.now()

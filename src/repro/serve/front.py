@@ -1,4 +1,4 @@
-"""ServeGateway: the runtime-agnostic multi-tenant serving core.
+"""ServeGateway: the transport-agnostic multi-tenant serving core.
 
 The gateway sits between any transport (the asyncio HTTP front-end, the
 CLI, plain threads, the simulated load harness) and a serving backend —
@@ -16,8 +16,8 @@ multi-tenant story:
   optimizer call, never a fresh compile) with budgets capped at
   ``degraded_budget``, so service degrades before anything is rejected;
 * **accounting**: every response is stamped with tenant, request id, and
-  queue/service timings from the gateway's
-  :class:`~repro.runtime.base.Runtime` clock (virtual under simulation).
+  queue/service timings from the gateway's clock (``runtime``: the
+  real monotonic clock by default, a virtual one under simulation).
 
 The three-call surface (:meth:`admit` / :meth:`process` /
 :meth:`finish`) lets event-driven callers interleave admission and
@@ -33,8 +33,12 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 from ..exceptions import BouquetError, ReproError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..query.query import Query
-from ..runtime import Runtime, SyncRuntime
-from .admission import AdmissionController, AdmissionDecision, TenantQuota
+from .admission import (
+    AdmissionController,
+    AdmissionDecision,
+    TenantQuota,
+    _MonotonicClock,
+)
 from .envelope import ServeRequest, ServeResponse
 
 __all__ = ["AdmissionTicket", "ServeGateway"]
@@ -57,7 +61,7 @@ class ServeGateway:
         self,
         backend,
         *,
-        runtime: Optional[Runtime] = None,
+        runtime: Optional[_MonotonicClock] = None,
         quotas: Optional[Mapping[str, TenantQuota]] = None,
         default_quota: Optional[TenantQuota] = None,
         degrade_at: float = 0.75,
@@ -69,7 +73,7 @@ class ServeGateway:
                 "gateway backend must expose serve_request(request)"
             )
         self.backend = backend
-        self.runtime = runtime if runtime is not None else SyncRuntime()
+        self.runtime = runtime if runtime is not None else _MonotonicClock()
         if tracer is None:
             tracer = getattr(backend, "tracer", None)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -218,5 +222,4 @@ class ServeGateway:
                 if name.startswith("serve.")
             },
             "tenants": self.admission.snapshot(),
-            "runtime": self.runtime.name,
         }

@@ -15,11 +15,10 @@ wire contract is the versioned envelope schema from
 
 Concurrency model: admission runs *inline* on the event-loop thread
 (one clock read, never blocks), so floods are shed at loop speed;
-admitted requests are offloaded to the
-:class:`~repro.runtime.aio.AsyncioRuntime` worker pool via ``arun`` and
-awaited, keeping the loop free to shed, answer probes, and accept
-connections while bouquet work runs.  Connections are keep-alive
-HTTP/1.1, one in-flight request per connection.
+admitted requests are offloaded to the :class:`AsyncioRuntime` worker
+pool via ``arun`` and awaited, keeping the loop free to shed, answer
+probes, and accept connections while bouquet work runs.  Connections
+are keep-alive HTTP/1.1, one in-flight request per connection.
 
 :class:`AsyncServeClient` is the matching stdlib client
 (``examples/async_service.py``, the ledger's loopback pass, the tests).
@@ -28,20 +27,65 @@ HTTP/1.1, one in-flight request per connection.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
-from typing import Dict, Optional, Set, Tuple
+import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from ..exceptions import BouquetError, ReproError
-from ..runtime.aio import AsyncioRuntime
 from .envelope import RESPONSE_FORMAT, ServeRequest, ServeResponse
 from .front import ServeGateway
 
-__all__ = ["AsyncServeClient", "BouquetFrontEnd", "http_status_for"]
+__all__ = [
+    "AsyncServeClient",
+    "AsyncioRuntime",
+    "BouquetFrontEnd",
+    "http_status_for",
+]
 
 _MAX_BODY = 1 << 20  # 1 MiB — a serve request is a few hundred bytes
 
 #: failed-status error codes that are the client's fault, not ours.
 _CLIENT_FAULTS = frozenset({"invalid-request", "parse-error"})
+
+
+class AsyncioRuntime:
+    """The front-end's clock and its bounded worker pool.
+
+    The bouquet pipeline is CPU-bound synchronous Python, so it never
+    runs on the loop thread: handlers await :meth:`arun`, which bridges
+    ``loop.run_in_executor`` over the pool.  Admission sheds before work
+    reaches the pool, so its queue cannot grow silently.  Passed to a
+    :class:`ServeGateway` as ``runtime=``, it is the gateway's clock too,
+    and the front-end built over that gateway runs on its pool.
+    """
+
+    def __init__(self, max_workers: int = 8):
+        if max_workers < 1:
+            raise ReproError("asyncio runtime needs at least one worker")
+        self._pool = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="bouquet-serve"
+        )
+
+    def now(self) -> float:
+        return time.monotonic()
+
+    async def arun(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Await ``fn(*args, **kwargs)`` executed on the worker pool."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._pool, functools.partial(fn, *args, **kwargs)
+        )
+
+    def shutdown(self) -> None:
+        self._pool.shutdown(wait=True)
+
+    def __enter__(self) -> "AsyncioRuntime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
 
 def http_status_for(response: ServeResponse) -> int:
@@ -62,7 +106,12 @@ def _invalid(message: str) -> ServeResponse:
 
 
 class BouquetFrontEnd:
-    """An asyncio TCP server speaking the v1 serve protocol."""
+    """An asyncio TCP server speaking the v1 serve protocol.
+
+    It runs on the gateway's :class:`AsyncioRuntime` when the gateway
+    was given one, and on a pool of its own otherwise; either way
+    ``runtime.shutdown()`` releases it.
+    """
 
     def __init__(
         self,
@@ -70,17 +119,12 @@ class BouquetFrontEnd:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        runtime: Optional[AsyncioRuntime] = None,
     ):
         self.gateway = gateway
-        if runtime is None:
-            candidate = gateway.runtime
-            runtime = (
-                candidate
-                if isinstance(candidate, AsyncioRuntime)
-                else AsyncioRuntime()
-            )
-        self.runtime = runtime
+        runtime = gateway.runtime
+        self.runtime = (
+            runtime if isinstance(runtime, AsyncioRuntime) else AsyncioRuntime()
+        )
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None

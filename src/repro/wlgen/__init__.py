@@ -1,13 +1,14 @@
 """Workload generation & MSO fuzzing: random queries, per-query ESS axes.
 
-Three layers:
+Two layers, plus the dimensioning they share with :mod:`repro.ess`:
 
 - :mod:`~repro.wlgen.generator` — seeded random acyclic SPJ+aggregate
   query sampling over the catalog's FK graph;
-- :mod:`~repro.wlgen.dimensioning` — per-query ESS dimension discovery
-  via error-sensitivity ranking (:mod:`repro.ess.dimensioning`);
 - :mod:`~repro.wlgen.campaign` — sharded fuzzing campaigns validating
-  the measured MSO of every generated query against the 4(1+λ)ρ bound.
+  the measured MSO of every generated query against the 4(1+λ)ρ bound;
+- ``dimension_query`` / ``DimensioningResult`` (re-exported from
+  :mod:`repro.ess.dimensioning`) — per-query ESS dimension discovery
+  via error-sensitivity ranking.
 """
 
 from .campaign import (
@@ -20,7 +21,7 @@ from .campaign import (
     run_campaign,
     run_query,
 )
-from .dimensioning import DimensioningResult, dimension_query
+from ..ess.dimensioning import DimensioningResult, dimension_query
 from .generator import GeneratedQuery, GeneratorConfig, QueryGenerator
 
 __all__ = [

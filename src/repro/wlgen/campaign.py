@@ -230,7 +230,7 @@ def _fuzz_generated(
 ) -> QueryOutcome:
     from ..api import BouquetConfig, compile_bouquet
     from ..robustness.metrics import bouquet_aso, bouquet_mso, optimized_field
-    from .dimensioning import dimension_query
+    from ..ess.dimensioning import dimension_query
 
     query = generated.query
     result = dimension_query(

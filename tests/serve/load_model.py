@@ -2,9 +2,8 @@
 against the multi-tenant front-end on a virtual clock, every outcome
 accounted.
 
-A discrete-event simulation on a
-:class:`~repro.runtime.simulated.SimulatedRuntime` — arrivals, queue
-waits, and service completions are events on a virtual clock, so
+A discrete-event simulation on a :class:`SimulatedRuntime` — arrivals,
+queue waits, and service completions are events on a virtual clock, so
 thousands of concurrent sessions replay deterministically in
 milliseconds of wall time.  The *real*
 :class:`~repro.serve.front.ServeGateway` and
@@ -21,17 +20,83 @@ scaffolding and the seed of the fault-injected virtual-time harness
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ReproError
 from repro.obs.tracer import MemorySink, Tracer
-from repro.runtime import SimulatedRuntime
 from repro.serve.admission import TenantQuota
 from repro.serve.envelope import STATUSES, ServeRequest, ServeResponse
 from repro.serve.front import ServeGateway
+
+# ----------------------------------------------------------------------
+# Virtual clock
+# ----------------------------------------------------------------------
+
+
+class SimulatedRuntime:
+    """A virtual clock over a deterministic event heap.
+
+    Passed to the gateway (or the admission controller) as ``runtime=``
+    in place of the real clock.  Events are ordered by virtual time and
+    FIFO within a tick (a sequence counter), so a given seed replays
+    bit-identically on any machine:
+
+    * :meth:`schedule` — run a callback ``delay`` virtual seconds from now;
+    * :meth:`run_until_idle` — pop events in (time, seq) order, advancing
+      the clock to each event's timestamp, until the heap drains;
+    * :meth:`advance` — move the clock with no event (think time).
+    """
+
+    def __init__(self, start: float = 0.0):
+        self._now = float(start)
+        self._seq = 0
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+
+    def now(self) -> float:
+        return self._now
+
+    def advance(self, seconds: float) -> float:
+        """Move the virtual clock forward; returns the new time."""
+        if seconds < 0:
+            raise ReproError("simulated clock cannot run backwards")
+        self._now += seconds
+        return self._now
+
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at virtual time ``now() + delay``."""
+        if delay < 0:
+            raise ReproError("cannot schedule an event in the past")
+        self._seq += 1
+        heapq.heappush(
+            self._heap, (self._now + delay, self._seq, lambda: fn(*args))
+        )
+
+    @property
+    def pending(self) -> int:
+        return len(self._heap)
+
+    def run_until_idle(self, max_events: int = 10_000_000) -> int:
+        """Drain the event heap in deterministic order; returns the
+        number of events fired.  ``max_events`` is a runaway backstop."""
+        fired = 0
+        while self._heap:
+            if fired >= max_events:
+                raise ReproError(
+                    f"simulated runtime exceeded {max_events} events"
+                )
+            at, _seq, callback = heapq.heappop(self._heap)
+            # An event due before the current time (the clock was
+            # advanced inside a callback) fires at the current time.
+            if at > self._now:
+                self._now = at
+            callback()
+            fired += 1
+        return fired
+
 
 # ----------------------------------------------------------------------
 # Workload + backend model

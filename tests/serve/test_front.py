@@ -7,8 +7,8 @@ import pytest
 
 from repro.exceptions import BouquetError
 from repro.obs import MemorySink, Tracer
-from repro.runtime import SimulatedRuntime
 from repro.serve import ServeGateway, ServeRequest, ServeResponse, TenantQuota
+from tests.serve.load_model import SimulatedRuntime
 
 SQL = "select * from part where p_retailprice < 1000"
 
@@ -189,7 +189,7 @@ class TestAccounting:
         gw = gateway(backend, runtime, tracer=tracer)
         gw.handle(ServeRequest(query=SQL, tenant="alpha"))
         stats = gw.stats()
-        assert stats["runtime"] == "simulated"
+        assert sorted(stats) == ["counters", "tenants"]
         assert stats["counters"]["serve.front.requests"] == 1
         assert stats["counters"]["serve.front.completed.ok"] == 1
         assert stats["tenants"]["alpha"]["depth"] == 0

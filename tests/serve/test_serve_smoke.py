@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from repro.drift import perturb_statistics
 from repro.obs import MemorySink, Tracer
-from repro.runtime import SimulatedRuntime
 from repro.serve import (
     BouquetArtifactStore,
     BouquetServer,
@@ -15,6 +14,7 @@ from repro.serve import (
     ServeRequest,
     TenantQuota,
 )
+from tests.serve.load_model import SimulatedRuntime
 
 #: The canned workload: a handful of distinct SPJ shapes over TPC-H.
 CANNED_WORKLOAD = [

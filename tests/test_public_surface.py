@@ -207,29 +207,29 @@ def defaulted_parameter_census():
 
 def test_defaulted_parameter_census():
     """320 before the paths nothing but tests reached were deleted
-    (``bench`` alone 64), 262 before the crossing schedulers were.  A new
-    defaulted parameter lands here with the two callers that need
-    different values."""
+    (``bench`` alone 64), 262 before the crossing schedulers were, 242
+    before the runtime package and ``repro.fuzz`` were.  A new defaulted
+    parameter lands here with the two callers that need different
+    values."""
     assert defaulted_parameter_census() == {
-        "(top level)": 31,
+        "(top level)": 28,
         "batchopt": 1,
-        "bench": 32,
+        "bench": 31,
         "catalog": 11,
         "core": 24,
         "datagen": 4,
         "drift": 10,
-        "ess": 27,
+        "ess": 31,
         "executor": 13,
-        "obs": 6,
+        "obs": 7,
         "optimizer": 9,
         "par": 6,
         "query": 7,
         "robustness": 4,
-        "runtime": 3,
         "serve": 31,
         "sweep": 4,
         "template": 8,
-        "wlgen": 11,
+        "wlgen": 7,
     }
 
 
@@ -268,7 +268,6 @@ def caller_census():
 
 #: What the caller census may find, and why each stays.
 TEST_ONLY_BY_DESIGN = {
-    "api.py::fuzz": "the facade's form of the `repro fuzz` command (README)",
     "core/bounds.py::optimal_ratio": "Theorem 1's r = 2 (docs/PAPER_MAP.md)",
     "datagen/database.py::Database.invalidate_fingerprint": (
         "safety: how a Database mutated in place drops its stale "
@@ -294,16 +293,6 @@ TEST_ONLY_BY_DESIGN = {
     "robustness/reopt.py::ReoptStrategy.suboptimality": (
         "SubOpt(qe, qa), Equation 1, for the §7 re-optimization baseline"
     ),
-    "runtime/aio.py::AsyncioRuntime.asleep": (
-        "the non-blocking sleep AsyncioRuntime.sleep's error points to"
-    ),
-    "runtime/simulated.py::SimulatedRuntime": (
-        "the virtual clock tests put in place of the real one (gateway, "
-        "admission, tests/serve/load_model.py)"
-    ),
-    "serve/admission.py::AdmissionController.pressure": (
-        "test seam: queue occupancy the degrade ladder acts on"
-    ),
     "wlgen/generator.py::QueryGenerator.generate_template": (
         "test seam: one template at several bindings, the template "
         "tier's workload"
@@ -320,6 +309,12 @@ def test_caller_census():
 def test_crossing_schedulers_are_gone():
     """Contour plans run one at a time: the scheduler package is gone."""
     assert importlib.util.find_spec("repro.sched") is None
+
+
+def test_clock_package_is_gone():
+    """The gateway reads a clock and the HTTP front-end owns the one
+    thread pool: there is no runtime package between them."""
+    assert importlib.util.find_spec("repro.runtime") is None
 
 
 def test_import_leaves_shared_memory_alone():

@@ -1,6 +1,6 @@
 """Tests for the benchmark reporting helpers."""
 
-from repro.bench.reporting import format_table
+from repro.obs import format_table
 
 
 class TestFormatTable:

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro import fuzz
 from repro.par import leaked_segments, shutdown_pools
 from repro.wlgen import (
     CampaignConfig,
@@ -139,9 +138,7 @@ class TestHarnessMechanics:
         with pytest.raises(CampaignError):
             CampaignConfig(benchmark="sysbench")
 
-    def test_api_fuzz_facade(self):
-        report = fuzz(count=2, seed=21)
+    def test_two_query_campaign_is_ok(self):
+        report = run_campaign(CampaignConfig(count=2, seed=21))
         assert isinstance(report, CampaignReport)
         assert report.ok
-        with pytest.raises(Exception):
-            fuzz(CampaignConfig(count=1), count=2)
