@@ -18,7 +18,9 @@
 #                     <= 1,300 times, the canned workload's join probes
 #                     are all addressed, a repeated served text is neither
 #                     parsed nor re-counted, a served hit builds no AxisPlans
-#                     gather table); counts only, nothing is timed
+#                     gather table, a campaign sweep costs each q_run once and
+#                     builds a bouquet's AxisPlans tables in one pass); counts
+#                     only, nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -70,7 +72,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

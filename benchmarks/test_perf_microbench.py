@@ -256,7 +256,7 @@ def test_perf_served_hit_builds_no_axis_tables(benchmark, env, monkeypatch):
     table of a bouquet costs 0.5–4 ms, more than the request."""
     from repro.api import Catalog
     from repro.core import runtime
-    from repro.core.contours import ContourTables
+    from repro.core.contours import AxisTables
     from repro.serve import BouquetServer
 
     lab, _, _ = env
@@ -264,9 +264,9 @@ def test_perf_served_hit_builds_no_axis_tables(benchmark, env, monkeypatch):
     with BouquetServer(catalog, config=BouquetConfig()) as server:
         first = [server.serve(sql) for sql in CANNED_WORKLOAD]
         calls = []
-        build, lookup = ContourTables._build_gather, runtime.axis_plans
+        build, lookup = AxisTables._build, runtime.axis_plans
         monkeypatch.setattr(
-            ContourTables, "_build_gather", lambda self: calls.append("build") or build(self)
+            AxisTables, "_build", lambda self: calls.append("build") or build(self)
         )
         monkeypatch.setattr(runtime, "axis_plans", lambda *a: calls.append("lookup") or lookup(*a))
         second = [server.serve(sql) for sql in CANNED_WORKLOAD]
@@ -358,6 +358,53 @@ def test_perf_spill_evaluations_of_the_campaign_pool(benchmark):
 
     counters = benchmark(campaign_pool_counters)
     assert counters["sweep.spill_formula_evaluations"] <= 1300
+
+
+def test_perf_sweep_costs_each_qrun_once(benchmark, monkeypatch):
+    """A cohort step gathers what it reads instead of costing it.
+    Count-based guard — one pass over the ledger's 31 ``eval_campaign``
+    queries builds a costing context twice per sweep (the truth of the
+    swept locations and the origin) and once per spill group that
+    leaves rows to go on (the ``q_run`` they learned), never per step;
+    and it builds the AxisPlans gather tables once per bouquet that asks
+    for them, every contour in that one pass."""
+    from repro.core.contours import AxisTables, ContourTables
+    from repro.sweep import SweepEngine
+    from repro.sweep.cohorts import BatchCoster
+    from tests.conftest import campaign_pool_counters
+
+    counts = {"contexts": 0, "sweeps": 0, "spills going on": 0}
+    built, asked = [], []
+    context, sweep, run_spilled = BatchCoster.context, SweepEngine._sweep, BatchCoster.run_spilled
+    build, gather = AxisTables._build, ContourTables.gather.fget
+
+    def counting_context(self, values):
+        counts["contexts"] += 1
+        return context(self, values)
+
+    def counting_sweep(self, flat, stats):
+        counts["sweeps"] += 1
+        return sweep(self, flat, stats)
+
+    def counting_spill(self, *args):
+        outcome = run_spilled(self, *args)
+        counts["spills going on"] += bool((~outcome[0]).any())
+        return outcome
+
+    monkeypatch.setattr(BatchCoster, "context", counting_context)
+    monkeypatch.setattr(SweepEngine, "_sweep", counting_sweep)
+    monkeypatch.setattr(BatchCoster, "run_spilled", counting_spill)
+    monkeypatch.setattr(AxisTables, "_build", lambda self: built.append(self) or build(self))
+    monkeypatch.setattr(
+        ContourTables, "gather",
+        property(lambda self: asked.append(self._axis_tables) or gather(self)),
+    )
+    benchmark.pedantic(campaign_pool_counters, rounds=1, iterations=1)
+    monkeypatch.undo()
+
+    assert counts["sweeps"] == 31 and counts["spills going on"] > 0
+    assert counts["contexts"] == 2 * counts["sweeps"] + counts["spills going on"]
+    assert sorted(map(id, built)) == sorted({id(holder) for holder in asked})
 
 
 def test_perf_sweep_engine_field(benchmark, env):

@@ -22,6 +22,7 @@ from ..exceptions import BouquetError
 from ..optimizer.optimizer import PlanRegistry
 from .contours import (
     OPTIMAL_RATIO,
+    AxisTables,
     Contour,
     ContourTables,
     build_contours,
@@ -87,12 +88,14 @@ class PlanBouquet:
 
     def contour_tables(self, position: int) -> ContourTables:
         """The run-time lookups of contour ``position``: shared by every
-        run of this bouquet, each table built on first use, and never
-        serialised."""
+        run of this bouquet, each table built on first use (the AxisPlans
+        tables of every contour at once), and never serialised."""
         tables = getattr(self, "_contour_tables", None)
         if tables is None:
+            axis_tables = AxisTables(self)
             tables = self._contour_tables = [
-                ContourTables(self, k) for k in range(len(self.contours))
+                ContourTables(self.space, contour, axis_tables, k)
+                for k, contour in enumerate(self.contours)
             ]
         return tables[position]
 

@@ -103,28 +103,25 @@ class Contour:
 
 class ContourTables:
     """One contour's grid lookups for the run-time decisions (§5.1), for
-    any number of ``q_run`` rows at once.  Each table is built on first
-    use and memoised on the bouquet (:meth:`PlanBouquet.contour_tables`),
-    so both drivers and every run of the bouquet share them:
+    any number of ``q_run`` rows at once.  Memoised on the bouquet
+    (:meth:`PlanBouquet.contour_tables`), so both drivers and every run
+    of the bouquet share them; each table is built on first use:
 
     * :attr:`frontier`, read by the first-quadrant test;
-    * :attr:`gather`, AxisPlans flattened into gather tables.  A run that
-      starts with every dimension pinned (a served hit) never asks for
-      AxisPlans, and so never builds them.
+    * :attr:`gather`, AxisPlans flattened into gather tables — one
+      :class:`AxisTables` pass builds them for every contour of the
+      bouquet.  A run that starts with every dimension pinned (a served
+      hit) never asks for AxisPlans, and so never builds them.
     """
 
-    def __init__(self, bouquet, position: int):
-        # No reference to the bouquet itself: it holds the tables, and a
-        # cycle would keep a dropped bouquet's diagram alive until the
-        # cyclic collector runs.
-        self.space = bouquet.space
-        self.contour = bouquet.contours[position]
-        self._costs = bouquet.diagram.costs
-        self._registry = bouquet.registry
+    def __init__(self, space, contour: Contour, axis_tables: AxisTables, position: int):
+        self.space = space
+        self.contour = contour
+        self._axis_tables = axis_tables
+        self._position = position
         #: Resident plans, ascending: the column order of every table.
-        self.plan_ids: List[int] = self.contour.plan_ids
+        self.plan_ids: List[int] = contour.plan_ids
         self._frontier: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._gather: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def frontier(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,67 +148,86 @@ class ContourTables:
         last cell inside — or -1 when the cell is outside the contour.
         ``depths[j, d]`` is the depth of plan ``j``'s error node for
         dimension ``d``."""
-        if self._gather is None:
-            self._gather = self._build_gather()
-        return self._gather
+        columns, depths = self._axis_tables.tables
+        return columns[self._position], depths[self._position]
 
-    def _build_gather(self) -> Tuple[np.ndarray, np.ndarray]:
-        space = self.space
-        shape = space.shape
-        ndim = space.dimensionality
-        locations = self.contour.locations
-        inside = self._costs <= self.contour.cost * (1.0 + SLACK)
 
-        # run_end[d][p]: the last grid index g >= p_d such that every cell
-        # from p_d to g along axis d stays inside (-1 for p outside).
-        run_end: List[np.ndarray] = []
-        for d in range(ndim):
-            axis_idx = np.arange(shape[d]).reshape(
-                (1,) * d + (shape[d],) + (1,) * (ndim - d - 1)
-            )
-            arr = np.where(inside, axis_idx, -1)
-            for g in range(shape[d] - 2, -1, -1):
-                here = tuple([slice(None)] * d + [g] + [slice(None)] * (ndim - d - 1))
-                nxt = tuple([slice(None)] * d + [g + 1] + [slice(None)] * (ndim - d - 1))
-                cont = inside[here] & inside[nxt]
-                arr[here] = np.where(cont, arr[nxt], arr[here])
-            run_end.append(arr)
+class AxisTables:
+    """The AxisPlans gather tables of every contour of one bouquet,
+    built together on the first lookup of any of them: each step below
+    is one array pass over ``(contours, *grid)``."""
 
-        # owner[p]: the closest (L1, first-wins) contour location
-        # dominating grid point p, as its plan's column.
-        coords = np.array(locations, dtype=np.int64).reshape(len(locations), ndim)
-        owner_col = np.searchsorted(
-            self.plan_ids, [self.contour.plan_at[loc] for loc in locations]
-        )
-        grid_idx = np.indices(shape)
-        point_sum = grid_idx.sum(axis=0)
-        owner = np.full(shape, -1, dtype=np.int64)
-        best = np.full(shape, np.inf)
-        for l, loc_sum in enumerate(coords.sum(axis=1)):
-            dominates = np.ones(shape, dtype=bool)
-            for d in range(ndim):
-                dominates &= grid_idx[d] <= coords[l, d]
-            distance = loc_sum - point_sum
-            better = dominates & (distance < best)
-            owner[better] = owner_col[l]
-            best[better] = distance[better]
+    def __init__(self, bouquet):
+        # No reference to the bouquet itself: it holds the tables, and a
+        # cycle would keep a dropped bouquet's diagram alive until the
+        # cyclic collector runs.
+        self._space = bouquet.space
+        self._costs = bouquet.diagram.costs
+        self._contours = bouquet.contours
+        self._registry = bouquet.registry
+        self._plan_ids = bouquet.plan_ids
+        self._tables: Optional[Tuple[np.ndarray, List[np.ndarray]]] = None
 
-        columns = []
-        for d in range(ndim):
-            ray = np.clip(run_end[d], 0, shape[d] - 1)
-            met = np.take_along_axis(owner, ray, axis=d)
-            columns.append(np.where(inside & (run_end[d] >= 0), met, -1).ravel())
-        depths = np.array(
+    @property
+    def tables(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """``(columns, depths)``: ``columns[k]`` and ``depths[k]`` are
+        contour ``k``'s :attr:`ContourTables.gather`."""
+        if self._tables is None:
+            self._tables = self._build()
+        return self._tables
+
+    def _build(self) -> Tuple[np.ndarray, List[np.ndarray]]:
+        space, contours = self._space, self._contours
+        shape, ndim = space.shape, space.dimensionality
+        grid_axes = range(1, ndim + 1)  # axis 0 is the contour
+        ic = np.array([contour.cost for contour in contours])
+        inside = self._costs <= (ic * (1.0 + SLACK)).reshape((-1,) + (1,) * ndim)
+
+        def suffix_min(values: np.ndarray, axis: int) -> np.ndarray:
+            """Each cell's minimum over itself and the cells after it."""
+            return np.flip(np.minimum.accumulate(np.flip(values, axis), axis=axis), axis)
+
+        # owner[k, p]: the closest (L1, first-wins) location of contour k
+        # dominating grid point p, found as the minimum of the key
+        # ``loc_sum * n + index`` over the cells dominating p, -1 if none.
+        locations = [loc for contour in contours for loc in contour.locations]
+        n = len(locations)
+        unset = np.iinfo(np.int64).max
+        keys = np.full(inside.shape, unset, dtype=np.int64)
+        cells = np.array(locations, dtype=np.int64).reshape(n, ndim)
+        contour_of = np.repeat(np.arange(len(contours)), [len(c.locations) for c in contours])
+        keys[(contour_of, *cells.T)] = cells.sum(axis=1) * n + np.arange(n)
+        for axis in grid_axes:
+            keys = suffix_min(keys, axis)
+        column_of = np.concatenate([
+            np.searchsorted(contour.plan_ids, [contour.plan_at[loc] for loc in contour.locations])
+            for contour in contours
+        ])
+        owner = np.where(keys == unset, -1, column_of[keys % n])
+
+        # The +d ray from p leaves the contour just before the first cell
+        # outside it, at or after p along d.
+        columns = np.empty((len(contours), ndim) + tuple(shape), dtype=np.int64)
+        for d, axis in enumerate(grid_axes):
+            along = np.arange(shape[d]).reshape((shape[d],) + (1,) * (ndim - d - 1))
+            first_out = suffix_min(np.where(inside, shape[d], along), axis)
+            ray_end = np.maximum(first_out - 1, 0)
+            columns[:, d] = np.where(inside, np.take_along_axis(owner, ray_end, axis=axis), -1)
+
+        depth_of = np.array(
             [
                 [
                     error_node_depth(self._registry.plan(pid), frozenset((dim.pid,)))
                     for dim in space.dimensions
                 ]
-                for pid in self.plan_ids
+                for pid in self._plan_ids
             ],
             dtype=np.int64,
-        ).reshape(len(self.plan_ids), ndim)
-        return np.stack(columns), depths
+        ).reshape(len(self._plan_ids), ndim)
+        depths = [
+            depth_of[np.searchsorted(self._plan_ids, contour.plan_ids)] for contour in contours
+        ]
+        return columns.reshape(len(contours), ndim, -1), depths
 
 
 def build_contours(

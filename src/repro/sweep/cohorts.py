@@ -8,7 +8,10 @@ advanced together ("cohorts"), with every per-location quantity
 What the decisions read is costed here, over a batch of continuous
 ``q_run`` rows: the plan cost formulas already evaluate elementwise over
 arrays (see :mod:`repro.optimizer.plans`), so a whole cohort is costed in
-one tree walk.  The batched spill-mode execution is here too
+one tree walk.  A context is built where ``q_run`` is set — at the
+origin, and over the rows a spill leaves to go on — and every later
+step of those rows gathers from the estimates it memoised (:func:`_at`)
+instead of costing again.  The batched spill-mode execution is here too
 (:meth:`~repro.core.runtime.AbstractExecutionService.run_spilled` on all
 cohort members at once: the same search for the last 2**-40 grid point
 under the budget, moving the spill node's own formula over inputs
@@ -111,15 +114,6 @@ class BatchCoster:
         caller from writing to it — or a constant filled out."""
         self.batched_costings += 1
         return value if np.ndim(value) else np.full(n, value, dtype=float)
-
-    def bouquet_costs(self, values: np.ndarray) -> np.ndarray:
-        """``(rows, bouquet plans)``: every bouquet plan's cost at each
-        row, all in one context (shared sub-trees are costed once)."""
-        ctx = self.context(values)
-        return np.stack([
-            self.cost(self.plan(plan_id).estimate(ctx).cost, len(values))
-            for plan_id in self.bouquet.plan_ids
-        ], axis=1)
 
     # -- batched spill-mode execution -----------------------------------
 

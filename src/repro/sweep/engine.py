@@ -9,10 +9,13 @@ asks (:func:`~repro.core.runtime.dominating`,
 …) about every member at once:
 
 1. every location starts in one cohort at the first contour with
-   ``q_run = (lo, …, lo)``;
-2. each step costs what the decisions read for the whole cohort in one
-   context at its ``q_run`` rows, and the chosen spill's reach is
-   searched for all members at once over a truth the sweep costs once;
+   ``q_run = (lo, …, lo)``, costed in a one-row context at the origin;
+2. each step gathers what the decisions read (spill floors, candidate
+   and full-run costs) from the context its ``q_run`` was costed in
+   (:attr:`Cohort.at`: ``q_run`` only moves at a spill, whose
+   early-crossing check costs every bouquet plan at the learned rows),
+   and the chosen spill's reach is searched for all members at once
+   over a truth the sweep costs once;
 3. the cohort then *splits* by decision signature — (contour, plan,
    spill outcome, early-crossing verdict) — and each child continues as
    its own cohort;
@@ -58,13 +61,15 @@ from ..core.runtime import (
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import Tracer
-from ..optimizer.plans import CostContext
+from ..optimizer.plans import CostContext, PlanNode
+from .cohorts import _at
 from .memo import SweepCache, sweep_cache
 
 __all__ = ["SweepEngine", "Cohort"]
 
 #: Cohorts smaller than this are finished by the per-location reference
-#: runner (batching overhead exceeds the win on tiny batches).
+#: runner (batching overhead exceeds the win on tiny batches; 1, 2 and 4
+#: time alike over the campaign pool).
 DEFAULT_RESIDUE_MIN = 4
 
 
@@ -75,28 +80,40 @@ class Cohort:
     rows: np.ndarray  # (N,) indices into the engine's location table
     qrun: np.ndarray  # (N, D) running selectivity lower bounds
     total: np.ndarray  # (N,) accumulated execution cost
+    #: The costing context ``q_run`` was last set in (at the origin, or
+    #: over the rows of the spill that learned it); ``at_rows`` (N,) is
+    #: each member's row in it.  None once the cohort is residue.
+    at: Optional[CostContext]
+    at_rows: np.ndarray
     cid: int  # current contour position
     exact: FrozenSet[int]  # dims learned exactly
-    attempted: FrozenSet[int]  # plans spilled (or pruned) at this contour
-    exhausted: FrozenSet[int]  # plans that consumed this contour's budget
+    attempted: FrozenSet[int] = frozenset()  # plans spilled (or pruned) at this contour
+    exhausted: FrozenSet[int] = frozenset()  # plans that consumed this contour's budget
 
     @property
     def size(self) -> int:
         return len(self.rows)
 
+    def subset(self, mask: np.ndarray) -> "Cohort":
+        """The members under ``mask``, in this cohort's state."""
+        return Cohort(
+            self.rows[mask], self.qrun[mask], self.total[mask], self.at, self.at_rows[mask],
+            self.cid, self.exact, self.attempted, self.exhausted,
+        )
+
+    def crossed(self) -> "Cohort":
+        """This cohort on the next contour, where nothing is attempted yet."""
+        return Cohort(
+            self.rows, self.qrun, self.total, self.at, self.at_rows, self.cid + 1, self.exact
+        )
+
 
 class SweepEngine:
     """Vectorized optimized-bouquet cost-field sweeps for one bouquet."""
 
-    def __init__(
-        self,
-        bouquet: PlanBouquet,
-        residue_min: int = DEFAULT_RESIDUE_MIN,
-        tracer: Optional[Tracer] = None,
-    ):
+    def __init__(self, bouquet: PlanBouquet, tracer: Optional[Tracer] = None):
         self.bouquet = bouquet
         self.space = bouquet.space
-        self.residue_min = max(1, residue_min)
         if tracer is not None:
             self.tracer = tracer
         else:
@@ -183,21 +200,23 @@ class SweepEngine:
         # ``rows`` index it): what a spill reads there is costed once.
         self._at_truth = cache.coster.context(cache.truth[flat])
         before = cache.coster.spill_evaluations
-        lo = np.array([dim.lo for dim in self.space.dimensions])
+        origin = np.array([[dim.lo for dim in self.space.dimensions]])
         initial = Cohort(
             rows=np.arange(n, dtype=np.int64),
-            qrun=np.broadcast_to(lo, (n, self.D)).copy(),
+            qrun=np.repeat(origin, n, axis=0),
             total=np.zeros(n),
+            at=cache.coster.context(origin),
+            at_rows=np.zeros(n, dtype=np.int64),
             cid=0,
             exact=frozenset(),
-            attempted=frozenset(),
-            exhausted=frozenset(),
         )
         queue: List[Cohort] = [initial]
         residue: List[Cohort] = []
         while queue:
             cohort = queue.pop()
-            if cohort.size < self.residue_min:
+            if cohort.size < DEFAULT_RESIDUE_MIN:
+                # The scalar runner costs for itself: let the context go.
+                cohort.at = None
                 residue.append(cohort)
                 continue
             stats["cohorts"] += 1
@@ -250,38 +269,19 @@ class SweepEngine:
     # One cohort step (one contour interaction)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _child(
-        mask: np.ndarray,
-        qrun: np.ndarray,
-        total: np.ndarray,
-        rows: np.ndarray,
-        *,
-        cid: int,
-        exact: FrozenSet[int],
-        attempted: FrozenSet[int] = frozenset(),
-        exhausted: FrozenSet[int] = frozenset(),
-    ) -> Cohort:
-        return Cohort(
-            rows=rows[mask],
-            qrun=qrun[mask],
-            total=total[mask],
-            cid=cid,
-            exact=exact,
-            attempted=attempted,
-            exhausted=exhausted,
-        )
-
-    def _costs(self, plans: Sequence[int], ctx: CostContext, wanted: np.ndarray) -> np.ndarray:
-        """``(rows, plans)``: the ``wanted`` plans' costs in ``ctx``; a
-        decision reads no other entry, left at ``inf``."""
+    def _costs(
+        self, cohort: Cohort, nodes: Sequence[PlanNode], wanted: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``(members, nodes)``: the ``wanted`` nodes' costs (all by
+        default) at the members' ``q_run``, gathered from the context it
+        was costed in; a decision reads no other entry, left at ``inf``."""
         coster = self.cache.coster
-        n = len(wanted)
-        out = np.full((n, len(plans)), np.inf)
-        for k, pid in enumerate(plans):
-            r = wanted[:, k]
-            if r.any():
-                out[r, k] = coster.cost(coster.plan(pid).estimate(ctx).cost, n)[r]
+        out = np.full((cohort.size, len(nodes)), np.inf)
+        for k, node in enumerate(nodes):
+            r = slice(None) if wanted is None else wanted[:, k]
+            at_rows = cohort.at_rows[r]
+            if len(at_rows):
+                out[r, k] = coster.cost(_at(node.estimate(cohort.at).cost, at_rows), len(at_rows))
         return out
 
     def _step(self, cohort: Cohort) -> List[Cohort]:
@@ -302,47 +302,33 @@ class SweepEngine:
         dom = dominating(tables, cohort.qrun)
         has_dom = dom.any(axis=1)
         if not has_dom.all():
-            children.append(
-                self._child(~has_dom, cohort.qrun, cohort.total, cohort.rows,
-                            cid=cid + 1, exact=cohort.exact)
-            )
+            children.append(cohort.subset(~has_dom).crossed())
         if not has_dom.any():
             return children
-        rows = cohort.rows[has_dom]
-        qrun = cohort.qrun[has_dom]
-        total = cohort.total[has_dom]
-        dom = dom[has_dom]
-        n = len(rows)
+        cohort, dom = cohort.subset(has_dom), dom[has_dom]
         eligible = dom & [[pid not in cohort.exhausted for pid in tables.plan_ids]]
 
         if len(cohort.exact) == self.D:
-            self._run_fully(cohort, children, rows, qrun, total, eligible, tables, budget)
+            self._run_fully(cohort, children, eligible, tables, budget)
             return children
 
         unlearned = frozenset(
             dim.pid for d, dim in enumerate(self.space.dimensions) if d not in cohort.exact
         )
-        plans, present, depth = axis_plans(tables, qrun, cohort.exact, cohort.attempted)
-        # One context for the step, over all its rows: a candidate's
-        # spill sub-tree and its plan are costed together.
-        at_qrun = coster.context(qrun)
-        floors = np.empty((n, len(plans)))
-        for k, pid in enumerate(plans):
-            node, _ = coster.spill_node(pid, unlearned)
-            floors[:, k] = coster.cost((node or coster.plan(pid)).estimate(at_qrun).cost, n)
+        plans, present, depth = axis_plans(tables, cohort.qrun, cohort.exact, cohort.attempted)
+        subtrees = [coster.spill_node(pid, unlearned)[0] or coster.plan(pid) for pid in plans]
+        floors = self._costs(cohort, subtrees, present)
         pruned = pruned_by_floor(floors, present, budget)
         productive = present & ~pruned
-        winner = pick(plans, self._costs(plans, at_qrun, productive), depth, productive)
+        costs = self._costs(cohort, [coster.plan(pid) for pid in plans], productive)
+        winner = pick(plans, costs, depth, productive)
 
         fallback = winner < 0
         if fallback.any():
             column = {pid: j for j, pid in enumerate(tables.plan_ids)}
             for k, pid in enumerate(plans):
                 eligible[:, column[pid]] &= ~pruned[:, k]
-            self._run_fully(
-                cohort, children, rows[fallback], qrun[fallback], total[fallback],
-                eligible[fallback], tables, budget,
-            )
+            self._run_fully(cohort.subset(fallback), children, eligible[fallback], tables, budget)
         active = ~fallback
         if not active.any():
             return children
@@ -354,23 +340,20 @@ class SweepEngine:
             sel = active & (bits == b_val) & (winner == w_val)
             pruned_plans = frozenset(pid for k, pid in enumerate(plans) if b_val >> k & 1)
             self._execute_spill(
-                cohort, children, rows[sel], qrun[sel], total[sel],
-                int(w_val), pruned_plans, unlearned, budget,
+                cohort.subset(sel), children, int(w_val), pruned_plans, unlearned, budget
             )
         return children
 
-    def _execute_spill(
-        self, cohort, children, rows, qrun, total, plan_id, pruned_plans, unlearned, budget
-    ) -> None:
+    def _execute_spill(self, cohort, children, plan_id, pruned_plans, unlearned, budget) -> None:
         coster = self.cache.coster
-        cid = cohort.cid
+        rows = cohort.rows
         answered, exact_mask, spent, learned, target_dims = coster.run_spilled(
             plan_id, budget, unlearned, self._at_truth, rows
         )
-        qrun = qrun.copy()
+        qrun = cohort.qrun.copy()
         for col, j in enumerate(target_dims):
             qrun[:, j] = np.maximum(qrun[:, j], learned[:, col])
-        total = total + spent
+        total = cohort.total + spent
 
         # Spill-to-store completions: the resumed plan finished under the
         # budget, answering the query — these locations are done.
@@ -380,10 +363,19 @@ class SweepEngine:
         if not remaining.any():
             return
 
-        exhausting = exhausts(answered, spent, budget)
-        crossed = np.zeros(len(rows), dtype=bool)
-        if cid + 1 < len(self.bouquet.contours):
-            crossed[remaining] = crosses_early(coster.bouquet_costs(qrun[remaining]), budget)
+        # The learned q_run gets one context, which the early-crossing
+        # check and every later step of these rows read.
+        qrun = qrun[remaining]
+        spilled = Cohort(
+            rows[remaining], qrun, total[remaining], coster.context(qrun), np.arange(len(qrun)),
+            cohort.cid, cohort.exact,
+        )
+        exact_mask = exact_mask[remaining]
+        exhausting = exhausts(answered, spent, budget)[remaining]
+        crossed = np.zeros(spilled.size, dtype=bool)
+        if cohort.cid + 1 < len(self.bouquet.contours):
+            plans = [coster.plan(pid) for pid in self.bouquet.plan_ids]
+            crossed = crosses_early(self._costs(spilled, plans), budget)
         attempted, exhausted = book(cohort.attempted, cohort.exhausted, pruned_plans, True, True)
         for exact_spill in (True, False):
             exact = cohort.exact
@@ -393,35 +385,29 @@ class SweepEngine:
                 booked = book(attempted, exhausted, frozenset((plan_id,)), True, exhausts_plan)
                 for crs in (True, False):
                     mask = (
-                        remaining & (exact_mask == exact_spill)
+                        (exact_mask == exact_spill)
                         & (exhausting == exhausts_plan) & (crossed == crs)
                     )
                     if not mask.any():
                         continue
-                    if crs:
-                        children.append(
-                            self._child(mask, qrun, total, rows, cid=cid + 1, exact=exact)
-                        )
-                    else:
-                        children.append(
-                            self._child(
-                                mask, qrun, total, rows, cid=cid, exact=exact,
-                                attempted=booked[0], exhausted=booked[1],
-                            )
-                        )
+                    child = spilled.subset(mask)
+                    child.exact, (child.attempted, child.exhausted) = exact, booked
+                    children.append(child.crossed() if crs else child)
 
-    def _run_fully(self, cohort, children, rows, qrun, total, eligible, tables, budget) -> None:
-        """Nothing (left) to learn on this contour: the rows run plans
+    def _run_fully(self, cohort, children, eligible, tables, budget) -> None:
+        """Nothing (left) to learn on this contour: the members run plans
         fully, in the order the endgame (every dimension exact) or the
         fallback decides.  A closed form over the true costs: the first
         plan that fits the budget answers, every one before it burns the
         budget, and with none the contour is crossed."""
-        costs = self._costs(tables.plan_ids, self.cache.coster.context(qrun), eligible)
+        coster = self.cache.coster
+        costs = self._costs(cohort, [coster.plan(pid) for pid in tables.plan_ids], eligible)
         if len(cohort.exact) == self.D:
             order, runs = endgame(costs, eligible)
         else:
             order, runs = fallback_order(costs, eligible, budget)
         fields = self.bouquet.cost_cache.cost_arrays(tables.plan_ids)
+        rows, total = cohort.rows, cohort.total
         flat = self._flat[rows]
         true_cost = np.stack([fields[pid].ravel()[flat] for pid in tables.plan_ids], axis=1)
         in_order = np.take_along_axis(true_cost, order, axis=1)
@@ -435,7 +421,6 @@ class SweepEngine:
                 total[answered] + budget * fails[answered] + final[answered]
             )
         if not answered.all():
-            children.append(
-                self._child(~answered, qrun, total + budget * runs, rows,
-                            cid=cohort.cid + 1, exact=cohort.exact)
-            )
+            crossing = cohort.subset(~answered)
+            crossing.total = crossing.total + budget * runs[~answered]
+            children.append(crossing.crossed())

@@ -88,7 +88,7 @@ def dominating_by_definition(bouquet, contour, qrun):
     })
 
 
-def _covering_location(contour, point):
+def covering_location(contour, point):
     """The closest (L1, first in list order) contour location dominating
     grid ``point``, searched location by location."""
     best = best_distance = None
@@ -100,6 +100,19 @@ def _covering_location(contour, point):
     return best
 
 
+def ray_end_by_walk(bouquet, contour, cell, d):
+    """The last cell inside ``contour`` of the +d ray from grid ``cell``,
+    walked cell by cell (None when ``cell`` is outside it)."""
+    costs = bouquet.diagram.costs
+    threshold = contour.cost * (1.0 + 1e-9)
+    end = None
+    for g in range(cell[d], costs.shape[d]):
+        if costs[cell[:d] + (g,) + cell[d + 1:]] > threshold:
+            break
+        end = g
+    return None if end is None else cell[:d] + (end,) + cell[d + 1:]
+
+
 def axis_plans_by_definition(bouquet, contour, qrun, exact):
     """AxisPlans(q_run) by walking each +d ray from the snapped ``q_run``
     cell by cell and searching the contour for the location covering its
@@ -107,26 +120,16 @@ def axis_plans_by_definition(bouquet, contour, qrun, exact):
     deepest.  The scalar definition of ``repro.core.runtime.axis_plans``."""
     space = bouquet.space
     dims = space.dimensions
-    costs = bouquet.diagram.costs
     snapped = tuple(
         min(int(np.searchsorted(grid, q * (1.0 - 1e-12), side="left")), grid.size - 1)
         for grid, q in zip(space.grids, qrun)
     )
-    threshold = contour.cost * (1.0 + 1e-9)
     found = {}
-    if costs[snapped] > threshold:
-        return found
     for d in range(len(dims)):
         if d in exact:
             continue
-        end = None
-        for g in range(snapped[d], space.shape[d]):
-            if costs[snapped[:d] + (g,) + snapped[d + 1:]] > threshold:
-                break
-            end = g
-        if end is None:
-            continue
-        owner = _covering_location(contour, snapped[:d] + (end,) + snapped[d + 1:])
+        end = ray_end_by_walk(bouquet, contour, snapped, d)
+        owner = None if end is None else covering_location(contour, end)
         if owner is None:
             continue
         plan_id = contour.plan_at[owner]

@@ -16,10 +16,13 @@ from repro.core.runtime import (
     pick,
     pruned_by_floor,
 )
+from repro.optimizer.plans import error_node_depth
 from tests.conftest import (
     axis_plans_by_definition,
+    covering_location,
     dominating_by_definition,
     pick_by_definition,
+    ray_end_by_walk,
 )
 
 
@@ -198,6 +201,49 @@ class TestAxisPlans:
         for row, candidates in zip(rows, got):
             want = axis_plans_by_definition(runner.bouquet, contour, row, exact)
             assert candidates == {p: d for p, d in want.items() if p not in attempted}
+
+
+def _tied_plans(contour, cell):
+    """Do locations of two plans tie as the closest dominating ``cell``?"""
+    dominating = [
+        (sum(a - b for a, b in zip(loc, cell)), contour.plan_at[loc])
+        for loc in contour.locations
+        if all(a >= b for a, b in zip(loc, cell))
+    ]
+    closest = min(dominating)[0] if dominating else None
+    return len({pid for distance, pid in dominating if distance == closest}) > 1
+
+
+class TestGatherTables:
+    @pytest.mark.parametrize("name", ["EQ", "2D_H_Q8a", "3D_H_Q5", "4D_H_Q8"])
+    def test_stacked_tables_match_the_ray_walk(self, lab, eq_bouquet, name):
+        """Every contour's AxisPlans tables — built for all contours of
+        the bouquet in one pass — answer at every grid cell and along
+        every axis as the cell-by-cell ray walk and the covering-location
+        search do, first-wins among equidistant locations; the depths are
+        each plan's error-node depth per dimension."""
+        bouquet = eq_bouquet if name == "EQ" else lab.build(name).bouquet
+        space = bouquet.space
+        dims = space.dimensions
+        ties = 0
+        for k, contour in enumerate(bouquet.contours):
+            columns, depths = bouquet.contour_tables(k).gather
+            plan_ids = contour.plan_ids
+            want = np.full((len(dims), space.size), -1)
+            for flat, cell in enumerate(space.locations()):
+                for d in range(len(dims)):
+                    end = ray_end_by_walk(bouquet, contour, cell, d)
+                    owner = None if end is None else covering_location(contour, end)
+                    if owner is not None:
+                        want[d, flat] = plan_ids.index(contour.plan_at[owner])
+                        ties += _tied_plans(contour, end)
+            assert columns.tolist() == want.tolist()
+            assert depths.tolist() == [
+                [error_node_depth(bouquet.registry.plan(pid), frozenset((dim.pid,))) for dim in dims]
+                for pid in plan_ids
+            ]
+        if name in ("3D_H_Q5", "4D_H_Q8"):
+            assert ties  # rays that end where two plans' locations tie
 
 
 class TestSpillFloor:

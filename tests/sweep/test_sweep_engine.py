@@ -11,6 +11,7 @@ from repro.core.simulation import optimized_cost_field, simulate_at
 from repro.robustness import optimized_field
 from repro.obs import MemorySink, Tracer
 from repro.sweep import SweepEngine
+from repro.sweep import engine as engine_module
 from repro.sweep.memo import sweep_cache
 from repro.wlgen import CampaignConfig, build_env, run_query
 from tests.conftest import campaign_pool_counters, reference_field
@@ -82,9 +83,10 @@ class TestFieldEquality:
                 SweepEngine(bouquet).cost_field(), _reference_field(bouquet), rtol=RTOL, atol=0.0
             )
 
-    def test_residue_only_path_matches_batched(self, q3d):
+    def test_residue_only_path_matches_batched(self, q3d, monkeypatch):
         batched = SweepEngine(q3d.bouquet).cost_field()
-        residue = SweepEngine(q3d.bouquet, residue_min=10**9)
+        monkeypatch.setattr(engine_module, "DEFAULT_RESIDUE_MIN", 10**9)
+        residue = SweepEngine(q3d.bouquet)
         residue.cache.invalidate()
         np.testing.assert_allclose(
             residue.cost_field(), batched, rtol=RTOL, atol=0.0
@@ -165,6 +167,36 @@ class TestEngineMechanics:
             cost.view().setflags(write=True)
 
 
+class TestCarriedCosting:
+    def test_every_gather_equals_a_fresh_costing(self, q3d, monkeypatch):
+        """A cohort step costs nothing itself: its spill floors, candidate
+        costs and full-run costs are gathered from the context its
+        ``q_run`` was costed in (the origin's, or the one the spill that
+        learned it built), and each is bit-equal to costing the members'
+        ``q_run`` in a fresh context."""
+        engine = SweepEngine(q3d.bouquet)
+        engine.cache.invalidate()
+        coster = engine.cache.coster
+        gathered = engine._costs
+        contexts = []
+
+        def checking(cohort, nodes, wanted=None):
+            got = gathered(cohort, nodes, wanted)
+            fresh = coster.context(cohort.qrun)
+            for k, node in enumerate(nodes):
+                want = coster.cost(node.estimate(fresh).cost, cohort.size)
+                read = np.ones(cohort.size, dtype=bool) if wanted is None else wanted[:, k]
+                assert got[read, k].tobytes() == want[read].tobytes()
+                assert np.isinf(got[~read, k]).all()
+            contexts.append(cohort.at)
+            return got
+
+        monkeypatch.setattr(engine, "_costs", checking)
+        field = engine.cost_field()
+        assert len({id(at) for at in contexts}) > 10  # the origin's and many spills'
+        np.testing.assert_allclose(field, _reference_field(q3d.bouquet), rtol=RTOL, atol=0.0)
+
+
 class TestCampaignPoolCounts:
     def test_spill_searches_of_the_ledger_pool(self):
         """A count, so the search's gain is not only a timing: a pass
@@ -239,7 +271,7 @@ class TestResidueRoute:
 class TestPropertyEquality:
     """Hypothesis: engine totals == per-location simulate_at totals for
     arbitrary location samples, with the cohort machinery forced on
-    (residue_min=1) so every location flows through batching."""
+    (``DEFAULT_RESIDUE_MIN`` = 1) so every location flows through batching."""
 
     @given(data=st.data(), dims=st.sampled_from([1, 3]))
     @settings(max_examples=10, deadline=None)
@@ -256,9 +288,11 @@ class TestPropertyEquality:
                 unique=True,
             )
         )
-        engine = SweepEngine(bouquet, residue_min=1)
+        engine = SweepEngine(bouquet)
         engine.cache.invalidate()
-        totals = engine.totals(locations)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "DEFAULT_RESIDUE_MIN", 1)
+            totals = engine.totals(locations)
         for loc, total in zip(locations, totals):
             ref = simulate_at(bouquet, loc, mode="optimized").total_cost
             assert total == pytest.approx(ref, rel=RTOL)

@@ -208,9 +208,10 @@ def defaulted_parameter_census():
 def test_defaulted_parameter_census():
     """320 before the paths nothing but tests reached were deleted
     (``bench`` alone 64), 262 before the crossing schedulers were, 242
-    before the runtime package and ``repro.fuzz`` were.  A new defaulted
-    parameter lands here with the two callers that need different
-    values."""
+    before the runtime package and ``repro.fuzz`` were; ``sweep`` had 4
+    before ``SweepEngine(residue_min=)``, reached only by tests, went.  A
+    new defaulted parameter lands here with the two callers that need
+    different values."""
     assert defaulted_parameter_census() == {
         "(top level)": 28,
         "batchopt": 1,
@@ -227,7 +228,7 @@ def test_defaulted_parameter_census():
         "query": 7,
         "robustness": 4,
         "serve": 31,
-        "sweep": 4,
+        "sweep": 3,
         "template": 8,
         "wlgen": 7,
     }
