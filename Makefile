@@ -19,8 +19,10 @@
 #                     are all addressed, a repeated served text is neither
 #                     parsed nor re-counted, a served hit builds no AxisPlans
 #                     gather table, a campaign sweep costs each q_run once and
-#                     builds a bouquet's AxisPlans tables in one pass); counts
-#                     only, nothing is timed
+#                     builds a bouquet's AxisPlans tables in one pass, a
+#                     repeated served hit reuses its opening: no count, no
+#                     plan node costed, one dominance test); counts only,
+#                     nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -72,7 +74,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or reuses_its_opening" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

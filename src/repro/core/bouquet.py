@@ -12,8 +12,8 @@ producing a :class:`PlanBouquet` — everything the run-time phase needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
 
 from ..ess.diagram import PlanCostCache, PlanDiagram
 from ..ess.reduction import DEFAULT_LAMBDA, anorexic_reduce
@@ -28,6 +28,29 @@ from .contours import (
     build_contours,
     densest_contour_plans,
 )
+
+if TYPE_CHECKING:
+    from ..optimizer.cost_model import CostModel
+    from .runtime import KnownSelectivities
+
+
+T = TypeVar("T")
+
+
+@dataclass
+class Measured:
+    """Facts about one bouquet on one dataset, each measured once:
+
+    * ``subtree_rows`` — output rows of the error-free subtrees, by plan
+      signature, as the executor's §5.2 learning executes them;
+    * ``known`` — the index-probed start
+      (``RealExecutionService.known_selectivities``) and the cost model
+      its probe cost was priced in, once taken.
+    """
+
+    fingerprint: str
+    subtree_rows: Dict[str, float] = field(default_factory=dict)
+    known: Optional[Tuple["CostModel", "KnownSelectivities"]] = None
 
 
 @dataclass
@@ -76,14 +99,23 @@ class PlanBouquet:
             raise BouquetError("bouquet diagram lacks a cost cache")
         return cache
 
-    def subtree_rows(self, data_fingerprint: str) -> Dict[str, float]:
-        """Output rows of this bouquet's error-free subtrees on one
-        dataset, by plan signature: measured by the executor's §5.2
-        learning, kept while the bouquet lives and the data stands, and
-        never serialised."""
-        memo = getattr(self, "_subtree_rows", None)
-        if memo is None or memo[0] != data_fingerprint:
-            memo = self._subtree_rows = (data_fingerprint, {})
+    def measured_on(self, data_fingerprint: str) -> "Measured":
+        """What has been measured of this bouquet on one dataset: kept
+        while the bouquet lives and the data stands (one fingerprint at a
+        time — another dataset starts the record over), and never
+        serialised."""
+        record = getattr(self, "_measured", None)
+        if record is None or record.fingerprint != data_fingerprint:
+            record = self._measured = Measured(data_fingerprint)
+        return record
+
+    def opening(self, start: Hashable, build: Callable[[], T]) -> T:
+        """How a run from the start point ``start`` opens, ``build()``
+        on first use: kept for the last start point seen, shared by every
+        run of this bouquet, and never serialised."""
+        memo = getattr(self, "_opening", None)
+        if memo is None or memo[0] != start:
+            memo = self._opening = (start, build())
         return memo[1]
 
     def contour_tables(self, position: int) -> ContourTables:

@@ -531,7 +531,9 @@ class BouquetRunner:
         # q_run advances monotonically but revisits the same point many
         # times within a contour (candidate ranking, spill floors,
         # fallback ordering, crossing checks): one costing context per
-        # point, so every node of every plan is costed there once.
+        # point, so every node of every plan is costed there once.  The
+        # start point's is the bouquet's (:meth:`_start`), shared by
+        # every run from there; those after a spill are this run's.
         self._contexts: Dict[Tuple[float, ...], CostContext] = {}
 
     # ------------------------------------------------------------------
@@ -561,7 +563,8 @@ class BouquetRunner:
         the ESS origin, raised to whatever the service has measured (any
         ``q_lb <= qa`` is as sound a start as the origin — first-quadrant
         invariant), the dimensions known exactly, nothing tried or
-        charged on the first contour — and the probes' price."""
+        charged on the contour the run opens on (:meth:`_open`, kept by
+        the bouquet for the last start point) — and the probes' price."""
         qrun = [dim.lo for dim in self.space.dimensions]
         exact: Set[int] = set()
         known = self.service.known_selectivities()
@@ -576,7 +579,23 @@ class BouquetRunner:
                     probe_cost=known.cost,
                     pinned={dims[d].pid: qrun[d] for d in sorted(exact)},
                 )
-        return RunState(qrun, exact), known.cost
+        point = tuple(qrun)
+        cid, context = self.bouquet.opening((point, frozenset(exact)), lambda: self._open(qrun))
+        self._contexts[point] = context
+        return RunState(qrun, exact, cid), known.cost
+
+    def _open(self, qrun: List[float]) -> Tuple[int, CostContext]:
+        """How every run from the start point ``qrun`` opens: on the first
+        contour with a location dominating it (one before it cannot hold
+        ``qa >= q_run``, and both Figure 7 and Figure 13 cross it without
+        a run), with the costing context at ``qrun``."""
+        row = np.array([qrun])
+        contours = len(self.bouquet.contours)
+        cid = next(
+            (k for k in range(contours) if dominating(self.bouquet.contour_tables(k), row).any()),
+            contours,
+        )
+        return cid, self._context(qrun)
 
     def _merge(
         self, qrun: List[float], exact: Set[int], learned: Sequence[LearnedSelectivity]

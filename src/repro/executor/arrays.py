@@ -6,7 +6,7 @@ Batches are dictionaries mapping *qualified* column names
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,18 +53,30 @@ def selection_mask(batch: Batch, pred: SelectionPredicate) -> np.ndarray:
     return compare(column, pred.op, pred.value)
 
 
+def filter_rows(batch: Batch, mask: np.ndarray) -> Batch:
+    """The rows of ``batch`` where ``mask`` holds (the batch itself when
+    every row does): the mask becomes row ids once, and each column is a
+    gather by them — one pass over the mask instead of one per column."""
+    ids = mask.nonzero()[0]
+    if ids.size == mask.size:
+        return batch
+    return take(batch, ids)
+
+
 def apply_selections(batch: Batch, preds: Sequence[SelectionPredicate]) -> Batch:
     if not preds or not batch_length(batch):
         return batch
-    mask = np.ones(batch_length(batch), dtype=bool)
-    for pred in preds:
+    mask = selection_mask(batch, preds[0])
+    for pred in preds[1:]:
         mask &= selection_mask(batch, pred)
-    if mask.all():
-        return batch
-    return {name: array[mask] for name, array in batch.items()}
+    return filter_rows(batch, mask)
 
 
-def join_indices(probe_keys: np.ndarray, index: ColumnIndex) -> Tuple[np.ndarray, np.ndarray]:
+#: A probe index: row ids, or ``slice(None)`` — every probe row, in order.
+ProbeIndex = Union[np.ndarray, slice]
+
+
+def join_indices(probe_keys: np.ndarray, index: ColumnIndex) -> Tuple[ProbeIndex, np.ndarray]:
     """All (probe_idx, build_idx) equi-join matches of ``probe_keys``
     against the keys ``index`` was built over, ordered by probe row and,
     within one probe row, by the build side's stable sorted order.
@@ -72,11 +84,15 @@ def join_indices(probe_keys: np.ndarray, index: ColumnIndex) -> Tuple[np.ndarray
     The index finds each probe key's run of equal build keys — a gather
     from its direct-address table, or two binary searches — and the runs
     are expanded here.  Build row ids come back as the platform index
-    type, ready to gather many columns with.
+    type, ready to gather many columns with.  When every probe row has
+    exactly one partner (an FK→PK join over present keys) the probe side
+    passes through unchanged: ``probe_idx`` is ``slice(None)``.
     """
     first, count = index.locate(probe_keys)
-    probe_idx = (count > 0).nonzero()[0]
     total = int(count.sum())
+    if 0 < total == count.size and count.all():
+        return slice(None), index.order[first].astype(np.intp, copy=False)
+    probe_idx = (count > 0).nonzero()[0]
     first = first[probe_idx]
     if total > probe_idx.size:
         # Some probe key has several partners: within its run of matches
@@ -109,11 +125,10 @@ def group_counts(
     return [column[member] for column in columns], counts.astype(np.int64)
 
 
-def merge_batches(left: Batch, left_idx: np.ndarray, right: Batch, right_idx: np.ndarray) -> Batch:
-    """Form the joined batch from matched index pairs."""
-    out: Batch = {}
-    for name, array in left.items():
-        out[name] = array[left_idx]
+def merge_batches(left: Batch, left_idx: ProbeIndex, right: Batch, right_idx: np.ndarray) -> Batch:
+    """Form the joined batch from matched index pairs; a pass-through
+    ``left_idx`` (``slice(None)``) keeps the left columns as they are."""
+    out: Batch = dict(left) if isinstance(left_idx, slice) else take(left, left_idx)
     for name, array in right.items():
         if name in out:
             raise ExecutionError(f"column collision on join output: {name}")

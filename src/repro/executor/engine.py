@@ -47,6 +47,7 @@ from .arrays import (
     apply_selections,
     batch_length,
     concat,
+    filter_rows,
     group_counts,
     join_indices,
     merge_batches,
@@ -325,12 +326,12 @@ class ExecutionEngine:
         table = self.schema.table(node.table)
         model = self.cost_model
         index_pred = self._selection(query, node.index_pid)
+        if not index_pred.indexable:
+            raise ExecutionError(f"cannot index-scan operator {index_pred.op!r}")
         residuals = [self._selection(query, pid) for pid in node.filter_pids]
         entries = self._index(node.table, index_pred.column)
         index = IndexInfo.for_table(table, index_pred.column)
         self._charge(inst, node, index.height * model.random_page_cost)
-        if not index_pred.indexable:
-            raise ExecutionError(f"cannot index-scan operator {index_pred.op!r}")
         ((lo, hi),) = entries.spans(index_pred.op, index_pred.value)
         matched = hi - lo
         leaf_share = (matched / max(1, table.row_count)) * index.leaf_pages
@@ -402,9 +403,7 @@ class ExecutionEngine:
             left = batch[qualify(pred.left_table, pred.left_column)]
             right = batch[qualify(pred.right_table, pred.right_column)]
             mask &= left == right
-        if mask.all():
-            return batch
-        return {name: array[mask] for name, array in batch.items()}
+        return filter_rows(batch, mask)
 
     def _materialize(self, child: PlanNode, query: Query, inst: Instrumentation) -> Batch:
         return concat(list(self._run(child, query, inst)))

@@ -120,7 +120,26 @@ class RealExecutionService(ExecutionService):
         Each count that involves an error predicate is charged
         (:meth:`_probe_cost`); the error-free denominator is the cached,
         uncharged fact it already is for :meth:`_learn`.
+
+        The counts are facts about the data: taken once per (bouquet,
+        dataset) and kept in the bouquet's record
+        (:meth:`~repro.core.bouquet.PlanBouquet.measured_on`), while each
+        request is still charged, and counted, for the probes it starts
+        from.
         """
+        record = self.bouquet.measured_on(self.engine.database.fingerprint())
+        model = self.engine.cost_model
+        if record.known is None or record.known[0] != model:
+            record.known = (model, self._probe())
+        known = record.known[1]
+        tracer = self.engine.tracer
+        if known.learned and tracer.enabled:
+            tracer.count("executor.selectivity_probes", len(known.learned))
+        return known
+
+    def _probe(self) -> KnownSelectivities:
+        """:meth:`known_selectivities` measured: every selection dimension
+        counted through the indexes."""
         learned: List[LearnedSelectivity] = []
         cost = 0.0
         builds = self.engine.database.index_builds
@@ -148,12 +167,9 @@ class RealExecutionService(ExecutionService):
             rows[table] = count.rows
             value = max(count.rows / denominator, dim.lo) if denominator else dim.lo
             learned.append(LearnedSelectivity(dim.pid, float(value), exact=True))
-        tracer = self.engine.tracer
-        if learned and tracer.enabled:
-            tracer.count("executor.selectivity_probes", len(learned))
-            built = self.engine.database.index_builds - builds
-            if built:
-                tracer.count("executor.index_builds", built)
+        built = self.engine.database.index_builds - builds
+        if built and self.engine.tracer.enabled:
+            self.engine.tracer.count("executor.index_builds", built)
         return KnownSelectivities(tuple(learned), cost)
 
     def _count(self, table: str, preds: Sequence[SelectionPredicate]) -> RowCount:
@@ -218,7 +234,7 @@ class RealExecutionService(ExecutionService):
         All inputs of the *first* error node are error-free subtrees, so
         their cardinalities are exactly knowable; they are measured once
         per dataset — a subtree's by executing it, kept by the bouquet
-        (:meth:`~repro.core.bouquet.PlanBouquet.subtree_rows`), a filtered
+        (:meth:`~repro.core.bouquet.PlanBouquet.measured_on`), a filtered
         table's by the database's own count memo.
         """
         if isinstance(node, Join):
@@ -251,7 +267,7 @@ class RealExecutionService(ExecutionService):
     def _subtree_cardinality(self, node: PlanNode) -> float:
         """Exact output cardinality of an error-free subtree, executed
         once per (bouquet, dataset)."""
-        memo = self.bouquet.subtree_rows(self.engine.database.fingerprint())
+        memo = self.bouquet.measured_on(self.engine.database.fingerprint()).subtree_rows
         key = node.signature()
         rows = memo.get(key)
         if rows is None:

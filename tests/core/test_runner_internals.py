@@ -2,6 +2,8 @@
 each also held at many rows to the scalar definition it replaced
 (``tests/conftest.py``), and for BouquetRunner's own machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,14 @@ from repro.core.runtime import (
     EQUIVALENCE_THRESHOLD,
     AbstractExecutionService,
     BouquetRunner,
+    LearnedSelectivity,
+    RunState,
     axis_plans,
     dominating,
     pick,
     pruned_by_floor,
 )
+from repro.core.simulation import simulate_at
 from repro.optimizer.plans import error_node_depth
 from tests.conftest import (
     axis_plans_by_definition,
@@ -351,30 +356,86 @@ class TestBudgetInflation:
             BouquetRunner(eq_bouquet, service, model_error_delta=-0.1)
 
 
-class TestPointCostMemo:
-    def test_cost_at_values_memoized_per_plan_and_point(self, eq_bouquet):
-        """One costing context per point: a second call at an equal
-        point costs no new node, a different point gets its own."""
-        qa = eq_bouquet.space.selectivities_at((10,))
-        service = AbstractExecutionService(eq_bouquet, qa)
-        runner = BouquetRunner(eq_bouquet, service, mode="optimized")
-        plan_id = eq_bouquet.contours[0].plan_ids[0]
-        values = [dim.lo for dim in eq_bouquet.space.dimensions]
-        first = runner._cost_at_values(plan_id, values)
-        costed = len(runner._context(values)._memo)
-        second = runner._cost_at_values(plan_id, list(values))
-        runner._cost_at_values(plan_id, [v * 2.0 for v in values])
-        assert first == second
-        assert len(runner._context(values)._memo) == costed > 0
-        assert len(runner._contexts) == 2  # one per distinct point
+class TestRunOpening:
+    """A run opens on the first contour with a location dominating its
+    start point, with the costing context at that point: both are the
+    bouquet's, kept for the last start point and shared by every run
+    from it.  Points after a spill are costed in the run's own contexts."""
 
-    def test_memo_is_per_runner(self, eq_bouquet):
-        qa = eq_bouquet.space.selectivities_at((10,))
-        service = AbstractExecutionService(eq_bouquet, qa)
-        a = BouquetRunner(eq_bouquet, service, mode="optimized")
-        b = BouquetRunner(eq_bouquet, service, mode="optimized")
-        plan_id = eq_bouquet.contours[0].plan_ids[0]
-        values = [dim.lo for dim in eq_bouquet.space.dimensions]
-        a._cost_at_values(plan_id, values)
-        assert tuple(values) in a._contexts
-        assert tuple(values) not in b._contexts
+    @staticmethod
+    def probed(space, location, dims):
+        """A start that knows ``dims`` exactly at ``location`` (the
+        index-probed start of real data, in the cost-model world)."""
+        values = space.selectivities_at(location)
+        return [
+            LearnedSelectivity(space.dimensions[d].pid, values[d], exact=True) for d in dims
+        ]
+
+    @pytest.mark.parametrize("mode", ["optimized", "basic"])
+    def test_opens_on_first_dominating_contour(self, lab, mode):
+        ql = lab.build("3D_DS_Q96")
+        bouquet, space = ql.bouquet, ql.space
+        opened_past_the_first = 0
+        for location in itertools.product(*(range(0, n, 2) for n in space.shape)):
+            qa = space.selectivities_at(location)
+            for dims in ([0], [1, 2], [0, 1, 2]):
+                known = self.probed(space, location, dims)
+                runner = BouquetRunner(
+                    bouquet, AbstractExecutionService(bouquet, qa, known), mode=mode
+                )
+                state, _ = runner._start()
+                want = next(
+                    (
+                        k
+                        for k, contour in enumerate(bouquet.contours)
+                        if dominating_by_definition(bouquet, contour, state.qrun)
+                    ),
+                    len(bouquet.contours),
+                )
+                assert state.cid == want
+                opened_past_the_first += want > 0
+                # The contours the opening skips run nothing: a run from
+                # the first contour is the same run.
+                fresh = BouquetRunner(
+                    bouquet, AbstractExecutionService(bouquet, qa, known), mode=mode
+                )
+                run = fresh._run_optimized if mode == "optimized" else fresh._run_basic
+                assert runner.run() == run(RunState(list(state.qrun), set(state.exact)))
+        assert opened_past_the_first
+
+    def test_start_context_shared_later_ones_per_run(self, lab):
+        ql = lab.build("3D_DS_Q96")
+        bouquet, space = ql.bouquet, ql.space
+        runners = []
+        for location in (space.corner, tuple(n // 2 for n in space.shape)):
+            service = AbstractExecutionService(bouquet, space.selectivities_at(location))
+            runners.append(BouquetRunner(bouquet, service))
+            assert runners[-1].run().completed
+        a, b = runners
+        origin = tuple(dim.lo for dim in space.dimensions)
+        assert a._contexts[origin] is b._contexts[origin]
+        later = set(a._contexts) - {origin}
+        assert later, "the corner run costs no point past its start"
+        assert all(a._contexts[point] is not b._contexts.get(point) for point in later)
+        # A point costed again costs no new node.
+        plan_id = bouquet.contours[0].plan_ids[0]
+        first = a._cost_at_values(plan_id, list(origin))
+        costed = len(a._context(origin)._memo)
+        assert a._cost_at_values(plan_id, list(origin)) == first
+        assert len(a._context(origin)._memo) == costed > 0
+
+    def test_simulating_every_location_opens_once(self, lab, monkeypatch):
+        ql = lab.build("4D_H_Q8")
+        bouquet, space = ql.bouquet, ql.space
+        bouquet.opening("another start", lambda: None)  # the memo starts over
+        opened = []
+        real = BouquetRunner._open
+        monkeypatch.setattr(
+            BouquetRunner, "_open", lambda self, qrun: opened.append(tuple(qrun)) or real(self, qrun)
+        )
+        for location in np.ndindex(*space.shape):
+            simulate_at(bouquet, location)
+        origin = tuple(dim.lo for dim in space.dimensions)
+        assert opened == [origin]
+        kept = bouquet.opening((origin, frozenset()), lambda: pytest.fail("opening lost"))
+        assert kept[0] == 0

@@ -12,6 +12,7 @@ from repro.executor.arrays import (
     apply_selections,
     batch_length,
     concat,
+    filter_rows,
     join_indices,
     merge_batches,
     qualify,
@@ -23,6 +24,13 @@ from repro.query import SelectionPredicate
 
 def batch(**cols):
     return {name: np.asarray(values) for name, values in cols.items()}
+
+
+def matches(probe_keys, index):
+    """:func:`join_indices`' pairs as ``[(probe_row, build_row)]``, a
+    pass-through probe index (``slice(None)``) read as every probe row."""
+    p_idx, b_idx = join_indices(probe_keys, index)
+    return list(zip(np.arange(len(probe_keys))[p_idx].tolist(), b_idx.tolist()))
 
 
 class TestBasics:
@@ -81,6 +89,101 @@ class TestSelections:
         assert list(out["t.a"]) == [2.0]
 
 
+class TestFilterRows:
+    """Row ids gathered once equal the mask's definition, column by column."""
+
+    @given(
+        keep=st.lists(st.booleans(), max_size=40),
+        width=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_mask_definition(self, keep, width):
+        mask = np.array(keep, dtype=bool)
+        rng = np.random.default_rng(len(keep) * 8 + width)
+        columns = {
+            f"t.c{k}": rng.integers(-9, 9, size=mask.size) * (0.5 if k % 2 else 1)
+            for k in range(width)
+        }
+        out = filter_rows(columns, mask)
+        assert list(out) == list(columns)
+        for name, column in columns.items():
+            assert out[name].dtype == column.dtype
+            assert out[name].tolist() == column[mask].tolist()
+        assert (out is columns) == bool(mask.all())
+
+    @given(
+        a=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=30),
+        bound=st.integers(min_value=-1, max_value=7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_apply_selections_equals_the_mask_definition(self, a, bound):
+        b = batch(**{"t.a": a, "t.b": [float(len(a) - i) for i in range(len(a))]})
+        preds = [SelectionPredicate("t", "a", "<=", bound), SelectionPredicate("t", "b", ">", 2.0)]
+        mask = (b["t.a"] <= bound) & (b["t.b"] > 2.0)
+        out = apply_selections(b, preds)
+        assert {name: column.tolist() for name, column in out.items()} == {
+            name: column[mask].tolist() for name, column in b.items()
+        }
+
+
+class TestPassThroughProbe:
+    """``join_indices`` passes the probe side through (``slice(None)``)
+    exactly when every probe row has one partner, and its pairs are the
+    nested loop's whichever way it answers."""
+
+    @given(
+        build=st.lists(st.integers(min_value=0, max_value=12), max_size=20, unique=True),
+        picks=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+        extra=st.sampled_from(["none", "miss", "above", "below", "duplicate"]),
+        dtype=st.sampled_from([np.int64, np.float64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_are_the_nested_loop(self, build, picks, extra, dtype):
+        probe = [build[p % len(build)] for p in picks] if build else []
+        keys = list(build)
+        if extra == "miss":
+            probe.append(13)  # inside the build's span when it reaches 13
+            keys.append(14)
+        elif extra == "above":
+            probe.append(99)
+        elif extra == "below":
+            probe.append(-5)
+        elif extra == "duplicate" and build:
+            keys.append(build[0])
+            probe.append(build[0])
+        probe_arr, build_arr = np.array(probe, dtype=dtype), np.array(keys, dtype=dtype)
+        index = ColumnIndex.build(build_arr)
+        p_idx, b_idx = join_indices(probe_arr, index)
+        want = TestJoinIndices.nested_loop(probe_arr, build_arr, index.order)
+        assert matches(probe_arr, index) == want
+        one_each = len(want) == probe_arr.size > 0 and [i for i, _ in want] == list(
+            range(probe_arr.size)
+        )
+        assert isinstance(p_idx, slice) == one_each
+        assert b_idx.dtype == np.intp
+
+    def test_empty_and_all_miss_probes_are_row_ids(self):
+        index = ColumnIndex.build(np.array([4, 2, 7]))
+        for probe in (np.empty(0, dtype=np.int64), np.array([0, 5, 9, -3])):
+            p_idx, b_idx = join_indices(probe, index)
+            assert p_idx.size == 0 and b_idx.size == 0
+
+    def test_as_many_pairs_as_rows_is_not_one_partner_each(self):
+        """Two partners for one row and none for another: the pair count
+        equals the row count, yet the probe side does not pass through."""
+        p_idx, b_idx = join_indices(np.array([1, 9]), ColumnIndex.build(np.array([1, 1])))
+        assert p_idx.tolist() == [0, 0] and b_idx.tolist() == [0, 1]
+
+    def test_merge_keeps_a_passed_through_side(self):
+        left = batch(**{"l.k": [3, 1, 2], "l.v": [0.5, 1.5, 2.5]})
+        right = batch(**{"r.k": [1, 2, 3]})
+        p_idx, b_idx = join_indices(left["l.k"], ColumnIndex.build(right["r.k"]))
+        out = merge_batches(left, p_idx, right, b_idx)
+        assert isinstance(p_idx, slice)
+        assert all(out[name] is column for name, column in left.items())
+        assert out["r.k"].tolist() == [3, 1, 2]
+
+
 class TestJoinIndices:
     def brute_force(self, probe, build):
         pairs = []
@@ -98,8 +201,7 @@ class TestJoinIndices:
     def test_matches_brute_force(self, probe, build):
         probe_arr = np.array(probe, dtype=np.int64)
         build_arr = np.array(build, dtype=np.int64)
-        p_idx, b_idx = join_indices(probe_arr, ColumnIndex.build(build_arr))
-        got = sorted(zip(p_idx.tolist(), b_idx.tolist()))
+        got = sorted(matches(probe_arr, ColumnIndex.build(build_arr)))
         assert got == self.brute_force(probe, build)
 
     def test_empty_sides(self):
@@ -141,8 +243,7 @@ class TestJoinIndices:
         # Integer keys this close together are addressed; floats searched.
         assert index.addresses(probe_arr) == (dtype is np.int64 and bool(build))
         want = self.nested_loop(probe_arr, build_arr, index.order)
-        p_idx, b_idx = join_indices(probe_arr, index)
-        assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
+        assert matches(probe_arr, index) == want
 
     def test_dense_probe_clamps_keys_above_build_maximum(self):
         index = ColumnIndex.build(np.array([5, 1, 3]))
@@ -202,8 +303,7 @@ class TestDenseProbe:
             assert not isinstance(array, np.ndarray) or not array.flags.writeable
 
         want = TestJoinIndices.nested_loop(probe_arr, build_arr, stable)
-        p_idx, b_idx = join_indices(probe_arr, index)
-        assert list(zip(p_idx.tolist(), b_idx.tolist())) == want
+        assert matches(probe_arr, index) == want
 
     def test_keys_at_the_ends_of_int64(self):
         """Probe offsets wrap modulo 2**64 and still miss."""

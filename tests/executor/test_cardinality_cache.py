@@ -85,14 +85,15 @@ def test_subtree_rows_are_never_serialised(
     join_bouquet, eq_query, schema, statistics, database, monkeypatch
 ):
     compiled = CompiledBouquet(eq_query, join_bouquet, BouquetConfig())
-    join_bouquet.subtree_rows("another dataset")  # the memo starts over
+    join_bouquet.measured_on("another dataset")  # the record starts over
     cold = json.dumps(compiled.to_dict(), sort_keys=True)
     _request(join_bouquet, database, monkeypatch, [])
-    assert join_bouquet.subtree_rows(database.fingerprint())
+    assert join_bouquet.measured_on(database.fingerprint()).subtree_rows
     assert json.dumps(compiled.to_dict(), sort_keys=True) == cold
     catalog = Catalog(schema, statistics=statistics, database=database)
     loaded = CompiledBouquet.from_dict(json.loads(cold), catalog, eq_query)
-    assert loaded.bouquet.subtree_rows(database.fingerprint()) == {}
+    record = loaded.bouquet.measured_on(database.fingerprint())
+    assert record.subtree_rows == {} and record.known is None
 
 
 def test_learning_uses_the_current_database(eq_bouquet, database, other_database):

@@ -202,3 +202,88 @@ class TestWrappers:
         probe_cost = service_for(compiled, database).known_selectivities().cost
         with pytest.raises(BudgetExceeded):
             execute(compiled, database, budget=probe_cost / 2)
+
+
+class TestDatasetRecord:
+    """The probed start is a fact about (bouquet, dataset): measured on
+    the first request, kept in the bouquet's record until the data
+    changes, and still charged and counted on every request."""
+
+    def test_repeated_requests_run_identically(self, pool, database):
+        for compiled in pool:
+            compiled.bouquet.measured_on("another dataset")  # the record starts over
+            cold = execute(compiled, database)
+            assert compiled.bouquet.measured_on(database.fingerprint()).known is not None
+            assert [execute(compiled, database) for _ in range(2)] == [cold, cold]
+
+    def test_every_request_is_charged_and_counts_its_probes(self, pool, database):
+        from repro.exceptions import BudgetExceeded
+
+        compiled = pool[0]
+        execute(compiled, database)
+        _, known = compiled.bouquet.measured_on(database.fingerprint()).known
+        assert known.learned and known.cost > 0
+        for _ in range(2):
+            tracer = Tracer(MemorySink())
+            capped = BudgetCappedService(service_for(compiled, database, tracer), budget=1e9)
+            result = BouquetRunner(compiled.bouquet, capped, tracer=tracer).run()
+            assert result.completed and result.probe_cost == known.cost
+            assert capped.spent == pytest.approx(result.total_cost, rel=1e-12)
+            assert tracer.counters["executor.selectivity_probes"] == len(known.learned)
+        with pytest.raises(BudgetExceeded):
+            execute(compiled, database, budget=known.cost / 2)
+
+    def test_in_place_mutation_measures_again(self, schema, catalog):
+        from repro.catalog import tpch_generator_spec
+        from repro.datagen import Database
+        from tests.conftest import SCALE
+
+        data = Database.generate(schema, tpch_generator_spec(SCALE), seed=7)
+        compiled = compile_bouquet(
+            "select * from lineitem, part where p_partkey = l_partkey "
+            "and p_retailprice < 1000",
+            catalog,
+            config=BouquetConfig(),
+        )
+        (dim,) = [d for d in compiled.space.dimensions if d.pid.startswith("sel:")]
+
+        def pinned():
+            (value,) = [
+                k.value
+                for k in service_for(compiled, data).known_selectivities().learned
+                if k.pid == dim.pid
+            ]
+            return value
+
+        price = data.table("part")["p_retailprice"]
+        before = pinned()
+        assert before == max(np.count_nonzero(price < 1000) / price.size, dim.lo)
+        price *= 0.9
+        assert pinned() == before  # mutated, not yet invalidated: the record stands
+        data.invalidate_fingerprint()
+        after = pinned()
+        assert after == max(np.count_nonzero(price < 1000) / price.size, dim.lo) != before
+
+    def test_concurrent_requests_share_the_record_and_opening(self, pool, database):
+        """Eight threads over four bouquets, each request racing others to
+        take the probes and build the opening: every answer is the
+        serial one."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        bouquets = pool[:4]
+        serial = [execute(compiled, database) for compiled in bouquets]
+        for compiled in bouquets:
+            compiled.bouquet.measured_on("another dataset")
+            compiled.bouquet.opening("another start", lambda: None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as workers:
+                futures = [
+                    workers.submit(execute, bouquets[k % 4], database) for k in range(64)
+                ]
+                answers = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [serial[k % 4] for k in range(64)]

@@ -71,6 +71,21 @@ class TestSqlAndExecution:
         expected = int(np.isin(database.column("part", "p_size"), [1, 2, 3]).sum())
         assert result.rows == expected
 
+    @pytest.mark.parametrize("budget", [None, 1e-6])
+    def test_an_in_index_scan_is_an_error_not_a_budget_kill(self, database, schema, budget):
+        """The operator is checked before the B-tree descent is charged:
+        under a budget too small for the descent, the plan is still
+        rejected, not reported as killed."""
+        from repro.exceptions import ExecutionError
+        from repro.optimizer import IndexScan
+
+        query = parse("select * from part where p_size in (1, 2)", schema)
+        builds = database.index_builds
+        engine = ExecutionEngine(database)
+        with pytest.raises(ExecutionError, match="cannot index-scan"):
+            engine.execute(query, IndexScan("part", query.selections[0].pid), budget=budget)
+        assert database.index_builds == builds
+
     def test_join_query_with_in_filter_end_to_end(self, database, schema):
         sql = (
             "select * from lineitem, part "
