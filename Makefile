@@ -21,7 +21,9 @@
 #                     gather table, a campaign sweep costs each q_run once and
 #                     builds a bouquet's AxisPlans tables in one pass, a
 #                     repeated served hit reuses its opening: no count, no
-#                     plan node costed, one dominance test); counts only,
+#                     plan node costed, one dominance test; a statistics
+#                     refresh and a rebind whose base moved plan nothing,
+#                     the rebind's fallback compile aside); counts only,
 #                     nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
@@ -74,7 +76,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or reuses_its_opening" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or reuses_its_opening or plans_nothing" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

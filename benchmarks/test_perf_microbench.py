@@ -7,6 +7,8 @@ abstract plan costing, the vectorized grid cost field, and engine
 execution throughput.
 """
 
+import itertools
+
 import pytest
 
 from repro.api import BouquetConfig, CompiledBouquet, execute
@@ -319,6 +321,94 @@ def test_perf_served_hit_reuses_its_opening(benchmark, env, monkeypatch):
         assert all(len(r.result.executions) == 1 for r in second)
         results = benchmark(lambda: [server.serve(sql) for sql in CANNED_WORKLOAD])
         assert all(result.status == "ok" for result in results)
+
+
+def _counting_plans(monkeypatch, calls):
+    """Append ``"plan"`` to ``calls`` on every scalar or slab DP call."""
+    from repro.optimizer.optimizer import Optimizer
+
+    optimize, slab = Optimizer.optimize, Optimizer.optimize_slab
+    monkeypatch.setattr(
+        Optimizer, "optimize", lambda *a: calls.append("plan") or optimize(*a)
+    )
+    monkeypatch.setattr(
+        Optimizer, "optimize_slab", lambda *a: calls.append("plan") or slab(*a)
+    )
+
+
+def test_perf_statistics_refresh_plans_nothing(benchmark, env, monkeypatch):
+    """A statistics refresh carries artifacts over or drops them; it
+    never plans.  Count-based guard — after the canned texts are cached
+    on one ``BouquetServer``, refreshing to statistics drawn from another
+    sample patches all of them (the base is the data's, so no compile
+    input moves) with zero DP calls, and the next round is served from
+    memory with the same answers."""
+    from repro.api import Catalog
+    from repro.serve import BouquetServer
+
+    lab, _, _ = env
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db)
+    tracer = Tracer(MemorySink())
+    with BouquetServer(catalog, config=BouquetConfig(), tracer=tracer) as server:
+        first = [server.serve(sql) for sql in CANNED_WORKLOAD]
+        resampled = lab.h_db.build_statistics(sample_size=900, seed=11)
+        calls = []
+        _counting_plans(monkeypatch, calls)
+        server.refresh_statistics(resampled)
+        monkeypatch.undo()
+
+        assert calls == []
+        assert tracer.counters["serve.cache.patched"] == len(CANNED_WORKLOAD)
+        second = [server.serve(sql) for sql in CANNED_WORKLOAD]
+        assert [r.cache for r in second] == ["memory"] * len(CANNED_WORKLOAD)
+        assert [(r.rows, r.total_cost) for r in second] == [
+            (r.rows, r.total_cost) for r in first
+        ]
+        worlds = itertools.cycle([lab.h_stats, resampled])
+        benchmark(lambda: server.refresh_statistics(next(worlds)))
+
+
+def test_perf_moved_base_rebind_plans_nothing_before_its_compile(
+    benchmark, env, monkeypatch
+):
+    """A rebind that cannot carry the template over refuses before any
+    planning.  Count-based guard — a second instance of a cached
+    template whose non-dimension constant moved its base selectivity
+    falls back (``base-moved``), and the first DP call of the request is
+    its own compile's."""
+    from repro.api import Catalog
+    from repro.serve import BouquetServer
+    from repro.serve import server as server_module
+
+    lab, _, _ = env
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db)
+    template = (
+        "select * from lineitem, orders where l_orderkey = o_orderkey "
+        "and o_totalprice < {price} and l_quantity = {quantity}"
+    )
+    exemplar = template.format(price=150000, quantity=7)
+    moved = template.format(price=200000, quantity=9)
+    tracer = Tracer(MemorySink())
+    with BouquetServer(catalog, config=BouquetConfig(), tracer=tracer) as server:
+        assert server.serve(exemplar).cache == "compiled"
+        calls = []
+        _counting_plans(monkeypatch, calls)
+        compile_pipeline = server_module._compile_pipeline
+        monkeypatch.setattr(
+            server_module,
+            "_compile_pipeline",
+            lambda *a, **k: calls.append("compile") or compile_pipeline(*a, **k),
+        )
+        served = server.serve(moved)
+        monkeypatch.undo()
+
+        assert served.cache == "compiled"
+        assert tracer.counters["serve.template.fallbacks"] == 1
+        assert calls[0] == "compile" and set(calls[1:]) == {"plan"}
+        (event,) = tracer.sink.events("serve.template.fallback")
+        assert event["attrs"]["reason"] == "base-moved"
+        results = benchmark(lambda: server.serve(moved))
+        assert results.status == "ok"
 
 
 @pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])

@@ -10,11 +10,12 @@ This example plays both roles with the serving layer:
   fingerprint + compile knobs);
 * **online**: a :class:`~repro.serve.BouquetServer` over the same store
   answers repeated requests from cache (zero optimizer calls), then a
-  (simulated) statistics refresh invalidates the artifact and the next
-  request recompiles against the new world view;
-* **scale-up**: the §8 incremental maintenance path refreshes the
-  bouquet at a fraction of the optimizer calls a rebuild would need,
-  dropping stale cache entries along the way.
+  (simulated) statistics refresh carries the artifact over to the new
+  fingerprint — the base selectivities are the data's, so nothing the
+  compile sees has moved — and sweeps the stale entry;
+* **scale-up**: the grown database moves every base selectivity, so
+  nothing carries over (§8): the stale cache entries are dropped and the
+  bouquet is recompiled — one slab DP over the grid.
 
 Run:  python examples/canned_query_service.py
 """
@@ -29,16 +30,12 @@ from repro import (
     Catalog,
     Database,
     MemorySink,
-    Optimizer,
     Tracer,
-    actual_selectivities,
     compile_bouquet,
-    parse_query,
-    refresh_bouquet,
     tpch_schema,
 )
 from repro.catalog import tpch_generator_spec
-from repro.ess import SelectivitySpace
+from repro.serve import statistics_fingerprint
 
 SQL = (
     "select * from lineitem, orders, part "
@@ -88,12 +85,13 @@ def main():
         print("(identical traces: the bouquet strategy is repeatable, §1)")
         print()
 
-        # ---- statistics refresh: the cached artifact is invalidated -------
+        # ---- statistics refresh: the cached artifact carries over --------
         new_stats = database.build_statistics(sample_size=3000)
         dropped = server.refresh_statistics(new_stats)
+        patched = server.stats()["counters"].get("serve.cache.patched", 0)
         print(
-            f"statistics refreshed: {dropped} cached artifact(s) invalidated; "
-            "next request recompiles against the new world view"
+            f"statistics refreshed: {patched:g} artifact(s) carried over to the "
+            f"new fingerprint, {dropped} stale entr{'y' if dropped == 1 else 'ies'} swept"
         )
         served = server.serve(SQL)
         print(
@@ -108,28 +106,18 @@ def main():
         )
         print()
 
-    # ---- the warehouse grows: incremental maintenance (§8) ---------------
+    # ---- the warehouse grows: recompile against the new world (§8) -------
     big_schema = tpch_schema(scale * 4)
     big_db = Database.generate(big_schema, tpch_generator_spec(scale * 4), seed=33)
     big_stats = big_db.build_statistics(sample_size=1500)
-    big_optimizer = Optimizer(big_schema, big_stats)
-    big_query = parse_query(SQL, big_schema)
-    new_space = SelectivitySpace(
-        big_query,
-        compiled.space.dimensions,
-        list(compiled.space.shape),
-        actual_selectivities(big_query, big_db),
-    )
-    refreshed = refresh_bouquet(
-        compiled.bouquet, big_optimizer, new_space, artifact_store=store
-    )
+    dropped = store.invalidate_statistics(statistics_fingerprint(big_stats))
+    big_catalog = Catalog(big_schema, statistics=big_stats, database=big_db)
+    rebuilt = compile_bouquet(SQL, big_catalog, config=config, cache=store)
     print(
-        f"after 4x scale-up: refreshed bouquet with "
-        f"{refreshed.optimizer_calls} optimizer calls "
-        f"(a from-scratch exhaustive rebuild would need {new_space.size}); "
-        f"reused {refreshed.reused_plan_count} plans, "
-        f"found {refreshed.new_plan_count} new ones; "
-        f"new guarantee MSO <= {refreshed.bouquet.mso_bound:.1f}"
+        f"after 4x scale-up: dropped {dropped} stale artifact(s) and "
+        f"recompiled over {rebuilt.space.size} ESS locations "
+        f"(|B|={rebuilt.bouquet.cardinality}); "
+        f"new guarantee MSO <= {rebuilt.mso_bound:.1f}"
     )
     store.clear()
     os.rmdir(store_dir)

@@ -51,7 +51,6 @@ from .core import (
     simulate_at,
 )
 from .core.advisor import ProcessingMode, Recommendation, recommend_processing_mode
-from .core.maintenance import RefreshResult, refresh_bouquet
 from .core.runtime import AbstractExecutionService
 from .core.validation import ValidationReport, validate_bouquet
 from .datagen import Database
@@ -171,8 +170,6 @@ __all__ = [
     "ProcessingMode",
     "Recommendation",
     "recommend_processing_mode",
-    "RefreshResult",
-    "refresh_bouquet",
     "TABLE2_NAMES",
     "WorkloadQuery",
     "full_workload",

@@ -111,12 +111,6 @@ class BouquetConfig:
     replaced is the oracle ``tests/optimizer/test_batchopt.py`` loops
     over.
 
-    ``patch`` governs statistics-refresh maintenance: when enabled
-    (default) a refresh first offers every cached artifact to the
-    delta-refresh engine (:mod:`repro.drift`) before falling back to
-    invalidation.  Like ``mode`` it is a runtime knob — never part of
-    the artifact cache key.
-
     ``template`` governs the cross-query template cache
     (:mod:`repro.template`): when enabled (default) the serving layer
     answers a miss on the exact-key artifact store by rebinding a
@@ -124,8 +118,10 @@ class BouquetConfig:
     (:class:`repro.serve.BouquetServer`).  Rebinds are
     validated structurally and fall back to a full compile on any
     mismatch, so the knob only trades compile latency — it never changes
-    the artifact.  Like ``patch`` it is a runtime knob, never part of
-    the artifact cache key.
+    the artifact.  Like ``mode`` it is a runtime knob, never part of the
+    artifact cache key.  A statistics refresh is not a knob: it carries
+    every cached artifact over when nothing its compile sees has moved,
+    and invalidates it otherwise (:mod:`repro.drift`).
     """
 
     ratio: float = 2.0
@@ -134,7 +130,6 @@ class BouquetConfig:
     mode: str = "optimized"
     model_error_delta: float = 0.0
     cost_model: str = "postgres"
-    patch: bool = True
     template: bool = True
 
     def __post_init__(self):
@@ -153,8 +148,6 @@ class BouquetConfig:
                 f"config: unknown cost model {self.cost_model!r} "
                 f"(expected one of {sorted(_COST_MODELS)})"
             )
-        if not isinstance(self.patch, bool):
-            raise BouquetError("config: patch must be a bool")
         if not isinstance(self.template, bool):
             raise BouquetError("config: template must be a bool")
 
@@ -197,21 +190,21 @@ class BouquetConfig:
             "crossing": self.crossing,
             "model_error_delta": self.model_error_delta,
             "cost_model": self.cost_model,
-            "patch": self.patch,
+            "patch": True,
             "template": self.template,
         }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "BouquetConfig":
-        # Artifacts written before the maintenance knob (``patch``) or
-        # the template-cache knob (``template``) existed omit those keys;
-        # the dataclass defaults cover them.  ``to_dict`` still writes
-        # ``crossing`` (so artifacts stay byte-equal), and envelopes written
-        # while the config still had a compile-engine selector or a
-        # settable ``equivalence_threshold`` carry those keys: none ever
-        # entered the artifact key, so they are dropped, not rejected.
+        # Artifacts written before the template-cache knob (``template``)
+        # existed omit that key; the dataclass default covers it.
+        # ``to_dict`` still writes ``crossing`` and ``patch`` (so artifacts
+        # stay byte-equal), and envelopes written while the config still
+        # had a compile-engine selector or a settable
+        # ``equivalence_threshold`` carry those keys: none ever entered the
+        # artifact key, so they are dropped, not rejected.
         fields = dict(data)
-        for dropped in ("compile_engine", "equivalence_threshold", "crossing"):
+        for dropped in ("compile_engine", "equivalence_threshold", "crossing", "patch"):
             fields.pop(dropped, None)
         return BouquetConfig(**fields)
 
@@ -416,13 +409,9 @@ def _compile_pipeline(
             "suffices for this query"
         )
     with tracer.span(span_name, query=query.name) as span:
-        if base_assignment is None:
-            if catalog.database is not None:
-                base_assignment = actual_selectivities(query, catalog.database)
-            else:
-                base_assignment = optimizer.estimated_assignment(query)
-        res = config.resolution_for(len(dimensions))
-        space = SelectivitySpace(query, dimensions, res, base_assignment)
+        space = _compile_space(
+            query, catalog, config, optimizer, dimensions, base_assignment
+        )
         if space.size <= EXHAUSTIVE_LIMIT:
             diagram = PlanDiagram.exhaustive(optimizer, space)
         else:
@@ -438,6 +427,29 @@ def _compile_pipeline(
             mso_bound=bouquet.mso_bound,
         )
     return CompiledBouquet(query=query, bouquet=bouquet, config=config, sql=sql)
+
+
+def _compile_space(
+    query: Query,
+    catalog: Catalog,
+    config: BouquetConfig,
+    optimizer: Optimizer,
+    dimensions: Sequence[ErrorDimension],
+    base_assignment: Optional[Mapping[str, float]],
+) -> SelectivitySpace:
+    """The ESS a compile plans: the config's grid over ``dimensions``,
+    at the base assignment — ground truth when the catalog carries a
+    database (non-error selectivities are assumed accurately estimable,
+    §8), statistics-based estimates otherwise.  The compile and the
+    carry-over (:func:`repro.drift.refresh.carry_over`) both derive it
+    here, so a carry-over compares against what a compile would see."""
+    if base_assignment is None:
+        if catalog.database is not None:
+            base_assignment = actual_selectivities(query, catalog.database)
+        else:
+            base_assignment = optimizer.estimated_assignment(query)
+    res = config.resolution_for(len(dimensions))
+    return SelectivitySpace(query, dimensions, res, base_assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ across machines:
   dimensions by error-sensitivity, and validate every measured MSO
   against the 4(1+λ)ρ guarantee (``--out`` writes the JSON report);
 * ``refresh`` — compile a bouquet, inject localized statistics drift,
-  and refresh it: ``--delta`` runs the delta engine (re-planning only
-  drift-suspect ESS locations), ``--verify`` checks the result
-  bit-for-bit against a full recompile.
+  and refresh it: the artifact is carried over when nothing its compile
+  sees moved and recompiled otherwise (the command says which);
+  ``--verify`` checks the result bit-for-bit against a full recompile.
 
 Commands are built on the :mod:`repro.api` facade and the
 :class:`~repro.serve.ServeRequest` envelope — the same calling
@@ -48,7 +48,7 @@ from .catalog.tpch import tpch_generator_spec, tpch_schema
 from .core.advisor import recommend_processing_mode
 from .core.validation import validate_bouquet
 from .datagen.database import Database
-from .exceptions import ReproError
+from .exceptions import DriftError, ReproError
 from .obs import JsonlSink, Tracer, read_trace, summarize_serving, summarize_trace
 from .optimizer.explain import explain as explain_plan
 from .query.sql import parse_query
@@ -230,15 +230,14 @@ def _cmd_refresh(args) -> int:
     print(f"moved predicates: {', '.join(moved) or 'none'}")
     catalog.statistics = new_statistics
 
-    if args.delta:
-        outcome = patch_compiled(compiled, catalog, tracer=tracer)
-        refreshed = outcome.compiled
-        print(outcome.result.describe())
-    else:
+    try:
+        refreshed = patch_compiled(compiled, catalog, tracer=tracer)
+        print("carried over: no compile input moved, 0 locations planned")
+    except DriftError as exc:
         refreshed = compile_bouquet(args.sql, catalog, config=config, tracer=tracer)
         print(
-            f"full recompile: planned {refreshed.space.size}/"
-            f"{refreshed.space.size} locations"
+            f"recompiled, {exc}: planned "
+            f"{refreshed.space.size}/{refreshed.space.size} locations"
         )
     print(refreshed.bouquet.describe())
 
@@ -445,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_refresh.add_argument(
         "--distinct-scale", type=float, default=None,
         help="additionally scale the target's distinct counts (moves joins)",
-    )
-    p_refresh.add_argument(
-        "--delta", action="store_true",
-        help="use the delta engine (re-plan only drift-suspect locations) "
-        "instead of a full recompile",
     )
     p_refresh.add_argument(
         "--verify", action="store_true",

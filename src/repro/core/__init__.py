@@ -2,7 +2,6 @@
 
 from .advisor import ProcessingMode, Recommendation, recommend_processing_mode
 from .bouquet import PlanBouquet, identify_bouquet
-from .maintenance import RefreshResult, refresh_bouquet
 from .validation import ValidationIssue, ValidationReport, validate_bouquet
 from .bounds import (
     best_achievable_mso,
@@ -42,8 +41,6 @@ __all__ = [
     "ProcessingMode",
     "Recommendation",
     "recommend_processing_mode",
-    "RefreshResult",
-    "refresh_bouquet",
     "ValidationIssue",
     "ValidationReport",
     "validate_bouquet",

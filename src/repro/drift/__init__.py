@@ -1,19 +1,17 @@
-"""repro.drift — delta-driven bouquet maintenance.
+"""repro.drift — carrying compiled bouquets over a statistics refresh.
 
-The paper flags incremental maintenance under data change as an open
-problem (§8); this package makes steady-state refresh cost proportional
-to *drift* instead of to ESS size:
+The paper flags bouquet maintenance under data change as an open
+problem (§8).  This package answers it with identity or recompile:
 
 * :mod:`~repro.drift.delta` compares two statistics world views
   field-by-field (:func:`statistics_delta`) and maps the drift onto a
   query's predicates; :func:`perturb_statistics` is the matching
   localized-drift injector used by the CLI, the ledger, and the tests;
-* :mod:`~repro.drift.refresh` is the engine: :func:`delta_refresh`
-  re-plans only the ESS locations whose argmin plan can have changed
-  under the delta (frontier diff + probe, DP-authoritative
-  re-plan slab), and :func:`patch_compiled` applies it to a cached
-  serving artifact.  :func:`bouquets_equal` is the bit-for-bit
-  equivalence check against the reference full recompile.
+* :mod:`~repro.drift.refresh` carries an artifact over when nothing its
+  compile sees has moved (:func:`carry_over`, zero optimizer work) and
+  raises :class:`~repro.exceptions.DriftError` otherwise, so the caller
+  recompiles; :func:`patch_compiled` is its serving-layer front, and
+  :func:`bouquets_equal` the bit-for-bit check against a fresh compile.
 """
 
 from .delta import (
@@ -23,21 +21,17 @@ from .delta import (
     statistics_delta,
 )
 from .refresh import (
-    DeltaRefreshResult,
-    PatchOutcome,
     bouquets_equal,
-    delta_refresh,
+    carry_over,
     moved_base_pids,
     patch_compiled,
 )
 
 __all__ = [
-    "DeltaRefreshResult",
-    "PatchOutcome",
     "StatisticsDelta",
     "TableDrift",
     "bouquets_equal",
-    "delta_refresh",
+    "carry_over",
     "moved_base_pids",
     "patch_compiled",
     "perturb_statistics",

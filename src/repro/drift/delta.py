@@ -6,9 +6,9 @@ column's histogram shifted, one PK grew.  :func:`statistics_delta`
 compares two :class:`~repro.catalog.statistics.DatabaseStatistics`
 field-by-field and reports the drift as a :class:`StatisticsDelta`;
 :meth:`StatisticsDelta.moved_pids` maps the drifted columns onto the
-predicates of a concrete query, which is what the refresh engine
-(:mod:`repro.drift.refresh`) needs to decide whether an artifact can be
-patched instead of recompiled.
+predicates of a concrete query — the account ``repro refresh`` prints
+before the carry-over (:mod:`repro.drift.refresh`) decides, from the
+base assignments themselves, whether the artifact carries over.
 
 The mapping mirrors the estimator (:mod:`repro.optimizer.selectivity`):
 
@@ -80,7 +80,7 @@ class StatisticsDelta:
 
     @property
     def is_empty(self) -> bool:
-        return all(t.is_empty for t in self.tables)
+        return not self.drifted_tables
 
     @property
     def drifted_tables(self) -> List[str]:

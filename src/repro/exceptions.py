@@ -44,10 +44,10 @@ class BouquetError(ReproError):
 
 class TemplateError(ReproError):
     """Raised when a compiled bouquet cannot be rebound from a cached
-    template onto a new query instance (dimension/grid mismatch, renamed
-    relations that are not statistically interchangeable, or re-costed
-    contours diverging beyond tolerance).  Callers treat it as "fall
-    back to a full compile" and record the carried ``reason``."""
+    template onto a new query instance (dimension/grid mismatch, a moved
+    base selectivity, or renamed relations that are not statistically
+    interchangeable).  Callers treat it as "fall back to a full compile"
+    and record the carried ``reason``."""
 
     def __init__(self, message, reason="rebind-failed"):
         super().__init__(message)
@@ -55,7 +55,13 @@ class TemplateError(ReproError):
 
 
 class DriftError(ReproError):
-    """Raised when a statistics delta makes an artifact un-patchable (the
-    drift changed the error dimensions, the grid shape, or more than the
-    delta-refresh engine can reconcile) — callers fall back to a full
-    recompile or invalidation."""
+    """Raised when an artifact cannot be carried over to a new statistics
+    world view or query instance because something its compile sees has
+    moved: the error dimensions, the grid, or a non-dimension base
+    selectivity.  Callers fall back to a full recompile or invalidation;
+    ``reason`` is one of ``"dimension-mismatch"``, ``"grid-mismatch"``
+    and ``"base-moved"``."""
+
+    def __init__(self, message, reason):
+        super().__init__(message)
+        self.reason = reason

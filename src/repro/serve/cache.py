@@ -240,10 +240,9 @@ class BouquetArtifactStore:
         memory tier first, then disk envelopes not already seen
         (rehydrated through their stored SQL when possible).
 
-        This is the server patch path's work list: each entry is a
-        candidate for :func:`repro.drift.refresh.patch_compiled` before
-        :meth:`invalidate_statistics` sweeps whatever could not be
-        patched.
+        This is the server patch path's work list: each entry is offered
+        to :func:`repro.drift.refresh.patch_compiled` before
+        :meth:`invalidate_statistics` sweeps whatever did not carry over.
         """
         from ..api import CompiledBouquet
 
@@ -299,9 +298,11 @@ class BouquetArtifactStore:
         self, current_fingerprint: str, tracer: Optional[Tracer] = None
     ) -> int:
         """Drop every entry whose statistics fingerprint differs from the
-        live catalog's — called when statistics are rebuilt or the data
-        changes under the server (see :func:`repro.core.maintenance.refresh_bouquet`).
-        Returns the number of entries removed."""
+        live catalog's — called by ``BouquetServer.refresh_statistics``
+        after its carry-over pass, and by whoever rebuilds statistics or
+        changes the data under a store (a scale-up recompiles: see
+        ``examples/canned_query_service.py``).  Returns the number of
+        entries removed."""
         tracer = tracer if tracer is not None else self.tracer
         dropped = set()
         with self._lock:

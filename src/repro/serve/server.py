@@ -28,8 +28,8 @@ canned queries.  :class:`BouquetServer` makes that operational:
 * executions run with per-request budgets
   (:class:`repro.api.BudgetCappedService`) and report
   ``budget-exhausted`` instead of an MSO-guaranteed result when capped;
-* :meth:`refresh_statistics` swaps the catalog's world view, patches
-  every cached artifact the delta-refresh engine can carry over
+* :meth:`refresh_statistics` swaps the catalog's world view, carries
+  over every cached artifact whose compile inputs did not move
   (:mod:`repro.drift`), and invalidates the rest.
 
 The canonical calling convention is the typed envelope pair from
@@ -530,35 +530,25 @@ class BouquetServer:
     # Maintenance
     # ------------------------------------------------------------------
 
-    def refresh_statistics(
-        self,
-        statistics: Optional[DatabaseStatistics],
-        *,
-        patch: Optional[bool] = None,
-    ) -> int:
+    def refresh_statistics(self, statistics: Optional[DatabaseStatistics]) -> int:
         """Swap in a new statistics world view.
 
-        With patching enabled (default: the config's ``patch`` knob)
-        every cached artifact keyed to the old fingerprint is first
-        offered to the delta-refresh engine
-        (:func:`repro.drift.refresh.patch_compiled`): artifacts whose
-        compile-visible inputs are unchanged — or changed only in a few
-        base selectivities — are re-keyed under the new fingerprint after
-        re-planning just the drift-suspect ESS locations (counter
-        ``serve.cache.patched``).  Whatever cannot be patched (the drift
-        moved the error dimensions, the grid, or the patch failed) is
-        swept by the invalidation fallback, exactly as before.  Returns
-        the number of entries dropped.
+        Every cached artifact keyed to the old fingerprint is first
+        offered to the carry-over (:func:`repro.drift.refresh.patch_compiled`):
+        an artifact whose compile-visible inputs are unchanged is re-keyed
+        under the new fingerprint with no optimizer work (counter
+        ``serve.cache.patched``).  Whatever the refresh moved (the error
+        dimensions, the grid or a base selectivity) is swept by the
+        invalidation that follows, and recompiles on its next request.
+        Returns the number of entries dropped.
         """
-        if patch is None:
-            patch = self.config.patch
         old_statistics = self.catalog.statistics
         self.catalog.statistics = statistics
         with self._lock:
             self._prepared.clear()
         fingerprint = statistics_fingerprint(statistics)
-        if patch and fingerprint != statistics_fingerprint(old_statistics):
-            self._patch_artifacts(fingerprint, old_statistics)
+        if fingerprint != statistics_fingerprint(old_statistics):
+            self._patch_artifacts(fingerprint)
         removed = self.store.invalidate_statistics(fingerprint, tracer=self.tracer)
         if self.templates is not None:
             # The template tier keys on the statistics digest too, so
@@ -572,10 +562,8 @@ class BouquetServer:
             self.tracer.count("serve.statistics_refreshes")
         return removed
 
-    def _patch_artifacts(
-        self, fingerprint: str, old_statistics: Optional[DatabaseStatistics]
-    ) -> int:
-        """Re-key every patchable stale artifact under ``fingerprint``."""
+    def _patch_artifacts(self, fingerprint: str) -> int:
+        """Re-key every stale artifact that carries over under ``fingerprint``."""
         from ..drift.refresh import patch_compiled
 
         patched = 0
@@ -584,31 +572,26 @@ class BouquetServer:
                 fingerprint, self.catalog
             ):
                 try:
-                    outcome = patch_compiled(
-                        compiled,
-                        self.catalog,
-                        old_statistics=old_statistics,
-                        tracer=self.tracer,
-                    )
+                    carried = patch_compiled(compiled, self.catalog, tracer=self.tracer)
                 except ReproError:
-                    # Not patchable — the invalidation sweep drops it.
+                    # Not carried over — the invalidation sweep drops it.
                     continue
                 new_key = artifact_key(
-                    outcome.compiled.query, self.catalog.statistics, compiled.config
+                    carried.query, self.catalog.statistics, carried.config
                 )
-                self.store.put(new_key, outcome.compiled, tracer=self.tracer)
+                self.store.put(new_key, carried, tracer=self.tracer)
                 if self.templates is not None:
                     # A patched artifact is a valid representative of its
                     # template under the *new* statistics — re-register it
                     # so the template tier survives the refresh warm.
                     sig = template_signature(
-                        outcome.compiled.query,
+                        carried.query,
                         self.catalog.schema,
                         self.catalog.statistics,
                     )
                     self.templates.put(
                         sig,
-                        outcome.compiled,
+                        carried,
                         new_key.statistics_digest,
                         new_key.config_digest,
                     )

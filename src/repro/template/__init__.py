@@ -11,8 +11,9 @@ one level, to whole queries:
   (template signatures, invariant under constants and twin-relation
   renaming, plus the slot-for-slot rebinding dictionaries);
 - :mod:`repro.template.rebind` — the rebinding engine (remap a compiled
-  bouquet's plan skeleton onto a new instance, delta-refresh its costs,
-  fall back loudly via :class:`~repro.exceptions.TemplateError`);
+  bouquet's plan skeleton onto a new instance, carry it over when no
+  compile input moved, fall back loudly via
+  :class:`~repro.exceptions.TemplateError` otherwise);
 - :mod:`repro.template.store` — the LRU template tier the serving layer
   consults in front of the exact-key artifact store.
 """

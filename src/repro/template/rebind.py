@@ -13,18 +13,16 @@ predicates.  So a rebind is:
    preserving plan ids — after this step the old bouquet *is* a
    compiled bouquet for the instance query, costed under the template's
    base assignment.
-2. **Delta-refresh onto the instance's base.**  Hand the remapped
-   bouquet to :func:`repro.drift.refresh.delta_refresh` against the
-   instance's own space.  When the constants moved only on
-   error-dimension predicates (the paper's parametric-workload regime:
-   the grid overrides those selectivities anyway) the refresh takes its
-   identity path — **zero optimizer calls**.  When a non-dimension
-   constant moved, the suspect-slab machinery re-plans just the
-   locations the movement could flip.
+2. **Carry it over to the instance's space**
+   (:func:`repro.drift.refresh.carry_over`).  When the constants moved
+   only on error-dimension predicates (the paper's parametric-workload
+   regime: the grid overrides those selectivities anyway) the remapped
+   bouquet is what a compile of the instance builds — **zero optimizer
+   calls**.
 3. **Fall back loudly.**  Anything that breaks the isomorphism — the
-   instance classifies different error dimensions, the grid differs,
-   renamed relations are not statistically interchangeable, or the
-   re-costed contours diverge beyond tolerance — raises
+   instance classifies different error dimensions, the grid differs, a
+   non-dimension constant moved its base selectivity (``"base-moved"``),
+   or renamed relations are not statistically interchangeable — raises
    :class:`~repro.exceptions.TemplateError` with a stable ``reason``;
    callers run a full compile and count ``template.fallbacks``.
    Correctness never depends on the cache.
@@ -38,8 +36,8 @@ from typing import Dict, Mapping, Optional
 from ..core.bouquet import PlanBouquet
 from ..core.contours import Contour
 from ..ess.diagram import PlanDiagram
-from ..ess.space import SelectivitySpace
-from ..exceptions import DriftError, ReproError, TemplateError
+from ..ess.space import ErrorDimension, SelectivitySpace
+from ..exceptions import DriftError, TemplateError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..optimizer.optimizer import PlanRegistry
 from ..optimizer.plans import (
@@ -59,29 +57,12 @@ __all__ = [
     "remap_plan",
 ]
 
-#: Default ceiling on the fraction of ESS locations the delta path may
-#: find suspect before the rebind is declared divergent.  Past this
-#: point a full compile is usually cheaper than the re-plan anyway.
-DEFAULT_MAX_SUSPECT_FRACTION = 0.5
-
-#: Default ceiling on the relative gap between the carried-over plans
-#: and the DP optimum at the probe locations (see
-#: ``max_probe_divergence`` in :func:`repro.drift.refresh.delta_refresh`).
-DEFAULT_MAX_PROBE_DIVERGENCE = 0.25
-
 
 @dataclass
 class RebindOutcome:
-    """A rebound artifact plus how much work the rebind cost."""
+    """A rebound artifact."""
 
     compiled: "object"  # repro.api.CompiledBouquet
-    strategy: str  # "identity" | "delta"
-    total_locations: int
-    planned_locations: int
-
-    @property
-    def planned_fraction(self) -> float:
-        return self.planned_locations / max(1, self.total_locations)
 
 
 def remap_plan(
@@ -187,11 +168,12 @@ def _tables_interchangeable(catalog, a: str, b: str) -> bool:
 def _remapped_bouquet(
     template_bouquet: PlanBouquet,
     query: Query,
-    space: SelectivitySpace,
     table_map: Mapping[str, str],
     pid_map: Mapping[str, str],
 ) -> PlanBouquet:
-    """The template's bouquet re-expressed over the instance query.
+    """The template's bouquet re-expressed over the instance query, on
+    the template's space (dimensions and base assignment) with its pids
+    remapped.
 
     Plan ids are preserved: the template registry's ids are contiguous
     first-registration order, so re-registering the remapped plans in id
@@ -210,7 +192,17 @@ def _remapped_bouquet(
                 f"plan id {plan_id} remapped onto existing id {new_id}",
                 reason="plan-collision",
             )
-    # No cost cache: delta_refresh builds its own caches over the new
+    old_space = template_bouquet.space
+    space = SelectivitySpace(
+        query,
+        [
+            ErrorDimension(pid_map.get(d.pid, d.pid), d.lo, d.hi, d.label)
+            for d in old_space.dimensions
+        ],
+        list(old_space.shape),
+        {pid_map.get(pid, pid): value for pid, value in old_space.base_assignment.items()},
+    )
+    # No cost cache: the carry-over builds one over the instance's own
     # space, and a deserialized template artifact may not carry one.
     diagram = PlanDiagram(
         space,
@@ -249,22 +241,18 @@ def rebind_compiled(
     instance_sig: Optional[TemplateSignature] = None,
     sql: Optional[str] = None,
     tracer: Optional[Tracer] = None,
-    max_suspect_fraction: Optional[float] = DEFAULT_MAX_SUSPECT_FRACTION,
-    max_probe_divergence: Optional[float] = DEFAULT_MAX_PROBE_DIVERGENCE,
 ) -> RebindOutcome:
     """Rebind ``template_compiled`` onto ``query`` (a new instance of the
     same template) — see the module docstring for the pass structure.
 
-    Raises :class:`~repro.exceptions.TemplateError` whenever the rebind
-    cannot be carried out soundly; the caller then falls back to a full
-    compile and records ``exc.reason``.
+    Raises :class:`~repro.exceptions.TemplateError` whenever the rebound
+    artifact would not be what a compile of ``query`` builds; the caller
+    then falls back to a full compile and records ``exc.reason``.
     """
-    from ..api import CompiledBouquet, default_error_dimensions
-    from ..drift.refresh import delta_refresh
-    from ..optimizer.selectivity import actual_selectivities
+    from ..api import CompiledBouquet
+    from ..drift.refresh import carry_over
 
     tracer = tracer if tracer is not None else NULL_TRACER
-    config = template_compiled.config
     if instance_sig is None:
         instance_sig = template_signature(query, catalog.schema, catalog.statistics)
     if instance_sig.digest != template_sig.digest:
@@ -282,76 +270,16 @@ def rebind_compiled(
                 reason="renamed-relation",
             )
 
-    dims = default_error_dimensions(query, catalog.schema, catalog.statistics)
-    if not dims:
-        raise TemplateError(
-            "instance has no error dimensions", reason="no-dimensions"
-        )
-    old_space = template_compiled.space
-    expected = [
-        (pid_map.get(d.pid, d.pid), d.lo, d.hi) for d in old_space.dimensions
-    ]
-    if [(d.pid, d.lo, d.hi) for d in dims] != expected:
-        raise TemplateError(
-            "instance error dimensions do not match the template's",
-            reason="dimension-mismatch",
-        )
-    resolution = config.resolution_for(len(dims))
-    if tuple([resolution] * len(dims)) != old_space.shape:
-        raise TemplateError(
-            "template grid does not match the config resolution",
-            reason="grid-mismatch",
-        )
-
-    optimizer = catalog.optimizer(config, tracer=tracer)
-    if catalog.database is not None:
-        base = actual_selectivities(query, catalog.database)
-    else:
-        base = optimizer.estimated_assignment(query)
-    new_space = SelectivitySpace(query, dims, list(old_space.shape), base)
-    template_base = {
-        pid_map.get(pid, pid): value
-        for pid, value in old_space.base_assignment.items()
-    }
-    carried_space = SelectivitySpace(
-        query, dims, list(old_space.shape), template_base
-    )
-
+    config = template_compiled.config
     with tracer.span(
         "template.rebind", query=query.name, template=template_sig.digest
-    ) as span:
+    ):
         carried = _remapped_bouquet(
-            template_compiled.bouquet, query, carried_space, table_map, pid_map
+            template_compiled.bouquet, query, table_map, pid_map
         )
         try:
-            result = delta_refresh(
-                carried,
-                optimizer,
-                new_space,
-                lambda_=config.lambda_,
-                ratio=config.ratio,
-                max_suspect_fraction=max_suspect_fraction,
-                max_probe_divergence=max_probe_divergence,
-            )
+            bouquet = carry_over(carried, query, catalog, config, tracer)
         except DriftError as exc:
-            raise TemplateError(
-                f"rebound contours diverged: {exc}", reason="divergence"
-            ) from exc
-        except ReproError as exc:
-            raise TemplateError(
-                f"delta refresh failed: {exc}", reason="refresh-failed"
-            ) from exc
-        span.set(
-            strategy=result.strategy,
-            planned=result.planned_locations,
-            total=result.total_locations,
-        )
-    compiled = CompiledBouquet(
-        query=query, bouquet=result.bouquet, config=config, sql=sql
-    )
-    return RebindOutcome(
-        compiled=compiled,
-        strategy=result.strategy,
-        total_locations=result.total_locations,
-        planned_locations=result.planned_locations,
-    )
+            raise TemplateError(str(exc), reason=exc.reason) from exc
+    compiled = CompiledBouquet(query=query, bouquet=bouquet, config=config, sql=sql)
+    return RebindOutcome(compiled=compiled)

@@ -37,7 +37,7 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 
 #: Range-only sampling: every selection becomes an error dimension, so
-#: rebinding a template instance is an identity delta refresh.
+#: rebinding a template instance is an identity carry-over.
 TEMPLATED_WORKLOAD_CONFIG = GeneratorConfig(
     min_joins=2,
     max_joins=2,
@@ -315,6 +315,13 @@ def spilled_run_by_subtree_walk(
     if subtree_cost(1.0) <= budget:
         return ExecutionOutcome(False, budget, at_truth)
     return ExecutionOutcome(False, budget, learned(forty_halvings(subtree_cost, budget), False))
+
+
+def optimizer_calls(tracer):
+    """Scalar plus slab DP calls a tracer counted: a carry-over must make
+    none."""
+    counters = tracer.counters
+    return counters.get("optimizer.calls", 0) + counters.get("optimizer.batch_calls", 0)
 
 
 def campaign_pool_counters(queries=31):

@@ -1,34 +1,31 @@
-"""The delta refresh engine: identity rebinding, suspect re-planning,
-and bit-for-bit equivalence against from-scratch rebuilds."""
+"""The carry-over: identity rebinding when no compile input moved, a
+raise when one did, and bit-for-bit equivalence against fresh compiles."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.bouquet import identify_bouquet
-from repro.core.maintenance import refresh_bouquet
+from repro.api import BouquetConfig, Catalog, CompiledBouquet, compile_bouquet
 from repro.drift import (
     bouquets_equal,
-    delta_refresh,
     moved_base_pids,
+    patch_compiled,
     perturb_statistics,
 )
-from repro.ess.diagram import PlanDiagram
-from repro.ess.space import ErrorDimension, SelectivitySpace
+from repro.ess.space import ErrorDimension
 from repro.exceptions import BouquetError, DriftError
-from repro.optimizer.cost_model import POSTGRES_COST_MODEL
-from repro.optimizer.optimizer import Optimizer
+from repro.obs import MemorySink, Tracer
 from repro.query.predicates import JoinPredicate, SelectionPredicate
 from repro.query.query import Query
+from repro.wlgen import QueryGenerator
+from tests.conftest import optimizer_calls
 
-RESOLUTION = 12
-LAMBDA = 0.2
-RATIO = 2.0
+CONFIG = BouquetConfig(resolution=12)
 
 
 @pytest.fixture(scope="module")
 def drift_query(schema):
-    """EQ with a 2D error space: the selection plus the orders join."""
+    """EQ over three relations; its one error dimension is the selection."""
     return Query(
         "EQ_drift",
         schema,
@@ -42,137 +39,159 @@ def drift_query(schema):
 
 
 @pytest.fixture(scope="module")
-def drift_dims(drift_query):
-    join_pid = [j for j in drift_query.joins if "o_orderkey" in j.pid][0].pid
-    return [
-        ErrorDimension(drift_query.selections[0].pid, 1e-4, 1.0, "sel"),
-        ErrorDimension(join_pid, 1e-7, 1e-3, "join"),
-    ]
-
-
-@pytest.fixture(scope="module")
-def old_world(schema, statistics, drift_query, drift_dims):
-    """The pre-drift bouquet, ETL-style (estimated base assignment)."""
-    optimizer = Optimizer(schema, statistics, POSTGRES_COST_MODEL)
-    base = optimizer.estimated_assignment(drift_query)
-    space = SelectivitySpace(drift_query, drift_dims, RESOLUTION, base)
-    diagram = PlanDiagram.exhaustive(optimizer, space)
-    return identify_bouquet(diagram, lambda_=LAMBDA, ratio=RATIO)
-
-
-def _refresh_and_reference(schema, drifted, old_bouquet, query, dims):
-    optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
-    base = optimizer.estimated_assignment(query)
-    space = SelectivitySpace(query, dims, RESOLUTION, base)
-    result = delta_refresh(
-        old_bouquet, optimizer, space, lambda_=LAMBDA, ratio=RATIO
+def old_world(schema, statistics, drift_query):
+    """The pre-drift artifact, ETL-style (estimated base assignment)."""
+    return compile_bouquet(
+        drift_query, Catalog(schema, statistics=statistics), config=CONFIG
     )
-    ref_optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
-    ref_space = SelectivitySpace(query, dims, RESOLUTION, base)
-    ref_diagram = PlanDiagram.exhaustive(ref_optimizer, ref_space)
-    reference = identify_bouquet(ref_diagram, lambda_=LAMBDA, ratio=RATIO)
-    return result, reference
 
 
 # One perturbation per estimator pathway: dimension-pid drift and drift
-# outside the query collapse to the identity patch; distinct-count drift
-# on a join column moves the base and takes the delta path.
+# outside the query carry the artifact over; distinct-count drift on a
+# join column moves a non-dimension base selectivity, and the patch
+# raises so the caller recompiles.
 PERTURBATIONS = [
     ("sel-dim-value", ("part", "p_retailprice"), dict(scale=1.2), "identity"),
     ("foreign-table", ("customer", None), dict(scale=1.3), "identity"),
     ("row-count-only", ("orders", None), dict(scale=1.0, row_scale=1.5), "identity"),
     ("join-col-value", ("orders", "o_orderkey"), dict(scale=1.4), "identity"),
-    ("ndv-grow", ("part", "p_partkey"), dict(scale=1.0, distinct_scale=1.2), "delta"),
-    ("ndv-shrink", ("part", "p_partkey"), dict(scale=1.0, distinct_scale=0.8), "delta"),
-    ("ndv-lineitem", ("lineitem", "l_partkey"), dict(scale=1.0, distinct_scale=1.3), "delta"),
+    ("ndv-grow", ("part", "p_partkey"), dict(scale=1.0, distinct_scale=1.2), "raises"),
+    ("ndv-shrink", ("part", "p_partkey"), dict(scale=1.0, distinct_scale=0.8), "raises"),
+    ("ndv-lineitem", ("lineitem", "l_partkey"), dict(scale=1.0, distinct_scale=1.3), "raises"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,target,knobs,strategy", PERTURBATIONS, ids=[p[0] for p in PERTURBATIONS]
+    "name,target,knobs,outcome", PERTURBATIONS, ids=[p[0] for p in PERTURBATIONS]
 )
 def test_delta_refresh_matches_full_rebuild(
-    schema, statistics, drift_query, drift_dims, old_world,
-    name, target, knobs, strategy,
+    schema, statistics, drift_query, old_world, name, target, knobs, outcome
 ):
-    """Property: for localized drift, the delta refresh is bit-identical
-    to a from-scratch rebuild while planning far fewer locations."""
+    """A refresh either carries the artifact over — bit-identical to a
+    fresh compile, with zero optimizer work — or, when a base selectivity
+    moved, raises before planning anything."""
     drifted = perturb_statistics(statistics, target[0], target[1], **knobs)
-    result, reference = _refresh_and_reference(
-        schema, drifted, old_world, drift_query, drift_dims
-    )
-    assert result.strategy == strategy
-    assert bouquets_equal(result.bouquet, reference) == []
-    if strategy == "identity":
-        assert result.planned_locations == 0
+    catalog = Catalog(schema, statistics=drifted)
+    tracer = Tracer(MemorySink())
+    if outcome == "raises":
+        with pytest.raises(DriftError) as excinfo:
+            patch_compiled(old_world, catalog, tracer=tracer)
+        assert excinfo.value.reason == "base-moved"
     else:
-        assert 0 < result.planned_locations < result.total_locations
-        assert result.planned_fraction < 0.5
-    assert "delta refresh" in result.describe()
+        patched = patch_compiled(old_world, catalog, tracer=tracer)
+        reference = compile_bouquet(drift_query, catalog, config=CONFIG)
+        assert bouquets_equal(patched.bouquet, reference.bouquet) == []
+    assert optimizer_calls(tracer) == 0
 
 
 def test_identity_patch_reuses_contours_and_plans(
-    schema, statistics, drift_query, drift_dims, old_world
+    schema, statistics, drift_query, old_world
 ):
     drifted = perturb_statistics(statistics, "customer", None, scale=1.3)
-    optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
-    base = optimizer.estimated_assignment(drift_query)
-    space = SelectivitySpace(drift_query, drift_dims, RESOLUTION, base)
-    assert moved_base_pids(old_world.space, space) == []
-    result = delta_refresh(old_world, optimizer, space)
-    assert result.strategy == "identity"
-    assert result.planned_locations == 0
-    assert result.bouquet.plan_ids == old_world.plan_ids
-    assert result.bouquet.budgets == old_world.budgets
-    # The rebound bouquet hangs off the *new* space/optimizer.
-    assert result.bouquet.space is space
+    patched = patch_compiled(old_world, Catalog(schema, statistics=drifted))
+    assert moved_base_pids(old_world.space, patched.space) == []
+    assert patched.bouquet.plan_ids == old_world.bouquet.plan_ids
+    assert patched.bouquet.budgets == old_world.bouquet.budgets
+    assert patched.bouquet.contours == old_world.bouquet.contours
+    # The rebound bouquet hangs off a *new* space, at the new base.
+    assert patched.space is not old_world.space
+    assert patched.bouquet.diagram.cache.space is patched.space
 
 
 def test_identity_patch_recuts_contours_for_new_knobs(
-    schema, statistics, drift_query, drift_dims, old_world
+    schema, statistics, drift_query, old_world
 ):
-    """Changing lambda/ratio re-runs contour identification — still with
-    zero optimizer work, since the diagram is unchanged."""
+    """An artifact whose config asks for another ratio re-runs contour
+    identification — still with zero optimizer work, since the diagram
+    is unchanged — and matches a compile at that ratio."""
     drifted = perturb_statistics(statistics, "customer", None, scale=1.3)
-    optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
-    base = optimizer.estimated_assignment(drift_query)
-    space = SelectivitySpace(drift_query, drift_dims, RESOLUTION, base)
-    result = delta_refresh(old_world, optimizer, space, ratio=3.0)
-    assert result.planned_locations == 0
-    assert result.bouquet.ratio == 3.0
-    assert len(result.bouquet.contours) != len(old_world.contours)
+    catalog = Catalog(schema, statistics=drifted)
+    config = CONFIG.with_(ratio=3.0)
+    stale = CompiledBouquet(drift_query, old_world.bouquet, config)
+    tracer = Tracer(MemorySink())
+    patched = patch_compiled(stale, catalog, tracer=tracer)
+    assert optimizer_calls(tracer) == 0
+    assert patched.bouquet.ratio == 3.0
+    assert len(patched.bouquet.contours) != len(old_world.bouquet.contours)
+    reference = compile_bouquet(drift_query, catalog, config=config)
+    assert bouquets_equal(patched.bouquet, reference.bouquet) == []
 
 
 def test_shape_mismatch_raises_drift_error(
-    schema, statistics, drift_query, drift_dims, old_world
+    schema, statistics, drift_query, old_world
 ):
-    optimizer = Optimizer(schema, statistics, POSTGRES_COST_MODEL)
-    base = optimizer.estimated_assignment(drift_query)
-    smaller = SelectivitySpace(drift_query, drift_dims, RESOLUTION - 2, base)
-    with pytest.raises(DriftError):
-        delta_refresh(old_world, optimizer, smaller)
-    one_dim = SelectivitySpace(drift_query, drift_dims[:1], RESOLUTION, base)
-    with pytest.raises(DriftError):
-        delta_refresh(old_world, optimizer, one_dim)
-
-
-def test_refresh_bouquet_routes_to_delta_engine(
-    schema, statistics, drift_query, drift_dims, old_world
-):
-    """core.maintenance picks the delta engine when the ESS shape is
-    unchanged, and reports its strategy/accounting."""
-    drifted = perturb_statistics(
-        statistics, "part", "p_partkey", scale=1.0, distinct_scale=1.2
+    catalog = Catalog(schema, statistics=statistics)
+    smaller = CompiledBouquet(
+        drift_query, old_world.bouquet, CONFIG.with_(resolution=10)
     )
-    optimizer = Optimizer(schema, drifted, POSTGRES_COST_MODEL)
-    base = optimizer.estimated_assignment(drift_query)
-    space = SelectivitySpace(drift_query, drift_dims, RESOLUTION, base)
-    result = refresh_bouquet(old_world, optimizer, space)
-    assert result.strategy == "delta"
-    assert 0 < result.optimizer_calls < space.size
-    assert result.reused_plan_count > 0
+    with pytest.raises(DriftError) as excinfo:
+        patch_compiled(smaller, catalog)
+    assert excinfo.value.reason == "grid-mismatch"
+    join_pid = [j for j in drift_query.joins if "o_orderkey" in j.pid][0].pid
+    two_dims = compile_bouquet(
+        drift_query,
+        catalog,
+        config=CONFIG,
+        dimensions=[
+            old_world.space.dimensions[0],
+            ErrorDimension(join_pid, 1e-7, 1e-3, "join"),
+        ],
+    )
+    with pytest.raises(DriftError) as excinfo:
+        patch_compiled(two_dims, catalog)
+    assert excinfo.value.reason == "dimension-mismatch"
 
-    # A changed grid is not a refresh: the caller recompiles.
-    smaller = SelectivitySpace(drift_query, drift_dims, RESOLUTION - 2, base)
-    with pytest.raises(BouquetError):
-        refresh_bouquet(old_world, optimizer, smaller)
+
+#: The statistics refreshes of the ledger's ``serve_churn`` workload.
+CHURN_DRIFTS = [
+    ("orders", "o_totalprice", 1.05),
+    ("part", "p_retailprice", 1.10),
+    ("lineitem", "l_quantity", 1.08),
+    ("customer", "c_acctbal", 1.05),
+]
+
+
+@pytest.fixture(scope="module")
+def generated_artifacts(schema, statistics, database):
+    """Seed 7's first twelve default-mix generated queries, compiled in
+    an ETL catalog, where value drift moves estimated base selectivities."""
+    generator = QueryGenerator(schema, database)
+    catalog = Catalog(schema, statistics=statistics)
+    artifacts = []
+    for index in range(12):
+        query = generator.instantiate(7, index).query
+        try:
+            artifacts.append(
+                compile_bouquet(query, catalog, config=BouquetConfig(resolution=8))
+            )
+        except BouquetError:
+            continue  # no error dimension: nothing to carry over
+    return artifacts
+
+
+@pytest.mark.parametrize(
+    "table,column,scale", CHURN_DRIFTS, ids=[d[0] for d in CHURN_DRIFTS]
+)
+def test_patch_is_a_fresh_compile_or_refuses(
+    schema, statistics, generated_artifacts, table, column, scale
+):
+    """Property: after a refresh, every artifact either fails to patch
+    with :class:`DriftError` or is bit-identical to compiling its query
+    under the new statistics.  A re-plan of suspect locations once
+    patched seed 7's query 7 under the ``lineitem`` drift into a bouquet
+    whose plans differed from the compile's at 21 of 64 locations."""
+    catalog = Catalog(
+        schema, statistics=perturb_statistics(statistics, table, column, scale=scale)
+    )
+    carried = 0
+    for compiled in generated_artifacts:
+        try:
+            patched = patch_compiled(compiled, catalog)
+        except DriftError:
+            continue
+        reference = compile_bouquet(compiled.query, catalog, config=compiled.config)
+        assert bouquets_equal(patched.bouquet, reference.bouquet) == [], (
+            compiled.query.name
+        )
+        carried += 1
+    assert carried > 0

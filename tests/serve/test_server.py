@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import Catalog, execute as api_execute
+from repro.catalog.statistics import DatabaseStatistics
 from repro.exceptions import BouquetError
 from repro.executor.reference import reference_row_count
 from repro.obs import MemorySink, Tracer
@@ -199,18 +200,29 @@ def test_refresh_statistics_patches_cached_artifacts(server, catalog, database):
 
 
 def test_refresh_statistics_without_patching_recompiles(
-    server, catalog, database
+    server, catalog, statistics
 ):
-    assert server.serve(SQL).cache == "compiled"
+    """A refresh that moves a compile input cannot carry the artifact
+    over: here the new statistics lack ``orders``, so ``o_totalprice``
+    turns very-high-uncertainty and becomes the only error dimension.
+    The entry is invalidated and the next request compiles."""
+    two_selections = SQL2 + " and l_quantity < 20"
+    assert server.serve(two_selections).cache == "compiled"
 
-    new_stats = database.build_statistics(sample_size=800, seed=5)
-    dropped = server.refresh_statistics(new_stats, patch=False)
+    new_stats = DatabaseStatistics()
+    for name in statistics.table_names:
+        if name != "orders":
+            new_stats.set_table(statistics.table(name))
+    dropped = server.refresh_statistics(new_stats)
     assert dropped == 1
     assert catalog.statistics is new_stats
 
-    refreshed = server.serve(SQL)
+    refreshed = server.serve(two_selections)
     assert refreshed.status == "ok"
     assert refreshed.cache == "compiled"
+    assert [d.pid for d in server.compile(two_selections)[0].space.dimensions] == [
+        "sel:orders.o_totalprice<150000"
+    ]
     counters = server.stats()["counters"]
     assert counters["serve.statistics_refreshes"] == 1
     assert counters["serve.cache.invalidated"] == 1

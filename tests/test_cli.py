@@ -87,6 +87,39 @@ class TestRunCommand:
         assert first == second
 
 
+class TestRefreshCommand:
+    """``repro refresh`` carries the artifact over or recompiles, and says
+    which; ``--verify`` holds either against a fresh compile."""
+
+    def test_untouched_inputs_carry_the_artifact_over(self, capsys):
+        code = main(
+            ["refresh"] + ENV
+            + [EQ_SQL, "--resolution", "16", "--perturb", "customer", "--verify"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "carried over: no compile input moved, 0 locations planned" in out
+        assert "recompiled" not in out
+        assert "verify: bit-identical to a full recompile" in out
+
+    def test_moved_base_recompiles(self, capsys):
+        code = main(
+            ["refresh"] + ENV
+            + [
+                EQ_SQL, "--resolution", "16", "--perturb", "part.p_partkey",
+                "--distinct-scale", "1.3", "--verify",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            "recompiled, base selectivities moved "
+            "(join:lineitem.l_partkey=part.p_partkey): planned 16/16 locations"
+        ) in out
+        assert "carried over" not in out
+        assert "verify: bit-identical to a full recompile" in out
+
+
 class TestTraceCommand:
     def test_run_writes_trace_and_summarizes(self, capsys, tmp_path):
         path = os.path.join(tmp_path, "trace.jsonl")

@@ -55,15 +55,16 @@ def test_option_census():
         "mode",
         "model_error_delta",
         "cost_model",
-        "patch",
         "template",
     ]
-    # ``crossing`` is a read-only property now, still written so that
-    # artifacts stay byte-equal; it selects nothing.
+    # ``crossing`` is a read-only property now, and ``patch`` a constant:
+    # both are still written so that artifacts stay byte-equal, and
+    # select nothing.
     assert BouquetConfig().crossing == "sequential"
     assert sorted(BouquetConfig().to_dict()) == sorted(
-        ["crossing"] + [f.name for f in dataclasses.fields(BouquetConfig)]
+        ["crossing", "patch"] + [f.name for f in dataclasses.fields(BouquetConfig)]
     )
+    assert BouquetConfig().to_dict()["patch"] is True
     assert sorted(ServeRequest(query="select 1").to_dict()) == [
         "budget",
         "cached_only",
@@ -208,8 +209,9 @@ def defaulted_parameter_census():
 def test_defaulted_parameter_census():
     """320 before the paths nothing but tests reached were deleted
     (``bench`` alone 64), 262 before the crossing schedulers were, 242
-    before the runtime package and ``repro.fuzz`` were; ``sweep`` had 4
-    before ``SweepEngine(residue_min=)``, reached only by tests, went.  A
+    before the runtime package and ``repro.fuzz`` were, 235 before the
+    delta re-plan and ``refresh_bouquet`` were; ``sweep`` had 4 before
+    ``SweepEngine(residue_min=)``, reached only by tests, went.  A
     new defaulted parameter lands here with the two callers that need
     different values."""
     assert defaulted_parameter_census() == {
@@ -217,9 +219,9 @@ def test_defaulted_parameter_census():
         "batchopt": 1,
         "bench": 31,
         "catalog": 11,
-        "core": 24,
+        "core": 23,
         "datagen": 4,
-        "drift": 10,
+        "drift": 5,
         "ess": 31,
         "executor": 13,
         "obs": 7,
@@ -227,9 +229,9 @@ def test_defaulted_parameter_census():
         "par": 6,
         "query": 7,
         "robustness": 4,
-        "serve": 31,
+        "serve": 30,
         "sweep": 3,
-        "template": 8,
+        "template": 6,
         "wlgen": 7,
     }
 
@@ -284,7 +286,6 @@ TEST_ONLY_BY_DESIGN = {
     "ess/space.py::SelectivitySpace.successors": (
         "the axis-successor relation contour maximality is defined by"
     ),
-    "obs/tracer.py::MemorySink.events": "test seam: reading recorded events",
     "optimizer/optimizer.py::PlanRegistry.canonical": (
         "test seam: the registry's structural dedup, seen from outside"
     ),
