@@ -368,6 +368,46 @@ def test_perf_statistics_refresh_plans_nothing(benchmark, env, monkeypatch):
         benchmark(lambda: server.refresh_statistics(next(worlds)))
 
 
+def test_perf_statistics_refresh_opens_no_envelope(benchmark, env, tmp_path, monkeypatch):
+    """A statistics refresh reads no disk envelope.  Count-based guard —
+    the canned texts are served over a disk store whose memory tier holds
+    fewer of them than were served, so one artifact is disk-only; the
+    refresh then decodes 0 envelopes and writes exactly the
+    ``serve.cache.patched`` ones it carried over."""
+    import json
+    from types import SimpleNamespace
+
+    from repro.api import Catalog
+    from repro.serve import BouquetArtifactStore, BouquetServer
+    from repro.serve import cache as cache_module
+
+    lab, _, _ = env
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db)
+    tracer = Tracer(MemorySink())
+    capacity = len(CANNED_WORKLOAD) - 1
+    store = BouquetArtifactStore(root=str(tmp_path), capacity=capacity, tracer=tracer)
+    with BouquetServer(catalog, config=BouquetConfig(), store=store, tracer=tracer) as server:
+        tiers = [server.serve(sql).cache for sql in CANNED_WORKLOAD]
+        assert tiers == ["compiled"] * len(CANNED_WORKLOAD)
+        resampled = lab.h_db.build_statistics(sample_size=900, seed=11)
+        calls = []
+        monkeypatch.setattr(
+            cache_module,
+            "json",
+            SimpleNamespace(
+                load=lambda *a: calls.append("decode") or json.load(*a),
+                dumps=lambda *a: calls.append("write") or json.dumps(*a),
+            ),
+        )
+        server.refresh_statistics(resampled)
+
+        patched = tracer.counters["serve.cache.patched"]
+        assert patched == capacity
+        assert calls == ["write"] * patched
+        worlds = itertools.cycle([lab.h_stats, resampled])
+        benchmark(lambda: server.refresh_statistics(next(worlds)))
+
+
 def test_perf_moved_base_rebind_plans_nothing_before_its_compile(
     benchmark, env, monkeypatch
 ):

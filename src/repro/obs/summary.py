@@ -340,7 +340,6 @@ class ServingSummary:
                 ["hit rate", f"{self.template_hit_rate:.0%}"],
                 ["rebinds", self._c("serve.template.rebinds")],
                 ["fallbacks", self._c("serve.template.fallbacks")],
-                ["coalesced", self._c("serve.template.coalesced")],
                 ["stores", self._c("serve.template.stores")],
                 [
                     "rebind latency",

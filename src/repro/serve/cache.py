@@ -7,6 +7,11 @@ hit costs a dict lookup); the disk tier holds the versioned JSON
 envelope and survives process restarts, which is what makes the §4.2
 "compile once, execute many" amortization real across deployments.
 
+On disk an envelope is named by its statistics world:
+``<statistics_digest>-<digest>.json``.  A statistics refresh therefore
+sweeps the disk tier by name, opening no file, and carries over only
+the memory tier (:meth:`BouquetArtifactStore.stale_entries`).
+
 Telemetry (all through the attached tracer, zero-overhead when null):
 
 * ``serve.cache.hit_memory`` / ``serve.cache.hit_disk`` /
@@ -46,7 +51,8 @@ class BouquetArtifactStore:
     """Two-tier (memory LRU + disk) store for compiled-bouquet artifacts.
 
     ``root=None`` keeps the store memory-only; otherwise artifacts are
-    persisted as ``<digest>.json`` under ``root`` and reloaded lazily.
+    persisted as ``<statistics_digest>-<digest>.json`` under ``root``
+    and reloaded lazily.
     ``capacity`` bounds only the memory tier — an evicted entry's disk
     copy remains and reloading it is a disk hit, not a recompile.
     All operations are thread-safe.
@@ -70,8 +76,9 @@ class BouquetArtifactStore:
 
     # ------------------------------------------------------------------
 
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")  # type: ignore[arg-type]
+    def _path(self, key: ArtifactKey) -> str:
+        name = f"{key.statistics_digest}-{key.digest}.json"
+        return os.path.join(self.root, name)  # type: ignore[arg-type]
 
     def __len__(self) -> int:
         with self._lock:
@@ -117,7 +124,7 @@ class BouquetArtifactStore:
                     tracer.count("serve.cache.hit_memory")
                 return entry[1], "memory"
         if self.root is not None:
-            path = self._path(digest)
+            path = self._path(key)
             if os.path.exists(path):
                 compiled = self._load_disk(path, key, catalog, query, tracer)
                 if compiled is not None:
@@ -159,7 +166,7 @@ class BouquetArtifactStore:
                     # dumps, not dump: dump iterates the pure-Python
                     # encoder chunk by chunk; same bytes, the C encoder.
                     handle.write(json.dumps(envelope))
-                os.replace(tmp, self._path(digest))
+                os.replace(tmp, self._path(key))
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -234,61 +241,22 @@ class BouquetArtifactStore:
     # Maintenance accessors
     # ------------------------------------------------------------------
 
-    def stale_entries(self, current_fingerprint: str, catalog):
-        """``(key, compiled)`` for every cached artifact keyed to a
-        statistics fingerprint other than ``current_fingerprint`` —
-        memory tier first, then disk envelopes not already seen
-        (rehydrated through their stored SQL when possible).
+    def stale_entries(self, current_fingerprint: str):
+        """``(key, compiled)`` for every memory-resident artifact keyed to
+        a statistics fingerprint other than ``current_fingerprint``.
 
         This is the server patch path's work list: each entry is offered
         to :func:`repro.drift.refresh.patch_compiled` before
         :meth:`invalidate_statistics` sweeps whatever did not carry over.
+        A disk-only artifact of the old world is not read: it is swept,
+        and recompiles (or rebinds) on its next request.
         """
-        from ..api import CompiledBouquet
-
         with self._lock:
-            entries = list(self._memory.values())
-        results, seen = [], set()
-        for key, compiled in entries:
-            if key.statistics_digest != current_fingerprint:
-                results.append((key, compiled))
-                seen.add(key.digest)
-        if self.root is not None and os.path.isdir(self.root):
-            for name in sorted(os.listdir(self.root)):
-                if not name.endswith(".json"):
-                    continue
-                digest = name[: -len(".json")]
-                if digest in seen:
-                    continue
-                path = os.path.join(self.root, name)
-                try:
-                    with open(path) as handle:
-                        envelope = json.load(handle)
-                except (OSError, ValueError):
-                    continue
-                if envelope.get("format") != STORE_FORMAT:
-                    continue
-                stored = envelope.get("key", {})
-                if stored.get("statistics_digest") == current_fingerprint:
-                    continue
-                try:
-                    compiled = CompiledBouquet.from_dict(
-                        envelope.get("artifact", {}), catalog, None
-                    )
-                except (ReproError, KeyError, TypeError, ValueError):
-                    continue
-                results.append(
-                    (
-                        ArtifactKey(
-                            query_text=stored.get("query_text", ""),
-                            query_digest=stored.get("query_digest", ""),
-                            statistics_digest=stored.get("statistics_digest", ""),
-                            config_digest=stored.get("config_digest", ""),
-                        ),
-                        compiled,
-                    )
-                )
-        return results
+            return [
+                (key, compiled)
+                for key, compiled in self._memory.values()
+                if key.statistics_digest != current_fingerprint
+            ]
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -301,36 +269,29 @@ class BouquetArtifactStore:
         live catalog's — called by ``BouquetServer.refresh_statistics``
         after its carry-over pass, and by whoever rebuilds statistics or
         changes the data under a store (a scale-up recompiles: see
-        ``examples/canned_query_service.py``).  Returns the number of
+        ``examples/canned_query_service.py``).  The disk tier is swept
+        by name: every ``*.json`` not prefixed by ``current_fingerprint``
+        is unlinked, and no envelope is opened.  Returns the number of
         entries removed."""
         tracer = tracer if tracer is not None else self.tracer
-        dropped = set()
         with self._lock:
-            stale = [
+            dropped = {
                 digest
                 for digest, (key, _) in self._memory.items()
                 if key.statistics_digest != current_fingerprint
-            ]
-            for digest in stale:
+            }
+            for digest in dropped:
                 del self._memory[digest]
-                dropped.add(digest)
         if self.root is not None and os.path.isdir(self.root):
-            for name in list(os.listdir(self.root)):
-                if not name.endswith(".json"):
+            live = f"{current_fingerprint}-"
+            for name in os.listdir(self.root):
+                if not name.endswith(".json") or name.startswith(live):
                     continue
-                path = os.path.join(self.root, name)
                 try:
-                    with open(path) as handle:
-                        envelope = json.load(handle)
-                    stored_fp = envelope.get("key", {}).get("statistics_digest")
-                except (OSError, ValueError):
-                    stored_fp = None
-                if stored_fp != current_fingerprint:
-                    try:
-                        os.unlink(path)
-                        dropped.add(name[: -len(".json")])
-                    except OSError:
-                        pass
+                    os.unlink(os.path.join(self.root, name))
+                except OSError:
+                    continue
+                dropped.add(name[: -len(".json")].rpartition("-")[2])
         removed = len(dropped)
         if removed and tracer.enabled:
             tracer.count("serve.cache.invalidated", removed)

@@ -17,9 +17,8 @@ canned queries.  :class:`BouquetServer` makes that operational:
 * concurrent misses on the *same* key are **single-flighted** — exactly
   one compile runs, the rest coalesce onto its future (counter
   ``serve.singleflight.coalesced``); concurrent misses on different
-  instances of the *same template* coalesce too — one full compile
-  runs, the rest wait and rebind from its artifact (counter
-  ``serve.template.coalesced``);
+  instances of one template each rebind from the tier or compile on
+  their own;
 * misses compile on a bounded worker pool; a request whose compile
   exceeds its deadline **degrades** to the NAT path (one native
   optimizer call, one unbounded execution — an answer without the MSO
@@ -29,8 +28,9 @@ canned queries.  :class:`BouquetServer` makes that operational:
   (:class:`repro.api.BudgetCappedService`) and report
   ``budget-exhausted`` instead of an MSO-guaranteed result when capped;
 * :meth:`refresh_statistics` swaps the catalog's world view, carries
-  over every cached artifact whose compile inputs did not move
-  (:mod:`repro.drift`), and invalidates the rest.
+  over every memory-resident artifact whose compile inputs did not move
+  (:mod:`repro.drift`), and invalidates the rest — the disk tier by
+  name, opening no envelope.
 
 The canonical calling convention is the typed envelope pair from
 :mod:`repro.serve.envelope`::
@@ -109,7 +109,6 @@ class BouquetServer:
         )
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
-        self._template_inflight: Dict[str, Future] = {}
         self._prepared: "OrderedDict[str, Tuple[Query, ArtifactKey]]" = OrderedDict()
         self._closed = False
 
@@ -272,7 +271,6 @@ class BouquetServer:
         hit, tier = self.store.lookup(key, self.catalog, query=parsed, tracer=self.tracer)
         if hit is not None:
             return hit, tier
-        sig: Optional[TemplateSignature] = None
         if self.templates is not None:
             sig = template_signature(
                 parsed, self.catalog.schema, self.catalog.statistics
@@ -281,90 +279,44 @@ class BouquetServer:
             if compiled is not None:
                 return compiled, "template"
         timeout = timeout if timeout is not None else self.compile_timeout
-        waited_template = False
-        while True:
-            template_future: Optional[Future] = None
-            with self._lock:
-                if self._closed:
-                    raise BouquetError("server is closed")
-                future = self._inflight.get(key.digest)
-                owner = False
-                template_owner = False
-                if future is None:
-                    # A compile that finished between our store miss above
-                    # and this lock acquisition has already published its
-                    # artifact (_retire runs strictly after the store put),
-                    # so one more lookup here closes the race that would
-                    # duplicate the compile.  Fast batch compiles made that
-                    # window easy to hit: a whole compile can complete while
-                    # a peer thread is still between its miss and the lock.
-                    # Telemetry-silent: this is a race-closing recheck, not
-                    # a second user-visible cache lookup — the pre-lock miss
-                    # above already accounted this request.
-                    hit, tier = self.store.lookup(
-                        key, self.catalog, query=parsed, tracer=NULL_TRACER
-                    )
-                    if hit is not None:
-                        return hit, tier
-                    if sig is not None and not waited_template:
-                        # Another instance of this template is compiling:
-                        # wait for its artifact and rebind from it instead
-                        # of starting a second full compile.
-                        template_future = self._template_inflight.get(sig.digest)
-                    if template_future is None:
-                        owner = True
-                        future = self._pool.submit(
-                            self._compile_and_store, key, parsed, sql
-                        )
-                        self._inflight[key.digest] = future
-                        if sig is not None and sig.digest not in self._template_inflight:
-                            self._template_inflight[sig.digest] = future
-                            template_owner = True
-                else:
-                    if self.tracer.enabled:
-                        self.tracer.count("serve.singleflight.coalesced")
-            if template_future is not None:
-                if self.tracer.enabled:
-                    self.tracer.count("serve.template.coalesced")
-                # Wait out the template owner's compile (sharing the
-                # request deadline), then retry: the exact store may now
-                # hold our key (the owner *was* our query raced through a
-                # different thread), or the template tier can rebind.  A
-                # failed or fallback-worthy wait falls through to the
-                # ordinary single-flight full compile.
-                waited_template = True
-                try:
-                    template_future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    raise
-                except Exception:
-                    continue
+        with self._lock:
+            if self._closed:
+                raise BouquetError("server is closed")
+            future = self._inflight.get(key.digest)
+            owner = future is None
+            if owner:
+                # A compile that finished between our store miss above
+                # and this lock acquisition has already published its
+                # artifact (_retire runs strictly after the store put),
+                # so one more lookup here closes the race that would
+                # duplicate the compile.  Fast batch compiles made that
+                # window easy to hit: a whole compile can complete while
+                # a peer thread is still between its miss and the lock.
+                # Telemetry-silent: this is a race-closing recheck, not
+                # a second user-visible cache lookup — the pre-lock miss
+                # above already accounted this request.
                 hit, tier = self.store.lookup(
                     key, self.catalog, query=parsed, tracer=NULL_TRACER
                 )
                 if hit is not None:
                     return hit, tier
-                compiled = self._rebind_from_template(key, parsed, sql, sig)
-                if compiled is not None:
-                    return compiled, "template"
-                continue
-            break
+                future = self._pool.submit(
+                    self._compile_and_store, key, parsed, sql
+                )
+                self._inflight[key.digest] = future
+            elif self.tracer.enabled:
+                self.tracer.count("serve.singleflight.coalesced")
         if owner:
             # Registered outside the lock: a compile that finishes (or
             # fails) instantly runs the callback inline on this thread,
             # and _retire needs the lock we would still be holding.
-            tdigest = sig.digest if template_owner else None
-            future.add_done_callback(
-                lambda _f, d=key.digest, t=tdigest: self._retire(d, t)
-            )
+            future.add_done_callback(lambda _f, d=key.digest: self._retire(d))
         compiled = future.result(timeout=timeout)
         return compiled, ("compiled" if owner else "coalesced")
 
-    def _retire(self, digest: str, template_digest: Optional[str] = None) -> None:
+    def _retire(self, digest: str) -> None:
         with self._lock:
             self._inflight.pop(digest, None)
-            if template_digest is not None:
-                self._template_inflight.pop(template_digest, None)
 
     # ------------------------------------------------------------------
     # Serve path (compile → execute, with degradation)
@@ -533,13 +485,14 @@ class BouquetServer:
     def refresh_statistics(self, statistics: Optional[DatabaseStatistics]) -> int:
         """Swap in a new statistics world view.
 
-        Every cached artifact keyed to the old fingerprint is first
-        offered to the carry-over (:func:`repro.drift.refresh.patch_compiled`):
+        Every memory-resident artifact keyed to the old fingerprint is
+        first offered to the carry-over (:func:`repro.drift.refresh.patch_compiled`):
         an artifact whose compile-visible inputs are unchanged is re-keyed
         under the new fingerprint with no optimizer work (counter
         ``serve.cache.patched``).  Whatever the refresh moved (the error
         dimensions, the grid or a base selectivity) is swept by the
-        invalidation that follows, and recompiles on its next request.
+        invalidation that follows, as is every disk-only artifact of the
+        old world; each recompiles or rebinds on its next request.
         Returns the number of entries dropped.
         """
         old_statistics = self.catalog.statistics
@@ -563,14 +516,13 @@ class BouquetServer:
         return removed
 
     def _patch_artifacts(self, fingerprint: str) -> int:
-        """Re-key every stale artifact that carries over under ``fingerprint``."""
+        """Re-key every stale memory-resident artifact that carries over
+        under ``fingerprint``."""
         from ..drift.refresh import patch_compiled
 
         patched = 0
         with self.tracer.span("serve.patch_artifacts"):
-            for _old_key, compiled in self.store.stale_entries(
-                fingerprint, self.catalog
-            ):
+            for _old_key, compiled in self.store.stale_entries(fingerprint):
                 try:
                     carried = patch_compiled(compiled, self.catalog, tracer=self.tracer)
                 except ReproError:

@@ -4,6 +4,8 @@ optimizer calls."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.api import BouquetConfig, Catalog
@@ -18,3 +20,14 @@ def catalog(schema, statistics, database):
 @pytest.fixture
 def small_config():
     return BouquetConfig(resolution=16)
+
+
+@pytest.fixture
+def envelope_path():
+    """Where a disk store under ``root`` keeps ``key``'s envelope: named
+    by its statistics world, ``<statistics_digest>-<digest>.json``."""
+
+    def path(root, key):
+        return os.path.join(str(root), f"{key.statistics_digest}-{key.digest}.json")
+
+    return path

@@ -39,10 +39,6 @@ def _counters(tracer):
     return tracer.snapshot()["counters"]
 
 
-def _envelope_path(root, key):
-    return os.path.join(str(root), f"{key.digest}.json")
-
-
 def _run_threads(workers):
     barrier = threading.Barrier(len(workers))
     errors = []
@@ -65,7 +61,7 @@ def _run_threads(workers):
     return errors
 
 
-def test_concurrent_puts_leave_one_complete_envelope(artifact, tmp_path):
+def test_concurrent_puts_leave_one_complete_envelope(artifact, tmp_path, envelope_path):
     """Hammer the same digest from many threads: every write goes through
     a private temp file and an atomic rename, so the surviving envelope
     is complete and no temp droppings remain."""
@@ -76,10 +72,10 @@ def test_concurrent_puts_leave_one_complete_envelope(artifact, tmp_path):
     assert not errors
 
     names = os.listdir(str(tmp_path))
-    assert names == [f"{key.digest}.json"]
+    assert names == [os.path.basename(envelope_path(tmp_path, key))]
     assert not any(name.endswith(".tmp") for name in names)
 
-    envelope = json.load(open(_envelope_path(tmp_path, key)))
+    envelope = json.load(open(envelope_path(tmp_path, key)))
     assert envelope["format"] == STORE_FORMAT
     assert envelope["key"]["query_digest"] == key.query_digest
     assert envelope["key"]["statistics_digest"] == key.statistics_digest
@@ -126,10 +122,10 @@ def test_concurrent_put_lookup_invalidate_on_one_root(artifact, tmp_path):
     assert hit is compiled
 
 
-def test_corrupt_envelope_is_missed_and_purged(artifact, tmp_path):
+def test_corrupt_envelope_is_missed_and_purged(artifact, tmp_path, envelope_path):
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
-    path = _envelope_path(tmp_path, key)
+    path = envelope_path(tmp_path, key)
     with open(path, "w") as handle:
         handle.write("{truncated garbage")
 
@@ -149,12 +145,12 @@ def test_corrupt_envelope_is_missed_and_purged(artifact, tmp_path):
     assert tier == "disk"
 
 
-def test_key_mismatch_envelope_is_purged(artifact, tmp_path):
+def test_key_mismatch_envelope_is_purged(artifact, tmp_path, envelope_path):
     """An envelope whose stored key disagrees with its filename digest
     (e.g. a file copied between cache roots) must not be served."""
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
-    path = _envelope_path(tmp_path, key)
+    path = envelope_path(tmp_path, key)
     envelope = json.load(open(path))
     envelope["key"]["statistics_digest"] = "forged"
     with open(path, "w") as handle:
@@ -167,10 +163,10 @@ def test_key_mismatch_envelope_is_purged(artifact, tmp_path):
     assert _counters(tracer)["serve.cache.purged"] == 1
 
 
-def test_unknown_format_envelope_is_purged(artifact, tmp_path):
+def test_unknown_format_envelope_is_purged(artifact, tmp_path, envelope_path):
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
-    path = _envelope_path(tmp_path, key)
+    path = envelope_path(tmp_path, key)
     envelope = json.load(open(path))
     envelope["format"] = "repro.serve.artifact.v99"
     with open(path, "w") as handle:
@@ -181,11 +177,11 @@ def test_unknown_format_envelope_is_purged(artifact, tmp_path):
     assert not os.path.exists(path)
 
 
-def test_bad_artifact_payload_is_purged(artifact, tmp_path):
+def test_bad_artifact_payload_is_purged(artifact, tmp_path, envelope_path):
     """Valid envelope, undeserializable artifact body: purged, not raised."""
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
-    path = _envelope_path(tmp_path, key)
+    path = envelope_path(tmp_path, key)
     envelope = json.load(open(path))
     envelope["artifact"] = {"not": "an artifact"}
     with open(path, "w") as handle:
@@ -198,14 +194,16 @@ def test_bad_artifact_payload_is_purged(artifact, tmp_path):
     assert _counters(tracer)["serve.cache.purged"] == 1
 
 
-def test_envelope_with_retired_config_key_is_a_disk_hit(artifact, tmp_path):
+def test_envelope_with_retired_config_key_is_a_disk_hit(
+    artifact, tmp_path, envelope_path
+):
     """Every envelope written while ``BouquetConfig`` still had its
     compile-engine selector carries that key; the key never entered the
     artifact key, so the disk tier must load it — not purge and
     recompile."""
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
-    path = _envelope_path(tmp_path, key)
+    path = envelope_path(tmp_path, key)
     envelope = json.load(open(path))
     envelope["artifact"]["config"]["compile_engine"] = "batch"
     with open(path, "w") as handle:
@@ -221,13 +219,15 @@ def test_envelope_with_retired_config_key_is_a_disk_hit(artifact, tmp_path):
     assert _counters(tracer).get("serve.cache.purged", 0) == 0
 
 
-def test_parent_written_envelope_serves_from_the_disk_tier(artifact, tmp_path):
+def test_parent_written_envelope_serves_from_the_disk_tier(
+    artifact, tmp_path, envelope_path
+):
     """Until ``equivalence_threshold`` became a read-only constant every
     envelope's config block carried it; such an envelope must still load
     and answer a request from the disk tier."""
     catalog, key, compiled = artifact
     BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
-    path = _envelope_path(tmp_path, key)
+    path = envelope_path(tmp_path, key)
     envelope = json.load(open(path))
     assert "equivalence_threshold" not in envelope["artifact"]["config"]
     envelope["artifact"]["config"]["equivalence_threshold"] = 0.2

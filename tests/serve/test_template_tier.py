@@ -3,9 +3,11 @@ statistics invalidation, fallback, and the config kill switch."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.api import BouquetConfig, compile_bouquet
+from repro.api import BouquetConfig, compile_bouquet, execute
 from repro.drift import bouquets_equal, perturb_statistics
 from repro.exceptions import TemplateError
 from repro.obs.tracer import MemorySink, Tracer
@@ -98,6 +100,42 @@ class TestTemplateFallback:
         assert counters["serve.template.fallbacks"] == 1
         assert counters["serve.template.hits"] == 1
         assert counters.get("serve.template.rebinds", 0) == 0
+
+
+class TestTemplateConcurrency:
+    def test_concurrent_instances_of_one_template_answer_correctly(
+        self, server, catalog, instances
+    ):
+        """Two instances of one template, released together onto a cold
+        server, each rebind from the tier or compile on their own; both
+        answer with the rows a direct execution gives."""
+        pair = instances[:2]
+        barrier = threading.Barrier(len(pair))
+        responses, errors = {}, []
+
+        def request(index):
+            barrier.wait(timeout=60)
+            try:
+                responses[index] = server.serve(pair[index])
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(len(pair))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+
+        assert not errors
+        assert server._inflight == {}
+        for index, query in enumerate(pair):
+            direct = execute(
+                compile_bouquet(query, catalog, config=BouquetConfig(resolution=8)),
+                catalog.database,
+            )
+            assert responses[index].status == "ok"
+            assert responses[index].rows == direct.result_rows
 
 
 class TestTemplateInvalidation:
