@@ -9,6 +9,7 @@ execution throughput.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.api import BouquetConfig, CompiledBouquet, execute
@@ -451,6 +452,38 @@ def test_perf_moved_base_rebind_plans_nothing_before_its_compile(
         assert results.status == "ok"
 
 
+def test_perf_compile_builds_no_cost_grid(benchmark, env):
+    """The anorexic reduction costs the POSP plans at the contour
+    locations only.  Count-based guard — compiling each Table 2 query
+    books no ``ess.cost_array_builds`` (no plan's whole-grid cost array
+    is built) and leaves the bouquet's ``cost_cache`` empty; the whole-grid
+    consumers (sweep, validation, NAT/SEER) build what they ask for."""
+    from repro.api import Catalog, compile_bouquet
+    from repro.query.workload import TABLE2_NAMES
+
+    lab, _, _ = env
+    catalogs = {
+        "tpch": Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db),
+        "tpcds": Catalog(lab.ds_schema, statistics=lab.ds_stats, database=lab.ds_db),
+    }
+
+    def compile_entry(name, tracer=None):
+        entry = lab.workload[name]
+        catalog = catalogs["tpcds" if "DS" in name else "tpch"]
+        return compile_bouquet(
+            entry.query, catalog, dimensions=entry.dimensions(), tracer=tracer
+        )
+
+    for name in TABLE2_NAMES:
+        tracer = Tracer(MemorySink())
+        compiled = compile_entry(name, tracer)
+        assert tracer.counters.get("ess.cost_array_builds", 0) == 0, name
+        assert tracer.sink.events("ess.swallow"), name
+        assert len(compiled.bouquet.cost_cache) == 0, name
+    compiled = benchmark(lambda: compile_entry("3D_H_Q5"))
+    assert len(compiled.bouquet.cost_cache) == 0
+
+
 @pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])
 def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered):
     """A whole-grid compile costs one DP's worth of candidates.
@@ -506,7 +539,7 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
     for resolution in (3, 6):
         space = SelectivitySpace(entry.query, entry.dimensions(), resolution, base)
         counts["slab"] = 0
-        choice, _ = fresh().optimize_slab(entry.query, *space.slab_columns())
+        choice, _ = fresh().optimize_slab(entry.query, *space.slab_columns(np.arange(space.size)))
         assert counts["slab"] == offered
         (ctx,) = contexts
         contexts.clear()
@@ -515,7 +548,7 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
     monkeypatch.undo()
 
     choice, _ = benchmark(
-        lambda: fresh().optimize_slab(entry.query, *space.slab_columns())
+        lambda: fresh().optimize_slab(entry.query, *space.slab_columns(np.arange(space.size)))
     )
     assert len(choice) == space.size
 

@@ -27,8 +27,11 @@ class PlanCostCache:
 
     ``cost(plan_id, location)``, ``cost_array(plan_id)`` and its batch
     form ``cost_arrays(plan_ids)`` evaluate the plan's (abstract) cost
-    function at grid locations, memoizing whole arrays per plan — the
-    workhorse behind every ESS-wide metric sweep.
+    function at grid locations, memoizing whole arrays per plan — for
+    the consumers of whole grids (the sweep's full runs, validation,
+    :meth:`PlanDiagram.from_plan_ids`, the NAT/SEER baselines).  A
+    compile builds none: the anorexic reduction costs its candidates at
+    its own locations only, so a compiled bouquet's cache starts empty.
 
     The cache is thread-safe (the serving layer shares bouquets across
     threads).  Stale entries can be dropped explicitly with
@@ -197,7 +200,7 @@ class PlanDiagram:
                 costs = np.concatenate([cost for _, _, cost in slabs])
             else:
                 choice, plan_ids = optimizer.optimize_slab(
-                    space.query, *space.slab_columns()
+                    space.query, *space.slab_columns(np.arange(space.size))
                 )
                 costs = choice.cost
             plan_ids = plan_ids.reshape(space.shape)
@@ -300,7 +303,7 @@ def _optimize_slab(ctx, payload, bounds):
     # (Tracer.__reduce__) — and their plan ids are their own: the parent
     # registers the returned plans in range order.
     optimizer, space = payload
-    choice, _ = optimizer.optimize_slab(space.query, *space.slab_columns(*bounds))
+    choice, _ = optimizer.optimize_slab(space.query, *space.slab_columns(np.arange(*bounds)))
     return choice.plans, choice.winner, choice.cost
 
 

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import EssError
+from ..optimizer.plans import CostContext
 from .diagram import PlanDiagram
 from .space import Location
 
@@ -49,7 +50,13 @@ def anorexic_reduce(
     Each location ends up assigned to a plan whose cost there is at most
     ``(1 + λ)`` times the optimal cost; the greedy objective is to use as
     few distinct plans as possible (largest-coverage-first set cover,
-    ties broken by total cost so cheaper plans win).
+    ties broken by total cost so cheaper plans win, the earlier
+    candidate on equal cost).
+
+    The candidates are costed at these locations only, in one slab
+    context (a sub-tree they share is costed once), so a reduction over
+    the contour locations builds no whole-grid cost array and leaves the
+    diagram's :class:`PlanCostCache` as it found it.
     """
     if lambda_ < 0:
         raise EssError("anorexic λ must be non-negative")
@@ -59,53 +66,43 @@ def anorexic_reduce(
     space = diagram.space
     if locations is None:
         location_list = list(space.locations())
-        flat = slice(None)
+        flat = np.arange(space.size)
     else:
         location_list = list(locations)
         if not location_list:
             raise EssError("no locations to reduce")
-        # Row-major position of every location, computed once and shared
-        # by the optimal-cost gather and each candidate's.
         flat = np.ravel_multi_index(np.asarray(location_list).T, space.shape)
     if candidate_ids is None:
         candidate_ids = diagram.posp_plan_ids
 
-    threshold = 1.0 + lambda_
+    optimizer = cache.optimizer
+    columns, length = space.slab_columns(flat)
+    ctx = CostContext.for_slab(optimizer.schema, optimizer.cost_model, columns)
+    plans = [cache.registry.plan(plan_id) for plan_id in candidate_ids]
+    # cost[c, i]: candidate c's cost at location_list[i]; coverage[c, i]
+    # when it may own that location.
+    cost = np.empty((len(plans), length))
+    for row, estimate in zip(cost, ctx.estimates(plans)):
+        row[:] = estimate.cost
     optimal = diagram.costs.ravel()[flat]
-    arrays = cache.cost_arrays(candidate_ids)
-    # coverage[p][i] == True when plan p may own location_list[i].
-    coverage: Dict[int, np.ndarray] = {}
-    cost_rows: Dict[int, np.ndarray] = {}
-    for plan_id in candidate_ids:
-        costs = arrays[plan_id].ravel()[flat]
-        coverage[plan_id] = costs <= threshold * optimal + 1e-12
-        cost_rows[plan_id] = costs
+    coverage = cost <= (1.0 + lambda_) * optimal + 1e-12
 
-    tracer = cache.optimizer.tracer
+    tracer = optimizer.tracer
     span = tracer.span(
         "ess.reduce",
         lambda_=lambda_,
-        locations=len(location_list),
-        candidates=len(candidate_ids),
+        locations=length,
+        candidates=len(plans),
     )
-    uncovered = np.ones(len(location_list), dtype=bool)
-    owner = np.zeros(len(location_list), dtype=np.int64)
+    uncovered = np.ones(length, dtype=bool)
+    owner = np.zeros(length, dtype=np.int64)
     chosen: List[int] = []
     while uncovered.any():
-        best_plan = None
-        best_gain = -1
-        best_cost = np.inf
-        for plan_id in candidate_ids:
-            if plan_id in chosen:
-                continue
-            covered = coverage[plan_id] & uncovered
-            gain = int(covered.sum())
-            if gain == 0:
-                continue
-            total_cost = float(cost_rows[plan_id][covered].sum())
-            if gain > best_gain or (gain == best_gain and total_cost < best_cost):
-                best_plan, best_gain, best_cost = plan_id, gain, total_cost
-        if best_plan is None:
+        # A chosen plan gains nothing from here on: it swallowed all it
+        # covers, so it is never offered twice.
+        gains = np.count_nonzero(coverage & uncovered, axis=1)
+        top = gains.max(initial=0)
+        if top == 0:
             # Shouldn't happen: the optimal plan always covers its own
             # locations.  Guard against numerical corner cases anyway.
             idx = int(np.argmax(uncovered))
@@ -115,11 +112,17 @@ def anorexic_reduce(
                 chosen.append(fallback)
             uncovered[idx] = False
             continue
-        chosen.append(best_plan)
-        newly = coverage[best_plan] & uncovered
+        best, best_cost = -1, np.inf
+        for c in np.flatnonzero(gains == top):
+            total = float(cost[c][coverage[c] & uncovered].sum())
+            if best < 0 or total < best_cost:
+                best, best_cost = c, total
+        plan_id = int(candidate_ids[best])
+        chosen.append(plan_id)
+        newly = coverage[best] & uncovered
         if tracer.enabled:
-            tracer.event("ess.swallow", plan=best_plan, swallowed=int(newly.sum()))
-        owner[newly] = best_plan
+            tracer.event("ess.swallow", plan=plan_id, swallowed=int(top))
+        owner[newly] = plan_id
         uncovered &= ~newly
     assignment = dict(zip(location_list, owner.tolist()))
     surviving = sorted(set(assignment.values()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -136,23 +136,24 @@ class SelectivitySpace:
         return assignment
 
     def slab_columns(
-        self, start: int = 0, stop: Optional[int] = None
+        self, positions: np.ndarray
     ) -> Tuple[Dict[str, object], int]:
-        """Slab columns of the row-major location range ``[start, stop)``
-        (default: the whole grid) and its length.
+        """Slab columns of the locations at row-major ``positions`` and
+        their number.
 
         The array-shaped :meth:`assignment_at`: base pids map to floats,
-        each error pid to the 1-D array of its grid values at the range's
-        locations — the input of :meth:`Optimizer.optimize_slab`.
+        each error pid to the 1-D array of its grid values at those
+        locations, in the order given — the input of
+        :meth:`Optimizer.optimize_slab` (a range, ``np.arange``) and of the
+        anorexic reduction's costing (the locations it decides on).
         """
-        stop = self.size if stop is None else stop
         columns: Dict[str, object] = {
             pid: float(value) for pid, value in self.base_assignment.items()
         }
-        indices = np.unravel_index(np.arange(start, stop), self.shape)
+        indices = np.unravel_index(positions, self.shape)
         for dim, grid, index in zip(self.dimensions, self.grids, indices):
             columns[dim.pid] = grid[index]
-        return columns, stop - start
+        return columns, len(positions)
 
     def assignment_for(self, values: Sequence[float]) -> SelectivityAssignment:
         """Assignment for arbitrary (continuous) dim values — used by the

@@ -148,6 +148,59 @@ def pick_by_definition(candidates, cost):
     return min(group, key=lambda pid: (-candidates[pid], cost(pid), pid))
 
 
+def anorexic_by_definition(diagram, locations=None, lambda_=0.2, candidate_ids=None):
+    """The anorexic greedy by its literal per-candidate loop over whole-grid
+    cost arrays (``PlanCostCache.cost_arrays``) gathered at ``locations``:
+    every pass offers each plan not chosen yet, the largest gain wins,
+    then the smaller total cost over the locations it would swallow, then
+    the earlier candidate.  The oracle ``anorexic_reduce`` is held to.
+    Returns ``(assignment, plan_ids, swallows)``, a swallow being
+    ``(plan, locations swallowed)`` in pick order."""
+    space = diagram.space
+    if locations is None:
+        locations = list(space.locations())
+    if candidate_ids is None:
+        candidate_ids = diagram.posp_plan_ids
+    flat = np.ravel_multi_index(np.asarray(locations).T, space.shape)
+    optimal = diagram.costs.ravel()[flat]
+    arrays = diagram.cache.cost_arrays(candidate_ids)
+    coverage, cost_rows = {}, {}
+    for plan_id in candidate_ids:
+        costs = arrays[plan_id].ravel()[flat]
+        coverage[plan_id] = costs <= (1.0 + lambda_) * optimal + 1e-12
+        cost_rows[plan_id] = costs
+    uncovered = np.ones(len(locations), dtype=bool)
+    owner = np.zeros(len(locations), dtype=np.int64)
+    chosen, swallows = [], []
+    while uncovered.any():
+        best_plan, best_gain, best_cost = None, -1, np.inf
+        for plan_id in candidate_ids:
+            if plan_id in chosen:
+                continue
+            covered = coverage[plan_id] & uncovered
+            gain = int(covered.sum())
+            if gain == 0:
+                continue
+            total_cost = float(cost_rows[plan_id][covered].sum())
+            if gain > best_gain or (gain == best_gain and total_cost < best_cost):
+                best_plan, best_gain, best_cost = plan_id, gain, total_cost
+        if best_plan is None:
+            idx = int(np.argmax(uncovered))
+            fallback = diagram.plan_at(locations[idx])
+            owner[idx] = fallback
+            if fallback not in chosen:
+                chosen.append(fallback)
+            uncovered[idx] = False
+            continue
+        chosen.append(best_plan)
+        newly = coverage[best_plan] & uncovered
+        swallows.append((best_plan, int(newly.sum())))
+        owner[newly] = best_plan
+        uncovered &= ~newly
+    assignment = dict(zip(locations, owner.tolist()))
+    return assignment, sorted(set(assignment.values())), swallows
+
+
 def figure13_by_definition(bouquet, location):
     """One optimized bouquet run at grid ``location`` in the cost-model
     world, by the literal scalar Figure 13 (the definitions above, a

@@ -176,14 +176,15 @@ class TestParallelPosp:
 
 
 class TestVectorizedCosting:
-    def test_cost_array_matches_pointwise_costing(self, eq_diagram, lab):
+    def test_cost_array_matches_pointwise_costing(self, eq_bouquet, lab):
         """The single-pass vectorized cost field must equal per-location
-        scalar costing exactly (same formulas, elementwise)."""
-        import numpy as np
+        scalar costing exactly (same formulas, elementwise), and a slab
+        costing at the contour locations (the anorexic reduction's) must
+        equal the field gathered there bit for bit, for every POSP plan."""
+        from repro.optimizer.plans import CostContext, cost_plan
 
-        from repro.optimizer.plans import cost_plan
-
-        for diagram in (eq_diagram, lab.build("3D_DS_Q96").diagram):
+        for bouquet in (eq_bouquet, lab.build("3D_DS_Q96").bouquet):
+            diagram = bouquet.diagram
             cache = diagram.cache
             plan_id = diagram.posp_plan_ids[-1]
             plan = diagram.registry.plan(plan_id)
@@ -198,3 +199,18 @@ class TestVectorizedCosting:
                     space.assignment_at(location),
                 ).cost
                 assert vectorized[location] == pytest.approx(scalar, rel=1e-12)
+
+            locations = list(
+                dict.fromkeys(loc for c in bouquet.contours for loc in c.locations)
+            )
+            flat = np.ravel_multi_index(np.asarray(locations).T, space.shape)
+            columns, length = space.slab_columns(flat)
+            ctx = CostContext.for_slab(
+                cache.optimizer.schema, cache.optimizer.cost_model, columns
+            )
+            posp = diagram.posp_plan_ids
+            plans = [diagram.registry.plan(pid) for pid in posp]
+            fields = cache.cost_arrays(posp)
+            for pid, estimate in zip(posp, ctx.estimates(plans)):
+                slab = np.broadcast_to(np.asarray(estimate.cost, dtype=float), length)
+                assert np.array_equal(slab, fields[pid].ravel()[flat]), pid

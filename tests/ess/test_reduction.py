@@ -1,9 +1,13 @@
 """Tests for anorexic plan-diagram reduction."""
 
+import numpy as np
 import pytest
 
-from repro.ess import anorexic_reduce
+from repro.ess import PlanCostCache, PlanDiagram, anorexic_reduce
 from repro.exceptions import EssError
+from repro.obs import MemorySink, Tracer
+from repro.query.workload import TABLE2_NAMES
+from tests.conftest import anorexic_by_definition
 
 
 class TestAnorexicReduce:
@@ -48,3 +52,80 @@ class TestAnorexicReduce:
     def test_empty_locations_rejected(self, eq_diagram):
         with pytest.raises(EssError):
             anorexic_reduce(eq_diagram, [], lambda_=0.2)
+
+
+def _reduced(diagram, locations, lambda_, monkeypatch, candidate_ids=None):
+    """``anorexic_reduce`` and the ``(plan, swallowed)`` sequence of its
+    ``ess.swallow`` events."""
+    tracer = Tracer(MemorySink())
+    monkeypatch.setattr(diagram.cache.optimizer, "tracer", tracer)
+    reduction = anorexic_reduce(diagram, locations, lambda_, candidate_ids)
+    swallows = [
+        (e["attrs"]["plan"], e["attrs"]["swallowed"])
+        for e in tracer.sink.events("ess.swallow")
+    ]
+    return reduction, swallows
+
+
+class TestGreedyByDefinition:
+    """The coverage-matrix greedy over slab costs is the per-candidate loop
+    over whole-grid arrays: same owners, same plans, same picks."""
+
+    @pytest.mark.parametrize("lambda_", [0.0, 0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("name", TABLE2_NAMES)
+    def test_equals_the_literal_greedy(self, lab, name, lambda_, monkeypatch):
+        built = lab.build(name)
+        diagram, space = built.diagram, built.space
+        grid = list(space.locations())
+        contour_union = list(
+            dict.fromkeys(loc for c in built.bouquet.contours for loc in c.locations)
+        )
+        rng = np.random.default_rng(29)
+        subset = [grid[i] for i in rng.choice(len(grid), len(grid) // 3, replace=False)]
+        for locations in (contour_union, grid, subset):
+            reduction, swallows = _reduced(diagram, locations, lambda_, monkeypatch)
+            assignment, plan_ids, expected = anorexic_by_definition(
+                diagram, locations, lambda_
+            )
+            assert reduction.assignment == assignment
+            assert reduction.plan_ids == plan_ids
+            assert swallows == expected
+
+    def test_earlier_candidate_wins_a_tie_on_gain_and_cost(
+        self, eq_diagram, monkeypatch
+    ):
+        """Two names for one plan tie on gain and total cost: whichever
+        is offered first is chosen."""
+        space, registry = eq_diagram.space, eq_diagram.registry
+        winner = _reduced(eq_diagram, None, 0.2, monkeypatch)[1][0][0]
+        alias = max(eq_diagram.posp_plan_ids) + 1000
+
+        class Aliased:
+            def plan(self, plan_id):
+                return registry.plan(winner if plan_id == alias else plan_id)
+
+        aliased = Aliased()
+        diagram = PlanDiagram(
+            space,
+            eq_diagram.plan_ids,
+            eq_diagram.costs,
+            aliased,
+            PlanCostCache(space, eq_diagram.cache.optimizer, aliased),
+        )
+        posp = eq_diagram.posp_plan_ids
+        at = posp.index(winner)
+        for order, expected in (
+            (posp[:at] + [alias] + posp[at:], alias),
+            (posp[: at + 1] + [alias] + posp[at + 1 :], winner),
+        ):
+            reduction, swallows = _reduced(diagram, None, 0.2, monkeypatch, order)
+            assert swallows[0][0] == expected
+            assert expected in reduction.plan_ids
+            assignment, plan_ids, by_definition = anorexic_by_definition(
+                diagram, None, 0.2, order
+            )
+            assert (reduction.assignment, reduction.plan_ids, swallows) == (
+                assignment,
+                plan_ids,
+                by_definition,
+            )

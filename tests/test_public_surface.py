@@ -211,7 +211,9 @@ def test_defaulted_parameter_census():
     (``bench`` alone 64), 262 before the crossing schedulers were, 242
     before the runtime package and ``repro.fuzz`` were, 235 before the
     delta re-plan and ``refresh_bouquet`` were; ``sweep`` had 4 before
-    ``SweepEngine(residue_min=)``, reached only by tests, went.  A
+    ``SweepEngine(residue_min=)``, reached only by tests, went;
+    ``ess`` had 31 before ``slab_columns(start=0, stop=None)`` became
+    ``slab_columns(positions)``.  A
     new defaulted parameter lands here with the two callers that need
     different values."""
     assert defaulted_parameter_census() == {
@@ -222,7 +224,7 @@ def test_defaulted_parameter_census():
         "core": 23,
         "datagen": 4,
         "drift": 5,
-        "ess": 31,
+        "ess": 29,
         "executor": 13,
         "obs": 7,
         "optimizer": 9,
