@@ -8,6 +8,7 @@ execution throughput.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -452,16 +453,10 @@ def test_perf_moved_base_rebind_plans_nothing_before_its_compile(
         assert results.status == "ok"
 
 
-def test_perf_compile_builds_no_cost_grid(benchmark, env):
-    """The anorexic reduction costs the POSP plans at the contour
-    locations only.  Count-based guard — compiling each Table 2 query
-    books no ``ess.cost_array_builds`` (no plan's whole-grid cost array
-    is built) and leaves the bouquet's ``cost_cache`` empty; the whole-grid
-    consumers (sweep, validation, NAT/SEER) build what they ask for."""
+def _table2_compiler(lab):
+    """``compile_entry(name, tracer=None)`` for the Table 2 queries of ``lab``."""
     from repro.api import Catalog, compile_bouquet
-    from repro.query.workload import TABLE2_NAMES
 
-    lab, _, _ = env
     catalogs = {
         "tpch": Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db),
         "tpcds": Catalog(lab.ds_schema, statistics=lab.ds_stats, database=lab.ds_db),
@@ -474,6 +469,19 @@ def test_perf_compile_builds_no_cost_grid(benchmark, env):
             entry.query, catalog, dimensions=entry.dimensions(), tracer=tracer
         )
 
+    return compile_entry
+
+
+def test_perf_compile_builds_no_cost_grid(benchmark, env):
+    """The anorexic reduction costs the POSP plans at the contour
+    locations only.  Count-based guard — compiling each Table 2 query
+    books no ``ess.cost_array_builds`` (no plan's whole-grid cost array
+    is built) and leaves the bouquet's ``cost_cache`` empty; the whole-grid
+    consumers (sweep, validation, NAT/SEER) build what they ask for."""
+    from repro.query.workload import TABLE2_NAMES
+
+    lab, _, _ = env
+    compile_entry = _table2_compiler(lab)
     for name in TABLE2_NAMES:
         tracer = Tracer(MemorySink())
         compiled = compile_entry(name, tracer)
@@ -482,6 +490,32 @@ def test_perf_compile_builds_no_cost_grid(benchmark, env):
         assert len(compiled.bouquet.cost_cache) == 0, name
     compiled = benchmark(lambda: compile_entry("3D_H_Q5"))
     assert len(compiled.bouquet.cost_cache) == 0
+
+
+def test_perf_envelope_writes_each_subplan_once(benchmark, env):
+    """An artifact is packed, not printed.  Count-based guard — for each
+    Table 2 compile the payload's node table has one row per distinct
+    sub-plan (signature) over the stored plans' post-orders, and both
+    diagram arrays are strings (base64 bytes), not lists of numbers."""
+    from repro.query.workload import TABLE2_NAMES
+
+    lab, _, _ = env
+    compile_entry = _table2_compiler(lab)
+    for name in TABLE2_NAMES:
+        compiled = compile_entry(name)
+        payload = compiled.to_dict()["bouquet"]
+        registry = compiled.bouquet.registry
+        distinct = {
+            node.canonical_signature()
+            for pid, _ in payload["plans"]
+            for node in registry.plan(pid).postorder()
+        }
+        assert len(payload["nodes"]) == len(distinct), name
+        assert isinstance(payload["diagram_plan_ids"], str), name
+        assert isinstance(payload["diagram_costs"], str), name
+    compiled = compile_entry("4D_H_Q8")
+    text = benchmark(lambda: json.dumps(compiled.to_dict()))
+    assert text
 
 
 @pytest.mark.parametrize("name, offered", [("3D_H_Q5", 212), ("4D_H_Q8", 669)])

@@ -71,8 +71,8 @@ __all__ = [
 ]
 
 #: Format tag of the self-describing artifact envelope (config + SQL +
-#: the v1 bouquet payload from :mod:`repro.core.artifact`).
-ARTIFACT_FORMAT = "repro.bouquet.artifact.v2"
+#: the v2 bouquet payload from :mod:`repro.core.artifact`).
+ARTIFACT_FORMAT = "repro.bouquet.artifact.v3"
 
 #: Default grid points per dimension, by ESS dimensionality.
 DEFAULT_RESOLUTIONS = {1: 64, 2: 24, 3: 10, 4: 6, 5: 5}
@@ -187,22 +187,17 @@ class BouquetConfig:
             "lambda_": self.lambda_,
             "resolution": self.resolution,
             "mode": self.mode,
-            "crossing": self.crossing,
             "model_error_delta": self.model_error_delta,
             "cost_model": self.cost_model,
-            "patch": True,
             "template": self.template,
         }
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "BouquetConfig":
-        # Artifacts written before the template-cache knob (``template``)
-        # existed omit that key; the dataclass default covers it.
-        # ``to_dict`` still writes ``crossing`` and ``patch`` (so artifacts
-        # stay byte-equal), and envelopes written while the config still
-        # had a compile-engine selector or a settable
-        # ``equivalence_threshold`` carry those keys: none ever entered the
-        # artifact key, so they are dropped, not rejected.
+        # Retired knobs (a compile-engine selector, a settable
+        # ``equivalence_threshold``, ``crossing``, ``patch``) never entered
+        # the artifact key, so a config block that carries one has it
+        # dropped, not rejected.
         fields = dict(data)
         for dropped in ("compile_engine", "equivalence_threshold", "crossing", "patch"):
             fields.pop(dropped, None)

@@ -7,30 +7,48 @@ executes forever, and the serving layer (:mod:`repro.serve`) caches
 artifacts keyed by a content hash of those inputs.
 
 This module owns the wire format of the bouquet itself,
-``repro.bouquet.v1`` (plans, diagram fields, contours); it is kept
-byte-compatible so artifacts saved by earlier versions keep loading.
+``repro.bouquet.v2``: the POSP plans as one shared node table
+(:func:`repro.optimizer.serialize.plans_to_table`), the diagram's plan
+ids (``<i8``) and costs (``<f8``) as base64 of their little-endian
+bytes, and the contours.  It is packed, not printed: no diagram float
+goes through ``repr``, and decoding gives the compiled bouquet back bit
+for bit.  No older payload is read; a cache recompiles it.
 :class:`repro.api.CompiledBouquet` wraps it in its own envelope (query
 text, config) and delegates here.
 """
 
 from __future__ import annotations
 
+import base64
 from typing import Dict
 
 import numpy as np
 
 from ..ess.diagram import PlanCostCache, PlanDiagram
 from ..ess.space import ErrorDimension, SelectivitySpace
-from ..exceptions import BouquetError, QueryError
+from ..exceptions import BouquetError, OptimizerError, QueryError
 from ..optimizer.optimizer import Optimizer
-from ..optimizer.serialize import plan_from_dict, plan_to_dict
+from ..optimizer.serialize import plans_from_table, plans_to_table
 from ..query.query import Query
 from .bouquet import PlanBouquet
 from .contours import Contour
 
-#: Format tag of the core bouquet payload (unchanged since v1 for
-#: backward compatibility with previously saved artifacts).
-BOUQUET_FORMAT = "repro.bouquet.v1"
+#: Format tag of the core bouquet payload.
+BOUQUET_FORMAT = "repro.bouquet.v2"
+
+
+def _pack(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype)).decode("ascii")
+
+
+def _unpack(text, dtype: str, shape) -> np.ndarray:
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise BouquetError(f"bad base64 in a {dtype} diagram array") from exc
+    if len(raw) != int(np.prod(shape)) * np.dtype(dtype).itemsize:
+        raise BouquetError(f"{dtype} diagram array does not fill shape {shape}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def bouquet_to_dict(query: Query, bouquet: PlanBouquet) -> Dict:
@@ -38,6 +56,7 @@ def bouquet_to_dict(query: Query, bouquet: PlanBouquet) -> Dict:
     diagram = bouquet.diagram
     posp = diagram.posp_plan_ids
     plan_ids = sorted(set(posp) | set(bouquet.plan_ids))
+    nodes, roots = plans_to_table([bouquet.registry.plan(pid) for pid in plan_ids])
     space = bouquet.space
     return {
         "format": BOUQUET_FORMAT,
@@ -51,12 +70,10 @@ def bouquet_to_dict(query: Query, bouquet: PlanBouquet) -> Dict:
         ],
         "shape": list(space.shape),
         "base_assignment": space.base_assignment,
-        "plans": {
-            str(pid): plan_to_dict(bouquet.registry.plan(pid))
-            for pid in plan_ids
-        },
-        "diagram_plan_ids": diagram.plan_ids.ravel().tolist(),
-        "diagram_costs": diagram.costs.ravel().tolist(),
+        "nodes": nodes,
+        "plans": [[pid, root] for pid, root in zip(plan_ids, roots)],
+        "diagram_plan_ids": _pack(diagram.plan_ids, "<i8"),
+        "diagram_costs": _pack(diagram.costs, "<f8"),
         "contours": [
             {
                 "index": c.index,
@@ -94,18 +111,23 @@ def bouquet_from_dict(data: Dict, optimizer: Optimizer, query: Query) -> PlanBou
     space = SelectivitySpace(query, dims, list(shape), data["base_assignment"])
 
     registry = optimizer.registry(query)
-    id_map: Dict[int, int] = {}
-    for old_id_str, plan_data in sorted(
-        data["plans"].items(), key=lambda kv: int(kv[0])
-    ):
-        plan = plan_from_dict(plan_data)
-        new_id, _ = registry.register(plan)
-        id_map[int(old_id_str)] = new_id
+    stored = sorted(data["plans"])
+    try:
+        plans = plans_from_table(data["nodes"], [root for _, root in stored])
+    except OptimizerError as exc:
+        raise BouquetError(f"bad plan table: {exc}") from exc
+    # Plans register in ascending stored-id order, so a fresh registry
+    # numbers them the same way on every load.
+    old_ids = np.array([old_id for old_id, _ in stored], dtype=np.int64)
+    new_ids = np.array([registry.register(plan)[0] for plan in plans], dtype=np.int64)
+    id_map: Dict[int, int] = dict(zip(old_ids.tolist(), new_ids.tolist()))
 
-    raw_ids = np.array(data["diagram_plan_ids"], dtype=np.int64).reshape(shape)
-    remap = np.vectorize(lambda pid: id_map[int(pid)])
-    plan_ids = remap(raw_ids)
-    costs = np.array(data["diagram_costs"], dtype=float).reshape(shape)
+    raw_ids = _unpack(data["diagram_plan_ids"], "<i8", shape)
+    at = np.searchsorted(old_ids, raw_ids)
+    if not stored or not np.array_equal(old_ids.take(at, mode="clip"), raw_ids):
+        raise BouquetError("the diagram names a plan the artifact does not store")
+    plan_ids = new_ids[at]
+    costs = _unpack(data["diagram_costs"], "<f8", shape)
     cache = PlanCostCache(space, optimizer, registry)
     diagram = PlanDiagram(space, plan_ids, costs, registry, cache)
 

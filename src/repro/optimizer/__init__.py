@@ -2,7 +2,7 @@
 
 from .cost_model import COMMERCIAL_COST_MODEL, POSTGRES_COST_MODEL, CostModel
 from .explain import explain
-from .serialize import plan_from_dict, plan_to_dict
+from .serialize import plans_from_table, plans_to_table
 from .optimizer import OptimizedPlan, Optimizer, PlanRegistry
 from .plans import (
     Aggregate,
@@ -28,8 +28,8 @@ from .selectivity import (
 __all__ = [
     "Aggregate",
     "explain",
-    "plan_from_dict",
-    "plan_to_dict",
+    "plans_from_table",
+    "plans_to_table",
     "COMMERCIAL_COST_MODEL",
     "POSTGRES_COST_MODEL",
     "CostModel",

@@ -40,11 +40,11 @@ from .fingerprint import ArtifactKey
 __all__ = ["BouquetArtifactStore", "STORE_FORMAT"]
 
 #: Format tag of the on-disk cache envelope (key + artifact payload).
-#: v2 envelopes are structurally identical to v1 but are written under
-#: the full-key validation contract: a lookup matches only when *all*
-#: three key digests agree, and envelopes that fail validation (or fail
-#: to parse) are purged rather than silently skipped.
-STORE_FORMAT = "repro.serve.artifact.v2"
+#: v3 carries the packed ``repro.bouquet.v2`` payload (diagram arrays as
+#: base64 bytes, plans as one node table).  A lookup matches only when
+#: *all* three key digests agree; an envelope that fails validation,
+#: fails to parse or has another format tag is purged, and recompiles.
+STORE_FORMAT = "repro.serve.artifact.v3"
 
 
 class BouquetArtifactStore:

@@ -6,13 +6,19 @@ from SQL or parsed queries, explicit dimensions, the all-certain
 fallback, execution guards, and the versioned save/load round trip.
 """
 
+import json
 import os
 
 import pytest
 
 from repro.api import BouquetConfig, Catalog, CompiledBouquet, compile_bouquet, execute
-from repro.exceptions import BouquetError, QueryError
+from repro.drift import bouquets_equal, patch_compiled, perturb_statistics
+from repro.exceptions import BouquetError, QueryError, TemplateError
+from repro.executor.reference import reference_row_count
 from repro.query import parse_query
+from repro.query.workload import TABLE2_NAMES
+from repro.serve import BouquetArtifactStore, BouquetServer
+from repro.template import rebind_compiled, template_signature
 
 EQ_SQL = (
     "select * from lineitem, orders, part "
@@ -106,6 +112,84 @@ class TestPersistence:
             json.dump({"format": "not.a.bouquet"}, handle)
         with pytest.raises(BouquetError):
             CompiledBouquet.load(path, catalog, query=EQ_SQL)
+
+
+def _round_trip(compiled, catalog):
+    """``(text, decoded)``: the artifact's JSON text, and the artifact
+    decoded from it."""
+    text = json.dumps(compiled.to_dict())
+    return text, CompiledBouquet.from_dict(json.loads(text), catalog, query=compiled.query)
+
+
+def _table2_artifacts(lab):
+    catalogs = {
+        "tpch": Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db),
+        "tpcds": Catalog(lab.ds_schema, statistics=lab.ds_stats, database=lab.ds_db),
+    }
+    for name in TABLE2_NAMES:
+        entry = lab.workload[name]
+        catalog = catalogs["tpcds" if "DS" in name else "tpch"]
+        yield name, catalog, compile_bouquet(
+            entry.query, catalog, dimensions=entry.dimensions()
+        )
+
+
+def _rebound_artifact(catalog, templated_generator):
+    """The first templated instance whose rebind succeeds."""
+    config = BouquetConfig(resolution=8)
+    for index in range(20):
+        exemplar = templated_generator.instantiate(7, index, 0).query
+        if not exemplar.selections:
+            continue
+        compiled = compile_bouquet(exemplar, catalog, config=config)
+        sig = template_signature(exemplar, catalog.schema, catalog.statistics)
+        instance = templated_generator.instantiate(7, index, 1).query
+        try:
+            return rebind_compiled(compiled, sig, instance, catalog).compiled
+        except TemplateError:
+            continue
+    raise AssertionError("no templated instance rebinds")
+
+
+class TestPackedRoundTrip:
+    """The packed envelope decodes to the bouquet it was written from,
+    bit for bit, and encodes again to the same text."""
+
+    def _check(self, compiled, catalog):
+        text, decoded = _round_trip(compiled, catalog)
+        assert bouquets_equal(decoded.bouquet, compiled.bouquet) == []
+        assert decoded.config == compiled.config
+        assert json.dumps(decoded.to_dict()) == text
+
+    def test_table2_compiles(self, lab):
+        for name, catalog, compiled in _table2_artifacts(lab):
+            bouquet = compiled.to_dict()["bouquet"]
+            assert isinstance(bouquet["diagram_costs"], str), name
+            self._check(compiled, catalog)
+
+    def test_template_rebound_artifact(self, catalog, templated_generator):
+        self._check(_rebound_artifact(catalog, templated_generator), catalog)
+
+    def test_drift_carried_artifact(self, compiled, schema, statistics, database):
+        drifted = perturb_statistics(statistics, "customer", None, scale=1.3)
+        moved = Catalog(schema, statistics=drifted, database=database)
+        carried = patch_compiled(compiled, moved)
+        assert carried.bouquet is not compiled.bouquet
+        self._check(carried, moved)
+
+    def test_disk_hit_answers_reference_rows(self, catalog, database, tmp_path):
+        config = BouquetConfig(resolution=16)
+        with BouquetServer(
+            catalog, config=config, store=BouquetArtifactStore(root=str(tmp_path))
+        ) as server:
+            assert server.serve(EQ_SQL).cache == "compiled"
+        with BouquetServer(
+            catalog, config=config, store=BouquetArtifactStore(root=str(tmp_path))
+        ) as server:
+            response = server.serve(EQ_SQL)
+        assert (response.status, response.cache) == ("ok", "disk")
+        want = reference_row_count(database, parse_query(EQ_SQL, catalog.schema))
+        assert response.rows == want
 
 
 class TestSessionRemoved:

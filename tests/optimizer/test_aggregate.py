@@ -11,8 +11,8 @@ from repro.optimizer import (
     SeqScan,
     cost_plan,
     explain,
-    plan_from_dict,
-    plan_to_dict,
+    plans_from_table,
+    plans_to_table,
 )
 from repro.optimizer.cost_model import POSTGRES_COST_MODEL
 from repro.query import Query, SelectionPredicate, parse_query
@@ -56,7 +56,7 @@ class TestAggregateNode:
 
     def test_roundtrips_through_serialization(self):
         plan = Aggregate(SeqScan("part"), (("part", "p_brand"),))
-        rebuilt = plan_from_dict(plan_to_dict(plan))
+        (rebuilt,) = plans_from_table(*plans_to_table([plan]))
         assert rebuilt.signature() == plan.signature()
 
 

@@ -11,9 +11,13 @@ from repro.optimizer import (
     SeqScan,
     cost_plan,
     explain,
-    plan_from_dict,
-    plan_to_dict,
+    plans_from_table,
+    plans_to_table,
 )
+
+
+def roundtrip(plan):
+    return plans_from_table(*plans_to_table([plan]))[0]
 
 
 @pytest.fixture(scope="module")
@@ -63,28 +67,55 @@ class TestExplain:
 
 class TestSerialization:
     def test_roundtrip_preserves_signature(self, sample_plan):
-        data = plan_to_dict(sample_plan)
-        rebuilt = plan_from_dict(data)
+        rebuilt = roundtrip(sample_plan)
         assert rebuilt.signature() == sample_plan.signature()
 
     def test_roundtrip_through_json(self, sample_plan):
-        data = json.loads(json.dumps(plan_to_dict(sample_plan)))
-        assert plan_from_dict(data).signature() == sample_plan.signature()
+        rows, roots = json.loads(json.dumps(plans_to_table([sample_plan])))
+        (rebuilt,) = plans_from_table(rows, roots)
+        assert rebuilt.signature() == sample_plan.signature()
 
     def test_roundtrip_preserves_costs(self, sample_plan, optimizer, eq_query):
         a = optimizer.estimated_assignment(eq_query)
         original = cost_plan(sample_plan, optimizer.schema, optimizer.cost_model, a)
-        rebuilt = plan_from_dict(plan_to_dict(sample_plan))
+        rebuilt = roundtrip(sample_plan)
         again = cost_plan(rebuilt, optimizer.schema, optimizer.cost_model, a)
         assert again.cost == pytest.approx(original.cost)
         assert again.rows == pytest.approx(original.rows)
 
     def test_every_posp_plan_roundtrips(self, eq_diagram):
-        for plan_id in eq_diagram.posp_plan_ids:
-            plan = eq_diagram.registry.plan(plan_id)
-            rebuilt = plan_from_dict(plan_to_dict(plan))
-            assert rebuilt.signature() == plan.signature()
+        plans = [eq_diagram.registry.plan(pid) for pid in eq_diagram.posp_plan_ids]
+        rebuilt = plans_from_table(*plans_to_table(plans))
+        assert [p.signature() for p in rebuilt] == [p.signature() for p in plans]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(OptimizerError):
-            plan_from_dict({"node": "quantum_scan"})
+            plans_from_table([["quantum_scan"]], [0])
+
+    def test_each_subplan_is_one_row_and_one_object(self, sample_plan):
+        """Two plans over one shared sub-tree write it once and decode it
+        to one object."""
+        shared = sample_plan.left
+        other = Join("hash", shared, SeqScan("part"), sample_plan.join_pids)
+        rows, roots = plans_to_table([sample_plan, other, sample_plan])
+        distinct = {n.signature() for p in (sample_plan, other) for n in p.postorder()}
+        assert len(rows) == len(distinct)
+        assert roots[0] == roots[2]
+        first, second, _ = plans_from_table(rows, roots)
+        assert first.left is second.left
+        assert second.signature() == other.signature()
+
+    @pytest.mark.parametrize(
+        "rows, roots",
+        [
+            ([["join", "hash", ["j"], 1, 2], ["seq_scan", "a", []]], [0]),
+            ([["seq_scan", "a", []]], [1]),
+            ([["seq_scan", "a", []]], [-1]),
+            ([["seq_scan", "a"]], [0]),
+            ([7], [0]),
+        ],
+        ids=["forward-child", "missing-root", "negative-root", "short-row", "not-a-row"],
+    )
+    def test_malformed_table_rejected(self, rows, roots):
+        with pytest.raises(OptimizerError):
+            plans_from_table(rows, roots)

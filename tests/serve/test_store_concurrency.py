@@ -3,14 +3,18 @@ atomic-rename put, stored-key validation, and self-healing purges."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import threading
 
 import pytest
 
-from repro.api import BouquetConfig, Catalog, compile_bouquet
+from repro.api import BouquetConfig, Catalog, CompiledBouquet, compile_bouquet
+from repro.exceptions import BouquetError
+from repro.executor.reference import reference_row_count
 from repro.obs import MemorySink, Tracer
+from repro.query import parse_query
 from repro.serve import (
     BouquetArtifactStore,
     BouquetServer,
@@ -244,3 +248,135 @@ def test_parent_written_envelope_serves_from_the_disk_tier(
     counters = _counters(tracer)
     assert counters.get("serve.cache.purged", 0) == 0
     assert counters.get("optimizer.batched_locations", 0) == 0
+
+
+def _truncated_base64(bouquet):
+    bouquet["diagram_costs"] = bouquet["diagram_costs"][:-1]
+
+
+def _wrong_byte_length(bouquet):
+    raw = base64.b64decode(bouquet["diagram_plan_ids"])
+    bouquet["diagram_plan_ids"] = base64.b64encode(raw[:-8]).decode("ascii")
+
+
+def _unstored_plan_id(bouquet):
+    raw = bytearray(base64.b64decode(bouquet["diagram_plan_ids"]))
+    raw[:8] = (10**6).to_bytes(8, "little")
+    bouquet["diagram_plan_ids"] = base64.b64encode(bytes(raw)).decode("ascii")
+
+
+def _join_row(nodes):
+    return next(at for at, row in enumerate(nodes) if row[0] == "join")
+
+
+def _forward_node_reference(bouquet):
+    at = _join_row(bouquet["nodes"])
+    bouquet["nodes"][at][3] = at
+
+
+def _missing_node_reference(bouquet):
+    nodes = bouquet["nodes"]
+    nodes[_join_row(nodes)][4] = len(nodes) + 5
+
+
+def _unknown_node_kind(bouquet):
+    bouquet["nodes"][0][0] = "quantum_scan"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncated_base64,
+        _wrong_byte_length,
+        _unstored_plan_id,
+        _forward_node_reference,
+        _missing_node_reference,
+        _unknown_node_kind,
+    ],
+)
+def test_corrupt_packed_payload_is_a_typed_reject(
+    artifact, tmp_path, envelope_path, corrupt
+):
+    """Each corruption of the packed payload is a :class:`BouquetError`:
+    the disk tier purges the envelope (no exception escapes the lookup)
+    and ``CompiledBouquet.load`` raises it."""
+    catalog, key, compiled = artifact
+    BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
+    path = envelope_path(tmp_path, key)
+    envelope = json.load(open(path))
+    corrupt(envelope["artifact"]["bouquet"])
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+    saved = os.path.join(str(tmp_path), "saved.json")
+    with open(saved, "w") as handle:
+        json.dump(envelope["artifact"], handle)
+
+    tracer = Tracer(MemorySink())
+    store = BouquetArtifactStore(root=str(tmp_path), tracer=tracer)
+    assert store.lookup(key, catalog) == (None, None)
+    assert not os.path.exists(path)
+    assert _counters(tracer)["serve.cache.purged"] == 1
+    (event,) = tracer.sink.events("serve.cache.purge")
+    assert event["attrs"]["reason"] == "bad-artifact"
+    with pytest.raises(BouquetError):
+        CompiledBouquet.load(saved, catalog, query=SQL)
+
+
+def _v2_shaped(envelope):
+    """The envelope as the previous format wrote it: format tags one
+    version back, each plan a nested dict, the diagram arrays printed as
+    JSON numbers, and the config's ``crossing`` / ``patch`` keys."""
+    artifact = envelope["artifact"]
+    bouquet = artifact["bouquet"]
+    nodes = bouquet.pop("nodes")
+
+    def nested(at):
+        kind, *fields = nodes[at]
+        if kind == "join":
+            algo, join_pids, left, right = fields
+            return {"node": kind, "algo": algo, "join_pids": join_pids,
+                    "left": nested(left), "right": nested(right)}
+        if kind == "aggregate":
+            groups, child = fields
+            return {"node": kind, "group_columns": groups, "child": nested(child)}
+        return {"node": kind, "table": fields[0], "filters": fields[-1]}
+
+    bouquet["plans"] = {str(pid): nested(root) for pid, root in bouquet["plans"]}
+    for name, dtype in (("diagram_plan_ids", "<i8"), ("diagram_costs", "<f8")):
+        raw = base64.b64decode(bouquet[name])
+        bouquet[name] = memoryview(raw).cast("q" if dtype == "<i8" else "d").tolist()
+    bouquet["format"] = "repro.bouquet.v1"
+    artifact["format"] = "repro.bouquet.artifact.v2"
+    artifact["config"].update(crossing="sequential", patch=True)
+    envelope["format"] = "repro.serve.artifact.v2"
+    return envelope
+
+
+def test_v2_envelope_is_purged_and_recompiled(artifact, tmp_path, envelope_path, database):
+    """An envelope of the previous format is not read: it is purged as
+    ``unknown-format``, the request recompiles and answers the right
+    rows, and the disk tier then holds the current format."""
+    catalog, key, compiled = artifact
+    BouquetArtifactStore(root=str(tmp_path)).put(key, compiled)
+    path = envelope_path(tmp_path, key)
+    envelope = _v2_shaped(json.load(open(path)))
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+    saved = os.path.join(str(tmp_path), "saved.json")
+    with open(saved, "w") as handle:
+        json.dump(envelope["artifact"], handle)
+    with pytest.raises(BouquetError):
+        CompiledBouquet.load(saved, catalog, query=SQL)
+
+    tracer = Tracer(MemorySink())
+    store = BouquetArtifactStore(root=str(tmp_path), tracer=tracer)
+    with BouquetServer(
+        catalog, config=compiled.config, store=store, tracer=tracer
+    ) as server:
+        response = server.serve(SQL)
+    assert (response.status, response.cache) == ("ok", "compiled")
+    assert response.rows == reference_row_count(database, parse_query(SQL, catalog.schema))
+    assert _counters(tracer)["serve.cache.purged"] == 1
+    (event,) = tracer.sink.events("serve.cache.purge")
+    assert event["attrs"]["reason"] == "unknown-format"
+    assert json.load(open(path))["format"] == STORE_FORMAT

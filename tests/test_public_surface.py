@@ -57,14 +57,12 @@ def test_option_census():
         "cost_model",
         "template",
     ]
-    # ``crossing`` is a read-only property now, and ``patch`` a constant:
-    # both are still written so that artifacts stay byte-equal, and
-    # select nothing.
+    # ``crossing`` is a read-only property and ``patch`` is gone: an
+    # artifact's config block writes the fields and nothing else.
     assert BouquetConfig().crossing == "sequential"
-    assert sorted(BouquetConfig().to_dict()) == sorted(
-        ["crossing", "patch"] + [f.name for f in dataclasses.fields(BouquetConfig)]
-    )
-    assert BouquetConfig().to_dict()["patch"] is True
+    assert list(BouquetConfig().to_dict()) == [
+        f.name for f in dataclasses.fields(BouquetConfig)
+    ]
     assert sorted(ServeRequest(query="select 1").to_dict()) == [
         "budget",
         "cached_only",
