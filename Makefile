@@ -20,6 +20,7 @@
 #                     parsed nor re-counted, a served hit builds no AxisPlans
 #                     gather table, a campaign sweep costs each q_run once and
 #                     builds a bouquet's AxisPlans tables in one pass, a
+#                     campaign pass sweeps in 315 (contour, spill) rounds, a
 #                     repeated served hit reuses its opening: no count, no
 #                     plan node costed, one dominance test; a statistics
 #                     refresh and a rebind whose base moved plan nothing,
@@ -79,7 +80,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

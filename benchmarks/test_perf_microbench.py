@@ -590,7 +590,7 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
 def test_perf_spill_evaluations_of_the_campaign_pool(benchmark):
     """A spilled run's reach is searched, not bisected.  Count-based
     guard — one pass over the ledger's 31 ``eval_campaign`` queries
-    evaluates spill nodes' own formulas at most 1,300 times (821 today;
+    evaluates spill nodes' own formulas at most 1,300 times (802 today;
     the 40-step loops made 5,748), the bound tier-1 holds in
     ``tests/sweep/test_sweep_engine.py``."""
     from tests.conftest import campaign_pool_counters
@@ -599,39 +599,58 @@ def test_perf_spill_evaluations_of_the_campaign_pool(benchmark):
     assert counters["sweep.spill_formula_evaluations"] <= 1300
 
 
+def test_perf_sweep_steps_of_the_campaign_pool(benchmark):
+    """The sweep advances every location in one array state.  Count-based
+    guard — one pass over the ledger's 31 ``eval_campaign`` queries takes
+    315 (contour, spills taken on it) rounds, where the cohort engine
+    took 498 cohort steps and finished 402 locations through the scalar
+    runner."""
+    from tests.conftest import campaign_pool_counters
+
+    counters = benchmark.pedantic(campaign_pool_counters, rounds=1, iterations=1)
+    assert counters["sweep.steps"] == 315
+
+
 def test_perf_sweep_costs_each_qrun_once(benchmark, monkeypatch):
-    """A cohort step gathers what it reads instead of costing it.
-    Count-based guard — one pass over the ledger's 31 ``eval_campaign``
-    queries builds a costing context twice per sweep (the truth of the
-    swept locations and the origin) and once per spill group that
-    leaves rows to go on (the ``q_run`` they learned), never per step;
-    and it builds the AxisPlans gather tables once per bouquet that asks
-    for them, every contour in that one pass."""
+    """A round gathers what it reads instead of costing it.  Count-based
+    guard — one pass over the ledger's 31 ``eval_campaign`` queries
+    builds a costing context twice per sweep (the truth of the swept
+    locations and the origin) and once per round whose spills leave rows
+    to go on (over the ``q_run`` they learned), never per spill or per
+    step; and it builds the AxisPlans gather tables once per bouquet that
+    asks for them, every contour in that one pass."""
     from repro.core.contours import AxisTables, ContourTables
     from repro.sweep import SweepEngine
     from repro.sweep.cohorts import BatchCoster
     from tests.conftest import campaign_pool_counters
 
-    counts = {"contexts": 0, "sweeps": 0, "spills going on": 0}
-    built, asked = [], []
-    context, sweep, run_spilled = BatchCoster.context, SweepEngine._sweep, BatchCoster.run_spilled
+    counts = {"contexts": 0, "sweeps": 0, "steps": 0}
+    going_on, built, asked = set(), [], []
+    context, sweep, step = BatchCoster.context, SweepEngine._sweep, SweepEngine._step
+    run_spilled = BatchCoster.run_spilled
     build, gather = AxisTables._build, ContourTables.gather.fget
 
     def counting_context(self, values):
         counts["contexts"] += 1
         return context(self, values)
 
-    def counting_sweep(self, flat, stats):
+    def counting_sweep(self, flat):
         counts["sweeps"] += 1
-        return sweep(self, flat, stats)
+        return sweep(self, flat)
+
+    def counting_step(self, rows):
+        counts["steps"] += 1
+        return step(self, rows)
 
     def counting_spill(self, *args):
         outcome = run_spilled(self, *args)
-        counts["spills going on"] += bool((~outcome[0]).any())
+        if (~outcome[0]).any():
+            going_on.add(counts["steps"])
         return outcome
 
     monkeypatch.setattr(BatchCoster, "context", counting_context)
     monkeypatch.setattr(SweepEngine, "_sweep", counting_sweep)
+    monkeypatch.setattr(SweepEngine, "_step", counting_step)
     monkeypatch.setattr(BatchCoster, "run_spilled", counting_spill)
     monkeypatch.setattr(AxisTables, "_build", lambda self: built.append(self) or build(self))
     monkeypatch.setattr(
@@ -641,17 +660,17 @@ def test_perf_sweep_costs_each_qrun_once(benchmark, monkeypatch):
     benchmark.pedantic(campaign_pool_counters, rounds=1, iterations=1)
     monkeypatch.undo()
 
-    assert counts["sweeps"] == 31 and counts["spills going on"] > 0
-    assert counts["contexts"] == 2 * counts["sweeps"] + counts["spills going on"]
+    assert counts["sweeps"] == 31 and going_on
+    assert counts["contexts"] == 2 * counts["sweeps"] + len(going_on)
     assert sorted(map(id, built)) == sorted({id(holder) for holder in asked})
 
 
 def test_perf_sweep_engine_field(benchmark, env):
-    """The full optimized cost field via the cohort sweep engine.
+    """The full optimized cost field via the sweep engine.
 
     Guards the vectorized sweep kernel: one cold sweep of the 3D grid
-    (totals memo defeated each round so the cohort machinery, not the
-    result cache, is measured)."""
+    (totals memo defeated each round so the rounds, not the result
+    cache, are measured)."""
     from repro.sweep import SweepEngine
 
     _, ql, _ = env

@@ -21,9 +21,9 @@ Every Figure 13 decision is a pure function of per-row costs and masks
 with a leading location axis (:func:`dominating`, :func:`axis_plans`,
 :func:`pruned_by_floor`, :func:`pick`, :func:`fallback_order`,
 :func:`endgame`, :func:`crosses_early`, :func:`exhausts`, :func:`book`):
-:class:`BouquetRunner` asks them about one row, the cohort sweep
-(:mod:`repro.sweep`) about a whole cohort.  Each driver keeps only its
-own costing and its own execution.
+:class:`BouquetRunner` asks them about one row, the sweep
+(:mod:`repro.sweep`) about every location of a round at once.  Each
+driver keeps only its own costing and its own execution.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class KnownSelectivities:
 class RunState:
     """Where a run stands between two executions — all either driver's
     loop reads, so a run continues from any state as it starts from the
-    origin (the sweep residue resumes from its cohort's)."""
+    origin."""
 
     qrun: List[float]
     exact: Set[int]
@@ -374,27 +374,27 @@ def dominating(tables: ContourTables, qrun: np.ndarray) -> np.ndarray:
 
 
 def axis_plans(
-    tables: ContourTables, qrun: np.ndarray, exact: AbstractSet[int], attempted: AbstractSet[int]
+    tables: ContourTables, qrun: np.ndarray, exact: np.ndarray, attempted: np.ndarray
 ) -> Tuple[List[int], np.ndarray, np.ndarray]:
     """AxisPlans(q_run) (§5.1): the contour plans met where the positive
     axes through the row's snapped ``q_run`` leave the contour, along the
-    dimensions not learned ``exact``ly, less the plans ``attempted``.
-    Returns ``(plans, present, depth)``: the candidates ascending, and
-    per row and candidate whether it was met and the depth of its error
-    node for the deepest axis it was met on (:data:`NOT_MET` if none)."""
+    dimensions not learned ``exact``ly, less the plans ``attempted``;
+    ``exact`` ``(rows, D)`` and ``attempted`` ``(rows, tables.plan_ids)``
+    are per-row masks.  Returns ``(plans, present, depth)``: the plans
+    some row has as a candidate, ascending, and per row and plan whether
+    it is one and the depth of its error node for the deepest axis it
+    was met on (:data:`NOT_MET` if none)."""
     columns, depths = tables.gather
     space = tables.space
     cells = np.ravel_multi_index(tuple(space.snap(qrun).T), space.shape)
     met_on = columns[:, cells].T  # (rows, D): the column met along each axis
-    met_on[:, sorted(exact)] = -1
+    met_on[exact] = -1
     hit = met_on[:, :, None] == np.arange(len(tables.plan_ids))
     met = np.where(hit, depths.T[None, :, :], NOT_MET).max(axis=1)
-    present = met > NOT_MET
-    keep = [
-        j for j, (pid, anywhere) in enumerate(zip(tables.plan_ids, present.any(axis=0).tolist()))
-        if anywhere and pid not in attempted
-    ]
-    return [tables.plan_ids[j] for j in keep], present[:, keep], met[:, keep]
+    present = (met > NOT_MET) & ~attempted
+    keep = present.any(axis=0)
+    plans = [pid for pid, kept in zip(tables.plan_ids, keep.tolist()) if kept]
+    return plans, present[:, keep], met[:, keep]
 
 
 def pruned_by_floor(floors: np.ndarray, present: np.ndarray, budget: float) -> np.ndarray:
@@ -472,7 +472,8 @@ def book(
     ``4(1+λ)ρ``: ``plans`` spilled or pruned on the contour join
     ``attempted`` and are no AxisPlans candidates again, and ``plans``
     proven ``exhausting`` join ``exhausted`` and run on it no more.
-    Returns the two sets after."""
+    Returns the two sets after; the sweep passes per-row masks over the
+    bouquet's plans instead, which ``|`` joins alike."""
     return (
         attempted | plans if spilled else attempted,
         exhausted | plans if exhausting else exhausted,
@@ -690,7 +691,10 @@ class BouquetRunner:
             if len(exact) < len(dims):
                 # Spill the picked AxisPlans candidate, after the prune.
                 unlearned = frozenset(dims[d].pid for d in range(len(dims)) if d not in exact)
-                plans, present, depth = axis_plans(tables, row, exact, state.attempted)
+                plans, present, depth = axis_plans(
+                    tables, row, np.array([[d in exact for d in range(len(dims))]]),
+                    np.array([[pid in state.attempted for pid in tables.plan_ids]]),
+                )
                 floors = [[self._spill_floor(pid, qrun, unlearned) for pid in plans]]
                 pruned = pruned_by_floor(np.array(floors), present, budget)
                 productive = present & ~pruned

@@ -3,12 +3,13 @@
 The robustness metrics (MSO/ASO/MaxHarm) need the bouquet's total
 execution cost at *every* possible actual location ``qa``.  For the basic
 algorithm this cost field is computed fully vectorized; the optimized
-algorithm runs the vectorized cohort sweep engine in :mod:`repro.sweep`.
-:func:`simulate_at` — one :class:`~repro.core.runtime.BouquetRunner` run
-at one location, from the ESS origin — is the ground truth the engine is
-tested against (``tests/sweep/test_sweep_engine.py::TestFieldEquality``);
-the engine finishes cohorts too small to batch through the same runner,
-resumed from the cohort's state instead of the origin.
+algorithm runs the vectorized sweep engine in :mod:`repro.sweep`, which
+advances every location as one row of an array state, asking the same
+decision functions as the runner.  :func:`simulate_at` — one
+:class:`~repro.core.runtime.BouquetRunner` run at one location, from the
+ESS origin — is what the engine is tested against, with the literal
+scalar Figure 13 of the tests
+(``tests/sweep/test_sweep_engine.py::TestFieldEquality``).
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ def optimized_cost_field(
     shaped counterpart is :func:`repro.robustness.metrics.optimized_field`).
 
     ``locations`` defaults to the whole grid; pass a sample for very
-    large spaces.  Computed by the vectorized cohort engine in
+    large spaces.  Computed by the vectorized sweep engine in
     :mod:`repro.sweep` and memoized on the bouquet.
     """
     # Imported lazily: repro.sweep itself imports repro.core (the
-    # runner finishes its residue locations).
+    # decision functions it shares with the runner).
     from ..sweep import SweepEngine
 
     return SweepEngine(bouquet).field_dict(locations)

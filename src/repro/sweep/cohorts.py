@@ -1,19 +1,18 @@
 """The sweep's costing and execution: :class:`BatchCoster`.
 
-The optimized driver's decisions (:mod:`repro.core.runtime`) are
-*discrete* — which plan, did the spill complete, did the contour get
-crossed early — so locations that share the same decision prefix can be
-advanced together ("cohorts"), with every per-location quantity
-(``q_run``, accumulated cost, spilled reach) carried in numpy arrays.
-What the decisions read is costed here, over a batch of continuous
-``q_run`` rows: the plan cost formulas already evaluate elementwise over
-arrays (see :mod:`repro.optimizer.plans`), so a whole cohort is costed in
-one tree walk.  A context is built where ``q_run`` is set — at the
-origin, and over the rows a spill leaves to go on — and every later
-step of those rows gathers from the estimates it memoised (:func:`_at`)
-instead of costing again.  The batched spill-mode execution is here too
-(:meth:`~repro.core.runtime.AbstractExecutionService.run_spilled` on all
-cohort members at once: the same search for the last 2**-40 grid point
+The sweep (:mod:`repro.sweep.engine`) carries every per-location
+quantity (``q_run``, accumulated cost, spilled reach) in numpy arrays,
+one row per location.  What the optimized driver's decisions
+(:mod:`repro.core.runtime`) read is costed here, over a batch of
+continuous ``q_run`` rows: the plan cost formulas already evaluate
+elementwise over arrays (see :mod:`repro.optimizer.plans`), so a whole
+round is costed in one tree walk.  A context is built where ``q_run`` is
+set — at the origin, and over the rows a round's spills leave to go on —
+and every later round of those rows gathers from the estimates it
+memoised (:func:`_at`) instead of costing again.  The batched spill-mode
+execution is here too
+(:meth:`~repro.core.runtime.AbstractExecutionService.run_spilled` on many
+rows at once: the same search for the last 2**-40 grid point
 under the budget, moving the spill node's own formula over inputs
 gathered from the sweep's one costing of the truth), in the scalar
 service's arithmetic, so the engine's field agrees with the per-location

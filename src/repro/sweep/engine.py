@@ -1,28 +1,29 @@
-"""The cohort-stepping sweep engine.
+"""The round-stepping sweep engine.
 
 :class:`SweepEngine` computes the optimized-bouquet total cost at many
-ESS locations at once by advancing *cohorts* — batches of locations that
-share the same discrete execution prefix — through Figure 13, asking the
-same decision functions :meth:`repro.core.runtime.BouquetRunner._run_optimized`
+ESS locations at once.  Every location is one *row* of an array state —
+``q_run`` ``(n, D)``, the cost charged, its contour and its round on
+that contour, the dimensions learned exactly ``(n, D)``, the plans
+attempted and exhausted on the contour ``(n, |B|)``, and the costing
+context its ``q_run`` was costed in — advanced through Figure 13 by the
+decision functions :meth:`repro.core.runtime.BouquetRunner._run_optimized`
 asks (:func:`~repro.core.runtime.dominating`,
 :func:`~repro.core.runtime.axis_plans`, :func:`~repro.core.runtime.pick`,
-…) about every member at once:
+…), about many rows at once:
 
-1. every location starts in one cohort at the first contour with
-   ``q_run = (lo, …, lo)``, costed in a one-row context at the origin;
-2. each step gathers what the decisions read (spill floors, candidate
-   and full-run costs) from the context its ``q_run`` was costed in
-   (:attr:`Cohort.at`: ``q_run`` only moves at a spill, whose
-   early-crossing check costs every bouquet plan at the learned rows),
-   and the chosen spill's reach is searched for all members at once
-   over a truth the sweep costs once;
-3. the cohort then *splits* by decision signature — (contour, plan,
-   spill outcome, early-crossing verdict) — and each child continues as
-   its own cohort;
-4. cohorts that shrink below the batching threshold become *residue*:
-   each member continues through the scalar runner from the state its
-   cohort reached (``q_run``, charged total, contour, tried plans) —
-   the executions the cohort already simulated are not run again.
+1. every row starts on the first contour with ``q_run = (lo, …, lo)``,
+   costed in a one-row context at the origin;
+2. a *round* takes every live row with the smallest (contour, spills
+   taken on it) key.  A row's next key is always larger — it crosses
+   to the next contour, or spills and takes one more round on this
+   one — so the smallest key's rows are all the rows that can reach it;
+3. the round gathers what the decisions read (spill floors per pattern
+   of exact dimensions, candidate and full-run costs) from the contexts
+   the rows' ``q_run`` were costed in, spills once per (winner, exact
+   pattern) — the reach is searched for all its rows at once over a
+   truth the sweep costs once — and builds one context over the rows
+   its spills leave to go on, which the early-crossing check and their
+   later rounds gather from.
 
 Full runs need no per-location loop: once nothing is left to learn on a
 contour, the plans the endgame or the fallback order runs are looked up
@@ -38,16 +39,13 @@ far inside the 1e-9 relative tolerance of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..core.bouquet import PlanBouquet
+from ..core.contours import ContourTables
 from ..core.runtime import (
-    AbstractExecutionService,
-    BouquetRunner,
-    RunState,
     axis_plans,
     book,
     crosses_early,
@@ -61,51 +59,17 @@ from ..core.runtime import (
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import Tracer
-from ..optimizer.plans import CostContext, PlanNode
+from ..optimizer.plans import PlanNode
 from .cohorts import _at
 from .memo import SweepCache, sweep_cache
 
-__all__ = ["SweepEngine", "Cohort"]
+__all__ = ["SweepEngine"]
 
-#: Cohorts smaller than this are finished by the per-location reference
-#: runner (batching overhead exceeds the win on tiny batches; 1, 2 and 4
-#: time alike over the campaign pool).
-DEFAULT_RESIDUE_MIN = 4
-
-
-@dataclass
-class Cohort:
-    """Locations sharing one discrete execution prefix."""
-
-    rows: np.ndarray  # (N,) indices into the engine's location table
-    qrun: np.ndarray  # (N, D) running selectivity lower bounds
-    total: np.ndarray  # (N,) accumulated execution cost
-    #: The costing context ``q_run`` was last set in (at the origin, or
-    #: over the rows of the spill that learned it); ``at_rows`` (N,) is
-    #: each member's row in it.  None once the cohort is residue.
-    at: Optional[CostContext]
-    at_rows: np.ndarray
-    cid: int  # current contour position
-    exact: FrozenSet[int]  # dims learned exactly
-    attempted: FrozenSet[int] = frozenset()  # plans spilled (or pruned) at this contour
-    exhausted: FrozenSet[int] = frozenset()  # plans that consumed this contour's budget
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def subset(self, mask: np.ndarray) -> "Cohort":
-        """The members under ``mask``, in this cohort's state."""
-        return Cohort(
-            self.rows[mask], self.qrun[mask], self.total[mask], self.at, self.at_rows[mask],
-            self.cid, self.exact, self.attempted, self.exhausted,
-        )
-
-    def crossed(self) -> "Cohort":
-        """This cohort on the next contour, where nothing is attempted yet."""
-        return Cohort(
-            self.rows, self.qrun, self.total, self.at, self.at_rows, self.cid + 1, self.exact
-        )
+#: What a sweep holds between its rounds, dropped when it ends.
+_PER_SWEEP = (
+    "_flat", "_out", "_at_truth", "_qrun", "_total", "_cid", "_round",
+    "_exact", "_attempted", "_exhausted", "_contexts", "_ctx", "_ctx_row",
+)
 
 
 class SweepEngine:
@@ -122,10 +86,12 @@ class SweepEngine:
         self.budgets = list(bouquet.budgets)
         self.D = self.space.dimensionality
         self._shape = self.space.shape
-        # Per-run state (set by _sweep):
-        self._flat: Optional[np.ndarray] = None
-        self._out: Optional[np.ndarray] = None
-        self._at_truth: Optional[CostContext] = None
+        self._plan_ids = np.array(bouquet.plan_ids)
+        self._pattern_bits = 1 << np.arange(self.D, dtype=np.int64)
+        # Per-sweep state (set by _sweep, one row per swept location):
+        for name in _PER_SWEEP:
+            setattr(self, name, None)
+        self._steps = self._spills = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -176,251 +142,223 @@ class SweepEngine:
             if tracer.enabled and hits:
                 tracer.count("sweep.memo_hits", hits)
             todo = flat[~known]
-            stats: Dict[str, float] = {
-                "cohorts": 0, "splits": 0, "residue": 0, "steps": 0
-            }
+            self._steps = self._spills = 0
             if len(todo):
-                self._sweep(todo, stats)
+                self._sweep(todo)
             span.set(
                 memo_hits=hits,
-                cohorts=int(stats["cohorts"]),
-                splits=int(stats["splits"]),
-                residue=int(stats["residue"]),
+                steps=self._steps,
+                spills=self._spills,
                 batched_costings=cache.coster.batched_costings,
             )
         return cache.totals[flat].copy()
 
-    def _sweep(self, flat: np.ndarray, stats: Dict[str, float]) -> None:
+    def _sweep(self, flat: np.ndarray) -> None:
         cache = self.cache
+        coster = cache.coster
         tracer = self.tracer
-        n = len(flat)
+        n, plans = len(flat), len(self._plan_ids)
         self._flat = flat
-        self._out = np.full(n, np.nan)
-        # One context over the truth of the swept locations (cohort
-        # ``rows`` index it): what a spill reads there is costed once.
-        self._at_truth = cache.coster.context(cache.truth[flat])
-        before = cache.coster.spill_evaluations
+        self._out = np.full(n, np.nan)  # NaN: the row is still running
+        # One context over the truth of the swept locations (rows index
+        # it): what a spill reads there is costed once.
+        self._at_truth = coster.context(cache.truth[flat])
+        before = coster.spill_evaluations
         origin = np.array([[dim.lo for dim in self.space.dimensions]])
-        initial = Cohort(
-            rows=np.arange(n, dtype=np.int64),
-            qrun=np.repeat(origin, n, axis=0),
-            total=np.zeros(n),
-            at=cache.coster.context(origin),
-            at_rows=np.zeros(n, dtype=np.int64),
-            cid=0,
-            exact=frozenset(),
-        )
-        queue: List[Cohort] = [initial]
-        residue: List[Cohort] = []
-        while queue:
-            cohort = queue.pop()
-            if cohort.size < DEFAULT_RESIDUE_MIN:
-                # The scalar runner costs for itself: let the context go.
-                cohort.at = None
-                residue.append(cohort)
-                continue
-            stats["cohorts"] += 1
-            if tracer.enabled:
-                tracer.count("sweep.cohorts")
-                tracer.observe("sweep.cohort_size", cohort.size)
-            children = self._step(cohort)
-            stats["steps"] += 1
-            stats["splits"] += max(0, len(children) - 1)
-            if tracer.enabled and len(children) > 1:
-                tracer.count("sweep.cohort_splits", len(children) - 1)
-            queue.extend(children)
+        self._qrun = np.repeat(origin, n, axis=0)
+        self._total = np.zeros(n)
+        self._cid = np.zeros(n, dtype=np.int64)
+        self._round = np.zeros(n, dtype=np.int64)
+        self._exact = np.zeros((n, self.D), dtype=bool)
+        self._attempted = np.zeros((n, plans), dtype=bool)
+        self._exhausted = np.zeros((n, plans), dtype=bool)
+        self._contexts = {0: coster.context(origin)}
+        self._ctx = np.zeros(n, dtype=np.int64)
+        self._ctx_row = np.zeros(n, dtype=np.int64)
+        # Rounds never outnumber the plans on a contour: each spills one
+        # plan not attempted there yet.
+        stride = plans + 1
+        while len(live := np.flatnonzero(np.isnan(self._out))):
+            key = self._cid[live] * stride + self._round[live]
+            self._step(live[key == key.min()])
+            self._steps += 1
         if tracer.enabled:
-            tracer.count("sweep.spill_formula_evaluations", cache.coster.spill_evaluations - before)
-        if residue:
-            rows = np.concatenate([cohort.rows for cohort in residue])
-            stats["residue"] += len(rows)
-            if tracer.enabled:
-                tracer.count("sweep.residue_locations", len(rows))
-            self._out[rows] = self._finish_residue(residue)
-        if np.isnan(self._out).any():
-            raise BouquetError("sweep engine left locations unswept")
+            tracer.count("sweep.steps", self._steps)
+            tracer.count("sweep.spills", self._spills)
+            tracer.count("sweep.spill_formula_evaluations", coster.spill_evaluations - before)
         cache.store(flat, self._out)
-        self._flat = self._out = self._at_truth = None
-
-    def _finish_residue(self, cohorts: List[Cohort]) -> np.ndarray:
-        """Totals of the cohorts too small to batch, members in cohort
-        order: each resumes the scalar Figure 13 loop from its cohort's
-        state instead of re-running it from the ESS origin."""
-        totals, executions = [], 0
-        for cohort in cohorts:
-            truth = self.cache.truth[self._flat[cohort.rows]].tolist()
-            for qa, qrun, total in zip(truth, cohort.qrun.tolist(), cohort.total.tolist()):
-                service = AbstractExecutionService(self.bouquet, qa)
-                result = BouquetRunner(self.bouquet, service)._run_optimized(
-                    RunState(
-                        qrun, set(cohort.exact), cohort.cid, total,
-                        cohort.attempted, cohort.exhausted,
-                    )
-                )
-                if not result.completed:
-                    raise BouquetError("residue run did not complete — contour coverage bug")
-                totals.append(result.total_cost)
-                executions += result.execution_count
-        if self.tracer.enabled:
-            self.tracer.count("sweep.residue_executions", executions)
-        return np.array(totals)
+        for name in _PER_SWEEP:
+            setattr(self, name, None)
 
     # ------------------------------------------------------------------
-    # One cohort step (one contour interaction)
+    # One round (one contour interaction of every row in it)
     # ------------------------------------------------------------------
 
     def _costs(
-        self, cohort: Cohort, nodes: Sequence[PlanNode], wanted: Optional[np.ndarray] = None
+        self, rows: np.ndarray, nodes: Sequence[PlanNode], wanted: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """``(members, nodes)``: the ``wanted`` nodes' costs (all by
-        default) at the members' ``q_run``, gathered from the context it
-        was costed in; a decision reads no other entry, left at ``inf``."""
+        """``(rows, nodes)``: the ``wanted`` nodes' costs (all by default)
+        at the rows' ``q_run``, gathered from the contexts it was costed
+        in; a decision reads no other entry, left at ``inf``."""
         coster = self.cache.coster
-        out = np.full((cohort.size, len(nodes)), np.inf)
-        for k, node in enumerate(nodes):
-            r = slice(None) if wanted is None else wanted[:, k]
-            at_rows = cohort.at_rows[r]
-            if len(at_rows):
-                out[r, k] = coster.cost(_at(node.estimate(cohort.at).cost, at_rows), len(at_rows))
+        out = np.full((len(rows), len(nodes)), np.inf)
+        ctx = self._ctx[rows]
+        for c in set(ctx.tolist()):
+            at, segment = self._contexts[c], ctx == c
+            for k, node in enumerate(nodes):
+                r = segment if wanted is None else segment & wanted[:, k]
+                at_rows = self._ctx_row[rows[r]]
+                if len(at_rows):
+                    out[r, k] = coster.cost(_at(node.estimate(at).cost, at_rows), len(at_rows))
         return out
 
-    def _step(self, cohort: Cohort) -> List[Cohort]:
-        contours = self.bouquet.contours
-        if cohort.cid >= len(contours):
+    def _columns(self, plans: Sequence[int]) -> np.ndarray:
+        """The ``(n, |B|)`` state columns of bouquet plans ``plans``."""
+        return np.searchsorted(self._plan_ids, plans)
+
+    def _cross(self, rows: np.ndarray) -> None:
+        """The rows go on to the next contour, none of whose plans is tried."""
+        self._cid[rows] += 1
+        self._round[rows] = 0
+        self._attempted[rows] = self._exhausted[rows] = False
+
+    def _step(self, rows: np.ndarray) -> None:
+        """One round: the next contour interaction of ``rows``, which
+        share one (contour, round) key."""
+        cid = int(self._cid[rows[0]])
+        if cid >= len(self.bouquet.contours):
             # The reference run would return completed=False here and
             # simulate_at would raise: contour coverage is broken.
             raise BouquetError(
                 "sweep reached the end of the contour ladder without "
                 "completing — contour coverage bug"
             )
-        cid = cohort.cid
         budget = self.budgets[cid]
         tables = self.bouquet.contour_tables(cid)
-        coster = self.cache.coster
-        children: List[Cohort] = []
+        columns = self._columns(tables.plan_ids)
 
-        dom = dominating(tables, cohort.qrun)
+        dom = dominating(tables, self._qrun[rows])
         has_dom = dom.any(axis=1)
-        if not has_dom.all():
-            children.append(cohort.subset(~has_dom).crossed())
-        if not has_dom.any():
-            return children
-        cohort, dom = cohort.subset(has_dom), dom[has_dom]
-        eligible = dom & [[pid not in cohort.exhausted for pid in tables.plan_ids]]
+        self._cross(rows[~has_dom])
+        rows, dom = rows[has_dom], dom[has_dom]
+        winner = np.full(len(rows), -1, dtype=np.int64)
+        learning = ~self._exact[rows].all(axis=1)
+        if learning.any():
+            winner[learning] = self._pick(rows[learning], tables, columns, budget)
+        # Nothing (left) to learn on this contour: run plans fully.
+        full = winner < 0
+        if full.any():
+            eligible = dom[full] & ~self._exhausted[rows[full]][:, columns]
+            self._run_fully(rows[full], eligible, tables, budget)
+        if not full.all():
+            self._spill(rows[~full], winner[~full], cid, budget)
 
-        if len(cohort.exact) == self.D:
-            self._run_fully(cohort, children, eligible, tables, budget)
-            return children
-
-        unlearned = frozenset(
-            dim.pid for d, dim in enumerate(self.space.dimensions) if d not in cohort.exact
+    def _pick(
+        self, rows: np.ndarray, tables: ContourTables, columns: np.ndarray, budget: float
+    ) -> np.ndarray:
+        """The plan each row spills (-1 for none), after the spill-floor
+        prune, whose plans are booked attempted and exhausted."""
+        coster = self.cache.coster
+        exact = self._exact[rows]
+        plans, present, depth = axis_plans(
+            tables, self._qrun[rows], exact, self._attempted[rows][:, columns]
         )
-        plans, present, depth = axis_plans(tables, cohort.qrun, cohort.exact, cohort.attempted)
-        subtrees = [coster.spill_node(pid, unlearned)[0] or coster.plan(pid) for pid in plans]
-        floors = self._costs(cohort, subtrees, present)
+        # What a spill runs depends on what is left to learn: floors are
+        # costed per pattern of exact dimensions.
+        floors = np.full(present.shape, np.inf)
+        patterns, which = np.unique(exact @ self._pattern_bits, return_inverse=True)
+        for p, pattern in enumerate(patterns.tolist()):
+            unlearned = self._unlearned(pattern)
+            subtrees = [coster.spill_node(pid, unlearned)[0] or coster.plan(pid) for pid in plans]
+            sel = which == p
+            floors[sel] = self._costs(rows[sel], subtrees, present[sel])
         pruned = pruned_by_floor(floors, present, budget)
         productive = present & ~pruned
-        costs = self._costs(cohort, [coster.plan(pid) for pid in plans], productive)
-        winner = pick(plans, costs, depth, productive)
+        costs = self._costs(rows, [coster.plan(pid) for pid in plans], productive)
+        taken = np.zeros_like(self._attempted[rows])
+        taken[:, self._columns(plans)] = pruned
+        self._attempted[rows], self._exhausted[rows] = book(
+            self._attempted[rows], self._exhausted[rows], taken, True, True
+        )
+        return pick(plans, costs, depth, productive)
 
-        fallback = winner < 0
-        if fallback.any():
-            column = {pid: j for j, pid in enumerate(tables.plan_ids)}
-            for k, pid in enumerate(plans):
-                eligible[:, column[pid]] &= ~pruned[:, k]
-            self._run_fully(cohort.subset(fallback), children, eligible[fallback], tables, budget)
-        active = ~fallback
-        if not active.any():
-            return children
-        # Group spill executions by (pruned set, winner) — the spill
-        # itself only depends on the winner, but the pruned set feeds the
-        # child cohorts' attempted/exhausted state.
-        bits = (pruned @ (1 << np.arange(len(plans), dtype=np.int64))).astype(np.int64)
-        for b_val, w_val in sorted({tuple(p) for p in np.stack([bits, winner], axis=1)[active].tolist()}):
-            sel = active & (bits == b_val) & (winner == w_val)
-            pruned_plans = frozenset(pid for k, pid in enumerate(plans) if b_val >> k & 1)
-            self._execute_spill(
-                cohort.subset(sel), children, int(w_val), pruned_plans, unlearned, budget
-            )
-        return children
+    def _unlearned(self, pattern: int) -> frozenset:
+        """The pids of the dimensions not in the exact ``pattern``."""
+        return frozenset(
+            dim.pid for d, dim in enumerate(self.space.dimensions) if not pattern >> d & 1
+        )
 
-    def _execute_spill(self, cohort, children, plan_id, pruned_plans, unlearned, budget) -> None:
+    def _spill(self, rows: np.ndarray, winner: np.ndarray, cid: int, budget: float) -> None:
+        """Each row spills its ``winner``: one execution per (winner,
+        exact pattern), then one context over the rows that go on."""
         coster = self.cache.coster
-        rows = cohort.rows
-        answered, exact_mask, spent, learned, target_dims = coster.run_spilled(
-            plan_id, budget, unlearned, self._at_truth, rows
-        )
-        qrun = cohort.qrun.copy()
-        for col, j in enumerate(target_dims):
-            qrun[:, j] = np.maximum(qrun[:, j], learned[:, col])
-        total = cohort.total + spent
-
-        # Spill-to-store completions: the resumed plan finished under the
-        # budget, answering the query — these locations are done.
-        if answered.any():
-            self._out[rows[answered]] = total[answered]
-        remaining = ~answered
-        if not remaining.any():
+        group = winner << self.D | self._exact[rows] @ self._pattern_bits
+        exhausting = np.zeros(len(rows), dtype=bool)
+        for key in set(group.tolist()):
+            sel = group == key
+            spilled = rows[sel]
+            plan_id, pattern = key >> self.D, key & ((1 << self.D) - 1)
+            answered, exact, spent, learned, target = coster.run_spilled(
+                plan_id, budget, self._unlearned(pattern), self._at_truth, spilled
+            )
+            self._spills += 1
+            self._total[spilled] += spent
+            # Spill-to-store completions: the resumed plan finished under
+            # the budget, answering the query — these rows are done.
+            self._out[spilled[answered]] = self._total[spilled[answered]]
+            for col, j in enumerate(target):
+                self._qrun[spilled, j] = np.maximum(self._qrun[spilled, j], learned[:, col])
+                self._exact[spilled, j] |= exact
+            exhausting[sel] = exhausts(answered, spent, budget)
+        on = np.isnan(self._out[rows])
+        going, exhausting = rows[on], exhausting[on]
+        if not len(going):
             return
-
-        # The learned q_run gets one context, which the early-crossing
-        # check and every later step of these rows read.
-        qrun = qrun[remaining]
-        spilled = Cohort(
-            rows[remaining], qrun, total[remaining], coster.context(qrun), np.arange(len(qrun)),
-            cohort.cid, cohort.exact,
+        won = np.zeros((len(going), len(self._plan_ids)), dtype=bool)
+        won[np.arange(len(going)), self._columns(winner[on])] = True
+        attempted, exhausted = book(self._attempted[going], self._exhausted[going], won, True, False)
+        self._attempted[going], self._exhausted[going] = book(
+            attempted, exhausted, won & exhausting[:, None], False, True
         )
-        exact_mask = exact_mask[remaining]
-        exhausting = exhausts(answered, spent, budget)[remaining]
-        crossed = np.zeros(spilled.size, dtype=bool)
-        if cohort.cid + 1 < len(self.bouquet.contours):
+        # The learned q_run gets one context, which the early-crossing
+        # check and every later round of these rows read; a context no
+        # running row reads any more is let go.
+        fresh = max(self._contexts) + 1
+        self._ctx[going], self._ctx_row[going] = fresh, np.arange(len(going))
+        read = set(self._ctx[np.isnan(self._out)].tolist())
+        self._contexts = {c: at for c, at in self._contexts.items() if c in read}
+        self._contexts[fresh] = coster.context(self._qrun[going])
+        self._round[going] += 1
+        if cid + 1 < len(self.bouquet.contours):
             plans = [coster.plan(pid) for pid in self.bouquet.plan_ids]
-            crossed = crosses_early(self._costs(spilled, plans), budget)
-        attempted, exhausted = book(cohort.attempted, cohort.exhausted, pruned_plans, True, True)
-        for exact_spill in (True, False):
-            exact = cohort.exact
-            if exact_spill and target_dims:
-                exact = cohort.exact | set(target_dims)
-            for exhausts_plan in (True, False):
-                booked = book(attempted, exhausted, frozenset((plan_id,)), True, exhausts_plan)
-                for crs in (True, False):
-                    mask = (
-                        (exact_mask == exact_spill)
-                        & (exhausting == exhausts_plan) & (crossed == crs)
-                    )
-                    if not mask.any():
-                        continue
-                    child = spilled.subset(mask)
-                    child.exact, (child.attempted, child.exhausted) = exact, booked
-                    children.append(child.crossed() if crs else child)
+            self._cross(going[crosses_early(self._costs(going, plans), budget)])
 
-    def _run_fully(self, cohort, children, eligible, tables, budget) -> None:
-        """Nothing (left) to learn on this contour: the members run plans
+    def _run_fully(
+        self, rows: np.ndarray, eligible: np.ndarray, tables: ContourTables, budget: float
+    ) -> None:
+        """Nothing (left) to learn on this contour: the rows run plans
         fully, in the order the endgame (every dimension exact) or the
         fallback decides.  A closed form over the true costs: the first
         plan that fits the budget answers, every one before it burns the
         budget, and with none the contour is crossed."""
         coster = self.cache.coster
-        costs = self._costs(cohort, [coster.plan(pid) for pid in tables.plan_ids], eligible)
-        if len(cohort.exact) == self.D:
-            order, runs = endgame(costs, eligible)
-        else:
-            order, runs = fallback_order(costs, eligible, budget)
+        costs = self._costs(rows, [coster.plan(pid) for pid in tables.plan_ids], eligible)
+        order, runs = fallback_order(costs, eligible, budget)
+        learned = self._exact[rows].all(axis=1)
+        if learned.any():
+            first, once = endgame(costs[learned], eligible[learned])
+            order[learned, :1], runs[learned] = first, once
         fields = self.bouquet.cost_cache.cost_arrays(tables.plan_ids)
-        rows, total = cohort.rows, cohort.total
         flat = self._flat[rows]
         true_cost = np.stack([fields[pid].ravel()[flat] for pid in tables.plan_ids], axis=1)
         in_order = np.take_along_axis(true_cost, order, axis=1)
         completes = (np.arange(order.shape[1]) < runs[:, None]) & (in_order <= budget)
         answered = completes.any(axis=1)
-        if answered.any():
-            # The completer's position in the order: how many ran before it.
-            fails = completes.argmax(axis=1)
-            final = in_order[np.arange(len(rows)), fails]
-            self._out[rows[answered]] = (
-                total[answered] + budget * fails[answered] + final[answered]
-            )
-        if not answered.all():
-            crossing = cohort.subset(~answered)
-            crossing.total = crossing.total + budget * runs[~answered]
-            children.append(crossing.crossed())
+        # The completer's position in the order: how many ran before it.
+        fails = completes.argmax(axis=1)
+        final = in_order[np.arange(len(rows)), fails]
+        done = rows[answered]
+        self._out[done] = self._total[done] + budget * fails[answered] + final[answered]
+        crossing = rows[~answered]
+        self._total[crossing] += budget * runs[~answered]
+        self._cross(crossing)

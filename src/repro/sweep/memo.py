@@ -16,8 +16,8 @@ cache:
   (:meth:`~repro.core.bouquet.PlanBouquet.contour_tables`), shared with
   the scalar runner.
 
-Shared climb prefixes are not memoised here: within a sweep the cohort
-partition itself simulates each prefix once (see
+Shared climb prefixes are not memoised here: within a sweep a round
+costs, spills and decides for all its rows at once (see
 :mod:`repro.sweep.engine`), and across sweeps the result memo answers
 before any prefix is walked.
 """

@@ -2,8 +2,7 @@
 
 ``BouquetRunner._start`` decides a run's initial ``RunState`` and
 ``_run_optimized`` advances it in place; the state is whole again by
-every execution, so a run cut anywhere continues to the same answer —
-which is what lets the sweep residue resume from its cohort's state.
+every execution, so a run cut anywhere continues to the same answer.
 A spilled run's reach is searched on the spill node's own formula only
 (``reach_under_budget``: the 2**-40 grid point 40 halvings end on, found
 without making them); the literal whole-subtree 40-step bisection

@@ -61,10 +61,19 @@ def _dominating(bouquet, contour, qrun):
     return [pid for pid, dominates in zip(tables.plan_ids, mask) if dominates]
 
 
+def _masks(tables, rows, exact, attempted=frozenset()):
+    """Sets of exact dimensions and attempted plans as the per-row masks
+    :func:`axis_plans` reads, the same for every row."""
+    exact_mask = [d in exact for d in range(tables.space.dimensionality)]
+    attempted_mask = [pid in attempted for pid in tables.plan_ids]
+    return np.array([exact_mask] * len(rows)), np.array([attempted_mask] * len(rows))
+
+
 def _axis_plans(bouquet, contour, qrun, exact, attempted=frozenset()):
     """The shared AxisPlans asked about rows: ``{plan: depth}`` per row."""
+    tables = _tables(bouquet, contour)
     plans, present, depth = axis_plans(
-        _tables(bouquet, contour), np.array(qrun), exact, attempted
+        tables, np.array(qrun), *_masks(tables, qrun, exact, attempted)
     )
     return [
         {pid: int(d) for pid, met, d in zip(plans, row_present, row_depth) if met}
@@ -199,13 +208,29 @@ class TestAxisPlans:
     @settings(max_examples=60, deadline=None)
     def test_many_rows_match_the_ray_walk(self, runners, data):
         """The gather tables answer as the cell-by-cell ray walk and the
-        covering-location search, less the plans already attempted."""
+        covering-location search, less the plans already attempted —
+        each row by its own exact dimensions and attempted plans, as the
+        sweep asks about a round's rows."""
         runner, contour, rows, exact = _draw_case(data, runners)
-        attempted = frozenset(data.draw(st.lists(st.sampled_from(contour.plan_ids), max_size=2)))
-        got = _axis_plans(runner.bouquet, contour, rows, exact, attempted)
-        for row, candidates in zip(rows, got):
-            want = axis_plans_by_definition(runner.bouquet, contour, row, exact)
-            assert candidates == {p: d for p, d in want.items() if p not in attempted}
+        dims = range(runner.space.dimensionality)
+        exacts = [exact] + [
+            set(data.draw(st.lists(st.sampled_from(dims), max_size=2))) for _ in rows[1:]
+        ]
+        attempts = [
+            frozenset(data.draw(st.lists(st.sampled_from(contour.plan_ids), max_size=2)))
+            for _ in rows
+        ]
+        tables = _tables(runner.bouquet, contour)
+        plans, present, depth = axis_plans(
+            tables,
+            np.array(rows),
+            np.array([[d in known for d in dims] for known in exacts]),
+            np.array([[pid in tried for pid in tables.plan_ids] for tried in attempts]),
+        )
+        for row, known, tried, row_present, row_depth in zip(rows, exacts, attempts, present, depth):
+            got = {pid: int(d) for pid, met, d in zip(plans, row_present, row_depth) if met}
+            want = axis_plans_by_definition(runner.bouquet, contour, row, known)
+            assert got == {p: d for p, d in want.items() if p not in tried}
 
 
 def _tied_plans(contour, cell):
@@ -312,7 +337,8 @@ class TestPickCandidate:
         candidates left out as unproductive: the pick the sorted
         definition makes, row by row."""
         runner, contour, rows, exact = _draw_case(data, runners)
-        plans, present, depth = axis_plans(_tables(runner.bouquet, contour), np.array(rows), exact, frozenset())
+        tables = _tables(runner.bouquet, contour)
+        plans, present, depth = axis_plans(tables, np.array(rows), *_masks(tables, rows, exact))
         productive = present & np.array(
             [[data.draw(st.booleans()) for _ in plans] for _ in rows], dtype=bool
         ).reshape(present.shape)

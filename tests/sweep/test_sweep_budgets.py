@@ -1,4 +1,4 @@
-"""Cohort batching must preserve the λ-inflated budget semantics:
+"""The sweep's batched rounds must preserve the λ-inflated budget semantics:
 every failed execution charges exactly ``(1+λ) * IC_k`` — the contour
 budget, not the raw contour cost (Figure 7 discipline, carried over to
 the Figure 13 driver)."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import runtime
 from repro.core.simulation import optimized_cost_field, simulate_at
 from repro.robustness import optimized_field
 from repro.obs import MemorySink, Tracer
@@ -83,15 +84,6 @@ class TestFieldEquality:
                 SweepEngine(bouquet).cost_field(), _reference_field(bouquet), rtol=RTOL, atol=0.0
             )
 
-    def test_residue_only_path_matches_batched(self, q3d, monkeypatch):
-        batched = SweepEngine(q3d.bouquet).cost_field()
-        monkeypatch.setattr(engine_module, "DEFAULT_RESIDUE_MIN", 10**9)
-        residue = SweepEngine(q3d.bouquet)
-        residue.cache.invalidate()
-        np.testing.assert_allclose(
-            residue.cost_field(), batched, rtol=RTOL, atol=0.0
-        )
-
 
 class TestEngineMechanics:
     def test_totals_memo_short_circuits(self, q3d):
@@ -109,10 +101,9 @@ class TestEngineMechanics:
         engine = SweepEngine(q3d.bouquet)
         first = engine.cost_field()
         second = engine.cost_field(refresh=True)
-        # The memoized field may have been produced by the reference
-        # residue path in an earlier test; a refreshed batched sweep
-        # agrees to rounding, not bit-exactly.
-        np.testing.assert_allclose(first, second, rtol=RTOL, atol=0.0)
+        # One route: whichever sweep memoised the field, a refreshed
+        # sweep repeats it bit for bit.
+        assert np.array_equal(first, second)
 
     def test_array_entry_point_shape(self, q3d):
         field = optimized_field(q3d.bouquet)
@@ -169,109 +160,144 @@ class TestEngineMechanics:
 
 class TestCarriedCosting:
     def test_every_gather_equals_a_fresh_costing(self, q3d, monkeypatch):
-        """A cohort step costs nothing itself: its spill floors, candidate
-        costs and full-run costs are gathered from the context its
-        ``q_run`` was costed in (the origin's, or the one the spill that
-        learned it built), and each is bit-equal to costing the members'
+        """A round costs nothing itself: its spill floors, candidate
+        costs and full-run costs are gathered from the contexts its rows'
+        ``q_run`` were costed in (the origin's, or the one the round that
+        learned it built), and each is bit-equal to costing the rows'
         ``q_run`` in a fresh context."""
         engine = SweepEngine(q3d.bouquet)
         engine.cache.invalidate()
         coster = engine.cache.coster
         gathered = engine._costs
-        contexts = []
+        contexts = set()
 
-        def checking(cohort, nodes, wanted=None):
-            got = gathered(cohort, nodes, wanted)
-            fresh = coster.context(cohort.qrun)
+        def checking(rows, nodes, wanted=None):
+            got = gathered(rows, nodes, wanted)
+            fresh = coster.context(engine._qrun[rows])
             for k, node in enumerate(nodes):
-                want = coster.cost(node.estimate(fresh).cost, cohort.size)
-                read = np.ones(cohort.size, dtype=bool) if wanted is None else wanted[:, k]
+                want = coster.cost(node.estimate(fresh).cost, len(rows))
+                read = np.ones(len(rows), dtype=bool) if wanted is None else wanted[:, k]
                 assert got[read, k].tobytes() == want[read].tobytes()
                 assert np.isinf(got[~read, k]).all()
-            contexts.append(cohort.at)
+            contexts.update(engine._ctx[rows].tolist())
             return got
 
         monkeypatch.setattr(engine, "_costs", checking)
         field = engine.cost_field()
-        assert len({id(at) for at in contexts}) > 10  # the origin's and many spills'
+        # The origin's, and the six of the rounds whose spills left rows
+        # to go on.
+        assert contexts == set(range(7))
         np.testing.assert_allclose(field, _reference_field(q3d.bouquet), rtol=RTOL, atol=0.0)
 
 
 class TestCampaignPoolCounts:
     def test_spill_searches_of_the_ledger_pool(self):
-        """A count, so the search's gain is not only a timing: a pass
-        over the 31 ``eval_campaign`` queries evaluates spill nodes'
-        formulas 821 times (336 spills at t = 1, then 132 searches);
-        the two 40-step loops made 5,748 = 336 + 132 * 41.  The cohort
-        partition itself is as it was."""
+        """Counts, so the gains are not only timings: a pass over the 31
+        ``eval_campaign`` queries evaluates spill nodes' formulas at most
+        1,300 times (802 today; the two 40-step loops made 5,748), in 315
+        rounds that spill 351 times.  The cohort engine took 498 cohort
+        steps and finished 402 locations through the scalar runner."""
         counters = campaign_pool_counters()
         assert counters["sweep.spill_formula_evaluations"] <= 1300
-        assert counters["sweep.residue_locations"] == 402
-        assert counters["sweep.residue_executions"] == 489
+        assert (counters["sweep.steps"], counters["sweep.spills"]) == (315, 351)
 
 
-class TestResidueRoute:
-    """The residue has one route — the scalar runner, continuing each
-    location from the state its cohort reached — so its totals equal
-    the from-origin reference bit for bit, and the counts are the ones
-    the pool-sharded engine reported."""
+def _cold_sweep(bouquet):
+    """A traced sweep over an emptied memo: its field, the ``sweep.field``
+    span's attributes and the counters."""
+    tracer = Tracer(MemorySink())
+    engine = SweepEngine(bouquet, tracer=tracer)
+    engine.cache.invalidate()
+    field = engine.cost_field()
+    (span,) = [
+        record["attrs"]
+        for record in tracer.sink.records
+        if record["type"] == "span_end" and record["name"] == "sweep.field"
+    ]
+    return field, span, tracer.snapshot()["counters"]
 
-    @staticmethod
-    def _cold_engine(bouquet, monkeypatch):
-        """An engine over an emptied memo that records what it hands to
-        the residue route and what it reports about it."""
-        tracer = Tracer(MemorySink())
-        engine = SweepEngine(bouquet, tracer=tracer)
-        engine.cache.invalidate()
-        residue = []
-        finish = engine._finish_residue
-        row_major = list(bouquet.space.locations())
 
-        def recording(cohorts):
-            for cohort in cohorts:
-                flat = engine._flat[cohort.rows]
-                residue.extend(row_major[f] for f in flat.tolist())
-            return finish(cohorts)
+class TestRounds:
+    """Every location is a row of one array state, advanced in (contour,
+    spills taken on it) rounds; no location leaves it for another route."""
 
-        monkeypatch.setattr(engine, "_finish_residue", recording)
+    def test_rounds_of_3d_h_q5(self, q3d):
+        field, span, counters = _cold_sweep(q3d.bouquet)
+        assert (span["steps"], span["spills"]) == (13, 12)
+        assert (counters["sweep.steps"], counters["sweep.spills"]) == (13, 12)
+        assert not any(name.startswith(("sweep.cohort", "sweep.residue")) for name in counters)
+        assert not {"cohorts", "splits", "residue"} & set(span)
+        reference = reference_field(q3d.bouquet)
+        assert all(field[loc] == pytest.approx(total, rel=RTOL) for loc, total in reference.items())
 
-        def reported():
-            (span,) = [
-                record["attrs"]
-                for record in tracer.sink.records
-                if record["type"] == "span_end" and record["name"] == "sweep.field"
-            ]
-            return span, tracer.snapshot()["counters"]
+    def test_a_sweep_runs_no_scalar_driver(self, q3d, monkeypatch):
+        """No :class:`BouquetRunner` and no :class:`AbstractExecutionService`
+        is constructed inside a sweep."""
+        constructed = []
 
-        return engine, residue, reported
+        def refusing(cls):
+            def init(self, *args, **kwargs):
+                constructed.append(cls.__name__)
+                raise AssertionError(f"{cls.__name__} constructed inside a sweep")
 
-    def test_sequential_residue_of_3d_h_q5(self, q3d, monkeypatch):
-        engine, residue, reported = self._cold_engine(q3d.bouquet, monkeypatch)
-        field = engine.cost_field()
-        span, counters = reported()
-        assert (span["cohorts"], span["splits"], span["residue"]) == (26, 16, 23)
-        assert counters["sweep.residue_locations"] == 23
-        assert len(residue) == len(set(residue)) == 23
-        reference = reference_field(q3d.bouquet, residue)
-        assert [field[loc] for loc in residue] == [reference[loc] for loc in residue]
+            monkeypatch.setattr(cls, "__init__", init)
 
-    def test_residue_resumes_instead_of_restarting(self, q3d, monkeypatch):
-        """A count, not a clock: the residue runs only the executions its
-        cohorts had not simulated yet."""
-        engine, residue, reported = self._cold_engine(q3d.bouquet, monkeypatch)
-        engine.cost_field()
-        _span, counters = reported()
-        from_origin = sum(
-            simulate_at(q3d.bouquet, loc).execution_count for loc in residue
-        )
-        assert (len(residue), from_origin) == (23, 98)
-        assert counters["sweep.residue_executions"] == 26 < from_origin
+        refusing(runtime.BouquetRunner)
+        refusing(runtime.AbstractExecutionService)
+        field, _span, _counters = _cold_sweep(q3d.bouquet)
+        monkeypatch.undo()
+        assert constructed == []
+        np.testing.assert_allclose(field, _reference_field(q3d.bouquet), rtol=RTOL, atol=0.0)
+
+
+    def test_spill_floors_follow_each_rows_exact_dimensions(self, monkeypatch):
+        """Rows of one round may have learned different dimensions
+        exactly.  Each row prunes on its own spill floors: the first node
+        reading a dimension it has not learned (the whole plan without
+        one) at its ``q_run``, as the literal Figure 13 does.  Checked
+        over the campaign pool, whose rounds mix exact patterns."""
+        from repro.optimizer.plans import first_error_node
+
+        recorded, checked = [], {"rows": 0, "mixed": 0}
+        axis, prune, pick = engine_module.axis_plans, engine_module.pruned_by_floor, SweepEngine._pick
+
+        def checking(self, rows, tables, columns, budget):
+            qrun, exact = self._qrun[rows].copy(), self._exact[rows].copy()
+            winner = pick(self, rows, tables, columns, budget)
+            (plans, present), floors = recorded.pop(0), recorded.pop(0)
+            coster, dims = self.cache.coster, self.space.dimensions
+            fresh = coster.context(qrun)
+            for r, known in enumerate(exact.tolist()):
+                unlearned = frozenset(dim.pid for dim, k in zip(dims, known) if not k)
+                for k, pid in enumerate(plans):
+                    if present[r, k]:
+                        plan = coster.plan(pid)
+                        node = first_error_node(plan, unlearned) or plan
+                        want = coster.cost(node.estimate(fresh).cost, len(rows))[r]
+                        assert floors[r, k].tobytes() == want.tobytes()
+            checked["rows"] += len(rows)
+            checked["mixed"] += len({tuple(known) for known in exact.tolist()}) > 1
+            return winner
+
+        def recording_axis_plans(*args):
+            plans, present, depth = axis(*args)
+            recorded.append((plans, present))
+            return plans, present, depth
+
+        def recording_prune(floors, *args):
+            recorded.append(floors)
+            return prune(floors, *args)
+
+        monkeypatch.setattr(engine_module, "axis_plans", recording_axis_plans)
+        monkeypatch.setattr(engine_module, "pruned_by_floor", recording_prune)
+        monkeypatch.setattr(SweepEngine, "_pick", checking)
+        campaign_pool_counters()
+        assert checked["rows"] and checked["mixed"]
 
 
 class TestPropertyEquality:
     """Hypothesis: engine totals == per-location simulate_at totals for
-    arbitrary location samples, with the cohort machinery forced on
-    (``DEFAULT_RESIDUE_MIN`` = 1) so every location flows through batching."""
+    arbitrary location samples, however few rows each round holds."""
 
     @given(data=st.data(), dims=st.sampled_from([1, 3]))
     @settings(max_examples=10, deadline=None)
@@ -290,9 +316,7 @@ class TestPropertyEquality:
         )
         engine = SweepEngine(bouquet)
         engine.cache.invalidate()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine_module, "DEFAULT_RESIDUE_MIN", 1)
-            totals = engine.totals(locations)
+        totals = engine.totals(locations)
         for loc, total in zip(locations, totals):
             ref = simulate_at(bouquet, loc, mode="optimized").total_cost
             assert total == pytest.approx(ref, rel=RTOL)
