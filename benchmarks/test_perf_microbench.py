@@ -522,7 +522,8 @@ def test_perf_envelope_writes_each_subplan_once(benchmark, env):
 def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered):
     """A whole-grid compile costs one DP's worth of candidates.
     Count-based guard — the slab kernel offers exactly the candidates the
-    scalar DP offers at ONE location (access paths + join candidates),
+    scalar DP (``tests/conftest.py::scalar_optimize``) offers at ONE
+    location (access paths + join candidates),
     whatever the grid's resolution, and leaves nothing in the slab
     context's memo beyond nodes of the plans it returns."""
     from repro.batchopt import kernel
@@ -530,6 +531,7 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
     from repro.optimizer import Optimizer
     from repro.optimizer.joinorder import JoinEnumerator
     from repro.optimizer.plans import CostContext
+    from tests.conftest import scalar_optimize
 
     lab, _, _ = env
     entry = lab.workload[name]
@@ -559,8 +561,7 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
 
     space = SelectivitySpace(entry.query, entry.dimensions(), 3, base)
     monkeypatch.setattr(JoinEnumerator, "join_candidates", counting_candidates)
-    optimizer = fresh()
-    optimizer.optimize(entry.query, assignment=space.assignment_at(space.origin))
+    scalar_optimize(fresh(), entry.query, space.assignment_at(space.origin))
     enumerator = JoinEnumerator(entry.query, lab.h_schema)
     counts["scalar"] += sum(
         len(enumerator.access_path_candidates(table)) for table in enumerator.tables
@@ -573,7 +574,7 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
     for resolution in (3, 6):
         space = SelectivitySpace(entry.query, entry.dimensions(), resolution, base)
         counts["slab"] = 0
-        choice, _ = fresh().optimize_slab(entry.query, *space.slab_columns(np.arange(space.size)))
+        choice, _ = fresh().optimize_slab(entry.query, *space.grid_columns(0, resolution))
         assert counts["slab"] == offered
         (ctx,) = contexts
         contexts.clear()
@@ -585,6 +586,79 @@ def test_perf_grid_compile_is_one_dp(benchmark, env, monkeypatch, name, offered)
         lambda: fresh().optimize_slab(entry.query, *space.slab_columns(np.arange(space.size)))
     )
     assert len(choice) == space.size
+
+
+def _frontier_census(monkeypatch):
+    """Every DP entry the kernel builds: ``(cost, rows, winner)``."""
+    from repro.batchopt import kernel
+
+    built = []
+    finish = kernel._FrontierBuilder.finish
+
+    def recording_finish(self):
+        frontier = finish(self)
+        built.append((frontier.best.cost, frontier.best.rows, frontier.winner))
+        return frontier
+
+    monkeypatch.setattr(kernel._FrontierBuilder, "finish", recording_finish)
+    return built
+
+
+#: Cost elements of the DP entries of a whole-grid ``4D_H_Q8`` compile at
+#: resolution 6: 1,296 locations, 44 entries (8 tables, 36 joined
+#: subsets).  Each entry is held at the shape of the grid axes its
+#: subset's predicates read; with every entry spread over the slab they
+#: were 44 x 1,296 = 57,024.
+GRID_DP_COST_ELEMENTS = 10494
+
+
+def test_perf_grid_dp_frontier_elements(benchmark, env, monkeypatch):
+    """A DP entry is as large as the predicates it reads.  Count-based
+    guard — the cost arrays of a whole-grid ``4D_H_Q8`` compile at
+    resolution 6 hold at most ``GRID_DP_COST_ELEMENTS`` elements, under
+    a fifth of a slab per entry."""
+    from repro.ess import SelectivitySpace
+    from repro.optimizer import Optimizer
+
+    lab, _, _ = env
+    entry = lab.workload["4D_H_Q8"]
+    base = actual_selectivities(entry.query, lab.h_db)
+    space = SelectivitySpace(entry.query, entry.dimensions(), 6, base)
+    built = _frontier_census(monkeypatch)
+    Optimizer(lab.h_schema, lab.h_stats).optimize_slab(
+        entry.query, *space.grid_columns(0, 6)
+    )
+    elements = sum(np.size(cost) for cost, _, _ in built)
+    assert len(built) == 44 and elements <= GRID_DP_COST_ELEMENTS
+    monkeypatch.undo()
+    benchmark(
+        lambda: Optimizer(lab.h_schema, lab.h_stats).optimize_slab(
+            entry.query, *space.grid_columns(0, 6)
+        )
+    )
+
+
+def test_perf_one_location_optimize_builds_no_frontier_array(benchmark, env, monkeypatch):
+    """``optimize`` is the DP over a one-location slab.  Count-based
+    guard — at each Table 2 query's actual selectivities, no DP entry it
+    builds holds an array: every cost, row count and back-pointer is a
+    python scalar."""
+    from repro.optimizer import Optimizer
+    from repro.query.workload import TABLE2_NAMES
+
+    lab, ql, _ = env
+    built = _frontier_census(monkeypatch)
+    for name in TABLE2_NAMES:
+        entry = lab.workload[name]
+        optimizer, database = lab._env_for(name)
+        assignment = actual_selectivities(entry.query, database)
+        Optimizer(optimizer.schema, optimizer.statistics).optimize(entry.query, assignment)
+    assert built and not any(
+        isinstance(value, np.ndarray) for entry in built for value in entry
+    )
+    monkeypatch.undo()
+    assignment = ql.space.assignment_at((4, 4, 4))
+    benchmark(lambda: lab.h_optimizer.optimize(ql.workload.query, assignment=assignment))
 
 
 def test_perf_spill_evaluations_of_the_campaign_pool(benchmark):

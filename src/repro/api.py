@@ -107,9 +107,9 @@ class BouquetConfig:
 
     There is no compile-engine knob: POSP generation always runs the
     DPsize enumeration once per slab of ESS locations
-    (:mod:`repro.batchopt`); the scalar :meth:`Optimizer.optimize` it
-    replaced is the oracle ``tests/optimizer/test_batchopt.py`` loops
-    over.
+    (:mod:`repro.batchopt`), and :meth:`Optimizer.optimize` is that DP
+    over one location; the scalar DP it replaced is the oracle
+    (``tests/conftest.py::scalar_optimize``) the tests loop over.
 
     ``template`` governs the cross-query template cache
     (:mod:`repro.template`): when enabled (default) the serving layer

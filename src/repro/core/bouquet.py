@@ -83,8 +83,13 @@ class PlanBouquet:
 
     @property
     def rho(self) -> int:
-        """ρ — plan count of the densest contour."""
-        return densest_contour_plans(self.contours)
+        """ρ — plan count of the densest contour: counted on first use,
+        kept while the bouquet lives (every served response quotes its
+        bound), and never serialised."""
+        rho = getattr(self, "_rho", None)
+        if rho is None:
+            rho = self._rho = densest_contour_plans(self.contours)
+        return rho
 
     @property
     def mso_bound(self) -> float:

@@ -152,7 +152,7 @@ def bouquets_equal(patched: PlanBouquet, reference: PlanBouquet) -> List[str]:
     Plan ids are compared directly (both sides are canonically numbered),
     plans structurally (canonical signatures per id), costs bitwise, and
     contours/budgets exactly — the same bar the engine-equality tests
-    hold the batch kernel to against the scalar reference.
+    hold the batch kernel to against the scalar DP.
     """
     problems: List[str] = []
     if patched.space.shape != reference.space.shape:

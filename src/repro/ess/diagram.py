@@ -71,7 +71,7 @@ class PlanCostCache:
 
         Plans not cached yet are costed in **one** transient context
         whose assignment maps each error pid to its grid axis, shaped to
-        broadcast against the others (``np.meshgrid(..., sparse=True)``):
+        broadcast against the others (``SelectivitySpace.grid_columns``):
         the plans' (purely arithmetic, monotone) cost formulas evaluate
         elementwise over the whole ESS, every node over no more axes than
         it depends on, and a sub-tree shared between plans — the slab
@@ -95,11 +95,8 @@ class PlanCostCache:
         if tracer.enabled:
             tracer.count("ess.cost_array_builds", len(missing))
         space = self.space
-        assignment: Dict[str, object] = dict(space.base_assignment)
-        axes = np.meshgrid(*space.grids, indexing="ij", sparse=True)
-        for dim, axis in zip(space.dimensions, axes):
-            assignment[dim.pid] = axis
-        ctx = CostContext(self.optimizer.schema, self.optimizer.cost_model, assignment)
+        columns, _ = space.grid_columns(0, space.shape[0])
+        ctx = CostContext(self.optimizer.schema, self.optimizer.cost_model, columns)
         plans = [self.registry.plan(plan_id) for plan_id in missing]
         built = {
             plan_id: np.broadcast_to(
@@ -150,45 +147,46 @@ class PlanDiagram:
         """Optimal plan at every grid location.
 
         The DPsize enumeration runs once for the whole grid as a slab
-        (:mod:`repro.batchopt`) whose columns come straight from the
-        grid axes in row-major order, and hands back arrays — plan ids
-        and costs are those of one scalar :meth:`Optimizer.optimize`
-        call per location in that order.
+        (:mod:`repro.batchopt`) whose columns are the grid axes
+        (:meth:`SelectivitySpace.grid_columns`), so each DP entry works
+        on the cells of the axes its predicates read, and hands back
+        arrays — plan ids and costs are those of one
+        :meth:`Optimizer.optimize` call per location in row-major order.
 
         POSP generation is "embarrassingly parallel" (§4.2): with
-        ``workers > 1`` the row-major range is cut into one sub-range per
-        worker on the persistent :mod:`repro.par` pool (start-method
-        resolution and payload pickle hardening live there; the
-        ``(optimizer, space)`` payload ships to each worker at most once
-        per content digest).  Each comes back as ``(plans, winner,
-        cost)`` in submission order, so the parent registers plans in
-        the same row-major order and the diagram is identical at any
-        worker count.
+        ``workers > 1`` the grid is cut along axis 0 into one block of
+        rows per worker on the persistent :mod:`repro.par` pool
+        (start-method resolution and payload pickle hardening live
+        there; the ``(optimizer, space)`` payload ships to each worker at
+        most once per content digest).  Each comes back as ``(plans,
+        winner, cost)`` in submission order, so the parent registers
+        plans in the same row-major order and the diagram is identical at
+        any worker count.
         """
         registry = optimizer.registry(space.query)
         tracer = optimizer.tracer
+        rows = space.shape[0]
         with tracer.span(
             "ess.exhaustive_diagram", locations=space.size, workers=workers or 1
         ) as span:
             if workers and workers > 1:
                 from ..par import ParError, get_pool
 
-                step = (space.size + workers - 1) // workers
-                ranges = [
-                    (start, min(start + step, space.size))
-                    for start in range(0, space.size, step)
+                step = (rows + workers - 1) // workers
+                blocks = [
+                    (start, min(start + step, rows)) for start in range(0, rows, step)
                 ]
                 if tracer.enabled:
                     tracer.event(
                         "batchopt.parallel_fanout",
                         workers=workers,
-                        slabs=len(ranges),
+                        slabs=len(blocks),
                         locations=space.size,
                     )
                 pool = get_pool(workers, tracer=tracer)
                 try:
                     slabs = pool.run(
-                        _optimize_slab, (optimizer, space), ranges, tracer=tracer
+                        _optimize_slab, (optimizer, space), blocks, tracer=tracer
                     )
                 except ParError as exc:
                     raise EssError(
@@ -200,7 +198,7 @@ class PlanDiagram:
                 costs = np.concatenate([cost for _, _, cost in slabs])
             else:
                 choice, plan_ids = optimizer.optimize_slab(
-                    space.query, *space.slab_columns(np.arange(space.size))
+                    space.query, *space.grid_columns(0, rows)
                 )
                 costs = choice.cost
             plan_ids = plan_ids.reshape(space.shape)
@@ -297,13 +295,13 @@ class PlanDiagram:
 
 
 def _optimize_slab(ctx, payload, bounds):
-    # repro.par task: payload = (optimizer, space), bounds = a row-major
-    # location range.  Workers never trace — the tracer embedded in the
+    # repro.par task: payload = (optimizer, space), bounds = a block of
+    # axis-0 rows.  Workers never trace — the tracer embedded in the
     # payload degraded to the null tracer while pickling
     # (Tracer.__reduce__) — and their plan ids are their own: the parent
-    # registers the returned plans in range order.
+    # registers the returned plans in block order.
     optimizer, space = payload
-    choice, _ = optimizer.optimize_slab(space.query, *space.slab_columns(np.arange(*bounds)))
+    choice, _ = optimizer.optimize_slab(space.query, *space.grid_columns(*bounds))
     return choice.plans, choice.winner, choice.cost
 
 

@@ -30,10 +30,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..batchopt.kernel import stack_assignments
 from ..catalog.statistics import DatabaseStatistics
 from ..datagen.database import Database
 from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer
+from ..optimizer.plans import CostContext
 from ..optimizer.selectivity import actual_selectivities
 from ..query.predicates import JoinPredicate, SelectionPredicate
 from ..query.query import Query
@@ -322,23 +326,24 @@ def measure_error_sensitivity(
         raise EssError("sensitivity ranking needs at least 2 points per dim")
     sweeps = [_sweep(base_assignment, dim, resolution) for dim in candidates]
     # The base point, then every candidate's sweep, optimized as one slab
-    # (same order — hence the same plan ids — as one call per probe).
-    results = iter(
-        optimizer.optimize_batch(
-            query,
-            [dict(base_assignment)] + [point for sweep in sweeps for point in sweep],
-        )
+    # (same order — hence the same plan ids — as one call per probe);
+    # the base plan is costed over the same columns in one context.
+    columns, length = stack_assignments(
+        [dict(base_assignment)] + [point for sweep in sweeps for point in sweep]
     )
-    base_plan = next(results).plan
+    choice, _ = optimizer.optimize_slab(query, columns, length)
+    base_plan = choice.plans[choice.winner[0]]
+    ctx = CostContext.for_slab(optimizer.schema, optimizer.cost_model, columns)
+    frozen = np.broadcast_to(base_plan.estimate(ctx).cost, (length,)).tolist()
+    optimal = choice.cost.tolist()
     scores: List[SensitivityScore] = []
-    for dim, sweep in zip(candidates, sweeps):
+    point = 1
+    for dim in candidates:
         penalty = 1.0
-        costs = []
-        for assignment in sweep:
-            optimal = next(results)
-            frozen = optimizer.cost(query, base_plan, assignment)
-            costs.append(optimal.cost)
-            penalty = max(penalty, frozen.cost / max(optimal.cost, 1e-300))
+        costs = optimal[point : point + resolution]
+        for frozen_cost, optimal_cost in zip(frozen[point : point + resolution], costs):
+            penalty = max(penalty, frozen_cost / max(optimal_cost, 1e-300))
+        point += resolution
         scores.append(
             SensitivityScore(
                 dimension=dim,

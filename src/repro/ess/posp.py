@@ -6,7 +6,9 @@ locations around each isocost contour is optimized, found by recursively
 subdividing ESS hypercubes and pruning the ones no contour passes through
 (a contour passes through a hypercube iff its cost lies within the cost
 range established by the corners of the hypercube's principal diagonal —
-valid because the PIC is monotone).
+valid because the PIC is monotone).  Every band location is planned
+by a slab DP (:meth:`~repro.optimizer.Optimizer.optimize_batch`), a lone
+one by a one-location slab.
 """
 
 from __future__ import annotations
@@ -22,13 +24,6 @@ from ..optimizer.optimizer import Optimizer
 from .space import Location, SelectivitySpace
 
 
-#: Band slabs aggregate every corner probe (or every leaf interior) of a
-#: subdivision level, so even small ones amortize the DP's array setup —
-#: only a lone straggler location is planned by the scalar optimizer,
-#: which produces the byte-identical plan and cost.
-MIN_BAND_SLAB = 2
-
-
 @dataclass
 class ContourBandResult:
     """Sparse POSP knowledge produced by the contour-focused exploration."""
@@ -41,8 +36,6 @@ class ContourBandResult:
     pruned_boxes: int
     #: DP enumerations actually executed.
     slabs: int = 0
-    #: Locations served by slab enumerations (the rest were stragglers).
-    batched_locations: int = 0
 
     @property
     def posp_plan_ids(self) -> List[int]:
@@ -63,12 +56,10 @@ def contour_focused_posp(
     probes of a level form one slab, then — after pruning and splitting
     — all leaf interiors of the level form another, so the DP's per-slab
     setup is amortized over the whole band instead of being paid per
-    two-corner probe (slabs of at least :data:`MIN_BAND_SLAB` locations
-    batch; a lone straggler stays scalar).  Plans register in
-    within-slab location order, so replaying ``optimized`` in insertion
-    order through the scalar optimizer (one optimize per location, the
-    paper's literal procedure) reproduces it byte for byte, plan ids
-    included.
+    two-corner probe (a lone location is a one-location slab).  Plans
+    register in within-slab location order, so replaying ``optimized``
+    in insertion order through one optimize per location (the paper's
+    literal procedure) reproduces it byte for byte, plan ids included.
 
     Parameters
     ----------
@@ -84,17 +75,16 @@ def contour_focused_posp(
     calls = 0
     pruned = 0
     slabs = 0
-    batched = 0
 
     def optimize_slab(locations) -> None:
         """Optimize every uncached location, preserving visit order.
 
-        Registration order is what keeps plan ids those of a scalar
-        replay: the batch kernel registers slab winners in location
-        order, which is precisely the order a loop of scalar calls
-        would have registered them.
+        Registration order is what keeps plan ids those of a
+        location-by-location replay: the kernel registers slab winners
+        in location order, which is precisely the order a loop of
+        one-location calls would have registered them.
         """
-        nonlocal calls, slabs, batched
+        nonlocal calls, slabs
         todo: List[Location] = []
         seen = set()
         for location in locations:
@@ -103,18 +93,11 @@ def contour_focused_posp(
                 todo.append(location)
         if not todo:
             return
-        if len(todo) >= MIN_BAND_SLAB:
-            assignments = [space.assignment_at(location) for location in todo]
-            results = optimizer.optimize_batch(space.query, assignments)
-            for location, result in zip(todo, results):
-                optimized[location] = (result.plan_id, result.cost)
-            slabs += 1
-            batched += len(todo)
-        else:
-            for location in todo:
-                assignment = space.assignment_at(location)
-                result = optimizer.optimize(space.query, assignment=assignment)
-                optimized[location] = (result.plan_id, result.cost)
+        assignments = [space.assignment_at(location) for location in todo]
+        results = optimizer.optimize_batch(space.query, assignments)
+        for location, result in zip(todo, results):
+            optimized[location] = (result.plan_id, result.cost)
+        slabs += 1
         calls += len(todo)
 
     def any_contour_in(clo: float, chi: float) -> bool:
@@ -183,12 +166,10 @@ def contour_focused_posp(
             optimizer_calls=calls,
             pruned_boxes=pruned,
             slabs=slabs,
-            batched_locations=batched,
         )
     return ContourBandResult(
         optimized=optimized,
         optimizer_calls=calls,
         pruned_boxes=pruned,
         slabs=slabs,
-        batched_locations=batched,
     )

@@ -155,6 +155,27 @@ class SelectivitySpace:
             columns[dim.pid] = grid[index]
         return columns, len(positions)
 
+    def grid_columns(self, start: int, stop: int) -> Tuple[Dict[str, object], int]:
+        """Slab columns of the sub-grid of axis-0 rows ``[start, stop)``
+        and its number of locations.
+
+        The broadcast form of :meth:`slab_columns` over a block of the
+        grid: base pids map to floats, each error pid to its grid values
+        along its own axis, of length 1 on every other axis — so a DP
+        entry that reads ``k`` of the ``D`` axes works on their cells
+        alone.  Row-major over the sub-grid, it is
+        ``slab_columns(positions)`` of the same locations.
+        """
+        columns: Dict[str, object] = {
+            pid: float(value) for pid, value in self.base_assignment.items()
+        }
+        grids = [self.grids[0][start:stop]] + self.grids[1:]
+        for dim, axis in zip(
+            self.dimensions, np.meshgrid(*grids, indexing="ij", sparse=True)
+        ):
+            columns[dim.pid] = axis
+        return columns, (stop - start) * self.size // self.shape[0]
+
     def assignment_for(self, values: Sequence[float]) -> SelectivityAssignment:
         """Assignment for arbitrary (continuous) dim values — used by the
         run-time q_run tracking, which moves between grid points."""

@@ -230,7 +230,7 @@ class ServingSummary:
 
     @property
     def optimizer_calls(self) -> float:
-        """Scalar one-location-at-a-time optimizer invocations."""
+        """One-location optimizer invocations (``Optimizer.optimize``)."""
         return self._c("optimizer.calls")
 
     @property

@@ -1,23 +1,23 @@
-"""System-R style dynamic-programming join enumeration.
+"""The search space of System-R style dynamic-programming join enumeration.
 
 DPsize over connected subgraphs of the query's join graph (no cross
-products).  For every subset the cheapest plan is kept; physical
-alternatives considered at each join are hash (both build sides), sort
-merge, materialized nested loops, and index nested loops when the inner
-side is a single base table with an index on its join column.
+products); the DP that keeps every subset's cheapest plan is
+:mod:`repro.batchopt`.  Physical alternatives considered at each join
+are hash (both build sides), sort merge, materialized nested loops, and
+index nested loops when the inner side is a single base table with an
+index on its join column.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..catalog.schema import Schema
 from ..exceptions import OptimizerError
 from ..query.query import Query
 from .cost_model import CostModel
 from .plans import (
-    CostContext,
     IndexLookup,
     IndexScan,
     Join,
@@ -50,11 +50,13 @@ def _index_lookup_inner(query: Query, table: str, join_column: str) -> IndexLook
 
 
 class JoinEnumerator:
-    """DP join-order search for one query.
+    """The static structure of one query's DP join-order search.
 
-    The enumerator is constructed once per query; :meth:`best_plan` re-runs
-    the DP for each selectivity assignment (plan choice depends on the
-    selectivities, which is the whole point of POSP generation).
+    Built once per query: the access paths, the connected subsets and
+    their splits, and the physical join candidates of a split.  The DP
+    itself (:mod:`repro.batchopt`) walks it once per slab of selectivity
+    assignments (plan choice depends on the selectivities, which is the
+    whole point of POSP generation).
     """
 
     def __init__(self, query: Query, schema: Schema):
@@ -62,43 +64,26 @@ class JoinEnumerator:
             raise OptimizerError("query has no tables")
         self.query = query
         self.schema = schema
-        self._tables = tuple(sorted(query.tables))
+        #: Base tables in the canonical (sorted) enumeration order.
+        self.tables: Tuple[str, ...] = tuple(sorted(query.tables))
         self._access_paths: Dict[str, List[PlanNode]] = {
-            table: access_paths(query, table) for table in self._tables
+            table: access_paths(query, table) for table in self.tables
         }
-        # Precompute connected subsets and their (left, right) partitions.
-        self._partitions = self._connected_partitions()
-
-    # ------------------------------------------------------------------
-    # Public structure (shared with the batch kernel, repro.batchopt)
-    # ------------------------------------------------------------------
-
-    @property
-    def tables(self) -> Tuple[str, ...]:
-        """Base tables in the canonical (sorted) enumeration order."""
-        return self._tables
-
-    @property
-    def partitions(
-        self,
-    ) -> Dict[FrozenSet[str], List[Tuple[FrozenSet[str], FrozenSet[str], Tuple[str, ...]]]]:
-        """Connected (left, right, join_pids) splits, keyed by subset."""
-        return self._partitions
+        #: Connected subset -> its (left, right, join_pids) splits.
+        self.partitions = self._connected_partitions()
+        #: Connected subsets of two or more tables, smallest first: the
+        #: DP's visiting order.
+        self.subsets: List[FrozenSet[str]] = sorted(self.partitions, key=len)
 
     def access_path_candidates(self, table: str) -> List[PlanNode]:
         """Access-path candidates for one base table, in DP order."""
         return self._access_paths[table]
 
-    # ------------------------------------------------------------------
-    # Static structure
-    # ------------------------------------------------------------------
-
     def _connected_subsets(self) -> List[FrozenSet[str]]:
         graph = self.query.join_graph
         subsets = []
-        n = len(self._tables)
-        for size in range(1, n + 1):
-            for combo in combinations(self._tables, size):
+        for size in range(1, len(self.tables) + 1):
+            for combo in combinations(self.tables, size):
                 subset = frozenset(combo)
                 if size == 1 or graph.is_connected(subset):
                     subsets.append(subset)
@@ -147,55 +132,6 @@ class JoinEnumerator:
             partitions[subset] = splits
         return partitions
 
-    # ------------------------------------------------------------------
-    # DP search
-    # ------------------------------------------------------------------
-
-    def best_plan(
-        self, cost_model: CostModel, assignment: Mapping[str, float]
-    ) -> Tuple[PlanNode, float, float]:
-        """Cheapest plan at ``assignment``; returns ``(plan, cost, rows)``."""
-        ctx = CostContext(self.schema, cost_model, assignment)
-        best: Dict[FrozenSet[str], Tuple[PlanNode, float, float]] = {}
-
-        for table in self._tables:
-            candidates = self._access_paths[table]
-            entry = None
-            for path in candidates:
-                est = path.estimate(ctx)
-                if entry is None or est.cost < entry[1]:
-                    entry = (path, est.cost, est.rows)
-            best[frozenset((table,))] = entry
-
-        subsets_by_size: Dict[int, List[FrozenSet[str]]] = {}
-        for subset in self._partitions:
-            subsets_by_size.setdefault(len(subset), []).append(subset)
-
-        for size in range(2, len(self._tables) + 1):
-            for subset in subsets_by_size.get(size, []):
-                entry = None
-                for left_set, right_set, join_pids in self._partitions[subset]:
-                    left = best.get(left_set)
-                    right = best.get(right_set)
-                    if left is None or right is None:
-                        continue
-                    for plan in self.join_candidates(
-                        left[0], right[0], left_set, right_set, join_pids, cost_model
-                    ):
-                        est = plan.estimate(ctx)
-                        if entry is None or est.cost < entry[1]:
-                            entry = (plan, est.cost, est.rows)
-                if entry is None:
-                    raise OptimizerError(
-                        f"no join plan found for subset {sorted(subset)}"
-                    )
-                best[subset] = entry
-
-        top = best.get(frozenset(self._tables))
-        if top is None:
-            raise OptimizerError("join enumeration failed to cover all tables")
-        return top
-
     def join_candidates(
         self,
         left_plan: PlanNode,
@@ -207,9 +143,8 @@ class JoinEnumerator:
     ) -> List[PlanNode]:
         """Physical join alternatives for one (left, right) split.
 
-        The candidate *order* is part of the optimizer's contract: the
-        scalar DP and the batch kernel both resolve cost ties by keeping
-        the first candidate seen, so they must enumerate identically.
+        The candidate *order* is part of the optimizer's contract: the DP
+        resolves cost ties by keeping the first candidate seen.
         """
         plans: List[PlanNode] = [
             Join("hash", left_plan, right_plan, join_pids),

@@ -23,7 +23,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from ..query.query import Query
 from .cost_model import POSTGRES_COST_MODEL, CostModel
 from .joinorder import JoinEnumerator
-from .plans import Aggregate, NodeEstimate, PlanNode, cost_plan
+from .plans import NodeEstimate, PlanNode, cost_plan
 from .selectivity import (
     SelectivityAssignment,
     estimate_selectivities,
@@ -54,12 +54,13 @@ class PlanRegistry:
     """Assigns small stable integer ids to distinct plan signatures.
 
     Structurally identical plans registered from different ESS grid
-    locations (by a slab or by a scalar call) deduplicate onto one id
+    locations (by a slab or one location at a time) deduplicate onto one id
     via the plan's canonical signature, which keeps POSP sets and the
     anorexic-reduction input small.  The registry is shared by parallel
     compile workers, so registration and lookup are guarded by a lock;
     ids are assigned strictly in first-registration order, which is what
-    makes batch and scalar compiles produce identical id maps.
+    makes a slab and a loop of one-location calls produce identical id
+    maps.
     """
 
     def __init__(self):
@@ -91,8 +92,8 @@ class PlanRegistry:
         and ``winner[i]``, the index into ``plans`` of location ``i``'s.
 
         Plans register in order of first appearance along the slab — the
-        order a loop of scalar calls over the same locations would have
-        registered them in.
+        order a loop of one-location calls over the same locations would
+        have registered them in.
         """
         used, first = np.unique(winner, return_index=True)
         ids = np.zeros(len(plans), dtype=np.int64)
@@ -207,7 +208,9 @@ class Optimizer:
 
         ``assignment`` supplies a full pid -> selectivity map; if omitted,
         estimated selectivities are used.  ``injected`` overrides specific
-        pids on top of that base (the injection API of §4.2).
+        pids on top of that base (the injection API of §4.2).  The search
+        is :meth:`optimize_slab`'s DP over a one-location slab: every
+        column a float, so the DP runs on plain floats.
         """
         tracer = self.tracer
         t0 = time.perf_counter() if tracer.enabled else 0.0
@@ -215,23 +218,18 @@ class Optimizer:
             assignment = self.estimated_assignment(query)
         if injected:
             assignment = inject(assignment, injected)
-        validate_assignment(query, assignment)
-        if len(query.tables) == 1:
-            plan, cost, rows = self._best_single_table(query, assignment)
-        else:
-            plan, cost, rows = self._enumerator(query).best_plan(
-                self.cost_model, assignment
-            )
-        if query.aggregate:
-            plan = Aggregate(plan, query.group_by)
-            est = cost_plan(plan, self.schema, self.cost_model, assignment)
-            cost, rows = est.cost, est.rows
+        choice = self._best_plans(query, assignment, 1)
+        (plan,) = choice.plans
         plan_id, signature = self.registry(query).register(plan)
         if tracer.enabled:
             tracer.count("optimizer.calls")
             tracer.observe("optimizer.latency", time.perf_counter() - t0)
         return OptimizedPlan(
-            plan=plan, cost=cost, rows=rows, plan_id=plan_id, signature=signature
+            plan=plan,
+            cost=float(choice.cost[0]),
+            rows=float(choice.rows[0]),
+            plan_id=plan_id,
+            signature=signature,
         )
 
     def optimize_batch(
@@ -274,24 +272,20 @@ class Optimizer:
         """Find the cheapest plan at every location of a slab, as arrays.
 
         ``columns`` maps each pid to a float (constant over the slab) or
-        to a 1-D array of ``length`` per-location selectivities.  Runs
-        the DPsize enumeration **once** while carrying a numpy cost axis
-        over the slab (:mod:`repro.batchopt`) and returns the kernel's
+        to an array of per-location selectivities; the arrays broadcast
+        to a slab of ``length`` locations (1-D columns of that length, or
+        ``SelectivitySpace.grid_columns``' axes).  Runs the DPsize
+        enumeration **once** while carrying a numpy cost axis over the
+        slab (:mod:`repro.batchopt`) and returns the kernel's
         :class:`~repro.batchopt.BatchPlanChoice` (distinct winning plans,
-        per-location winner index, cost and rows) with the per-location
-        plan ids.  Plans are registered in slab order, so a slab compile
-        assigns the same plan ids a scalar sweep over the same location
-        order would.
+        per-location winner index, cost and rows, in row-major order)
+        with the per-location plan ids.  Plans are registered in slab
+        order, so a slab compile assigns the same plan ids a loop of
+        :meth:`optimize` calls over the same location order would.
         """
-        from ..batchopt.kernel import batch_best_plans, validate_columns
-
         tracer = self.tracer
         t0 = time.perf_counter() if tracer.enabled else 0.0
-        validate_columns(query, columns, length)
-        enumerator = self._enumerator(query) if len(query.tables) > 1 else None
-        choice = batch_best_plans(
-            query, self.schema, self.cost_model, columns, length, enumerator
-        )
+        choice = self._best_plans(query, columns, length)
         plan_ids = self.registry(query).register_slab(choice.plans, choice.winner)
         if tracer.enabled:
             tracer.count("optimizer.batch_calls")
@@ -302,19 +296,13 @@ class Optimizer:
             tracer.observe("optimizer.batch_latency", time.perf_counter() - t0)
         return choice, plan_ids
 
-    def _best_single_table(
-        self, query: Query, assignment: Mapping[str, float]
-    ) -> Tuple[PlanNode, float, float]:
-        from .joinorder import access_paths
+    def _best_plans(
+        self, query: Query, columns: Mapping[str, object], length: int
+    ) -> "BatchPlanChoice":
+        from ..batchopt.kernel import batch_best_plans, validate_columns
 
-        best = None
-        for path in access_paths(query, query.tables[0]):
-            est = cost_plan(path, self.schema, self.cost_model, assignment)
-            if best is None or est.cost < best[1]:
-                best = (path, est.cost, est.rows)
-        if best is None:
-            raise OptimizerError("no access path for single-table query")
-        return best
+        shape = validate_columns(query, columns, length)
+        return batch_best_plans(self._enumerator(query), self.cost_model, columns, shape)
 
     # ------------------------------------------------------------------
 

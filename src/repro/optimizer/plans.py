@@ -13,7 +13,6 @@ nested loops, hash, sort-merge, index nested loops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,17 +22,23 @@ from ..exceptions import OptimizerError
 from .cost_model import CostModel
 
 
-@dataclass(frozen=True)
 class NodeEstimate:
     """Output cardinality and cumulative cost of a plan node.
 
     Fields are floats for point costing, or numpy arrays when the
     assignment maps pids to arrays — the same formulas then evaluate the
     plan over a whole grid of selectivity points at once (vectorized
-    abstract plan costing)."""
+    abstract plan costing).  A plain two-slot value: the DP builds one
+    per candidate, so it skips a frozen dataclass's guarded setattr."""
 
-    rows: float
-    cost: float
+    __slots__ = ("rows", "cost")
+
+    def __init__(self, rows: float, cost: float):
+        self.rows = rows
+        self.cost = cost
+
+    def __repr__(self):
+        return f"NodeEstimate(rows={self.rows!r}, cost={self.cost!r})"
 
 
 class CostContext:
@@ -83,9 +88,13 @@ class CostContext:
         except KeyError:
             raise OptimizerError(f"no selectivity for predicate {pid!r}") from None
 
-    def product(self, pids) -> float:
-        result = 1.0
-        for pid in pids:
+    def product(self, pids: Sequence[str]) -> float:
+        # ``1.0 * x == x`` exactly, so the product starts at the first
+        # factor.
+        if not pids:
+            return 1.0
+        result = self.selectivity(pids[0])
+        for pid in pids[1:]:
             result = result * self.selectivity(pid)
         return result
 

@@ -23,8 +23,17 @@ from repro.core.runtime import (
 from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.obs import MemorySink, Tracer
-from repro.optimizer import Optimizer, actual_selectivities
-from repro.optimizer.plans import CostContext, cost_plan, error_node_depth, first_error_node
+from repro.exceptions import OptimizerError
+from repro.optimizer import Optimizer, actual_selectivities, validate_assignment
+from repro.optimizer.joinorder import JoinEnumerator
+from repro.optimizer.optimizer import OptimizedPlan
+from repro.optimizer.plans import (
+    Aggregate,
+    CostContext,
+    cost_plan,
+    error_node_depth,
+    first_error_node,
+)
 from repro.query import JoinPredicate, Query, SelectionPredicate
 from repro.wlgen import CampaignConfig, GeneratorConfig, QueryGenerator, build_env, run_query
 
@@ -51,11 +60,57 @@ TEMPLATED_WORKLOAD_CONFIG = GeneratorConfig(
 )
 
 
+def scalar_optimize(optimizer, query, assignment):
+    """The scalar DPsize the slab kernel replaced (it was
+    ``JoinEnumerator.best_plan`` and ``Optimizer._best_single_table``):
+    one cheapest ``(plan, cost, rows)`` per connected subset at one
+    assignment, each candidate costed whole, the first candidate winning
+    ties; the winner registered in ``optimizer``'s registry.  The oracle
+    for ``Optimizer.optimize`` and every slab."""
+    validate_assignment(query, assignment)
+    schema, model = optimizer.schema, optimizer.cost_model
+    ctx = CostContext(schema, model, assignment)
+    enumerator = JoinEnumerator(query, schema)
+
+    def cheapest(candidates):
+        entry = None
+        for plan in candidates:
+            est = plan.estimate(ctx)
+            if entry is None or est.cost < entry[1]:
+                entry = (plan, est.cost, est.rows)
+        return entry
+
+    best = {
+        frozenset((table,)): cheapest(enumerator.access_path_candidates(table))
+        for table in enumerator.tables
+    }
+    for subset in enumerator.subsets:
+        best[subset] = cheapest(
+            plan
+            for left_set, right_set, join_pids in enumerator.partitions[subset]
+            if left_set in best and right_set in best
+            for plan in enumerator.join_candidates(
+                best[left_set][0], best[right_set][0],
+                left_set, right_set, join_pids, model,
+            )
+        )
+        if best[subset] is None:
+            raise OptimizerError(f"no join plan found for subset {sorted(subset)}")
+    plan, cost, rows = best[frozenset(enumerator.tables)]
+    if query.aggregate:
+        plan = Aggregate(plan, query.group_by)
+        est = cost_plan(plan, schema, model, assignment)
+        cost, rows = est.cost, est.rows
+    plan_id, signature = optimizer.registry(query).register(plan)
+    return OptimizedPlan(plan=plan, cost=cost, rows=rows, plan_id=plan_id, signature=signature)
+
+
 def scalar_results(optimizer, space):
-    """The paper's literal procedure — one scalar ``Optimizer.optimize``
-    per location, row-major: the oracle for the slab kernel."""
+    """The paper's literal procedure — one scalar DP
+    (:func:`scalar_optimize`) per location, row-major: the oracle for
+    the slab kernel."""
     return [
-        optimizer.optimize(space.query, assignment=space.assignment_at(location))
+        scalar_optimize(optimizer, space.query, space.assignment_at(location))
         for location in space.locations()
     ]
 
@@ -72,6 +127,25 @@ def scalar_diagram(optimizer, space):
         costs.reshape(space.shape),
         optimizer.registry(space.query),
     )
+
+
+def sensitivity_by_definition(optimizer, query, candidates, base_assignment, resolution):
+    """``measure_error_sensitivity`` point by point: at each probe of a
+    candidate's sweep, the scalar DP's optimum and the base-optimal
+    plan costed alone; ``(pid, penalty, cost_span)`` most-sensitive-first."""
+    from repro.ess.dimensioning import _sweep
+
+    base_plan = scalar_optimize(optimizer, query, dict(base_assignment)).plan
+    scores = []
+    for dim in candidates:
+        penalty, costs = 1.0, []
+        for assignment in _sweep(base_assignment, dim, resolution):
+            optimal = scalar_optimize(optimizer, query, assignment).cost
+            frozen = cost_plan(base_plan, optimizer.schema, optimizer.cost_model, assignment)
+            costs.append(optimal)
+            penalty = max(penalty, frozen.cost / max(optimal, 1e-300))
+        scores.append((dim.pid, penalty, max(costs) / max(min(costs), 1e-300)))
+    return sorted(scores, key=lambda score: (-score[1], -score[2], score[0]))
 
 
 def dominating_by_definition(bouquet, contour, qrun):

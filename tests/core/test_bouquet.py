@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import identify_bouquet
+from repro.core.contours import Contour
 
 
 class TestIdentifyBouquet:
@@ -21,6 +22,20 @@ class TestIdentifyBouquet:
 
     def test_rho_definition(self, eq_bouquet):
         assert eq_bouquet.rho == max(c.density for c in eq_bouquet.contours)
+
+    def test_rho_is_counted_once_per_bouquet(self, eq_diagram, monkeypatch):
+        """Every served response quotes ``mso_bound``; the contours are
+        counted on the first quote only."""
+        counted = []
+        density = Contour.density
+        monkeypatch.setattr(
+            Contour, "density", property(lambda c: counted.append(c) or density.fget(c))
+        )
+        bouquet = identify_bouquet(eq_diagram)
+        counted.clear()
+        bounds = {bouquet.mso_bound for _ in range(5)}
+        assert len(bounds) == 1 and bouquet.rho == max(c.density for c in bouquet.contours)
+        assert len(counted) == 2 * len(bouquet.contours)
 
     def test_mso_bound_formula(self, eq_bouquet):
         r = eq_bouquet.ratio

@@ -1,14 +1,16 @@
-"""Batch compile kernel: ``optimize_batch`` must equal scalar ``optimize``.
+"""Batch compile kernel: every slab must equal the scalar DP.
 
-The batch engine's contract is total: same plan id, same cost, same rows
-at *every* slab location, because the slab DP recurs on each subset's
-per-location best (cost, rows), replicates the scalar DP's candidate
-order and tie-breaking per location, and recovers the winning plans from
-back-pointers.  These tests pin that contract on fixed grids, degenerate
-slabs, aggregates, hypothesis-random slabs, the Table 2 and generated
-queries (in grid order, shuffled, duplicated, under exact cost ties and
-across pool workers), plus the registry properties (structural dedup,
-thread safety) it rests on.
+The kernel's contract is total: same plan id, same cost, same rows at
+*every* slab location, because the slab DP recurs on each subset's best
+(cost, rows), replicates the scalar DP's candidate order and
+tie-breaking per location, and recovers the winning plans from
+back-pointers.  The scalar DP it replaced is the oracle
+(``tests/conftest.py::scalar_optimize``).  These tests pin that contract
+on fixed grids, degenerate slabs, aggregates, hypothesis-random slabs,
+the Table 2 and generated queries (in grid order, shuffled, duplicated,
+under exact cost ties and across pool workers), grid and mixed
+float/array column layouts, one-location ``optimize``, plus the registry
+properties (structural dedup, thread safety) it rests on.
 """
 
 import dataclasses
@@ -31,13 +33,14 @@ from repro.optimizer import (
     actual_selectivities,
     cost_plan,
 )
+from repro.optimizer.joinorder import JoinEnumerator
 from repro.optimizer.optimizer import PlanRegistry
 from repro.optimizer.plans import CostContext
 from repro.par import leaked_segments, shutdown_pools
 from repro.query import parse_query
 from repro.query.workload import TABLE2_NAMES
 from repro.wlgen import QueryGenerator, dimension_query
-from tests.conftest import scalar_diagram, scalar_results
+from tests.conftest import scalar_diagram, scalar_optimize, scalar_results
 
 
 def assert_pins(batch, scalar):
@@ -52,9 +55,7 @@ def assert_pins(batch, scalar):
 
 def assert_batch_pins_scalar(optimizer, query, assignments):
     batch = optimizer.optimize_batch(query, assignments)
-    assert_pins(
-        batch, [optimizer.optimize(query, assignment=a) for a in assignments]
-    )
+    assert_pins(batch, [scalar_optimize(optimizer, query, a) for a in assignments])
 
 
 class TestBatchMatchesScalar:
@@ -238,18 +239,18 @@ class TestEngineEquality:
 
         costs = contour_costs(eq_diagram.cmin, eq_diagram.cmax)
         batch = contour_focused_posp(self._fresh(optimizer), eq_space, costs)
-        # The paper's literal procedure: one scalar optimize per band
+        # The paper's literal procedure: one scalar DP per band
         # location, in the order the band first visited them.
         scalar = self._fresh(optimizer)
         reference = {}
         for location in batch.optimized:
-            result = scalar.optimize(
-                eq_space.query, assignment=eq_space.assignment_at(location)
+            result = scalar_optimize(
+                scalar, eq_space.query, eq_space.assignment_at(location)
             )
             reference[location] = (result.plan_id, result.cost)
         assert reference == batch.optimized
         assert batch.optimizer_calls == len(batch.optimized)
-        assert batch.batched_locations > 0
+        assert 0 < batch.slabs < batch.optimizer_calls
 
 
 #: Generated queries per schema in the widened oracle (the first ones of
@@ -459,13 +460,173 @@ class TestParallelBatch:
             ).canonical_signature()
             assert serial_sig == parallel_sig
 
-    def test_range_slabs_cut_mid_row(self, oracle):
-        """Workers get row-major ranges, not rows: three ranges over a
-        3 x 3 x 3 grid end mid-row, and the merged diagram is still the
-        scalar one, plan ids included, with nothing left in /dev/shm."""
+    def test_axis0_blocks_pin_scalar(self, oracle):
+        """Workers get blocks of axis-0 rows as grid columns: three
+        blocks over a 3 x 3 x 3 grid, and the merged diagram is still
+        the scalar one, plan ids included, with nothing left in
+        /dev/shm."""
         fresh, space, scalar = oracle("3D_H_Q5")
         parallel = PlanDiagram.exhaustive(fresh(), space, workers=3)
         assert parallel.plan_ids.ravel().tolist() == [r.plan_id for r in scalar]
         assert parallel.costs.ravel().tolist() == [r.cost for r in scalar]
         shutdown_pools()
         assert leaked_segments() == []
+
+    @pytest.mark.parametrize("name", ["4D_H_Q8", "4D_DS_Q7"])
+    def test_one_and_two_workers_identical(self, lab, name):
+        """Uneven blocks (5 rows in two workers) merge to the diagram of
+        one worker: plan ids, costs and the plan behind every id."""
+        def diagram(workers):
+            optimizer, database = lab._env_for(name)
+            fresh = Optimizer(optimizer.schema, optimizer.statistics)
+            entry = lab.workload[name]
+            base = actual_selectivities(entry.query, database)
+            space = SelectivitySpace(entry.query, entry.dimensions(), 5, base)
+            return PlanDiagram.exhaustive(fresh, space, workers=workers)
+
+        one, two = diagram(1), diagram(2)
+        assert np.array_equal(one.plan_ids, two.plan_ids)
+        assert np.array_equal(one.costs, two.costs)
+        assert [
+            one.registry.plan(pid).canonical_signature() for pid in one.posp_plan_ids
+        ] == [two.registry.plan(pid).canonical_signature() for pid in two.posp_plan_ids]
+        shutdown_pools()
+
+
+def _choice_rows(choice, plan_ids):
+    return (
+        [choice.plans[w].canonical_signature() for w in choice.winner.tolist()],
+        choice.cost.tolist(),
+        choice.rows.tolist(),
+        plan_ids.tolist(),
+    )
+
+
+class TestCompactFrontiers:
+    """The DP carries each subset at the broadcast shape of the columns
+    its predicates read; how a slab lays out its columns must not show."""
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_grid_columns_equal_flat_columns(self, oracle, name):
+        fresh, space, _ = oracle(name)
+        grid = fresh().optimize_slab(space.query, *space.grid_columns(0, space.shape[0]))
+        flat = fresh().optimize_slab(
+            space.query, *space.slab_columns(np.arange(space.size))
+        )
+        assert _choice_rows(*grid) == _choice_rows(*flat)
+
+    def test_grid_blocks_are_their_flat_positions(self, oracle):
+        _, space, _ = oracle("4D_H_Q8")
+        columns, length = space.grid_columns(1, 3)
+        flat, flat_length = space.slab_columns(np.arange(length) + space.size // 3)
+        assert length == flat_length == 2 * space.size // 3
+        for pid, column in columns.items():
+            spread = np.broadcast_to(column, (2,) + space.shape[1:]).ravel()
+            assert spread.tolist() == np.broadcast_to(flat[pid], (length,)).tolist()
+
+    def test_a_subset_reading_no_varying_pid_is_a_float(self, oracle, monkeypatch):
+        """Each frontier has the shape of the grid axes its subset's
+        predicates read (``res^k`` cells for ``k`` of them) and is a
+        python float when they read none."""
+        from repro.batchopt import kernel
+
+        fresh, space, _ = oracle("4D_H_Q8")
+        query = space.query
+        frontiers = []
+        finish = kernel._FrontierBuilder.finish
+
+        def recording_finish(self):
+            frontiers.append(finish(self))
+            return frontiers[-1]
+
+        monkeypatch.setattr(kernel._FrontierBuilder, "finish", recording_finish)
+        fresh().optimize_slab(query, *space.grid_columns(0, space.shape[0]))
+        enumerator = JoinEnumerator(query, query.schema)
+        subsets = [frozenset((t,)) for t in enumerator.tables] + enumerator.subsets
+        assert len(frontiers) == len(subsets)
+        axis = {dim.pid: d for d, dim in enumerate(space.dimensions)}
+        floats = 0
+        for subset, frontier in zip(subsets, frontiers):
+            pids = [s.pid for s in query.selections if s.table in subset] + [
+                j.pid
+                for j in query.joins
+                if j.left_table in subset and j.right_table in subset
+            ]
+            read = {axis[pid] for pid in pids if pid in axis}
+            want = tuple(
+                n if d in read else 1 for d, n in enumerate(space.shape)
+            ) if read else ()
+            assert np.shape(frontier.best.cost) == want, sorted(subset)
+            if not read:
+                floats += 1
+                assert not isinstance(frontier.best.cost, np.ndarray)
+                assert not isinstance(frontier.best.rows, np.ndarray)
+        assert 0 < floats < len(subsets)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_float_and_array_columns(self, optimizer, lab, data):
+        """Random 2-D slabs over ``3D_H_Q5``: each predicate a float, a
+        row, a column or a full block, drawn independently; every
+        location pins to the scalar DP, plan ids in row-major order."""
+        entry = lab.workload["3D_H_Q5"]
+        query = entry.query
+        base = actual_selectivities(query, lab.h_db)
+        rows = data.draw(st.integers(min_value=1, max_value=3), label="rows")
+        cols = data.draw(st.integers(min_value=1, max_value=3), label="cols")
+        selectivity = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
+        columns = {}
+        for pid in query.predicate_ids:
+            shape = data.draw(
+                st.sampled_from([(), (rows, 1), (1, cols), (rows, cols)]), label=pid
+            )
+            if shape:
+                values = data.draw(
+                    st.lists(selectivity, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))),
+                    label=f"{pid} values",
+                )
+                columns[pid] = np.array(values).reshape(shape)
+            else:
+                columns[pid] = base[pid]
+        # The slab is what its columns span (a float-only one repeats
+        # its location ``rows`` times).
+        shape = np.broadcast_shapes(*(np.shape(c) for c in columns.values())) or (rows,)
+        fresh = Optimizer(lab.h_schema, lab.h_stats)
+        choice, plan_ids = fresh.optimize_slab(query, columns, int(np.prod(shape)))
+        oracle = Optimizer(lab.h_schema, lab.h_stats)
+        for index, cell in enumerate(np.ndindex(shape)):
+            assignment = {
+                pid: float(np.broadcast_to(column, shape)[cell])
+                for pid, column in columns.items()
+            }
+            want = scalar_optimize(oracle, query, assignment)
+            assert choice.plans[choice.winner[index]].canonical_signature() == want.signature
+            assert choice.cost[index] == want.cost
+            assert choice.rows[index] == want.rows
+            assert plan_ids[index] == want.plan_id
+
+
+class TestOneLocationOptimize:
+    def test_optimize_pins_the_scalar_dp_over_the_lab(self, lab):
+        """``optimize`` is the one-location slab: at 20 random locations
+        in each of the 14 ``Lab()`` spaces (280), plan id, cost, rows and
+        plan equal to the scalar DP's."""
+        rng = np.random.default_rng(37)
+        assert len(lab.workload) == 14
+        for name, entry in lab.workload.items():
+            optimizer, database = lab._env_for(name)
+            fast = Optimizer(optimizer.schema, optimizer.statistics)
+            oracle = Optimizer(optimizer.schema, optimizer.statistics)
+            base = actual_selectivities(entry.query, database)
+            for _ in range(20):
+                assignment = dict(base)
+                for dim in entry.dimensions():
+                    assignment[dim.pid] = float(
+                        dim.lo * (dim.hi / dim.lo) ** rng.random()
+                    )
+                got = fast.optimize(entry.query, assignment=assignment)
+                want = scalar_optimize(oracle, entry.query, assignment)
+                assert (got.plan_id, got.cost, got.rows, got.signature) == (
+                    want.plan_id, want.cost, want.rows, want.signature
+                ), name

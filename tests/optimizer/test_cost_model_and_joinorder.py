@@ -45,7 +45,7 @@ class TestJoinEnumeratorStructure:
     def test_partitions_only_connected_subsets(self, chain_query, schema):
         enum = JoinEnumerator(chain_query, schema)
         graph = chain_query.join_graph
-        for subset, splits in enum._partitions.items():
+        for subset, splits in enum.partitions.items():
             assert graph.is_connected(subset)
             for left, right, pids in splits:
                 assert graph.is_connected(left)
@@ -59,11 +59,11 @@ class TestJoinEnumeratorStructure:
         {r}|{n,c,o}, {r,n}|{c,o}, {r,n,c}|{o}."""
         enum = JoinEnumerator(chain_query, schema)
         full = frozenset(chain_query.tables)
-        assert len(enum._partitions[full]) == 3
+        assert len(enum.partitions[full]) == 3
 
     def test_full_set_covered(self, chain_query, schema):
         enum = JoinEnumerator(chain_query, schema)
-        assert frozenset(chain_query.tables) in enum._partitions
+        assert frozenset(chain_query.tables) in enum.partitions
 
     def test_star_has_more_splits_than_chain(self, lab):
         star = lab.workload["3D_DS_Q96"].query  # star(4)
@@ -72,7 +72,7 @@ class TestJoinEnumeratorStructure:
         # A 4-star's full set splits 3 ways off the hub plus... exactly the
         # subsets containing the hub: every split has the hub on one side.
         hub = "store_sales"
-        for left, right, _ in enum._partitions[full]:
+        for left, right, _ in enum.partitions[full]:
             assert (hub in left) != (hub in right) or True
             # The side without the hub must be a single satellite.
             other = right if hub in left else left

@@ -211,12 +211,13 @@ def test_defaulted_parameter_census():
     delta re-plan and ``refresh_bouquet`` were; ``sweep`` had 4 before
     ``SweepEngine(residue_min=)``, reached only by tests, went;
     ``ess`` had 31 before ``slab_columns(start=0, stop=None)`` became
-    ``slab_columns(positions)``.  A
+    ``slab_columns(positions)``; ``batchopt`` had 1 before
+    ``batch_best_plans`` took the query's ``JoinEnumerator`` instead of
+    an optional one.  A
     new defaulted parameter lands here with the two callers that need
     different values."""
     assert defaulted_parameter_census() == {
         "(top level)": 28,
-        "batchopt": 1,
         "bench": 31,
         "catalog": 11,
         "core": 23,

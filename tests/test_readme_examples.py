@@ -105,7 +105,7 @@ class TestReadmeSnippets:
             README_SQL, catalog, config=BouquetConfig(resolution=16)
         )
         space, diagram = compiled.space, compiled.bouquet.diagram
-        # The scalar optimizer is the oracle, not a second engine.
+        # One location's DP agrees with the grid's.
         scalar = catalog.optimizer().optimize(
             space.query, assignment=space.assignment_at(space.corner)
         )

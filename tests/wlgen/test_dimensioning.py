@@ -9,9 +9,10 @@ from repro.ess import (
     measure_error_sensitivity,
     sensitivity_error_dimensions,
 )
-from repro.optimizer import actual_selectivities
+from repro.optimizer import Optimizer, actual_selectivities
 from repro.query.workload import tpch_workload
-from repro.wlgen import QueryGenerator, dimension_query
+from repro.wlgen import CampaignConfig, QueryGenerator, build_env, dimension_query
+from tests.conftest import sensitivity_by_definition
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,31 @@ class TestSensitivitySelection:
         assert payload["dimensions"]
         assert payload["scores"][0]["penalty"] >= payload["scores"][-1]["penalty"]
         assert set(payload["base_assignment"]) == set(query.predicate_ids)
+
+
+class TestSensitivityInOneSlab:
+    def test_campaign_pool_scores_pin_the_per_point_definition(self):
+        """The base plan costed in one slab context over every sweep
+        point scores each candidate bit for bit as costing it point by
+        point against the scalar DP's optimum: over the ledger's 31
+        ``eval_campaign`` queries (the first TPC-DS queries of pool seed
+        42), at the campaign's sensitivity resolution."""
+        config = CampaignConfig(benchmark="tpcds", count=31)
+        world = build_env(config)
+        optimizer = world.optimizer
+        for index in range(config.count):
+            query = world.generator.generate(config.seed, index).query
+            base = actual_selectivities(query, world.catalog.database)
+            candidates = candidate_error_dimensions(query)
+            scores = measure_error_sensitivity(
+                optimizer, query, candidates, base, config.sensitivity_resolution
+            )
+            oracle = Optimizer(optimizer.schema, optimizer.statistics)
+            assert [
+                (s.dimension.pid, s.penalty, s.cost_span) for s in scores
+            ] == sensitivity_by_definition(
+                oracle, query, candidates, base, config.sensitivity_resolution
+            ), index
 
 
 class TestTable2Regression:
