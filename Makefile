@@ -22,7 +22,7 @@
 #                     builds a bouquet's AxisPlans tables in one pass, a
 #                     campaign pass sweeps in 315 (contour, spill) rounds, a
 #                     repeated served hit reuses its opening: no count, no
-#                     plan node costed, one dominance test; a statistics
+#                     plan node costed, no dominance test; a statistics
 #                     refresh and a rebind whose base moved plan nothing,
 #                     the rebind's fallback compile aside; a statistics
 #                     refresh opens no disk envelope; a compile builds no
@@ -30,7 +30,9 @@
 #                     sub-plan once and its diagram arrays as bytes; a
 #                     grid DP holds each subset at the shape of the axes
 #                     it reads, and a one-location optimize holds no
-#                     array at all); counts only, nothing is timed
+#                     array at all; a repeated served hit decides nothing
+#                     and builds no index over a whole base table);
+#                     counts only, nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -82,7 +84,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once or frontier_elements or no_frontier_array" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once or frontier_elements or no_frontier_array or repeat_hit_is_prepared" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

@@ -49,6 +49,8 @@ from .ess.diagram import PlanDiagram, coarse_subgrid
 from .ess.dimensioning import Uncertainty, select_error_dimensions
 from .ess.space import ErrorDimension, SelectivitySpace
 from .exceptions import BouquetError, BudgetExceeded
+from .executor.engine import ExecutionEngine
+from .executor.service import RealExecutionService
 from .obs.tracer import NULL_TRACER, Tracer
 from .optimizer.cost_model import COMMERCIAL_COST_MODEL, POSTGRES_COST_MODEL, CostModel
 from .optimizer.optimizer import Optimizer
@@ -546,9 +548,6 @@ def execute(
     *total* cost the request may spend across every partial execution
     (exceeding it raises :class:`~repro.exceptions.BudgetExceeded`).
     """
-    from .executor.engine import ExecutionEngine
-    from .executor.service import RealExecutionService
-
     budget, mode = _apply_envelope(request, budget, mode)
     if data is None:
         raise BouquetError("no database given; use simulate() instead")

@@ -99,8 +99,8 @@ def stack_assignments(
 def validate_columns(
     query: Query, columns: Mapping[str, object], length: int
 ) -> Tuple[int, ...]:
-    """Slab-aware counterpart of ``selectivity.validate_assignment``:
-    every pid covered, every selectivity in (0, 1], and the columns
+    """The check of an assignment's columns: every pid covered, every
+    selectivity in (0, 1], and the columns
     broadcast to a slab of ``length`` locations.  Returns the slab's
     shape (``(length,)`` when every column is a float)."""
     expected = set(query.predicate_ids)

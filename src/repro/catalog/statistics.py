@@ -174,11 +174,14 @@ class TableStatistics:
         self.table_name = table_name
         self.row_count = int(row_count)
         self._columns: Dict[str, ColumnStatistics] = {}
-        self._version = 0
+        #: The :class:`DatabaseStatistics` this table was registered in;
+        #: replacing a column moves each one's version.
+        self._owners: List["DatabaseStatistics"] = []
 
     def set_column(self, column: str, stats: ColumnStatistics):
         self._columns[column] = stats
-        self._version += 1
+        for owner in self._owners:
+            owner._version += 1
 
     def column(self, column: str) -> Optional[ColumnStatistics]:
         return self._columns.get(column)
@@ -201,6 +204,8 @@ class DatabaseStatistics:
 
     def set_table(self, stats: TableStatistics):
         self._tables[stats.table_name] = stats
+        if self not in stats._owners:
+            stats._owners.append(self)
         self._version += 1
 
     def table(self, name: str) -> Optional[TableStatistics]:
@@ -218,14 +223,12 @@ class DatabaseStatistics:
     def table_names(self) -> List[str]:
         return sorted(self._tables)
 
-    def version_token(self) -> tuple:
-        """A cheap token that changes whenever statistics are replaced via
-        :meth:`set_table` / :meth:`TableStatistics.set_column` — used to
-        memoize content fingerprints (see
+    def version_token(self) -> int:
+        """A version that moves whenever statistics are replaced via
+        :meth:`set_table` / :meth:`TableStatistics.set_column` (a table
+        moves the version of every statistics it is registered in) — so
+        a memoized content fingerprint is checked by one comparison (see
         :func:`repro.serve.fingerprint.statistics_fingerprint`).  Mutating
         :class:`ColumnStatistics` fields in place bypasses it; always go
         through the setters."""
-        return (
-            self._version,
-            tuple((name, t._version) for name, t in sorted(self._tables.items())),
-        )
+        return self._version

@@ -30,6 +30,7 @@ from .contours import (
 )
 
 if TYPE_CHECKING:
+    from ..executor.engine import BoundPlan
     from ..optimizer.cost_model import CostModel
     from .runtime import KnownSelectivities
 
@@ -45,12 +46,26 @@ class Measured:
       signature, as the executor's §5.2 learning executes them;
     * ``known`` — the index-probed start
       (``RealExecutionService.known_selectivities``) and the cost model
-      its probe cost was priced in, once taken.
+      its probe cost was priced in, once taken;
+    * ``bound`` — the plans run so far, bound to the data
+      (``ExecutionEngine.bind``), with the ``Database`` and cost model
+      they were bound on (:meth:`plans`).
     """
 
     fingerprint: str
     subtree_rows: Dict[str, float] = field(default_factory=dict)
     known: Optional[Tuple["CostModel", "KnownSelectivities"]] = None
+    bound: Optional[Tuple[object, "CostModel", Dict[int, "BoundPlan"]]] = None
+
+    def plans(self, database, cost_model: "CostModel") -> Dict[int, "BoundPlan"]:
+        """The bound plans by plan id, for ``database`` under
+        ``cost_model``: a binding holds the database's own arrays and
+        index handles, so another database object or cost model starts
+        them over."""
+        bound = self.bound
+        if bound is None or bound[0] is not database or bound[1] is not cost_model:
+            bound = self.bound = (database, cost_model, {})
+        return bound[2]
 
 
 @dataclass
@@ -115,9 +130,10 @@ class PlanBouquet:
         return record
 
     def opening(self, start: Hashable, build: Callable[[], T]) -> T:
-        """How a run from the start point ``start`` opens, ``build()``
-        on first use: kept for the last start point seen, shared by every
-        run of this bouquet, and never serialised."""
+        """How a run from the start point ``start`` opens — its contour,
+        costing context and first move (``BouquetRunner._open``) —
+        ``build()`` on first use: kept for the last start point seen,
+        shared by every run of this bouquet, and never serialised."""
         memo = getattr(self, "_opening", None)
         if memo is None or memo[0] != start:
             memo = self._opening = (start, build())

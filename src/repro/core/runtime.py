@@ -95,6 +95,21 @@ class RunState:
         self.attempted = self.exhausted = frozenset()
 
 
+@dataclass(frozen=True)
+class Move:
+    """What a run does next on its contour, as the §5.1 decisions chose
+    it: spill ``spill`` to learn ``unlearned``, or (``spill`` < 0) run
+    ``order`` fully, first to last, and cross the contour if none
+    completes.  ``attempted`` / ``exhausted`` are the contour's sets once
+    the decision booked its floor prunes."""
+
+    attempted: AbstractSet[int]
+    exhausted: AbstractSet[int]
+    order: Tuple[int, ...] = ()
+    spill: int = -1
+    unlearned: FrozenSet[str] = frozenset()
+
+
 @dataclass
 class ExecutionOutcome:
     """Result of one (cost-limited) plan execution."""
@@ -523,6 +538,7 @@ class BouquetRunner:
         self.bouquet = bouquet
         self.service = service
         self.mode = mode
+        self.model_error_delta = model_error_delta
         self.space = bouquet.space
         self.budgets = [
             budget * (1.0 + model_error_delta) for budget in bouquet.budgets
@@ -547,8 +563,7 @@ class BouquetRunner:
             cardinality=self.bouquet.cardinality,
         ) as span:
             state, probe_cost = self._start()
-            run = self._run_optimized if self.mode == "optimized" else self._run_basic
-            result = run(state)
+            result = self._run_from(state, self._first_move(state))
             result.probe_cost = probe_cost
             result.total_cost += probe_cost
             span.set(
@@ -581,22 +596,38 @@ class BouquetRunner:
                     pinned={dims[d].pid: qrun[d] for d in sorted(exact)},
                 )
         point = tuple(qrun)
-        cid, context = self.bouquet.opening((point, frozenset(exact)), lambda: self._open(qrun))
+        self._opening = self.bouquet.opening((point, frozenset(exact)), lambda: self._open(qrun))
+        cid, context, _first = self._opening
         self._contexts[point] = context
         return RunState(qrun, exact, cid), known.cost
 
-    def _open(self, qrun: List[float]) -> Tuple[int, CostContext]:
+    def _open(self, qrun: List[float]) -> Tuple[int, CostContext, Dict]:
         """How every run from the start point ``qrun`` opens: on the first
         contour with a location dominating it (one before it cannot hold
         ``qa >= q_run``, and both Figure 7 and Figure 13 cross it without
-        a run), with the costing context at ``qrun``."""
+        a run), with the costing context at ``qrun``, and the first
+        :class:`Move` there per ``(mode, model_error_delta)``, filled by
+        :meth:`_first_move`."""
         row = np.array([qrun])
         contours = len(self.bouquet.contours)
         cid = next(
             (k for k in range(contours) if dominating(self.bouquet.contour_tables(k), row).any()),
             contours,
         )
-        return cid, self._context(qrun)
+        return cid, self._context(qrun), {}
+
+    def _first_move(self, state: RunState) -> Optional[Move]:
+        """The :class:`Move` a run from the start ``state`` opens with:
+        decided once per start point, mode and budgets, and kept with the
+        bouquet's opening."""
+        if state.cid == len(self.bouquet.contours):
+            return None
+        first = self._opening[2]
+        key = (self.mode, self.model_error_delta)
+        move = first.get(key)
+        if move is None:
+            move = first[key] = self._move(state)
+        return move
 
     def _merge(
         self, qrun: List[float], exact: Set[int], learned: Sequence[LearnedSelectivity]
@@ -642,87 +673,81 @@ class BouquetRunner:
             learned_values={l.pid: l.value for l in record.learned},
         )
 
-    # -- basic (Figure 7) ------------------------------------------------
+    # -- the decisions ---------------------------------------------------
 
-    def _run_basic(self, state: RunState) -> BouquetRunResult:
-        """Figure 7 from ``state``: on each contour, every plan owning a
-        location that dominates ``q_run`` runs fully under the contour
-        budget, in plan-id order, until one completes."""
-        trace: List[ExecutionRecord] = []
-        contours = self.bouquet.contours
-        while state.cid < len(contours):
-            contour, budget = contours[state.cid], self.budgets[state.cid]
-            tables = self.bouquet.contour_tables(state.cid)
-            (dom,) = dominating(tables, np.array([state.qrun]))
-            for plan_id in np.asarray(tables.plan_ids)[dom].tolist():
-                outcome = self.service.run_full(plan_id, budget)
-                finished = self._book(
-                    trace, state, contour, plan_id, budget, outcome, spilled=False
-                )
-                if finished is not None:
-                    return finished
-            state.cross()
-        return BouquetRunResult(
-            total_cost=state.total, executions=trace, final_plan_id=None, completed=False
-        )
-
-    # -- optimized (Figure 13) ------------------------------------------
-
-    def _run_optimized(self, state: RunState) -> BouquetRunResult:
-        """Figure 13 from ``state``, advanced in place and consistent at
-        every execution (a run cut there resumes from it): the trace holds
-        what ran from here on, ``total_cost`` all ``state`` was charged."""
+    def _move(self, state: RunState) -> Optional[Move]:
+        """The decision on contour ``state.cid`` from ``state``; None when
+        no location of the contour dominates ``q_run`` (``qa`` then lies
+        beyond it).  Figure 7 runs every dominating plan fully, in plan-id
+        order.  Figure 13 spills the picked AxisPlans candidate, after
+        the spill-floor prune, and with nothing (left) to learn runs the
+        endgame's plan or the fallback order fully."""
+        tables = self.bouquet.contour_tables(state.cid)
+        qrun, exact = state.qrun, state.exact
+        row = np.array([qrun])
+        dom = dominating(tables, row)
+        # One row: a list's any() costs less than numpy's.
+        if not any(dom[0].tolist()):
+            return None
+        if self.mode == "basic":
+            order = np.asarray(tables.plan_ids)[dom[0]].tolist()
+            return Move(state.attempted, state.exhausted, tuple(order))
         dims = self.space.dimensions
+        budget = self.budgets[state.cid]
+        attempted, exhausted = state.attempted, state.exhausted
+        if len(exact) < len(dims):
+            unlearned = frozenset(dims[d].pid for d in range(len(dims)) if d not in exact)
+            plans, present, depth = axis_plans(
+                tables, row, np.array([[d in exact for d in range(len(dims))]]),
+                np.array([[pid in attempted for pid in tables.plan_ids]]),
+            )
+            floors = [[self._spill_floor(pid, qrun, unlearned) for pid in plans]]
+            pruned = pruned_by_floor(np.array(floors), present, budget)
+            productive = present & ~pruned
+            (choice,) = pick(plans, self._costs(plans, qrun, productive), depth, productive)
+            attempted, exhausted = book(
+                attempted, exhausted,
+                frozenset(p for p, out in zip(plans, pruned[0]) if out), True, True,
+            )
+            if choice >= 0:
+                return Move(attempted, exhausted, spill=int(choice), unlearned=unlearned)
+        eligible = dom
+        if exhausted:
+            eligible = dom & [[pid not in exhausted for pid in tables.plan_ids]]
+        costs = self._costs(tables.plan_ids, qrun, eligible)
+        if len(exact) == len(dims):
+            order, runs = endgame(costs, eligible)
+        else:
+            order, runs = fallback_order(costs, eligible, budget)
+        plans = tables.plan_ids
+        return Move(attempted, exhausted, tuple(plans[j] for j in order[0, : runs[0]].tolist()))
+
+    # -- the loop --------------------------------------------------------
+
+    def _run_from(self, state: RunState, move: Optional[Move] = None) -> BouquetRunResult:
+        """The run from ``state`` (Figure 13, or Figure 7 in basic mode),
+        advanced in place and consistent at every execution (a run cut
+        there resumes from it): the trace holds what ran from here on,
+        ``total_cost`` all ``state`` was charged.  ``move``, when given,
+        is :meth:`_move` of ``state`` already decided."""
         trace: List[ExecutionRecord] = []
         contours = self.bouquet.contours
         qrun, exact = state.qrun, state.exact
-        row = np.array([qrun])
-
         while state.cid < len(contours):
-            contour, budget = contours[state.cid], self.budgets[state.cid]
-            tables = self.bouquet.contour_tables(state.cid)
-            dom = dominating(tables, row)
-            # One row: a list's any() costs less than numpy's.  With no
-            # dominating location, qa >= q_run cannot lie inside the contour.
-            if not any(dom[0].tolist()):
+            if move is None:
+                move = self._move(state)
+            if move is None:
                 state.cross()
                 continue
-
-            if len(exact) < len(dims):
-                # Spill the picked AxisPlans candidate, after the prune.
-                unlearned = frozenset(dims[d].pid for d in range(len(dims)) if d not in exact)
-                plans, present, depth = axis_plans(
-                    tables, row, np.array([[d in exact for d in range(len(dims))]]),
-                    np.array([[pid in state.attempted for pid in tables.plan_ids]]),
-                )
-                floors = [[self._spill_floor(pid, qrun, unlearned) for pid in plans]]
-                pruned = pruned_by_floor(np.array(floors), present, budget)
-                productive = present & ~pruned
-                (choice,) = pick(plans, self._costs(plans, qrun, productive), depth, productive)
-                state.attempted, state.exhausted = book(
-                    state.attempted, state.exhausted,
-                    frozenset(p for p, out in zip(plans, pruned[0]) if out), True, True,
-                )
-            else:
-                choice = -1
-            if choice < 0:
-                # Nothing (left) to learn on this contour: run plans fully.
-                eligible = dom
-                if state.exhausted:
-                    eligible = dom & [[pid not in state.exhausted for pid in tables.plan_ids]]
-                costs = self._costs(tables.plan_ids, qrun, eligible)
-                if len(exact) == len(dims):
-                    order, runs = endgame(costs, eligible)
-                else:
-                    order, runs = fallback_order(costs, eligible, budget)
-                finished = self._run_in_order(
-                    trace, state, contour, budget, tables.plan_ids, order[0, : runs[0]]
-                )
+            contour, budget = contours[state.cid], self.budgets[state.cid]
+            state.attempted, state.exhausted = move.attempted, move.exhausted
+            if move.spill < 0:
+                finished = self._run_in_order(trace, state, contour, budget, move.order)
                 if finished is not None:
                     return finished
+                move = None
                 continue
-
-            choice = int(choice)
+            choice, unlearned, move = move.spill, move.unlearned, None
             outcome = self.service.run_spilled(choice, budget, unlearned)
             finished = self._book(trace, state, contour, choice, budget, outcome, spilled=True)
             if finished is not None:
@@ -731,7 +756,6 @@ class BouquetRunner:
                 return finished
             self._book_run(state, choice, outcome, budget, spilled=True)
             self._merge(qrun, exact, outcome.learned)
-            row = np.array([qrun])
             if self.tracer.enabled:
                 self._trace_qrun(qrun, exact)
             if state.cid + 1 < len(contours) and crosses_early(
@@ -747,12 +771,11 @@ class BouquetRunner:
         )
 
     def _run_in_order(
-        self, trace, state: RunState, contour, budget: float, plans: Sequence[int], columns
+        self, trace, state: RunState, contour, budget: float, plans: Sequence[int]
     ) -> Optional[BouquetRunResult]:
-        """Run the ``columns`` of ``plans`` fully, in that order, until one
-        completes (its result); cross the contour if none does."""
-        for j in columns.tolist():
-            plan_id = plans[j]
+        """Run ``plans`` fully, in that order, until one completes (its
+        result); cross the contour if none does."""
+        for plan_id in plans:
             outcome = self.service.run_full(plan_id, budget)
             finished = self._book(trace, state, contour, plan_id, budget, outcome, spilled=False)
             if finished is not None:

@@ -74,9 +74,18 @@ def carry_over(
     ``"dimension-mismatch"``, ``"grid-mismatch"`` or ``"base-moved"``)
     and the caller recompiles.
     """
+    space, optimizer = carried_space(bouquet.space, query, catalog, config, tracer)
+    return rebuilt_on(bouquet, space, optimizer, config)
+
+
+def carried_space(old_space: SelectivitySpace, query: Query, catalog, config, tracer):
+    """:func:`carry_over`'s check: the space a compile of ``query`` would
+    plan, with the optimizer that would plan it, when it equals
+    ``old_space`` in everything the compile sees; raises
+    :class:`~repro.exceptions.DriftError` otherwise.  It reads only the
+    space, so a caller can check before it builds anything else."""
     from ..api import _compile_space, default_error_dimensions
 
-    old_space = bouquet.space
     dims = default_error_dimensions(query, catalog.schema, catalog.statistics)
     if [(d.pid, d.lo, d.hi) for d in dims] != [
         (d.pid, d.lo, d.hi) for d in old_space.dimensions
@@ -97,21 +106,30 @@ def carry_over(
             f"base selectivities moved ({', '.join(moved)})",
             reason="base-moved",
         )
-    with optimizer.tracer.span("drift.refresh", query=query.name):
+    return new_space, optimizer
+
+
+def rebuilt_on(
+    bouquet: PlanBouquet, space: SelectivitySpace, optimizer, config
+) -> PlanBouquet:
+    """:func:`carry_over`'s rebind: ``bouquet`` on ``space`` (which
+    :func:`carried_space` found equal to its own), with zero optimizer
+    work; contours are re-cut only when λ or r differ."""
+    with optimizer.tracer.span("drift.refresh", query=space.query.name):
         registry = bouquet.registry
         diagram = PlanDiagram(
-            new_space,
+            space,
             bouquet.diagram.plan_ids,
             bouquet.diagram.costs,
             registry,
-            PlanCostCache(new_space, optimizer, registry),
+            PlanCostCache(space, optimizer, registry),
         )
         if (config.lambda_, config.ratio) != (bouquet.lambda_, bouquet.ratio):
             return identify_bouquet(
                 diagram, lambda_=config.lambda_, ratio=config.ratio
             )
         return PlanBouquet(
-            space=new_space,
+            space=space,
             diagram=diagram,
             registry=registry,
             contours=list(bouquet.contours),

@@ -1,12 +1,20 @@
 """The execution engine: budget-limited, instrumented, spill-capable.
 
-A batch-at-a-time numpy engine over the in-memory database: operators
-are generators of column batches, and they read the access paths the
-:class:`~repro.datagen.database.Database` owns.  Work is
-charged to the :class:`~repro.executor.instrumentation.Instrumentation`
-account in the *same units and formulas* as the optimizer's cost model,
-so "execute under budget IC_k" is directly meaningful.  An optional
-deterministic cost-perturbation models bounded cost-model error δ (§3.4).
+A batch-at-a-time numpy engine over the in-memory database.  A plan is
+first *bound* to the data (:meth:`ExecutionEngine.bind`): each node
+becomes an operator holding its resolved predicates, qualified column
+names, the base columns it reads, the index handles it probes and its
+charge constants, and operators are generators of column batches.  The
+access paths are the ones the :class:`~repro.datagen.database.Database`
+owns; a hash, merge or NL build side that scans a whole base table
+reads that table and the database's index over its key, and replays the
+scan's charges and tuple counts instead of copying its rows.
+
+Work is charged to the
+:class:`~repro.executor.instrumentation.Instrumentation` account in the
+*same units and formulas* as the optimizer's cost model, so "execute
+under budget IC_k" is directly meaningful.  An optional deterministic
+cost-perturbation models bounded cost-model error δ (§3.4).
 
 Supported executions:
 
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +100,17 @@ class ExecutionResult:
     result: Optional[Batch] = None
 
 
+class BoundPlan(NamedTuple):
+    """A plan bound to one dataset under one cost model: its root
+    operator, each node's operator by ``id(node)``, and the columns the
+    run needs.  Batch size and cost perturbation stay the engine's."""
+
+    plan: PlanNode
+    root: "_Operator"
+    ops: Dict[int, "_Operator"]
+    needed: Optional[Set[str]]
+
+
 class ExecutionEngine:
     """Executes physical plans against a :class:`Database`."""
 
@@ -136,46 +155,43 @@ class ExecutionEngine:
     # Public API
     # ------------------------------------------------------------------
 
+    def bind(self, query: Query, plan: PlanNode) -> BoundPlan:
+        """``plan`` bound to this engine's database and cost model; a
+        :class:`BoundPlan` runs on any engine over the same database and
+        cost model, and binding it is the only work :meth:`execute` adds
+        to a bare plan."""
+        needed = needed_columns(query)
+        ops: Dict[int, _Operator] = {}
+        root = _bind(self, query, plan, needed, ops)
+        return BoundPlan(plan, root, ops, needed)
+
     def execute(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Union[PlanNode, BoundPlan],
         budget: Optional[float] = None,
         collect: bool = False,
     ) -> ExecutionResult:
         """Run ``plan`` fully (or until ``budget`` kills it)."""
-        inst = Instrumentation(budget, needed_columns=needed_columns(query))
+        bound = plan if isinstance(plan, BoundPlan) else self.bind(query, plan)
+        inst = Instrumentation(budget, needed_columns=bound.needed)
         rows = 0
         collected: List[Batch] = []
         try:
-            for batch in self._run(plan, query, inst):
+            for batch in self._run(bound.root, inst):
                 rows += batch_length(batch)
                 if collect:
                     collected.append(batch)
         except BudgetExceeded:
-            outcome = ExecutionResult(
-                completed=False,
-                rows=rows,
-                spent=inst.total_cost,
-                instrumentation=inst,
-            )
-            self._trace_run(False, outcome)
-            return outcome
-        result = concat(collected) if collect and collected else None
-        outcome = ExecutionResult(
-            completed=True,
-            rows=rows,
-            spent=inst.total_cost,
-            instrumentation=inst,
-            result=result,
+            return self._outcome(False, False, rows, inst)
+        return self._outcome(
+            False, True, rows, inst, concat(collected) if collect and collected else None
         )
-        self._trace_run(False, outcome)
-        return outcome
 
     def execute_spilled(
         self,
         query: Query,
-        plan: PlanNode,
+        plan: Union[PlanNode, BoundPlan],
         spill_pids,
         budget: Optional[float] = None,
     ) -> Tuple[ExecutionResult, Optional[PlanNode]]:
@@ -187,56 +203,48 @@ class ExecutionEngine:
         (exact learning) is read off ``instrumentation.finished(node)``.
         Returns the result and the spill node (None when the plan carries
         no such node — the run then degenerates to a full execution)."""
-        node = first_error_node(plan, frozenset(spill_pids))
-        target = node if node is not None else plan
-        inst = Instrumentation(budget, needed_columns=needed_columns(query))
+        bound = plan if isinstance(plan, BoundPlan) else self.bind(query, plan)
+        node = first_error_node(bound.plan, frozenset(spill_pids))
+        target = bound.root if node is None else bound.ops[id(node)]
+        inst = Instrumentation(budget, needed_columns=bound.needed)
         rows = 0
         stored: List[Batch] = []
         try:
-            for batch in self._run(target, query, inst):
+            for batch in self._run(target, inst):
                 rows += batch_length(batch)
                 if node is not None:
                     stored.append(batch)
         except BudgetExceeded:
-            outcome = ExecutionResult(
-                completed=False,
-                rows=rows,
-                spent=inst.total_cost,
-                instrumentation=inst,
-            )
-            self._trace_run(True, outcome)
-            return outcome, node
+            return self._outcome(True, False, rows, inst), node
         if node is None:
-            outcome = ExecutionResult(
-                completed=True, rows=rows, spent=inst.total_cost, instrumentation=inst
-            )
-            self._trace_run(True, outcome)
-            return outcome, node
+            return self._outcome(True, True, rows, inst), node
         # Spill-to-store resume: the subtree resolved under budget; run
         # the rest of the plan, replaying the stored output (already
         # charged and counted) when execution reaches the spill node.
         inst.replay = (node, stored)
         rows = 0
         try:
-            for batch in self._run(plan, query, inst):
+            for batch in self._run(bound.root, inst):
                 rows += batch_length(batch)
         except BudgetExceeded:
-            outcome = ExecutionResult(
-                completed=False,
-                rows=rows,
-                spent=inst.total_cost,
-                instrumentation=inst,
-            )
-            self._trace_run(True, outcome)
-            return outcome, node
+            return self._outcome(True, False, rows, inst), node
+        return self._outcome(True, True, rows, inst), node
+
+    def _outcome(
+        self, spilled: bool, completed: bool, rows: int, inst: Instrumentation, result=None
+    ) -> ExecutionResult:
         outcome = ExecutionResult(
-            completed=True, rows=rows, spent=inst.total_cost, instrumentation=inst
+            completed=completed,
+            rows=rows,
+            spent=inst.total_cost,
+            instrumentation=inst,
+            result=result,
         )
-        self._trace_run(True, outcome)
-        return outcome, node
+        self._trace_run(spilled, outcome)
+        return outcome
 
     # ------------------------------------------------------------------
-    # Cost charging
+    # Cost charging and operator dispatch
     # ------------------------------------------------------------------
 
     def _charge(self, inst: Instrumentation, node: PlanNode, cost: float):
@@ -244,38 +252,23 @@ class ExecutionEngine:
             cost *= self.perturbation.factor(node)
         inst.charge(node, cost)
 
-    # ------------------------------------------------------------------
-    # Operator dispatch
-    # ------------------------------------------------------------------
-
-    def _run(self, node: PlanNode, query: Query, inst: Instrumentation) -> Iterator[Batch]:
-        if inst.replay is not None and node is inst.replay[0]:
+    def _run(self, op: "_Operator", inst: Instrumentation) -> Iterator[Batch]:
+        if inst.replay is not None and op.node is inst.replay[0]:
             # Resumed spill execution: the node's output was stored by
             # the spill pass (its work is already charged and counted).
             return iter(inst.replay[1])
-        if isinstance(node, SeqScan):
-            return self._run_seq_scan(node, query, inst)
-        if isinstance(node, IndexScan):
-            return self._run_index_scan(node, query, inst)
-        if isinstance(node, Join):
-            return self._run_join(node, query, inst)
-        if isinstance(node, Aggregate):
-            return self._run_aggregate(node, query, inst)
-        raise ExecutionError(f"cannot execute node {node.signature()}")
+        return op.batches(self, inst)
 
-    # -- scans -----------------------------------------------------------
+    # -- access paths ----------------------------------------------------
 
-    def _base_columns(self, table: str, inst: Instrumentation) -> Batch:
-        """The whole base table as one batch, pruned to the columns the
-        run needs (projection pushdown at the scan/fetch boundary)."""
-        needed = inst.needed_columns
-        columns = {
+    def _base_columns(self, table: str, needed) -> Batch:
+        """The whole base table as one batch, pruned to the ``needed``
+        columns (projection pushdown at the scan/fetch boundary)."""
+        return {
             qualify(table, column): array
             for column, array in self.database.table(table).items()
+            if needed is None or qualify(table, column) in needed
         }
-        if needed is None:
-            return columns
-        return {name: array for name, array in columns.items() if name in needed}
 
     def _index(self, table: str, column: str) -> ColumnIndex:
         """The database's index over ``table.column`` (built on first use
@@ -299,20 +292,47 @@ class ExecutionEngine:
             self.tracer.count("executor.dense_probes" if dense else "executor.searched_probes")
         return join_indices(keys, lookup)
 
-    def _run_seq_scan(self, node: SeqScan, query: Query, inst: Instrumentation):
-        table = self.schema.table(node.table)
-        model = self.cost_model
-        preds = [self._selection(query, pid) for pid in node.filter_pids]
-        n = table.row_count
-        pages_per_row = table.pages / n
-        columns = self._base_columns(node.table, inst)
-        for start in range(0, n, self.batch_size):
-            stop = min(start + self.batch_size, n)
+
+# ---------------------------------------------------------------------------
+# Bound operators
+# ---------------------------------------------------------------------------
+
+
+class _Operator:
+    """One plan node bound to the data: ``batches(engine, inst)`` yields
+    its output, charging ``node`` on ``inst``."""
+
+    node: PlanNode
+
+    def batches(self, engine: ExecutionEngine, inst: Instrumentation) -> Iterator[Batch]:
+        raise NotImplementedError
+
+
+class _SeqScan(_Operator):
+    def __init__(self, engine: ExecutionEngine, query: Query, node: SeqScan, needed):
+        table = engine.schema.table(node.table)
+        self.node = node
+        self.model = engine.cost_model
+        self.preds = [_selection(query, pid) for pid in node.filter_pids]
+        self.rows = table.row_count
+        self.pages_per_row = table.pages / table.row_count
+        self.columns = engine._base_columns(node.table, needed)
+
+    def _charges(self, engine: ExecutionEngine, inst: Instrumentation):
+        """Charge each batch in turn; yields its ``[start, stop)``."""
+        node, model, n, step = self.node, self.model, self.rows, engine.batch_size
+        for start in range(0, n, step):
+            stop = min(start + step, n)
             count = stop - start
-            cost = count * pages_per_row * model.seq_page_cost
+            cost = count * self.pages_per_row * model.seq_page_cost
             cost += count * model.cpu_tuple_cost
-            cost += count * len(preds) * model.cpu_operator_cost
-            self._charge(inst, node, cost)
+            cost += count * len(self.preds) * model.cpu_operator_cost
+            engine._charge(inst, node, cost)
+            yield start, stop
+
+    def batches(self, engine, inst):
+        node, columns, preds = self.node, self.columns, self.preds
+        for start, stop in self._charges(engine, inst):
             batch = apply_selections(
                 {name: array[start:stop] for name, array in columns.items()}, preds
             )
@@ -322,204 +342,232 @@ class ExecutionEngine:
                 yield batch
         inst.mark_finished(node)
 
-    def _run_index_scan(self, node: IndexScan, query: Query, inst: Instrumentation):
-        table = self.schema.table(node.table)
-        model = self.cost_model
-        index_pred = self._selection(query, node.index_pid)
+    def replay(self, engine: ExecutionEngine, inst: Instrumentation) -> Batch:
+        """An unfiltered scan run for its whole output: the same charges
+        and tuple counts, in the same order, and the base columns
+        themselves as the output."""
+        node = self.node
+        for start, stop in self._charges(engine, inst):
+            inst.emit(node, stop - start)
+        inst.mark_finished(node)
+        return self.columns
+
+
+class _IndexScan(_Operator):
+    def __init__(self, engine: ExecutionEngine, query: Query, node: IndexScan, needed):
+        table = engine.schema.table(node.table)
+        model = self.model = engine.cost_model
+        index_pred = _selection(query, node.index_pid)
         if not index_pred.indexable:
             raise ExecutionError(f"cannot index-scan operator {index_pred.op!r}")
-        residuals = [self._selection(query, pid) for pid in node.filter_pids]
-        entries = self._index(node.table, index_pred.column)
+        self.node = node
+        self.residuals = [_selection(query, pid) for pid in node.filter_pids]
+        entries = engine._index(node.table, index_pred.column)
         index = IndexInfo.for_table(table, index_pred.column)
-        self._charge(inst, node, index.height * model.random_page_cost)
+        self.descent = index.height * model.random_page_cost
         ((lo, hi),) = entries.spans(index_pred.op, index_pred.value)
-        matched = hi - lo
-        leaf_share = (matched / max(1, table.row_count)) * index.leaf_pages
-        self._charge(inst, node, leaf_share * model.seq_page_cost)
-        row_ids = entries.order[lo:hi].astype(np.intp)
-        per_row = (
+        leaf_share = ((hi - lo) / max(1, table.row_count)) * index.leaf_pages
+        self.leaves = leaf_share * model.seq_page_cost
+        self.row_ids = entries.order[lo:hi].astype(np.intp)
+        self.per_row = (
             model.cpu_index_tuple_cost
             + model.random_page_cost
             + model.cpu_tuple_cost
-            + len(residuals) * model.cpu_operator_cost
+            + len(self.residuals) * model.cpu_operator_cost
         )
-        columns = self._base_columns(node.table, inst)
-        for start in range(0, matched, self.batch_size):
-            ids = row_ids[start : min(start + self.batch_size, matched)]
-            self._charge(inst, node, ids.size * per_row)
-            batch = apply_selections(take(columns, ids), residuals)
+        self.columns = engine._base_columns(node.table, needed)
+
+    def batches(self, engine, inst):
+        node, row_ids, step = self.node, self.row_ids, engine.batch_size
+        engine._charge(inst, node, self.descent)
+        engine._charge(inst, node, self.leaves)
+        for start in range(0, row_ids.size, step):
+            ids = row_ids[start : start + step]
+            engine._charge(inst, node, ids.size * self.per_row)
+            batch = apply_selections(take(self.columns, ids), self.residuals)
             out = batch_length(batch)
             if out:
                 inst.emit(node, out)
                 yield batch
         inst.mark_finished(node)
 
-    # -- joins -----------------------------------------------------------
 
-    def _run_join(self, node: Join, query: Query, inst: Instrumentation):
-        if node.algo == "inl":
-            yield from self._run_inl_join(node, query, inst)
-        elif node.algo == "hash":
-            yield from self._run_hash_like_join(node, query, inst, flavour="hash")
-        elif node.algo == "merge":
-            yield from self._run_hash_like_join(node, query, inst, flavour="merge")
-        elif node.algo == "nl":
-            yield from self._run_nl_join(node, query, inst)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unknown join algorithm {node.algo!r}")
-        inst.mark_finished(node)
+class _Join(_Operator):
+    """What every join algorithm binds: the children, the driving key
+    pair and the composite predicates' column pairs."""
 
-    def _join_columns(self, query: Query, node: Join) -> Tuple[JoinPredicate, List[JoinPredicate]]:
-        """The driving join predicate and any extra composite predicates."""
+    def __init__(self, engine: ExecutionEngine, query: Query, node: Join, needed, ops):
         preds = [query.predicate(pid) for pid in node.join_pids]
         for pred in preds:
             if not isinstance(pred, JoinPredicate):
                 raise ExecutionError(f"join pid {pred.pid} is not a join predicate")
-        return preds[0], preds[1:]
+        self.node = node
+        self.model = engine.cost_model
+        self.left = _bind(engine, query, node.left, needed, ops)
+        self.driving = preds[0]
+        self.extras = [
+            (qualify(p.left_table, p.left_column), qualify(p.right_table, p.right_column))
+            for p in preds[1:]
+        ]
 
-    def _sides(self, node: Join, pred: JoinPredicate) -> Tuple[str, str]:
-        """Qualified key column names on (left child, right child)."""
-        left_tables = node.left.tables()
-        if pred.left_table in left_tables:
-            return (
-                qualify(pred.left_table, pred.left_column),
-                qualify(pred.right_table, pred.right_column),
-            )
-        return (
-            qualify(pred.right_table, pred.right_column),
-            qualify(pred.left_table, pred.left_column),
-        )
-
-    def _composite_filter(
-        self, batch: Batch, extras: Sequence[JoinPredicate], node: Join, inst: Instrumentation
-    ) -> Batch:
+    def composite_filter(self, engine, batch: Batch, inst: Instrumentation) -> Batch:
         """Apply the remaining equi-join predicates of a composite join."""
-        if not extras or not batch_length(batch):
+        if not self.extras or not batch_length(batch):
             return batch
-        model = self.cost_model
         mask = np.ones(batch_length(batch), dtype=bool)
-        self._charge(inst, node, batch_length(batch) * len(extras) * model.cpu_operator_cost)
-        for pred in extras:
-            left = batch[qualify(pred.left_table, pred.left_column)]
-            right = batch[qualify(pred.right_table, pred.right_column)]
-            mask &= left == right
+        engine._charge(
+            inst, self.node, batch_length(batch) * len(self.extras) * self.model.cpu_operator_cost
+        )
+        for left, right in self.extras:
+            mask &= batch[left] == batch[right]
         return filter_rows(batch, mask)
 
-    def _materialize(self, child: PlanNode, query: Query, inst: Instrumentation) -> Batch:
-        return concat(list(self._run(child, query, inst)))
+    def finish(self, engine, out: Batch, inst: Instrumentation) -> Optional[Batch]:
+        """Charge and count a joined batch; None when it is empty."""
+        out = self.composite_filter(engine, out, inst)
+        count = batch_length(out)
+        engine._charge(inst, self.node, count * self.model.cpu_tuple_cost)
+        if not count:
+            return None
+        inst.emit(self.node, count)
+        return out
 
-    def _run_hash_like_join(self, node: Join, query: Query, inst: Instrumentation, flavour: str):
-        model = self.cost_model
-        driving, extras = self._join_columns(query, node)
-        left_key, right_key = self._sides(node, driving)
-        build = self._materialize(node.right, query, inst)
-        build_rows = batch_length(build)
-        if flavour == "hash":
-            self._charge(inst, node, build_rows * model.hash_tuple_cost)
-        else:  # merge: sort the build side now; probe side sorted as it streams
-            self._charge(
-                inst,
-                node,
-                _sort_charge(build_rows, model) + build_rows * model.cpu_operator_cost,
+
+class _BuildJoin(_Join):
+    """Hash, merge and nested-loop joins: the right child is built (the
+    hash table, the sorted run, the materialised inner), then the left
+    streams against it.  A build side that scans a whole base table
+    binds that table's columns and the database's index over its key."""
+
+    def __init__(self, engine, query, node: Join, needed, ops):
+        super().__init__(engine, query, node, needed, ops)
+        pred = self.driving
+        if pred.left_table in node.left.tables():
+            self.left_key = qualify(pred.left_table, pred.left_column)
+            right_table, right_column = pred.right_table, pred.right_column
+        else:
+            self.left_key = qualify(pred.right_table, pred.right_column)
+            right_table, right_column = pred.left_table, pred.left_column
+        self.right_key = qualify(right_table, right_column)
+        self.right = _bind(engine, query, node.right, needed, ops)
+        self.shared = None
+        if _whole_table(node.right):
+            self.shared = engine._index(right_table, right_column)
+
+    def build(self, engine, inst: Instrumentation) -> Tuple[Batch, int, Optional[ColumnIndex]]:
+        """The build side's output, its row count and the index over its
+        key (None when it is empty)."""
+        if self.shared is not None:
+            return self.right.replay(engine, inst), self.right.rows, self.shared
+        build = concat(list(engine._run(self.right, inst)))
+        rows = batch_length(build)
+        return build, rows, ColumnIndex.build(build[self.right_key]) if rows else None
+
+
+class _HashJoin(_BuildJoin):
+    def batches(self, engine, inst):
+        node, model, merge = self.node, self.model, self.node.algo == "merge"
+        build, build_rows, lookup = self.build(engine, inst)
+        if merge:  # sort the build side now; probe side sorted as it streams
+            engine._charge(
+                inst, node, _sort_charge(build_rows, model) + build_rows * model.cpu_operator_cost
             )
+        else:
+            engine._charge(inst, node, build_rows * model.hash_tuple_cost)
         probe_seen = 0
-        if build_rows:
-            lookup = ColumnIndex.build(build[right_key])
-        for probe in self._run(node.left, query, inst):
+        for probe in engine._run(self.left, inst):
             probe_rows = batch_length(probe)
-            if flavour == "hash":
-                self._charge(inst, node, probe_rows * model.hash_tuple_cost)
-            else:
+            if merge:
                 # Marginal sort cost so the per-batch charges telescope to
                 # the cost model's N·log(N) for the full probe input.
                 marginal = _sort_charge(probe_seen + probe_rows, model) - _sort_charge(
                     probe_seen, model
                 )
                 probe_seen += probe_rows
-                self._charge(
-                    inst, node, marginal + probe_rows * model.cpu_operator_cost
-                )
+                engine._charge(inst, node, marginal + probe_rows * model.cpu_operator_cost)
+            else:
+                engine._charge(inst, node, probe_rows * model.hash_tuple_cost)
             if not build_rows:
                 continue
-            probe_idx, build_idx = self._join_indices(probe[left_key], lookup)
-            out = merge_batches(probe, probe_idx, build, build_idx)
-            out = self._composite_filter(out, extras, node, inst)
-            count = batch_length(out)
-            self._charge(inst, node, count * model.cpu_tuple_cost)
-            if count:
-                inst.emit(node, count)
+            probe_idx, build_idx = engine._join_indices(probe[self.left_key], lookup)
+            out = self.finish(engine, merge_batches(probe, probe_idx, build, build_idx), inst)
+            if out is not None:
                 yield out
+        inst.mark_finished(node)
 
-    def _run_nl_join(self, node: Join, query: Query, inst: Instrumentation):
-        model = self.cost_model
-        driving, extras = self._join_columns(query, node)
-        left_key, right_key = self._sides(node, driving)
-        inner = self._materialize(node.right, query, inst)
-        inner_rows = batch_length(inner)
-        self._charge(inst, node, inner_rows * model.cpu_tuple_cost)  # materialize
-        if inner_rows:
-            lookup = ColumnIndex.build(inner[right_key])
-        for outer in self._run(node.left, query, inst):
+
+class _NLJoin(_BuildJoin):
+    def batches(self, engine, inst):
+        node, model = self.node, self.model
+        inner, inner_rows, lookup = self.build(engine, inst)
+        engine._charge(inst, node, inner_rows * model.cpu_tuple_cost)  # materialize
+        for outer in engine._run(self.left, inst):
             outer_rows = batch_length(outer)
             # The nested-loop comparisons are charged faithfully even though
             # the matching itself is computed with sorted lookups.
-            self._charge(inst, node, outer_rows * inner_rows * model.cpu_operator_cost)
+            engine._charge(inst, node, outer_rows * inner_rows * model.cpu_operator_cost)
             if not inner_rows:
                 continue
-            outer_idx, inner_idx = self._join_indices(outer[left_key], lookup)
-            out = merge_batches(outer, outer_idx, inner, inner_idx)
-            out = self._composite_filter(out, extras, node, inst)
-            count = batch_length(out)
-            self._charge(inst, node, count * model.cpu_tuple_cost)
-            if count:
-                inst.emit(node, count)
+            outer_idx, inner_idx = engine._join_indices(outer[self.left_key], lookup)
+            out = self.finish(engine, merge_batches(outer, outer_idx, inner, inner_idx), inst)
+            if out is not None:
                 yield out
+        inst.mark_finished(node)
 
-    def _run_inl_join(self, node: Join, query: Query, inst: Instrumentation):
-        model = self.cost_model
-        driving, extras = self._join_columns(query, node)
+
+class _INLJoin(_Join):
+    def __init__(self, engine, query, node: Join, needed, ops):
+        super().__init__(engine, query, node, needed, ops)
         inner: IndexLookup = node.right  # type: ignore[assignment]
-        outer_key = qualify(driving.other(inner.table), driving.column_for(driving.other(inner.table)))
-        residuals = [self._selection(query, pid) for pid in inner.filter_pids]
-        lookup = self._index(inner.table, inner.lookup_column)
-        columns = self._base_columns(inner.table, inst)
-        per_match = (
+        model, driving = self.model, self.driving
+        outer_table = driving.other(inner.table)
+        self.outer_key = qualify(outer_table, driving.column_for(outer_table))
+        self.residuals = [_selection(query, pid) for pid in inner.filter_pids]
+        self.lookup = engine._index(inner.table, inner.lookup_column)
+        self.columns = engine._base_columns(inner.table, needed)
+        self.per_match = (
             model.cpu_index_tuple_cost
             + model.random_page_cost
             + model.cpu_tuple_cost
-            + len(residuals) * model.cpu_operator_cost
+            + len(self.residuals) * model.cpu_operator_cost
         )
-        for outer in self._run(node.left, query, inst):
+
+    def batches(self, engine, inst):
+        node, model = self.node, self.model
+        for outer in engine._run(self.left, inst):
             outer_rows = batch_length(outer)
-            self._charge(inst, node, outer_rows * model.random_page_cost)  # descents
-            outer_idx, inner_idx = self._join_indices(outer[outer_key], lookup)
-            self._charge(inst, node, inner_idx.size * per_match)
-            out = merge_batches(outer, outer_idx, columns, inner_idx)
-            out = apply_selections(out, residuals)
-            out = self._composite_filter(out, extras, node, inst)
-            count = batch_length(out)
-            self._charge(inst, node, count * model.cpu_tuple_cost)
-            if count:
-                inst.emit(node, count)
+            engine._charge(inst, node, outer_rows * model.random_page_cost)  # descents
+            outer_idx, inner_idx = engine._join_indices(outer[self.outer_key], self.lookup)
+            engine._charge(inst, node, inner_idx.size * self.per_match)
+            out = merge_batches(outer, outer_idx, self.columns, inner_idx)
+            out = self.finish(engine, apply_selections(out, self.residuals), inst)
+            if out is not None:
                 yield out
+        inst.mark_finished(node)
 
-    # -- aggregation ------------------------------------------------------
 
-    def _run_aggregate(self, node: Aggregate, query: Query, inst: Instrumentation):
-        """Hash aggregation: COUNT(*) per group (or one global count)."""
-        model = self.cost_model
-        if not node.group_columns:
+class _Aggregate(_Operator):
+    """Hash aggregation: COUNT(*) per group (or one global count)."""
+
+    def __init__(self, engine, query, node: Aggregate, needed, ops):
+        self.node = node
+        self.model = engine.cost_model
+        self.child = _bind(engine, query, node.child, needed, ops)
+        self.key_names = [qualify(t, c) for t, c in node.group_columns]
+
+    def batches(self, engine, inst):
+        node, model, key_names = self.node, self.model, self.key_names
+        if not key_names:
             count = 0
-            for batch in self._run(node.child, query, inst):
+            for batch in engine._run(self.child, inst):
                 n = batch_length(batch)
                 count += n
-                self._charge(inst, node, n * model.hash_tuple_cost)
-            self._charge(inst, node, model.cpu_tuple_cost)
+                engine._charge(inst, node, n * model.hash_tuple_cost)
+            engine._charge(inst, node, model.cpu_tuple_cost)
             inst.emit(node, 1)
             inst.mark_finished(node)
             yield {"count": np.array([count], dtype=np.int64)}
             return
-        key_names = [qualify(t, c) for t, c in node.group_columns]
 
         def grouped(batch: Batch, weights: Optional[np.ndarray] = None) -> Batch:
             keys, counts = group_counts([batch[name] for name in key_names], weights)
@@ -527,12 +575,10 @@ class ExecutionEngine:
 
         # One small group table per input batch, merged at the end.
         partials: List[Batch] = []
-        for batch in self._run(node.child, query, inst):
+        for batch in engine._run(self.child, inst):
             n = batch_length(batch)
-            self._charge(
-                inst,
-                node,
-                n * (model.hash_tuple_cost + len(key_names) * model.cpu_operator_cost),
+            engine._charge(
+                inst, node, n * (model.hash_tuple_cost + len(key_names) * model.cpu_operator_cost)
             )
             if n:
                 partials.append(grouped(batch))
@@ -540,20 +586,42 @@ class ExecutionEngine:
         if len(partials) > 1:
             groups = grouped(groups, weights=groups["count"])
         count = batch_length(groups)
-        self._charge(inst, node, count * model.cpu_tuple_cost)
+        engine._charge(inst, node, count * model.cpu_tuple_cost)
         inst.emit(node, count)
         inst.mark_finished(node)
         if count:
             yield groups
 
-    # ------------------------------------------------------------------
 
-    @staticmethod
-    def _selection(query: Query, pid: str) -> SelectionPredicate:
-        pred = query.predicate(pid)
-        if not isinstance(pred, SelectionPredicate):
-            raise ExecutionError(f"pid {pid!r} is not a selection predicate")
-        return pred
+def _bind(engine: ExecutionEngine, query: Query, node: PlanNode, needed, ops) -> _Operator:
+    if isinstance(node, SeqScan):
+        op = _SeqScan(engine, query, node, needed)
+    elif isinstance(node, IndexScan):
+        op = _IndexScan(engine, query, node, needed)
+    elif isinstance(node, Join) and node.algo in ("hash", "merge"):
+        op = _HashJoin(engine, query, node, needed, ops)
+    elif isinstance(node, Join) and node.algo == "nl":
+        op = _NLJoin(engine, query, node, needed, ops)
+    elif isinstance(node, Join) and node.algo == "inl":
+        op = _INLJoin(engine, query, node, needed, ops)
+    elif isinstance(node, Aggregate):
+        op = _Aggregate(engine, query, node, needed, ops)
+    else:
+        raise ExecutionError(f"cannot execute node {node.signature()}")
+    ops[id(node)] = op
+    return op
+
+
+def _whole_table(node: PlanNode) -> bool:
+    """Whether ``node`` outputs a whole base table: a scan with no filter."""
+    return isinstance(node, SeqScan) and not node.filter_pids
+
+
+def _selection(query: Query, pid: str) -> SelectionPredicate:
+    pred = query.predicate(pid)
+    if not isinstance(pred, SelectionPredicate):
+        raise ExecutionError(f"pid {pid!r} is not a selection predicate")
+    return pred
 
 
 def _sort_charge(rows: int, model: CostModel) -> float:

@@ -16,7 +16,7 @@ only ever executes to learn join dimensions.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..catalog.schema import IndexInfo
 from ..core.bouquet import PlanBouquet
@@ -31,7 +31,7 @@ from ..exceptions import ExecutionError
 from ..optimizer.plans import IndexLookup, IndexScan, Join, PlanNode, SeqScan
 from ..query.predicates import SelectionPredicate
 from ..query.query import Query
-from .engine import ExecutionEngine
+from .engine import BoundPlan, ExecutionEngine
 
 
 def _no_cancel(cancel: None) -> None:
@@ -49,11 +49,23 @@ class RealExecutionService(ExecutionService):
         self._dim_pids = {dim.pid for dim in bouquet.space.dimensions}
         #: Trace of (plan_id, spilled, rows) for analysis/tests.
         self.history: List[Tuple[int, bool, int]] = []
+        self._bound: Optional[Tuple[ExecutionEngine, Dict[int, BoundPlan]]] = None
 
     # ------------------------------------------------------------------
 
-    def _plan(self, plan_id: int) -> PlanNode:
-        return self.bouquet.registry.plan(plan_id)
+    def _plan(self, plan_id: int) -> BoundPlan:
+        """The plan bound to the engine's data: once per (bouquet,
+        dataset, cost model), kept in the bouquet's record
+        (:meth:`~repro.core.bouquet.Measured.plans`)."""
+        engine = self.engine
+        if self._bound is None or self._bound[0] is not engine:
+            record = self.bouquet.measured_on(engine.database.fingerprint())
+            self._bound = (engine, record.plans(engine.database, engine.cost_model))
+        bound = self._bound[1]
+        plan = bound.get(plan_id)
+        if plan is None:
+            plan = bound[plan_id] = engine.bind(self.query, self.bouquet.registry.plan(plan_id))
+        return plan
 
     def run_full(
         self, plan_id: int, budget: float, cancel: None = None

@@ -179,13 +179,13 @@ class TraceSummary:
                     title="timings",
                 )
             )
-        scalar = self.counters.get("optimizer.calls", 0)
+        single = self.counters.get("optimizer.calls", 0)
         batched = self.counters.get("optimizer.batched_locations", 0)
-        if scalar or batched:
+        if single or batched:
             lines.append("")
             lines.append(
-                f"optimizer account: {scalar + batched:g} locations planned "
-                f"({scalar:g} scalar calls, {batched:g} batched across "
+                f"optimizer account: {single + batched:g} locations planned "
+                f"({single:g} one-location calls, {batched:g} batched across "
                 f"{self.counters.get('optimizer.batch_calls', 0):g} slab runs)"
             )
         return "\n".join(lines)
@@ -240,7 +240,7 @@ class ServingSummary:
 
     @property
     def optimized_locations(self) -> float:
-        """Total locations planned: slab locations plus scalar calls."""
+        """Total locations planned: slab locations plus one-location calls."""
         return self.optimizer_calls + self.batched_locations
 
     @property
@@ -428,7 +428,7 @@ class ServingSummary:
         lines.append("")
         lines.append(
             f"optimizer locations in trace: {self.optimized_locations:g} "
-            f"({self.optimizer_calls:g} scalar calls, "
+            f"({self.optimizer_calls:g} one-location calls, "
             f"{self.batched_locations:g} batched across "
             f"{self._c('optimizer.batch_calls'):g} slab runs)"
         )

@@ -22,7 +22,6 @@ from .selectivity import (
     actual_selectivities,
     estimate_selectivities,
     inject,
-    validate_assignment,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "actual_selectivities",
     "estimate_selectivities",
     "inject",
-    "validate_assignment",
 ]

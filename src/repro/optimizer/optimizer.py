@@ -23,12 +23,11 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from ..query.query import Query
 from .cost_model import POSTGRES_COST_MODEL, CostModel
 from .joinorder import JoinEnumerator
-from .plans import NodeEstimate, PlanNode, cost_plan
+from .plans import PlanNode
 from .selectivity import (
     SelectivityAssignment,
     estimate_selectivities,
     inject,
-    validate_assignment,
 )
 
 if TYPE_CHECKING:
@@ -303,12 +302,3 @@ class Optimizer:
 
         shape = validate_columns(query, columns, length)
         return batch_best_plans(self._enumerator(query), self.cost_model, columns, shape)
-
-    # ------------------------------------------------------------------
-
-    def cost(
-        self, query: Query, plan: PlanNode, assignment: Mapping[str, float]
-    ) -> NodeEstimate:
-        """Abstract plan costing: cost an arbitrary plan at a point."""
-        validate_assignment(query, assignment)
-        return cost_plan(plan, self.schema, self.cost_model, assignment)

@@ -122,15 +122,3 @@ def inject(
             raise QueryError(f"cannot inject unknown predicate {pid!r}")
         merged[pid] = _clamp(value)
     return merged
-
-
-def validate_assignment(query: Query, assignment: Mapping[str, float]):
-    """Check an assignment covers every predicate of ``query`` exactly."""
-    expected = set(query.predicate_ids)
-    got = set(assignment)
-    if expected - got:
-        missing = ", ".join(sorted(expected - got))
-        raise QueryError(f"assignment is missing selectivities for: {missing}")
-    for pid, value in assignment.items():
-        if not (0.0 < value <= 1.0):
-            raise QueryError(f"selectivity for {pid!r} out of (0, 1]: {value}")

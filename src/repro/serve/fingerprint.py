@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from ..catalog.statistics import DatabaseStatistics
@@ -80,9 +80,9 @@ def statistics_fingerprint(statistics: Optional[DatabaseStatistics]) -> str:
 
     Memoized per statistics object against its
     :meth:`~repro.catalog.statistics.DatabaseStatistics.version_token`,
-    so warm cache lookups cost two dict probes instead of a full
+    so a warm lookup is one version comparison instead of a full
     serialization; replacing a table/column through the setters bumps
-    the token and forces a recomputation.
+    the version and forces a recomputation.
     """
     if statistics is None:
         return NO_STATISTICS
@@ -129,9 +129,10 @@ class ArtifactKey:
     statistics_digest: str
     config_digest: str
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """The combined content hash — the on-disk artifact name."""
+        """The combined content hash — the on-disk artifact name; hashed
+        once per key."""
         return _digest(
             "|".join((self.query_digest, self.statistics_digest, self.config_digest))
         )

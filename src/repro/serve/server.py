@@ -164,9 +164,11 @@ class BouquetServer:
         key: ArtifactKey,
         query: Query,
         sql: Optional[str],
+        sig: Optional[TemplateSignature],
     ) -> CompiledBouquet:
         """Pool task: run the compile pipeline and publish the artifact
-        (to the exact store, and as the template's representative)."""
+        (to the exact store, and as the template ``sig``'s representative
+        when the template tier is on)."""
         compiled = _compile_pipeline(
             query,
             self.catalog,
@@ -180,9 +182,6 @@ class BouquetServer:
         )
         self.store.put(key, compiled, tracer=self.tracer)
         if self.templates is not None:
-            sig = template_signature(
-                query, self.catalog.schema, self.catalog.statistics
-            )
             self.templates.put(
                 sig, compiled, key.statistics_digest, key.config_digest
             )
@@ -271,6 +270,7 @@ class BouquetServer:
         hit, tier = self.store.lookup(key, self.catalog, query=parsed, tracer=self.tracer)
         if hit is not None:
             return hit, tier
+        sig = None
         if self.templates is not None:
             sig = template_signature(
                 parsed, self.catalog.schema, self.catalog.statistics
@@ -301,7 +301,7 @@ class BouquetServer:
                 if hit is not None:
                     return hit, tier
                 future = self._pool.submit(
-                    self._compile_and_store, key, parsed, sql
+                    self._compile_and_store, key, parsed, sql, sig
                 )
                 self._inflight[key.digest] = future
             elif self.tracer.enabled:

@@ -6,7 +6,7 @@ ESS locations at once.  Every location is one *row* of an array state —
 that contour, the dimensions learned exactly ``(n, D)``, the plans
 attempted and exhausted on the contour ``(n, |B|)``, and the costing
 context its ``q_run`` was costed in — advanced through Figure 13 by the
-decision functions :meth:`repro.core.runtime.BouquetRunner._run_optimized`
+decision functions :meth:`repro.core.runtime.BouquetRunner._move`
 asks (:func:`~repro.core.runtime.dominating`,
 :func:`~repro.core.runtime.axis_plans`, :func:`~repro.core.runtime.pick`,
 …), about many rows at once:

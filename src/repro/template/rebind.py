@@ -7,14 +7,16 @@ through exactly two doors: the pid *strings* embedded in plans and
 spaces, and the base-assignment *selectivities* of non-dimension
 predicates.  So a rebind is:
 
-1. **Remap the skeleton.**  Translate the template artifact's pids,
-   tables, and plan trees slot-for-slot onto the instance
-   (:meth:`~repro.template.signature.TemplateSignature.pid_map_to`),
-   preserving plan ids — after this step the old bouquet *is* a
-   compiled bouquet for the instance query, costed under the template's
-   base assignment.
-2. **Carry it over to the instance's space**
-   (:func:`repro.drift.refresh.carry_over`).  When the constants moved
+1. **Check the space first.**  The template's space — dimensions,
+   grid and base assignment — is re-expressed over the instance's pids
+   (:meth:`~repro.template.signature.TemplateSignature.pid_map_to`) and
+   compared with the space a compile of the instance would plan
+   (:func:`repro.drift.refresh.carried_space`), before any plan is
+   touched.
+2. **Remap the skeleton and carry it over.**  Translate the template
+   artifact's tables and plan trees slot-for-slot onto the instance,
+   preserving plan ids, and rebind the result to the instance's space
+   (:func:`repro.drift.refresh.rebuilt_on`).  When the constants moved
    only on error-dimension predicates (the paper's parametric-workload
    regime: the grid overrides those selectivities anyway) the remapped
    bouquet is what a compile of the instance builds — **zero optimizer
@@ -165,15 +167,30 @@ def _tables_interchangeable(catalog, a: str, b: str) -> bool:
     return True
 
 
+def _remapped_space(
+    template_space: SelectivitySpace, query: Query, pid_map: Mapping[str, str]
+) -> SelectivitySpace:
+    """The template's space (dimensions, grid and base assignment)
+    re-expressed over the instance query's pids."""
+    return SelectivitySpace(
+        query,
+        [
+            ErrorDimension(pid_map.get(d.pid, d.pid), d.lo, d.hi, d.label)
+            for d in template_space.dimensions
+        ],
+        list(template_space.shape),
+        {pid_map.get(pid, pid): value for pid, value in template_space.base_assignment.items()},
+    )
+
+
 def _remapped_bouquet(
     template_bouquet: PlanBouquet,
-    query: Query,
+    space: SelectivitySpace,
     table_map: Mapping[str, str],
     pid_map: Mapping[str, str],
 ) -> PlanBouquet:
     """The template's bouquet re-expressed over the instance query, on
-    the template's space (dimensions and base assignment) with its pids
-    remapped.
+    ``space`` (:func:`_remapped_space`) with its plans' pids remapped.
 
     Plan ids are preserved: the template registry's ids are contiguous
     first-registration order, so re-registering the remapped plans in id
@@ -192,16 +209,6 @@ def _remapped_bouquet(
                 f"plan id {plan_id} remapped onto existing id {new_id}",
                 reason="plan-collision",
             )
-    old_space = template_bouquet.space
-    space = SelectivitySpace(
-        query,
-        [
-            ErrorDimension(pid_map.get(d.pid, d.pid), d.lo, d.hi, d.label)
-            for d in old_space.dimensions
-        ],
-        list(old_space.shape),
-        {pid_map.get(pid, pid): value for pid, value in old_space.base_assignment.items()},
-    )
     # No cost cache: the carry-over builds one over the instance's own
     # space, and a deserialized template artifact may not carry one.
     diagram = PlanDiagram(
@@ -250,7 +257,7 @@ def rebind_compiled(
     then falls back to a full compile and records ``exc.reason``.
     """
     from ..api import CompiledBouquet
-    from ..drift.refresh import carry_over
+    from ..drift.refresh import carried_space, rebuilt_on
 
     tracer = tracer if tracer is not None else NULL_TRACER
     if instance_sig is None:
@@ -271,15 +278,18 @@ def rebind_compiled(
             )
 
     config = template_compiled.config
+    template_bouquet = template_compiled.bouquet
     with tracer.span(
         "template.rebind", query=query.name, template=template_sig.digest
     ):
-        carried = _remapped_bouquet(
-            template_compiled.bouquet, query, table_map, pid_map
-        )
+        # The carry-over's check reads only the space: refuse before
+        # any plan is remapped.
+        space = _remapped_space(template_bouquet.space, query, pid_map)
         try:
-            bouquet = carry_over(carried, query, catalog, config, tracer)
+            new_space, optimizer = carried_space(space, query, catalog, config, tracer)
         except DriftError as exc:
             raise TemplateError(str(exc), reason=exc.reason) from exc
+        carried = _remapped_bouquet(template_bouquet, space, table_map, pid_map)
+        bouquet = rebuilt_on(carried, new_space, optimizer, config)
     compiled = CompiledBouquet(query=query, bouquet=bouquet, config=config, sql=sql)
     return RebindOutcome(compiled=compiled)

@@ -23,8 +23,8 @@ from repro.core.runtime import (
 from repro.datagen import Database
 from repro.ess import ErrorDimension, PlanDiagram, SelectivitySpace
 from repro.obs import MemorySink, Tracer
-from repro.exceptions import OptimizerError
-from repro.optimizer import Optimizer, actual_selectivities, validate_assignment
+from repro.exceptions import OptimizerError, QueryError
+from repro.optimizer import Optimizer, actual_selectivities
 from repro.optimizer.joinorder import JoinEnumerator
 from repro.optimizer.optimizer import OptimizedPlan
 from repro.optimizer.plans import (
@@ -58,6 +58,30 @@ TEMPLATED_WORKLOAD_CONFIG = GeneratorConfig(
     groupby_probability=0.0,
     aggregate_probability=0.0,
 )
+
+
+def node_counters(result):
+    """An engine execution's per-node account, in first-charge order:
+    ``(signature, tuples out, cost, finished)``."""
+    inst = result.instrumentation
+    return [
+        (inst._nodes[key].signature(), c.tuples_out, c.cost, c.finished)
+        for key, c in inst._counters.items()
+    ]
+
+
+def validate_assignment(query, assignment):
+    """Check an assignment covers every predicate of ``query`` exactly:
+    :func:`scalar_optimize`'s input check (the slab kernel checks its
+    columns itself, ``batchopt.kernel.validate_columns``)."""
+    expected = set(query.predicate_ids)
+    got = set(assignment)
+    if expected - got:
+        missing = ", ".join(sorted(expected - got))
+        raise QueryError(f"assignment is missing selectivities for: {missing}")
+    for pid, value in assignment.items():
+        if not (0.0 < value <= 1.0):
+            raise QueryError(f"selectivity for {pid!r} out of (0, 1]: {value}")
 
 
 def scalar_optimize(optimizer, query, assignment):

@@ -1,7 +1,7 @@
 """The Figure 13 loop starts from a state, not only from the origin.
 
 ``BouquetRunner._start`` decides a run's initial ``RunState`` and
-``_run_optimized`` advances it in place; the state is whole again by
+``_run_from`` advances it in place; the state is whole again by
 every execution, so a run cut anywhere continues to the same answer.
 A spilled run's reach is searched on the spill node's own formula only
 (``reach_under_budget``: the 2**-40 grid point 40 halvings end on, found
@@ -70,21 +70,21 @@ class TestResume:
             return BouquetRunner(bouquet, service if k is None else CutAfter(service, k))
 
         whole = runner()
-        full = whole._run_optimized(whole._start()[0])
+        full = whole._run_from(whole._start()[0])
         assert full.completed
         for k in range(full.execution_count):
             cut = runner(k)
             state, _probe_cost = cut._start()
             with pytest.raises(_Cut):
-                cut._run_optimized(state)
+                cut._run_from(state)
             assert state.total == sum(e.cost_spent for e in full.executions[:k])
             handed_over = copy.deepcopy(state)
-            resumed = runner()._run_optimized(state)
+            resumed = runner()._run_from(state)
             assert resumed.total_cost == full.total_cost
             assert resumed.final_plan_id == full.final_plan_id
             assert resumed.executions == full.executions[k:]
             # The state is all the loop reads: an equal one runs equally.
-            again = runner()._run_optimized(handed_over)
+            again = runner()._run_from(handed_over)
             assert (again.total_cost, again.executions) == (
                 resumed.total_cost, resumed.executions
             )

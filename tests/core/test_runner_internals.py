@@ -425,8 +425,7 @@ class TestRunOpening:
                 fresh = BouquetRunner(
                     bouquet, AbstractExecutionService(bouquet, qa, known), mode=mode
                 )
-                run = fresh._run_optimized if mode == "optimized" else fresh._run_basic
-                assert runner.run() == run(RunState(list(state.qrun), set(state.exact)))
+                assert runner.run() == fresh._run_from(RunState(list(state.qrun), set(state.exact)))
         assert opened_past_the_first
 
     def test_start_context_shared_later_ones_per_run(self, lab):

@@ -18,8 +18,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.executor import engine
+from repro.executor import ExecutionEngine, engine
+from repro.executor import engine as engine_module
 from repro.executor.arrays import group_counts
+from tests.conftest import node_counters
 
 
 def legacy_group_counts(columns, weights=None):
@@ -132,3 +134,51 @@ def test_pool_runs_identically_on_the_replaced_kernels(
     assert probes and sum(probes) > 0
     assert any(compiled.query.group_by for compiled in pool)
     assert any(e.spilled for result in shipped for e in result.executions)
+
+
+def test_replayed_build_scans_run_as_materialised_ones(
+    pool, database, origin_started, monkeypatch
+):
+    """A hash, merge or NL build side that scans a whole base table binds
+    the database's index and base columns and replays the scan's charges
+    and tuple counts.  Bound with every build side materialised instead
+    (the scan run, its batches concatenated, an index built over them),
+    each bouquet plan returns the same rows and, run whole or killed at
+    budgets across its run, charges and counts the same per node — and
+    every origin-started run of the pool is the same run."""
+
+    def rebound(compiled):
+        compiled.bouquet.measured_on("another dataset")  # bind afresh
+        return origin_started(compiled, database)
+
+    engine = ExecutionEngine(database)
+    plans = [
+        (compiled.query, compiled.bouquet.registry.plan(plan_id))
+        for compiled in pool
+        for plan_id in compiled.bouquet.plan_ids
+    ]
+    replayed = [engine.bind(query, plan) for query, plan in plans]
+    shipped = [rebound(compiled) for compiled in pool]
+    monkeypatch.setattr(engine_module, "_whole_table", lambda node: False)
+    materialised = [engine.bind(query, plan) for query, plan in plans]
+    rerun = [rebound(compiled) for compiled in pool]
+    monkeypatch.undo()
+
+    shared = 0
+    for (query, _), ours, theirs in zip(plans, replayed, materialised):
+        shared += any(getattr(op, "shared", None) is not None for op in ours.ops.values())
+        whole = engine.execute(query, ours, collect=True)
+        other = engine.execute(query, theirs, collect=True)
+        assert node_counters(whole) == node_counters(other)
+        assert (whole.rows, whole.spent) == (other.rows, other.spent)
+        rows, other_rows = whole.result or {}, other.result or {}
+        assert rows.keys() == other_rows.keys()
+        assert all(np.array_equal(rows[k], other_rows[k]) for k in rows)
+        charges = sorted({c for _, _, c, _ in node_counters(whole) if c > 0})
+        for budget in [whole.spent * k / 16 for k in range(1, 16)] + [c / 2 for c in charges]:
+            killed = engine.execute(query, ours, budget=budget)
+            assert not killed.completed
+            assert node_counters(killed) == node_counters(engine.execute(query, theirs, budget=budget))
+    assert shared
+    for compiled, new, old in zip(pool, shipped, rerun):
+        assert account(new) == account(old), compiled.query.name

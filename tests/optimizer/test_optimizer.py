@@ -125,6 +125,6 @@ class TestAbstractCosting:
     def test_cost_matches_optimize_at_same_point(self, optimizer, eq_query):
         a = optimizer.estimated_assignment(eq_query)
         result = optimizer.optimize(eq_query, assignment=a)
-        re_cost = optimizer.cost(eq_query, result.plan, a)
+        re_cost = cost_plan(result.plan, optimizer.schema, optimizer.cost_model, a)
         assert re_cost.cost == pytest.approx(result.cost)
         assert re_cost.rows == pytest.approx(result.rows)

@@ -8,8 +8,8 @@ from repro.optimizer.selectivity import (
     actual_selectivities,
     estimate_selectivities,
     inject,
-    validate_assignment,
 )
+from tests.conftest import validate_assignment
 
 
 class TestEstimation:

@@ -137,9 +137,9 @@ def test_compile_timeout_degrades_to_native_path(catalog, small_config, tracer):
     ) as server:
         inner = server._compile_and_store
 
-        def slow_compile(key, query, sql):
+        def slow_compile(*task):
             time.sleep(0.4)
-            return inner(key, query, sql)
+            return inner(*task)
 
         server._compile_and_store = slow_compile
         served = server.serve(SQL)
@@ -166,7 +166,7 @@ def test_compile_timeout_degrades_to_native_path(catalog, small_config, tracer):
 
 def test_compile_failure_degrades_to_native_path(catalog, small_config, tracer):
     with BouquetServer(catalog, config=small_config, tracer=tracer) as server:
-        def broken_compile(key, query, sql):
+        def broken_compile(*task):
             raise BouquetError("synthetic compile failure")
 
         server._compile_and_store = broken_compile

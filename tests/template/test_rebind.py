@@ -128,6 +128,31 @@ class TestFallbackPaths:
         assert excinfo.value.reason == "base-moved"
         assert optimizer_calls(tracer) == 0
 
+    def test_base_moved_rebind_builds_no_plan(
+        self, schema, statistics, etl_template, monkeypatch
+    ):
+        """The refusal reads only the spaces: a ``"base-moved"`` rebind
+        remaps no plan and registers none."""
+        from repro.optimizer.optimizer import PlanRegistry
+        from repro.template import rebind
+
+        _, compiled, sig, instance = etl_template
+        drifted = perturb_statistics(
+            statistics, "part", "p_partkey", distinct_scale=0.02
+        )
+        built = []
+        remap, register = rebind.remap_plan, PlanRegistry.register
+        monkeypatch.setattr(
+            rebind, "remap_plan", lambda *a: built.append("remap") or remap(*a)
+        )
+        monkeypatch.setattr(
+            PlanRegistry, "register", lambda *a: built.append("register") or register(*a)
+        )
+        with pytest.raises(TemplateError) as excinfo:
+            rebind_compiled(compiled, sig, instance, Catalog(schema, statistics=drifted))
+        assert excinfo.value.reason == "base-moved"
+        assert built == []
+
     def test_non_instance_query_is_rejected(
         self, catalog, schema, templated_generator, small_config
     ):
