@@ -19,17 +19,16 @@ Typical usage::
     compiled = compile_bouquet(sql, catalog, config=BouquetConfig(resolution=24))
     result = execute(compiled, db)
 
-``execute``/``simulate`` also accept the serving layer's
-:class:`~repro.serve.envelope.ServeRequest` envelope via ``request=``,
-so the in-process API, the asyncio HTTP front-end, and the CLI all
-speak one calling convention.
+``execute`` / ``simulate`` take the per-run knobs as keywords
+(``budget=``, ``mode=``); the serving layer unpacks its
+:class:`~repro.serve.envelope.ServeRequest` into the same keywords.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
 
 from .catalog.schema import Schema
 from .catalog.statistics import DatabaseStatistics
@@ -508,47 +507,22 @@ class BudgetCappedService(ExecutionService):
         return self._charge(outcome, truncated=allowed < budget)
 
 
-def _apply_envelope(
-    request: Optional["object"],
-    budget: Optional[float],
-    mode: Optional[str],
-) -> Tuple[Optional[float], Optional[str]]:
-    """Fold a :class:`~repro.serve.envelope.ServeRequest` into the
-    per-run knobs.  The envelope and the bare keywords are mutually
-    exclusive — one canonical calling convention, no silent merging."""
-    if request is None:
-        return budget, mode
-    from .serve.envelope import ServeRequest
-
-    if not isinstance(request, ServeRequest):
-        raise BouquetError("request must be a repro.serve.ServeRequest")
-    if budget is not None or mode is not None:
-        raise BouquetError(
-            "pass knobs inside the ServeRequest envelope, not as keywords"
-        )
-    request.validate()
-    return request.budget, request.mode
-
-
 def execute(
     compiled: CompiledBouquet,
     data: Optional[Database] = None,
     *,
-    request: Optional["object"] = None,
     budget: Optional[float] = None,
     mode: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     span_name: str = "api.execute",
 ) -> BouquetRunResult:
-    """Run the bouquet for real against ``data`` (or the catalog's database).
+    """Run the bouquet for real against ``data``.
 
-    ``request`` may be a :class:`~repro.serve.envelope.ServeRequest` —
-    the same envelope the serving layer speaks — in which case the
-    budget/mode knobs are taken from it.  Otherwise: ``budget`` caps the
-    *total* cost the request may spend across every partial execution
-    (exceeding it raises :class:`~repro.exceptions.BudgetExceeded`).
+    ``budget`` caps the *total* cost the request may spend across every
+    partial execution (exceeding it raises
+    :class:`~repro.exceptions.BudgetExceeded`); ``mode`` overrides the
+    compiled config's run-time mode.
     """
-    budget, mode = _apply_envelope(request, budget, mode)
     if data is None:
         raise BouquetError("no database given; use simulate() instead")
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -573,18 +547,14 @@ def simulate(
     compiled: CompiledBouquet,
     qa_values: Sequence[float],
     *,
-    request: Optional["object"] = None,
     mode: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     span_name: str = "api.simulate",
 ) -> BouquetRunResult:
     """Cost-model-world run against a hypothetical actual location.
 
-    Accepts the same :class:`~repro.serve.envelope.ServeRequest`
-    envelope as :func:`execute` (its mode; a budget on the envelope
-    is ignored — simulation is cost-model arithmetic, not spend).
+    ``mode`` overrides the compiled config's run-time mode.
     """
-    _budget, mode = _apply_envelope(request, None, mode)
     tracer = tracer if tracer is not None else NULL_TRACER
     config = compiled.config
     run_mode = mode if mode is not None else config.mode

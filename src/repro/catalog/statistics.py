@@ -26,8 +26,8 @@ from ..exceptions import CatalogError
 #: Default number of equi-depth histogram buckets (PostgreSQL's default).
 DEFAULT_HISTOGRAM_BUCKETS = 100
 
-#: Default MCV list length.
-DEFAULT_MCV_ENTRIES = 10
+#: MCV list length.
+MCV_ENTRIES = 10
 
 #: The Selinger "magic number" used when no statistics are available for an
 #: equality predicate (1/10 per the classic System-R paper, cited in §1).
@@ -57,7 +57,6 @@ class ColumnStatistics:
     def from_array(
         values: np.ndarray,
         buckets: int = DEFAULT_HISTOGRAM_BUCKETS,
-        mcv_entries: int = DEFAULT_MCV_ENTRIES,
         sample_size: Optional[int] = None,
         seed: int = 0,
     ) -> "ColumnStatistics":
@@ -81,8 +80,8 @@ class ColumnStatistics:
         # MCV list: most frequent values and their fractions.
         mcv_values: List[float] = []
         mcv_fractions: List[float] = []
-        if n_distinct > 1 and mcv_entries > 0:
-            order = np.argsort(counts)[::-1][:mcv_entries]
+        if n_distinct > 1:
+            order = np.argsort(counts)[::-1][:MCV_ENTRIES]
             for idx in order:
                 frac = counts[idx] / n
                 # Only keep values noticeably more common than average.

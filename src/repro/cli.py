@@ -28,9 +28,7 @@ across machines:
   sees moved and recompiled otherwise (the command says which);
   ``--verify`` checks the result bit-for-bit against a full recompile.
 
-Commands are built on the :mod:`repro.api` facade and the
-:class:`~repro.serve.ServeRequest` envelope — the same calling
-convention the in-process API and the HTTP wire use.
+Commands are built on the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .exceptions import DriftError, ReproError
 from .obs import JsonlSink, Tracer, read_trace, summarize_serving, summarize_trace
 from .optimizer.explain import explain as explain_plan
 from .query.sql import parse_query
-from .serve.envelope import ServeRequest
 
 
 def _session_tracer(args) -> Tracer:
@@ -173,8 +170,7 @@ def _cmd_run(args) -> int:
     else:
         config = BouquetConfig(resolution=args.resolution)
         compiled = compile_bouquet(args.sql, catalog, config=config, tracer=tracer)
-    request = ServeRequest(query=args.sql, mode=args.mode)
-    result = api_execute(compiled, catalog.database, request=request, tracer=tracer)
+    result = api_execute(compiled, catalog.database, mode=args.mode, tracer=tracer)
     _finish_trace(tracer, args)
     for record in result.executions:
         kind = "spilled" if record.spilled else "full"

@@ -9,7 +9,6 @@ from .bounds import (
     mso_bound_1d,
     mso_bound_multid,
     mso_bound_with_model_error,
-    optimal_ratio,
     worst_case_suboptimality,
 )
 from .contours import (
@@ -51,7 +50,6 @@ __all__ = [
     "mso_bound_1d",
     "mso_bound_multid",
     "mso_bound_with_model_error",
-    "optimal_ratio",
     "worst_case_suboptimality",
     "OPTIMAL_RATIO",
     "Contour",

@@ -3,9 +3,9 @@
 The paper closes by noting the bouquet is meant to *co-exist* with the
 classical setup, "leaving it to the user or DBA to make the choice of
 which system to use for a specific query instance", and §8 enumerates
-the factors: estimation difficulty, read-only vs update, latency
-sensitivity, and whether estimates are known to be underestimates.
-:func:`recommend_processing_mode` operationalizes those rules.
+the factors: estimation difficulty, read-only vs update and latency
+sensitivity.  :func:`recommend_processing_mode` operationalizes those
+rules.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..catalog.statistics import DatabaseStatistics
-from ..ess.dimensioning import Uncertainty, WorkloadErrorLog, classify_predicate
+from ..ess.dimensioning import Uncertainty, classify_predicate
 from ..query.query import Query
 
 
@@ -46,8 +46,6 @@ def recommend_processing_mode(
     statistics: Optional[DatabaseStatistics],
     read_only: bool = True,
     latency_sensitive: bool = False,
-    error_log: Optional[WorkloadErrorLog] = None,
-    estimates_known_underestimates: bool = False,
 ) -> Recommendation:
     """Apply §8's decision factors to one query instance.
 
@@ -56,25 +54,14 @@ def recommend_processing_mode(
     * when estimation errors are a-priori known to be small,
       re-optimization "is likely to converge much quicker than the
       bouquet algorithm" -> REOPTIMIZE;
-    * difficult estimation environments (high-uncertainty predicates or a
-      workload history of large errors) are the bouquet's home turf ->
-      BOUQUET — and if estimates are guaranteed underestimates, the
-      bouquet "can also leverage the initial seed".
+    * difficult estimation environments (high-uncertainty predicates)
+      are the bouquet's home turf -> BOUQUET.
     """
     rationale: List[str] = []
     levels = [
         classify_predicate(query, pid, statistics) for pid in query.predicate_ids
     ]
     max_uncertainty = max(levels) if levels else Uncertainty.NONE
-    history_errors = False
-    if error_log is not None:
-        flagged = set(error_log.error_prone_pids()) & set(query.predicate_ids)
-        if flagged:
-            history_errors = True
-            rationale.append(
-                f"workload history shows large estimation errors on "
-                f"{len(flagged)} predicate(s)"
-            )
 
     if not read_only:
         rationale.append(
@@ -89,14 +76,14 @@ def recommend_processing_mode(
         )
         return Recommendation(ProcessingMode.NATIVE, rationale, max_uncertainty)
 
-    if max_uncertainty <= Uncertainty.LOW and not history_errors:
+    if max_uncertainty <= Uncertainty.LOW:
         rationale.append(
             "every predicate is accurately estimable from the available "
             "statistics; the native optimizer's choice is already reliable"
         )
         return Recommendation(ProcessingMode.NATIVE, rationale, max_uncertainty)
 
-    if max_uncertainty <= Uncertainty.MEDIUM and not history_errors:
+    if max_uncertainty <= Uncertainty.MEDIUM:
         rationale.append(
             "estimation errors are expected to be small: estimate-seeded "
             "re-optimization converges quicker than origin-seeded bouquet "
@@ -109,9 +96,4 @@ def recommend_processing_mode(
         "the bouquet's guaranteed MSO applies where estimates cannot be "
         "trusted at all"
     )
-    if estimates_known_underestimates:
-        rationale.append(
-            "estimates are guaranteed underestimates, so the bouquet can "
-            "start from the estimate instead of the origin (§8)"
-        )
     return Recommendation(ProcessingMode.BOUQUET, rationale, max_uncertainty)

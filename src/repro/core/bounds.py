@@ -26,11 +26,6 @@ def mso_bound_1d(ratio: float = 2.0) -> float:
     return ratio * ratio / (ratio - 1.0)
 
 
-def optimal_ratio() -> Tuple[float, float]:
-    """The ratio minimizing the Theorem 1 bound and the bound there: (2, 4)."""
-    return 2.0, mso_bound_1d(2.0)
-
-
 def mso_bound_multid(rho: int, ratio: float = 2.0, lambda_: float = 0.0) -> float:
     """Theorem 3 (+ §3.3 anorexic adjustment): MSO ≤ (1+λ)·ρ·r²/(r−1)."""
     if rho < 1:

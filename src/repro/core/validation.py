@@ -3,6 +3,9 @@
 Downstream users deploying a compiled bouquet can run
 :func:`validate_bouquet` to verify, on the compile-time cost model:
 
+* **PCM** — the diagram's optimal cost never falls along an axis
+  (:meth:`~repro.ess.diagram.PlanDiagram.check_monotone`), the plan
+  cost monotonicity every contour argument of §2 rests on;
 * **coverage** — every contour's frontier dominates its region, so the
   basic algorithm terminates everywhere;
 * **the MSO guarantee** — the simulated bouquet cost at every (or a
@@ -77,6 +80,14 @@ def validate_bouquet(
     issues = report.issues
     space = bouquet.space
     diagram = bouquet.diagram
+
+    # --- plan cost monotonicity ------------------------------------------
+    if not diagram.check_monotone():
+        issues.append(
+            ValidationIssue(
+                "pcm", "the diagram's optimal cost falls along an axis (PCM, §2)"
+            )
+        )
 
     # --- budget progression ---------------------------------------------
     inflation = 1.0 + bouquet.lambda_

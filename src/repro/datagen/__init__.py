@@ -10,7 +10,6 @@ from .generators import (
     SequentialKey,
     UniformFloat,
     UniformInt,
-    ZipfInt,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "SequentialKey",
     "UniformFloat",
     "UniformInt",
-    "ZipfInt",
 ]

@@ -58,29 +58,6 @@ class UniformFloat(ColumnGenerator):
 
 
 @dataclass
-class ZipfInt(ColumnGenerator):
-    """Zipf-distributed values over ``n_values`` distinct integers.
-
-    Value ``k`` (1-based rank) occurs with probability proportional to
-    ``1 / k**exponent``.  The heavy head/long tail is what histogram
-    sampling gets wrong.
-    """
-
-    n_values: int
-    exponent: float = 1.0
-    low: int = 1
-
-    def generate(self, n, rng):
-        if self.n_values < 1:
-            raise CatalogError("ZipfInt requires n_values >= 1")
-        ranks = np.arange(1, self.n_values + 1, dtype=float)
-        weights = ranks ** (-self.exponent)
-        weights /= weights.sum()
-        values = rng.choice(self.n_values, size=n, p=weights)
-        return (values + self.low).astype(np.int64)
-
-
-@dataclass
 class ForeignKeyRef(ColumnGenerator):
     """References into a parent key range ``[1, parent_rows]``.
 

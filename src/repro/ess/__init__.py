@@ -2,16 +2,12 @@
 
 from .diagram import PlanCostCache, PlanDiagram, coarse_subgrid
 from .dimensioning import (
-    DimensionImpact,
     DimensioningResult,
     SensitivityScore,
     Uncertainty,
-    WorkloadErrorLog,
     candidate_error_dimensions,
     classify_predicate,
     dimension_query,
-    eliminate_low_impact_dimensions,
-    measure_dimension_impacts,
     measure_error_sensitivity,
     select_error_dimensions,
     sensitivity_error_dimensions,
@@ -22,16 +18,12 @@ from .render import render_1d_profile, render_2d_diagram, render_slice
 from .space import ErrorDimension, Location, SelectivitySpace
 
 __all__ = [
-    "DimensionImpact",
     "DimensioningResult",
     "SensitivityScore",
     "Uncertainty",
-    "WorkloadErrorLog",
     "candidate_error_dimensions",
     "classify_predicate",
     "dimension_query",
-    "eliminate_low_impact_dimensions",
-    "measure_dimension_impacts",
     "measure_error_sensitivity",
     "select_error_dimensions",
     "sensitivity_error_dimensions",

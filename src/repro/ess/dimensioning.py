@@ -1,15 +1,11 @@
-"""Identifying the error-prone selectivity dimensions (§4.1, §8).
+"""Identifying the error-prone selectivity dimensions (§4.1).
 
-Four complementary mechanisms:
+Two complementary mechanisms:
 
 * **Uncertainty classification rules** (after Kabra & DeWitt, cited in
   §4.1): each predicate is graded from NONE to VERY_HIGH uncertainty
-  based on what the statistics can and cannot promise.
-* **A workload error log**: observed estimate-vs-actual errors of past
-  executions flag predicates as error-prone.
-* **Dimension elimination by cost derivative** (§8, item iii): a
-  candidate dimension whose selectivity barely moves any optimal plan's
-  cost on a low-resolution sweep can be dropped from the ESS.
+  based on what the statistics can and cannot promise.  This is the
+  statistics-only rule the API compiles with by default.
 * **Error-sensitivity ranking** (PARQO-style, beyond the paper): for
   each candidate the base-assignment-optimal plan is re-costed across a
   selectivity sweep of that predicate alone and compared against the
@@ -20,13 +16,15 @@ Four complementary mechanisms:
   (:mod:`repro.wlgen`) uses in place of Table 2's hand-picked dims:
   :func:`dimension_query` ranks a generated query around its actual
   selectivities and packages the choice with its provenance
-  (:class:`DimensioningResult`) for the campaign record.
+  (:class:`DimensioningResult`) for the campaign record.  It also
+  stands in for §8's elimination of dimensions whose cost derivative
+  is small: a dimension whose sweep barely hurts the base plan scores
+  a penalty near 1 and is not chosen.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -106,141 +104,6 @@ def select_error_dimensions(
         for pid in query.predicate_ids
         if classify_predicate(query, pid, statistics) >= threshold
     ]
-
-
-# ---------------------------------------------------------------------------
-# Workload error log
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ErrorObservation:
-    """One recorded estimate-vs-actual pair for a predicate."""
-
-    pid: str
-    estimated: float
-    actual: float
-
-    @property
-    def error_factor(self) -> float:
-        """Multiplicative error, always >= 1."""
-        lo, hi = sorted((max(self.estimated, 1e-12), max(self.actual, 1e-12)))
-        return hi / lo
-
-
-class WorkloadErrorLog:
-    """History of estimation errors observed across query executions.
-
-    The alternative dimension-identification mechanism of §4.1: a
-    predicate that has repeatedly shown large multiplicative errors in
-    the workload history becomes an ESS dimension for future queries.
-    """
-
-    def __init__(self):
-        self._observations: Dict[str, List[ErrorObservation]] = {}
-
-    def record(self, pid: str, estimated: float, actual: float):
-        entry = ErrorObservation(pid, estimated, actual)
-        self._observations.setdefault(pid, []).append(entry)
-
-    def worst_error(self, pid: str) -> float:
-        entries = self._observations.get(pid)
-        if not entries:
-            return 1.0
-        return max(entry.error_factor for entry in entries)
-
-    def error_prone_pids(self, factor: float = 2.0) -> List[str]:
-        """Predicates whose worst observed error exceeds ``factor``."""
-        if factor < 1.0:
-            raise EssError("error factor threshold must be >= 1")
-        return sorted(
-            pid for pid in self._observations if self.worst_error(pid) > factor
-        )
-
-
-# ---------------------------------------------------------------------------
-# Dimension elimination by cost derivative (§8)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DimensionImpact:
-    """Measured cost impact of one candidate dimension."""
-
-    dimension: ErrorDimension
-    cost_span: float  # max/min optimal cost along the dimension's sweep
-
-
-def measure_dimension_impacts(
-    optimizer: Optimizer,
-    query: Query,
-    dimensions: Sequence[ErrorDimension],
-    base_assignment: Mapping[str, float],
-    resolution: int = 4,
-) -> List[DimensionImpact]:
-    """Low-resolution sweep of each candidate dimension in isolation.
-
-    Each dimension is swept over ``resolution`` log-spaced points with the
-    other candidates pinned at their geometric midpoints; the recorded
-    span is the ratio between the largest and smallest optimal cost seen.
-    """
-    if resolution < 2:
-        raise EssError("derivative mapping needs at least 2 points per dim")
-    pinned = dict(base_assignment)
-    pinned.update({dim.pid: math.sqrt(dim.lo * dim.hi) for dim in dimensions})
-    sweeps = [_sweep(pinned, dim, resolution) for dim in dimensions]
-    # Every dimension's sweep, one after the other, optimized as one slab.
-    results = iter(
-        optimizer.optimize_batch(query, [point for sweep in sweeps for point in sweep])
-    )
-    impacts = []
-    for dim, sweep in zip(dimensions, sweeps):
-        costs = [next(results).cost for _ in sweep]
-        impacts.append(
-            DimensionImpact(dimension=dim, cost_span=max(costs) / min(costs))
-        )
-    return impacts
-
-
-def _sweep(
-    base: Mapping[str, float], dim: ErrorDimension, resolution: int
-) -> List[Dict[str, float]]:
-    """``base`` with ``dim`` alone moved over ``resolution`` log-spaced
-    points of its range."""
-    points = []
-    for i in range(resolution):
-        t = i / (resolution - 1)
-        point = dict(base)
-        point[dim.pid] = dim.lo * (dim.hi / dim.lo) ** t
-        points.append(point)
-    return points
-
-
-def eliminate_low_impact_dimensions(
-    optimizer: Optimizer,
-    query: Query,
-    dimensions: Sequence[ErrorDimension],
-    base_assignment: Mapping[str, float],
-    min_span: float = 1.2,
-    resolution: int = 4,
-) -> Tuple[List[ErrorDimension], List[DimensionImpact]]:
-    """Drop candidate dimensions whose cost impact is marginal (§8).
-
-    A dimension is kept iff sweeping it changes the optimal cost by at
-    least ``min_span`` (a ratio).  Returns ``(kept, impacts)``; at least
-    one dimension is always kept (the highest-impact one) so the ESS
-    never degenerates.
-    """
-    if not dimensions:
-        raise EssError("no candidate dimensions")
-    impacts = measure_dimension_impacts(
-        optimizer, query, dimensions, base_assignment, resolution
-    )
-    kept = [imp.dimension for imp in impacts if imp.cost_span >= min_span]
-    if not kept:
-        best = max(impacts, key=lambda imp: imp.cost_span)
-        kept = [best.dimension]
-    return kept, impacts
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +187,18 @@ def measure_error_sensitivity(
     """
     if resolution < 2:
         raise EssError("sensitivity ranking needs at least 2 points per dim")
-    sweeps = [_sweep(base_assignment, dim, resolution) for dim in candidates]
-    # The base point, then every candidate's sweep, optimized as one slab
-    # (same order — hence the same plan ids — as one call per probe);
-    # the base plan is costed over the same columns in one context.
-    columns, length = stack_assignments(
-        [dict(base_assignment)] + [point for sweep in sweeps for point in sweep]
-    )
+    # The base point, then every candidate's sweep (``resolution``
+    # log-spaced points of its range, the rest of the assignment at the
+    # base), optimized as one slab (same order — hence the same plan ids
+    # — as one call per probe); the base plan is costed over the same
+    # columns in one context.
+    points = [dict(base_assignment)]
+    for dim in candidates:
+        for i in range(resolution):
+            point = dict(base_assignment)
+            point[dim.pid] = dim.lo * (dim.hi / dim.lo) ** (i / (resolution - 1))
+            points.append(point)
+    columns, length = stack_assignments(points)
     choice, _ = optimizer.optimize_slab(query, columns, length)
     base_plan = choice.plans[choice.winner[0]]
     ctx = CostContext.for_slab(optimizer.schema, optimizer.cost_model, columns)

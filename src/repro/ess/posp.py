@@ -23,6 +23,10 @@ from ..exceptions import EssError
 from ..optimizer.optimizer import Optimizer
 from .space import Location, SelectivitySpace
 
+#: Boxes whose longest edge is at most this many grid steps are
+#: optimized exhaustively instead of being split further.
+MIN_BOX_EDGE = 2
+
 
 @dataclass
 class ContourBandResult:
@@ -46,7 +50,6 @@ def contour_focused_posp(
     optimizer: Optimizer,
     space: SelectivitySpace,
     contour_costs: Sequence[float],
-    min_box_edge: int = 2,
 ) -> ContourBandResult:
     """Optimize only near the isocost contours.
 
@@ -65,8 +68,9 @@ def contour_focused_posp(
     ----------
     contour_costs:
         The IC step costs (from :func:`repro.core.contours.contour_costs`).
-    min_box_edge:
-        Boxes whose longest edge is at most this are optimized exhaustively.
+
+    Boxes whose longest edge is at most :data:`MIN_BOX_EDGE` are
+    optimized exhaustively.
     """
     if not contour_costs:
         raise EssError("contour_focused_posp needs at least one contour cost")
@@ -136,7 +140,7 @@ def contour_focused_posp(
                     pruned += 1
                     continue
                 edges = [h - l for l, h in zip(lo, hi)]
-                if max(edges) <= min_box_edge:
+                if max(edges) <= MIN_BOX_EDGE:
                     leaves.extend(
                         itertools.product(
                             *(range(l, h + 1) for l, h in zip(lo, hi))

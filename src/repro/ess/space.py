@@ -211,12 +211,6 @@ class SelectivitySpace:
         """True if location ``a`` >= ``b`` componentwise."""
         return all(x >= y for x, y in zip(a, b))
 
-    def successors(self, location: Location) -> Iterator[Location]:
-        """In-bounds +1 neighbours along each axis."""
-        for d in range(self.dimensionality):
-            if location[d] + 1 < self.shape[d]:
-                yield location[:d] + (location[d] + 1,) + location[d + 1 :]
-
     def _check(self, location: Location):
         if len(location) != self.dimensionality:
             raise EssError(f"bad location arity: {location}")

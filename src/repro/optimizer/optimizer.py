@@ -107,13 +107,6 @@ class PlanRegistry:
             except KeyError:
                 raise OptimizerError(f"unknown plan id {plan_id}") from None
 
-    def canonical(self, plan: PlanNode) -> PlanNode:
-        """The registry's canonical instance for a structurally identical
-        plan (registering it first if unseen) — lets callers share one
-        object per plan shape across grid locations."""
-        plan_id, _ = self.register(plan)
-        return self.plan(plan_id)
-
     def __len__(self):
         with self._lock:
             return len(self._ids)

@@ -16,7 +16,7 @@ so both reduce to per-plan cost fields — no quadratic (qe, qa) sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -127,19 +127,20 @@ def robustness_enhancement(
     return nat_subopt_worst / (bouquet_cost_field / pic)
 
 
-def enhancement_histogram(
-    enhancement: np.ndarray,
-    decade_edges: Sequence[float] = (1.0, 10.0, 100.0, 1000.0, 10000.0),
-) -> Dict[str, float]:
+#: Bucket edges of :func:`enhancement_histogram`, one per decade.
+DECADE_EDGES = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+
+
+def enhancement_histogram(enhancement: np.ndarray) -> Dict[str, float]:
     """Percentage of locations per order-of-magnitude improvement bucket
     (the Figure 16 distribution)."""
     flat = enhancement.ravel()
     buckets: Dict[str, float] = {}
-    below = float((flat < decade_edges[0]).mean()) * 100.0
-    buckets[f"< {decade_edges[0]:g}x"] = below
-    for lo, hi in zip(decade_edges, decade_edges[1:]):
+    below = float((flat < DECADE_EDGES[0]).mean()) * 100.0
+    buckets[f"< {DECADE_EDGES[0]:g}x"] = below
+    for lo, hi in zip(DECADE_EDGES, DECADE_EDGES[1:]):
         frac = float(((flat >= lo) & (flat < hi)).mean()) * 100.0
         buckets[f"[{lo:g}x, {hi:g}x)"] = frac
-    top = decade_edges[-1]
+    top = DECADE_EDGES[-1]
     buckets[f">= {top:g}x"] = float((flat >= top).mean()) * 100.0
     return buckets

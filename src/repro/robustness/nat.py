@@ -87,10 +87,6 @@ class NativeOptimizerStrategy:
         plan_id = self.plan_for_estimate(qe)
         return self.diagram.cache.cost(plan_id, qa)
 
-    def suboptimality(self, qe: Location, qa: Location) -> float:
-        """SubOpt(qe, qa) (Equation 1)."""
-        return self.cost(qe, qa) / self.diagram.cost_at(qa)
-
     def subopt_worst(self) -> np.ndarray:
         return subopt_worst_field(self._profile)
 

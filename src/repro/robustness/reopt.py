@@ -124,11 +124,3 @@ class ReoptStrategy:
 
     # ------------------------------------------------------------------
 
-    def suboptimality(
-        self, qe_values: Sequence[float], qa_values: Sequence[float]
-    ) -> float:
-        """Total ReOpt cost at (qe, qa) relative to the optimal plan's."""
-        truth = self.space.assignment_for(qa_values)
-        optimal = self.optimizer.optimize(self.query, assignment=truth).cost
-        run = self.run(qe_values, qa_values)
-        return run.total_cost / optimal

@@ -328,23 +328,27 @@ class BouquetServer:
         The canonical calling convention is a
         :class:`~repro.serve.envelope.ServeRequest`; bare SQL text (or a
         parsed query) is accepted as sugar for ``ServeRequest(query=...)``.
+        The request is validated here (an invalid one raises
+        :class:`~repro.exceptions.BouquetError`).
         """
         if not isinstance(request, ServeRequest):
             request = ServeRequest(query=request)
-        return self.serve_request(request)
+        return self.serve_request(request.validate())
 
     def serve_request(self, request: ServeRequest) -> ServeResponse:
         """Answer one enveloped request end to end.
 
-        Requires the catalog to carry a database (serving executes for
-        real).  Never raises for per-request problems — parse failures,
-        compile deadlines, budget exhaustion, and execution errors are
-        reported as typed statuses with stable ``error_code``\\ s, and
-        the NAT fallback is attempted before giving up.
+        The request must already be valid: :meth:`serve` and the
+        gateway's admission (:meth:`~repro.serve.front.ServeGateway.admit`)
+        validate it once, and this method trusts its caller.  Requires
+        the catalog to carry a database (serving executes for real).
+        Never raises for per-request problems — parse failures, compile
+        deadlines, budget exhaustion, and execution errors are reported
+        as typed statuses with stable ``error_code``\\ s, and the NAT
+        fallback is attempted before giving up.
         """
         if self.catalog.database is None:
             raise BouquetError("serving requires a catalog with a database")
-        request.validate()
         tracer = self.tracer
         if tracer.enabled:
             tracer.count("serve.requests")

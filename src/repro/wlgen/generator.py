@@ -247,17 +247,6 @@ class QueryGenerator:
         )
         return GeneratedQuery(query=query, seed=seed, index=index)
 
-    def generate_template(
-        self, seed: int, index: int, bindings: int
-    ) -> List[GeneratedQuery]:
-        """All ``bindings`` instances of template ``(seed, index)``,
-        exemplar (binding 0) first."""
-        if bindings < 1:
-            raise GeneratorError("generate_template needs bindings >= 1")
-        return [
-            self.instantiate(seed, index, binding) for binding in range(bindings)
-        ]
-
     def _resample_constant(
         self, rng: random.Random, pred: SelectionPredicate
     ) -> SelectionPredicate:

@@ -157,13 +157,14 @@ def sensitivity_by_definition(optimizer, query, candidates, base_assignment, res
     """``measure_error_sensitivity`` point by point: at each probe of a
     candidate's sweep, the scalar DP's optimum and the base-optimal
     plan costed alone; ``(pid, penalty, cost_span)`` most-sensitive-first."""
-    from repro.ess.dimensioning import _sweep
-
     base_plan = scalar_optimize(optimizer, query, dict(base_assignment)).plan
     scores = []
     for dim in candidates:
         penalty, costs = 1.0, []
-        for assignment in _sweep(base_assignment, dim, resolution):
+        for i in range(resolution):
+            # ``resolution`` log-spaced points of the candidate's range.
+            assignment = dict(base_assignment)
+            assignment[dim.pid] = dim.lo * (dim.hi / dim.lo) ** (i / (resolution - 1))
             optimal = scalar_optimize(optimizer, query, assignment).cost
             frozen = cost_plan(base_plan, optimizer.schema, optimizer.cost_model, assignment)
             costs.append(optimal)

@@ -4,7 +4,6 @@ from repro.core.advisor import (
     ProcessingMode,
     recommend_processing_mode,
 )
-from repro.ess.dimensioning import WorkloadErrorLog
 from repro.query import JoinPredicate, Query, parse_query
 
 
@@ -43,25 +42,6 @@ class TestRecommendations:
         )
         rec = recommend_processing_mode(query, statistics)
         assert rec.mode is ProcessingMode.BOUQUET
-
-    def test_history_of_errors_escalates(self, schema, statistics):
-        query = parse_query(
-            "select * from lineitem, orders where l_orderkey = o_orderkey "
-            "and o_totalprice < 100000",
-            schema,
-        )
-        log = WorkloadErrorLog()
-        pid = query.selections[0].pid
-        log.record(pid, estimated=0.001, actual=0.5)
-        rec = recommend_processing_mode(query, statistics, error_log=log)
-        assert rec.mode is ProcessingMode.BOUQUET
-
-    def test_underestimate_hint_noted(self, eq_query):
-        rec = recommend_processing_mode(
-            eq_query, None, estimates_known_underestimates=True
-        )
-        assert rec.mode is ProcessingMode.BOUQUET
-        assert any("underestimates" in r for r in rec.rationale)
 
     def test_describe(self, eq_query):
         rec = recommend_processing_mode(eq_query, None)

@@ -1,5 +1,5 @@
 """The repro.api facade: config validation, compile/execute/simulate,
-warm-cache behaviour, and the envelope calling convention."""
+and warm-cache behaviour."""
 
 from __future__ import annotations
 
@@ -161,60 +161,3 @@ class TestArtifactCaching:
         dims = [ErrorDimension(query.selections[0].pid, 1e-4, 1.0, "x")]
         compile_bouquet(SQL, catalog, config=config, cache=store, dimensions=dims)
         assert len(store) == 0
-
-
-class TestEnvelopeExecution:
-    """execute()/simulate() accept the ServeRequest envelope — the same
-    calling convention the serving layer and the HTTP wire use."""
-
-    def test_execute_via_envelope(self, catalog, database):
-        from repro.serve import ServeRequest
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        request = ServeRequest(query=SQL, mode="basic")
-        via_envelope = execute(compiled, database, request=request)
-        via_kwargs = execute(compiled, database, mode="basic")
-        assert via_envelope.result_rows == via_kwargs.result_rows
-        assert via_envelope.total_cost == pytest.approx(via_kwargs.total_cost)
-
-    def test_simulate_via_envelope(self, catalog):
-        from repro.serve import ServeRequest
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        request = ServeRequest(query=SQL, budget=None, mode="optimized")
-        via_envelope = simulate(compiled, [0.5], request=request)
-        assert via_envelope.total_cost == pytest.approx(
-            simulate(compiled, [0.5], mode="optimized").total_cost
-        )
-
-    def test_envelope_budget_cap_applies(self, catalog, database):
-        from repro.serve import ServeRequest
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        with pytest.raises(BudgetExceeded):
-            execute(
-                compiled, database, request=ServeRequest(query=SQL, budget=1e-3)
-            )
-
-    def test_envelope_and_kwargs_conflict(self, catalog, database):
-        from repro.serve import ServeRequest
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        with pytest.raises(BouquetError, match="inside the ServeRequest"):
-            execute(
-                compiled,
-                database,
-                request=ServeRequest(query=SQL),
-                mode="basic",
-            )
-
-    def test_invalid_envelope_rejected(self, catalog, database):
-        from repro.serve import ServeRequest
-
-        compiled = compile_bouquet(SQL, catalog, config=BouquetConfig(resolution=16))
-        with pytest.raises(BouquetError):
-            execute(
-                compiled,
-                database,
-                request=ServeRequest(query=SQL, mode="turbo"),
-            )

@@ -10,7 +10,6 @@ from repro.core.bounds import (
     mso_bound_1d,
     mso_bound_multid,
     mso_bound_with_model_error,
-    optimal_ratio,
     worst_case_suboptimality,
 )
 from repro.exceptions import BouquetError
@@ -21,8 +20,7 @@ class TestTheorem1:
         assert mso_bound_1d(2.0) == pytest.approx(4.0)
 
     def test_r2_minimizes(self):
-        ratio, bound = optimal_ratio()
-        assert ratio == 2.0 and bound == 4.0
+        assert mso_bound_1d(2.0) == 4.0
         for r in (1.2, 1.5, 1.9, 2.1, 3.0, 8.0):
             assert mso_bound_1d(r) >= 4.0
 

@@ -1,5 +1,9 @@
 """Tests for bouquet validation."""
 
+import copy
+
+import numpy as np
+
 from repro.core.validation import validate_bouquet
 
 
@@ -20,9 +24,21 @@ class TestValidateBouquet:
         assert "OK" in report.describe()
         assert "measured MSO" in report.describe()
 
-    def test_detects_budget_tampering(self, eq_bouquet):
-        import copy
+    def test_diagram_is_monotone(self, eq_diagram):
+        assert eq_diagram.check_monotone()
 
+    def test_detects_pcm_violation(self, eq_bouquet):
+        # A diagram whose optimal cost falls along its axis: PCM breaks.
+        diagram = copy.copy(eq_bouquet.diagram)
+        diagram.costs = np.array(eq_bouquet.diagram.costs)
+        diagram.costs[40:] = diagram.costs[39] / 2
+        broken = copy.copy(eq_bouquet)
+        broken.diagram = diagram
+        assert not diagram.check_monotone()
+        report = validate_bouquet(broken)
+        assert "pcm" in {issue.kind for issue in report.issues}
+
+    def test_detects_budget_tampering(self, eq_bouquet):
         broken = copy.copy(eq_bouquet)
         broken.budgets = list(eq_bouquet.budgets)
         broken.budgets[0] *= 3.0  # violates the (1+λ) progression
@@ -31,8 +47,6 @@ class TestValidateBouquet:
         assert any(issue.kind == "budget" for issue in report.issues)
 
     def test_detects_contour_plan_tampering(self, eq_bouquet, eq_diagram):
-        import copy
-
         from repro.core.contours import Contour
 
         broken = copy.copy(eq_bouquet)

@@ -11,7 +11,6 @@ from repro.datagen.generators import (
     SequentialKey,
     UniformFloat,
     UniformInt,
-    ZipfInt,
 )
 from repro.exceptions import CatalogError
 
@@ -42,22 +41,6 @@ class TestUniform:
         values = UniformFloat(0.5, 1.5).generate(10_000, rng())
         assert values.min() >= 0.5 and values.max() < 1.5
         assert values.mean() == pytest.approx(1.0, abs=0.05)
-
-
-class TestZipfInt:
-    def test_head_dominates(self):
-        values = ZipfInt(100, exponent=1.5).generate(50_000, rng())
-        _, counts = np.unique(values, return_counts=True)
-        top = counts.max() / values.size
-        assert top > 0.2  # rank-1 value is heavily over-represented
-
-    def test_value_range(self):
-        values = ZipfInt(10, low=100).generate(1000, rng())
-        assert values.min() >= 100 and values.max() <= 109
-
-    def test_rejects_empty_domain(self):
-        with pytest.raises(CatalogError):
-            ZipfInt(0).generate(10, rng())
 
 
 class TestForeignKeyRef:

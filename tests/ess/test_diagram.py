@@ -13,7 +13,6 @@ class TestExhaustiveDiagram:
         assert len(eq_diagram.posp_plan_ids) >= 3
 
     def test_pic_monotone(self, eq_diagram):
-        assert eq_diagram.check_monotone()
         diffs = np.diff(eq_diagram.costs)
         assert (diffs >= -1e-9 * eq_diagram.costs[:-1]).all()
 

@@ -1,17 +1,10 @@
-"""Tests for error-dimension identification (§4.1, §8)."""
-
-import pytest
+"""Tests for error-dimension identification by uncertainty rules (§4.1)."""
 
 from repro.ess.dimensioning import (
     Uncertainty,
-    WorkloadErrorLog,
     classify_predicate,
-    eliminate_low_impact_dimensions,
-    measure_dimension_impacts,
     select_error_dimensions,
 )
-from repro.ess.space import ErrorDimension
-from repro.exceptions import EssError
 from repro.query import JoinPredicate, Query
 
 
@@ -50,71 +43,3 @@ class TestClassification:
         assert set(high) <= set(low) <= set(everything)
         assert everything == eq_query.predicate_ids
 
-
-class TestErrorLog:
-    def test_error_factor_symmetric(self):
-        log = WorkloadErrorLog()
-        log.record("p", estimated=0.01, actual=0.1)
-        log.record("q", estimated=0.1, actual=0.01)
-        assert log.worst_error("p") == pytest.approx(10.0)
-        assert log.worst_error("q") == pytest.approx(10.0)
-
-    def test_error_prone_threshold(self):
-        log = WorkloadErrorLog()
-        log.record("fine", 0.1, 0.11)
-        log.record("bad", 0.001, 0.5)
-        assert log.error_prone_pids(factor=2.0) == ["bad"]
-
-    def test_unknown_pid_has_no_error(self):
-        assert WorkloadErrorLog().worst_error("ghost") == 1.0
-
-    def test_invalid_threshold(self):
-        with pytest.raises(EssError):
-            WorkloadErrorLog().error_prone_pids(factor=0.5)
-
-
-class TestDimensionElimination:
-    @pytest.fixture(scope="class")
-    def candidates(self, eq_query, eq_space):
-        # Real dimension (the selection) plus a join dim with a tiny range
-        # whose cost impact is negligible.
-        real = eq_space.dimensions[0]
-        join_pid = eq_query.joins[0].pid
-        narrow = ErrorDimension(join_pid, 9.0e-4, 1.0e-3, "narrow_join")
-        return [real, narrow]
-
-    def test_impacts_measured(self, optimizer, eq_query, eq_space, candidates):
-        impacts = measure_dimension_impacts(
-            optimizer, eq_query, candidates, eq_space.base_assignment
-        )
-        spans = {imp.dimension.name: imp.cost_span for imp in impacts}
-        assert spans["p_retailprice"] > spans["narrow_join"]
-        assert spans["narrow_join"] < 1.2
-
-    def test_elimination_drops_low_impact(self, optimizer, eq_query, eq_space, candidates):
-        kept, impacts = eliminate_low_impact_dimensions(
-            optimizer, eq_query, candidates, eq_space.base_assignment, min_span=1.2
-        )
-        names = [dim.name for dim in kept]
-        assert "p_retailprice" in names
-        assert "narrow_join" not in names
-
-    def test_never_eliminates_everything(self, optimizer, eq_query, eq_space, candidates):
-        kept, _ = eliminate_low_impact_dimensions(
-            optimizer,
-            eq_query,
-            candidates,
-            eq_space.base_assignment,
-            min_span=1e9,  # nothing passes
-        )
-        assert len(kept) == 1  # highest-impact survivor
-
-    def test_validation(self, optimizer, eq_query, eq_space, candidates):
-        with pytest.raises(EssError):
-            eliminate_low_impact_dimensions(
-                optimizer, eq_query, [], eq_space.base_assignment
-            )
-        with pytest.raises(EssError):
-            measure_dimension_impacts(
-                optimizer, eq_query, candidates, eq_space.base_assignment, resolution=1
-            )

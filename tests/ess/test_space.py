@@ -83,10 +83,6 @@ class TestGeometryHelpers:
         assert eq_space.dominates((5,), (3,))
         assert not eq_space.dominates((2,), (3,))
 
-    def test_successors(self, eq_space):
-        assert list(eq_space.successors((62,))) == [(63,)]
-        assert list(eq_space.successors((63,))) == []
-
     def test_assignment_for_clamps(self, eq_space, eq_query):
         pid = eq_query.selections[0].pid
         a = eq_space.assignment_for([5.0])

@@ -13,6 +13,7 @@ float/array column layouts, one-location ``optimize``, plus the registry
 properties (structural dedup, thread safety) it rests on.
 """
 
+import copy
 import dataclasses
 import threading
 
@@ -159,8 +160,12 @@ class TestRegistryDedup:
         result = optimizer.optimize(
             eq_query, assignment=eq_space.assignment_at((0,))
         )
-        canonical = registry.canonical(result.plan)
-        assert canonical is registry.plan(result.plan_id)
+        shared = registry.plan(result.plan_id)
+        # A structurally identical copy registers onto the existing id,
+        # whose instance stays the one every location shares.
+        plan_id, _ = registry.register(copy.deepcopy(result.plan))
+        assert plan_id == result.plan_id
+        assert registry.plan(plan_id) is shared
 
 
 class TestPlanRegistryThreadSafety:

@@ -16,7 +16,7 @@ from repro.exceptions import BouquetError
 from repro.executor.reference import reference_row_count
 from repro.obs import MemorySink, Tracer
 from repro.query import parse_query
-from repro.serve import BouquetArtifactStore, BouquetServer, ServeRequest
+from repro.serve import BouquetArtifactStore, BouquetServer, ServeGateway, ServeRequest
 from repro.serve import server as server_module
 from repro.serve.fingerprint import statistics_fingerprint
 
@@ -369,3 +369,33 @@ def test_sequential_crossing_key_serves_the_same_run(server):
     assert keyed.cache == "memory"
     assert keyed.rows == plain.rows
     assert keyed.result.total_cost == plain.result.total_cost
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    validate = ServeRequest.validate
+    monkeypatch.setattr(
+        ServeRequest, "validate", lambda self: calls.append(self) or validate(self)
+    )
+    return calls
+
+
+def test_a_gateway_request_is_validated_once(server, monkeypatch):
+    gateway = ServeGateway(server)
+    server.serve(SQL)  # compile outside the count
+    calls = _count_validations(monkeypatch)
+    for request in (ServeRequest(query=SQL), ServeRequest(query=SQL2), SQL):
+        before = len(calls)
+        assert gateway.handle(request).ok
+        assert len(calls) - before == 1
+    invalid = gateway.handle(ServeRequest(query=SQL, mode="turbo"))
+    assert (invalid.status, invalid.error_code) == ("failed", "invalid-request")
+    assert len(calls) == 4
+
+
+def test_serve_validates_once_and_rejects_an_invalid_request(server, monkeypatch):
+    calls = _count_validations(monkeypatch)
+    assert server.serve(ServeRequest(query=SQL)).ok
+    assert len(calls) == 1
+    with pytest.raises(BouquetError, match="runtime mode"):
+        server.serve(ServeRequest(query=SQL, mode="turbo"))

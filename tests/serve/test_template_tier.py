@@ -19,8 +19,9 @@ from repro.template import TemplateStore
 @pytest.fixture
 def instances(templated_generator):
     """Three bindings of one template (exemplar first)."""
-    items = templated_generator.generate_template(7, 0, 3)
-    queries = [item.query for item in items]
+    queries = [
+        templated_generator.instantiate(7, 0, binding).query for binding in range(3)
+    ]
     assert len(queries[0].selections) >= 1
     return queries
 

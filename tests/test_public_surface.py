@@ -213,23 +213,26 @@ def test_defaulted_parameter_census():
     ``ess`` had 31 before ``slab_columns(start=0, stop=None)`` became
     ``slab_columns(positions)``; ``batchopt`` had 1 before
     ``batch_best_plans`` took the query's ``JoinEnumerator`` instead of
-    an optional one.  A
+    an optional one; 223 before the §8 dimension elimination, the
+    workload error log, the advisor's two test-only flags, ``request=``
+    on ``execute`` / ``simulate`` and three parameters nobody set
+    (``min_box_edge``, ``mcv_entries``, ``decade_edges``) went.  A
     new defaulted parameter lands here with the two callers that need
     different values."""
     assert defaulted_parameter_census() == {
-        "(top level)": 28,
+        "(top level)": 26,
         "bench": 31,
-        "catalog": 11,
-        "core": 23,
+        "catalog": 10,
+        "core": 21,
         "datagen": 4,
         "drift": 5,
-        "ess": 29,
+        "ess": 24,
         "executor": 13,
         "obs": 7,
         "optimizer": 9,
         "par": 6,
         "query": 7,
-        "robustness": 4,
+        "robustness": 3,
         "serve": 30,
         "sweep": 3,
         "template": 6,
@@ -272,33 +275,9 @@ def caller_census():
 
 #: What the caller census may find, and why each stays.
 TEST_ONLY_BY_DESIGN = {
-    "core/bounds.py::optimal_ratio": "Theorem 1's r = 2 (docs/PAPER_MAP.md)",
     "datagen/database.py::Database.invalidate_fingerprint": (
         "safety: how a Database mutated in place drops its stale "
         "fingerprint, indexes and row counts"
-    ),
-    "datagen/generators.py::ZipfInt": (
-        "the skewed column generator DESIGN's substitution table names"
-    ),
-    "ess/diagram.py::PlanDiagram.check_monotone": "validator (PCM, §2)",
-    "ess/dimensioning.py::eliminate_low_impact_dimensions": (
-        "§8 dimension elimination (docs/PAPER_MAP.md)"
-    ),
-    "ess/space.py::SelectivitySpace.successors": (
-        "the axis-successor relation contour maximality is defined by"
-    ),
-    "optimizer/optimizer.py::PlanRegistry.canonical": (
-        "test seam: the registry's structural dedup, seen from outside"
-    ),
-    "robustness/nat.py::NativeOptimizerStrategy.suboptimality": (
-        "SubOpt(qe, qa), Equation 1"
-    ),
-    "robustness/reopt.py::ReoptStrategy.suboptimality": (
-        "SubOpt(qe, qa), Equation 1, for the §7 re-optimization baseline"
-    ),
-    "wlgen/generator.py::QueryGenerator.generate_template": (
-        "test seam: one template at several bindings, the template "
-        "tier's workload"
     ),
 }
 

@@ -176,14 +176,10 @@ class TestTemplateInstancing:
         b = templated.instantiate(11, 2, 5).query
         assert a.fingerprint == b.fingerprint
 
-    def test_generate_template_returns_exemplar_first(self, templated):
-        items = templated.generate_template(11, 2, 4)
-        assert len(items) == 4
-        assert items[0].query.name == "W11_2"
-        assert items[1].query.name == "W11_2b1"
+    def test_exemplar_is_named_before_its_bindings(self, templated):
+        assert templated.instantiate(11, 2, 0).query.name == "W11_2"
+        assert templated.instantiate(11, 2, 1).query.name == "W11_2b1"
 
     def test_negative_binding_rejected(self, templated):
         with pytest.raises(GeneratorError):
             templated.instantiate(11, 2, -1)
-        with pytest.raises(GeneratorError):
-            templated.generate_template(11, 2, 0)
