@@ -745,13 +745,14 @@ def test_perf_sweep_costs_each_qrun_once(benchmark, monkeypatch):
     asks for them, every contour in that one pass."""
     from repro.core.contours import AxisTables, ContourTables
     from repro.sweep import SweepEngine
+    from repro.sweep import engine as engine_module
     from repro.sweep.cohorts import BatchCoster
     from tests.conftest import campaign_pool_counters
 
     counts = {"contexts": 0, "sweeps": 0, "steps": 0}
     going_on, built, asked = set(), [], []
     context, sweep, step = BatchCoster.context, SweepEngine._sweep, SweepEngine._step
-    run_spilled = BatchCoster.run_spilled
+    spill = engine_module.spill
     build, gather = AxisTables._build, ContourTables.gather.fget
 
     def counting_context(self, values):
@@ -766,16 +767,16 @@ def test_perf_sweep_costs_each_qrun_once(benchmark, monkeypatch):
         counts["steps"] += 1
         return step(self, rows)
 
-    def counting_spill(self, *args):
-        outcome = run_spilled(self, *args)
-        if (~outcome[0]).any():
+    def counting_spill(*args):
+        outcome = spill(*args)
+        if (~outcome.answered).any():
             going_on.add(counts["steps"])
         return outcome
 
     monkeypatch.setattr(BatchCoster, "context", counting_context)
     monkeypatch.setattr(SweepEngine, "_sweep", counting_sweep)
     monkeypatch.setattr(SweepEngine, "_step", counting_step)
-    monkeypatch.setattr(BatchCoster, "run_spilled", counting_spill)
+    monkeypatch.setattr(engine_module, "spill", counting_spill)
     monkeypatch.setattr(AxisTables, "_build", lambda self: built.append(self) or build(self))
     monkeypatch.setattr(
         ContourTables, "gather",

@@ -112,10 +112,9 @@ def test_table3_bouquet_execution(benchmark, lab, record):
     from repro.core.contours import maximal_region_frontier
 
     contour_cells = set()
-    for contour in ql.bouquet.contours:
-        contour_cells.update(
-            maximal_region_frontier(ql.diagram.costs, contour.cost)
-        )
+    ics = [contour.cost for contour in ql.bouquet.contours]
+    for frontier in maximal_region_frontier(ql.diagram.costs, ics):
+        contour_cells.update(frontier)
     svg = diagram_map(
         ql.diagram.plan_ids,
         "2D_H_Q8a — plan diagram with isocost contour frontiers",

@@ -193,12 +193,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_refresh(args) -> int:
-    from .drift import (
-        bouquets_equal,
-        patch_compiled,
-        perturb_statistics,
-        statistics_delta,
-    )
+    from .drift import bouquets_equal, patch_compiled, perturb_statistics
 
     schema, _database, statistics = _build_environment(args)
     # Statistics-only catalog (the ETL scenario): the base assignment is
@@ -220,10 +215,6 @@ def _cmd_refresh(args) -> int:
         scale=args.perturb_scale,
         distinct_scale=args.distinct_scale,
     )
-    delta = statistics_delta(statistics, new_statistics)
-    print(delta.describe())
-    moved = delta.moved_pids(compiled.query)
-    print(f"moved predicates: {', '.join(moved) or 'none'}")
     catalog.statistics = new_statistics
 
     try:
@@ -231,8 +222,10 @@ def _cmd_refresh(args) -> int:
         print("carried over: no compile input moved, 0 locations planned")
     except DriftError as exc:
         refreshed = compile_bouquet(args.sql, catalog, config=config, tracer=tracer)
+        # The carry-over's own account: why it refused, and (when a
+        # base selectivity moved) which predicates.
         print(
-            f"recompiled, {exc}: planned "
+            f"recompiled ({exc.reason}), {exc}: planned "
             f"{refreshed.space.size}/{refreshed.space.size} locations"
         )
     print(refreshed.bouquet.describe())

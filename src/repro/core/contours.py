@@ -59,26 +59,28 @@ def contour_costs(cmin: float, cmax: float, ratio: float = OPTIMAL_RATIO) -> Lis
     return [cmax * ratio ** (k - m) for k in range(1, m + 1)]
 
 
-def maximal_region_frontier(costs: np.ndarray, ic: float) -> List[Location]:
-    """Maximal elements of ``{q : costs[q] <= ic}`` on the grid.
+def maximal_region_frontier(costs: np.ndarray, ics: Sequence[float]) -> List[List[Location]]:
+    """Per IC, the maximal elements of ``{q : costs[q] <= ic}`` on the
+    grid, in row-major order.
 
     With a monotone cost field, a location is maximal iff none of its +1
-    axis successors stays within the region.
+    axis successors stays within the region.  Every IC's frontier is cut
+    from one ``(len(ics), *grid)`` mask.
     """
-    inside = costs <= ic + SLACK * ic
-    if not inside.any():
-        return []
+    limits = np.asarray(ics, dtype=float)
+    limits = limits + SLACK * limits
+    inside = costs[None] <= limits.reshape((-1,) + (1,) * costs.ndim)
     frontier = inside.copy()
-    for axis in range(costs.ndim):
-        # successor_inside[q] = inside[q + e_axis] (False at the boundary).
-        successor_inside = np.zeros_like(inside)
-        src = [slice(None)] * costs.ndim
-        dst = [slice(None)] * costs.ndim
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-        successor_inside[tuple(dst)] = inside[tuple(src)]
-        frontier &= ~successor_inside
-    return [tuple(int(i) for i in idx) for idx in np.argwhere(frontier)]
+    for axis in range(1, inside.ndim):
+        # A location whose successor along ``axis`` is inside is not maximal.
+        head = [slice(None)] * inside.ndim
+        tail = [slice(None)] * inside.ndim
+        head[axis], tail[axis] = slice(0, -1), slice(1, None)
+        frontier[tuple(head)] &= ~inside[tuple(tail)]
+    at = np.argwhere(frontier)
+    cells = [tuple(row) for row in at[:, 1:].tolist()]
+    ends = np.cumsum(np.bincount(at[:, 0], minlength=len(limits))).tolist()
+    return [cells[start:end] for start, end in zip([0] + ends, ends)]
 
 
 @dataclass
@@ -240,13 +242,16 @@ def build_contours(
     location; anorexic reduction is applied separately by the bouquet
     construction.
     """
-    costs = diagram.costs
     steps = contour_costs(diagram.cmin, diagram.cmax, ratio)
+    frontiers = maximal_region_frontier(diagram.costs, steps)
+    # Every frontier location's resident plan, in one gather.
+    cells = [loc for locations in frontiers for loc in locations]
+    cells = np.array(cells, dtype=np.int64).reshape(-1, diagram.costs.ndim)
+    owners = iter(diagram.plan_ids[tuple(cells.T)].tolist())
     tracer = _diagram_tracer(diagram)
     contours: List[Contour] = []
-    for k, ic in enumerate(steps, start=1):
-        locations = maximal_region_frontier(costs, ic)
-        plan_at = {loc: diagram.plan_at(loc) for loc in locations}
+    for k, (ic, locations) in enumerate(zip(steps, frontiers), start=1):
+        plan_at = {loc: next(owners) for loc in locations}
         contour = Contour(index=k, cost=ic, locations=locations, plan_at=plan_at)
         if tracer.enabled:
             tracer.event(

@@ -22,14 +22,28 @@ with a leading location axis (:func:`dominating`, :func:`axis_plans`,
 :func:`pruned_by_floor`, :func:`pick`, :func:`fallback_order`,
 :func:`endgame`, :func:`crosses_early`, :func:`exhausts`, :func:`book`):
 :class:`BouquetRunner` asks them about one row, the sweep
-(:mod:`repro.sweep`) about every location of a round at once.  Each
-driver keeps only its own costing and its own execution.
+(:mod:`repro.sweep`) about every location of a round at once.  So is the
+cost-model world's spill (:func:`spill`), which the
+:class:`AbstractExecutionService` runs on one row.  Each driver keeps
+only its own costing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -37,6 +51,8 @@ from ..exceptions import BouquetError
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..optimizer.plans import (
     CostContext,
+    NodeEstimate,
+    PlanNode,
     first_error_node,
     formula_inputs,
     own_formula,
@@ -238,8 +254,8 @@ class AbstractExecutionService(ExecutionService):
         self._at_truth = CostContext(
             self.space.query.schema, bouquet.cost_cache.optimizer.cost_model, self._truth
         )
-        self._dims_by_pid = {dim.pid: dim for dim in self.space.dimensions}
-        qa = dict(zip(self._dims_by_pid, self.qa_values)) if known else {}
+        self._lows = {dim.pid: dim.lo for dim in self.space.dimensions}
+        qa = dict(zip(self._lows, self.qa_values)) if known else {}
         for bound in known:
             if bound.pid not in qa:
                 raise BouquetError(f"known selectivity of {bound.pid!r}: not an ESS dimension")
@@ -272,53 +288,42 @@ class AbstractExecutionService(ExecutionService):
         budget: float,
         unlearned_pids: FrozenSet[str],
     ) -> ExecutionOutcome:
-        plan = self._plan(plan_id)
-        node = first_error_node(plan, unlearned_pids)
-        if node is None:
-            return self.run_full(plan_id, budget)
-        lows = {pid: self._dims_by_pid[pid].lo for pid in sorted(node.local_pids & unlearned_pids)}
-        # Nothing below the first error node reads an unlearned pid, so
-        # its inputs are constants of the search: estimated once, at the
-        # truth, and only the node's own formula moves with ``t``.
-        formula = own_formula(node, formula_inputs(node, self._at_truth))
-
-        def learned(t: float, exact: bool) -> List[LearnedSelectivity]:
-            """Where the targets stand when the run has progressed to ``t``."""
-            return [
-                LearnedSelectivity(pid, _geometric_interp(lo, self._truth[pid], t), exact)
-                for pid, lo in lows.items()
-            ]
-
-        def subtree_cost(t: float) -> float:
-            moved = {bound.pid: bound.value for bound in learned(t, False)}
-            at = self._at_truth
-            return formula(CostContext(at.schema, at.cost_model, {**self._truth, **moved})).cost
-
-        at_truth = [LearnedSelectivity(pid, self._truth[pid], exact=True) for pid in lows]
-        plan_cost = self.true_cost(plan_id)
-        if plan_cost <= budget:
-            # Spill-to-store: the stored subtree resolved and the resumed
-            # plan fits the budget too — this execution answers the query.
-            return ExecutionOutcome(completed=True, cost_spent=plan_cost, learned=at_truth)
-        subtree_full = subtree_cost(1.0)
-        if subtree_full <= budget:
-            # The subtree resolved (exact learning) but the resumed plan
-            # hit the cost horizon: the budget is fully consumed.
-            return ExecutionOutcome(completed=False, cost_spent=budget, learned=at_truth)
-        # The largest progress fraction that fits the budget.
-        spread = [max(self._truth[pid] / lo, 1.0) for pid, lo in lows.items()]
-        lo_t = float(reach_under_budget(
-            lambda t: [subtree_cost(x) for x in t.tolist()],
-            budget, [subtree_full], [np.log(spread).sum()],
-        )[0])
-        return ExecutionOutcome(completed=False, cost_spent=budget, learned=learned(lo_t, False))
+        # The batched spill on one row: its context is the scalar truth,
+        # whose constants every row index reads as they are.
+        out = spill(
+            self._plan(plan_id), unlearned_pids, self._lows, budget, self._at_truth, _ONE_ROW
+        )
+        completed = bool(out.answered[0])
+        exact = completed or bool(out.exact[0])
+        return ExecutionOutcome(
+            completed=completed,
+            cost_spent=float(out.spent[0]),
+            learned=[
+                LearnedSelectivity(pid, value, exact)
+                for pid, value in zip(out.targets, out.learned[0].tolist())
+            ],
+        )
 
 
-def _geometric_interp(lo: float, hi: float, t: float) -> float:
-    """Log-space interpolation between ``lo`` (t=0) and ``hi`` (t=1)."""
-    if hi <= lo:
-        return hi
-    return lo * (hi / lo) ** t
+_ONE_ROW = np.zeros(1, dtype=np.int64)
+
+
+def _geometric_interp(lo, hi, t):
+    """Log-space interpolation between ``lo`` (t=0) and ``hi`` (t=1),
+    elementwise over the arrays ``t`` (and ``hi``); ``hi`` where it is
+    not above ``lo``."""
+    return np.where(hi <= lo, hi, lo * (hi / lo) ** t)
+
+
+def _at(value, rows: np.ndarray):
+    """``value`` at ``rows``: a per-row array gathered, a constant as it is."""
+    return value[rows] if np.ndim(value) else value
+
+
+def _filled(value, n: int) -> np.ndarray:
+    """A per-row cost as an ``(n,)`` array: an array as it is, a constant
+    filled out."""
+    return value if np.ndim(value) else np.full(n, value, dtype=float)
 
 
 #: A spilled run's progress is found on the grid of multiples of 2**-40.
@@ -371,6 +376,94 @@ def reach_under_budget(
         hi, c_hi = np.where(over, k, hi), np.where(over, cost, c_hi)
         stalled = np.where(halve, 1, np.where(2 * (hi - lo) <= width, 0, stalled + 1))
     return lo / _GRID
+
+
+class SpilledRows(NamedTuple):
+    """One spilled execution at a batch of rows (:func:`spill`)."""
+
+    #: The query was answered: the spill-to-store resume fit the budget,
+    #: spending the plan's true cost.
+    answered: np.ndarray
+    #: The spilled subtree resolved (exact learning) but the resumed plan
+    #: consumed the whole budget.
+    exact: np.ndarray
+    #: The cost charged.
+    spent: np.ndarray
+    #: The unlearned pids the spill node evaluates, sorted: what it learns.
+    targets: Tuple[str, ...]
+    #: ``(rows, targets)``: where the targets stand after the run.
+    learned: np.ndarray
+    #: Evaluations of the spill node's own formula.
+    evaluations: int
+
+
+def spill(
+    plan: PlanNode,
+    unlearned: FrozenSet[str],
+    lows: Mapping[str, float],
+    budget: float,
+    at_truth: CostContext,
+    rows: np.ndarray,
+) -> SpilledRows:
+    """The cost-model world's spill-mode execution (§5.3, spill-to-store)
+    of ``plan`` at a batch of rows: :meth:`AbstractExecutionService.run_spilled`
+    on one row, the sweep's on every row of a round.
+
+    ``at_truth`` costs the clamped true selectivities (per-row arrays, or
+    constants that every row reads); ``rows`` index it; ``lows`` is each
+    error dimension's ``lo``.  A row whose plan fits the budget is
+    answered; otherwise it charges the budget, learning the targets
+    exactly where the spilled subtree fits it, and elsewhere the last
+    2**-40 grid point whose cost still does (:func:`reach_under_budget`).
+    A plan with no node evaluating an unlearned pid runs fully.
+    """
+    n = len(rows)
+    plan_full = _filled(_at(plan.estimate(at_truth).cost, rows), n)
+    answered = plan_full <= budget
+    spent = np.where(answered, plan_full, budget)
+    node = first_error_node(plan, unlearned)
+    if node is None:
+        return SpilledRows(answered, np.zeros(n, dtype=bool), spent, (), np.empty((n, 0)), 0)
+    targets = {pid: lows[pid] for pid in sorted(node.local_pids & unlearned)}
+    evaluations = 0
+
+    def subtree(rows: np.ndarray):
+        # The spilled subtree over ``rows``, as functions of ``t``: where
+        # the targets stand and what it costs.  Nothing below the spill
+        # node reads an unlearned pid, so its inputs are gathered from
+        # the truth and only the node's own formula (it reads its local
+        # pids only) moves with ``t``.
+        formula = own_formula(node, [
+            e and NodeEstimate(_at(e.rows, rows), _at(e.cost, rows))
+            for e in formula_inputs(node, at_truth)
+        ])
+        truth = {pid: _at(at_truth.selectivity(pid), rows) for pid in node.local_pids}
+
+        def reached(t: np.ndarray) -> Dict[str, np.ndarray]:
+            return {pid: _geometric_interp(lo, truth[pid], t) for pid, lo in targets.items()}
+
+        def cost_at(t: np.ndarray) -> np.ndarray:
+            nonlocal evaluations
+            evaluations += 1
+            moved = CostContext(at_truth.schema, at_truth.cost_model, {**truth, **reached(t)})
+            return _filled(formula(moved).cost, len(rows))
+
+        return truth, reached, cost_at
+
+    truth, _reached, cost_at = subtree(rows)
+    subtree_full = cost_at(np.ones(n))
+    exact = ~answered & (subtree_full <= budget)
+    learned = np.stack([np.broadcast_to(truth[pid], n) for pid in targets], axis=1)
+    short = ~answered & ~exact
+    if short.any():
+        # The rows that stop short are gathered once, not per probe.
+        truth, reached, cost_at = subtree(rows[short])
+        spread = sum(np.log(np.maximum(truth[pid] / lo, 1.0)) for pid, lo in targets.items())
+        lo_t = reach_under_budget(
+            cost_at, budget, subtree_full[short], np.broadcast_to(spread, int(short.sum()))
+        )
+        learned[short] = np.stack(list(reached(lo_t).values()), axis=1)
+    return SpilledRows(answered, exact, spent, tuple(targets), learned, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 The paper flags bouquet maintenance under data change as an open
 problem (§8).  This package answers it with identity or recompile:
 
-* :mod:`~repro.drift.delta` compares two statistics world views
-  field-by-field (:func:`statistics_delta`) and maps the drift onto a
-  query's predicates; :func:`perturb_statistics` is the matching
+* :mod:`~repro.drift.delta` holds :func:`perturb_statistics`, the
   localized-drift injector used by the CLI, the ledger, and the tests;
 * :mod:`~repro.drift.refresh` carries an artifact over when nothing its
   compile sees has moved (:func:`carry_over`, zero optimizer work) and
@@ -14,12 +12,7 @@ problem (§8).  This package answers it with identity or recompile:
   :func:`bouquets_equal` the bit-for-bit check against a fresh compile.
 """
 
-from .delta import (
-    StatisticsDelta,
-    TableDrift,
-    perturb_statistics,
-    statistics_delta,
-)
+from .delta import perturb_statistics
 from .refresh import (
     bouquets_equal,
     carry_over,
@@ -28,12 +21,9 @@ from .refresh import (
 )
 
 __all__ = [
-    "StatisticsDelta",
-    "TableDrift",
     "bouquets_equal",
     "carry_over",
     "moved_base_pids",
     "patch_compiled",
     "perturb_statistics",
-    "statistics_delta",
 ]

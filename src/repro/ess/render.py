@@ -76,8 +76,8 @@ def render_2d_diagram(
     if contour_costs:
         from ..core.contours import maximal_region_frontier
 
-        for ic in contour_costs:
-            on_contour.update(maximal_region_frontier(diagram.costs, ic))
+        for frontier in maximal_region_frontier(diagram.costs, contour_costs):
+            on_contour.update(frontier)
     lines = []
     for i in reversed(range(rows)):
         cells = []

@@ -114,9 +114,11 @@ class CostContext:
             stack = [plan]
             while stack:
                 node = stack.pop()
-                if last.get(id(node)) != k:
-                    last[id(node)] = k
+                # A node seen before is read from the memo, not costed
+                # again: its sub-tree is not walked for this plan.
+                if id(node) not in last:
                     stack.extend(node.children)
+                last[id(node)] = k
         done: List[List[int]] = [[] for _ in plans]
         for key, k in last.items():
             done[k].append(key)
@@ -326,7 +328,7 @@ class Aggregate(PlanNode):
 
     def signature(self):
         groups = ",".join(f"{t}.{c}" for t, c in self.group_columns)
-        return f"AGG({self.child.signature()}|{groups})"
+        return f"AGG({self.child.canonical_signature()}|{groups})"
 
     @property
     def local_pids(self):
@@ -399,7 +401,7 @@ class Join(PlanNode):
 
     def signature(self):
         label = _ALGO_LABEL[self.algo]
-        return f"{label}({self.left.signature()},{self.right.signature()})"
+        return f"{label}({self.left.canonical_signature()},{self.right.canonical_signature()})"
 
     @property
     def local_pids(self):

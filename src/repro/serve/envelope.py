@@ -15,8 +15,9 @@ Outcome taxonomy
 
 * ``"ok"`` — bouquet execution completed under the MSO guarantee;
 * ``"degraded"`` — answered (rows delivered) but without the guarantee:
-  the native-optimizer fallback ran, or overload stripped the request
-  down the NAT ladder;
+  the native-optimizer fallback ran — the bouquet could not compile or
+  execute, or its run ended unanswered — or overload stripped the
+  request down the NAT ladder;
 * ``"budget-exhausted"`` — the per-request cost budget ran out;
 * ``"shed"`` — admission control rejected the request *before* any
   work (quota or queue backpressure) — distinct from ``failed``: a shed
@@ -61,6 +62,7 @@ ERROR_CODES = frozenset(
         "compile-timeout",  # compile deadline exceeded (degraded/failed)
         "compile-failed",  # bouquet compilation errored (degraded/failed)
         "execute-failed",  # bouquet execution errored (degraded/failed)
+        "outside-ess",  # the bouquet run ended unanswered (degraded)
         "budget-exhausted",  # per-request cost budget ran out
         "shed-quota",  # tenant token bucket empty (shed)
         "shed-queue-full",  # tenant queue at capacity (shed)
@@ -190,7 +192,9 @@ class ServeRequest:
         for key, value in defaults.items():
             if payload.get(key) is None:
                 payload[key] = value
-        return ServeRequest(**payload).validate()
+        # The fields' values are checked once, where every request is:
+        # at admission (:meth:`~repro.serve.front.ServeGateway.admit`).
+        return ServeRequest(**payload)
 
 
 @dataclass

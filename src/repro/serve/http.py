@@ -217,7 +217,8 @@ class BouquetFrontEnd:
             response = _invalid(f"bad serve payload: {exc}")
             return http_status_for(response), response.to_dict()
         # Admission inline on the loop thread: shedding a flood must not
-        # wait behind the worker pool the flood is trying to fill.
+        # wait behind the worker pool the flood is trying to fill.  It is
+        # also where the request's fields are validated, once.
         ticket, response = self.gateway.admit(request)
         if response is None:
             assert ticket is not None

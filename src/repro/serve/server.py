@@ -416,18 +416,6 @@ class BouquetServer:
                     tracer=tracer,
                     span_name="serve.execute",
                 )
-                if tracer.enabled:
-                    tracer.count("serve.served_ok")
-                return _respond(
-                    ServeResponse(
-                        status="ok",
-                        cache=source,
-                        query_name=parsed.name,
-                        key=key,
-                        result=result,
-                        mso_bound=compiled.mso_bound,
-                    )
-                )
             except BudgetExceeded as exc:
                 if tracer.enabled:
                     tracer.count("serve.budget_exhausted")
@@ -448,8 +436,29 @@ class BouquetServer:
                 error_code = "execute-failed"
                 if tracer.enabled:
                     tracer.count("serve.execute_failures")
+            else:
+                if result.completed:
+                    if tracer.enabled:
+                        tracer.count("serve.served_ok")
+                    return _respond(
+                        ServeResponse(
+                            status="ok",
+                            cache=source,
+                            query_name=parsed.name,
+                            key=key,
+                            result=result,
+                            mso_bound=compiled.mso_bound,
+                        )
+                    )
+                # No contour's budget answered it: the query lies outside
+                # the ESS the guarantee covers, so NAT answers it.
+                error = "the bouquet run ended unanswered: the query lies outside its ESS"
+                error_code = "outside-ess"
+                if tracer.enabled:
+                    tracer.count("serve.outside_ess")
 
-        # Degradation: no compiled bouquet in time — answer natively.
+        # Degradation: no compiled bouquet in time, or no answer from
+        # it — answer natively.
         try:
             optimizer = self.catalog.optimizer(self.config, tracer=tracer)
             result = native_run(optimizer, parsed, self.catalog.database, tracer)

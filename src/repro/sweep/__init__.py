@@ -8,8 +8,8 @@ with two cooperating layers:
 * :mod:`repro.sweep.engine` — one array state, a row per location,
   advanced in (contour, spills taken on it) rounds: every round asks the
   runner's own decision functions (:mod:`repro.core.runtime`) about all
-  its rows at once; :mod:`repro.sweep.cohorts` costs and executes for
-  them.
+  its rows at once; :mod:`repro.sweep.cohorts` costs for them, and
+  their spills are the runner's own (:func:`repro.core.runtime.spill`).
 * :mod:`repro.sweep.memo` — per-bouquet memoization: a full-grid
   totals memo (a re-sweep is a gather) plus the plan costing metadata,
   built once per bouquet.

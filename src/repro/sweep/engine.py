@@ -26,15 +26,15 @@ asks (:func:`~repro.core.runtime.dominating`,
    later rounds gather from.
 
 Full runs need no per-location loop: once nothing is left to learn on a
-contour, the plans the endgame or the fallback order runs are looked up
-in the :class:`~repro.ess.diagram.PlanCostCache` cost arrays — the first
-that fits the budget answers, every one before it burns the budget, and
-with none the contour is crossed.
+contour, the plans the endgame or the fallback order runs are costed at
+the truth the spills read — the first that fits the budget answers,
+every one before it burns the budget, and with none the contour is
+crossed.
 
-Costing and execution are the engine's own; every decision is shared, so
-the fields agree with the per-location driver to float rounding noise,
-far inside the 1e-9 relative tolerance of
-``tests/sweep/test_sweep_engine.py::TestFieldEquality``.
+Costing is the engine's own; every decision and the spill
+(:func:`~repro.core.runtime.spill`) are shared, and the truth's costs
+are charged in the driver's order, so the fields equal the per-location
+driver's bit for bit (``tests/sweep/test_sweep_engine.py::TestFieldEquality``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import numpy as np
 from ..core.bouquet import PlanBouquet
 from ..core.contours import ContourTables
 from ..core.runtime import (
+    _at,
     axis_plans,
     book,
     crosses_early,
@@ -55,19 +56,19 @@ from ..core.runtime import (
     fallback_order,
     pick,
     pruned_by_floor,
+    spill,
 )
 from ..ess.space import Location
 from ..exceptions import BouquetError
 from ..obs.tracer import Tracer
 from ..optimizer.plans import PlanNode
-from .cohorts import _at
 from .memo import SweepCache, sweep_cache
 
 __all__ = ["SweepEngine"]
 
 #: What a sweep holds between its rounds, dropped when it ends.
 _PER_SWEEP = (
-    "_flat", "_out", "_at_truth", "_qrun", "_total", "_cid", "_round",
+    "_out", "_at_truth", "_qrun", "_total", "_cid", "_round",
     "_exact", "_attempted", "_exhausted", "_contexts", "_ctx", "_ctx_row",
 )
 
@@ -88,10 +89,12 @@ class SweepEngine:
         self._shape = self.space.shape
         self._plan_ids = np.array(bouquet.plan_ids)
         self._pattern_bits = 1 << np.arange(self.D, dtype=np.int64)
+        self._lows = {dim.pid: dim.lo for dim in self.space.dimensions}
+        self._dim_of = {dim.pid: j for j, dim in enumerate(self.space.dimensions)}
         # Per-sweep state (set by _sweep, one row per swept location):
         for name in _PER_SWEEP:
             setattr(self, name, None)
-        self._steps = self._spills = 0
+        self._steps = self._spills = self._spill_evaluations = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -142,7 +145,7 @@ class SweepEngine:
             if tracer.enabled and hits:
                 tracer.count("sweep.memo_hits", hits)
             todo = flat[~known]
-            self._steps = self._spills = 0
+            self._steps = self._spills = self._spill_evaluations = 0
             if len(todo):
                 self._sweep(todo)
             span.set(
@@ -158,12 +161,10 @@ class SweepEngine:
         coster = cache.coster
         tracer = self.tracer
         n, plans = len(flat), len(self._plan_ids)
-        self._flat = flat
         self._out = np.full(n, np.nan)  # NaN: the row is still running
         # One context over the truth of the swept locations (rows index
         # it): what a spill reads there is costed once.
         self._at_truth = coster.context(cache.truth[flat])
-        before = coster.spill_evaluations
         origin = np.array([[dim.lo for dim in self.space.dimensions]])
         self._qrun = np.repeat(origin, n, axis=0)
         self._total = np.zeros(n)
@@ -185,7 +186,7 @@ class SweepEngine:
         if tracer.enabled:
             tracer.count("sweep.steps", self._steps)
             tracer.count("sweep.spills", self._spills)
-            tracer.count("sweep.spill_formula_evaluations", coster.spill_evaluations - before)
+            tracer.count("sweep.spill_formula_evaluations", self._spill_evaluations)
         cache.store(flat, self._out)
         for name in _PER_SWEEP:
             setattr(self, name, None)
@@ -269,7 +270,7 @@ class SweepEngine:
         patterns, which = np.unique(exact @ self._pattern_bits, return_inverse=True)
         for p, pattern in enumerate(patterns.tolist()):
             unlearned = self._unlearned(pattern)
-            subtrees = [coster.spill_node(pid, unlearned)[0] or coster.plan(pid) for pid in plans]
+            subtrees = [coster.spill_node(pid, unlearned) or coster.plan(pid) for pid in plans]
             sel = which == p
             floors[sel] = self._costs(rows[sel], subtrees, present[sel])
         pruned = pruned_by_floor(floors, present, budget)
@@ -298,18 +299,22 @@ class SweepEngine:
             sel = group == key
             spilled = rows[sel]
             plan_id, pattern = key >> self.D, key & ((1 << self.D) - 1)
-            answered, exact, spent, learned, target = coster.run_spilled(
-                plan_id, budget, self._unlearned(pattern), self._at_truth, spilled
+            out = spill(
+                coster.plan(plan_id), self._unlearned(pattern), self._lows, budget,
+                self._at_truth, spilled,
             )
             self._spills += 1
-            self._total[spilled] += spent
+            self._spill_evaluations += out.evaluations
+            self._total[spilled] += out.spent
             # Spill-to-store completions: the resumed plan finished under
             # the budget, answering the query — these rows are done.
+            answered = out.answered
             self._out[spilled[answered]] = self._total[spilled[answered]]
-            for col, j in enumerate(target):
-                self._qrun[spilled, j] = np.maximum(self._qrun[spilled, j], learned[:, col])
-                self._exact[spilled, j] |= exact
-            exhausting[sel] = exhausts(answered, spent, budget)
+            for col, pid in enumerate(out.targets):
+                j = self._dim_of[pid]
+                self._qrun[spilled, j] = np.maximum(self._qrun[spilled, j], out.learned[:, col])
+                self._exact[spilled, j] |= out.exact
+            exhausting[sel] = exhausts(answered, out.spent, budget)
         on = np.isnan(self._out[rows])
         going, exhausting = rows[on], exhausting[on]
         if not len(going):
@@ -338,27 +343,31 @@ class SweepEngine:
     ) -> None:
         """Nothing (left) to learn on this contour: the rows run plans
         fully, in the order the endgame (every dimension exact) or the
-        fallback decides.  A closed form over the true costs: the first
-        plan that fits the budget answers, every one before it burns the
+        fallback decides.  A closed form over the true costs — costed
+        where the driver's runs are, at the clamped truth: the first plan
+        that fits the budget answers, every one before it burns the
         budget, and with none the contour is crossed."""
         coster = self.cache.coster
-        costs = self._costs(rows, [coster.plan(pid) for pid in tables.plan_ids], eligible)
+        plans = [coster.plan(pid) for pid in tables.plan_ids]
+        costs = self._costs(rows, plans, eligible)
         order, runs = fallback_order(costs, eligible, budget)
         learned = self._exact[rows].all(axis=1)
         if learned.any():
             first, once = endgame(costs[learned], eligible[learned])
             order[learned, :1], runs[learned] = first, once
-        fields = self.bouquet.cost_cache.cost_arrays(tables.plan_ids)
-        flat = self._flat[rows]
-        true_cost = np.stack([fields[pid].ravel()[flat] for pid in tables.plan_ids], axis=1)
+        true_cost = np.stack([
+            coster.cost(_at(plan.estimate(self._at_truth).cost, rows), len(rows)) for plan in plans
+        ], axis=1)
         in_order = np.take_along_axis(true_cost, order, axis=1)
         completes = (np.arange(order.shape[1]) < runs[:, None]) & (in_order <= budget)
         answered = completes.any(axis=1)
         # The completer's position in the order: how many ran before it.
         fails = completes.argmax(axis=1)
         final = in_order[np.arange(len(rows)), fails]
+        # Each failed run is charged on its own, as the driver adds them.
+        burnt = np.where(answered, fails, runs)
+        for k in range(int(burnt.max(initial=0))):
+            self._total[rows[k < burnt]] += budget
         done = rows[answered]
-        self._out[done] = self._total[done] + budget * fails[answered] + final[answered]
-        crossing = rows[~answered]
-        self._total[crossing] += budget * runs[~answered]
-        self._cross(crossing)
+        self._out[done] = self._total[done] + final[answered]
+        self._cross(rows[~answered])

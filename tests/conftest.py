@@ -427,16 +427,15 @@ def forty_halvings(cost, budget):
     return lo_t
 
 
-def spilled_run_by_subtree_walk(
-    bouquet, qa_values, plan_id, budget, unlearned, interp=_geometric_interp
-):
+def spilled_run_by_subtree_walk(bouquet, qa_values, plan_id, budget, unlearned):
     """One spilled execution in the cost-model world, by the literal
-    procedure: every probe of the 40-step bisection re-costs the whole
-    spilled subtree with ``cost_plan``.  The oracle for
-    ``AbstractExecutionService.run_spilled`` and ``BatchCoster.run_spilled``,
-    which search on the spill node's own formula (``interp`` is how a
-    target moves from its ``lo`` to the truth: numpy's ``**`` is not
-    libm's to the last bit, so the batch side passes its own)."""
+    scalar procedure: every probe of the 40-step bisection re-costs the
+    whole spilled subtree with ``cost_plan``.  The oracle for
+    ``repro.core.runtime.spill``, which searches on the spill node's own
+    formula, on one row (``AbstractExecutionService.run_spilled``) or
+    many (the sweep).  A target moves from its ``lo`` to the truth by
+    ``spill``'s own arithmetic: numpy's ``**`` is not libm's to the last
+    bit."""
     space = bouquet.space
     optimizer = bouquet.cost_cache.optimizer
     truth = space.assignment_for(qa_values)
@@ -454,7 +453,9 @@ def spilled_run_by_subtree_walk(
 
     def learned(t, exact):
         return [
-            LearnedSelectivity(pid, interp(lows[pid], truth[pid], t), exact)
+            LearnedSelectivity(
+                pid, float(_geometric_interp(lows[pid], truth[pid], np.array([t]))[0]), exact
+            )
             for pid in targets
         ]
 

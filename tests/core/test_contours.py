@@ -51,18 +51,17 @@ class TestContourCosts:
 class TestFrontier:
     def test_1d_frontier_is_single_point(self):
         costs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-        assert maximal_region_frontier(costs, 5.0) == [(2,)]
-        assert maximal_region_frontier(costs, 16.0) == [(4,)]
+        assert maximal_region_frontier(costs, [5.0, 16.0]) == [[(2,)], [(4,)]]
 
     def test_below_minimum_empty(self):
         costs = np.array([1.0, 2.0])
-        assert maximal_region_frontier(costs, 0.5) == []
+        assert maximal_region_frontier(costs, [0.5, 1.0]) == [[], [(0,)]]
 
     def test_2d_staircase(self):
         # cost(i, j) = (i+1) * (j+1): monotone in both axes.
         grid = np.fromfunction(lambda i, j: (i + 1) * (j + 1), (4, 4))
-        frontier = maximal_region_frontier(grid, 4.0)
-        assert set(frontier) == {(0, 3), (1, 1), (3, 0)}
+        (frontier,) = maximal_region_frontier(grid, [4.0])
+        assert frontier == [(0, 3), (1, 1), (3, 0)]  # row-major
 
     def test_frontier_dominates_region(self):
         """Every in-region location must be dominated by a frontier point."""
@@ -70,7 +69,7 @@ class TestFrontier:
         base = np.cumsum(rng.uniform(0.1, 1.0, size=(6, 6)), axis=0)
         grid = np.cumsum(base, axis=1)  # monotone in both axes
         ic = float(np.median(grid))
-        frontier = maximal_region_frontier(grid, ic)
+        (frontier,) = maximal_region_frontier(grid, [ic])
         for i in range(6):
             for j in range(6):
                 if grid[i, j] <= ic:

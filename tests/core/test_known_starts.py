@@ -45,7 +45,7 @@ def starts(draw, bouquets):
             known.append(LearnedSelectivity(dim.pid, value, exact=True))
         elif kind == "bound":
             t = draw(st.floats(min_value=0.0, max_value=1.0))
-            bound = min(value, _geometric_interp(dim.lo, value, t))
+            bound = min(value, float(_geometric_interp(dim.lo, value, t)))
             known.append(LearnedSelectivity(dim.pid, bound, exact=False))
     return bouquet, location, known
 

@@ -22,6 +22,7 @@ from repro.core.runtime import (
     BouquetRunner,
     ExecutionService,
     reach_under_budget,
+    spill,
 )
 from repro.sweep import BatchCoster
 from tests.conftest import forty_halvings, spilled_run_by_subtree_walk
@@ -156,7 +157,8 @@ class TestReachUnderBudget:
 
 
 class TestSpillBisection:
-    """``run_spilled`` searches on the spill node's own formula; the
+    """``spill`` searches on the spill node's own formula, on one row
+    (the service's ``run_spilled``) or many (the sweep's); the
     whole-subtree bisection gives the same outcome, float for float."""
 
     @pytest.fixture(scope="class")
@@ -192,34 +194,28 @@ class TestSpillBisection:
             assert bisected > 250  # the bisection itself was exercised
 
     def test_batch_coster_equals_the_subtree_walk(self, cases):
-        def interp(lo, hi, t):
-            """``_geometric_interp`` in the coster's arithmetic, one row."""
-            tv = np.array([hi])
-            return float(np.where(tv <= lo, tv, lo * (tv / lo) ** np.array([t]))[0])
-
+        """The same spill over many rows of one context, as the sweep
+        runs it: every row equals the walk at its location."""
         for bouquet, locations, unlearned_sets in cases:
             space = bouquet.space
-            coster = BatchCoster(bouquet)
+            lows = {dim.pid: dim.lo for dim in space.dimensions}
             truth = np.array([space.selectivities_at(loc) for loc in locations])
-            at_truth, rows = coster.context(truth), np.arange(len(truth))
+            at_truth, rows = BatchCoster(bouquet).context(truth), np.arange(len(truth))
             for plan_id in bouquet.plan_ids:
+                plan = bouquet.registry.plan(plan_id)
                 for budget in bouquet.budgets:
                     for unlearned in unlearned_sets:
-                        answered, exact, spent, learned, target_dims = coster.run_spilled(
-                            plan_id, budget, unlearned, at_truth, rows
-                        )
+                        out = spill(plan, unlearned, lows, budget, at_truth, rows)
                         for row, location in enumerate(locations):
                             want = spilled_run_by_subtree_walk(
                                 bouquet, space.selectivities_at(location),
-                                plan_id, budget, unlearned, interp,
+                                plan_id, budget, unlearned,
                             )
-                            assert answered[row] == want.completed
-                            assert spent[row] == want.cost_spent
-                            assert [space.dimensions[j].pid for j in target_dims] == [
-                                l.pid for l in want.learned
-                            ]
-                            assert learned[row].tolist() == [l.value for l in want.learned]
+                            assert out.answered[row] == want.completed
+                            assert out.spent[row] == want.cost_spent
+                            assert list(out.targets) == [l.pid for l in want.learned]
+                            assert out.learned[row].tolist() == [l.value for l in want.learned]
                             assert all(
-                                l.exact == bool(answered[row] or exact[row])
+                                l.exact == bool(out.answered[row] or out.exact[row])
                                 for l in want.learned
                             )

@@ -44,9 +44,10 @@ class TestRequestValidation:
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
-        # from_dict is the wire entry: it constructs, then validate()s.
+        # from_dict refuses what it cannot construct; admission
+        # validate()s what it constructed.
         with pytest.raises(BouquetError):
-            ServeRequest.from_dict({"query": SQL, **kwargs})
+            ServeRequest.from_dict({"query": SQL, **kwargs}).validate()
 
     def test_zero_deadline_is_legal(self):
         # 0 means "degrade immediately on a compile miss", not "invalid".

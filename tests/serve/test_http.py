@@ -111,6 +111,32 @@ class TestRoundTrips:
         assert payload["error_code"] == "invalid-request"
         assert "bogus" in payload["error"]
 
+    def test_a_wire_request_is_validated_once(self, monkeypatch):
+        """Decoding a payload checks its shape; admission checks its
+        fields — one ``validate`` per request, and an invalid one still
+        gets the typed ``invalid-request`` answer."""
+        calls = []
+        validate = ServeRequest.validate
+        monkeypatch.setattr(
+            ServeRequest, "validate", lambda self: calls.append(self) or validate(self)
+        )
+
+        async def scenario(front, backend):
+            async with AsyncServeClient(front.host, front.port) as client:
+                for i in range(5):
+                    response = await client.serve(ServeRequest(query=SQL, request_id=f"r{i}"))
+                    assert response.ok
+                served = len(calls)
+                payload = ServeRequest(query=SQL, budget=-1.0).to_dict()
+                return served, await client._round_trip("POST", "/v1/serve", payload)
+
+        served, (status, payload) = run_with_front(scenario)
+        assert served == 5
+        assert status == 400
+        assert (payload["status"], payload["error_code"]) == ("failed", "invalid-request")
+        assert "budget must be positive" in payload["error"]
+        assert len(calls) == 6
+
     def test_garbage_bytes_are_400_not_a_crash(self):
         async def scenario(front, backend):
             reader, writer = await asyncio.open_connection(

@@ -178,6 +178,27 @@ def test_compile_failure_degrades_to_native_path(catalog, small_config, tracer):
         assert counters["serve.degraded"] == 1
 
 
+def test_an_unanswered_run_degrades_to_native_path(server, tracer, monkeypatch):
+    """A bouquet run that ends with ``completed=False`` (``qa`` outside
+    the ESS: no contour's budget answered it) is not served ``ok``:
+    the NAT fallback answers it, ``degraded`` with ``outside-ess``."""
+    answered = server.serve(SQL)
+    execute = server_module.api_execute
+
+    def unanswered(*args, **kwargs):
+        return replace(execute(*args, **kwargs), completed=False, result_rows=None)
+
+    monkeypatch.setattr(server_module, "api_execute", unanswered)
+    served = server.serve(SQL)
+    assert (served.status, served.error_code) == ("degraded", "outside-ess")
+    assert served.cache == "memory"
+    assert served.mso_bound is None  # no guarantee on the NAT path
+    assert served.rows == answered.rows  # NAT's rows: the same answer
+    counters = _counters(tracer)
+    assert counters["serve.outside_ess"] == counters["serve.degraded"] == 1
+    assert counters["serve.served_ok"] == 1
+
+
 def test_refresh_statistics_patches_cached_artifacts(server, catalog, database):
     assert server.serve(SQL).cache == "compiled"
     assert server.serve(SQL).cache == "memory"

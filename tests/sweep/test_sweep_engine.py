@@ -1,6 +1,8 @@
-"""The sweep engine's fields must equal, to rounding, the literal scalar
+"""The sweep engine's fields must equal, bit for bit, the literal scalar
 Figure 13 of ``tests/conftest.py`` (``reference_field``), which shares
-no decision with the two drivers, and the per-location runner."""
+no decision with the two drivers, and the per-location runner: both
+drivers spill through one model (``repro.core.runtime.spill``) and
+charge the truth's costs in the same order."""
 
 import numpy as np
 import pytest
@@ -16,8 +18,6 @@ from repro.sweep import engine as engine_module
 from repro.sweep.memo import sweep_cache
 from repro.wlgen import CampaignConfig, build_env, run_query
 from tests.conftest import campaign_pool_counters, reference_field
-
-RTOL = 1e-9
 
 
 def _reference_field(bouquet):
@@ -37,14 +37,25 @@ def q3d(lab):
 class TestFieldEquality:
     def test_1d_matches_reference(self, eq_bouquet):
         field = SweepEngine(eq_bouquet).cost_field()
-        np.testing.assert_allclose(
-            field, _reference_field(eq_bouquet), rtol=RTOL, atol=0.0
-        )
+        np.testing.assert_array_equal(field, _reference_field(eq_bouquet))
 
     def test_3d_matches_reference(self, q3d):
         field = SweepEngine(q3d.bouquet).cost_field()
-        np.testing.assert_allclose(
-            field, _reference_field(q3d.bouquet), rtol=RTOL, atol=0.0
+        np.testing.assert_array_equal(field, _reference_field(q3d.bouquet))
+
+    def test_full_runs_are_charged_at_the_clamped_truth(self):
+        """A grid's end point can sit an ulp past its dimension's ``hi``
+        (``3D_H_Q7`` of the default-scale TPC-H lab, third dimension's
+        last point), and the driver charges a full run at the truth
+        clamped into ``[lo, hi]``; so does the sweep, not at the grid
+        value."""
+        from repro.bench.harness import Lab
+
+        bouquet = Lab(tpcds_scale=0.001, resolutions={3: 7}).build("3D_H_Q7").bouquet
+        space = bouquet.space
+        assert any(grid[-1] > dim.hi for dim, grid in zip(space.dimensions, space.grids))
+        np.testing.assert_array_equal(
+            SweepEngine(bouquet).cost_field(), _reference_field(bouquet)
         )
 
     def test_subset_locations_dict_contract(self, q3d):
@@ -53,14 +64,14 @@ class TestFieldEquality:
         assert set(swept) == set(locations)
         for loc in locations:
             ref = simulate_at(q3d.bouquet, loc, mode="optimized").total_cost
-            assert swept[loc] == pytest.approx(ref, rel=RTOL)
+            assert swept[loc] == ref
 
     def test_default_engine_is_sweep_and_matches_reference(self, q3d):
         swept = optimized_cost_field(q3d.bouquet)
         ref = reference_field(q3d.bouquet)
         assert set(swept) == set(ref)
         for loc, total in ref.items():
-            assert swept[loc] == pytest.approx(total, rel=RTOL)
+            assert swept[loc] == total
 
     def test_campaign_pool_matches_reference(self, monkeypatch):
         """Every field a pass over the ledger's 31 ``eval_campaign``
@@ -80,8 +91,8 @@ class TestFieldEquality:
             assert run_query(world, config, index).status == "ok"
         assert len(fields) == config.count
         for bouquet in fields:
-            np.testing.assert_allclose(
-                SweepEngine(bouquet).cost_field(), _reference_field(bouquet), rtol=RTOL, atol=0.0
+            np.testing.assert_array_equal(
+                SweepEngine(bouquet).cost_field(), _reference_field(bouquet)
             )
 
 
@@ -118,17 +129,17 @@ class TestEngineMechanics:
         engine.cache.invalidate()
         coster = engine.cache.coster
         contexts, truths = [], []
-        run_spilled = coster.run_spilled
+        spill = engine_module.spill
 
-        def recording(plan_id, budget, unlearned, at_truth, rows):
+        def recording(plan, unlearned, lows, budget, at_truth, rows):
             truths.append(at_truth)
-            return run_spilled(plan_id, budget, unlearned, at_truth, rows)
+            return spill(plan, unlearned, lows, budget, at_truth, rows)
 
         def counting(values):
             contexts.append(len(values))
             return type(coster).context(coster, values)
 
-        monkeypatch.setattr(coster, "run_spilled", recording)
+        monkeypatch.setattr(engine_module, "spill", recording)
         monkeypatch.setattr(coster, "context", counting)
         locations = [(0, 0, 0), (2, 4, 6), (6, 6, 6), (3, 1, 5), (1, 1, 1)]
         totals = engine.totals(locations)
@@ -138,9 +149,7 @@ class TestEngineMechanics:
         columns = [truths[0].assignment[dim.pid] for dim in q3d.space.dimensions]
         assert {len(column) for column in columns} == {len(locations)}
         reference = reference_field(q3d.bouquet, locations)
-        np.testing.assert_allclose(
-            totals, [reference[loc] for loc in locations], rtol=RTOL, atol=0.0
-        )
+        np.testing.assert_array_equal(totals, [reference[loc] for loc in locations])
 
     def test_a_memoised_cost_array_cannot_be_written_to(self, q3d):
         """``BatchCoster.cost`` hands out the context's own array, not a
@@ -187,7 +196,7 @@ class TestCarriedCosting:
         # The origin's, and the six of the rounds whose spills left rows
         # to go on.
         assert contexts == set(range(7))
-        np.testing.assert_allclose(field, _reference_field(q3d.bouquet), rtol=RTOL, atol=0.0)
+        np.testing.assert_array_equal(field, _reference_field(q3d.bouquet))
 
 
 class TestCampaignPoolCounts:
@@ -228,7 +237,7 @@ class TestRounds:
         assert not any(name.startswith(("sweep.cohort", "sweep.residue")) for name in counters)
         assert not {"cohorts", "splits", "residue"} & set(span)
         reference = reference_field(q3d.bouquet)
-        assert all(field[loc] == pytest.approx(total, rel=RTOL) for loc, total in reference.items())
+        assert all(field[loc] == total for loc, total in reference.items())
 
     def test_a_sweep_runs_no_scalar_driver(self, q3d, monkeypatch):
         """No :class:`BouquetRunner` and no :class:`AbstractExecutionService`
@@ -247,7 +256,7 @@ class TestRounds:
         field, _span, _counters = _cold_sweep(q3d.bouquet)
         monkeypatch.undo()
         assert constructed == []
-        np.testing.assert_allclose(field, _reference_field(q3d.bouquet), rtol=RTOL, atol=0.0)
+        np.testing.assert_array_equal(field, _reference_field(q3d.bouquet))
 
 
     def test_spill_floors_follow_each_rows_exact_dimensions(self, monkeypatch):
@@ -319,4 +328,4 @@ class TestPropertyEquality:
         totals = engine.totals(locations)
         for loc, total in zip(locations, totals):
             ref = simulate_at(bouquet, loc, mode="optimized").total_cost
-            assert total == pytest.approx(ref, rel=RTOL)
+            assert total == ref

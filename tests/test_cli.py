@@ -113,7 +113,7 @@ class TestRefreshCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert (
-            "recompiled, base selectivities moved "
+            "recompiled (base-moved), base selectivities moved "
             "(join:lineitem.l_partkey=part.p_partkey): planned 16/16 locations"
         ) in out
         assert "carried over" not in out

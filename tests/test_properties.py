@@ -64,7 +64,7 @@ class TestFrontierProperties:
         for axis in range(3):
             grid = np.cumsum(grid, axis=axis)  # monotone along every axis
         ic = float(np.quantile(grid, quantile))
-        frontier = maximal_region_frontier(grid, ic)
+        (frontier,) = maximal_region_frontier(grid, [ic])
         inside = np.argwhere(grid <= ic + 1e-9 * ic)
         for cell in inside:
             assert any(
@@ -84,7 +84,7 @@ class TestFrontierProperties:
         rng = np.random.default_rng(seed)
         grid = np.cumsum(np.cumsum(rng.uniform(0.1, 1.0, size=shape), axis=0), axis=1)
         ic = float(np.median(grid))
-        frontier = maximal_region_frontier(grid, ic)
+        (frontier,) = maximal_region_frontier(grid, [ic])
         for a in frontier:
             for b in frontier:
                 if a != b:
