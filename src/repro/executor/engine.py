@@ -29,6 +29,7 @@ Supported executions:
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
@@ -82,7 +83,9 @@ class CostPerturbation:
     def factor(self, node: PlanNode) -> float:
         if self.delta == 0:
             return 1.0
-        key = hash((node.signature(), self.seed)) & 0xFFFFFFFF
+        # crc32, not hash(): str hashes are salted per process, and the
+        # factor must repeat across processes.
+        key = zlib.crc32(f"{node.signature()}|{self.seed}".encode())
         unit = key / 0xFFFFFFFF  # deterministic in [0, 1]
         low = 1.0 / (1.0 + self.delta)
         high = 1.0 + self.delta

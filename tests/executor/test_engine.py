@@ -1,5 +1,10 @@
 """Tests for the execution engine: correctness, costs, budgets, spilling."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -254,6 +259,26 @@ class TestCostPerturbation:
 
     def test_zero_delta_identity(self):
         assert CostPerturbation(0.0).factor(SeqScan("part")) == 1.0
+
+    def test_factor_repeats_across_processes(self):
+        """Two interpreters with different string-hash salts draw the same
+        factor, so a perturbed run repeats from one process to the next."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        probe = (
+            "from repro.executor import CostPerturbation\n"
+            "from repro.optimizer import SeqScan\n"
+            "print(repr(CostPerturbation(delta=0.4, seed=11)"
+            ".factor(SeqScan('part', ('sel:part.p_size',)))))"
+        )
+        outputs = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=salt)
+            run = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True,
+                text=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_perturbed_engine_costs_within_band(
         self, database, eq_query, eq_pids, engine
