@@ -44,7 +44,7 @@ from .core.runtime import (
     KnownSelectivities,
 )
 from .datagen.database import Database
-from .ess.diagram import PlanDiagram, coarse_subgrid
+from .ess.diagram import PlanDiagram
 from .ess.dimensioning import Uncertainty, select_error_dimensions
 from .ess.space import ErrorDimension, SelectivitySpace
 from .exceptions import BouquetError, BudgetExceeded
@@ -78,7 +78,9 @@ ARTIFACT_FORMAT = "repro.bouquet.artifact.v3"
 #: Default grid points per dimension, by ESS dimensionality.
 DEFAULT_RESOLUTIONS = {1: 64, 2: 24, 3: 10, 4: 6, 5: 5}
 
-#: Grids larger than this use the candidate (Picasso-style) diagram.
+#: Ledger-only: the frozen ``compile_cold`` replay still branches on it
+#: to a candidate diagram its grids never reach.  Every compile is
+#: exhaustive (DESIGN decision 26).
 EXHAUSTIVE_LIMIT = 4096
 
 _COST_MODELS: Dict[str, CostModel] = {
@@ -408,12 +410,7 @@ def _compile_pipeline(
         space = _compile_space(
             query, catalog, config, optimizer, dimensions, base_assignment
         )
-        if space.size <= EXHAUSTIVE_LIMIT:
-            diagram = PlanDiagram.exhaustive(optimizer, space)
-        else:
-            diagram = PlanDiagram.from_candidates(
-                optimizer, space, coarse_subgrid(space, per_dim=4)
-            )
+        diagram = PlanDiagram.exhaustive(optimizer, space)
         bouquet = identify_bouquet(diagram, lambda_=config.lambda_, ratio=config.ratio)
         span.set(
             dimensions=space.dimensionality,

@@ -3,8 +3,10 @@
 Builds the full evaluation environment of §6 once — TPC-H and TPC-DS
 databases, sampled statistics, optimizers — and manufactures per-query
 artifacts (ESS, plan diagram, bouquet, baselines) with laptop-scale grid
-resolutions.  Used by the benchmark harness, the examples, and the
-integration tests so every consumer sees the same world.
+resolutions.  Each bouquet is compiled by :func:`repro.api.compile_bouquet`,
+so every figure divides by the exact PIC a served compile plans on.  Used
+by the benchmark harness, the examples, and the integration tests so
+every consumer sees the same world.
 """
 
 from __future__ import annotations
@@ -14,18 +16,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..api import _COST_MODELS, BouquetConfig, Catalog, compile_bouquet
 from ..catalog.tpcds import tpcds_generator_spec, tpcds_schema
 from ..catalog.tpch import tpch_generator_spec, tpch_schema
-from ..core.bouquet import PlanBouquet, identify_bouquet
+from ..core.bouquet import PlanBouquet
 from ..core.simulation import basic_cost_field
 from ..datagen.database import Database
-from ..ess.diagram import PlanDiagram, coarse_subgrid
+from ..ess.diagram import PlanDiagram
 from ..ess.space import SelectivitySpace
 from ..obs.tracer import MemorySink, Tracer
 from ..obs.summary import summarize_trace
 from ..optimizer.cost_model import POSTGRES_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer
-from ..optimizer.selectivity import actual_selectivities
 from ..query.workload import WorkloadQuery, full_workload
 from ..robustness.metrics import optimized_field
 from ..robustness.nat import NativeOptimizerStrategy
@@ -33,13 +35,12 @@ from ..robustness.seer import SeerStrategy
 
 #: Grid points per dimension, by ESS dimensionality.  Plan cost fields
 #: are evaluated in one vectorized pass, so full-ESS sweeps stay cheap
-#: even at tens of thousands of grid cells; the remaining cost is the
-#: optimizer calls that seed the diagrams.
+#: even at tens of thousands of grid cells; the diagram itself is one
+#: slab DP over the whole grid.
 DEFAULT_RESOLUTIONS = {1: 100, 2: 30, 3: 16, 4: 9, 5: 7}
 
-#: Dimensionality at/above which the Picasso-style candidate approximation
-#: replaces the exhaustive one-optimization-per-location diagram.
-EXHAUSTIVE_UP_TO = 2
+#: The ``BouquetConfig.cost_model`` name of each cost model a Lab may run.
+_CONFIG_NAMES = {model: name for name, model in _COST_MODELS.items()}
 
 
 @dataclass
@@ -47,8 +48,6 @@ class QueryLab:
     """All per-query artifacts for one workload entry."""
 
     workload: WorkloadQuery
-    space: SelectivitySpace
-    diagram: PlanDiagram
     bouquet: PlanBouquet
     nat: NativeOptimizerStrategy
     _seer: Optional[SeerStrategy] = None
@@ -58,6 +57,14 @@ class QueryLab:
     @property
     def name(self) -> str:
         return self.workload.name
+
+    @property
+    def space(self) -> SelectivitySpace:
+        return self.bouquet.space
+
+    @property
+    def diagram(self) -> PlanDiagram:
+        return self.bouquet.diagram
 
     @property
     def seer(self) -> SeerStrategy:
@@ -142,23 +149,17 @@ class Lab:
         optimizer, database = self._env_for(name)
         dims = workload.dimensions()
         res = resolution or self.resolution_for(len(dims))
-        with self.tracer.span("lab.build", query=name, resolution=res):
-            base = actual_selectivities(workload.query, database)
-            space = SelectivitySpace(workload.query, dims, res, base)
-            if space.dimensionality <= EXHAUSTIVE_UP_TO:
-                diagram = PlanDiagram.exhaustive(optimizer, space)
-            else:
-                diagram = PlanDiagram.from_candidates(
-                    optimizer, space, coarse_subgrid(space, per_dim=4)
-                )
-            bouquet = identify_bouquet(diagram, lambda_=self.lambda_, ratio=self.ratio)
-        lab = QueryLab(
-            workload=workload,
-            space=space,
-            diagram=diagram,
-            bouquet=bouquet,
-            nat=NativeOptimizerStrategy(diagram),
+        config = BouquetConfig(
+            ratio=self.ratio, lambda_=self.lambda_, resolution=res,
+            cost_model=_CONFIG_NAMES[optimizer.cost_model],
         )
+        catalog = Catalog(optimizer.schema, optimizer.statistics, database)
+        with self.tracer.span("lab.build", query=name, resolution=res):
+            bouquet = compile_bouquet(
+                workload.query, catalog, config=config, dimensions=dims,
+                optimizer=optimizer, tracer=self.tracer,
+            ).bouquet
+        lab = QueryLab(workload, bouquet, NativeOptimizerStrategy(bouquet.diagram))
         if resolution is None:
             self._labs[name] = lab
         return lab

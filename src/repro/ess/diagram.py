@@ -2,10 +2,10 @@
 
 A *plan diagram* (Harish et al., VLDB 2007) colours every ESS location
 with the optimizer's plan choice there; the associated cost field is the
-POSP infimum curve/surface (PIC).  Diagrams can be produced exhaustively
-(every location optimized, as one slab) or approximately from a candidate plan
-set (cost every candidate everywhere, take the argmin) — the latter is
-how high-dimensional spaces stay tractable.
+POSP infimum curve/surface (PIC).  Every compile builds its diagram
+exhaustively: every location optimized, as one slab.  The Picasso-style
+candidate diagram (cost a harvested plan set everywhere, take the argmin)
+is kept only for the frozen ``compile_cold`` ledger replay.
 """
 
 from __future__ import annotations
@@ -138,12 +138,7 @@ class PlanDiagram:
     # ------------------------------------------------------------------
 
     @classmethod
-    def exhaustive(
-        cls,
-        optimizer: Optimizer,
-        space: SelectivitySpace,
-        workers: Optional[int] = None,
-    ) -> "PlanDiagram":
+    def exhaustive(cls, optimizer: Optimizer, space: SelectivitySpace) -> "PlanDiagram":
         """Optimal plan at every grid location.
 
         The DPsize enumeration runs once for the whole grid as a slab
@@ -152,57 +147,14 @@ class PlanDiagram:
         on the cells of the axes its predicates read, and hands back
         arrays — plan ids and costs are those of one
         :meth:`Optimizer.optimize` call per location in row-major order.
-
-        POSP generation is "embarrassingly parallel" (§4.2): with
-        ``workers > 1`` the grid is cut along axis 0 into one block of
-        rows per worker on the persistent :mod:`repro.par` pool
-        (start-method resolution and payload pickle hardening live
-        there; the ``(optimizer, space)`` payload ships to each worker at
-        most once per content digest).  Each comes back as ``(plans,
-        winner, cost)`` in submission order, so the parent registers
-        plans in the same row-major order and the diagram is identical at
-        any worker count.
         """
         registry = optimizer.registry(space.query)
-        tracer = optimizer.tracer
-        rows = space.shape[0]
-        with tracer.span(
-            "ess.exhaustive_diagram", locations=space.size, workers=workers or 1
-        ) as span:
-            if workers and workers > 1:
-                from ..par import ParError, get_pool
-
-                step = (rows + workers - 1) // workers
-                blocks = [
-                    (start, min(start + step, rows)) for start in range(0, rows, step)
-                ]
-                if tracer.enabled:
-                    tracer.event(
-                        "batchopt.parallel_fanout",
-                        workers=workers,
-                        slabs=len(blocks),
-                        locations=space.size,
-                    )
-                pool = get_pool(workers, tracer=tracer)
-                try:
-                    slabs = pool.run(
-                        _optimize_slab, (optimizer, space), blocks, tracer=tracer
-                    )
-                except ParError as exc:
-                    raise EssError(
-                        f"parallel POSP generation failed: {exc}"
-                    ) from exc
-                plan_ids = np.concatenate(
-                    [registry.register_slab(plans, winner) for plans, winner, _ in slabs]
-                )
-                costs = np.concatenate([cost for _, _, cost in slabs])
-            else:
-                choice, plan_ids = optimizer.optimize_slab(
-                    space.query, *space.grid_columns(0, rows)
-                )
-                costs = choice.cost
+        with optimizer.tracer.span("ess.exhaustive_diagram", locations=space.size) as span:
+            choice, plan_ids = optimizer.optimize_slab(
+                space.query, *space.grid_columns(0, space.shape[0])
+            )
             plan_ids = plan_ids.reshape(space.shape)
-            costs = costs.reshape(space.shape)
+            costs = choice.cost.reshape(space.shape)
             span.set(posp=len(np.unique(plan_ids)))
         cache = PlanCostCache(space, optimizer, registry)
         return cls(space, plan_ids, costs, registry, cache)
@@ -216,6 +168,10 @@ class PlanDiagram:
     ) -> "PlanDiagram":
         """Approximate diagram: optimize at seed locations to harvest
         candidate plans, then cost every candidate everywhere and argmin.
+
+        Ledger-only: no compile calls it; the frozen ``compile_cold``
+        replay imports it behind ``api.EXHAUSTIVE_LIMIT``, a branch its
+        grids (3,125 cells at most) never take.
 
         With seeds on a coarse subgrid this is a standard Picasso-style
         approximation; it converges to the exhaustive diagram as seeds
@@ -294,19 +250,10 @@ class PlanDiagram:
         return True
 
 
-def _optimize_slab(ctx, payload, bounds):
-    # repro.par task: payload = (optimizer, space), bounds = a block of
-    # axis-0 rows.  Workers never trace — the tracer embedded in the
-    # payload degraded to the null tracer while pickling
-    # (Tracer.__reduce__) — and their plan ids are their own: the parent
-    # registers the returned plans in block order.
-    optimizer, space = payload
-    choice, _ = optimizer.optimize_slab(space.query, *space.grid_columns(*bounds))
-    return choice.plans, choice.winner, choice.cost
-
-
 def coarse_subgrid(space: SelectivitySpace, per_dim: int = 4) -> List[Location]:
-    """Evenly spaced seed locations, always including both diagonal corners."""
+    """Evenly spaced seed locations, always including both diagonal corners.
+
+    Ledger-only, with :meth:`PlanDiagram.from_candidates`."""
     axes = []
     for res in space.shape:
         count = min(per_dim, res)

@@ -18,8 +18,7 @@ untraced run pays only a boolean check.
 
 Tracers never cross process boundaries: sinks may hold open file
 handles, so pickling a tracer yields :data:`NULL_TRACER` on the other
-side (parallel POSP workers therefore run untraced; the parent records
-the fan-out instead).
+side (campaign workers therefore run untraced).
 """
 
 from __future__ import annotations

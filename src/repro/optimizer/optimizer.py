@@ -151,7 +151,7 @@ class Optimizer:
 
     def __getstate__(self):
         # Tracers hold sinks (possibly open files); they degrade to the
-        # null tracer across process boundaries (parallel POSP workers).
+        # null tracer across process boundaries.
         state = self.__dict__.copy()
         state["tracer"] = None
         return state

@@ -1,10 +1,8 @@
 """repro.par — the parallel-execution substrate.
 
 One persistent, reusable worker pool (fork-preferred, verified-spawn
-fallback) with per-worker payload caching keyed by content digest,
-shared by parallel POSP generation
-(:meth:`repro.ess.diagram.PlanDiagram.exhaustive`, one batch slab per
-worker) and wlgen campaigns (:mod:`repro.wlgen.campaign`).  Payloads
+fallback) with per-worker payload caching keyed by content digest, on
+which wlgen campaigns (:mod:`repro.wlgen.campaign`) shard.  Payloads
 are plain pickles.
 """
 

@@ -1,7 +1,7 @@
 """Persistent worker pool with digest-keyed payload caching.
 
-One substrate for the two process fan-outs (parallel POSP generation,
-wlgen campaigns) instead of a per-call ``ctx.Pool`` at each site:
+The substrate of the one process fan-out, wlgen campaigns, instead of a
+per-call ``ctx.Pool``:
 
 * **Persistent + reusable** — ``get_pool(workers)`` hands back a live
   pool keyed by ``(start method, worker count)``; workers are started
@@ -15,7 +15,7 @@ wlgen campaigns) instead of a per-call ``ctx.Pool`` at each site:
   unpicklable payload fails fast with a clear error instead of
   crashing inside queue machinery.
 * **Per-worker payload caching keyed by content digest** — a payload
-  (optimizer + space, campaign config) is pickled once per
+  (a campaign config) is pickled once per
   call, hashed, and shipped to each worker at most once per digest;
   subsequent calls with a byte-identical payload ship nothing.  Workers
   keep the decoded object plus a derived-state memo

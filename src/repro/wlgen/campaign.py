@@ -15,10 +15,9 @@ Per-query pipeline::
              -> compile_bouquet -> sweep-engine optimized field
              -> MSO/ASO vs. 4(1+lambda)rho
 
-Campaigns shard across processes exactly like parallel POSP generation
-(:meth:`repro.ess.diagram.PlanDiagram.exhaustive` with ``workers``): the
-persistent :mod:`repro.par` pool, fork-preferred with a verified spawn
-fallback, results reassembled in submission order.  Workers rebuild the (deterministic) environment from the
+Campaigns shard across processes on the persistent :mod:`repro.par`
+pool, fork-preferred with a verified spawn fallback, results reassembled
+in submission order.  Workers rebuild the (deterministic) environment from the
 campaign config rather than inheriting live objects, so shard results
 are independent of worker count and the report is bit-identical across
 re-runs — wall-clock timings deliberately never enter the payload.

@@ -548,12 +548,16 @@ def eq_bouquet(eq_diagram):
     return identify_bouquet(eq_diagram)
 
 
+#: A miniature Lab: tiny scale and coarse grids for fast multi-D tests.
+MINI_LAB = dict(
+    tpch_scale=0.002,
+    tpcds_scale=0.002,
+    stats_sample=1000,
+    resolutions={1: 40, 2: 12, 3: 7, 4: 5, 5: 4},
+)
+
+
 @pytest.fixture(scope="session")
 def lab():
-    """A miniature Lab: tiny scale and coarse grids for fast multi-D tests."""
-    return Lab(
-        tpch_scale=0.002,
-        tpcds_scale=0.002,
-        stats_sample=1000,
-        resolutions={1: 40, 2: 12, 3: 7, 4: 5, 5: 4},
-    )
+    """The session's shared miniature Lab (:data:`MINI_LAB`)."""
+    return Lab(**MINI_LAB)

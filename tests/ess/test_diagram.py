@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.runtime import AbstractExecutionService, BouquetRunner
 from repro.ess import PlanDiagram, coarse_subgrid
-from repro.exceptions import EssError
 
 
 class TestExhaustiveDiagram:
@@ -34,29 +33,6 @@ class TestExhaustiveDiagram:
             own = eq_diagram.plan_at(loc)
             best = min(arrays[p][loc] for p in posp)
             assert arrays[own][loc] == pytest.approx(best, rel=1e-9)
-
-
-def _exploding_slab(ctx, payload, locations):
-    raise RuntimeError("worker crashed")
-
-
-class TestParallelExhaustive:
-    def test_parallel_matches_serial(self, optimizer, eq_space, eq_diagram):
-        """§4.2: POSP generation across workers is result-identical —
-        the exact same ``plan_ids`` and ``costs`` arrays come back."""
-        parallel = PlanDiagram.exhaustive(optimizer, eq_space, workers=2)
-        assert np.array_equal(parallel.plan_ids, eq_diagram.plan_ids)
-        assert np.allclose(parallel.costs, eq_diagram.costs)
-        assert parallel.posp_plan_ids == eq_diagram.posp_plan_ids
-
-    def test_worker_failure_surfaces(self, optimizer, eq_space, monkeypatch):
-        """A slab task's exception comes back through the pool as an
-        ``EssError`` instead of stalling the result merge."""
-        from repro.ess import diagram as diagram_module
-
-        monkeypatch.setattr(diagram_module, "_optimize_slab", _exploding_slab)
-        with pytest.raises(EssError, match="worker crashed"):
-            PlanDiagram.exhaustive(optimizer, eq_space, workers=2)
 
 
 class TestCostCache:
@@ -150,28 +126,6 @@ class TestCoarseSubgrid:
         seeds = coarse_subgrid(eq_space, per_dim=4)
         assert (0,) in seeds and (63,) in seeds
         assert len(seeds) == 4
-
-
-class TestParallelPosp:
-    def test_parallel_matches_serial(self, optimizer, eq_space, eq_diagram):
-        """§4.2: POSP generation is embarrassingly parallel — the
-        multi-process diagram is bit-identical in costs and plan choices
-        (overheads dominate at toy scale; correctness is what we test)."""
-        import numpy as np
-
-        from repro.optimizer import Optimizer
-
-        fresh = Optimizer(optimizer.schema, optimizer.statistics)
-        parallel = PlanDiagram.exhaustive(fresh, eq_space, workers=2)
-        assert np.allclose(parallel.costs, eq_diagram.costs)
-        for location in [(0,), (20,), (40,), (63,)]:
-            serial_sig = eq_diagram.registry.plan(
-                eq_diagram.plan_at(location)
-            ).signature()
-            parallel_sig = parallel.registry.plan(
-                parallel.plan_at(location)
-            ).signature()
-            assert serial_sig == parallel_sig
 
 
 class TestVectorizedCosting:

@@ -8,9 +8,8 @@ back-pointers.  The scalar DP it replaced is the oracle
 (``tests/conftest.py::scalar_optimize``).  These tests pin that contract
 on fixed grids, degenerate slabs, aggregates, hypothesis-random slabs,
 the Table 2 and generated queries (in grid order, shuffled, duplicated,
-under exact cost ties and across pool workers), grid and mixed
-float/array column layouts, one-location ``optimize``, plus the registry
-properties (structural dedup, thread safety) it rests on.
+under exact cost ties), grid and mixed float/array column layouts,
+one-location ``optimize``, plus the registry properties (structural dedup, thread safety) it rests on.
 """
 
 import copy
@@ -37,7 +36,6 @@ from repro.optimizer import (
 from repro.optimizer.joinorder import JoinEnumerator
 from repro.optimizer.optimizer import PlanRegistry
 from repro.optimizer.plans import CostContext
-from repro.par import leaked_segments, shutdown_pools
 from repro.query import parse_query
 from repro.query.workload import TABLE2_NAMES
 from repro.wlgen import QueryGenerator, dimension_query
@@ -449,53 +447,6 @@ class TestBatchCostArrays:
         assert memo.sets == len(costed)
         assert memo.peak <= len(costed) // 4
         assert not memo
-
-
-class TestParallelBatch:
-    def test_parallel_batch_matches_serial(self, optimizer, eq_space, eq_diagram):
-        fresh = Optimizer(optimizer.schema, optimizer.statistics)
-        parallel = PlanDiagram.exhaustive(fresh, eq_space, workers=2)
-        assert np.array_equal(parallel.costs, eq_diagram.costs)
-        for location in [(0,), (20,), (40,), (63,)]:
-            serial_sig = eq_diagram.registry.plan(
-                eq_diagram.plan_at(location)
-            ).canonical_signature()
-            parallel_sig = parallel.registry.plan(
-                parallel.plan_at(location)
-            ).canonical_signature()
-            assert serial_sig == parallel_sig
-
-    def test_axis0_blocks_pin_scalar(self, oracle):
-        """Workers get blocks of axis-0 rows as grid columns: three
-        blocks over a 3 x 3 x 3 grid, and the merged diagram is still
-        the scalar one, plan ids included, with nothing left in
-        /dev/shm."""
-        fresh, space, scalar = oracle("3D_H_Q5")
-        parallel = PlanDiagram.exhaustive(fresh(), space, workers=3)
-        assert parallel.plan_ids.ravel().tolist() == [r.plan_id for r in scalar]
-        assert parallel.costs.ravel().tolist() == [r.cost for r in scalar]
-        shutdown_pools()
-        assert leaked_segments() == []
-
-    @pytest.mark.parametrize("name", ["4D_H_Q8", "4D_DS_Q7"])
-    def test_one_and_two_workers_identical(self, lab, name):
-        """Uneven blocks (5 rows in two workers) merge to the diagram of
-        one worker: plan ids, costs and the plan behind every id."""
-        def diagram(workers):
-            optimizer, database = lab._env_for(name)
-            fresh = Optimizer(optimizer.schema, optimizer.statistics)
-            entry = lab.workload[name]
-            base = actual_selectivities(entry.query, database)
-            space = SelectivitySpace(entry.query, entry.dimensions(), 5, base)
-            return PlanDiagram.exhaustive(fresh, space, workers=workers)
-
-        one, two = diagram(1), diagram(2)
-        assert np.array_equal(one.plan_ids, two.plan_ids)
-        assert np.array_equal(one.costs, two.costs)
-        assert [
-            one.registry.plan(pid).canonical_signature() for pid in one.posp_plan_ids
-        ] == [two.registry.plan(pid).canonical_signature() for pid in two.posp_plan_ids]
-        shutdown_pools()
 
 
 def _choice_rows(choice, plan_ids):

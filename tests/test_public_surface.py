@@ -128,10 +128,11 @@ def workers_census():
 
 
 def test_workers_census():
-    """Process fan-out is asked for in four places: parallel POSP
-    (§4.2), the pool it runs on, and the campaign that shards over it."""
+    """Process fan-out is asked for in three places: the pool and the
+    campaign that shards over it.  A POSP diagram is one serial slab DP
+    (its axis-0 fan-out was slower than one process on the ``Lab()``
+    grids, and nothing outside the tests asked for it)."""
     assert workers_census() == [
-        "repro.ess.diagram.PlanDiagram.exhaustive",
         "repro.par.pool.WorkerPool.__init__",
         "repro.par.pool.get_pool",
         "repro.wlgen.campaign.CampaignConfig.__init__",
@@ -218,7 +219,8 @@ def test_defaulted_parameter_census():
     on ``execute`` / ``simulate`` and three parameters nobody set
     (``min_box_edge``, ``mcv_entries``, ``decade_edges``) went.  A
     new defaulted parameter lands here with the two callers that need
-    different values."""
+    different values.  ``ess`` had 24 before ``PlanDiagram.exhaustive``
+    lost its test-only ``workers``."""
     assert defaulted_parameter_census() == {
         "(top level)": 26,
         "bench": 31,
@@ -226,7 +228,7 @@ def test_defaulted_parameter_census():
         "core": 21,
         "datagen": 4,
         "drift": 5,
-        "ess": 24,
+        "ess": 23,
         "executor": 13,
         "obs": 7,
         "optimizer": 9,
