@@ -31,8 +31,9 @@
 #                     grid DP holds each subset at the shape of the axes
 #                     it reads, and a one-location optimize holds no
 #                     array at all; a repeated served hit decides nothing
-#                     and builds no index over a whole base table);
-#                     counts only, nothing is timed
+#                     and builds no index over a whole base table; the
+#                     canned group-by groups its keys by address, once
+#                     per aggregate run); counts only, nothing is timed
 #   make census       the figures a CHANGES entry quotes: lines per package
 #                     of src/ and in total (also with tests/, benchmarks/
 #                     and examples/ added, so a move is not a deletion),
@@ -84,7 +85,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once or frontier_elements or no_frontier_array or repeat_hit_is_prepared" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once or frontier_elements or no_frontier_array or repeat_hit_is_prepared or canned_group_by" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

@@ -214,6 +214,45 @@ def test_perf_dense_probes_of_the_canned_pool(benchmark, env):
     assert all(result.completed for result in results)
 
 
+def test_perf_canned_group_by_is_addressed(benchmark, env, monkeypatch):
+    """Group-by keys are addressed, not sorted, and grouped once.
+    Count-based guard — serving the canned ``group by p_brand`` text
+    (cold, then from memory) counts ``executor.dense_groups`` > 0 and
+    ``executor.sorted_groups`` 0, and makes one ``group_counts`` call per
+    aggregate that runs to its end, however many batches it reads."""
+    from repro.api import Catalog
+    from repro.executor import engine
+    from repro.executor.instrumentation import Instrumentation
+    from repro.optimizer import Aggregate
+    from repro.serve import BouquetServer
+
+    lab, _, _ = env
+    sql = next(text for text in CANNED_WORKLOAD if "group by" in text)
+    catalog = Catalog(lab.h_schema, statistics=lab.h_stats, database=lab.h_db)
+    tracer = Tracer(MemorySink())
+    calls, finished = [], []
+    group_counts, mark_finished = engine.group_counts, Instrumentation.mark_finished
+
+    def finishing(inst, node):
+        if isinstance(node, Aggregate):
+            finished.append(node)
+        return mark_finished(inst, node)
+
+    monkeypatch.setattr(engine, "group_counts", lambda *a: calls.append(a) or group_counts(*a))
+    monkeypatch.setattr(Instrumentation, "mark_finished", finishing)
+    with BouquetServer(catalog, config=BouquetConfig(), tracer=tracer) as server:
+        responses = [server.serve(sql) for _ in range(2)]
+        monkeypatch.undo()
+
+        assert [r.status for r in responses] == ["ok", "ok"]
+        assert responses[1].cache == "memory"
+        assert tracer.counters["executor.dense_groups"] > 0
+        assert tracer.counters.get("executor.sorted_groups", 0) == 0
+        assert finished and len(calls) == len(finished)
+        results = benchmark(lambda: server.serve(sql))
+        assert results.status == "ok"
+
+
 def test_perf_repeat_request_is_prepared(benchmark, env, monkeypatch):
     """A repeated request runs only the driver and the executor.
     Count-based guard — the second round of the canned texts on one

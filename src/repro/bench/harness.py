@@ -12,6 +12,7 @@ every consumer sees the same world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -49,10 +50,6 @@ class QueryLab:
 
     workload: WorkloadQuery
     bouquet: PlanBouquet
-    nat: NativeOptimizerStrategy
-    _seer: Optional[SeerStrategy] = None
-    _basic_field: Optional[np.ndarray] = None
-    _optimized_field: Optional[np.ndarray] = None
 
     @property
     def name(self) -> str:
@@ -66,20 +63,20 @@ class QueryLab:
     def diagram(self) -> PlanDiagram:
         return self.bouquet.diagram
 
-    @property
-    def seer(self) -> SeerStrategy:
-        if self._seer is None:
-            self._seer = SeerStrategy(self.diagram)
-        return self._seer
+    @cached_property
+    def nat(self) -> NativeOptimizerStrategy:  # costs every POSP plan over the grid
+        return NativeOptimizerStrategy(self.diagram)
 
-    @property
+    @cached_property
+    def seer(self) -> SeerStrategy:
+        return SeerStrategy(self.diagram)
+
+    @cached_property
     def bouquet_cost_field(self) -> np.ndarray:
         """Basic-bouquet total cost at every qa (cached)."""
-        if self._basic_field is None:
-            self._basic_field = basic_cost_field(self.bouquet)
-        return self._basic_field
+        return basic_cost_field(self.bouquet)
 
-    @property
+    @cached_property
     def optimized_cost_field(self) -> np.ndarray:
         """Optimized-bouquet total cost at every qa (cached).
 
@@ -87,9 +84,7 @@ class QueryLab:
         the grid-shaped counterpart of :attr:`bouquet_cost_field` for
         the Figure 13 driver.
         """
-        if self._optimized_field is None:
-            self._optimized_field = optimized_field(self.bouquet)
-        return self._optimized_field
+        return optimized_field(self.bouquet)
 
     @property
     def pic(self) -> np.ndarray:
@@ -159,7 +154,7 @@ class Lab:
                 workload.query, catalog, config=config, dimensions=dims,
                 optimizer=optimizer, tracer=self.tracer,
             ).bouquet
-        lab = QueryLab(workload, bouquet, NativeOptimizerStrategy(bouquet.diagram))
+        lab = QueryLab(workload, bouquet)
         if resolution is None:
             self._labs[name] = lab
         return lab

@@ -6,11 +6,12 @@ Batches are dictionaries mapping *qualified* column names
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..datagen.database import ColumnIndex, compare
+from ..datagen.database import DENSE_SLOTS_PER_KEY, ColumnIndex, _exact_in_int64, compare
 from ..exceptions import ExecutionError
 from ..query.predicates import SelectionPredicate
 
@@ -104,22 +105,47 @@ def join_indices(probe_keys: np.ndarray, index: ColumnIndex) -> Tuple[ProbeIndex
     return probe_idx, index.order[first].astype(np.intp, copy=False)
 
 
-def group_counts(
-    columns: Sequence[np.ndarray], weights: Optional[np.ndarray] = None
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Distinct rows of ``columns`` in lexicographic order, with how many
-    input rows (or how much of ``weights``) each one holds.
+def group_radices(columns: Sequence[np.ndarray]) -> Optional[List[Tuple[int, int]]]:
+    """Each key column's ``(low, span)`` when the rows group by address —
+    :meth:`ColumnIndex.build`'s rule over the code space ``prod(span)`` —
+    else ``None``."""
+    rows = columns[0].size
+    if not rows or not all(_exact_in_int64(column.dtype) for column in columns):
+        return None
+    lows = [int(np.minimum.reduce(column)) for column in columns]
+    spans = [int(np.maximum.reduce(column)) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(spans) > DENSE_SLOTS_PER_KEY * max(rows, 512):
+        return None
+    return list(zip(lows, spans))
 
-    Each column is factorised on its own (a 1-D sort) and folded into one
-    mixed-radix integer code per row, earlier columns more significant,
-    so code order is row order.  Codes are renumbered densely after each
-    fold, which keeps them below ``rows ** 2`` whatever the column count.
+
+def group_counts(columns: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Distinct rows of ``columns`` in lexicographic order, each key in
+    its column's dtype, with how many input rows each one holds.
+
+    Each row becomes one mixed-radix code, earlier columns more
+    significant, so code order is row order: by address for small-span
+    integer keys (:func:`group_radices`), whose ``bincount`` slots decode
+    back into keys; otherwise from a 1-D sort of each column, the codes
+    renumbered densely after each fold so they stay below ``rows ** 2``.
     """
+    radices = group_radices(columns)
+    if radices is not None:
+        codes = np.zeros(columns[0].size, dtype=np.int64)
+        for column, (low, span) in zip(columns, radices):
+            codes *= span
+            codes += column  # may wrap past int64; the sum ends in [0, slots)
+            codes -= low
+        counts = np.bincount(codes)
+        slots = counts.nonzero()[0]
+        digits = np.unravel_index(slots, [span for _, span in radices])
+        keys = [(d + low).astype(c.dtype) for d, c, (low, _) in zip(digits, columns, radices)]
+        return keys, counts[slots].astype(np.int64)
     distinct, codes = np.unique(columns[0], return_inverse=True)
     for column in columns[1:]:
         radix, digit = np.unique(column, return_inverse=True)
         distinct, codes = np.unique(codes * radix.size + digit, return_inverse=True)
-    counts = np.bincount(codes, weights=weights, minlength=distinct.size)
+    counts = np.bincount(codes, minlength=distinct.size)
     member = np.empty(distinct.size, dtype=np.intp)
     member[codes] = np.arange(codes.size)  # any one row of each group
     return [column[member] for column in columns], counts.astype(np.int64)

@@ -58,6 +58,7 @@ from .arrays import (
     concat,
     filter_rows,
     group_counts,
+    group_radices,
     join_indices,
     merge_batches,
     qualify,
@@ -550,7 +551,9 @@ class _INLJoin(_Join):
 
 
 class _Aggregate(_Operator):
-    """Hash aggregation: COUNT(*) per group (or one global count)."""
+    """Hash aggregation: COUNT(*) per group (or one global count).  Each
+    input batch is charged as it arrives; the batches' key columns are
+    grouped once, concatenated, at the end."""
 
     def __init__(self, engine, query, node: Aggregate, needed, ops):
         self.node = node
@@ -572,28 +575,27 @@ class _Aggregate(_Operator):
             yield {"count": np.array([count], dtype=np.int64)}
             return
 
-        def grouped(batch: Batch, weights: Optional[np.ndarray] = None) -> Batch:
-            keys, counts = group_counts([batch[name] for name in key_names], weights)
-            return {**dict(zip(key_names, keys)), "count": counts}
-
-        # One small group table per input batch, merged at the end.
-        partials: List[Batch] = []
+        parts: List[List[np.ndarray]] = []
         for batch in engine._run(self.child, inst):
             n = batch_length(batch)
             engine._charge(
                 inst, node, n * (model.hash_tuple_cost + len(key_names) * model.cpu_operator_cost)
             )
             if n:
-                partials.append(grouped(batch))
-        groups = concat(partials)
-        if len(partials) > 1:
-            groups = grouped(groups, weights=groups["count"])
-        count = batch_length(groups)
+                parts.append([batch[name] for name in key_names])
+        count = 0
+        if parts:
+            columns = [np.concatenate(column) for column in zip(*parts)]
+            if engine.tracer.enabled:  # counted by path, as join probes are
+                dense = group_radices(columns) is not None
+                engine.tracer.count("executor.dense_groups" if dense else "executor.sorted_groups")
+            keys, counts = group_counts(columns)
+            count = counts.size
         engine._charge(inst, node, count * model.cpu_tuple_cost)
         inst.emit(node, count)
         inst.mark_finished(node)
         if count:
-            yield groups
+            yield {**dict(zip(key_names, keys)), "count": counts}
 
 
 def _bind(engine: ExecutionEngine, query: Query, node: PlanNode, needed, ops) -> _Operator:

@@ -397,7 +397,8 @@ class ServingSummary:
                 )
             )
         join_probes = self._c("executor.dense_probes") + self._c("executor.searched_probes")
-        if self.index_lookups or join_probes or self._c("executor.selectivity_probes"):
+        groupings = self._c("executor.dense_groups") + self._c("executor.sorted_groups")
+        if self.index_lookups or join_probes or groupings or self._c("executor.selectivity_probes"):
             lines.append("")
             lines.append(
                 format_table(
@@ -407,6 +408,8 @@ class ServingSummary:
                         ["index hits", self._c("executor.index_hits")],
                         ["join probes, addressed", self._c("executor.dense_probes")],
                         ["join probes, searched", self._c("executor.searched_probes")],
+                        ["group-bys, addressed", self._c("executor.dense_groups")],
+                        ["group-bys, sorted", self._c("executor.sorted_groups")],
                         ["selectivity probes", self._c("executor.selectivity_probes")],
                         ["dimensions pinned at start", self._c("core.pinned_dimensions")],
                     ],

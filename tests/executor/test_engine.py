@@ -12,6 +12,7 @@ from repro.datagen import Database
 from repro.executor import CostPerturbation, ExecutionEngine
 from repro.obs import MemorySink, Tracer
 from repro.optimizer import (
+    Aggregate,
     IndexLookup,
     IndexScan,
     Join,
@@ -19,6 +20,7 @@ from repro.optimizer import (
     actual_selectivities,
     cost_plan,
 )
+from repro.query import parse_query
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,34 @@ class TestJoinProbes:
         assert tracer.counters["executor.searched_probes"] > 0
         assert tracer.counters["executor.dense_probes"] > 0  # the part join
         assert (sparse.rows, sparse.spent) == (dense.rows, dense.spent)
+
+
+class TestGroupBy:
+    @pytest.mark.parametrize(
+        "column, path",
+        [("l_partkey", "executor.dense_groups"), ("l_quantity", "executor.sorted_groups")],
+    )
+    def test_batches_are_grouped_once_by_address_or_by_sorting(
+        self, database, schema, column, path
+    ):
+        """An aggregate over many input batches groups their keys once:
+        an int key by address, a float key by sorting, each to the groups
+        of a sort over the whole column; the tracer counts the two ways
+        apart."""
+        query = parse_query(f"select count(*) from lineitem group by {column}", schema)
+        plan = Aggregate(SeqScan("lineitem"), (("lineitem", column),))
+        tracer = Tracer(MemorySink())
+        result = ExecutionEngine(database, batch_size=1024, tracer=tracer).execute(
+            query, plan, collect=True
+        )
+        keys, counts = np.unique(database.column("lineitem", column), return_counts=True)
+        assert result.result[f"lineitem.{column}"].tolist() == keys.tolist()
+        assert result.result["count"].tolist() == counts.tolist()
+        assert result.rows == keys.size
+        groupings = {
+            name: value for name, value in tracer.counters.items() if name.endswith("_groups")
+        }
+        assert groupings == {path: 1}
 
 
 class TestCostAgreement:

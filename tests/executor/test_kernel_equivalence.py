@@ -20,66 +20,108 @@ from hypothesis import strategies as st
 
 from repro.executor import ExecutionEngine, engine
 from repro.executor import engine as engine_module
-from repro.executor.arrays import group_counts
+from repro.datagen.database import DENSE_SLOTS_PER_KEY
+from repro.executor.arrays import group_counts, group_radices
 from tests.conftest import node_counters
 
 
-def legacy_group_counts(columns, weights=None):
-    """The group-by this kernel replaced: per batch a row sort
-    (``np.unique`` over the stacked keys), across batches a dict of
-    Python tuples sorted at the end."""
+def legacy_group_counts(columns):
+    """The group-by this kernel replaced: a row sort (``np.unique`` over
+    the stacked keys), its groups gathered into a dict of Python tuples
+    sorted at the end."""
     stacked = np.stack(columns, axis=1)
-    if weights is None and len(stacked):
-        stacked, weights = np.unique(stacked, axis=0, return_counts=True)
     totals = {}
-    for row, weight in zip(stacked.tolist(), [] if weights is None else weights.tolist()):
-        totals[tuple(row)] = totals.get(tuple(row), 0) + weight
+    if len(stacked):
+        stacked, weights = np.unique(stacked, axis=0, return_counts=True)
+        totals = dict(zip(map(tuple, stacked.tolist()), weights.tolist()))
     groups = sorted(totals)
     keys = np.array(groups).reshape(len(groups), len(columns))
     return [keys[:, i] for i in range(len(columns))], [totals[g] for g in groups]
 
 
+#: Key columns as group-bys meet them, made from small ints in [-40, 40]:
+#: negative and unsigned integers of several widths, booleans, floats,
+#: and integers whose span is far past the direct-address rule.
+KEY_KINDS = {
+    "int8": lambda v: v.astype(np.int8),
+    "int64": lambda v: v,
+    "int64, wide": lambda v: v * 1_000_003,
+    "uint16": lambda v: np.abs(v).astype(np.uint16),
+    "bool": lambda v: v % 2 == 0,
+    "float64": lambda v: v * 0.5,
+}
+
+
 class TestGroupCounts:
     @staticmethod
-    def assert_same(got, want):
+    def assert_same(columns, got, want):
         (got_keys, got_counts), (want_keys, want_counts) = got, want
         assert got_counts.dtype == np.int64
         assert got_counts.tolist() == want_counts
-        assert len(got_keys) == len(want_keys)
-        for got_column, want_column in zip(got_keys, want_keys):
+        assert len(got_keys) == len(want_keys) == len(columns)
+        for column, got_column, want_column in zip(columns, got_keys, want_keys):
+            assert got_column.dtype == column.dtype
             assert got_column.tolist() == want_column.tolist()
 
     @given(
         rows=st.lists(
-            st.tuples(
-                st.integers(min_value=-2, max_value=3),
-                st.integers(min_value=0, max_value=2),
-                st.integers(min_value=0, max_value=40),
-            ),
-            max_size=40,
+            st.tuples(*[st.integers(min_value=-40, max_value=40)] * 3), max_size=60
         ),
-        width=st.integers(min_value=1, max_value=3),
-        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+        kinds=st.lists(st.sampled_from(sorted(KEY_KINDS)), min_size=1, max_size=3),
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=3),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_row_sort_whole_and_merged_from_batches(self, rows, width, cuts):
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_sort_whole_and_merged_from_batches(self, rows, kinds, cuts):
         table = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
-        # An int, a float and a wide-range int column, as group-bys mix.
-        columns = [table[:, 0], table[:, 1] * 0.5, table[:, 2]][:width]
+        columns = [KEY_KINDS[kind](table[:, i]) for i, kind in enumerate(kinds)]
         want = legacy_group_counts(columns)
-        self.assert_same(group_counts(columns), want)
+        self.assert_same(columns, group_counts(columns), want)
 
+        # An aggregate groups its input batches concatenated, in any order.
         bounds = sorted({0, len(rows), *(min(c, len(rows)) for c in cuts)})
-        partials = [
-            group_counts([column[lo:hi] for column in columns])
-            for lo, hi in zip(bounds, bounds[1:])
+        batches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])][::-1]
+        if batches:
+            merged = [np.concatenate([column[b] for b in batches]) for column in columns]
+            self.assert_same(columns, group_counts(merged), want)
+
+    @given(
+        n=st.integers(min_value=2, max_value=1500),
+        width=st.integers(min_value=1, max_value=3),
+        shift=st.sampled_from([-1, 0, 1]),
+        low=st.integers(min_value=-70_000, max_value=70_000),
+        dtype=st.sampled_from([np.int64, np.int32]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_sort_either_side_of_the_span_limit(
+        self, n, width, shift, low, dtype, seed
+    ):
+        """Keys whose code space is at most ``DENSE_SLOTS_PER_KEY ·
+        max(n, 512)`` slots are addressed; widen the last column's span
+        by one past that and they are sorted.  Either way the groups are
+        the row sort's."""
+        limit = DENSE_SLOTS_PER_KEY * max(n, 512)
+        spans = {1: [limit], 2: [8, limit // 8], 3: [2, 4, limit // 8]}[width]
+        spans[-1] += shift  # just under, at, or just over the limit
+        rng = np.random.default_rng(seed)
+        columns = []
+        for span in spans:
+            column = low + rng.integers(0, span, size=n)
+            column[:2] = low, low + span - 1  # the span is attained
+            columns.append(column.astype(dtype))
+        assert (group_radices(columns) is None) == (shift > 0)
+        self.assert_same(columns, group_counts(columns), legacy_group_counts(columns))
+
+    def test_addresses_keys_at_the_ends_of_int64(self):
+        """Forming a code may wrap past int64 on the way; the code
+        itself lies in ``[0, slots)``, so the groups are exact."""
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        columns = [
+            np.array([top, top - 2, top, top - 1], dtype=np.int64),
+            np.array([bottom + 1, bottom, bottom + 1, bottom], dtype=np.int64),
         ]
-        if partials:
-            merged = group_counts(
-                [np.concatenate(parts) for parts in zip(*(k for k, _ in partials))],
-                weights=np.concatenate([c for _, c in partials]),
-            )
-            self.assert_same(merged, want)
+        assert group_radices(columns) == [(top - 2, 3), (bottom, 2)]
+        self.assert_same(columns, group_counts(columns), legacy_group_counts(columns))
 
     def test_keeps_each_column_dtype(self):
         keys, counts = group_counts([np.array([2, 1, 2]), np.array([0.5, 0.5, 0.5])])
@@ -118,8 +160,8 @@ def test_pool_runs_identically_on_the_replaced_kernels(
         build_pos = np.repeat(lo, counts) + offsets
         return np.repeat(np.arange(probe_keys.size), counts), order[build_pos]
 
-    def row_sort_groups(columns, weights=None):
-        keys, counts = legacy_group_counts(columns, weights)
+    def row_sort_groups(columns):
+        keys, counts = legacy_group_counts(columns)
         return keys, np.array(counts, dtype=np.int64)
 
     monkeypatch.setattr(engine, "join_indices", two_pass_join)

@@ -126,6 +126,8 @@ def test_access_path_counters_get_their_own_table():
             {"type": "counter", "name": "core.pinned_dimensions", "value": 16},
             {"type": "counter", "name": "executor.dense_probes", "value": 510},
             {"type": "counter", "name": "executor.searched_probes", "value": 12},
+            {"type": "counter", "name": "executor.dense_groups", "value": 36},
+            {"type": "counter", "name": "executor.sorted_groups", "value": 7},
         ]
     )
     assert summary.index_lookups == 48
@@ -142,6 +144,10 @@ def test_access_path_counters_get_their_own_table():
         "join probes, addressed",
         "510",
         "join probes, searched",
+        "group-bys, addressed",
+        "36",
+        "group-bys, sorted",
+        "7",
     ):
         assert needle in text
     assert "access paths" not in summarize_serving(RECORDS).describe()
@@ -149,3 +155,7 @@ def test_access_path_counters_get_their_own_table():
         [{"type": "counter", "name": "executor.searched_probes", "value": 2}]
     )
     assert "join probes, searched" in hash_joins_only.describe()
+    float_group_by_only = summarize_serving(
+        [{"type": "counter", "name": "executor.sorted_groups", "value": 1}]
+    )
+    assert "group-bys, sorted" in float_group_by_only.describe()

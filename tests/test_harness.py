@@ -55,6 +55,20 @@ class TestLab:
         assert ql.bouquet_cost_field.shape == ql.space.shape
         assert ql.seer is ql.seer  # cached
 
+    def test_nat_is_built_on_first_read(self, lab):
+        """Building a query's lab costs no plan over the grid; NAT,
+        which costs every POSP plan over it, is built when first read."""
+
+        def builds():
+            return lab.tracer.counters.get("ess.cost_array_builds", 0)
+
+        before = builds()
+        ql = lab.build("3D_H_Q5", resolution=5)
+        assert builds() == before
+        nat = ql.nat
+        assert builds() - before == len(ql.diagram.posp_plan_ids)
+        assert ql.nat is nat  # cached
+
     def test_lambda_and_ratio_propagate(self):
         custom = Lab(
             tpch_scale=0.002,

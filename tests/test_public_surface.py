@@ -220,7 +220,9 @@ def test_defaulted_parameter_census():
     (``min_box_edge``, ``mcv_entries``, ``decade_edges``) went.  A
     new defaulted parameter lands here with the two callers that need
     different values.  ``ess`` had 24 before ``PlanDiagram.exhaustive``
-    lost its test-only ``workers``."""
+    lost its test-only ``workers``; ``executor`` had 13 before
+    ``group_counts`` lost ``weights`` (an aggregate groups its input
+    once, so there is no weighted merge of per-batch tables)."""
     assert defaulted_parameter_census() == {
         "(top level)": 26,
         "bench": 31,
@@ -229,7 +231,7 @@ def test_defaulted_parameter_census():
         "datagen": 4,
         "drift": 5,
         "ess": 23,
-        "executor": 13,
+        "executor": 12,
         "obs": 7,
         "optimizer": 9,
         "par": 6,
