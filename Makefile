@@ -85,7 +85,7 @@ ledger-smoke:
 # tier-1 test path).
 perf-guards:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_microbench.py -q \
-		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once or frontier_elements or no_frontier_array or repeat_hit_is_prepared or canned_group_by" --benchmark-disable
+		-k "warm_request or one_execution or one_dp or spill_evaluations or dense_probes or prepared or axis_tables or each_qrun_once or sweep_steps or reuses_its_opening or plans_nothing or opens_no_envelope or builds_no_cost_grid or each_subplan_once or frontier_elements or no_frontier_array or repeat_hit_is_prepared or canned_group_by or replays_its_build_sides" --benchmark-disable
 
 census:
 	@PYTHONPATH=src $(PYTHON) tests/test_public_surface.py

@@ -6,9 +6,9 @@ becomes an operator holding its resolved predicates, qualified column
 names, the base columns it reads, the index handles it probes and its
 charge constants, and operators are generators of column batches.  The
 access paths are the ones the :class:`~repro.datagen.database.Database`
-owns; a hash, merge or NL build side that scans a whole base table
-reads that table and the database's index over its key, and replays the
-scan's charges and tuple counts instead of copying its rows.
+owns.  A hash, merge or NL join keeps its build side once built, with
+the log of its charges and tuple counts, for every later run of the
+bound plan to replay instead of running the subtree again.
 
 Work is charged to the
 :class:`~repro.executor.instrumentation.Instrumentation` account in the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
@@ -107,7 +108,8 @@ class ExecutionResult:
 class BoundPlan(NamedTuple):
     """A plan bound to one dataset under one cost model: its root
     operator, each node's operator by ``id(node)``, and the columns the
-    run needs.  Batch size and cost perturbation stay the engine's."""
+    run needs.  Batch size and cost perturbation stay the engine's; its
+    joins keep their build sides once built (``_BuildJoin.build``)."""
 
     plan: PlanNode
     root: "_Operator"
@@ -252,6 +254,8 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     def _charge(self, inst: Instrumentation, node: PlanNode, cost: float):
+        if inst.log is not None:
+            inst.log.append(("charge", node, cost))
         if self.perturbation is not None:
             cost *= self.perturbation.factor(node)
         inst.charge(node, cost)
@@ -322,21 +326,16 @@ class _SeqScan(_Operator):
         self.pages_per_row = table.pages / table.row_count
         self.columns = engine._base_columns(node.table, needed)
 
-    def _charges(self, engine: ExecutionEngine, inst: Instrumentation):
-        """Charge each batch in turn; yields its ``[start, stop)``."""
-        node, model, n, step = self.node, self.model, self.rows, engine.batch_size
+    def batches(self, engine, inst):
+        node, model, columns, preds = self.node, self.model, self.columns, self.preds
+        n, step = self.rows, engine.batch_size
         for start in range(0, n, step):
             stop = min(start + step, n)
             count = stop - start
             cost = count * self.pages_per_row * model.seq_page_cost
             cost += count * model.cpu_tuple_cost
-            cost += count * len(self.preds) * model.cpu_operator_cost
+            cost += count * len(preds) * model.cpu_operator_cost
             engine._charge(inst, node, cost)
-            yield start, stop
-
-    def batches(self, engine, inst):
-        node, columns, preds = self.node, self.columns, self.preds
-        for start, stop in self._charges(engine, inst):
             batch = apply_selections(
                 {name: array[start:stop] for name, array in columns.items()}, preds
             )
@@ -345,16 +344,6 @@ class _SeqScan(_Operator):
                 inst.emit(node, out)
                 yield batch
         inst.mark_finished(node)
-
-    def replay(self, engine: ExecutionEngine, inst: Instrumentation) -> Batch:
-        """An unfiltered scan run for its whole output: the same charges
-        and tuple counts, in the same order, and the base columns
-        themselves as the output."""
-        node = self.node
-        for start, stop in self._charges(engine, inst):
-            inst.emit(node, stop - start)
-        inst.mark_finished(node)
-        return self.columns
 
 
 class _IndexScan(_Operator):
@@ -437,11 +426,18 @@ class _Join(_Operator):
         return out
 
 
+#: A completed build side: its output (read-only views), row count, the
+#: index over its key, the batch size it was built at, and the ordered
+#: log of what its subtree did to the account.
+_Kept = namedtuple("_Kept", "batch rows index batch_size log")
+
+
 class _BuildJoin(_Join):
     """Hash, merge and nested-loop joins: the right child is built (the
     hash table, the sorted run, the materialised inner), then the left
-    streams against it.  A build side that scans a whole base table
-    binds that table's columns and the database's index over its key."""
+    streams against it.  The bound plan keeps the build (``kept``) for
+    later runs to replay; a whole base table's is its base columns and
+    the database's index over its key (``shared``)."""
 
     def __init__(self, engine, query, node: Join, needed, ops):
         super().__init__(engine, query, node, needed, ops)
@@ -457,15 +453,48 @@ class _BuildJoin(_Join):
         self.shared = None
         if _whole_table(node.right):
             self.shared = engine._index(right_table, right_column)
+        self.kept: Optional[_Kept] = None
 
     def build(self, engine, inst: Instrumentation) -> Tuple[Batch, int, Optional[ColumnIndex]]:
         """The build side's output, its row count and the index over its
-        key (None when it is empty)."""
-        if self.shared is not None:
-            return self.right.replay(engine, inst), self.right.rows, self.shared
-        build = concat(list(engine._run(self.right, inst)))
+        key (None when it is empty).  A build kept at this engine's batch
+        size is replayed: its log goes through ``inst`` in order, charges
+        through :meth:`ExecutionEngine._charge`, so a budget kills the
+        replay where it killed the run.  Otherwise the build is recorded
+        and kept once complete, unless a spill resume stored a node in it."""
+        kept = self.kept
+        resumed = inst.replay is not None and any(
+            node is inst.replay[0] for node in self.right.node.postorder()
+        )
+        replay = kept is not None and kept.batch_size == engine.batch_size and not resumed
+        if engine.tracer.enabled:
+            engine.tracer.count("executor.build_replays" if replay else "executor.builds")
+        if replay:
+            for kind, node, value in kept.log:
+                if kind == "charge":
+                    engine._charge(inst, node, value)
+                elif kind == "emit":
+                    inst.emit(node, value)
+                else:
+                    inst.mark_finished(node)
+            return kept.batch, kept.rows, kept.index
+        outer, inst.log = inst.log, []
+        batches = list(engine._run(self.right, inst))
+        log, inst.log = inst.log, outer
+        if outer is not None:  # an enclosing build is recording
+            outer.extend(log)
+        if self.shared is not None:  # no copy, no sort
+            build, index = self.right.columns, self.shared
+        else:
+            build = concat(batches)
+            index = ColumnIndex.build(build[self.right_key]) if batch_length(build) else None
+        build = {name: array.view() for name, array in build.items()}
+        for array in build.values():  # a view: the base column stays writeable
+            array.setflags(write=False)
         rows = batch_length(build)
-        return build, rows, ColumnIndex.build(build[self.right_key]) if rows else None
+        if not resumed:
+            self.kept = _Kept(build, rows, index, engine.batch_size, log)
+        return build, rows, index
 
 
 class _HashJoin(_BuildJoin):

@@ -46,6 +46,9 @@ class Instrumentation:
         #: resumed spill execution reaches ``node``, its stored output is
         #: yielded instead of re-running the (already charged) subtree.
         self.replay = None
+        #: While a build side records (``engine._BuildJoin.build``), its
+        #: ordered log of charges (unperturbed), emits and finishes.
+        self.log: Optional[list] = None
         self._counters: Dict[int, NodeCounters] = {}
         self._nodes: Dict[int, PlanNode] = {}
 
@@ -76,9 +79,13 @@ class Instrumentation:
 
     def emit(self, node: PlanNode, tuples: int):
         """Record ``tuples`` output rows at ``node``."""
+        if self.log is not None:
+            self.log.append(("emit", node, tuples))
         self.counters(node).tuples_out += int(tuples)
 
     def mark_finished(self, node: PlanNode):
+        if self.log is not None:
+            self.log.append(("finish", node, None))
         self.counters(node).finished = True
 
     def tuples_out(self, node: PlanNode) -> int:

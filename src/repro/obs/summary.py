@@ -396,9 +396,9 @@ class ServingSummary:
                     title="parallel substrate",
                 )
             )
-        join_probes = self._c("executor.dense_probes") + self._c("executor.searched_probes")
-        groupings = self._c("executor.dense_groups") + self._c("executor.sorted_groups")
-        if self.index_lookups or join_probes or groupings or self._c("executor.selectivity_probes"):
+        counted = ("dense_probes", "searched_probes", "dense_groups", "sorted_groups")
+        counted += ("builds", "build_replays", "selectivity_probes")
+        if self.index_lookups or any(self._c(f"executor.{name}") for name in counted):
             lines.append("")
             lines.append(
                 format_table(
@@ -410,6 +410,8 @@ class ServingSummary:
                         ["join probes, searched", self._c("executor.searched_probes")],
                         ["group-bys, addressed", self._c("executor.dense_groups")],
                         ["group-bys, sorted", self._c("executor.sorted_groups")],
+                        ["build sides, built", self._c("executor.builds")],
+                        ["build sides, replayed", self._c("executor.build_replays")],
                         ["selectivity probes", self._c("executor.selectivity_probes")],
                         ["dimensions pinned at start", self._c("core.pinned_dimensions")],
                     ],

@@ -21,6 +21,7 @@ from repro.optimizer import (
     cost_plan,
 )
 from repro.query import parse_query
+from tests.conftest import node_counters
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,133 @@ class TestGroupBy:
             name: value for name, value in tracer.counters.items() if name.endswith("_groups")
         }
         assert groupings == {path: 1}
+
+
+def build_joins(bound):
+    """The bound plan's hash, merge and NL joins, by their node."""
+    return {id(op.node): op for op in bound.ops.values() if hasattr(op, "kept")}
+
+
+class TestKeptBuilds:
+    """A bound join builds its build side once: later runs of the same
+    bound plan replay the build's log and return what it kept."""
+
+    @staticmethod
+    def eq_plan(eq_pids, algo="hash"):
+        sel, j_lp, j_lo = eq_pids
+        return Join(
+            algo,
+            Join(algo, SeqScan("lineitem"), SeqScan("orders"), (j_lo,)),
+            SeqScan("part", (sel,)),
+            (j_lp,),
+        )
+
+    @staticmethod
+    def nested_plan(eq_pids):
+        """A build side that is itself a join with a filtered build side."""
+        sel, j_lp, j_lo = eq_pids
+        return Join(
+            "hash",
+            SeqScan("orders"),
+            Join("hash", SeqScan("lineitem"), SeqScan("part", (sel,)), (j_lp,)),
+            (j_lo,),
+        )
+
+    @pytest.mark.parametrize("algo", ["hash", "merge", "nl"])
+    def test_recorded_then_replayed_and_counted(self, database, eq_query, eq_pids, algo):
+        plan = self.eq_plan(eq_pids, algo)
+        tracer = Tracer(MemorySink())
+        engine = ExecutionEngine(database, batch_size=1024, tracer=tracer)
+        bound = engine.bind(eq_query, plan)
+        fresh = engine.execute(eq_query, engine.bind(eq_query, plan), collect=True)
+        counts = []
+        for _ in range(3):
+            before = dict(tracer.counters)
+            result = engine.execute(eq_query, bound, collect=True)
+            counts.append(
+                tuple(
+                    tracer.counters.get(name, 0) - before.get(name, 0)
+                    for name in ("executor.builds", "executor.build_replays")
+                )
+            )
+            assert node_counters(result) == node_counters(fresh)
+            assert (result.rows, result.spent) == (fresh.rows, fresh.spent)
+            assert all(np.array_equal(result.result[k], fresh.result[k]) for k in fresh.result)
+        # orders (a whole table) and part: recorded once, then replayed
+        assert counts == [(2, 0), (0, 2), (0, 2)]
+        # A run on another batch size records its own build.
+        other = ExecutionEngine(database, batch_size=999, tracer=tracer)
+        before = tracer.counters.get("executor.builds", 0)
+        assert other.execute(eq_query, bound).spent == other.execute(eq_query, plan).spent
+        assert tracer.counters["executor.builds"] - before == 4
+        assert all(op.kept.batch_size == 999 for op in build_joins(bound).values())
+
+    def test_no_counts_without_tracing(self, engine, eq_query, eq_pids):
+        bound = engine.bind(eq_query, self.eq_plan(eq_pids))
+        engine.execute(eq_query, bound)
+        assert all(op.kept is not None for op in build_joins(bound).values())
+        assert engine.tracer.counters == {}
+
+    def test_nested_builds_are_logged_into_the_enclosing_one(
+        self, database, eq_query, eq_pids
+    ):
+        plan = self.nested_plan(eq_pids)
+        engine = ExecutionEngine(database, batch_size=1024)
+        whole = engine.execute(eq_query, plan)
+        assert len(node_counters(whole)) == 5
+        for budget in [whole.spent * k / 10 for k in range(1, 10)]:
+            bound = engine.bind(eq_query, plan)
+            killed = engine.execute(eq_query, bound, budget=budget)
+            # A build is kept exactly when its run got past it.
+            for op in build_joins(bound).values():
+                built = killed.instrumentation.finished(op.node.right)
+                assert (op.kept is not None) == built
+            again = engine.execute(eq_query, bound, budget=budget)
+            assert node_counters(again) == node_counters(killed)
+            assert (again.spent, again.rows) == (killed.spent, killed.rows)
+        bound = engine.bind(eq_query, plan)
+        engine.execute(eq_query, bound)
+        outer, inner = (build_joins(bound)[id(node)] for node in (plan, plan.right))
+        # The outer log holds the inner build's events: a replay of the
+        # outer build never reaches the inner join.
+        inner_nodes = {id(node) for node in plan.right.right.postorder()}
+        assert inner_nodes <= {id(node) for _, node, _ in outer.kept.log}
+        inner.kept = None
+        replayed = engine.execute(eq_query, bound)
+        assert inner.kept is None
+        assert node_counters(replayed) == node_counters(whole)
+
+    @pytest.mark.parametrize("fraction", [None, 0.5, 0.95])
+    def test_spill_resume_inside_a_kept_build_neither_reads_nor_keeps_it(
+        self, database, eq_query, eq_pids, fraction
+    ):
+        """The spill node (the filtered part scan) lies inside the top
+        join's build side: the resume builds from the stored output, and
+        the build kept by an earlier full run stays as it was."""
+        sel, *_ = eq_pids
+        plan = self.eq_plan(eq_pids)
+        engine = ExecutionEngine(database, batch_size=1024)
+        bound = engine.bind(eq_query, plan)
+        full = engine.execute(eq_query, bound)
+        kept = build_joins(bound)[id(plan)].kept
+        assert kept is not None
+        budget = None if fraction is None else full.spent * fraction
+        spilled, node = engine.execute_spilled(eq_query, bound, {sel}, budget=budget)
+        fresh, fresh_node = engine.execute_spilled(eq_query, plan, {sel}, budget=budget)
+        assert node is plan.right and fresh_node is plan.right
+        assert (spilled.completed, spilled.rows, spilled.spent) == (
+            fresh.completed,
+            fresh.rows,
+            fresh.spent,
+        )
+        assert node_counters(spilled) == node_counters(fresh)
+        inst, fresh_inst = spilled.instrumentation, fresh.instrumentation
+        assert (inst.tuples_out(node), inst.finished(node)) == (
+            fresh_inst.tuples_out(node),
+            fresh_inst.finished(node),
+        )
+        assert build_joins(bound)[id(plan)].kept is kept
+        assert node_counters(engine.execute(eq_query, bound)) == node_counters(full)
 
 
 class TestCostAgreement:

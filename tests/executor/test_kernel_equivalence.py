@@ -10,18 +10,27 @@ bouquet driver must see the same budgets, kills and learned
 selectivities, and the rows must match the independent evaluator.  The
 runs start at the ESS origin (``origin_started``), because a run that
 starts from the index probes never spills on this pool.
+
+Keeping a bound plan's build sides is held to the same contract: a run
+that replays them is the run that recorded them and the run of a fresh
+binding.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.executor import ExecutionEngine, engine
+from repro.executor import CostPerturbation, ExecutionEngine, Instrumentation, engine
 from repro.executor import engine as engine_module
 from repro.datagen.database import DENSE_SLOTS_PER_KEY
 from repro.executor.arrays import group_counts, group_radices
+from repro.obs import MemorySink, Tracer
 from tests.conftest import node_counters
 
 
@@ -224,3 +233,153 @@ def test_replayed_build_scans_run_as_materialised_ones(
     assert shared
     for compiled, new, old in zip(pool, shipped, rerun):
         assert account(new) == account(old), compiled.query.name
+
+
+@pytest.fixture(scope="module")
+def bouquet_plans(pool, database, lab):
+    """``(query, plan, database)`` for every bouquet plan of the
+    ``serve_hot``-shaped pool (the canned texts first) and of every
+    Table 2 query on ``Lab()`` data."""
+    served = [(compiled.query, compiled.bouquet, database) for compiled in pool] + [
+        (ql.workload.query, ql.bouquet, lab.ds_db if "DS" in name else lab.h_db)
+        for name in sorted(lab.workload)
+        for ql in [lab.build(name)]
+    ]
+    return [
+        (query, bouquet.registry.plan(plan_id), data)
+        for query, bouquet, data in served
+        for plan_id in bouquet.plan_ids
+    ]
+
+
+def same_run(a, b):
+    """Two executions are the same run: rows, spend, per-node account
+    and (when collected) output."""
+    assert (a.completed, a.rows, a.spent) == (b.completed, b.rows, b.spent)
+    assert node_counters(a) == node_counters(b)
+    rows, other = a.result or {}, b.result or {}
+    assert rows.keys() == other.keys()
+    assert all(np.array_equal(rows[k], other[k]) for k in rows)
+
+
+def build_joins(bound):
+    return [op for op in bound.ops.values() if hasattr(op, "kept")]
+
+
+def cut_points(engine, query, bound, monkeypatch):
+    """Budgets that kill a run of ``bound`` halfway through each node's
+    first positive charge and through every charge of each kept build's
+    root (the last node its log names), so inside and at the end of
+    every replayed build."""
+    charges = []
+    charge = Instrumentation.charge
+    monkeypatch.setattr(
+        Instrumentation,
+        "charge",
+        lambda inst, node, cost: charges.append((node, cost)) or charge(inst, node, cost),
+    )
+    engine.execute(query, bound)
+    monkeypatch.undo()
+    ends = {id(op.kept.log[-1][1]) for op in build_joins(bound) if op.kept.log}
+    spent, seen, budgets = 0.0, set(), []
+    for node, cost in charges:
+        if cost > 0 and (id(node) not in seen or id(node) in ends):
+            seen.add(id(node))
+            budgets.append(spent + cost / 2)
+        spent += cost
+    return budgets
+
+
+def test_recorded_replayed_and_fresh_runs_are_the_same_run(bouquet_plans, monkeypatch):
+    """A bound plan's first run records its build sides and every later
+    run replays them; a fresh binding records again.  All three are the
+    same run whole, killed at budgets across the run (inside each
+    replayed build too), under cost perturbation, and on an engine of
+    another batch size — which records its own builds rather than
+    replay.  A killed first run keeps exactly the builds it got past."""
+    replayed = recorded_on_resize = 0
+    for query, plan, data in bouquet_plans:
+        shipped = ExecutionEngine(data)
+        bound = shipped.bind(query, plan)
+        recording = shipped.execute(query, bound, collect=True)
+        replaying = shipped.execute(query, bound, collect=True)
+        same_run(recording, replaying)
+        same_run(recording, shipped.execute(query, shipped.bind(query, plan), collect=True))
+        replayed += any(op.kept is not None for op in build_joins(bound))
+
+        for budget in cut_points(shipped, query, bound, monkeypatch):
+            first = shipped.bind(query, plan)
+            killed = shipped.execute(query, first, budget=budget)
+            assert not killed.completed
+            for op in build_joins(first):
+                built = killed.instrumentation.finished(op.node.right)
+                assert (op.kept is not None) == built
+            same_run(killed, shipped.execute(query, bound, budget=budget))
+
+        # Builds recorded on either engine replay on both: the log holds
+        # charges before perturbation, and each engine scales its own.
+        perturbed = ExecutionEngine(data, perturbation=CostPerturbation(0.2))
+        noisy = perturbed.bind(query, plan)
+        recorded = perturbed.execute(query, noisy, collect=True)
+        same_run(recorded, perturbed.execute(query, noisy, collect=True))
+        same_run(recorded, perturbed.execute(query, bound, collect=True))
+        same_run(shipped.execute(query, noisy, collect=True), recording)
+        cut = recorded.spent / 2
+        same_run(
+            perturbed.execute(query, bound, budget=cut),
+            perturbed.execute(query, perturbed.bind(query, plan), budget=cut),
+        )
+
+        tracer = Tracer(MemorySink())
+        resized = ExecutionEngine(data, batch_size=1000, tracer=tracer)
+        same_run(resized.execute(query, bound), resized.execute(query, resized.bind(query, plan)))
+        assert "executor.build_replays" not in tracer.counters
+        recorded_on_resize += tracer.counters.get("executor.builds", 0) > 0
+    assert replayed and recorded_on_resize == replayed
+
+
+def test_racing_first_runs_keep_one_consistent_build(pool, database):
+    """Threads (more than the cores) racing a bound plan's first run, on
+    a short switch interval: every one answers as a fresh binding, and
+    whichever build is kept, the plan's next run replays it as one."""
+    engine = ExecutionEngine(database)
+    plans = [
+        (compiled.query, compiled.bouquet.registry.plan(plan_id))
+        for compiled in pool
+        for plan_id in compiled.bouquet.plan_ids
+    ]
+    raced = 0
+    interval = sys.getswitchinterval()
+    for query, plan in plans:
+        bound = engine.bind(query, plan)
+        start = threading.Barrier(4)
+        results = []
+
+        def run():
+            start.wait(timeout=60)
+            results.append(engine.execute(query, bound, collect=True))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == 4
+        fresh = engine.bind(query, plan)
+        want = engine.execute(query, fresh, collect=True)
+        for result in results + [engine.execute(query, bound, collect=True)]:
+            same_run(result, want)
+        for op, other in zip(build_joins(bound), build_joins(fresh)):
+            kept, wanted = op.kept, other.kept
+            assert (kept.rows, kept.batch_size) == (wanted.rows, wanted.batch_size)
+            assert [(kind, id(node), value) for kind, node, value in kept.log] == [
+                (kind, id(node), value) for kind, node, value in wanted.log
+            ]
+            assert kept.batch.keys() == wanted.batch.keys()
+            assert all(np.array_equal(kept.batch[k], wanted.batch[k]) for k in kept.batch)
+            raced += 1
+    assert raced

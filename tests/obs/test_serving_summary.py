@@ -128,6 +128,8 @@ def test_access_path_counters_get_their_own_table():
             {"type": "counter", "name": "executor.searched_probes", "value": 12},
             {"type": "counter", "name": "executor.dense_groups", "value": 36},
             {"type": "counter", "name": "executor.sorted_groups", "value": 7},
+            {"type": "counter", "name": "executor.builds", "value": 89},
+            {"type": "counter", "name": "executor.build_replays", "value": 144},
         ]
     )
     assert summary.index_lookups == 48
@@ -148,6 +150,10 @@ def test_access_path_counters_get_their_own_table():
         "36",
         "group-bys, sorted",
         "7",
+        "build sides, built",
+        "89",
+        "build sides, replayed",
+        "144",
     ):
         assert needle in text
     assert "access paths" not in summarize_serving(RECORDS).describe()
@@ -159,3 +165,7 @@ def test_access_path_counters_get_their_own_table():
         [{"type": "counter", "name": "executor.sorted_groups", "value": 1}]
     )
     assert "group-bys, sorted" in float_group_by_only.describe()
+    replays_only = summarize_serving(
+        [{"type": "counter", "name": "executor.build_replays", "value": 3}]
+    )
+    assert "build sides, replayed" in replays_only.describe()
